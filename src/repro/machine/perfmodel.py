@@ -19,6 +19,14 @@ Every coefficient is taken from the :class:`~repro.machine.topology.MachineTopol
 and its per-routine :class:`~repro.machine.topology.RoutineEfficiency`
 profile, so the same code models both Setonix and Gadi.
 
+The scalar ``kernel_time``/``copy_time``/``sync_time``/``other_time``
+methods are the one reference implementation.  The batch path
+(``breakdown_batch``/``time_batch``) evaluates the same arithmetic over
+arrays through a :class:`RoutineTiming` context that binds one routine key
+to the platform once — every lookup and constant resolved at build time,
+every shared sub-expression computed once per call — and is re-checked
+against the catalog on every call, so it is never served stale.
+
 The model is *not* meant to predict absolute runtimes of the real machines;
 it is meant to reproduce the qualitative structure that makes ADSALA's
 thread-count prediction worthwhile: non-monotone runtime in the thread
@@ -42,6 +50,7 @@ __all__ = [
     "CostBreakdown",
     "CostBreakdownBatch",
     "PerformanceModel",
+    "RoutineTiming",
     "normalize_batch_inputs",
     "MODEL_TILE",
     "MODEL_KC",
@@ -168,15 +177,144 @@ def normalize_batch_inputs(
     threads_arr = _broadcast(threads_arr)
 
     for name, a in arrays.items():
-        if np.any(a < 1):
+        if (a < 1).any():
             raise ValueError(f"Dimension {name} must be positive")
-    if np.any(threads_arr < 1):
+    if (threads_arr < 1).any():
         raise ValueError("threads must be at least 1")
-    if max_threads is not None and np.any(threads_arr > max_threads):
+    if max_threads is not None and (threads_arr > max_threads).any():
         raise ValueError(
             f"threads exceed the platform maximum ({max_threads})"
         )
     return arrays, threads_arr, n
+
+
+class ContextCache(dict):
+    """Per-routine contexts kept by a model or simulator.
+
+    They hold catalog specs and plugin callables, so a copy or a pickle of
+    the owner starts with an empty cache and rebuilds lazily.
+    """
+
+    def __reduce__(self):
+        return (ContextCache, ())
+
+
+class RoutineTiming:
+    """One routine key bound to one platform, for the batch cost model.
+
+    Everything a batch call needs that does not depend on its problem
+    shapes is resolved here once: prefix/base/spec, efficiency profile, item
+    size, tiling schema, rate and L3 constants, and every sub-expression of
+    the thread count alone, tabulated over ``0..max_threads``.
+    :meth:`components` then evaluates all four cost components in one pass
+    that gathers the thread terms and computes each shared sub-expression
+    (bytes moved, output grid, panel depth) once.  It mirrors the scalar
+    ``PerformanceModel.*_time`` methods operation for operation (same
+    association order, same ufuncs), so row ``i`` reproduces the scalar
+    reference exactly; tests/machine/test_batch_timing.py and
+    test_property_timing.py assert it.
+    """
+
+    def __init__(self, platform: MachineTopology, routine: str):
+        self.platform = platform
+        self.prefix, self.base, self.spec = parse_routine(routine)
+        self.profile = platform.routine_profile(self.base)
+        self.itemsize = precision_bytes(self.prefix)
+        self.tile_dims, self.triangular, self.panel_dim = tiling_schema(self.spec)
+        peak_per_core = platform.peak_gflops_per_core * 1e9
+        if self.prefix == "s":
+            peak_per_core *= 2.0  # twice the SIMD lanes in single precision
+        self.rate_per_core = peak_per_core * self.profile.kernel_efficiency
+        cache_group = max(1, platform.cores_per_cache_group)
+        self.l3_words = platform.l3_cache_mb_per_group * 1e6 / self.itemsize / cache_group
+        self.max_threads = platform.max_threads
+        self.per_core_bandwidth = platform.copy_bandwidth_gbs_per_core * 1e9
+        # The thread-count-only terms, by the very ufuncs a call would run on
+        # its thread array: one gather per call replaces some twenty of them.
+        # Rows are named where :meth:`components` unpacks them.
+        t = np.arange(self.max_threads + 1)
+        busy_cores = np.minimum(t, platform.physical_cores)
+        smt_extra = np.maximum(0, t - platform.physical_cores)
+        sqrt_t = np.sqrt(t)
+        per_socket_threads = platform.cores_per_socket * platform.smt
+        socket_penalty = np.where(t > per_socket_threads, platform.cross_socket_sync_penalty, 1.0)
+        bandwidth_cap = platform.total_memory_bandwidth_gbs * 1e9 * 0.85
+        self.thread_terms = np.array([
+            np.minimum(busy_cores * self.per_core_bandwidth, bandwidth_cap),
+            busy_cores + self.profile.smt_yield * smt_extra,
+            0.15 * sqrt_t + 0.1 * np.log2(t + 1),
+            socket_penalty,
+            platform.sync_cost_per_thread * _pow065(t) * socket_penalty,
+            platform.fork_cost_per_thread * sqrt_t,
+            6e-5 + 2e-6 * sqrt_t,
+        ])
+
+    def normalize(self, dims, threads) -> Tuple[Dict[str, np.ndarray], np.ndarray, int]:
+        """:func:`normalize_batch_inputs` against this routine and platform."""
+        return normalize_batch_inputs(self.spec, dims, threads, self.max_threads)
+
+    def components(
+        self, dims: Dict[str, np.ndarray], threads: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Noise-free ``(kernel, copy, sync, other)`` of validated inputs."""
+        platform, profile = self.platform, self.profile
+        (
+            bandwidth, core_capacity, replication, socket_penalty,
+            barrier_cost, fork_cost, other_floor,
+        ) = self.thread_terms[:, threads]
+        bytes_moved = self.spec.memory_words(dims) * self.itemsize
+        stream_time = bytes_moved / bandwidth
+        panel_depth = dims[self.panel_dim]
+        max_tasks = np.ceil(dims[self.tile_dims[0]] / MODEL_TILE)
+        if self.triangular:
+            max_tasks = max_tasks * (max_tasks + 1) / 2
+        for name in self.tile_dims[1:]:
+            max_tasks = max_tasks * np.ceil(dims[name] / MODEL_TILE)
+
+        # kernel
+        flops = self.spec.flops(dims)
+        workers = np.minimum(core_capacity, max_tasks)
+        saturation = profile.saturation_threads
+        saturation_penalty = 1.0
+        if math.isfinite(saturation):
+            over = threads > saturation
+            if over.any():
+                capped = np.minimum(workers, saturation + 0.3 * (workers - saturation))
+                workers = np.where(over, capped, workers)
+                penalty = 1.0 + profile.oversaturation_penalty * np.log2(threads / saturation)
+                saturation_penalty = np.where(over, penalty, 1.0)
+        # Validated dims and threads are >= 1, hence max_tasks >= 1: the scalar
+        # path's max(1, .) and zero-task guards are moot here.
+        concurrent = np.minimum(threads, max_tasks.astype(np.int64))
+        imbalance = np.ceil(max_tasks / concurrent) * concurrent / max_tasks
+        cache_penalty = np.where(MODEL_TILE * panel_depth > self.l3_words, 1.15, 1.0)
+        serial_time = flops * (1.0 - profile.parallel_fraction) / self.rate_per_core
+        parallel_time = (
+            flops
+            * profile.parallel_fraction
+            / (self.rate_per_core * np.maximum(workers, 1e-9))
+            * imbalance
+            * cache_penalty
+            * saturation_penalty
+        )
+        kernel = serial_time + np.maximum(parallel_time, stream_time)
+
+        # copy
+        pack_time = np.minimum(bytes_moved, 4.0e6) / self.per_core_bandwidth * replication
+        copy = profile.copy_factor * (stream_time + pack_time)
+
+        # sync
+        n_barriers = np.minimum(6.0, 1.0 + panel_depth / (4.0 * MODEL_KC))
+        oversubscription = (
+            platform.sync_cost_per_thread
+            * 3.0
+            * _pow065(np.maximum(0.0, threads - max_tasks))
+            * socket_penalty
+        )
+        sync = profile.sync_factor * (n_barriers * barrier_cost + oversubscription + fork_cost)
+
+        other = other_floor + bytes_moved / 80e9
+        return kernel, copy, sync, other
 
 
 class PerformanceModel:
@@ -185,6 +323,7 @@ class PerformanceModel:
     def __init__(self, platform: MachineTopology):
         platform.validate()
         self.platform = platform
+        self._contexts = ContextCache()
 
     # -- helpers ---------------------------------------------------------------
     @staticmethod
@@ -358,154 +497,17 @@ class PerformanceModel:
         return 6e-5 + 2e-6 * math.sqrt(threads) + bytes_moved / 80e9
 
     # -- vectorised batch path ---------------------------------------------------
-    # The *_batch methods mirror their scalar counterparts operation for
-    # operation (same association order, same libm calls) so that
-    # ``breakdown_batch(...).row(i)`` reproduces ``breakdown(...)`` exactly;
-    # the scalar methods above stay as the reference implementation and the
-    # equivalence is asserted in tests/machine/test_batch_timing.py.
-    @staticmethod
-    def _output_grid_batch(spec: RoutineSpec, dims: Dict[str, np.ndarray]) -> np.ndarray:
-        tile_dims, triangular, _ = tiling_schema(spec)
-        if triangular:
-            n_tiles = np.ceil(dims[tile_dims[0]] / MODEL_TILE)
-            return n_tiles * (n_tiles + 1) / 2
-        tiles = np.ceil(dims[tile_dims[0]] / MODEL_TILE)
-        for name in tile_dims[1:]:
-            tiles = tiles * np.ceil(dims[name] / MODEL_TILE)
-        return tiles
+    def context(self, routine: str) -> RoutineTiming:
+        """The routine's cached batch context.
 
-    @staticmethod
-    def _panel_depth_batch(spec: RoutineSpec, dims: Dict[str, np.ndarray]) -> np.ndarray:
-        _, _, panel_dim = tiling_schema(spec)
-        return dims[panel_dim]
-
-    def _aggregate_bandwidth_batch(self, threads: np.ndarray) -> np.ndarray:
-        physical = np.minimum(threads, self.platform.physical_cores)
-        per_core = self.platform.copy_bandwidth_gbs_per_core * 1e9
-        cap = self.platform.total_memory_bandwidth_gbs * 1e9 * 0.85
-        return np.minimum(physical * per_core, cap)
-
-    def kernel_time_batch(
-        self, routine: str, dims: Dict[str, np.ndarray], threads: np.ndarray
-    ) -> np.ndarray:
-        prefix, base, spec = parse_routine(routine)
-        profile = self.platform.routine_profile(base)
-        flops = spec.flops(dims)
-        itemsize = precision_bytes(prefix)
-
-        peak_per_core = self.platform.peak_gflops_per_core * 1e9
-        if prefix == "s":
-            peak_per_core *= 2.0
-        rate_per_core = peak_per_core * profile.kernel_efficiency
-
-        physical = self.platform.physical_cores
-        busy_cores = np.minimum(threads, physical)
-        smt_extra = np.maximum(0, threads - physical)
-        core_capacity = busy_cores + profile.smt_yield * smt_extra
-
-        max_tasks = self._output_grid_batch(spec, dims)
-        workers = np.minimum(core_capacity, max_tasks)
-
-        saturation = profile.saturation_threads
-        saturation_penalty = np.ones_like(workers)
-        if math.isfinite(saturation):
-            over = threads > saturation
-            if np.any(over):
-                capped = np.minimum(
-                    workers, saturation + 0.3 * (workers - saturation)
-                )
-                workers = np.where(over, capped, workers)
-                penalty = 1.0 + profile.oversaturation_penalty * np.log2(
-                    threads / saturation
-                )
-                saturation_penalty = np.where(over, penalty, 1.0)
-
-        concurrent = np.maximum(1, np.minimum(threads, max_tasks.astype(np.int64)))
-        waves = np.ceil(max_tasks / concurrent)
-        imbalance = np.where(max_tasks > 0, waves * concurrent / max_tasks, 1.0)
-
-        panel_words = MODEL_TILE * self._panel_depth_batch(spec, dims)
-        l3_words = (
-            self.platform.l3_cache_mb_per_group
-            * 1e6
-            / itemsize
-            / max(1, self.platform.cores_per_cache_group)
-        )
-        cache_penalty = np.where(panel_words > l3_words, 1.15, 1.0)
-
-        serial_fraction = 1.0 - profile.parallel_fraction
-        serial_time = flops * serial_fraction / rate_per_core
-        parallel_time = (
-            flops
-            * profile.parallel_fraction
-            / (rate_per_core * np.maximum(workers, 1e-9))
-            * imbalance
-            * cache_penalty
-            * saturation_penalty
-        )
-
-        bytes_streamed = spec.memory_words(dims) * itemsize
-        bandwidth = self._aggregate_bandwidth_batch(threads)
-        bandwidth_time = bytes_streamed / bandwidth
-
-        return serial_time + np.maximum(parallel_time, bandwidth_time)
-
-    def copy_time_batch(
-        self, routine: str, dims: Dict[str, np.ndarray], threads: np.ndarray
-    ) -> np.ndarray:
-        prefix, base, spec = parse_routine(routine)
-        profile = self.platform.routine_profile(base)
-        itemsize = precision_bytes(prefix)
-        bytes_moved = spec.memory_words(dims) * itemsize
-
-        stream_time = bytes_moved / self._aggregate_bandwidth_batch(threads)
-
-        buffer_bytes = np.minimum(bytes_moved, 4.0e6)
-        per_core_bw = self.platform.copy_bandwidth_gbs_per_core * 1e9
-        replication = 0.15 * np.sqrt(threads) + 0.1 * np.log2(threads + 1)
-        pack_time = buffer_bytes / per_core_bw * replication
-
-        return profile.copy_factor * (stream_time + pack_time)
-
-    def sync_time_batch(
-        self, routine: str, dims: Dict[str, np.ndarray], threads: np.ndarray
-    ) -> np.ndarray:
-        _, base, spec = parse_routine(routine)
-        profile = self.platform.routine_profile(base)
-
-        n_barriers = np.minimum(
-            6.0, 1.0 + self._panel_depth_batch(spec, dims) / (4.0 * MODEL_KC)
-        )
-        per_socket_threads = self.platform.cores_per_socket * self.platform.smt
-        socket_penalty = np.where(
-            threads > per_socket_threads,
-            self.platform.cross_socket_sync_penalty,
-            1.0,
-        )
-        team_scale = _pow065(threads)
-        barrier_cost = self.platform.sync_cost_per_thread * team_scale * socket_penalty
-
-        max_tasks = self._output_grid_batch(spec, dims)
-        idle_threads = np.maximum(0.0, threads - max_tasks)
-        oversubscription = (
-            self.platform.sync_cost_per_thread
-            * 3.0
-            * _pow065(idle_threads)
-            * socket_penalty
-        )
-
-        fork_cost = self.platform.fork_cost_per_thread * np.sqrt(threads)
-        return profile.sync_factor * (
-            n_barriers * barrier_cost + oversubscription + fork_cost
-        )
-
-    def other_time_batch(
-        self, routine: str, dims: Dict[str, np.ndarray], threads: np.ndarray
-    ) -> np.ndarray:
-        prefix, _, spec = parse_routine(routine)
-        itemsize = precision_bytes(prefix)
-        bytes_moved = spec.memory_words(dims) * itemsize
-        return 6e-5 + 2e-6 * np.sqrt(threads) + bytes_moved / 80e9
+        One catalog lookup per call keeps it honest: when the key now
+        resolves to another spec object (``reset_catalog()``, a re-registered
+        plugin) the context is rebuilt instead of served stale.
+        """
+        context = self._contexts.get(routine)
+        if context is None or context.spec is not parse_routine(routine)[2]:
+            context = self._contexts[routine] = RoutineTiming(self.platform, routine)
+        return context
 
     def breakdown_batch(
         self,
@@ -518,16 +520,9 @@ class PerformanceModel:
         ``dims``/``threads`` follow :func:`normalize_batch_inputs`: aligned
         arrays, with scalars broadcast over the batch.
         """
-        _, _, spec = parse_routine(routine)
-        dim_arrays, threads_arr, _ = normalize_batch_inputs(
-            spec, dims, threads, max_threads=self.platform.max_threads
-        )
-        return CostBreakdownBatch(
-            kernel=self.kernel_time_batch(routine, dim_arrays, threads_arr),
-            copy=self.copy_time_batch(routine, dim_arrays, threads_arr),
-            sync=self.sync_time_batch(routine, dim_arrays, threads_arr),
-            other=self.other_time_batch(routine, dim_arrays, threads_arr),
-        )
+        context = self.context(routine)
+        dim_arrays, threads_arr, _ = context.normalize(dims, threads)
+        return CostBreakdownBatch(*context.components(dim_arrays, threads_arr))
 
     def time_batch(
         self,

@@ -27,26 +27,33 @@ All pseudo-randomness derives from a splitmix64-style integer mix over
 either on Python ints (scalar path) or on ``uint64`` NumPy arrays (batch
 path) with bit-identical results, which is what lets the data-gathering
 campaign collapse thousands of scalar calls into a handful of array ops
-while staying reproducible.  The scalar ``time``/``breakdown`` path is kept
-as the reference implementation; ``time_batch`` equivalence against it is
+while staying reproducible.  The scalar ``time``/``breakdown`` path is the
+only reference implementation; ``time_batch`` equivalence against it is
 asserted in the test suite.
+
+The batch path pays its set-up once per routine, not once per call: a
+routine-bound context (the model's :class:`~repro.machine.perfmodel.RoutineTiming`
+plus the timing hook and the four pre-mixed hash seed states) is built
+lazily and kept, inputs are validated once, and the noise pair and the
+patch pair are hashed together as one stacked ``(2, 2, n)`` chain (plus one
+``(2, n)`` step that extends the noise key by the thread count).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
 from repro.blas.api import RoutineSpec, parse_routine
 from repro.machine.perfmodel import (
+    ContextCache,
     CostBreakdown,
     CostBreakdownBatch,
     PerformanceModel,
-    normalize_batch_inputs,
 )
 from repro.machine.topology import MachineTopology
 from repro.routines.replay import NoTimingSourceError, ReplayTimingModel
@@ -76,12 +83,16 @@ def _splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+_U64 = tuple(np.uint64(c) for c in (_GAMMA, _MUL1, _MUL2, 30, 27, 31))
+
+
 def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 step on a uint64 array (wrapping arithmetic)."""
-    z = z + np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-    return z ^ (z >> np.uint64(31))
+    gamma, mul1, mul2, s30, s27, s31 = _U64
+    z = z + gamma
+    z = (z ^ (z >> s30)) * mul1
+    z = (z ^ (z >> s27)) * mul2
+    return z ^ (z >> s31)
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +106,11 @@ _TAG_NOISE1 = _string_code("noise1")
 _TAG_NOISE2 = _string_code("noise2")
 _TAG_PATCH = _string_code("patch")
 _TAG_PATCH_CENTER = _string_code("patch-center")
+
+
+def _replay_hook(replay: ReplayTimingModel, platform, prefix, dims, threads):
+    """A replay behind the ``cost_model``/``measure`` hook signature."""
+    return replay.time_batch(dims, threads)
 
 
 @dataclass
@@ -161,7 +177,8 @@ class TimingSimulator:
         self.patch_probability = patch_probability
         self.patch_strength = patch_strength
         self.n_evaluations = 0
-        self._replays: Dict[str, ReplayTimingModel] = {}
+        self._replays: Dict[str, partial] = {}
+        self._contexts = ContextCache()
         self._hash_base = _splitmix64(_string_code(platform.name) ^ (seed & _MASK64))
 
     # -- timing-source dispatch --------------------------------------------------
@@ -174,12 +191,14 @@ class TimingSimulator:
         sweeps, gathers and adaptation all work against it.
         """
         _, base, _ = parse_routine(routine)
-        self._replays[base] = replay
+        self._replays[base] = partial(_replay_hook, replay)
+        self._contexts.clear()
 
     def detach_replay(self, routine: str) -> None:
         """Remove a previously attached replay timing source."""
         _, base, _ = parse_routine(routine)
         self._replays.pop(base, None)
+        self._contexts.clear()
 
     def _timing_hook(self, base: str, spec: RoutineSpec):
         """The non-analytic timing source of a routine, or None for builtin.
@@ -194,11 +213,9 @@ class TimingSimulator:
             return None
         if spec.measure is not None:
             return spec.measure
-        replay = self._replays.get(base)
-        if replay is not None:
-            return lambda platform, prefix, dims, threads: replay.time_batch(
-                dims, threads
-            )
+        hook = self._replays.get(base)
+        if hook is not None:
+            return hook
         raise NoTimingSourceError(
             f"Routine {base!r} has no analytic cost model, no measure hook "
             "and no attached traffic replay; provide a cost_model/measure in "
@@ -215,6 +232,28 @@ class TimingSimulator:
             total * _HOOK_SPLIT[3],
         )
 
+    def _context(self, routine: str) -> tuple:
+        """``(model context, timing hook, hash seed states)`` of a routine key.
+
+        Built on first use and kept.  It cannot go stale: the model's
+        context is re-checked against the catalog on every call and a
+        rebuilt one invalidates this entry, ``attach_replay`` /
+        ``detach_replay`` drop every entry, and a copy or pickle of the
+        simulator starts empty.  The ``(2, 2, 1)`` seeds are :meth:`_fraction`'s
+        state just before its value loop: the noise pair, then the patch pair.
+        """
+        timing = self.model.context(routine)
+        entry = self._contexts.get(routine)
+        if entry is None or entry[0] is not timing:
+            seeds = [
+                _splitmix64(_splitmix64(self._hash_base ^ tag) ^ _string_code(routine))
+                for tag in (_TAG_NOISE1, _TAG_NOISE2, _TAG_PATCH, _TAG_PATCH_CENTER)
+            ]
+            seeds = np.array(seeds, dtype=np.uint64).reshape(2, 2, 1)
+            hook = self._timing_hook(timing.base, timing.spec)
+            entry = self._contexts[routine] = (timing, hook, seeds)
+        return entry
+
     # -- deterministic pseudo-randomness ---------------------------------------
     def _fraction(self, tag_code: int, routine: str, values) -> float:
         """Uniform-in-[0,1) value from the integer mix of ``values`` (scalar)."""
@@ -223,19 +262,6 @@ class TimingSimulator:
         for value in values:
             state = _splitmix64(state ^ (int(value) & _MASK64))
         return state / 2 ** 64
-
-    def _fraction_batch(
-        self, tag_code: int, routine: str, value_arrays, n: int
-    ) -> np.ndarray:
-        """Vectorised :meth:`_fraction` over aligned int64 value arrays."""
-        seed_state = _splitmix64(self._hash_base ^ tag_code)
-        seed_state = _splitmix64(seed_state ^ _string_code(routine))
-        state = np.full(n, seed_state, dtype=np.uint64)
-        for values in value_arrays:
-            state = _splitmix64_array(
-                state ^ np.asarray(values, dtype=np.int64).astype(np.uint64)
-            )
-        return state / 2.0 ** 64
 
     def _noise_factor(self, routine: str, dims: Dict[str, int], threads: int) -> float:
         if self.noise_level == 0:
@@ -247,27 +273,6 @@ class TimingSimulator:
         u1 = min(max(u1, 1e-12), 1 - 1e-12)
         gaussian = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         return float(np.exp(self.noise_level * gaussian))
-
-    def _noise_factor_batch(
-        self,
-        routine: str,
-        dims: Dict[str, np.ndarray],
-        threads: np.ndarray,
-        n: int,
-    ) -> np.ndarray:
-        if self.noise_level == 0:
-            return np.ones(n)
-        key = (*dims.values(), threads)
-        u1 = self._fraction_batch(_TAG_NOISE1, routine, key, n)
-        u2 = self._fraction_batch(_TAG_NOISE2, routine, key, n)
-        u1 = np.clip(u1, 1e-12, 1 - 1e-12)
-        gaussian = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return np.exp(self.noise_level * gaussian)
-
-    @staticmethod
-    def _patch_cell(value):
-        """Coarse log-scale cell index of one dimension (scalar or array)."""
-        return (np.log2(np.maximum(value, 1)) * 2).astype(np.int64)
 
     def _patch_factor(self, routine: str, dims: Dict[str, int], threads: int) -> float:
         """Localized slowdown reproducing the paper's "abnormal areas"."""
@@ -287,26 +292,6 @@ class TimingSimulator:
         if distance > 1.0:
             return 1.0
         return 1.0 + self.patch_strength * (1.0 - distance)
-
-    def _patch_factor_batch(
-        self,
-        routine: str,
-        dims: Dict[str, np.ndarray],
-        threads: np.ndarray,
-        n: int,
-    ) -> np.ndarray:
-        if self.patch_probability == 0:
-            return np.ones(n)
-        cell = [self._patch_cell(values) for values in dims.values()]
-        draw = self._fraction_batch(_TAG_PATCH, routine, cell, n)
-        band_center_frac = self._fraction_batch(_TAG_PATCH_CENTER, routine, cell, n)
-        band_center = 1 + band_center_frac * (self.platform.max_threads - 1)
-        band_width = max(2.0, 0.12 * self.platform.max_threads)
-        distance = np.abs(threads - band_center) / band_width
-        patched = (draw < self.patch_probability) & (distance <= 1.0)
-        return np.where(
-            patched, 1.0 + self.patch_strength * (1.0 - distance), 1.0
-        )
 
     # -- timing API --------------------------------------------------------------
     def breakdown(self, routine: str, dims: Dict[str, int], threads: int) -> CostBreakdown:
@@ -374,32 +359,52 @@ class TimingSimulator:
         aligned array.  Row ``i`` is bit-identical to the scalar
         :meth:`breakdown` of the ``i``-th configuration.
         """
-        prefix, base_name, spec = parse_routine(routine)
-        dim_arrays, threads_arr, n = normalize_batch_inputs(
-            spec, dims, threads, max_threads=self.platform.max_threads
-        )
-        hook = self._timing_hook(base_name, spec)
+        timing, hook, seeds = self._context(routine)
+        dim_arrays, threads_arr, n = timing.normalize(dims, threads)
         if hook is None:
-            base = self.model.breakdown_batch(routine, dim_arrays, threads_arr)
+            kernel, copy, sync, other = timing.components(dim_arrays, threads_arr)
         else:
             total = np.asarray(
-                hook(self.platform, prefix, dim_arrays, threads_arr),
+                hook(self.platform, timing.prefix, dim_arrays, threads_arr),
                 dtype=np.float64,
             )
-            total = np.broadcast_to(total.reshape(-1), (n,))
-            kernel, copy, sync, other = self._split_total(total)
-            base = CostBreakdownBatch(
-                kernel=kernel, copy=copy, sync=sync, other=other
+            kernel, copy, sync, other = self._split_total(
+                np.broadcast_to(total.reshape(-1), (n,))
             )
-        factor = self._noise_factor_batch(
-            routine, dim_arrays, threads_arr, n
-        ) * self._patch_factor_batch(routine, dim_arrays, threads_arr, n)
+        noisy, patchy = self.noise_level != 0, self.patch_probability != 0
+        if noisy or patchy:
+            # One chain hashes the noise pair and the patch pair together: at
+            # step j the noise rows mix in dimension j and the patch rows its
+            # coarse log-scale cell (validated dims are >= 1, so the scalar
+            # path's max(v, 1) is moot); threads extend the noise key only.
+            values = np.empty((len(dim_arrays), 2, 1, n), dtype=np.uint64)
+            for step, column in zip(values, dim_arrays.values()):
+                step[0, 0] = column
+            values[:, 1, 0] = np.log2(values[:, 0, 0]) * 2
+            state = seeds
+            for step in values:
+                state = _splitmix64_array(state ^ step)
+        factor = 1.0
+        if noisy:
+            u1, u2 = _splitmix64_array(state[0] ^ threads_arr.view(np.uint64)) / 2.0 ** 64
+            u1 = np.minimum(np.maximum(u1, 1e-12), 1 - 1e-12)
+            gaussian = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+            factor = np.exp(self.noise_level * gaussian)
+        if patchy:
+            draw, center = state[1] / 2.0 ** 64
+            band_center = 1 + center * (self.platform.max_threads - 1)
+            band_width = max(2.0, 0.12 * self.platform.max_threads)
+            distance = np.abs(threads_arr - band_center) / band_width
+            patched = (draw < self.patch_probability) & (distance <= 1.0)
+            factor = factor * np.where(
+                patched, 1.0 + self.patch_strength * (1.0 - distance), 1.0
+            )
         self.n_evaluations += n
         return CostBreakdownBatch(
-            kernel=base.kernel * (1.0 + 0.3 * (factor - 1.0)),
-            copy=base.copy * factor,
-            sync=base.sync * factor,
-            other=base.other * factor,
+            kernel=kernel * (1.0 + 0.3 * (factor - 1.0)),
+            copy=copy * factor,
+            sync=sync * factor,
+            other=other * factor,
         )
 
     def time_batch(

@@ -1,12 +1,14 @@
 """Micro-batching plan server over an installation bundle.
 
-``AdsalaRuntime.plan()`` answers one request at a time: one model
-evaluation, two scalar simulator calls.  Under serving traffic that is the
-wrong shape — PR 1 built batch primitives
+Answering one request at a time — one model evaluation plus a predicted
+and a baseline timing per call — is the wrong shape under serving traffic.
+PR 1 built batch primitives
 (:meth:`~repro.core.predictor.ThreadPredictor.predict_runtimes_batch`,
 :meth:`~repro.machine.simulator.TimingSimulator.time_batch`) that amortise
 the per-call overhead across whole arrays of problem shapes, and this
-engine is the serving loop that feeds them:
+engine is the serving loop that feeds them.  ``AdsalaRuntime.plan()`` is
+this same path used as a micro-batch of one (the engine is the runtime's
+backend), so both of its timings come from one ``time_batch`` call:
 
 1. requests enter a queue (:meth:`ServingEngine.submit`),
 2. :meth:`ServingEngine.flush` drains the queue in micro-batches of at most
@@ -301,22 +303,16 @@ class ServingEngine:
                 slots.append(slot)
 
         if pending:
-            _, _, spec = parse_routine(key)
-            first_slots = [slots[0] for slots in pending.values()]
-            columns = {
-                name: np.fromiter(
-                    (rows[slot][0][name] for slot in first_slots),
-                    dtype=np.int64,
-                    count=len(first_slots),
-                )
-                for name in spec.dim_names
-            }
-            threads_column = np.fromiter(
-                (rows[slot][2] for slot in first_slots),
+            dim_names = parse_routine(key)[2].dim_names
+            first = [rows[slots[0]] for slots in pending.values()]
+            # One int64 row per dimension, threads last, in a single conversion.
+            table = np.array(
+                [[row[0][name] for row in first] for name in dim_names]
+                + [[row[2] for row in first]],
                 dtype=np.int64,
-                count=len(first_slots),
             )
-            fresh = self.source.simulator.time_batch(key, columns, threads_column)
+            columns = dict(zip(dim_names, table))
+            fresh = self.source.simulator.time_batch(key, columns, table[-1])
             for memo_key, value in zip(pending, fresh):
                 value = float(value)
                 for slot in pending[memo_key]:

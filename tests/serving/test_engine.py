@@ -69,6 +69,36 @@ class TestEquivalenceWithScalarPlan:
         assert second.threads == first.threads
 
 
+class TestTimesEqualScalarSimulatorOracle:
+    """Plan times come from ``time_batch``; the scalar ``time`` is the oracle."""
+
+    @staticmethod
+    def _assert_oracle_times(bundle, plan):
+        oracle = bundle.simulator
+        assert plan.predicted_time == oracle.time(plan.routine, plan.dims, plan.threads)
+        assert plan.baseline_time == oracle.time(
+            plan.routine, plan.dims, bundle.platform.max_threads
+        )
+
+    def test_plan_micro_batch_of_one(self, clear_caches):
+        engine = ServingEngine(clear_caches)
+        for routine, dims in [
+            ("dgemm", {"m": 311, "k": 97, "n": 1203}),
+            ("dsyrk", {"n": 640, "k": 33}),
+            ("sgemm", {"m": 5, "k": 4096, "n": 17}),
+        ]:
+            self._assert_oracle_times(clear_caches, engine.plan(routine, **dims))
+
+    def test_mixed_routine_plan_many(self, clear_caches):
+        workload = generate_workload(["dgemm", "dsyrk"], 64, distribution="uniform", seed=23)
+        assert len({request.routine for request in workload}) == 2
+        engine = ServingEngine(clear_caches, max_batch_size=16)
+        plans = engine.plan_many(request.as_tuple() for request in workload)
+        assert len(plans) == 64
+        for plan in plans:
+            self._assert_oracle_times(clear_caches, plan)
+
+
 class TestBatching:
     def test_submission_order_preserved(self, clear_caches):
         engine = ServingEngine(clear_caches, max_batch_size=4)
