@@ -5,11 +5,14 @@ process-parallel execution:
 
 * **data gathering** — scalar per-call simulator loop vs the vectorised
   ``TimingSimulator.time_batch`` campaign (one array pass per routine);
-* **end-to-end installation** — the pre-vectorisation reference pipeline
-  (scalar gather, per-shape selection loops, per-feature split search,
-  recursive tree prediction — forced via ``repro.ml.tree.reference_mode``)
-  vs the optimised serial pipeline vs the process-parallel pipeline on
-  2+ jobs;
+* **end-to-end installation** — the reference pipeline (scalar gather,
+  per-shape selection loops, node-at-a-time tree builders with the
+  per-feature split search, recursive tree prediction — forced via
+  ``repro.ml.tree.reference_mode``) vs the optimised serial pipeline
+  (forest-wide level-wise grower) vs the process-parallel pipeline on 2+
+  jobs.  The two tree builders share their random stream and their
+  summation order, so the asserted ``best_models()`` equality covers the
+  fitted forests as well as the deterministic candidates;
 * **runtime prediction** — the compiled fused feature→preprocess→ensemble
   kernel (PR 3) vs the recursive reference, in µs per ``plan`` call
   (``benchmarks/bench_plan_latency.py`` tracks this path in detail).

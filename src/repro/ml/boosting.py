@@ -24,9 +24,6 @@ from repro.ml.tree import (
     DecisionTreeRegressor,
     FlatTree,
     StackedTrees,
-    _bounds_mask,
-    _column_positions,
-    _positions,
     active_impl,
     stacking_active,
 )
@@ -278,18 +275,22 @@ class _NewtonTree:
         """
         n_samples = cols.shape[0]
         order = cols.argsort(axis=0, kind="mergesort")
-        column_pos = _column_positions(cols.shape[1])
+        column_pos = np.arange(cols.shape[1])
         col_sorted = cols[order, column_pos]
         g_cum = grad[order].cumsum(axis=0)[:-1]
+        left_count = np.arange(1, n_samples)
         if getattr(self, "_uniform_hess", False):
-            h_cum = _positions(n_samples)[:, None]
+            h_cum = left_count.astype(np.float64)[:, None]
         else:
             h_cum = hess[order].cumsum(axis=0)[:-1]
         g_right = grad_total - g_cum
         h_right = hess_total - h_cum
 
         valid = col_sorted[:-1] < col_sorted[1:]
-        valid &= _bounds_mask(n_samples, self.min_samples_leaf)[:, None]
+        valid &= (
+            (left_count >= self.min_samples_leaf)
+            & (n_samples - left_count >= self.min_samples_leaf)
+        )[:, None]
         valid &= h_cum >= self.min_child_weight
         valid &= h_right >= self.min_child_weight
 

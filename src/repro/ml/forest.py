@@ -18,6 +18,17 @@ __all__ = ["RandomForestRegressor"]
 class RandomForestRegressor(BaseRegressor):
     """Bagged ensemble of CART regression trees.
 
+    ``fit`` draws every tree's seed and bootstrap set, then grows the whole
+    forest in one call of the level-wise grower in :mod:`repro.ml.tree`: all
+    open nodes of all trees advance together, so the cost per level is a
+    fixed number of array passes instead of one split search per node.  The
+    trees share ``X`` and ``y``; a bootstrap set is a row-index multiset, not
+    a copy.  Per-split feature subsets come from each tree's own generator,
+    one ``random((open_nodes, n_features))`` block per level (see
+    :func:`repro.ml.tree._draw_feature_subsets`), so forests fitted before
+    that definition differ from today's for the same ``random_state`` — an
+    equally valid stream, not a different model family.
+
     Parameters
     ----------
     n_estimators:
@@ -63,43 +74,47 @@ class RandomForestRegressor(BaseRegressor):
         else:
             tree_max_features = self.max_features
 
-        self.estimators_ = []
-        oob_pred_sum = np.zeros(n_samples)
-        oob_pred_count = np.zeros(n_samples)
-
+        # Same draw order as a per-tree loop: tree seed, then bootstrap set.
+        trees, roots, rngs = [], [], []
         for _ in range(self.n_estimators):
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=tree_max_features,
-                random_state=int(rng.integers(0, 2 ** 31 - 1)),
+            trees.append(
+                DecisionTreeRegressor(
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    min_samples_leaf=self.min_samples_leaf,
+                    max_features=tree_max_features,
+                    random_state=int(rng.integers(0, 2 ** 31 - 1)),
+                )
             )
+            rngs.append(np.random.default_rng(trees[-1].random_state))
             if self.bootstrap:
-                indices = rng.integers(0, n_samples, size=n_samples)
+                roots.append(rng.integers(0, n_samples, size=n_samples))
             else:
-                indices = np.arange(n_samples)
-            tree.fit(X[indices], y[indices])
-            self.estimators_.append(tree)
-
-            if self.bootstrap:
-                oob_mask = np.ones(n_samples, dtype=bool)
-                oob_mask[np.unique(indices)] = False
-                if np.any(oob_mask):
-                    oob_pred_sum[oob_mask] += tree.predict(X[oob_mask])
-                    oob_pred_count[oob_mask] += 1
-
+                roots.append(np.arange(n_samples))
+        grown = trees[0]._grow(X, y, np.ones(n_samples), roots, rngs)
+        self.estimators_ = [
+            tree._adopt(result, n_features) for tree, result in zip(trees, grown)
+        ]
         self.n_features_in_ = n_features
-        if self.bootstrap and np.any(oob_pred_count > 0):
-            covered = oob_pred_count > 0
-            oob_pred = oob_pred_sum[covered] / oob_pred_count[covered]
-            residual = y[covered] - oob_pred
-            self.oob_score_ = 1.0 - float(
-                np.sum(residual ** 2)
-                / max(np.sum((y[covered] - y[covered].mean()) ** 2), 1e-300)
-            )
-        else:
-            self.oob_score_ = None
+        self._stacked_cache = None
+
+        self.oob_score_ = None
+        if self.bootstrap:
+            # Out-of-bag predictions from one stacked descent of all rows.
+            out_of_bag = np.ones((self.n_estimators, n_samples), dtype=bool)
+            out_of_bag[np.arange(self.n_estimators)[:, None], np.stack(roots)] = False
+            covered = out_of_bag.any(axis=0)
+            if covered.any():
+                per_tree = self.stacked()._descend(X)
+                oob_pred = (
+                    np.where(out_of_bag, per_tree, 0.0).sum(axis=0)[covered]
+                    / out_of_bag.sum(axis=0)[covered]
+                )
+                residual = y[covered] - oob_pred
+                self.oob_score_ = 1.0 - float(
+                    np.sum(residual ** 2)
+                    / max(np.sum((y[covered] - y[covered].mean()) ** 2), 1e-300)
+                )
         return self
 
     def stacked(self) -> StackedTrees:

@@ -73,15 +73,20 @@ class KNeighborsRegressor(BaseRegressor):
         neighbor_dist = np.sqrt(
             np.take_along_axis(distances_sq, neighbor_idx, axis=1)
         )
-        predictions = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            dist = neighbor_dist[i]
-            exact = dist <= 1e-12
-            if np.any(exact):
-                predictions[i] = neighbor_targets[i][exact].mean()
-            else:
-                inv = 1.0 / dist
-                predictions[i] = float(
-                    np.dot(inv, neighbor_targets[i]) / inv.sum()
-                )
+        # Inverse-distance weights, as sequential prefix sums along the
+        # neighbour axis (the row loop in tests/ml/test_neighbors.py is the
+        # oracle); rows holding an exact match average those matches instead.
+        exact = neighbor_dist <= 1e-12
+        has_exact = exact.any(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / neighbor_dist
+            predictions = (
+                (inv * neighbor_targets).cumsum(axis=1)[:, -1]
+                / inv.cumsum(axis=1)[:, -1]
+            )
+        hits = exact[has_exact]
+        predictions[has_exact] = (
+            np.where(hits, neighbor_targets[has_exact], 0.0).cumsum(axis=1)[:, -1]
+            / hits.sum(axis=1)
+        )
         return predictions

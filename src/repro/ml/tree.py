@@ -1,23 +1,42 @@
 """CART regression tree with variance-reduction splits.
 
-The tree is the building block for the Random Forest, AdaBoost and both
-gradient-boosting candidates.  Two hot paths are vectorised:
+The tree is the building block for the Random Forest and AdaBoost
+candidates (the two gradient boosters grow their own Newton trees in
+:mod:`repro.ml.boosting` and share only :class:`FlatTree`).
 
-* **split search** — candidate thresholds for *all* examined features are
-  evaluated in one 2-D pass (a single column-wise ``argsort`` plus prefix
-  sums of the targets), and nodes partition an index array instead of
-  copying ``X`` row-subsets down the recursion;
-* **prediction** — after ``fit`` the node tree is compiled into a
-  struct-of-arrays :class:`FlatTree` (``feature[]``, ``threshold[]``,
-  ``left[]``, ``right[]``, ``value[]``) and ``predict`` descends it
-  iteratively for the whole query batch at once, with no per-node Python
-  recursion.
+**Growing.**  There is one production grower, :func:`_grow_frontier`.  It
+takes ``T`` roots — row-index sets into one shared ``X``/``y``/``w`` — and
+advances every open node of every tree one level per iteration: nodes are
+bucketed by size class into padded ``(nodes, features, width)`` blocks, and
+the stable per-feature sort, the per-node prefix sums, the gain, the
+validity mask, the first-max ``argmax`` and the earlier-feature tie-break
+are one array pass per bucket instead of ~45 NumPy dispatches per node.
+``RandomForestRegressor.fit`` makes one ``T``-root call;
+``DecisionTreeRegressor.fit`` (and so every AdaBoost round) is the ``T = 1``
+case of the same code.  The grower writes the node arrays of a
+:class:`FlatTree` directly; no linked node graph exists at any point.
 
-The pre-vectorisation implementations are kept as reference paths
-(:func:`_best_split_reference`, :meth:`DecisionTreeRegressor.predict_reference`)
-and the equivalence is asserted in ``tests/ml/test_flat_tree.py``; wrap code
-in :func:`reference_mode` to force them (used by
-``benchmarks/bench_install_scaling.py`` to measure the speedup).
+**The oracle.**  Under :func:`reference_mode` trees are grown by
+:func:`_grow_reference` — one tree, one node, one feature at a time, through
+:func:`_best_split_reference` — and predicted by a recursive walk.  The two
+builders produce the same node arrays bit for bit
+(``tests/ml/test_property_grower.py``, ``tests/ml/test_flat_tree.py``)
+because they share two definitions:
+
+* *Feature subsets.*  With ``max_features`` below the feature count, tree
+  ``t`` draws one ``rng.random((open_nodes, n_features))`` block per level,
+  one row per open node in node order, and a node examines the ``k``
+  features with the smallest keys, in key order
+  (:func:`_draw_feature_subsets`).  A tree's stream therefore depends only
+  on its own shape, not on which other trees grow beside it.
+* *Node totals.*  A node's weight, ``Σwy`` and ``Σwy²`` are the last entries
+  of sequential prefix sums (``cumsum``) over its rows in node order — the
+  arithmetic a padded block reproduces exactly, which pairwise ``sum`` and
+  BLAS ``dot`` are not.
+
+**Prediction.**  ``predict`` descends the :class:`FlatTree`
+struct-of-arrays (``feature[]``, ``threshold[]``, ``left[]``, ``right[]``,
+``value[]``) iteratively for the whole query batch at once.
 """
 
 from __future__ import annotations
@@ -46,7 +65,7 @@ _IMPL = "vectorized"
 
 @contextmanager
 def reference_mode():
-    """Force the pre-vectorisation split search and recursive prediction.
+    """Force the node-at-a-time builders and recursive prediction.
 
     Affects every tree-based model in :mod:`repro.ml` (decision tree, random
     forest, AdaBoost and both gradient-boosting variants) for the duration
@@ -107,7 +126,11 @@ def stacking_active() -> bool:
 
 @dataclass
 class _Node:
-    """A single node of the fitted tree."""
+    """Unpickle target for estimators saved before the frontier grower.
+
+    Those pickles carry a linked ``tree_`` graph of these beside their
+    ``flat_tree_``; nothing builds or reads one any more.
+    """
 
     value: float
     feature: int = -1
@@ -128,8 +151,7 @@ class FlatTree:
     ``feature[i] == -1`` marks node ``i`` as a leaf; interior nodes route a
     row left when ``X[row, feature[i]] <= threshold[i]``.  :meth:`predict`
     descends all query rows simultaneously (one fancy-indexing step per tree
-    level), replacing the per-node recursion over Python ``_Node`` objects.
-    The same compiled form serves every tree ensemble in :mod:`repro.ml`.
+    level).  The same compiled form serves every tree ensemble in :mod:`repro.ml`.
     """
 
     __slots__ = (
@@ -521,17 +543,20 @@ def _best_split_reference(
     feature_indices: np.ndarray,
     min_samples_leaf: int,
 ):
-    """Per-feature-loop split search (the pre-vectorisation reference).
+    """Per-feature-loop split search: the oracle's half of the split rule.
 
     Operates on the node's row subset directly.  Returns
     ``(feature, threshold, gain)`` of the best weighted-SSE split, or
-    ``(None, None, 0.0)`` when no admissible split improves it.
+    ``(None, None, 0.0)`` when no admissible split improves it.  Node totals
+    are the last entries of sequential prefix sums in node row order — the
+    definition the frontier grower shares (see the module docstring).
     """
     n_samples = X.shape[0]
-    total_weight = sample_weight.sum()
-    total_wy = float(np.dot(sample_weight, y))
-    total_wyy = float(np.dot(sample_weight, y * y))
-    parent_sse = total_wyy - total_wy ** 2 / total_weight
+    wy = sample_weight * y
+    total_weight = np.cumsum(sample_weight)[-1]
+    total_wy = np.cumsum(wy)[-1]
+    total_wyy = np.cumsum(wy * y)[-1]
+    parent_sse = total_wyy - total_wy * total_wy / total_weight
 
     best_gain = 0.0
     best_feature = None
@@ -554,6 +579,10 @@ def _best_split_reference(
         valid = col_sorted[:-1] < col_sorted[1:]
         valid &= (idx + 1 >= min_samples_leaf)
         valid &= (n_samples - (idx + 1) >= min_samples_leaf)
+        # Both children must hold a row of positive weight, or a child's
+        # value would be 0/0.
+        weighted = np.cumsum(w_sorted > 0)
+        valid &= (weighted[:-1] > 0) & (weighted[:-1] < weighted[-1])
         if not np.any(valid):
             continue
 
@@ -565,8 +594,8 @@ def _best_split_reference(
         right_wyy = total_wyy - left_wyy
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            left_sse = left_wyy - left_wy ** 2 / left_w
-            right_sse = right_wyy - right_wy ** 2 / right_w
+            left_sse = left_wyy - left_wy * left_wy / left_w
+            right_sse = right_wyy - right_wy * right_wy / right_w
         gain = parent_sse - (left_sse + right_sse)
         gain[~valid] = -np.inf
 
@@ -577,136 +606,373 @@ def _best_split_reference(
             best_threshold = float(
                 0.5 * (col_sorted[best_idx] + col_sorted[best_idx + 1])
             )
+            if best_threshold == col_sorted[best_idx + 1]:
+                # Adjacent floats: the midpoint rounded up, and would send
+                # both values left.
+                best_threshold = float(col_sorted[best_idx])
 
     return best_feature, best_threshold, best_gain
 
 
-#: Caches for the split-position bookkeeping arrays, keyed on the node size
-#: (and leaf minimum).  Nodes of the same size recur constantly while a
-#: forest grows, and rebuilding these tiny arrays dominates small-node cost.
-_POSITION_CACHE: dict = {}
-_BOUNDS_CACHE: dict = {}
-_COLUMN_CACHE: dict = {}
+def _draw_feature_subsets(rngs, n_open, n_features: int, n_split_features: int):
+    """Per-split feature subsets for one level: ``(sum(n_open), k)`` indices.
 
-
-def _positions(n_samples: int) -> np.ndarray:
-    """``arange(1, n_samples)`` as float (== cumsum of unit weights)."""
-    cached = _POSITION_CACHE.get(n_samples)
-    if cached is None:
-        cached = np.arange(1, n_samples, dtype=np.float64)
-        _POSITION_CACHE[n_samples] = cached
-    return cached
-
-
-def _bounds_mask(n_samples: int, min_samples_leaf: int) -> np.ndarray:
-    """Split positions admissible under the per-leaf sample minimum."""
-    key = (n_samples, min_samples_leaf)
-    cached = _BOUNDS_CACHE.get(key)
-    if cached is None:
-        positions = np.arange(1, n_samples)
-        cached = (positions >= min_samples_leaf) & (
-            n_samples - positions >= min_samples_leaf
-        )
-        _BOUNDS_CACHE[key] = cached
-    return cached
-
-
-def _column_positions(n_features: int) -> np.ndarray:
-    """``arange(n_features)`` row vector for sorted-column gathers."""
-    cached = _COLUMN_CACHE.get(n_features)
-    if cached is None:
-        cached = np.arange(n_features)
-        _COLUMN_CACHE[n_features] = cached
-    return cached
-
-
-def _best_split(
-    X: np.ndarray,
-    indices: np.ndarray,
-    y_sub: np.ndarray,
-    w_sub: np.ndarray,
-    total_weight: float,
-    total_wy: float,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int,
-    uniform_weight: bool = False,
-):
-    """Vectorised split search over all examined features at once.
-
-    Takes the full ``X`` plus the node's row ``indices`` (no per-node ``X``
-    copies) and the node's already-gathered targets/weights and their
-    totals (computed once per node by ``_build``): one column-wise
-    mergesort and one prefix-sum batch replace the per-feature Python loop.
-    Ties are broken exactly as in :func:`_best_split_reference` (earlier
-    feature in ``feature_indices`` wins unless a later one improves the
-    gain by more than 1e-12).
-
-    ``uniform_weight`` marks an all-ones ``sample_weight``; the weight
-    prefix sums are then the split positions themselves (exact small
-    integers in float64, bit-identical to ``cumsum`` of ones), which skips a
-    gather, a multiply and a cumsum per node.
+    Tree ``t`` contributes one ``rngs[t].random((n_open[t], n_features))``
+    block — one row per open node, in node order — and each node examines
+    the ``k`` features with the smallest keys, in key order.  Both builders
+    call this, so a tree's stream depends only on its own open-node counts:
+    growing it alone or inside a forest consumes the same numbers.
     """
-    n_samples = indices.size
-    if n_samples < 2:
-        return None, None, 0.0
-    cols = X[indices[:, None], feature_indices]
+    keys = np.empty((int(np.sum(n_open)), n_features))
+    stop = 0
+    for rng, count in zip(rngs, n_open):
+        if count:
+            start, stop = stop, stop + int(count)
+            rng.random(out=keys[start:stop])
+    return keys.argsort(axis=1, kind="stable")[:, :n_split_features]
 
-    total_wyy = float(np.dot(w_sub, y_sub * y_sub))
-    parent_sse = total_wyy - total_wy ** 2 / total_weight
 
-    order = cols.argsort(axis=0, kind="mergesort")
-    column_pos = _column_positions(len(feature_indices))
-    col_sorted = cols[order, column_pos]
-    y_sorted = y_sub[order]
+@dataclass
+class _GrownTree:
+    """One grown tree: node arrays in level order, root at index 0."""
 
-    if uniform_weight:
-        # cumsum(1.0, 1.0, ...) is exactly the position count.
-        left_w = _positions(n_samples)[:, None]
-        wy = y_sorted
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    impurity: np.ndarray
+    depth: int
+
+    def importances(self, n_features: int) -> np.ndarray:
+        """Unnormalised impurity decrease summed per split feature."""
+        interior = np.flatnonzero(self.feature >= 0)
+        mass = self.n_samples * self.impurity
+        decrease = (
+            mass[interior] - mass[self.left[interior]] - mass[self.right[interior]]
+        )
+        return np.bincount(
+            self.feature[interior], weights=decrease, minlength=n_features
+        )
+
+
+def _grow_reference(
+    X, y, w, roots, rngs, max_depth, min_samples_split, min_samples_leaf, n_split_features
+):
+    """Node-at-a-time level-order builder: the oracle for :func:`_grow_frontier`.
+
+    One tree after another, one node after another, every split found by
+    :func:`_best_split_reference` on a copied row subset.  It visits nodes
+    in the order the frontier grower numbers them, so the two agree on the
+    node arrays element for element.
+    """
+    n_features = X.shape[1]
+    all_features = np.arange(n_features)
+    grown = []
+    for root, rng in zip(roots, rngs):
+        # One record per node, in _GrownTree field order.
+        nodes = [[-1, 0.0, -1, -1, 0.0, 0, 0.0]]
+        level = [(0, np.asarray(root))]
+        depth = 0
+        while True:
+            open_nodes = []
+            for node, indices in level:
+                w_node = w[indices]
+                y_node = y[indices]
+                total_weight = np.cumsum(w_node)[-1]
+                node_value = np.cumsum(w_node * y_node)[-1] / total_weight
+                deviation = y_node - node_value
+                node_impurity = (
+                    np.cumsum(w_node * (deviation * deviation))[-1] / total_weight
+                )
+                nodes[node][4:] = node_value, indices.size, node_impurity
+                if not (
+                    indices.size < min_samples_split
+                    or (max_depth is not None and depth >= max_depth)
+                    or node_impurity <= 1e-15
+                ):
+                    open_nodes.append((node, indices))
+            if n_split_features < n_features:
+                subsets = _draw_feature_subsets(
+                    [rng], [len(open_nodes)], n_features, n_split_features
+                )
+            else:
+                subsets = [all_features] * len(open_nodes)
+            level = []
+            for (node, indices), feature_indices in zip(open_nodes, subsets):
+                best_feature, best_threshold, _ = _best_split_reference(
+                    X[indices], y[indices], w[indices], feature_indices, min_samples_leaf
+                )
+                if best_feature is None:
+                    continue
+                nodes[node][:4] = best_feature, best_threshold, len(nodes), len(nodes) + 1
+                mask = X[indices, best_feature] <= best_threshold
+                for child_indices in (indices[mask], indices[~mask]):
+                    level.append((len(nodes), child_indices))
+                    nodes.append([-1, 0.0, -1, -1, 0.0, 0, 0.0])
+            if not level:
+                break
+            depth += 1
+        dtypes = (np.intp, float, np.intp, np.intp, float, np.intp, float)
+        grown.append(
+            _GrownTree(
+                *(np.asarray(c, dtype=d) for c, d in zip(zip(*nodes), dtypes)), depth
+            )
+        )
+    return grown
+
+
+def _best_split_blocks(columns, feature_base, bucket, min_samples_leaf, uniform):
+    """Best split of every node in one bucket: :func:`_best_split_reference`
+    as one array pass over a padded ``(nodes, features, width)`` block.
+
+    ``feature_base`` holds, per node (or once for all), the offsets of the
+    examined features into the flat ``columns``.  Returns ``(found, rank,
+    threshold)``: the bucket positions of the nodes that split, the rank of
+    the winning feature among those examined, and the cut.
+    """
+    _, last, block_rows, yb, wb, wyb, total_weight, total_wy = bucket
+    n_members, width = block_rows.shape
+    n_examined = feature_base.shape[1]
+    total_weight = total_weight[:, None, None]
+    total_wy = total_wy[:, None, None]
+    total_wyy = (wyb * yb).cumsum(axis=1)[np.arange(n_members), last][:, None, None]
+    parent_sse = total_wyy - total_wy * total_wy / total_weight
+
+    # Stable sort of every examined column of every node; the +inf padding
+    # stays behind the real rows.
+    cols = columns.take(feature_base + block_rows[:, None, :])
+    order = cols.argsort(axis=2, kind="stable")
+    col_sorted = cols.ravel().take(
+        order
+        + (np.arange(n_members * n_examined) * width).reshape(n_members, n_examined, 1)
+    )
+    order += (np.arange(n_members) * width)[:, None, None]
+    y_sorted = yb.ravel().take(order)
+    left_count = np.arange(1, width)
+    if uniform:
+        # Unit weights: the weight prefix sums are the counts.
+        wy_sorted = y_sorted
+        left_w = left_count
     else:
-        w_sorted = w_sub[order]
-        left_w = w_sorted.cumsum(axis=0)[:-1]
-        wy = w_sorted * y_sorted
-    wy_cum = wy.cumsum(axis=0)
-    wyy_cum = (wy * y_sorted).cumsum(axis=0)
-
-    valid = col_sorted[:-1] < col_sorted[1:]
-    valid &= _bounds_mask(n_samples, min_samples_leaf)[:, None]
-
-    left_wy = wy_cum[:-1]
-    left_wyy = wyy_cum[:-1]
+        w_sorted = wb.ravel().take(order)
+        wy_sorted = w_sorted * y_sorted
+        left_w = w_sorted.cumsum(axis=2)[:, :, :-1]
+    left_wy = wy_sorted.cumsum(axis=2)[:, :, :-1]
+    left_wyy = (wy_sorted * y_sorted).cumsum(axis=2)[:, :, :-1]
     right_w = total_weight - left_w
     right_wy = total_wy - left_wy
     right_wyy = total_wyy - left_wyy
+    # Cuts into the padding, or off a weightless end, divide by zero; they
+    # are masked below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_sse = left_wyy - left_wy * left_wy / left_w
+        right_sse = right_wyy - right_wy * right_wy / right_w
+        gain = parent_sse - (left_sse + right_sse)
 
-    if uniform_weight:
-        # Unit weights leave every prefix weight >= 1: no 0/0 to silence.
-        left_sse = left_wyy - left_wy ** 2 / left_w
-        right_sse = right_wyy - right_wy ** 2 / right_w
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left_sse = left_wyy - left_wy ** 2 / left_w
-            right_sse = right_wyy - right_wy ** 2 / right_w
-    gain = parent_sse - (left_sse + right_sse)
-    np.logical_not(valid, out=valid)
-    gain[valid] = -np.inf
+    # Admissible cuts: the feature value changes there, both children keep
+    # the leaf minimum (which also rules out every cut into the padding) ...
+    valid = col_sorted[:, :, :-1] < col_sorted[:, :, 1:]
+    valid &= (
+        (left_count >= min_samples_leaf)
+        & (last[:, None] + 1 - left_count >= min_samples_leaf)
+    )[:, None, :]
+    if not uniform:
+        # ... and both hold a row of positive weight.
+        weighted = (w_sorted > 0).cumsum(axis=2)
+        valid &= (weighted[:, :, :-1] > 0) & (
+            weighted[:, :, :-1] < weighted[:, :, -1:]
+        )
+    gain = np.where(valid, gain, -np.inf)
 
-    best_rows = gain.argmax(axis=0)
-    per_feature_gain = gain[best_rows, column_pos]
+    # First maximum per feature (a NaN counts as one, as in argmax); a
+    # later feature wins only by more than 1e-12.
+    best_position = gain.argmax(axis=2)
+    feature_gain = gain.max(axis=2)
+    best_gain = np.zeros(n_members)
+    rank = np.full(n_members, -1)
+    for j in range(n_examined):
+        better = feature_gain[:, j] > best_gain + 1e-12
+        best_gain[better] = feature_gain[better, j]
+        rank[better] = j
+    found = np.flatnonzero(rank >= 0)
+    rank = rank[found]
+    position = best_position[found, rank]
+    below = col_sorted[found, rank, position]
+    above = col_sorted[found, rank, position + 1]
+    threshold = 0.5 * (below + above)
+    # Adjacent floats: a midpoint that rounded up would send both values left.
+    threshold = np.where(threshold == above, below, threshold)
+    return found, rank, threshold
 
-    best_gain = 0.0
-    best_feature = None
-    best_threshold = None
-    for j, feature in enumerate(feature_indices):
-        candidate = per_feature_gain[j]
-        if candidate > best_gain + 1e-12:
-            row = best_rows[j]
-            best_gain = float(candidate)
-            best_feature = int(feature)
-            best_threshold = float(
-                0.5 * (col_sorted[row, j] + col_sorted[row + 1, j])
+
+def _grow_frontier(
+    X, y, w, roots, rngs, max_depth, min_samples_split, min_samples_leaf, n_split_features
+):
+    """Grow every tree of a forest together, one level per iteration.
+
+    The frontier is every node of every tree at the current depth, kept as
+    flat arrays (``rows`` holds the nodes' row indices back to back, trees in
+    order, each tree's nodes left to right).  Nodes are bucketed by size
+    class — the next power of two — into padded ``(nodes, width)`` blocks, so
+    per-node statistics, the split search and the child partition are a
+    fixed number of array passes per bucket however many nodes it holds.
+
+    Padding is one sentinel row past the data: features ``+inf``, target and
+    weight zero.  It sorts behind every real row, adds exact zeros to the
+    prefix sums (which run along the padded axis and so restart at each
+    node), and can never be a split position because a split there would
+    leave no real row on its right.
+    """
+    n_rows, n_features = X.shape
+    n_trees = len(roots)
+    subsample = n_split_features < n_features
+    stride = n_rows + 1
+    columns = np.empty((n_features, stride))
+    columns[:, :n_rows] = X.T
+    columns[:, n_rows] = np.inf
+    columns = columns.ravel()
+    y_pad = np.append(y, 0.0)
+    w_pad = np.append(w, 0.0)
+    uniform = bool(np.all(w == 1.0))
+    every_feature = np.arange(n_features)[None, :]
+
+    rows = np.concatenate(roots).astype(np.intp, copy=False)
+    size = np.asarray([len(root) for root in roots], dtype=np.intp)
+    tree = np.arange(n_trees)
+    first_id = np.zeros(n_trees, dtype=np.intp)
+    tree_depth = np.zeros(n_trees, dtype=np.intp)
+    levels = []
+    depth = 0
+
+    while True:
+        n_nodes = size.size
+        node_ids = np.arange(n_nodes)
+        start = np.cumsum(size) - size
+        rows_pad = np.append(rows, n_rows)
+        may_split = max_depth is None or depth < max_depth
+
+        # Node value and impurity, from prefix sums in node row order.
+        value = np.empty(n_nodes)
+        impurity = np.empty(n_nodes)
+        widths = 1 << np.frexp(size - 1)[1]  # next power of two
+        buckets = []
+        for width in np.unique(widths):
+            members = np.flatnonzero(widths == width)
+            slot = np.arange(width)
+            last = size[members] - 1
+            position = start[members, None] + slot
+            position[slot > last[:, None]] = rows.size
+            block_rows = rows_pad[position]
+            yb = y_pad[block_rows]
+            wb = w_pad[block_rows]
+            wyb = wb * yb
+            at = (np.arange(members.size), last)
+            total_weight = wb.cumsum(axis=1)[at]
+            total_wy = wyb.cumsum(axis=1)[at]
+            node_value = total_wy / total_weight
+            deviation = yb - node_value[:, None]
+            value[members] = node_value
+            impurity[members] = (
+                (wb * (deviation * deviation)).cumsum(axis=1)[at] / total_weight
             )
-    return best_feature, best_threshold, best_gain
+            if may_split and width > 1:
+                buckets.append(
+                    (members, last, block_rows, yb, wb, wyb, total_weight, total_wy)
+                )
+
+        # Split search over the open nodes, bucket by bucket.
+        split_feature = np.full(n_nodes, -1, dtype=np.intp)
+        split_threshold = np.zeros(n_nodes)
+        open_mask = (size >= min_samples_split) & ~(impurity <= 1e-15) & may_split
+        if subsample:
+            subsets = _draw_feature_subsets(
+                rngs,
+                np.bincount(tree[open_mask], minlength=n_trees),
+                n_features,
+                n_split_features,
+            )
+            subset_of = np.cumsum(open_mask) - 1
+        for bucket in buckets:
+            keep = open_mask[bucket[0]]
+            if not keep.any():
+                continue
+            if not keep.all():
+                bucket = tuple(array[keep] for array in bucket)
+            members = bucket[0]
+            features = subsets[subset_of[members]] if subsample else every_feature
+            found, rank, threshold = _best_split_blocks(
+                columns,
+                (features * stride)[:, :, None],
+                bucket,
+                min_samples_leaf,
+                uniform,
+            )
+            split_feature[members[found]] = np.broadcast_to(
+                features, (members.size, features.shape[1])
+            )[found, rank]
+            split_threshold[members[found]] = threshold
+
+        # Number this level's nodes and their children per tree.
+        is_split = split_feature >= 0
+        split_nodes = np.flatnonzero(is_split)
+        split_tree = tree[split_nodes]
+        per_tree = np.bincount(tree, minlength=n_trees)
+        per_tree_split = np.bincount(split_tree, minlength=n_trees)
+        local_id = first_id[tree] + node_ids - (np.cumsum(per_tree) - per_tree)[tree]
+        first_id = first_id + per_tree
+        left = np.full(n_nodes, -1, dtype=np.intp)
+        left[split_nodes] = first_id[split_tree] + 2 * (
+            np.arange(split_nodes.size)
+            - (np.cumsum(per_tree_split) - per_tree_split)[split_tree]
+        )
+        right = np.where(is_split, left + 1, -1)
+        levels.append(
+            (tree, local_id, split_feature, split_threshold, left, right,
+             value, size, impurity)
+        )
+        tree_depth[tree] = depth
+        if not split_nodes.size:
+            break
+
+        # Partition the split nodes' rows: one stable sort on
+        # (node, side) keeps every child's rows in parent order.
+        row_node = np.repeat(node_ids, size)
+        moving = is_split[row_node]
+        row_node = row_node[moving]
+        moved = rows[moving]
+        go_right = ~(
+            columns.take(split_feature[row_node] * stride + moved)
+            <= split_threshold[row_node]
+        )
+        key = 2 * row_node + go_right
+        rows = moved[key.argsort(kind="stable")]
+        size = np.bincount(key, minlength=2 * n_nodes).reshape(n_nodes, 2)[
+            split_nodes
+        ].ravel()
+        if not size.all():
+            # Cannot happen for a cut strictly between two feature
+            # values; without this an overflowed midpoint would loop.
+            raise ValueError("a split left one child empty")
+        tree = np.repeat(split_tree, 2)
+        depth += 1
+
+    # Scatter the per-level records into per-tree arrays in level order.
+    fields = [np.concatenate(field) for field in zip(*levels)]
+    offsets = np.cumsum(first_id) - first_id
+    where = offsets[fields[0]] + fields[1]
+    arrays = []
+    for field in fields[2:]:
+        out = np.empty_like(field)
+        out[where] = field
+        arrays.append(out)
+    return [
+        _GrownTree(
+            *(out[offset:offset + count] for out in arrays), depth=int(tree_depth[t])
+        )
+        for t, (offset, count) in enumerate(zip(offsets, first_id))
+    ]
 
 
 class DecisionTreeRegressor(BaseRegressor):
@@ -763,7 +1029,7 @@ class DecisionTreeRegressor(BaseRegressor):
 
     def fit(self, X, y, sample_weight=None) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y)
-        n_samples, n_features = X.shape
+        n_samples = X.shape[0]
         if sample_weight is None:
             sample_weight = np.ones(n_samples)
         else:
@@ -772,81 +1038,46 @@ class DecisionTreeRegressor(BaseRegressor):
                 raise ValueError("sample_weight length mismatch")
             if np.any(sample_weight < 0):
                 raise ValueError("sample_weight must be non-negative")
+            if not sample_weight.sum() > 0:
+                raise ValueError("sample_weight must have a positive total")
+        rng = np.random.default_rng(self.random_state)
+        grown = self._grow(X, y, sample_weight, [np.arange(n_samples)], [rng])
+        return self._adopt(grown[0], X.shape[1])
+
+    def _grow(self, X, y, sample_weight, roots, rngs) -> list:
+        """Grow one tree per root of validated data under these hyper-parameters.
+
+        ``roots[t]`` is a row-index set into the shared ``X``/``y``/
+        ``sample_weight`` and ``rngs[t]`` feeds tree ``t``'s per-split
+        feature subsets; a forest passes all its trees at once.
+        """
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        grower = _grow_reference if _IMPL == "reference" else _grow_frontier
+        return grower(
+            X, y, sample_weight, roots, rngs,
+            self.max_depth,
+            self.min_samples_split,
+            self.min_samples_leaf,
+            self._resolve_max_features(X.shape[1]),
+        )
 
+    def _adopt(self, grown: _GrownTree, n_features: int) -> "DecisionTreeRegressor":
+        """Take a grown tree as this estimator's fitted state."""
         self.n_features_in_ = n_features
-        self._rng = np.random.default_rng(self.random_state)
-        self._n_split_features = self._resolve_max_features(n_features)
-        self._uniform_weight = bool(np.all(sample_weight == 1.0))
-        self.tree_ = self._build(
-            X, y, sample_weight, np.arange(n_samples), depth=0
+        self.flat_tree_ = FlatTree(
+            grown.feature, grown.threshold, grown.left, grown.right, grown.value, grown.depth
         )
-        self.flat_tree_ = FlatTree.from_node(self.tree_)
-        self.n_leaves_ = self._count_leaves(self.tree_)
-        self.depth_ = self._measure_depth(self.tree_)
-        del self._rng
+        self.importances_ = grown.importances(n_features)
+        self.n_leaves_ = self.flat_tree_.n_leaves
+        self.depth_ = grown.depth
         return self
-
-    def _build(self, X, y, sample_weight, indices, depth: int) -> _Node:
-        w_node = sample_weight[indices]
-        y_node = y[indices]
-        total_weight = w_node.sum()
-        total_wy = float(np.dot(w_node, y_node))
-        node_value = float(total_wy / total_weight)
-        impurity = float(
-            np.dot(w_node, (y_node - node_value) ** 2) / total_weight
-        )
-        node = _Node(
-            value=node_value, n_samples=indices.size, impurity=impurity
-        )
-
-        if (
-            indices.size < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or impurity <= 1e-15
-        ):
-            return node
-
-        n_features = X.shape[1]
-        if self._n_split_features < n_features:
-            feature_indices = self._rng.choice(
-                n_features, size=self._n_split_features, replace=False
-            )
-        else:
-            feature_indices = _column_positions(n_features)
-
-        if _IMPL == "reference":
-            feature, threshold, gain = _best_split_reference(
-                X[indices], y_node, w_node, feature_indices, self.min_samples_leaf
-            )
-        else:
-            feature, threshold, gain = _best_split(
-                X,
-                indices,
-                y_node,
-                w_node,
-                total_weight,
-                total_wy,
-                feature_indices,
-                self.min_samples_leaf,
-                uniform_weight=self._uniform_weight,
-            )
-        if feature is None or gain <= 0.0:
-            return node
-
-        mask = X[indices, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X, y, sample_weight, indices[mask], depth + 1)
-        node.right = self._build(X, y, sample_weight, indices[~mask], depth + 1)
-        return node
 
     # -- prediction --------------------------------------------------------
     def predict(self, X) -> np.ndarray:
-        self._check_fitted("tree_")
+        self._check_fitted("flat_tree_")
         X = check_X(X)
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
@@ -854,58 +1085,34 @@ class DecisionTreeRegressor(BaseRegressor):
                 f"{self.n_features_in_}"
             )
         if _IMPL == "reference":
-            out = np.empty(X.shape[0])
-            self._predict_into(self.tree_, X, np.arange(X.shape[0]), out)
-            return out
+            return self.predict_reference(X)
         return self.flat_tree_.predict(X)
 
     def predict_reference(self, X) -> np.ndarray:
-        """Recursive node-walk prediction (the pre-flattening reference)."""
-        self._check_fitted("tree_")
+        """Recursive node-walk prediction (the oracle for the flat descent)."""
+        self._check_fitted("flat_tree_")
         X = check_X(X)
         out = np.empty(X.shape[0])
-        self._predict_into(self.tree_, X, np.arange(X.shape[0]), out)
+        self._predict_into(0, X, np.arange(X.shape[0]), out)
         return out
 
-    def _predict_into(self, node: _Node, X, indices, out) -> None:
-        if node.is_leaf or indices.size == 0:
-            out[indices] = node.value
+    def _predict_into(self, node: int, X, indices, out) -> None:
+        flat = self.flat_tree_
+        if flat.feature[node] < 0 or indices.size == 0:
+            out[indices] = flat.value[node]
             return
-        mask = X[indices, node.feature] <= node.threshold
-        self._predict_into(node.left, X, indices[mask], out)
-        self._predict_into(node.right, X, indices[~mask], out)
+        mask = X[indices, flat.feature[node]] <= flat.threshold[node]
+        self._predict_into(flat.left[node], X, indices[mask], out)
+        self._predict_into(flat.right[node], X, indices[~mask], out)
 
     # -- introspection ------------------------------------------------------
-    def _count_leaves(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 1
-        return self._count_leaves(node.left) + self._count_leaves(node.right)
-
-    def _measure_depth(self, node: _Node) -> int:
-        if node.is_leaf:
-            return 0
-        return 1 + max(self._measure_depth(node.left), self._measure_depth(node.right))
-
     def feature_importances(self) -> np.ndarray:
         """Impurity-decrease importances, normalised to sum to one."""
-        self._check_fitted("tree_")
-        importances = np.zeros(self.n_features_in_)
-
-        def walk(node: _Node) -> None:
-            if node.is_leaf:
-                return
-            child_impurity = (
-                node.left.n_samples * node.left.impurity
-                + node.right.n_samples * node.right.impurity
-            ) / node.n_samples
-            importances[node.feature] += node.n_samples * (
-                node.impurity - child_impurity
+        self._check_fitted("flat_tree_")
+        if not hasattr(self, "importances_"):
+            raise RuntimeError(
+                "this estimator was fitted before importances were stored "
+                "with the flat tree; refit it to get them"
             )
-            walk(node.left)
-            walk(node.right)
-
-        walk(self.tree_)
-        total = importances.sum()
-        if total > 0:
-            importances /= total
-        return importances
+        total = self.importances_.sum()
+        return self.importances_ / total if total > 0 else self.importances_.copy()

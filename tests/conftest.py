@@ -6,12 +6,24 @@ platform preset with a scaled-down campaign so the whole suite stays fast.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.install import install_adsala
 from repro.machine.platforms import get_platform
 from repro.machine.simulator import TimingSimulator
+
+try:
+    from hypothesis import settings as hypothesis_settings
+except ImportError:  # jobs that run no property tests do not install it
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a
+    # property failure seen in CI replays locally under the same variable.
+    hypothesis_settings.register_profile("ci", derandomize=True)
+    hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

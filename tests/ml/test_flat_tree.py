@@ -1,10 +1,10 @@
 """Equivalence tests: flattened tree inference vs the recursive reference.
 
-Every tree-based model compiles its fitted node tree into a
-struct-of-arrays :class:`~repro.ml.tree.FlatTree`; predictions through the
-iterative vectorised descent must match the recursive node walk exactly,
-and fitting through the vectorised 2-D split search must produce exactly
-the same trees as the per-feature reference loop.
+Every tree-based model holds its fitted trees as struct-of-arrays
+:class:`~repro.ml.tree.FlatTree`; predictions through the iterative
+vectorised descent must match the recursive node walk exactly, and fitting
+through the production builders must produce exactly the same trees as the
+node-at-a-time reference builders.
 """
 
 import numpy as np
@@ -16,7 +16,13 @@ from repro.ml.boosting import (
     HistGradientBoostingRegressor,
 )
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.tree import DecisionTreeRegressor, FlatTree, active_impl, reference_mode
+from repro.ml.tree import (
+    DecisionTreeRegressor,
+    FlatTree,
+    _Node,
+    active_impl,
+    reference_mode,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +130,40 @@ class TestFlatTreeStructure:
         clone = pickle.loads(pickle.dumps(model))
         np.testing.assert_array_equal(clone.predict(X_query), model.predict(X_query))
 
+    def test_estimator_pickled_before_the_frontier_grower_still_predicts(self, data):
+        # Estimators saved by earlier versions carry a linked `tree_` node
+        # graph beside `flat_tree_` and no `importances_`.
+        import pickle
+
+        X, y, X_query = data
+        forest = RandomForestRegressor(n_estimators=3, max_depth=5, random_state=0).fit(X, y)
+        expected = forest.predict(X_query)
+        size_now = len(pickle.dumps(forest))
+
+        def graph(flat, node=0):
+            if flat.feature[node] < 0:
+                return _Node(value=float(flat.value[node]))
+            return _Node(
+                value=float(flat.value[node]),
+                feature=int(flat.feature[node]),
+                threshold=float(flat.threshold[node]),
+                left=graph(flat, flat.left[node]),
+                right=graph(flat, flat.right[node]),
+            )
+
+        for tree in forest.estimators_:
+            tree.tree_ = graph(tree.flat_tree_)
+            del tree.importances_
+        legacy = pickle.dumps(forest)
+        assert len(legacy) > size_now  # the graph is what no longer gets pickled
+        loaded = pickle.loads(legacy)
+        np.testing.assert_array_equal(loaded.predict(X_query), expected)
+        np.testing.assert_array_equal(
+            loaded.estimators_[0].predict(X_query), forest.estimators_[0].predict(X_query)
+        )
+        with pytest.raises(RuntimeError, match="refit"):
+            loaded.estimators_[0].feature_importances()
+
     def test_nan_features_route_like_the_recursive_walk(self, data):
         # The public predict() rejects NaN (check_X), but the compiled
         # FlatTree is also used on raw arrays (e.g. binned boosting data):
@@ -135,5 +175,5 @@ class TestFlatTreeStructure:
         X_query[::3, 0] = np.nan
         X_query[::4, 5] = np.nan
         out = np.empty(X_query.shape[0])
-        model._predict_into(model.tree_, X_query, np.arange(X_query.shape[0]), out)
+        model._predict_into(0, X_query, np.arange(X_query.shape[0]), out)
         np.testing.assert_array_equal(model.flat_tree_.predict(X_query), out)

@@ -7,6 +7,39 @@ from repro.ml.metrics import r2_score
 from repro.ml.neighbors import KNeighborsRegressor
 
 
+def distance_weighted_row_loop(model, X):
+    """The one-query-row-at-a-time form of ``weights="distance"`` (the oracle).
+
+    Same neighbours as ``predict``; each row's weighted mean is accumulated
+    neighbour by neighbour, and a row with exact matches averages them.
+    """
+    X = np.asarray(X, dtype=float)
+    cross = X @ model.X_train_.T
+    sq_train = np.einsum("ij,ij->i", model.X_train_, model.X_train_)
+    sq_query = np.einsum("ij,ij->i", X, X)
+    distances_sq = np.maximum(sq_query[:, None] - 2.0 * cross + sq_train[None, :], 0.0)
+    k = model.n_neighbors
+    neighbor_idx = np.argpartition(distances_sq, k - 1, axis=1)[:, :k]
+    neighbor_dist = np.sqrt(np.take_along_axis(distances_sq, neighbor_idx, axis=1))
+    predictions = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        targets = model.y_train_[neighbor_idx[i]]
+        exact = neighbor_dist[i] <= 1e-12
+        if np.any(exact):
+            total = 0.0
+            for target in targets[exact]:
+                total += target
+            predictions[i] = total / np.count_nonzero(exact)
+        else:
+            weighted = 0.0
+            weight = 0.0
+            for dist, target in zip(neighbor_dist[i], targets):
+                weighted += (1.0 / dist) * target
+                weight += 1.0 / dist
+            predictions[i] = weighted / weight
+    return predictions
+
+
 class TestKNN:
     def test_one_neighbor_memorises_training_data(self, regression_data):
         X, y = regression_data
@@ -35,6 +68,23 @@ class TestKNN:
         y = np.array([5.0, 7.0, 9.0])
         model = KNeighborsRegressor(n_neighbors=3, weights="distance").fit(X, y)
         assert model.predict([[1.0]])[0] == pytest.approx(7.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_distance_weights_equal_the_row_loop_bitwise(self, regression_data, k):
+        X, y = regression_data
+        model = KNeighborsRegressor(n_neighbors=k, weights="distance").fit(X[:150], y[:150])
+        # Held-out rows, training rows (one exact match each) and a training
+        # set with duplicated points (several exact matches per row).
+        queries = np.vstack([X[150:], X[:40]])
+        np.testing.assert_array_equal(
+            model.predict(queries), distance_weighted_row_loop(model, queries)
+        )
+        doubled = KNeighborsRegressor(n_neighbors=k, weights="distance").fit(
+            np.vstack([X[:30], X[:30]]), np.concatenate([y[:30], y[30:60]])
+        )
+        np.testing.assert_array_equal(
+            doubled.predict(X[:60]), distance_weighted_row_loop(doubled, X[:60])
+        )
 
     def test_generalises_smooth_function(self, regression_data):
         X, y = regression_data

@@ -34,13 +34,11 @@ class TestFitting:
     def test_min_samples_leaf_respected(self):
         X, y = step_data(n=100)
         model = DecisionTreeRegressor(min_samples_leaf=20).fit(X, y)
-
-        def smallest_leaf(node):
-            if node.is_leaf:
-                return node.n_samples
-            return min(smallest_leaf(node.left), smallest_leaf(node.right))
-
-        assert smallest_leaf(model.tree_) >= 20
+        assert model.n_leaves_ > 1
+        # Leaf values are distinct here, so they identify the leaves.
+        _, leaf_sizes = np.unique(model.predict(X), return_counts=True)
+        assert leaf_sizes.size == model.n_leaves_
+        assert leaf_sizes.min() >= 20
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).normal(size=(50, 3))
@@ -61,7 +59,7 @@ class TestFitting:
         weights = np.array([100.0, 100.0, 1.0, 1.0])
         model = DecisionTreeRegressor(max_depth=0)
         model.fit(X, y, sample_weight=weights)
-        assert model.tree_.value == pytest.approx(
+        assert model.flat_tree_.value[0] == pytest.approx(
             np.average(y, weights=weights)
         )
 
