@@ -1,12 +1,12 @@
-"""Benchmark: compiled fused prediction kernel vs the object-graph path.
+"""Benchmark: compiled fused prediction kernel vs the object-graph oracle.
 
 A ``plan()`` call only pays for itself when it is much cheaper than the
 BLAS call it optimises, so this benchmark tracks the *call-time* latency of
 the predictor both ways:
 
-* **reference** — the pre-compilation object path
-  (``feature_matrix_for_threads`` → per-column preprocessing →
-  per-tree ensemble loop), forced via ``repro.core.compiled.reference_mode``;
+* **reference** — the oracle (``feature_matrix_grid`` → per-column
+  preprocessing → ``model.predict`` with every tree walked recursively),
+  forced via ``repro.core.compiled.reference_mode``;
 * **compiled** — the fused feature→preprocess→ensemble kernel
   (:class:`repro.core.compiled.CompiledPredictor`): preallocated feature
   grid over the kept columns only, two vectorised preprocessing
@@ -18,11 +18,8 @@ for every routine's winning model, plus the 64-shape batched evaluation the
 serving engine rides.  Both paths produce bit-identical plans (asserted in
 ``tests/core/test_compiled.py``), so this is a pure-latency comparison.
 
-When the native kernel bundle built, a **per-stage breakdown** follows:
-feature-fill, fused transform, and stacked descent each timed native-vs-
-NumPy in isolation, plus the Python glue saved by collapsing the three
-staged calls into the single ``fused_evaluate`` foreign call — so a future
-latency regression is attributable to one stage from the committed JSON.
+The per-stage table (fill, transform, descent) is the ``staged`` probe of
+``benchmarks/e2e/layers.py``; this file times only whole calls.
 
 Results land in ``benchmarks/results/plan_latency.{txt,json}``; the
 benchmark asserts the compiled single-shape path is at least
@@ -45,7 +42,7 @@ from benchmarks.conftest import run_once
 #: The six double-precision routines of the paper's Table I.
 ROUTINES = ["dgemm", "dsymm", "dsyrk", "dsyr2k", "dtrmm", "dtrsm"]
 
-#: Heavyweight candidates measured individually (per-tree loops hurt most).
+#: Heavyweight candidates measured individually (the oracle walks tree by tree).
 HEAVY_MODELS = ["RandomForest", "XGBoost"]
 
 COMPILED_REPEATS = 400
@@ -89,115 +86,6 @@ def _batch_seconds(predictor: ThreadPredictor, dims_list: list, repeats: int) ->
     for _ in range(repeats):
         predictor.predict_runtimes_batch(dims_list)
     return (time.perf_counter() - start) / repeats
-
-
-def _timed(fn, repeats: int) -> float:
-    """Mean seconds per call (one warm-up)."""
-    fn()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        fn()
-    return (time.perf_counter() - start) / repeats
-
-
-def _stage_breakdown_rows(predictor: ThreadPredictor, dims_list: list) -> list:
-    """Native-vs-NumPy timing per evaluate stage, same row schema.
-
-    ``reference_s`` is the NumPy expression, ``optimized_s`` the native
-    kernel; the final "glue" row times the full staged Python sequence
-    (native per-stage kernels called separately) against the single fused
-    foreign call, isolating the per-call Python overhead the fusion
-    removes.
-    """
-    import numpy as np
-
-    compiled = predictor.compile()
-    if compiled._fused_call is None:
-        return []
-    repeats = COMPILED_REPEATS // 2
-    writer = compiled._writer
-    program = compiled._program
-    lambdas, shift, scale = compiled._flat_state
-    rows = []
-
-    # Feature fill: C column-program replay vs the NumPy block writer.
-    dims = writer.load_dims(dims_list).copy()
-    grid = writer.grid_view(dims.shape[0])
-    fill_native = _timed(
-        lambda: compiled._native_fill(program, dims, writer.nt, grid), repeats
-    )
-    fill_numpy = _timed(lambda: writer.write(dims), repeats)
-    rows.append(
-        {
-            "stage": "stage: feature-fill (native vs NumPy)",
-            "reference_s": fill_numpy,
-            "optimized_s": fill_native,
-            "speedup": fill_numpy / fill_native,
-        }
-    )
-
-    # Fused transform: the native kernel is in-place, so it works on a
-    # scratch refreshed from a template each call; the refresh is charged
-    # to the native side (it is small next to the transcendentals).
-    template = writer.write(dims).copy()
-    scratch = np.empty_like(template)
-
-    def transform_native():
-        scratch[...] = template
-        compiled._native_transform(scratch, lambdas, shift, scale)
-
-    t_native = _timed(transform_native, repeats)
-    t_numpy = _timed(lambda: compiled._fused.transform_kept(template), repeats)
-    rows.append(
-        {
-            "stage": "stage: yeo-johnson + affine (native vs NumPy)",
-            "reference_s": t_numpy,
-            "optimized_s": t_native,
-            "speedup": t_numpy / t_native,
-        }
-    )
-
-    # Stacked descent: packed-node C walk vs the frontier NumPy gathers.
-    stack = compiled._model_kernel.stack
-    if stack is not None:
-        transformed = compiled._fused.transform_kept(template)
-        d_native = _timed(lambda: stack._descend(transformed), repeats)
-        saved = stack._native
-        stack._native = None
-        try:
-            d_numpy = _timed(lambda: stack._descend(transformed), repeats)
-        finally:
-            stack._native = saved
-        rows.append(
-            {
-                "stage": "stage: stacked descent (native vs NumPy)",
-                "reference_s": d_numpy,
-                "optimized_s": d_native,
-                "speedup": d_numpy / d_native,
-            }
-        )
-
-    # Glue: three staged native calls from Python vs one fused C call.
-    fused_full = _timed(
-        lambda: predictor.predict_runtimes_batch(dims_list), repeats
-    )
-    fused_call = compiled._fused_call
-    compiled._fused_call = None
-    try:
-        staged_full = _timed(
-            lambda: predictor.predict_runtimes_batch(dims_list), repeats
-        )
-    finally:
-        compiled._fused_call = fused_call
-    rows.append(
-        {
-            "stage": "stage: python glue (staged native calls vs one fused call)",
-            "reference_s": staged_full,
-            "optimized_s": fused_full,
-            "speedup": staged_full / fused_full,
-        }
-    )
-    return rows
 
 
 def test_plan_latency(benchmark, record, record_json):
@@ -279,16 +167,6 @@ def test_plan_latency(benchmark, record, record_json):
                 "speedup": reference_s / compiled_s,
             }
         )
-
-        # -- per-stage native breakdown (skipped if the build is absent) ----
-        stage_predictor = ThreadPredictor(
-            routine="dgemm",
-            pipeline=report._pipeline,
-            model=report._fitted_models["RandomForest"],
-            candidate_threads=platform.candidate_thread_counts(),
-            model_name="RandomForest",
-        )
-        rows.extend(_stage_breakdown_rows(stage_predictor, dims_list))
         return rows
 
     rows = run_once(benchmark, run)

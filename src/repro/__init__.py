@@ -53,12 +53,12 @@ only wall-clock time, never results (same seeds -> same outputs):
   cache (``K=1`` is the paper's last-call cache); cache misses run through
   the compiled fused feature→preprocess→ensemble kernel
   (:class:`repro.core.compiled.CompiledPredictor`, built once per routine
-  at bundle load) whose ensembles descend as one struct-of-arrays stack
-  (:class:`repro.ml.tree.StackedTrees`, optionally via a small C kernel
-  compiled on the fly — ``ADSALA_NATIVE=0`` forces pure NumPy).
-  :func:`repro.core.compiled.reference_mode` restores the object-graph
-  path and :func:`repro.ml.tree.reference_mode` the recursive trees; all
-  three tiers are bit-identical.
+  at bundle load): one native call compiled on the fly, or its NumPy
+  fallback (``ADSALA_NATIVE=0`` forces it; ``CompiledPredictor.path``
+  names the one in use).  :func:`repro.core.compiled.reference_mode` is
+  the oracle — the object graph over recursive trees
+  (:func:`repro.ml.tree.reference_mode`) — and all three are
+  bit-identical.
 * ``benchmarks/bench_install_scaling.py`` and
   ``benchmarks/bench_plan_latency.py`` track the speedups of these paths
   (batch gathering, end-to-end install, per-call prediction).

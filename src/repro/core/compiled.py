@@ -10,36 +10,47 @@ structure changes after installation — only the dimension values do.
 :class:`CompiledPredictor` therefore follows a **build-once / evaluate-many
 contract**: everything shape-independent is resolved exactly once when the
 predictor is built (at bundle load, or lazily on the first prediction), and
-each subsequent evaluation is a short straight-line sequence of vectorised
-array expressions over preallocated buffers:
+each subsequent evaluation is a short straight-line pass over preallocated
+buffers:
 
 * **build time** — parse the routine spec; bind the candidate thread
   counts; read the correlation filter's kept-column indices and restrict
   the Yeo-Johnson lambdas and the standardisation affine to them
   (:meth:`~repro.preprocessing.pipeline.PreprocessingPipeline.compile`);
   construct a :class:`~repro.core.features.FeatureGridWriter` that
-  materialises *only the kept feature columns*; stack the model's trees
-  into one struct-of-arrays (:class:`~repro.ml.tree.StackedTrees`) or bind
-  a linear model's ``(coef, intercept)`` pair.
-* **evaluate time** — fill the reusable feature grid from the dims arrays,
-  apply the two fused preprocessing expressions (whole-matrix Yeo-Johnson,
-  then one affine), and run the single stacked ensemble descent.  No Python
-  feature dicts, no per-column loop, no per-tree loop.
+  materialises *only the kept feature columns*; bind the model to a
+  :class:`ModelKernel` (trees stacked into one struct-of-arrays, a linear
+  model's ``(coef, intercept)`` pair).
+* **evaluate time** — fill the feature grid from the dims arrays, apply
+  the fused preprocessing (whole-matrix Yeo-Johnson, then one affine),
+  and run the single stacked ensemble descent.
 
-Outputs are bit-identical to the object path (asserted in
-``tests/core/test_compiled.py``): the kernel performs the exact same scalar
-operations per element, just batched differently.  Wrap code in
-:func:`reference_mode` to force :class:`~repro.core.predictor.ThreadPredictor`
-back onto the object path — that is the pre-compilation baseline used by
-the equivalence tests and ``benchmarks/bench_plan_latency.py``.
+One model over one (shapes × candidate-threads) grid is evaluated in
+exactly three ways, each with one job:
+
+* **production** (``path == "native"``) — the three stages as one
+  GIL-free C call (``fused_evaluate`` in :mod:`repro.ml._native`);
+* **fallback** (``path == "numpy"``) — the same three stages as NumPy
+  expressions (``FeatureGridWriter.write_dicts`` →
+  ``FusedTransform.transform_kept`` → ``ModelKernel.evaluate``), taken
+  when ``ADSALA_NATIVE=0``, nothing native could be built, the load-time
+  transform probe failed, the routine has no column program, or the
+  first-call self-check tripped (``path_reason`` says which) — and what
+  that self-check compares the production result against;
+* **oracle** — :func:`reference_mode`: the object graph above over
+  recursive trees (:func:`repro.ml.tree.reference_mode`), sharing no
+  descent code with the other two.  Tests and benchmark baselines only.
+
+All three are bit-identical (``tests/core/test_compiled.py``,
+``tests/core/test_property_evaluate.py``): they perform the exact same
+scalar operations per element, just batched differently.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence
 
 import numpy as np
@@ -55,17 +66,15 @@ from repro.ml.boosting import (
 )
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor, StackedTrees
-from repro.ml.tree import unstacked_mode as tree_unstacked_mode
+from repro.ml.tree import reference_mode as tree_reference_mode
 from repro.preprocessing.pipeline import FusedTransform, PreprocessingPipeline
 
 __all__ = [
     "CompiledPredictor",
     "ModelKernel",
     "compile_model_kernel",
-    "compile_model_evaluator",
     "export_model_evaluator",
     "model_kernel_from_state",
-    "evaluator_from_state",
     "reference_mode",
     "active_impl",
 ]
@@ -77,24 +86,23 @@ _IMPL = "compiled"
 
 @contextmanager
 def reference_mode():
-    """Force the pre-compilation prediction path for the duration of the block.
+    """Force the oracle prediction path for the duration of the block.
 
     Affects every :class:`~repro.core.predictor.ThreadPredictor` (and, by
     extension, the serving engine): ``plan`` / ``plan_batch`` /
-    ``predict_runtimes*`` fall back to ``feature_matrix_grid`` +
-    ``PreprocessingPipeline.transform`` + ``model.predict``, with tree
-    ensembles pinned to their per-tree flat-descent loop
-    (:func:`repro.ml.tree.unstacked_mode`) — i.e. exactly the hot path as
-    it existed before this compilation layer.  Results are bit-identical
-    either way — the reference mode exists for equivalence tests and
-    benchmark baselines, like :func:`repro.ml.tree.reference_mode` one
-    layer down.
+    ``predict_runtimes*`` evaluate ``feature_matrix_grid`` +
+    ``PreprocessingPipeline.transform`` + ``model.predict`` with every tree
+    walked recursively (:func:`repro.ml.tree.reference_mode` is entered
+    too, so models fitted inside the block also use the node-at-a-time
+    growers).  Slow and obviously correct; results are bit-identical to
+    the compiled paths, which is what the equivalence tests and the
+    benchmark's oracle gate assert.
     """
     global _IMPL
     previous = _IMPL
     _IMPL = "reference"
     try:
-        with tree_unstacked_mode():
+        with tree_reference_mode():
             yield
     finally:
         _IMPL = previous
@@ -105,40 +113,69 @@ def active_impl() -> str:
     return _IMPL
 
 
-#: Ensemble types whose prediction compiles to one stacked descent.
-_STACKED_ENSEMBLES = (
-    RandomForestRegressor,
-    AdaBoostRegressor,
-    GradientBoostingRegressor,
-    HistGradientBoostingRegressor,
-)
-
-
 @dataclass
 class ModelKernel:
-    """A compiled model evaluator plus the flat state the native path needs.
+    """A fitted model flattened to the fields its evaluation reads.
 
-    ``evaluate`` is the bit-identical Python-side kernel (what
-    :func:`compile_model_evaluator` used to return).  The extra fields let
-    the native ``fused_evaluate`` call run the same model without any
-    Python in the loop:
+    ``kind`` names the one evaluator that runs over those fields — the
+    same code whether they were taken from a model in this process
+    (:func:`compile_model_kernel`) or mapped from shared memory in a
+    worker (:func:`model_kernel_from_state`):
 
-    * ``kind`` selects the descent mode and aggregation — ``"tree"`` /
-      ``"forest-mean"`` / ``"weighted-median"`` run the per-tree descent
-      (mode 0) and aggregate the leaf matrix, ``"fold"`` runs the boosted
-      fold (mode 1) with ``base``/``scale``, and ``"linear"`` /
-      ``"opaque"`` stop the native call after the transform (mode 2) and
-      finish in Python on the natively transformed grid;
-    * ``stack`` / ``weights`` carry the stacked trees and the AdaBoost
-      estimator weights for the mode-0 aggregations.
+    * ``"tree"`` / ``"forest-mean"`` / ``"weighted-median"`` descend
+      ``stack`` per tree and take row 0 / the mean / the AdaBoost median
+      under ``weights``;
+    * ``"fold"`` is the boosted sum ``base + Σ scale · tree(X)`` over
+      ``stack``;
+    * ``"linear"`` is ``X @ coef + intercept``;
+    * ``"opaque"`` is ``model.predict`` (SVR, KNN, anything unknown).
+
+    ``evaluate`` takes the *preprocessed* feature matrix and skips input
+    re-validation — the compiled predictor constructs that matrix itself.
+    It is bound once here, so callers pay no per-call dispatch.  The
+    native ``fused_evaluate`` call reads the same fields.
     """
 
     kind: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
     stack: StackedTrees | None = None
     weights: np.ndarray | None = None
     base: float = 0.0
     scale: float = 0.0
+    coef: np.ndarray | None = None
+    intercept: float = 0.0
+    model: object = None
+    evaluate: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "opaque":
+            self.evaluate = self.model.predict
+            return
+        if self.kind not in self._EVALUATORS:
+            raise ValueError(f"Unknown model kernel kind {self.kind!r}")
+        self.evaluate = getattr(self, self._EVALUATORS[self.kind])
+
+    def _evaluate_tree(self, X: np.ndarray) -> np.ndarray:
+        return self.stack._descend(X)[0].copy()
+
+    def _evaluate_forest_mean(self, X: np.ndarray) -> np.ndarray:
+        return self.stack._descend(X).mean(axis=0)
+
+    def _evaluate_weighted_median(self, X: np.ndarray) -> np.ndarray:
+        return weighted_median(self.stack._descend(X).T, self.weights)
+
+    def _evaluate_fold(self, X: np.ndarray) -> np.ndarray:
+        return self.stack.fold(X, self.base, self.scale)
+
+    def _evaluate_linear(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.coef + self.intercept
+
+    _EVALUATORS = {
+        "tree": "_evaluate_tree",
+        "forest-mean": "_evaluate_forest_mean",
+        "weighted-median": "_evaluate_weighted_median",
+        "fold": "_evaluate_fold",
+        "linear": "_evaluate_linear",
+    }
 
 
 def compile_model_kernel(model: BaseRegressor) -> ModelKernel:
@@ -146,176 +183,84 @@ def compile_model_kernel(model: BaseRegressor) -> ModelKernel:
 
     * tree ensembles → the whole-ensemble stacked descent (built eagerly
       here so the first ``plan()`` does not pay the stacking cost);
-    * a single decision tree → its flattened array form;
+    * a single decision tree → a one-tree stack, which rides the
+      packed-node native descent instead of the level-synchronous NumPy
+      gathers;
     * linear-family models (``coef_`` + ``intercept_``) → one mat-vec;
     * anything else (SVR, KNN, ...) → the model's own ``predict``.
-
-    ``evaluate`` takes the *preprocessed* feature matrix and skips input
-    re-validation — the compiled predictor constructs that matrix itself,
-    so it is correct by construction.
     """
     if isinstance(model, DecisionTreeRegressor):
-        # A one-tree "stack" still wins: it rides the packed-node native
-        # descent kernel instead of the level-synchronous NumPy gathers.
-        stack = StackedTrees([model.flat_tree_])
-
-        def tree_evaluate(X: np.ndarray) -> np.ndarray:
-            return stack._descend(X)[0].copy()
-
-        return ModelKernel(kind="tree", evaluate=tree_evaluate, stack=stack)
-    if isinstance(model, _STACKED_ENSEMBLES):
-        stack = model.stacked()  # build and cache the stack at compile time
-        if isinstance(model, RandomForestRegressor):
-            return ModelKernel(
-                kind="forest-mean",
-                evaluate=model._predict_stacked,
-                stack=stack,
-            )
-        if isinstance(model, AdaBoostRegressor):
-            return ModelKernel(
-                kind="weighted-median",
-                evaluate=model._predict_stacked,
-                stack=stack,
-                weights=np.asarray(model.estimator_weights_),
-            )
+        return ModelKernel("tree", stack=StackedTrees([model.flat_tree_]))
+    if isinstance(model, RandomForestRegressor):
+        return ModelKernel("forest-mean", stack=model.stacked())
+    if isinstance(model, AdaBoostRegressor):
         return ModelKernel(
-            kind="fold",
-            evaluate=model._predict_stacked,
-            stack=stack,
+            "weighted-median",
+            stack=model.stacked(),
+            weights=np.asarray(model.estimator_weights_, dtype=np.float64),
+        )
+    if isinstance(model, (GradientBoostingRegressor, HistGradientBoostingRegressor)):
+        return ModelKernel(
+            "fold",
+            stack=model.stacked(),
             base=float(model.base_prediction_),
             scale=float(model.learning_rate),
         )
     coef = getattr(model, "coef_", None)
     intercept = getattr(model, "intercept_", None)
     if coef is not None and intercept is not None:
-        coef = np.asarray(coef, dtype=np.float64)
-
-        def linear_evaluate(X: np.ndarray) -> np.ndarray:
-            return X @ coef + intercept
-
-        return ModelKernel(kind="linear", evaluate=linear_evaluate)
-    return ModelKernel(kind="opaque", evaluate=model.predict)
+        return ModelKernel(
+            "linear", coef=np.asarray(coef, dtype=np.float64), intercept=intercept
+        )
+    return ModelKernel("opaque", model=model)
 
 
-def compile_model_evaluator(model: BaseRegressor) -> Callable[[np.ndarray], np.ndarray]:
-    """The bare evaluation callable of :func:`compile_model_kernel`."""
-    return compile_model_kernel(model).evaluate
+#: ModelKernel fields that cross a process boundary as shared-memory arrays.
+_SHARED_KERNEL_ARRAYS = ("weights", "coef")
 
 
 def export_model_evaluator(model: BaseRegressor, registry) -> dict:
-    """Flatten a fitted model's evaluation kernel into a shared-memory state.
+    """Flatten a fitted model's :class:`ModelKernel` into a shared-memory state.
 
-    The returned dict is picklable (a few scalars plus
-    :class:`~repro.shm.SharedArrayRef` entries); :func:`evaluator_from_state`
-    rebuilds a kernel over the mapped segments in another process that is
-    bit-identical to :func:`compile_model_evaluator` on the same model.
-    Models without a flat form (SVR, KNN) ride the pickle whole — their
-    state is small and they have no array hot path worth sharing.
+    The returned dict is picklable — scalars inline, the stack and the
+    arrays as :class:`~repro.shm.SharedArrayRef` entries — and
+    :func:`model_kernel_from_state` rebuilds the same kernel over the
+    mapped segments in another process.  Opaque models (SVR, KNN) ride the
+    pickle whole: their state is small and they have no array hot path
+    worth sharing.
     """
-    if isinstance(model, DecisionTreeRegressor):
-        stack = StackedTrees([model.flat_tree_])
-        return {"kind": "tree", "stack": stack.to_shared(registry)}
-    if isinstance(model, RandomForestRegressor):
-        return {"kind": "forest-mean", "stack": model.stacked().to_shared(registry)}
-    if isinstance(model, AdaBoostRegressor):
-        weights = np.asarray(model.estimator_weights_, dtype=np.float64)
-        return {
-            "kind": "weighted-median",
-            "stack": model.stacked().to_shared(registry),
-            "weights": registry.export_array(weights),
-        }
-    if isinstance(model, (GradientBoostingRegressor, HistGradientBoostingRegressor)):
-        return {
-            "kind": "fold",
-            "stack": model.stacked().to_shared(registry),
-            "base": float(model.base_prediction_),
-            "scale": float(model.learning_rate),
-        }
-    coef = getattr(model, "coef_", None)
-    intercept = getattr(model, "intercept_", None)
-    if coef is not None and intercept is not None:
-        return {
-            "kind": "linear",
-            "coef": registry.export_array(np.asarray(coef, dtype=np.float64)),
-            "intercept": intercept,
-        }
-    return {"kind": "pickled", "model": model}
+    kernel = compile_model_kernel(model)
+    state = {
+        "kind": kernel.kind,
+        "base": kernel.base,
+        "scale": kernel.scale,
+        "intercept": kernel.intercept,
+        "model": kernel.model,
+    }
+    if kernel.stack is not None:
+        state["stack"] = kernel.stack.to_shared(registry)
+    for name in _SHARED_KERNEL_ARRAYS:
+        array = getattr(kernel, name)
+        if array is not None:
+            state[name] = registry.export_array(array)
+    return state
 
 
 def model_kernel_from_state(state: dict, registry) -> ModelKernel:
     """Rebuild a :class:`ModelKernel` from :func:`export_model_evaluator` state.
 
-    Tree stacks map their arrays from shared segments (zero-copy); the
-    aggregations reuse the exact code paths of the in-process kernels
-    (:meth:`StackedTrees._descend`, :meth:`StackedTrees.fold`,
-    :func:`~repro.ml.boosting.weighted_median`), so predictions stay
-    bit-identical across backends — and the stack/weights/base/scale
-    fields let the worker's predictor run the native fused evaluate just
-    like the parent's.
+    Stack and arrays map from shared segments (zero-copy) into the same
+    fields the in-process kernel holds, so the one evaluator per kind —
+    and the native fused call that reads those fields — runs on either
+    side of the process boundary.
     """
-    kind = state["kind"]
-    if kind == "tree":
-        stack = StackedTrees.from_shared(state["stack"], registry)
-
-        def tree_evaluate(X: np.ndarray) -> np.ndarray:
-            return stack._descend(X)[0].copy()
-
-        return ModelKernel(kind="tree", evaluate=tree_evaluate, stack=stack)
-    if kind == "forest-mean":
-        stack = StackedTrees.from_shared(state["stack"], registry)
-
-        def forest_evaluate(X: np.ndarray) -> np.ndarray:
-            return stack._descend(X).mean(axis=0)
-
-        return ModelKernel(
-            kind="forest-mean", evaluate=forest_evaluate, stack=stack
-        )
-    if kind == "weighted-median":
-        stack = StackedTrees.from_shared(state["stack"], registry)
-        weights = registry.map_array(state["weights"])
-
-        def median_evaluate(X: np.ndarray) -> np.ndarray:
-            return weighted_median(stack._descend(X).T, weights)
-
-        return ModelKernel(
-            kind="weighted-median",
-            evaluate=median_evaluate,
-            stack=stack,
-            weights=weights,
-        )
-    if kind == "fold":
-        stack = StackedTrees.from_shared(state["stack"], registry)
-        base = state["base"]
-        scale = state["scale"]
-
-        def fold_evaluate(X: np.ndarray) -> np.ndarray:
-            return stack.fold(X, base, scale)
-
-        return ModelKernel(
-            kind="fold",
-            evaluate=fold_evaluate,
-            stack=stack,
-            base=float(base),
-            scale=float(scale),
-        )
-    if kind == "linear":
-        coef = registry.map_array(state["coef"])
-        intercept = state["intercept"]
-
-        def linear_evaluate(X: np.ndarray) -> np.ndarray:
-            return X @ coef + intercept
-
-        return ModelKernel(kind="linear", evaluate=linear_evaluate)
-    if kind == "pickled":
-        return ModelKernel(kind="opaque", evaluate=state["model"].predict)
-    raise ValueError(f"Unknown evaluator state kind {kind!r}")
-
-
-def evaluator_from_state(
-    state: dict, registry
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The bare evaluation callable of :func:`model_kernel_from_state`."""
-    return model_kernel_from_state(state, registry).evaluate
+    fields = dict(state)
+    if "stack" in fields:
+        fields["stack"] = StackedTrees.from_shared(fields["stack"], registry)
+    for name in _SHARED_KERNEL_ARRAYS:
+        if name in fields:
+            fields[name] = registry.map_array(fields[name])
+    return ModelKernel(**fields)
 
 
 class CompiledPredictor:
@@ -330,7 +275,7 @@ class CompiledPredictor:
         time via :meth:`~repro.preprocessing.pipeline.PreprocessingPipeline.compile`.
     model:
         Fitted runtime-regression model; compiled via
-        :func:`compile_model_evaluator`.
+        :func:`compile_model_kernel`.
     candidate_threads:
         Thread counts evaluated per shape (one grid row each).
 
@@ -345,15 +290,9 @@ class CompiledPredictor:
         model: BaseRegressor,
         candidate_threads: Sequence[int],
     ):
-        self.routine = routine
-        self.candidate_threads = np.asarray(candidate_threads, dtype=np.float64)
-        self._fused = pipeline.compile()
-        self._writer = FeatureGridWriter(
-            routine, self.candidate_threads, columns=self._fused.kept_indices
+        self._assemble(
+            routine, candidate_threads, pipeline.compile(), compile_model_kernel(model)
         )
-        self._model_kernel = compile_model_kernel(model)
-        self._evaluate_model = self._model_kernel.evaluate
-        self._configure_native()
 
     @classmethod
     def from_state(
@@ -361,33 +300,28 @@ class CompiledPredictor:
         routine: str,
         candidate_threads: Sequence[int],
         fused: FusedTransform,
-        evaluate_model: "ModelKernel | Callable[[np.ndarray], np.ndarray]",
+        model_kernel: ModelKernel,
     ) -> "CompiledPredictor":
         """Assemble a predictor from already-flattened state.
 
         The process-shard worker builds predictors this way: ``fused`` views
         shared-memory segments (:meth:`FusedTransform.from_shared`) and
-        ``evaluate_model`` comes from :func:`model_kernel_from_state`, so no
-        pipeline or model object ever crosses the process boundary.  A bare
-        callable is also accepted (wrapped as an opaque kernel, which still
-        rides the native fill + transform stages, just not the descent).
+        ``model_kernel`` comes from :func:`model_kernel_from_state`, so no
+        pipeline or model object ever crosses the process boundary.
         """
         predictor = cls.__new__(cls)
-        predictor.routine = routine
-        predictor.candidate_threads = np.asarray(candidate_threads, dtype=np.float64)
-        predictor._fused = fused
-        predictor._writer = FeatureGridWriter(
-            routine, predictor.candidate_threads, columns=fused.kept_indices
-        )
-        if isinstance(evaluate_model, ModelKernel):
-            predictor._model_kernel = evaluate_model
-        else:
-            predictor._model_kernel = ModelKernel(
-                kind="opaque", evaluate=evaluate_model
-            )
-        predictor._evaluate_model = predictor._model_kernel.evaluate
-        predictor._configure_native()
+        predictor._assemble(routine, candidate_threads, fused, model_kernel)
         return predictor
+
+    def _assemble(self, routine, candidate_threads, fused, model_kernel) -> None:
+        self.routine = routine
+        self.candidate_threads = np.asarray(candidate_threads, dtype=np.float64)
+        self._fused = fused
+        self._writer = FeatureGridWriter(
+            routine, self.candidate_threads, columns=fused.kept_indices
+        )
+        self._model_kernel = model_kernel
+        self._configure_native()
 
     #: Native descent mode per model kind (see ``fused_evaluate`` in
     #: :mod:`repro.ml._native`): 0 = per-tree leaf matrix, 1 = boosted
@@ -402,58 +336,52 @@ class CompiledPredictor:
     }
 
     def _configure_native(self) -> None:
-        """Bind whatever native stages are available for this predictor.
+        """Bind the fused native call, or record why the NumPy path serves.
 
-        Establishes three independent accelerations, each falling back to
-        the NumPy expression when missing (no compiler, kill switch, no
-        column program, unverified transform):
-
-        * ``_native_fill``  — C feature fill from the column program;
-        * ``_native_transform`` — C fused Yeo-Johnson + affine;
-        * ``_fused_call`` — the single GIL-free C call chaining
-          fill → transform → descent (needs all stages plus a stacked or
-          mode-2 model).  Guarded further by a first-call self-check
-          against the NumPy path (``ADSALA_NATIVE_SELFCHECK=0`` skips).
+        The native path is further guarded by a first-call self-check
+        against the NumPy path (:meth:`_run_selfcheck`).
         """
-        self._program = None
-        self._native_fill = None
-        self._native_transform = None
         self._fused_call = None
-        self._native_mode = None
-        self._stack_arrays = None
-        self._flat_state = None
         self._selfcheck_pending = False
         kernels = _native.load_kernels()
         if kernels is None:
-            return
-        program = self._writer.column_program()
-        self._flat_state = self._fused.flat_arrays()
-        if kernels.feature_fill is not None and program is not None:
-            self._program = program
-            self._native_fill = kernels.feature_fill
-        if kernels.fused_transform is not None:
-            self._native_transform = kernels.fused_transform
-        kernel = self._model_kernel
-        mode = self._NATIVE_MODES.get(kernel.kind)
-        if (
-            kernels.fused_evaluate is None
-            or program is None
-            or mode is None
-            or (mode != 2 and kernel.stack is None)
-        ):
-            return
-        self._program = program
-        self._native_mode = mode
-        self._fused_call = kernels.fused_evaluate
-        if kernel.stack is not None:
-            self._stack_arrays = (
-                np.ascontiguousarray(kernel.stack.roots),
-                np.ascontiguousarray(kernel.stack.depths),
-                np.ascontiguousarray(kernel.stack.nodes_packed),
+            self._path_reason = (
+                "unavailable" if _native.native_enabled() else "disabled"
             )
-        self._selfcheck_pending = (
-            os.environ.get("ADSALA_NATIVE_SELFCHECK", "1") != "0"
-        )
+            return
+        if kernels.fused_evaluate is None:
+            self._path_reason = "probe-failed"
+            return
+        self._program = self._writer.column_program()
+        if self._program is None:
+            self._path_reason = "no-column-program"
+            return
+        self._path_reason = None
+        self._fused_call = kernels.fused_evaluate
+        self._selfcheck_pending = True
+        self._flat_state = self._fused.flat_arrays()
+        self._native_mode = self._NATIVE_MODES[self._model_kernel.kind]
+        stack = self._model_kernel.stack
+        if stack is not None:
+            self._stack_arrays = (
+                np.ascontiguousarray(stack.roots),
+                np.ascontiguousarray(stack.depths),
+                np.ascontiguousarray(stack.nodes_packed),
+            )
+
+    @property
+    def path(self) -> str:
+        """Which implementation serves evaluations: ``"native"`` or ``"numpy"``."""
+        return "native" if self._fused_call is not None else "numpy"
+
+    @property
+    def path_reason(self) -> str | None:
+        """Why ``path`` is ``"numpy"`` — ``"disabled"`` (``ADSALA_NATIVE=0``),
+        ``"unavailable"`` (nothing could be built or loaded),
+        ``"probe-failed"`` (load-time transform probe), ``"no-column-program"``
+        (the routine's features have no native fill) or ``"selfcheck-failed"``
+        — and ``None`` on the native path."""
+        return self._path_reason
 
     @property
     def n_candidates(self) -> int:
@@ -462,8 +390,8 @@ class CompiledPredictor:
     def predict_runtimes(self, dims: Dict[str, int]) -> np.ndarray:
         """Predicted runtime per candidate thread count for one shape.
 
-        Bit-identical to the object path's
-        ``ThreadPredictor.predict_runtimes`` output.
+        Bit-identical to the oracle's ``ThreadPredictor.predict_runtimes``
+        output.
         """
         return self.predict_runtimes_batch([dims])[0]
 
@@ -473,34 +401,24 @@ class CompiledPredictor:
         """Predicted runtimes for many shapes in one fused pass.
 
         Returns a ``(len(dims_list), n_candidates)`` array matching the
-        object path's ``predict_runtimes_batch`` bit for bit.  With the
-        full native bundle loaded this is **one C call** (fill → transform
-        → descent) that releases the GIL end to end; otherwise each stage
-        independently uses its native kernel or its NumPy expression.
+        oracle's ``predict_runtimes_batch`` bit for bit: **one C call**
+        (fill → transform → descent) that releases the GIL end to end on
+        the native path, the same three stages as NumPy expressions
+        otherwise.
         """
         if self._fused_call is not None:
             predictions = self._predict_fused(dims_list)
             if self._selfcheck_pending:
                 predictions = self._run_selfcheck(dims_list, predictions)
-            return predictions.reshape(len(dims_list), self.n_candidates)
-
-        # Staged path: per-stage native kernels where available, NumPy
-        # expressions elsewhere — always bit-identical.
-        if self._native_fill is not None:
-            dims = self._writer.load_dims(dims_list)
-            grid = self._writer.grid_view(dims.shape[0])
-            self._native_fill(self._program, dims, self._writer.nt, grid)
         else:
-            grid = self._writer.write_dicts(dims_list)
-        if self._native_transform is not None:
-            lambdas, shift, scale = self._flat_state
-            transformed = self._native_transform(grid, lambdas, shift, scale)
-        else:
-            transformed = self._fused.transform_kept(grid)
-        predictions = np.asarray(
-            self._evaluate_model(transformed), dtype=float
-        )
+            predictions = self._predict_numpy(dims_list)
         return predictions.reshape(len(dims_list), self.n_candidates)
+
+    def _predict_numpy(self, dims_list) -> np.ndarray:
+        """The fallback: the three stages as NumPy expressions."""
+        grid = self._writer.write_dicts(dims_list)
+        transformed = self._fused.transform_kept(grid)
+        return np.asarray(self._model_kernel.evaluate(transformed), dtype=float)
 
     def _predict_fused(self, dims_list) -> np.ndarray:
         """One native call over the whole evaluate span."""
@@ -545,15 +463,12 @@ class CompiledPredictor:
     ) -> np.ndarray:
         """First-call guard: fused C result must equal the NumPy path bitwise.
 
-        On mismatch the fused call and the per-stage fill/transform
-        kernels are disabled for this predictor (the long-trusted descent
-        kernel inside :class:`StackedTrees` stays), a warning is emitted
-        once, and the NumPy result is returned.
+        On mismatch this predictor drops to the NumPy path for good (the
+        long-trusted descent kernel inside :class:`StackedTrees` stays), a
+        warning is emitted once, and the NumPy result is returned.
         """
         self._selfcheck_pending = False
-        grid = self._writer.write_dicts(dims_list)
-        transformed = self._fused.transform_kept(grid)
-        reference = np.asarray(self._evaluate_model(transformed), dtype=float)
+        reference = self._predict_numpy(dims_list)
         if np.array_equal(
             np.asarray(predictions, dtype=float).reshape(reference.shape),
             reference,
@@ -561,12 +476,10 @@ class CompiledPredictor:
             return predictions
         warnings.warn(
             f"native fused evaluate diverged from the NumPy path for "
-            f"routine {self.routine!r}; disabling the native fill/transform "
-            f"stages for this predictor",
+            f"routine {self.routine!r}; this predictor now evaluates in NumPy",
             RuntimeWarning,
             stacklevel=3,
         )
         self._fused_call = None
-        self._native_fill = None
-        self._native_transform = None
+        self._path_reason = "selfcheck-failed"
         return reference

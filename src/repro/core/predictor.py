@@ -14,13 +14,19 @@ the model once over a ``(n_shapes * n_candidates)`` feature grid instead of
 looping shape by shape, which is what keeps installation-time model
 selection cheap (see :mod:`repro.core.selection`).
 
-Cache misses ride the **compiled kernel** by default: the first evaluation
-builds a :class:`~repro.core.compiled.CompiledPredictor` (call
+Cache misses ride the **compiled kernel**: the first evaluation builds a
+:class:`~repro.core.compiled.CompiledPredictor` (call
 :meth:`ThreadPredictor.compile` to pay that cost eagerly, e.g. at bundle
 load) and every subsequent miss is a single fused
-feature→preprocess→ensemble array pass, bit-identical to the object path.
-``repro.core.compiled.reference_mode()`` forces the object path back on
-for equivalence testing and benchmarking.
+feature→preprocess→ensemble pass — one native call, or its NumPy
+fallback (``CompiledPredictor.path`` says which).  Inside
+``repro.core.compiled.reference_mode()`` (or the tree-level
+``repro.ml.tree.reference_mode()``) evaluations instead run the oracle:
+the object graph ``feature_matrix_grid`` → ``pipeline.transform`` →
+``model.predict``, bit-identical and slow, for equivalence tests and
+benchmark baselines.  The compiled kernel is working state, not model
+state: it is dropped from pickles and deep copies and rebuilt on first
+use.
 """
 
 from __future__ import annotations
@@ -34,11 +40,7 @@ import numpy as np
 
 from repro.core import compiled as compiled_mod
 from repro.core.compiled import CompiledPredictor
-from repro.core.features import (
-    feature_matrix_for_threads,
-    feature_matrix_grid,
-    feature_names,
-)
+from repro.core.features import feature_matrix_grid, feature_names
 from repro.ml import tree as tree_mod
 from repro.ml.base import BaseRegressor
 from repro.preprocessing.pipeline import PreprocessingPipeline
@@ -121,6 +123,14 @@ class ThreadPredictor:
             )
         return self._compiled
 
+    def __getstate__(self):
+        # The compiled kernel holds the routine spec's lambdas (not
+        # picklable) and per-instance scratch buffers (not to be shared by
+        # a deep copy): ship the model state and recompile on first use.
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
+
     @staticmethod
     def cache_key(dims: Dict[str, int]) -> tuple:
         """Canonical LRU key for a dims dict (order-insensitive).
@@ -133,32 +143,22 @@ class ThreadPredictor:
 
     @staticmethod
     def _use_compiled() -> bool:
-        """Whether evaluations should ride the fused kernel right now.
+        """Whether evaluations should ride the compiled kernel right now.
 
-        Every lower-layer reference toggle opts out: the predictor-level
-        ``repro.core.compiled.reference_mode``, the tree-level
-        ``repro.ml.tree.reference_mode`` and ``unstacked_mode`` (the
-        compiled kernel binds the stacked descent directly and would
-        otherwise ignore them).
+        Both reference toggles opt out: the predictor-level
+        ``repro.core.compiled.reference_mode`` and the tree-level
+        ``repro.ml.tree.reference_mode`` (the compiled kernel binds the
+        stacked descent directly and would otherwise ignore the latter).
         """
         return (
             compiled_mod.active_impl() == "compiled"
-            and tree_mod.stacking_active()
+            and tree_mod.active_impl() == "vectorized"
         )
 
     # -- prediction -------------------------------------------------------------
     def predict_runtimes(self, dims: Dict[str, int]) -> np.ndarray:
         """Predicted runtime for every candidate thread count (no caching)."""
-        if self._use_compiled():
-            runtimes = self.compile().predict_runtimes(dims)
-            self.n_model_evaluations += 1
-            return runtimes
-        X = feature_matrix_for_threads(
-            self.routine, dims, np.asarray(self.candidate_threads)
-        )
-        transformed = self.pipeline.transform(X)
-        self.n_model_evaluations += 1
-        return np.asarray(self.model.predict(transformed), dtype=float)
+        return self.predict_runtimes_batch([dims])[0]
 
     def predict_runtimes_batch(
         self, dims_list: Sequence[Dict[str, int]]

@@ -1,62 +1,49 @@
 """Optional native (C) kernels for the compiled prediction hot path.
 
-PR 3 compiled the stacked-ensemble *descent* into a small branch-free C
-kernel; everything around it — the feature-grid fill and the fused
-Yeo-Johnson + affine transform — stayed NumPy, which holds the GIL and is
-why the ``thread`` shard backend could not scale.  This module now builds
-**one shared object with four kernels** covering the whole
-``CompiledPredictor.evaluate`` span:
-
-``feature_fill``
-    Computes the kept feature columns straight from the dims/threads
-    arrays into the preallocated grid, driven by a compact i64/f64
-    *column program* exported by
-    :meth:`repro.core.features.FeatureGridWriter.column_program`.  Every
-    arithmetic step replays the Python recipe's exact operation order
-    (left-associated sums of products, exact ``1.0 *`` / ``2 *``
-    coefficients), so the filled grid is bit-identical.
-
-``fused_transform``
-    Reproduces ``FusedTransform.transform_kept`` bit-identically: the
-    per-column Yeo-Johnson transform followed by the affine
-    ``(y - shift) / scale``.  Per-column λ dispatch mirrors NumPy's
-    scalar fast paths exactly (λ or 2-λ in {-1, 0.5, 1, 2} become
-    reciprocal / sqrt / copy / square — exact operations), the |λ|≤1e-12
-    and |λ-2|≤1e-12 branches become log1p, and everything else calls
-    ``pow``.  On AVX512 hosts where NumPy itself dispatches ``**`` and
-    ``log1p`` to Intel SVML, the kernel calls **NumPy's own**
-    ``__svml_pow8_ha`` / ``__svml_log1p8_ha`` symbols through function
-    pointers (:func:`set_svml_pointers`), so the transcendentals are the
-    same code NumPy runs; elsewhere it uses libm, which is what NumPy
-    uses there too.  A bit-exactness probe at load time
-    (:func:`_verify_transform`) compares the kernel against the NumPy
-    reference and disables the stage on any mismatch.
-
-``stacked_descent``
-    The existing PR 3 kernel, byte-for-byte.
+One shared object, compiled on first use, covers the whole
+``CompiledPredictor`` evaluate span.  Python binds three entry points:
 
 ``fused_evaluate``
-    Chains fill → transform → descent in **one C call** so the GIL is
+    **The production path.**  Chains feature fill → fused Yeo-Johnson +
+    affine transform → stacked descent in **one C call**, so the GIL is
     dropped across the whole span and intermediate buffers never surface
-    to Python.  This is what lets ``thread`` shards scale.
+    to Python.  The fill replays the compact i64/f64 *column program*
+    exported by :meth:`repro.core.features.FeatureGridWriter.column_program`
+    in the Python recipe's exact operation order (left-associated sums of
+    products, exact ``1.0 *`` / ``2 *`` coefficients), so the grid is
+    bit-identical.
 
-Kill switches (each falls back to the NumPy expressions, bit-identical):
+``descent``
+    The bare ``stacked_descent`` kernel :class:`repro.ml.tree.StackedTrees`
+    descends through — the model-evaluation stage of the NumPy fallback
+    and of every ensemble ``predict``.
 
-* ``ADSALA_NATIVE=0`` — master switch, disables everything;
-* ``ADSALA_NATIVE_FILL=0`` / ``ADSALA_NATIVE_TRANSFORM=0`` /
-  ``ADSALA_NATIVE_DESCENT=0`` — per-stage opt-out (any disabled stage
-  also disables the fused call, which needs all three);
-* ``ADSALA_NATIVE_SELFCHECK=0`` — skip the per-predictor first-call
-  fused-vs-staged comparison in :mod:`repro.core.compiled`.
+``fused_transform``
+    The transform stage alone, kept for the load-time probe and the
+    per-branch tests.  It reproduces ``FusedTransform.transform_kept``
+    bit-identically: per-column λ dispatch mirrors NumPy's scalar fast
+    paths exactly (λ or 2-λ in {-1, 0.5, 1, 2} become reciprocal / sqrt /
+    copy / square — exact operations), the |λ|≤1e-12 and |λ-2|≤1e-12
+    branches become log1p, and everything else calls ``pow``.  On AVX512
+    hosts where NumPy itself dispatches ``**`` and ``log1p`` to Intel
+    SVML, the kernel calls **NumPy's own** ``__svml_pow8_ha`` /
+    ``__svml_log1p8_ha`` symbols through function pointers
+    (:func:`set_svml_pointers`), so the transcendentals are the same code
+    NumPy runs; elsewhere it uses libm, which is what NumPy uses there
+    too.  A bit-exactness probe at load time (:func:`_verify_transform`)
+    compares the kernel against the NumPy reference and, on any mismatch,
+    drops it and the fused chain that contains it.
 
-Build controls:
+Three environment variables, no more:
 
+* ``ADSALA_NATIVE=0`` — the single kill switch: nothing native loads and
+  every caller runs its bit-identical NumPy expressions;
+* ``ADSALA_NATIVE_REQUIRE=1`` — fail **loudly** (RuntimeError) when the
+  kernel cannot be built or loaded, instead of silently falling back.
+  Used by the CI native-build smoke;
 * ``ADSALA_NATIVE_CACHE=<dir>`` — where the compiled ``.so`` is cached
   (default: a per-user 0700 directory under the system temp dir, keyed
   by a hash of the C source).  CI points this at a restored cache.
-* ``ADSALA_NATIVE_REQUIRE=1`` — fail **loudly** (RuntimeError) when the
-  kernel cannot be built or loaded, instead of silently falling back.
-  Used by the CI native-build smoke.
 
 :func:`adopt_library` lets ``procshard`` workers reuse the parent's
 already-built shared object instead of racing the compiler N ways on a
@@ -84,10 +71,8 @@ __all__ = [
     "NativeKernels",
     "adopt_library",
     "library_path",
-    "load_kernel",
     "load_kernels",
     "native_enabled",
-    "stage_enabled",
 ]
 
 
@@ -493,26 +478,9 @@ _KERNELS: object = "unset"
 #: Library adopted from a parent process (procshard workers).
 _PREBUILT: Path | None = None
 
-_STAGE_ENV = {
-    "fill": "ADSALA_NATIVE_FILL",
-    "transform": "ADSALA_NATIVE_TRANSFORM",
-    "descent": "ADSALA_NATIVE_DESCENT",
-}
-
-
 def native_enabled() -> bool:
     """Whether the native kernels are allowed (``ADSALA_NATIVE`` != "0")."""
     return os.environ.get("ADSALA_NATIVE", "1") != "0"
-
-
-def stage_enabled(stage: str) -> bool:
-    """Whether one stage ("fill" / "transform" / "descent") is allowed.
-
-    Each stage has its own opt-out (``ADSALA_NATIVE_FILL=0`` etc.) under
-    the master ``ADSALA_NATIVE`` switch; a disabled stage falls back to
-    its NumPy expression and also disables the fused end-to-end call.
-    """
-    return native_enabled() and os.environ.get(_STAGE_ENV[stage], "1") != "0"
 
 
 def _require_native() -> bool:
@@ -628,17 +596,15 @@ def _reset_kernel_cache() -> None:
 
 
 class NativeKernels:
-    """The loaded kernel bundle: per-stage callables plus load metadata.
+    """The loaded kernel bundle: the bound entry points plus load metadata.
 
-    Attributes are ``None`` when the stage is unavailable (env opt-out,
-    or the transform failed its bit-exactness probe).  ``fused_evaluate``
-    requires all three stages.
+    ``descent`` is always bound; ``fused_transform`` and ``fused_evaluate``
+    are ``None`` when the transform failed its bit-exactness probe.
     """
 
     def __init__(self, library: str):
         self.library = library
         self.descent = None
-        self.feature_fill = None
         self.fused_transform = None
         self.fused_evaluate = None
         self.svml_bridged = False
@@ -647,26 +613,14 @@ class NativeKernels:
         self._numpy_cdll = None  # strong ref: SVML symbols' home
 
 
-def load_kernel():
-    """The native descent callable, or ``None`` when unavailable.
-
-    Backwards-compatible accessor (PR 3 API).  Memoised.  Signature:
-    ``kernel(x, roots, depths, nodes, mode, scale, out)`` — see the C
-    source above for the contract; ``nodes`` must use :data:`NODE_DTYPE`
-    and all arrays must be C-contiguous.
-    """
-    kernels = load_kernels()
-    return kernels.descent if kernels is not None else None
-
-
 def load_kernels() -> NativeKernels | None:
     """The full native kernel bundle, or ``None`` when unavailable.
 
     Memoised.  Builds (or reuses) the shared object, wires the SVML
-    bridge when NumPy exports the symbols on an AVX512-SKX host, runs
-    the transform bit-exactness probe, and applies the per-stage env
-    opt-outs.  With ``ADSALA_NATIVE_REQUIRE=1`` a build/load failure
-    raises ``RuntimeError`` instead of returning ``None``.
+    bridge when NumPy exports the symbols on an AVX512-SKX host and runs
+    the transform bit-exactness probe.  With ``ADSALA_NATIVE_REQUIRE=1``
+    a build/load failure raises ``RuntimeError`` instead of returning
+    ``None``.
     """
     global _KERNELS
     if _KERNELS != "unset":
@@ -701,7 +655,6 @@ def _load_kernels_impl() -> NativeKernels | None:
     kernels._numpy_cdll, kernels.svml_bridged = _wire_svml(lib)
 
     kernels.descent = _make_descent_wrapper(lib.stacked_descent)
-    kernels.feature_fill = _make_fill_wrapper(lib.feature_fill)
     kernels.fused_transform = _make_transform_wrapper(lib.fused_transform)
     kernels.fused_evaluate = _make_evaluate_wrapper(lib.fused_evaluate)
 
@@ -712,17 +665,6 @@ def _load_kernels_impl() -> NativeKernels | None:
     kernels.transform_verified = _verify_transform(kernels)
     if not kernels.transform_verified:
         kernels.fused_transform = None
-        kernels.fused_evaluate = None
-
-    # Per-stage kill switches; the fused chain needs all three stages.
-    if not stage_enabled("fill"):
-        kernels.feature_fill = None
-        kernels.fused_evaluate = None
-    if not stage_enabled("transform"):
-        kernels.fused_transform = None
-        kernels.fused_evaluate = None
-    if not stage_enabled("descent"):
-        kernels.descent = None
         kernels.fused_evaluate = None
     return kernels
 
@@ -788,8 +730,6 @@ _EVALUATE_ARGTYPES = (
 def _declare_signatures(lib) -> None:
     lib.stacked_descent.restype = None
     lib.stacked_descent.argtypes = _DESCENT_ARGTYPES
-    lib.feature_fill.restype = None
-    lib.feature_fill.argtypes = _FILL_ARGTYPES
     lib.fused_transform.restype = None
     lib.fused_transform.argtypes = _TRANSFORM_ARGTYPES
     lib.fused_evaluate.restype = None
@@ -895,34 +835,6 @@ def _make_descent_wrapper(fn):
     # Introspection hook: the raw ctypes foreign function, so callers (and
     # the concurrency tests) can verify the GIL-releasing load path — a
     # ``CDLL`` export with explicit argtypes/restype, never ``PyDLL``.
-    kernel.ctypes_fn = fn
-    return kernel
-
-
-def _make_fill_wrapper(fn):
-    def kernel(
-        program,
-        dims: np.ndarray,
-        nt: np.ndarray,
-        grid: np.ndarray,
-    ) -> np.ndarray:
-        fn(
-            dims.ctypes.data_as(_DOUBLE_P),
-            dims.shape[0],
-            dims.shape[1],
-            nt.ctypes.data_as(_DOUBLE_P),
-            nt.shape[0],
-            program.base_offsets.ctypes.data_as(_INT64_P),
-            program.base_offsets.shape[0] - 1,
-            program.term_coef.ctypes.data_as(_DOUBLE_P),
-            program.term_fac.ctypes.data_as(_INT64_P),
-            program.col_kind.ctypes.data_as(_INT64_P),
-            program.col_base.ctypes.data_as(_INT64_P),
-            program.col_kind.shape[0],
-            grid.ctypes.data_as(_DOUBLE_P),
-        )
-        return grid
-
     kernel.ctypes_fn = fn
     return kernel
 

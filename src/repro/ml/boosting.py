@@ -25,7 +25,6 @@ from repro.ml.tree import (
     FlatTree,
     StackedTrees,
     active_impl,
-    stacking_active,
 )
 
 __all__ = [
@@ -173,11 +172,8 @@ class AdaBoostRegressor(BaseRegressor):
         X = check_X(X)
         if active_impl() == "reference":
             per_tree = [tree.predict(X) for tree in self.estimators_]
-        elif stacking_active():
-            return self._predict_stacked(X)
-        else:
-            per_tree = [tree.flat_tree_.predict(X) for tree in self.estimators_]
-        return self._weighted_median(np.column_stack(per_tree))
+            return self._weighted_median(np.column_stack(per_tree))
+        return self._predict_stacked(X)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +473,7 @@ class GradientBoostingRegressor(BaseRegressor):
     def predict(self, X) -> np.ndarray:
         self._check_fitted("estimators_")
         X = check_X(X)
-        if stacking_active() and active_impl() != "reference":
+        if active_impl() != "reference":
             return self._predict_stacked(X)
         prediction = np.full(X.shape[0], self.base_prediction_)
         for tree in self.estimators_:
@@ -708,7 +704,7 @@ class HistGradientBoostingRegressor(BaseRegressor):
                 f"X has {X.shape[1]} features but model was fitted with "
                 f"{self.n_features_in_}"
             )
-        if stacking_active() and active_impl() != "reference":
+        if active_impl() != "reference":
             return self._predict_stacked(X)
         binned = self._transform_bins(X)
         prediction = np.full(X.shape[0], self.base_prediction_)

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseRegressor, check_X, check_X_y
-from repro.ml.tree import (
-    DecisionTreeRegressor,
-    StackedTrees,
-    active_impl,
-    stacking_active,
-)
+from repro.ml.tree import DecisionTreeRegressor, StackedTrees, active_impl
 
 __all__ = ["RandomForestRegressor"]
 
@@ -138,18 +133,14 @@ class RandomForestRegressor(BaseRegressor):
     def predict(self, X) -> np.ndarray:
         self._check_fitted("estimators_")
         X = check_X(X)
-        # The whole forest descends as one struct-of-arrays: a single
-        # iterative pass moves an (n_trees, n_samples) frontier level by
-        # level, and the ensemble mean is one reduction over that block.
         if active_impl() == "reference":
             return np.stack(
                 [tree.predict(X) for tree in self.estimators_]
             ).mean(axis=0)
-        if stacking_active():
-            return self._predict_stacked(X)
-        return np.stack(
-            [tree.flat_tree_.predict(X) for tree in self.estimators_]
-        ).mean(axis=0)
+        # The whole forest descends as one struct-of-arrays: a single
+        # iterative pass moves an (n_trees, n_samples) frontier level by
+        # level, and the ensemble mean is one reduction over that block.
+        return self._predict_stacked(X)
 
     def feature_importances(self) -> np.ndarray:
         """Mean impurity-decrease importance across trees."""

@@ -18,7 +18,9 @@ case of the same code.  The grower writes the node arrays of a
 
 **The oracle.**  Under :func:`reference_mode` trees are grown by
 :func:`_grow_reference` — one tree, one node, one feature at a time, through
-:func:`_best_split_reference` — and predicted by a recursive walk.  The two
+:func:`_best_split_reference` — and predicted by a recursive walk, tree by
+tree; it shares no descent code with the production path, and
+:func:`repro.core.compiled.reference_mode` nests it.  The two
 builders produce the same node arrays bit for bit
 (``tests/ml/test_property_grower.py``, ``tests/ml/test_flat_tree.py``)
 because they share two definitions:
@@ -36,7 +38,12 @@ because they share two definitions:
 
 **Prediction.**  ``predict`` descends the :class:`FlatTree`
 struct-of-arrays (``feature[]``, ``threshold[]``, ``left[]``, ``right[]``,
-``value[]``) iteratively for the whole query batch at once.
+``value[]``) iteratively for the whole query batch at once; an ensemble
+concatenates its trees into one :class:`StackedTrees` and descends them
+all in a single pass — through the native ``stacked_descent`` kernel when
+it built, through the bit-identical NumPy frontier loop otherwise.  There
+is no third way: a prediction is either the stacked descent or the
+recursive oracle.
 """
 
 from __future__ import annotations
@@ -89,39 +96,11 @@ def active_impl() -> str:
 def native_descent_active() -> bool:
     """Whether new :class:`StackedTrees` will descend through the C kernel.
 
-    False when the build is unavailable or the descent stage is switched
-    off (``ADSALA_NATIVE=0`` or ``ADSALA_NATIVE_DESCENT=0``); existing
-    stacks keep whatever kernel they resolved at construction.
+    False when the build is unavailable or switched off
+    (``ADSALA_NATIVE=0``); existing stacks keep whatever kernel they
+    resolved at construction.
     """
-    return _native.load_kernel() is not None
-
-
-#: Whether ensembles may predict through their StackedTrees compilation.
-_STACKING = True
-
-
-@contextmanager
-def unstacked_mode():
-    """Force the per-tree flat-descent loop in every tree ensemble.
-
-    This is the middle rung of the implementation ladder — newer than the
-    recursive :func:`reference_mode`, older than the whole-ensemble
-    :class:`StackedTrees` descent — kept so benchmarks can measure the
-    stacking speedup in isolation.  Predictions are bit-identical in all
-    three modes.
-    """
-    global _STACKING
-    previous = _STACKING
-    _STACKING = False
-    try:
-        yield
-    finally:
-        _STACKING = previous
-
-
-def stacking_active() -> bool:
-    """True when ensembles should predict through their stacked form."""
-    return _STACKING and _IMPL == "vectorized"
+    return _native.load_kernels() is not None
 
 
 @dataclass
@@ -196,47 +175,6 @@ class FlatTree:
 
     def __setstate__(self, state):
         self.__init__(*state)
-
-    # -- shared-memory export -----------------------------------------------
-    #: Array slots exported by to_shared (the descent tables included, so a
-    #: mapping process never recomputes them from the shared pages).
-    _SHARED_ARRAYS = (
-        "feature",
-        "threshold",
-        "left",
-        "right",
-        "value",
-        "_descent_feature",
-        "_descent_threshold",
-        "_children",
-    )
-
-    def to_shared(self, registry) -> dict:
-        """Export every array slot into ``registry`` segments.
-
-        Returns a picklable state dict for :meth:`from_shared`.  The depth
-        scalar rides inline; all arrays become
-        :class:`~repro.shm.SharedArrayRef` entries.
-        """
-        state = {
-            name: registry.export_array(getattr(self, name))
-            for name in self._SHARED_ARRAYS
-        }
-        state["depth"] = int(self.depth)
-        return state
-
-    @classmethod
-    def from_shared(cls, state: dict, registry) -> "FlatTree":
-        """Rebuild a tree over mapped segments, bypassing ``__init__``.
-
-        The descent tables come straight from the shared pages — nothing is
-        recomputed or copied, so N mapping processes share one set of pages.
-        """
-        tree = cls.__new__(cls)
-        for name in cls._SHARED_ARRAYS:
-            setattr(tree, name, registry.map_array(state[name]))
-        tree.depth = state["depth"]
-        return tree
 
     @classmethod
     def from_node(cls, root) -> "FlatTree":
@@ -319,9 +257,8 @@ class StackedTrees:
 
     When the native kernel built (:func:`native_descent_active`), descent
     and fold instead run through the GIL-free C ``stacked_descent`` over
-    the packed 32-byte node array; ``ADSALA_NATIVE=0`` or
-    ``ADSALA_NATIVE_DESCENT=0`` falls back to the bit-identical NumPy
-    frontier loop above.
+    the packed 32-byte node array; ``ADSALA_NATIVE=0`` falls back to the
+    bit-identical NumPy frontier loop above.
     """
 
     __slots__ = (
@@ -372,10 +309,16 @@ class StackedTrees:
         packed["left"] = children[:, 1]
         packed["value"] = self.value
         self.nodes_packed = packed
+        self._bind_working_state()
+
+    def _bind_working_state(self) -> None:
+        """Per-process state: empty scratch/output buffers (allocated on
+        first descent) and the native descent kernel, resolved locally."""
         self._scratch_size = -1
         self._scratch = None
         self._out = None
-        self._native = _native.load_kernel()
+        kernels = _native.load_kernels()
+        self._native = kernels.descent if kernels is not None else None
 
     @property
     def n_trees(self) -> int:
@@ -412,18 +355,14 @@ class StackedTrees:
     def from_shared(cls, state: dict, registry) -> "StackedTrees":
         """Rebuild a stack over mapped segments, bypassing ``__init__``.
 
-        Scratch/output buffers start empty (they are per-process working
-        memory, lazily allocated on first descent) and the native kernel is
-        re-resolved locally — only the model arrays live in shared pages.
+        Only the model arrays live in shared pages; working memory and the
+        native kernel are this process's own.
         """
         stack = cls.__new__(cls)
         for name in cls._SHARED_ARRAYS:
             setattr(stack, name, registry.map_array(state[name]))
         stack.depth = state["depth"]
-        stack._scratch_size = -1
-        stack._scratch = None
-        stack._out = None
-        stack._native = _native.load_kernel()
+        stack._bind_working_state()
         return stack
 
     def _out_buffer(self, n_samples: int) -> np.ndarray:

@@ -463,7 +463,10 @@ class ServingEngine:
 
         Each per-routine entry reports the predictor's hit/miss counters and
         the resulting ``hit_rate`` (hits over probes), so operators can see
-        which routines actually benefit from the LRU plan cache.
+        which routines actually benefit from the LRU plan cache, and
+        ``evaluate_path`` — ``"native"`` or ``"numpy"``, which
+        implementation evaluates the routine's misses
+        (:attr:`~repro.core.compiled.CompiledPredictor.path`).
 
         A routine this engine served that the (possibly hot-reloaded)
         source can no longer load is reported as ``{"unloadable": True}``
@@ -488,6 +491,7 @@ class ServingEngine:
                     "hits": info["hits"],
                     "misses": info["misses"],
                     "hit_rate": info["hits"] / probes if probes else 0.0,
+                    "evaluate_path": predictor.compile().path,
                 }
                 hits += info["hits"]
                 misses += info["misses"]

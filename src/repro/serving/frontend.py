@@ -561,6 +561,9 @@ class ShardedFrontend:
                     continue
                 slot["hits"] += entry["hits"]
                 slot["misses"] += entry["misses"]
+                # One shard off the native path is what an operator must see.
+                if slot.get("evaluate_path") != "numpy":
+                    slot["evaluate_path"] = entry["evaluate_path"]
         for entry in routines.values():
             probes = entry.get("hits", 0) + entry.get("misses", 0)
             entry["hit_rate"] = entry.get("hits", 0) / probes if probes else 0.0

@@ -9,7 +9,7 @@ import pytest
 
 from repro.blas.api import ROUTINE_KEYS, parse_routine
 from repro.core import compiled as compiled_mod
-from repro.core.compiled import CompiledPredictor, compile_model_evaluator
+from repro.core.compiled import CompiledPredictor, compile_model_kernel
 from repro.core.install import install_adsala
 from repro.core.predictor import ThreadPredictor
 from repro.machine.platforms import get_platform
@@ -99,7 +99,7 @@ class TestBundleEquivalence:
 
 
 class TestModelEvaluators:
-    """compile_model_evaluator == model.predict for every Table II model."""
+    """compile_model_kernel(...).evaluate == model.predict, every Table II model."""
 
     @pytest.mark.parametrize("model_name", CANDIDATE_MODEL_NAMES)
     def test_evaluator_matches_predict(self, model_name):
@@ -108,7 +108,7 @@ class TestModelEvaluators:
         y = X @ rng.normal(size=7) + 0.05 * rng.normal(size=220)
         model = make_model(model_name)
         model.fit(X, y)
-        evaluate = compile_model_evaluator(model)
+        evaluate = compile_model_kernel(model).evaluate
         Xq = rng.uniform(-2.0, 2.0, size=(40, 7))
         assert np.array_equal(evaluate(Xq), model.predict(Xq))
 
@@ -121,7 +121,7 @@ class TestModelEvaluators:
         y = np.sin(X).sum(axis=1) + 0.02 * rng.normal(size=180)
         model = make_model(model_name)
         model.fit(X, y)
-        evaluate = compile_model_evaluator(model)
+        evaluate = compile_model_kernel(model).evaluate
         Xq = rng.uniform(-1.0, 3.0, size=(30, 5))
         with tree_mod.reference_mode():
             reference = model.predict(Xq)
@@ -167,9 +167,9 @@ class TestCompiledPredictor:
         assert compiled_mod.active_impl() == "compiled"
         with compiled_mod.reference_mode():
             assert compiled_mod.active_impl() == "reference"
-            assert not tree_mod.stacking_active()
+            assert tree_mod.active_impl() == "reference"
         assert compiled_mod.active_impl() == "compiled"
-        assert tree_mod.stacking_active()
+        assert tree_mod.active_impl() == "vectorized"
 
 
 class TestFallbackEvaluator:
@@ -179,7 +179,7 @@ class TestFallbackEvaluator:
                 return np.asarray(X).sum(axis=1)
 
         model = Weird()
-        evaluate = compile_model_evaluator(model)
+        evaluate = compile_model_kernel(model).evaluate
         X = np.arange(12.0).reshape(4, 3)
         assert np.array_equal(evaluate(X), model.predict(X))
 

@@ -1,22 +1,30 @@
-"""Fused native evaluate: bit-identical to NumPy and the object path.
+"""Fused native evaluate: bit-identical to the NumPy fallback and the oracle.
 
-The native module promises three independently switchable stages (feature
-fill, fused Yeo-Johnson + affine transform, stacked descent) plus one
-end-to-end ``fused_evaluate`` chain, each **bit-identical** to the NumPy
-expressions it replaces.  Every comparison here is exact array equality.
+The native module promises one end-to-end ``fused_evaluate`` chain
+(feature fill → fused Yeo-Johnson + affine transform → stacked descent),
+**bit-identical** to the NumPy expressions it replaces, behind one kill
+switch and a first-call self-check.  Every comparison here is exact array
+equality.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.blas.api import ROUTINE_KEYS, parse_routine
 from repro.core import compiled as compiled_mod
-from repro.core.compiled import CompiledPredictor, ModelKernel
+from repro.core.compiled import (
+    CompiledPredictor,
+    export_model_evaluator,
+    model_kernel_from_state,
+)
 from repro.core.features import FeatureGridWriter
 from repro.core.predictor import ThreadPredictor
 from repro.ml import _native
 from repro.ml.model_zoo import CANDIDATE_MODEL_NAMES, make_model
 from repro.preprocessing.pipeline import FusedTransform, PreprocessingPipeline
+from repro.shm import SharedSegmentRegistry
 
 kernels = _native.load_kernels()
 
@@ -54,10 +62,8 @@ def _trained_predictor(routine, model_name, seed=0, n=120):
 
 
 def _numpy_staged(compiled, dims_list):
-    """The pure-NumPy staged result from the same compiled predictor."""
-    grid = compiled._writer.write_dicts(dims_list)
-    transformed = compiled._fused.transform_kept(grid)
-    predictions = np.asarray(compiled._evaluate_model(transformed), dtype=float)
+    """The NumPy fallback's result from the same compiled predictor."""
+    predictions = compiled._predict_numpy(dims_list)
     return predictions.reshape(len(dims_list), compiled.n_candidates)
 
 
@@ -67,7 +73,7 @@ class TestFusedEquivalence:
         for index, routine in enumerate(ROUTINE_KEYS):
             predictor = _trained_predictor(routine, "DecisionTree", seed=index)
             compiled = predictor.compile()
-            assert compiled._fused_call is not None, routine
+            assert compiled.path == "native", routine
             dims_list = _random_dims(routine, 23, seed=500 + index)
             fused = predictor.predict_runtimes_batch(dims_list)
             assert np.array_equal(fused, _numpy_staged(compiled, dims_list))
@@ -80,7 +86,7 @@ class TestFusedEquivalence:
         """Every zoo model rides the fused path (mode 0/1/2) bit-identically."""
         predictor = _trained_predictor("dgemm", model_name)
         compiled = predictor.compile()
-        assert compiled._fused_call is not None
+        assert (compiled.path, compiled.path_reason) == ("native", None)
         dims_list = _random_dims("dgemm", 17, seed=9)
         fused = predictor.predict_runtimes_batch(dims_list)
         assert np.array_equal(fused, _numpy_staged(compiled, dims_list))
@@ -139,7 +145,11 @@ class TestFusedEquivalence:
         assert np.array_equal(got, fused.transform_kept(X))
 
     def test_feature_fill_all_routines(self):
-        """The column-program fill matches ``write_dicts`` bit for bit."""
+        """The column-program fill matches ``write_dicts`` bit for bit.
+
+        Driven through ``fused_evaluate`` stopped after the transform
+        (mode 2) with the identity affine, which leaves the filled grid.
+        """
         for index, routine in enumerate(ROUTINE_KEYS):
             writer = FeatureGridWriter(
                 routine, np.asarray(THREADS, dtype=np.float64)
@@ -152,7 +162,12 @@ class TestFusedEquivalence:
             dims = writer.load_dims(dims_list)
             grid = writer.grid_view(dims.shape[0])
             grid.fill(np.nan)
-            kernels.feature_fill(program, dims, writer.nt, grid)
+            n_cols = grid.shape[1]
+            kernels.fused_evaluate(
+                program, dims, writer.nt, grid,
+                None, np.zeros(n_cols), np.ones(n_cols),
+                2, None, None, None, 0.0, 0.0, None,
+            )
             assert np.array_equal(grid, expected), routine
 
 
@@ -167,53 +182,30 @@ class TestKillSwitches:
         monkeypatch.setenv("ADSALA_NATIVE", "0")
         _native._reset_kernel_cache()
         assert _native.load_kernels() is None
-        assert _native.load_kernel() is None
         predictor = _trained_predictor("strmm", "DecisionTree")
         compiled = predictor.compile()
-        assert compiled._fused_call is None
-        assert compiled._native_fill is None
-        assert compiled._native_transform is None
+        assert (compiled.path, compiled.path_reason) == ("numpy", "disabled")
+        assert compiled._model_kernel.stack._native is None
         dims_list = _random_dims("strmm", 9, seed=1)
         disabled = predictor.predict_runtimes_batch(dims_list)
         with compiled_mod.reference_mode():
             reference = predictor.predict_runtimes_batch(dims_list)
         assert np.array_equal(disabled, reference)
 
-    @pytest.mark.parametrize(
-        "env,stage",
-        [
-            ("ADSALA_NATIVE_FILL", "feature_fill"),
-            ("ADSALA_NATIVE_TRANSFORM", "fused_transform"),
-            ("ADSALA_NATIVE_DESCENT", "descent"),
-        ],
-    )
-    def test_per_stage_switch_disables_stage_and_fused(
-        self, monkeypatch, env, stage
-    ):
-        monkeypatch.setenv(env, "0")
+    def test_failed_transform_probe_leaves_only_the_descent(self, monkeypatch):
+        monkeypatch.setattr(_native, "_verify_transform", lambda kernels: False)
         _native._reset_kernel_cache()
         bundle = _native.load_kernels()
-        assert bundle is not None
-        assert getattr(bundle, stage) is None
-        assert bundle.fused_evaluate is None  # chain needs all stages
-        others = {"feature_fill", "fused_transform", "descent"} - {stage}
-        for other in others:
-            assert getattr(bundle, other) is not None
-
-    def test_staged_fallback_matches_reference(self, monkeypatch):
-        """With descent off, fill+transform still run natively, same bits."""
-        monkeypatch.setenv("ADSALA_NATIVE_DESCENT", "0")
-        _native._reset_kernel_cache()
+        assert bundle.descent is not None
+        assert bundle.fused_transform is None and bundle.fused_evaluate is None
         predictor = _trained_predictor("dsymm", "RandomForest")
         compiled = predictor.compile()
-        assert compiled._fused_call is None
-        assert compiled._native_fill is not None
-        assert compiled._native_transform is not None
+        assert (compiled.path, compiled.path_reason) == ("numpy", "probe-failed")
         dims_list = _random_dims("dsymm", 13, seed=2)
-        staged = predictor.predict_runtimes_batch(dims_list)
+        fallback = predictor.predict_runtimes_batch(dims_list)
         with compiled_mod.reference_mode():
             reference = predictor.predict_runtimes_batch(dims_list)
-        assert np.array_equal(staged, reference)
+        assert np.array_equal(fallback, reference)
 
 
 class TestSelfCheck:
@@ -223,7 +215,7 @@ class TestSelfCheck:
         assert compiled._selfcheck_pending
         predictor.predict_runtimes_batch(_random_dims("dtrsm", 3, seed=3))
         assert not compiled._selfcheck_pending
-        assert compiled._fused_call is not None  # check passed, stays on
+        assert compiled.path == "native"  # check passed, stays on
 
     def test_selfcheck_catches_divergence_and_falls_back(self):
         """A tampered flat state must trip the guard, not ship wrong plans."""
@@ -234,18 +226,16 @@ class TestSelfCheck:
         dims_list = _random_dims("sgemm", 7, seed=4)
         with pytest.warns(RuntimeWarning, match="diverged"):
             out = predictor.predict_runtimes_batch(dims_list)
-        assert compiled._fused_call is None
-        assert compiled._native_fill is None
-        assert compiled._native_transform is None
+        assert (compiled.path, compiled.path_reason) == (
+            "numpy", "selfcheck-failed"
+        )
         with compiled_mod.reference_mode():
             reference = predictor.predict_runtimes_batch(dims_list)
         assert np.array_equal(out, reference)
-
-    def test_selfcheck_opt_out(self, monkeypatch):
-        monkeypatch.setenv("ADSALA_NATIVE_SELFCHECK", "0")
-        predictor = _trained_predictor("dsyrk", "DecisionTree")
-        compiled = predictor.compile()
-        assert not compiled._selfcheck_pending
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # warned once, not per batch
+            again = predictor.predict_runtimes_batch(dims_list)
+        assert np.array_equal(again, reference)
 
 
 class TestPrebuiltHandoff:
@@ -286,32 +276,22 @@ class TestPrebuiltHandoff:
 
 
 class TestFromState:
-    def test_bare_callable_still_accepted(self):
-        """Old-style ``from_state`` with a bare evaluator keeps working."""
-        predictor = _trained_predictor("dgemm", "LinearRegression")
-        source = predictor.compile()
-        rebuilt = CompiledPredictor.from_state(
-            "dgemm", THREADS, source._fused, source._evaluate_model
-        )
-        assert rebuilt._model_kernel.kind == "opaque"
-        dims_list = _random_dims("dgemm", 8, seed=6)
-        assert np.array_equal(
-            rebuilt.predict_runtimes_batch(dims_list),
-            predictor.predict_runtimes_batch(dims_list),
-        )
-
     def test_model_kernel_from_state_keeps_fused(self):
         """ModelKernel state (the procshard path) keeps the fused call."""
-        kernel = ModelKernel(kind="linear", evaluate=lambda X: X.sum(axis=1))
         predictor = _trained_predictor("ssymm", "LinearRegression")
-        source = predictor.compile()
-        rebuilt = CompiledPredictor.from_state(
-            "ssymm", THREADS, source._fused, source._model_kernel
-        )
-        assert rebuilt._fused_call is not None
-        dims_list = _random_dims("ssymm", 8, seed=7)
-        assert np.array_equal(
-            rebuilt.predict_runtimes_batch(dims_list),
-            predictor.predict_runtimes_batch(dims_list),
-        )
-        assert kernel.kind == "linear"  # silence unused-var linters
+        registry = SharedSegmentRegistry()
+        try:
+            kernel = model_kernel_from_state(
+                export_model_evaluator(predictor.model, registry), registry
+            )
+            rebuilt = CompiledPredictor.from_state(
+                "ssymm", THREADS, predictor.compile()._fused, kernel
+            )
+            assert rebuilt.path == "native"
+            dims_list = _random_dims("ssymm", 8, seed=7)
+            assert np.array_equal(
+                rebuilt.predict_runtimes_batch(dims_list),
+                predictor.predict_runtimes_batch(dims_list),
+            )
+        finally:
+            registry.close()

@@ -1,5 +1,8 @@
 """Tests for the runtime thread-count predictor and its last-call cache."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,34 @@ class TestCache:
         trained_predictor.plan(DIMS)
         trained_predictor.clear_cache()
         assert not trained_predictor.plan(DIMS).from_cache
+
+
+class TestCopies:
+    """The compiled kernel is working state: copies drop it and recompile."""
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda predictor: pickle.loads(pickle.dumps(predictor)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_warmed_predictor_round_trips(self, trained_predictor, clone):
+        trained_predictor.clear_cache()
+        trained_predictor.plan(DIMS)
+        assert trained_predictor._compiled is not None
+        twin = clone(trained_predictor)
+        assert twin._compiled is None
+        # LRU contents and counters travel.
+        assert twin.cache_info() == trained_predictor.cache_info()
+        assert twin.n_model_evaluations == trained_predictor.n_model_evaluations
+        assert twin.plan(DIMS) == trained_predictor.plan(DIMS)
+        assert twin.plan(DIMS).from_cache
+        # A miss recompiles — its own kernel, its own buffers — same bits.
+        other = {"m": 77, "k": 513, "n": 1290}
+        assert np.array_equal(
+            twin.predict_runtimes(other), trained_predictor.predict_runtimes(other)
+        )
+        assert twin._compiled is not None
+        assert twin._compiled is not trained_predictor._compiled
 
 
 class TestEvalTime:

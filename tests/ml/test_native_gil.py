@@ -23,8 +23,8 @@ import pytest
 from repro.core.features import ColumnProgram
 from repro.ml import _native
 
-kernel = _native.load_kernel()
 kernels = _native.load_kernels()
+kernel = kernels.descent if kernels is not None else None
 
 pytestmark = pytest.mark.skipif(
     kernel is None, reason="native descent kernel unavailable (no C compiler?)"
@@ -105,13 +105,12 @@ class TestLoadPath:
         """Every exported symbol declares every argtype and its restype."""
         expected_arity = {
             "descent": 10,
-            "feature_fill": 13,
             "fused_transform": 7,
             "fused_evaluate": 25,
         }
         for name, arity in expected_arity.items():
             wrapper = getattr(kernels, name)
-            if wrapper is None:  # stage disabled / probe failed on host
+            if wrapper is None:  # transform probe failed on this host
                 continue
             fn = wrapper.ctypes_fn
             assert isinstance(fn, ctypes._CFuncPtr), name

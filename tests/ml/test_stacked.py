@@ -36,14 +36,12 @@ ENSEMBLES = [
 @pytest.mark.parametrize("factory", ENSEMBLES)
 class TestEnsembleEquivalence:
     def test_stacked_equals_unstacked_and_recursive(self, factory, data):
+        """One stacked descent == the oracle's tree-by-tree recursive walk."""
         X, y, Xq = data
         model = factory().fit(X, y)
         stacked = model.predict(Xq)
-        with tree_mod.unstacked_mode():
-            per_tree = model.predict(Xq)
         with tree_mod.reference_mode():
             recursive = model.predict(Xq)
-        assert np.array_equal(stacked, per_tree)
         assert np.array_equal(stacked, recursive)
 
     def test_native_equals_numpy_descent(self, factory, data):
@@ -158,38 +156,20 @@ class TestHistThresholdRemap:
 
 
 class TestNativeKernelModule:
-    def test_kernel_memoised(self):
-        assert _native.load_kernel() is _native.load_kernel()
+    def test_kernel_memoised(self, data):
+        """Every stack binds the bundle's one descent callable (or none)."""
+        X, y, _ = data
+        flat = DecisionTreeRegressor(max_depth=3).fit(X, y).flat_tree_
+        bundle = _native.load_kernels()
+        expected = bundle.descent if bundle is not None else None
+        assert StackedTrees([flat])._native is expected
+        assert StackedTrees([flat, flat])._native is expected
 
     def test_kernel_bundle_memoised(self):
         assert _native.load_kernels() is _native.load_kernels()
-
-    def test_legacy_accessor_is_bundle_descent(self):
-        bundle = _native.load_kernels()
-        if bundle is None:
-            assert _native.load_kernel() is None
-        else:
-            assert _native.load_kernel() is bundle.descent
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("ADSALA_NATIVE", "0")
         assert not _native.native_enabled()
         monkeypatch.delenv("ADSALA_NATIVE")
         assert _native.native_enabled()
-
-    def test_per_stage_kill_switches(self, monkeypatch):
-        for stage, env in [
-            ("fill", "ADSALA_NATIVE_FILL"),
-            ("transform", "ADSALA_NATIVE_TRANSFORM"),
-            ("descent", "ADSALA_NATIVE_DESCENT"),
-        ]:
-            assert _native.stage_enabled(stage)
-            monkeypatch.setenv(env, "0")
-            assert not _native.stage_enabled(stage)
-            monkeypatch.delenv(env)
-        # The master switch overrides every stage.
-        monkeypatch.setenv("ADSALA_NATIVE", "0")
-        assert not any(
-            _native.stage_enabled(stage)
-            for stage in ("fill", "transform", "descent")
-        )

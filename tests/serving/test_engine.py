@@ -5,6 +5,8 @@ sequential ``AdsalaRuntime.plan()`` loop would have produced on the same
 bundle — same thread choices, same predicted/baseline times.
 """
 
+import copy
+import pickle
 import threading
 
 import pytest
@@ -321,6 +323,13 @@ class TestPerRoutineCacheStats:
         assert per_routine["hit_rate"] == pytest.approx(per_routine["hits"] / probes)
         assert stats["cache_hits"] == per_routine["hits"]
 
+    def test_evaluate_path_reported_per_routine(self, clear_caches):
+        engine = ServingEngine(clear_caches, max_batch_size=8)
+        engine.plan("dgemm", m=96, k=96, n=96)
+        entry = engine.cache_statistics()["routines"]["dgemm"]
+        assert entry["evaluate_path"] == clear_caches.predictor("dgemm").compile().path
+        assert entry["evaluate_path"] in ("native", "numpy")
+
     def test_permuted_dims_hit_same_cache_entry(self, clear_caches):
         engine = ServingEngine(clear_caches, max_batch_size=8)
         first = engine.plan("dgemm", m=64, k=96, n=128)
@@ -480,3 +489,32 @@ class TestCacheStatisticsAfterHotReload:
         stats = engine.cache_statistics()
         assert stats["routines"]["dsyrk"] == {"unloadable": True}
         assert stats["cache_hits"] == 0
+
+
+class TestServedBundleCopies:
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda bundle: pickle.loads(pickle.dumps(bundle)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_served_bundle_round_trips(self, clear_caches, clone):
+        """A bundle that has served plans copies, recompiles, plans the same."""
+        bundle = clear_caches
+        workload = generate_workload(["dgemm", "dsyrk"], 24, seed=3)
+        ServingEngine(bundle).plan_many(r.as_tuple() for r in workload)
+        twin = clone(bundle)
+        assert all(
+            installation.predictor._compiled is None
+            for installation in twin.routines.values()
+        )
+        for source in (bundle, twin):
+            for installation in source.routines.values():
+                installation.predictor.clear_cache()
+        fresh = generate_workload(["dgemm", "dsyrk"], 24, seed=4)
+        expected = ServingEngine(bundle).plan_many(r.as_tuple() for r in fresh)
+        got = ServingEngine(twin).plan_many(r.as_tuple() for r in fresh)
+        assert got == expected
+        assert all(
+            installation.predictor._compiled is not None
+            for installation in twin.routines.values()
+        )

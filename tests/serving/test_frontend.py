@@ -320,6 +320,7 @@ class TestMergedStatistics:
             assert entry["hit_rate"] == pytest.approx(
                 entry["hits"] / probes if probes else 0.0
             )
+            assert entry["evaluate_path"] in ("native", "numpy")
         assert merged["timing"]["capacity"] == sum(
             shard.engine.timing_cache_capacity for shard in frontend.shards
         )
