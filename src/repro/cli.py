@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", choices=["thread", "process"],
                        default="thread",
                        help="shard execution backend: engines in this process "
-                       "(thread) or one worker process per shard mapping the "
-                       "model state from shared memory (process)")
+                       "(thread) or one worker process per shard, each "
+                       "opening the bundle itself (process)")
     serve.add_argument("--clients", type=int, default=1,
                        help="concurrent client threads driving the frontend")
     serve.add_argument("--max-pending", type=int, default=1024,
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "a routine for re-installation")
     serve.add_argument("--inject-faults", default=None, metavar="SPEC",
                        help="seeded chaos for the sharded path: a fault spec like "
-                       "'kill:3,hang:1' (kinds: kill, hang, corrupt, shm, slow); "
+                       "'kill:3,hang:1' (kinds: kill, hang, corrupt, slow); "
                        "forces the sharded frontend")
     serve.add_argument("--fault-seed", type=int, default=0,
                        help="seed for the deterministic fault schedule")
@@ -428,7 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         if sharded:
             if args.backend == "process":
-                # One shared export: every worker maps the same model pages.
+                # One worker spec: every worker opens the bundle directory itself.
                 frontend = ShardedFrontend(
                     [handle] * args.shards,
                     max_pending=args.max_pending,

@@ -67,14 +67,12 @@ from repro.ml.boosting import (
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor, StackedTrees
 from repro.ml.tree import reference_mode as tree_reference_mode
-from repro.preprocessing.pipeline import FusedTransform, PreprocessingPipeline
+from repro.preprocessing.pipeline import PreprocessingPipeline
 
 __all__ = [
     "CompiledPredictor",
     "ModelKernel",
     "compile_model_kernel",
-    "export_model_evaluator",
-    "model_kernel_from_state",
     "reference_mode",
     "active_impl",
 ]
@@ -117,10 +115,8 @@ def active_impl() -> str:
 class ModelKernel:
     """A fitted model flattened to the fields its evaluation reads.
 
-    ``kind`` names the one evaluator that runs over those fields — the
-    same code whether they were taken from a model in this process
-    (:func:`compile_model_kernel`) or mapped from shared memory in a
-    worker (:func:`model_kernel_from_state`):
+    ``kind`` names the one evaluator that runs over those fields
+    (:func:`compile_model_kernel` picks it):
 
     * ``"tree"`` / ``"forest-mean"`` / ``"weighted-median"`` descend
       ``stack`` per tree and take row 0 / the mean / the AdaBoost median
@@ -215,54 +211,6 @@ def compile_model_kernel(model: BaseRegressor) -> ModelKernel:
     return ModelKernel("opaque", model=model)
 
 
-#: ModelKernel fields that cross a process boundary as shared-memory arrays.
-_SHARED_KERNEL_ARRAYS = ("weights", "coef")
-
-
-def export_model_evaluator(model: BaseRegressor, registry) -> dict:
-    """Flatten a fitted model's :class:`ModelKernel` into a shared-memory state.
-
-    The returned dict is picklable — scalars inline, the stack and the
-    arrays as :class:`~repro.shm.SharedArrayRef` entries — and
-    :func:`model_kernel_from_state` rebuilds the same kernel over the
-    mapped segments in another process.  Opaque models (SVR, KNN) ride the
-    pickle whole: their state is small and they have no array hot path
-    worth sharing.
-    """
-    kernel = compile_model_kernel(model)
-    state = {
-        "kind": kernel.kind,
-        "base": kernel.base,
-        "scale": kernel.scale,
-        "intercept": kernel.intercept,
-        "model": kernel.model,
-    }
-    if kernel.stack is not None:
-        state["stack"] = kernel.stack.to_shared(registry)
-    for name in _SHARED_KERNEL_ARRAYS:
-        array = getattr(kernel, name)
-        if array is not None:
-            state[name] = registry.export_array(array)
-    return state
-
-
-def model_kernel_from_state(state: dict, registry) -> ModelKernel:
-    """Rebuild a :class:`ModelKernel` from :func:`export_model_evaluator` state.
-
-    Stack and arrays map from shared segments (zero-copy) into the same
-    fields the in-process kernel holds, so the one evaluator per kind —
-    and the native fused call that reads those fields — runs on either
-    side of the process boundary.
-    """
-    fields = dict(state)
-    if "stack" in fields:
-        fields["stack"] = StackedTrees.from_shared(fields["stack"], registry)
-    for name in _SHARED_KERNEL_ARRAYS:
-        if name in fields:
-            fields[name] = registry.map_array(fields[name])
-    return ModelKernel(**fields)
-
-
 class CompiledPredictor:
     """Build-once / evaluate-many kernel for one routine's runtime model.
 
@@ -290,37 +238,13 @@ class CompiledPredictor:
         model: BaseRegressor,
         candidate_threads: Sequence[int],
     ):
-        self._assemble(
-            routine, candidate_threads, pipeline.compile(), compile_model_kernel(model)
-        )
-
-    @classmethod
-    def from_state(
-        cls,
-        routine: str,
-        candidate_threads: Sequence[int],
-        fused: FusedTransform,
-        model_kernel: ModelKernel,
-    ) -> "CompiledPredictor":
-        """Assemble a predictor from already-flattened state.
-
-        The process-shard worker builds predictors this way: ``fused`` views
-        shared-memory segments (:meth:`FusedTransform.from_shared`) and
-        ``model_kernel`` comes from :func:`model_kernel_from_state`, so no
-        pipeline or model object ever crosses the process boundary.
-        """
-        predictor = cls.__new__(cls)
-        predictor._assemble(routine, candidate_threads, fused, model_kernel)
-        return predictor
-
-    def _assemble(self, routine, candidate_threads, fused, model_kernel) -> None:
         self.routine = routine
         self.candidate_threads = np.asarray(candidate_threads, dtype=np.float64)
-        self._fused = fused
+        self._fused = pipeline.compile()
         self._writer = FeatureGridWriter(
-            routine, self.candidate_threads, columns=fused.kept_indices
+            routine, self.candidate_threads, columns=self._fused.kept_indices
         )
-        self._model_kernel = model_kernel
+        self._model_kernel = compile_model_kernel(model)
         self._configure_native()
 
     #: Native descent mode per model kind (see ``fused_evaluate`` in

@@ -45,9 +45,10 @@ Three environment variables, no more:
   (default: a per-user 0700 directory under the system temp dir, keyed
   by a hash of the C source).  CI points this at a restored cache.
 
-:func:`adopt_library` lets ``procshard`` workers reuse the parent's
-already-built shared object instead of racing the compiler N ways on a
-cold cache (the parent exports :func:`library_path` in the worker spec).
+The cache is also how ``procshard`` workers get the kernel: the parent
+calls :func:`library_path` once before the first spawn, so every worker
+finds the digest-named ``.so`` already on disk instead of racing the
+compiler N ways.
 
 The native path is best-effort by design: no C compiler, a failed build,
 or ``ADSALA_NATIVE=0`` → :func:`load_kernels` returns ``None`` and
@@ -69,7 +70,6 @@ import numpy as np
 __all__ = [
     "NODE_DTYPE",
     "NativeKernels",
-    "adopt_library",
     "library_path",
     "load_kernels",
     "native_enabled",
@@ -475,8 +475,6 @@ _INT64_P = ctypes.POINTER(ctypes.c_int64)
 #: Resolved kernel bundle (or None); "unset" until first load attempt.
 _KERNELS: object = "unset"
 
-#: Library adopted from a parent process (procshard workers).
-_PREBUILT: Path | None = None
 
 def native_enabled() -> bool:
     """Whether the native kernels are allowed (``ADSALA_NATIVE`` != "0")."""
@@ -560,39 +558,19 @@ def library_path() -> str | None:
     """Build (or reuse) the shared object and return its path, or None.
 
     Called by the ``procshard`` parent *before* spawning workers, so the
-    compile happens exactly once; workers adopt the path via
-    :func:`adopt_library` instead of racing the compiler.
+    compile happens exactly once and each worker's own
+    :func:`load_kernels` finds the cached library.
     """
     if not native_enabled():
         return None
-    library = _PREBUILT if _PREBUILT is not None else _build_library()
+    library = _build_library()
     return str(library) if library is not None else None
-
-
-def adopt_library(path: str | None) -> None:
-    """Adopt a parent-built shared object (worker side of the handoff).
-
-    Ignores missing / foreign-owned paths and libraries whose filename
-    does not match this module's source digest (a version-skewed parent):
-    in those cases the worker just builds or reuses its own cache.
-    """
-    global _KERNELS, _PREBUILT
-    if not path:
-        return
-    candidate = Path(path)
-    if not candidate.exists() or not _owned_by_current_user(candidate):
-        return
-    if candidate.name != f"kernels_{_source_digest()}.so":
-        return
-    _PREBUILT = candidate
-    _KERNELS = "unset"
 
 
 def _reset_kernel_cache() -> None:
     """Forget the memoised load (tests and env-switch round-trips)."""
-    global _KERNELS, _PREBUILT
+    global _KERNELS
     _KERNELS = "unset"
-    _PREBUILT = None
 
 
 class NativeKernels:
@@ -632,7 +610,7 @@ def load_kernels() -> NativeKernels | None:
 def _load_kernels_impl() -> NativeKernels | None:
     if not native_enabled():
         return None
-    library = _PREBUILT if _PREBUILT is not None else _build_library()
+    library = _build_library()
     if library is None:
         if _require_native():
             raise RuntimeError(

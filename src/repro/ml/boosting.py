@@ -38,7 +38,7 @@ __all__ = [
 def weighted_median(all_predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """AdaBoost.R2 weighted median over an ``(n_samples, n_trees)`` block.
 
-    Module-level so the process-shard worker can aggregate a shared-memory
+    Module-level so the compiled predictor's model kernel can aggregate a
     stacked descent with the exact arithmetic of the fitted model (see
     :meth:`AdaBoostRegressor._weighted_median`).
     """

@@ -309,11 +309,7 @@ class StackedTrees:
         packed["left"] = children[:, 1]
         packed["value"] = self.value
         self.nodes_packed = packed
-        self._bind_working_state()
-
-    def _bind_working_state(self) -> None:
-        """Per-process state: empty scratch/output buffers (allocated on
-        first descent) and the native descent kernel, resolved locally."""
+        # Scratch/output buffers are allocated on first descent.
         self._scratch_size = -1
         self._scratch = None
         self._out = None
@@ -327,43 +323,6 @@ class StackedTrees:
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
-
-    # -- shared-memory export -----------------------------------------------
-    #: Array slots exported by to_shared.  ``nodes_packed`` is the 32-byte
-    #: array-of-structs the native kernel walks — sharing it is what makes
-    #: the worker-side hot path zero-copy.
-    _SHARED_ARRAYS = (
-        "feature",
-        "threshold",
-        "children_flat",
-        "value",
-        "roots",
-        "depths",
-        "nodes_packed",
-    )
-
-    def to_shared(self, registry) -> dict:
-        """Export the stacked arrays into ``registry`` segments."""
-        state = {
-            name: registry.export_array(getattr(self, name))
-            for name in self._SHARED_ARRAYS
-        }
-        state["depth"] = int(self.depth)
-        return state
-
-    @classmethod
-    def from_shared(cls, state: dict, registry) -> "StackedTrees":
-        """Rebuild a stack over mapped segments, bypassing ``__init__``.
-
-        Only the model arrays live in shared pages; working memory and the
-        native kernel are this process's own.
-        """
-        stack = cls.__new__(cls)
-        for name in cls._SHARED_ARRAYS:
-            setattr(stack, name, registry.map_array(state[name]))
-        stack.depth = state["depth"]
-        stack._bind_working_state()
-        return stack
 
     def _out_buffer(self, n_samples: int) -> np.ndarray:
         """Reusable ``(n_trees, n_samples)`` output buffer."""

@@ -59,10 +59,10 @@ def worker_context(start_method: str | None = None) -> multiprocessing.context.B
     lazily, *after* its drain threads exist, and forking a multi-threaded
     parent is undefined behaviour waiting to happen (locks held by threads
     that do not exist in the child).  Spawn also keeps the process backend
-    honest — nothing reaches a worker except what is pickled explicitly or
-    mapped from shared memory.  Override with ``start_method=`` or the
-    ``$ADSALA_MP_START`` environment variable (e.g. ``fork`` to trade
-    safety for startup latency on platforms where that is acceptable).
+    honest — nothing reaches a worker except what is pickled explicitly.
+    Override with ``start_method=`` or the ``$ADSALA_MP_START`` environment
+    variable (e.g. ``fork`` to trade safety for startup latency on
+    platforms where that is acceptable).
     """
     if start_method is None:
         start_method = os.environ.get(ADSALA_MP_START_ENV, "").strip() or "spawn"

@@ -67,9 +67,9 @@ class FusedTransform:
         """C-contiguous ``(lambdas, shift, scale)`` for the native kernel.
 
         The native ``fused_transform`` stage reads these through raw
-        pointers; shared-memory mapped state can be non-owning views, so
-        contiguity is re-asserted here (a no-op for the common case —
-        ``PreprocessingPipeline.compile`` fancy-indexes, which copies).
+        pointers, so contiguity is asserted here (a no-op for what
+        ``PreprocessingPipeline.compile`` builds — it fancy-indexes, which
+        copies).
         """
         lambdas = (
             None
@@ -88,30 +88,6 @@ class FusedTransform:
         if X.ndim == 1:
             X = X.reshape(1, -1)
         return self.transform_kept(X[:, self.kept_indices])
-
-    # -- shared-memory export -----------------------------------------------
-    def to_shared(self, registry) -> dict:
-        """Export the flat transform state into ``registry`` segments."""
-        return {
-            "kept_indices": registry.export_array(self.kept_indices),
-            "lambdas": None
-            if self.lambdas is None
-            else registry.export_array(self.lambdas),
-            "shift": registry.export_array(self.shift),
-            "scale": registry.export_array(self.scale),
-        }
-
-    @classmethod
-    def from_shared(cls, state: dict, registry) -> "FusedTransform":
-        """Rebuild a transform whose arrays view mapped segments."""
-        return cls(
-            kept_indices=registry.map_array(state["kept_indices"]),
-            lambdas=None
-            if state["lambdas"] is None
-            else registry.map_array(state["lambdas"]),
-            shift=registry.map_array(state["shift"]),
-            scale=registry.map_array(state["scale"]),
-        )
 
 
 @dataclass

@@ -19,9 +19,6 @@ Fault kinds (spec syntax ``"kind:count,kind:count"``):
   after it leaves the pipe
   (:class:`~repro.serving.procshard.FrameCorruptionError`, worker
   terminated for restart); :class:`InjectedFault` on a thread shard.
-* ``shm`` — unlink the shard's shared-memory model segments, then kill
-  the worker: the restart path must detect the dead segments and
-  re-export the model state from the retained source.
 * ``slow`` — sleep ``slow_seconds`` before the batch (degrades
   throughput; nothing to recover).
 
@@ -37,7 +34,6 @@ import os
 import signal
 import threading
 import time
-from multiprocessing.shared_memory import SharedMemory
 from typing import Dict, Optional, Union
 
 import numpy as np
@@ -46,7 +42,7 @@ from repro.serving.shard import ShardBase, ShardFailure
 
 __all__ = ["FAULT_KINDS", "FaultInjector", "InjectedFault", "parse_fault_spec"]
 
-FAULT_KINDS = ("kill", "hang", "corrupt", "shm", "slow")
+FAULT_KINDS = ("kill", "hang", "corrupt", "slow")
 
 
 class InjectedFault(ShardFailure):
@@ -156,9 +152,6 @@ class FaultInjector:
             # _dispatch), so the supervisor's monitor sees a stuck batch.
             time.sleep(self.hang_seconds)
             return
-        if kind == "shm":
-            self._unlink_segments(shard)
-            # fall through: kill the worker so a fresh one must re-attach
         if shard.backend == "process":
             if kind == "corrupt":
                 shard._corrupt_next_reply = True
@@ -172,23 +165,6 @@ class FaultInjector:
                 return
             # No live worker to kill yet: simulate the death instead.
         raise InjectedFault(f"injected {kind} fault on shard {shard.index}")
-
-    @staticmethod
-    def _unlink_segments(shard: ShardBase) -> None:
-        """Unlink the shard's shared model segments (simulating their death)."""
-        export = getattr(shard, "_export", None)
-        if export is None:
-            return
-        for name in export.registry.segment_names():
-            try:
-                segment = SharedMemory(name=name)
-            except FileNotFoundError:
-                continue
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced another unlink
-                pass
-            segment.close()
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:

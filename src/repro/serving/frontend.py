@@ -57,15 +57,16 @@ from repro.parallel import map_parallel
 from repro.routines.catalog import UnknownRoutineError
 from repro.serving.engine import PlanRequest, ServingEngine, normalize_request
 from repro.serving.procshard import ProcessShard, export_source_spec
+from repro.serving.registry import BundleHandle
 from repro.serving.shard import (
     DeadlineExceededError,
     EngineShard,
     ShardBase,
     ShardFailure,
+    build_engine,
     shard_index,
 )
 from repro.serving.supervisor import RestartPolicy, ShardSupervisor
-from repro.serving.telemetry import EngineTelemetry
 
 __all__ = [
     "BACKPRESSURE_MODES",
@@ -128,9 +129,9 @@ class ShardedFrontend:
         shards sharing one source would race on its predictor caches
         behind the engines' separate locks (use :meth:`from_bundle` /
         :meth:`from_directory` to build independent copies).  Under the
-        process backend the *first* source is exported once into shared
-        memory and every worker maps the same model state, so passing the
-        same object N times is the expected shape.
+        process backend every worker opens the *first* source for itself
+        (a handle's directory, or its own unpickled copy of the bundle),
+        so passing the same object N times is the expected shape.
     max_pending:
         Global bound on in-flight :meth:`submit` requests (admission
         control).
@@ -142,10 +143,9 @@ class ShardedFrontend:
         pre-built engines).
     backend:
         ``"thread"`` (default) runs every engine in this process;
-        ``"process"`` runs each engine in its own worker process with the
-        compiled model state mapped from shared memory
-        (:mod:`repro.serving.procshard`) — plan batches then execute on
-        independent GILs.
+        ``"process"`` runs each engine in its own worker process, which
+        opens the bundle itself (:mod:`repro.serving.procshard`) — plan
+        batches then execute on independent GILs.
     start_method:
         Process-backend worker start method (default ``spawn``; see
         :func:`repro.parallel.worker_context`).  Ignored for threads.
@@ -201,6 +201,12 @@ class ShardedFrontend:
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         self.backend = backend
+        engine_settings = dict(
+            max_batch_size=max_batch_size,
+            use_cache=use_cache,
+            timing_cache_capacity=timing_cache_capacity,
+            drift_threshold=drift_threshold,
+        )
         if backend == "process":
             if any(isinstance(source, ServingEngine) for source in sources):
                 raise ValueError(
@@ -208,15 +214,9 @@ class ShardedFrontend:
                     "processes; pass bundles or handles, not ServingEngine "
                     "instances"
                 )
-            export = export_source_spec(
-                sources[0],
-                max_batch_size=max_batch_size,
-                use_cache=use_cache,
-                timing_cache_capacity=timing_cache_capacity,
-                drift_threshold=drift_threshold,
-            )
+            spec = export_source_spec(sources[0], **engine_settings)
             self.shards: List[ShardBase] = [
-                ProcessShard(index, export, start_method=start_method)
+                ProcessShard(index, spec, start_method=start_method)
                 for index in range(len(sources))
             ]
         else:
@@ -225,19 +225,6 @@ class ShardedFrontend:
                     "Each shard needs its own source object; sharing one "
                     "source across shards would race on its predictor caches "
                     "(use from_bundle()/from_directory())"
-                )
-
-            def build_engine(source) -> ServingEngine:
-                return ServingEngine(
-                    source,
-                    max_batch_size=max_batch_size,
-                    use_cache=use_cache,
-                    timing_cache_capacity=timing_cache_capacity,
-                    telemetry=(
-                        EngineTelemetry(drift_threshold=drift_threshold)
-                        if drift_threshold is not None
-                        else None
-                    ),
                 )
 
             def engine_factory(source) -> Optional[Callable[[], ServingEngine]]:
@@ -250,13 +237,11 @@ class ShardedFrontend:
                     return None
 
                 def rebuild() -> ServingEngine:
-                    from repro.serving.registry import BundleHandle
-
                     if isinstance(source, BundleHandle):
                         fresh = BundleHandle(source.directory)
                     else:
                         fresh = copy.deepcopy(source)
-                    return build_engine(fresh)
+                    return build_engine(fresh, **engine_settings)
 
                 return rebuild
 
@@ -265,7 +250,7 @@ class ShardedFrontend:
                     index,
                     source
                     if isinstance(source, ServingEngine)
-                    else build_engine(source),
+                    else build_engine(source, **engine_settings),
                     engine_factory=engine_factory(source),
                 )
                 for index, source in enumerate(sources)
@@ -301,8 +286,9 @@ class ShardedFrontend:
 
         Thread backend: shard 0 serves ``bundle`` itself, the rest serve
         deep copies (independent models, caches and simulators).  Process
-        backend: no copies — the bundle is exported once into shared
-        memory and every worker maps it.
+        backend: no copies here — the bundle rides each worker's spawn
+        pickle, so every worker serves its own copy and ``bundle`` itself
+        is never touched.
         """
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
@@ -322,10 +308,9 @@ class ShardedFrontend:
 
         Thread backend: one independent lazy
         :class:`~repro.serving.registry.BundleHandle` per shard.  Process
-        backend: one handle, loaded once and exported into shared memory.
+        backend: one handle in the parent (manifest only, no model loads);
+        every worker opens its own handle on the same directory.
         """
-        from repro.serving.registry import BundleHandle
-
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         if kwargs.get("backend", "thread") == "process":

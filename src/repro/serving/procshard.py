@@ -5,33 +5,32 @@ engine in one interpreter, so CPU-bound plan batches serialise on the GIL
 and N shards can run *slower* than one engine.  This backend moves each
 shard's engine into a worker **process**:
 
-* **Shared model state** — the compiled per-routine state
-  (:class:`~repro.ml.tree.StackedTrees` struct-of-arrays,
-  :class:`~repro.preprocessing.pipeline.FusedTransform` flat arrays,
-  AdaBoost weights, linear coefficients) is exported once into
-  ``multiprocessing.shared_memory`` segments by
-  :func:`export_source_spec` and mapped zero-copy in every worker — N
-  shards share one copy of the model pages instead of N pickled clones.
-  Segment lifetime is refcounted by the
-  :class:`~repro.shm.SharedSegmentRegistry`; the last shard's ``stop()``
-  unlinks everything.
+* **Each worker opens the bundle itself** — :func:`export_source_spec`
+  ships the *source* (the bundle directory for a
+  :class:`~repro.serving.registry.BundleHandle`, the in-memory
+  :class:`~repro.core.install.InstallationBundle` otherwise) plus the
+  engine settings through the spawn pickle, and the worker builds a stock
+  engine with :func:`~repro.serving.shard.build_engine` — the constructor
+  thread shards and their restarts use.  The whole six-routine model is a
+  few hundred KB and loads in ~10 ms, so there is no shared model state to
+  keep alive, re-export or clean up.
 * **Pickle-free framing** — requests and plans cross the pipe as compact
   little-endian array frames (request ids / routine indices / flat dims one
   way; ids / threads / times / policy table the other), batched per
   micro-batch.  No pickling on the hot path, and the parent rebuilds each
   :class:`~repro.core.runtime.ExecutionPlan` against the dims dict it
   already holds.
-* **Same semantics** — the worker runs a stock
-  :class:`~repro.serving.engine.ServingEngine` over the mapped state, so
-  plans are bit-identical (routine/dims/threads/times/policy) to the
-  thread backend and to a sequential single-engine replay; only
-  ``from_cache`` flags may differ because each worker warms its own LRU.
-
-* **Prebuilt native kernel** — the parent compiles the fused native
-  kernel (:mod:`repro.ml._native`) once while building the spec and ships
-  the cached ``.so`` path; workers adopt it via
-  :func:`repro.ml._native.adopt_library` instead of racing the compiler
-  N-way on spawn.
+* **Same semantics** — the worker runs the same
+  :class:`~repro.serving.engine.ServingEngine` over the same kind of
+  source as a thread shard, so plans are bit-identical
+  (routine/dims/threads/times/policy) to the thread backend and to a
+  sequential single-engine replay by construction; only ``from_cache``
+  flags may differ because each worker warms its own LRU.
+* **One native build** — :func:`export_source_spec` calls
+  :func:`repro.ml._native.library_path` before the first spawn, so the
+  fused kernel is compiled once in the parent and every worker finds the
+  digest-named ``.so`` in the on-disk cache instead of racing the
+  compiler N-way.
 
 Workers are started with the ``spawn`` method by default (see
 :func:`repro.parallel.worker_context`): the frontend launches them lazily
@@ -44,34 +43,24 @@ import json
 import signal
 import threading
 import time
-from collections import OrderedDict
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.blas.api import parse_routine
-from repro.core.compiled import (
-    CompiledPredictor,
-    export_model_evaluator,
-    model_kernel_from_state,
-)
-from repro.ml import _native
-from repro.core.features import feature_names
-from repro.core.predictor import ThreadPredictor
 from repro.core.runtime import ExecutionPlan
-from repro.machine.simulator import TimingSimulator
+from repro.ml import _native
 from repro.parallel import worker_context
-from repro.preprocessing.pipeline import FusedTransform
 from repro.serving.engine import PlanRequest, ServingEngine
 from repro.serving.fallback import default_serving_chain
-from repro.serving.shard import ShardBase, ShardFailure
+from repro.serving.registry import BundleHandle
+from repro.serving.shard import ShardBase, ShardFailure, build_engine
 from repro.serving.telemetry import EngineTelemetry
-from repro.shm import SharedSegmentRegistry
 
 __all__ = [
     "FrameCorruptionError",
     "ProcessShard",
-    "SharedSourceExport",
     "WorkerDiedError",
     "WorkerInitError",
     "export_source_spec",
@@ -85,8 +74,9 @@ class WorkerDiedError(ShardFailure):
 class WorkerInitError(ShardFailure):
     """The worker came up but could not initialise its engine.
 
-    The classic cause is shared-memory segments that died between spawn
-    and attach; recovery re-exports the model state and respawns.
+    The classic cause is a bundle directory that is missing or mid-rewrite
+    when the worker opens it; recovery respawns, and the new worker opens
+    the bundle again.
     """
 
 
@@ -146,8 +136,19 @@ def _read_string_table(payload: bytes, offset: int):
     """Decode a :func:`_string_table` at ``offset``; returns (strings, end)."""
     (length,) = np.frombuffer(payload, dtype=_I8, count=1, offset=offset)
     end = offset + 8 + int(length)
+    if length < 0 or end > len(payload):
+        raise ValueError(
+            f"string table of {int(length)} bytes at offset {offset} overruns "
+            f"a {len(payload)}-byte payload"
+        )
     table = payload[offset + 8 : end]
     return (table.decode("utf-8").split("\n") if table else []), end
+
+
+def _check_slots(slots: np.ndarray, n_keys: int, lowest: int, what: str) -> None:
+    """Every table reference must name a slot the frame's table holds."""
+    if slots.size and (slots.min() < lowest or slots.max() >= n_keys):
+        raise ValueError(f"{what} reference outside its {n_keys}-entry table")
 
 
 def _intern_keys(values) -> tuple:
@@ -191,9 +192,13 @@ def encode_requests(requests: Sequence[PlanRequest]) -> bytes:
 
 
 def decode_requests(count: int, payload: bytes) -> List[PlanRequest]:
+    """Inverse of :func:`encode_requests`; ``ValueError`` on a malformed frame."""
+    if count < 0:
+        raise ValueError(f"negative request count {count}")
     ids = np.frombuffer(payload, dtype=_I8, count=count)
     routine_idx = np.frombuffer(payload, dtype=_I8, count=count, offset=8 * count)
     routine_keys, dims_offset = _read_string_table(payload, 16 * count)
+    _check_slots(routine_idx, len(routine_keys), 0, "routine")
     dims_flat = np.frombuffer(payload, dtype=_I8, offset=dims_offset)
     requests: List[PlanRequest] = []
     position = 0
@@ -211,6 +216,11 @@ def decode_requests(count: int, payload: bytes) -> List[PlanRequest]:
                 dims_key=tuple(sorted(dims.items())),
             )
         )
+    if position != dims_flat.size:
+        raise ValueError(
+            f"requests frame carries {dims_flat.size} dims, its routines need "
+            f"{position}"
+        )
     return requests
 
 
@@ -222,16 +232,7 @@ def encode_plans(plans: Sequence[ExecutionPlan]) -> bytes:
     request.dims`` always).
     """
     n = len(plans)
-    policies: List[str] = []
-    policy_index: Dict[str, int] = {}
-    policy_idx = np.empty(n, dtype=_I8)
-    for i, plan in enumerate(plans):
-        slot = policy_index.get(plan.policy)
-        if slot is None:
-            slot = len(policies)
-            policy_index[plan.policy] = slot
-            policies.append(plan.policy)
-        policy_idx[i] = slot
+    policy_idx, policies = _intern_keys(p.policy for p in plans)
     # ExecutionPlan carries no request id; plans ride in request order (the
     # engine answers one plan per request in order; decode re-checks counts).
     threads = np.fromiter((p.threads for p in plans), dtype=_I8, count=n)
@@ -256,7 +257,6 @@ def encode_plans(plans: Sequence[ExecutionPlan]) -> bytes:
     predicted = np.fromiter((p.predicted_time for p in plans), dtype=_F8, count=n)
     baseline = np.fromiter((p.baseline_time for p in plans), dtype=_F8, count=n)
     from_cache = np.fromiter((p.from_cache for p in plans), dtype=np.uint8, count=n)
-    table = "\n".join(policies).encode("utf-8")
     payload = (
         threads.tobytes()
         + routine_idx.tobytes()
@@ -265,8 +265,7 @@ def encode_plans(plans: Sequence[ExecutionPlan]) -> bytes:
         + predicted.tobytes()
         + baseline.tobytes()
         + from_cache.tobytes()
-        + np.array([len(table)], dtype=_I8).tobytes()
-        + table
+        + _string_table(policies)
         + _string_table(routine_keys)
     )
     return _frame(KIND_PLANS, n, payload)
@@ -275,8 +274,9 @@ def encode_plans(plans: Sequence[ExecutionPlan]) -> bytes:
 def decode_plans(
     count: int, payload: bytes, requests: Sequence[PlanRequest]
 ) -> List[ExecutionPlan]:
+    """Inverse of :func:`encode_plans`; ``ValueError`` on a malformed frame."""
     if count != len(requests):
-        raise RuntimeError(
+        raise ValueError(
             f"worker answered {count} plans for {len(requests)} requests"
         )
     threads = np.frombuffer(payload, dtype=_I8, count=count)
@@ -288,11 +288,13 @@ def decode_plans(
     from_cache = np.frombuffer(
         payload, dtype=np.uint8, count=count, offset=48 * count
     )
-    offset = 49 * count
-    (table_length,) = np.frombuffer(payload, dtype=_I8, count=1, offset=offset)
-    table = payload[offset + 8 : offset + 8 + int(table_length)]
-    policies = table.decode("utf-8").split("\n") if table else []
-    routine_keys, _ = _read_string_table(payload, offset + 8 + int(table_length))
+    policies, offset = _read_string_table(payload, 49 * count)
+    routine_keys, end = _read_string_table(payload, offset)
+    if end != len(payload):
+        raise ValueError(f"{len(payload) - end} trailing bytes after a plans frame")
+    _check_slots(policy_idx, len(policies), 0, "policy")
+    _check_slots(routine_idx, len(routine_keys), 0, "routine")
+    _check_slots(fallback_idx, len(routine_keys), -1, "fallback")
     plans: List[ExecutionPlan] = []
     for i, request in enumerate(requests):
         fb = int(fallback_idx[i])
@@ -346,83 +348,8 @@ def _apply_observation(engine: ServingEngine, payload: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Model-state export (parent side) and rebuild (worker side)
+# Worker spec (parent side) and worker entry point
 # ---------------------------------------------------------------------------
-class SharedSourceExport:
-    """One source's flattened model state plus its segment registry.
-
-    Built once per frontend by :func:`export_source_spec` and shared by all
-    process shards: each shard ``acquire()``s the registry at construction
-    and ``release()``s it exactly once at stop, so the last shard's
-    teardown unlinks the segments.
-
-    The export also retains the original ``source`` (and the export
-    parameters), so :meth:`ensure_alive` can rebuild the whole family of
-    segments if they die while workers are being restarted — the registry
-    hand-off keeps the outstanding shard refcount, so teardown semantics
-    are unchanged after a re-export.
-    """
-
-    def __init__(
-        self,
-        registry: SharedSegmentRegistry,
-        spec: dict,
-        source=None,
-        params: Optional[dict] = None,
-    ):
-        self.registry = registry
-        self.spec = spec
-        self._source = source
-        self._params = dict(params or {})
-        # Serialises acquire/release against a registry swap so a release
-        # issued mid-re-export can never decrement the retiring registry
-        # after its refcount was copied to the replacement.
-        self._swap_lock = threading.Lock()
-        self.n_reexports = 0
-
-    @property
-    def max_batch_size(self) -> int:
-        return int(self.spec["engine"]["max_batch_size"])
-
-    def acquire(self) -> "SharedSourceExport":
-        with self._swap_lock:
-            self.registry.acquire()
-        return self
-
-    def release(self) -> None:
-        with self._swap_lock:
-            self.registry.release()
-
-    def ensure_alive(self) -> bool:
-        """Re-export the model state if its shared segments died.
-
-        A freshly spawned worker attaches segments *by name*; the parent's
-        own mappings survive an unlink but a replacement worker would get
-        ``FileNotFoundError`` at init.  Called before each restart: when
-        any owned segment no longer resolves, the retained source is
-        exported again into a new registry (which adopts the old one's
-        refcount) and the worker spec is swapped.  Returns whether a
-        re-export happened.
-        """
-        with self._swap_lock:
-            registry = self.registry
-            if not registry.missing_segments():
-                return False
-            if self._source is None:
-                raise ShardFailure(
-                    "shared model segments are gone and this export kept no "
-                    "source to rebuild them from"
-                )
-            fresh = export_source_spec(self._source, **self._params)
-            fresh.registry.adopt_refcount(registry.refcount)
-            self.registry = fresh.registry
-            self.spec = fresh.spec
-            self.n_reexports += 1
-            registry.adopt_refcount(0)
-            registry.close()
-            return True
-
-
 def export_source_spec(
     source,
     max_batch_size: int = 64,
@@ -430,166 +357,45 @@ def export_source_spec(
     timing_cache_capacity: int = 4096,
     drift_threshold: Optional[float] = None,
     worker_faults: Optional[dict] = None,
-) -> SharedSourceExport:
-    """Flatten a bundle/handle into a picklable worker spec + shared segments.
+) -> dict:
+    """The picklable spec every worker of one frontend builds its engine from.
 
-    Every routine's compiled state (fused preprocessing, model evaluator
-    arrays) goes through the registry — large arrays become shared-memory
-    refs, so the spec the spawn pickles is tiny and workers map the same
-    model pages.  The platform and simulator parameters ride the pickle
-    (they are ~1 KB of topology metadata, not model state).
+    A :class:`~repro.serving.registry.BundleHandle` crosses as its
+    directory (the worker opens its own lazy handle); an in-memory bundle
+    rides the spawn pickle whole, which hands each worker an independent
+    copy.  Building the native kernel here, before any worker spawns,
+    leaves the ``.so`` in the on-disk cache for all of them.
     """
-    registry = SharedSegmentRegistry()
-    simulator = source.simulator
-    routines: Dict[str, dict] = {}
-    for key in sorted(source.routines):
-        predictor = source.predictor(key)
-        compiled = predictor.compile()
-        routines[key] = {
-            "candidate_threads": [int(t) for t in predictor.candidate_threads],
-            "model_name": predictor.model_name,
-            "cache_capacity": int(predictor.cache_capacity),
-            "fused": compiled._fused.to_shared(registry),
-            "evaluator": export_model_evaluator(predictor.model, registry),
-        }
-    spec = {
-        "platform": source.platform,
-        "simulator": {
-            "platform": simulator.platform,
-            "seed": simulator.seed,
-            "noise_level": simulator.noise_level,
-            "patch_probability": simulator.patch_probability,
-            "patch_strength": simulator.patch_strength,
-        },
+    _native.library_path()
+    return {
+        "source": source.directory if isinstance(source, BundleHandle) else source,
         "engine": {
             "max_batch_size": int(max_batch_size),
             "use_cache": bool(use_cache),
             "timing_cache_capacity": int(timing_cache_capacity),
             "drift_threshold": drift_threshold,
         },
-        "routines": routines,
-        # Compile the native kernel once here, in the parent, before any
-        # worker spawns: N workers adopt the finished .so instead of racing
-        # the compiler (or re-hashing the source on cold temp dirs).
-        "native_library": _native.library_path(),
         # Worker-side chaos knobs (see serving/faults.py); empty in production.
         "faults": dict(worker_faults or {}),
     }
-    return SharedSourceExport(
-        registry,
-        spec,
-        source=source,
-        params={
-            "max_batch_size": max_batch_size,
-            "use_cache": use_cache,
-            "timing_cache_capacity": timing_cache_capacity,
-            "drift_threshold": drift_threshold,
-            "worker_faults": worker_faults,
-        },
-    )
-
-
-class _WorkerInstallation:
-    """Minimal ``RoutineInstallation`` stand-in (just the predictor slot)."""
-
-    __slots__ = ("predictor",)
-
-    def __init__(self, predictor: ThreadPredictor):
-        self.predictor = predictor
-
-
-class _WorkerSource:
-    """Bundle-protocol view over predictors rebuilt from a spawn spec."""
-
-    def __init__(self, platform, simulator, installations: Dict[str, _WorkerInstallation]):
-        self.platform = platform
-        self.simulator = simulator
-        self.routines = installations
-
-    def predictor(self, routine: str) -> ThreadPredictor:
-        key = routine.lower()
-        installation = self.routines.get(key)
-        if installation is None:
-            raise KeyError(
-                f"Routine {routine!r} was not installed; available: "
-                f"{sorted(self.routines)}"
-            )
-        return installation.predictor
-
-
-def _predictor_from_spec(key: str, rspec: dict, registry) -> ThreadPredictor:
-    """Rebuild one routine's predictor over mapped shared-memory state.
-
-    Bypasses ``ThreadPredictor.__init__`` — there is no pipeline or model
-    object on this side, only the compiled kernel, so the skeleton carries
-    the metadata the serving path reads (candidate threads, cache bounds,
-    counters) and a pre-built :class:`CompiledPredictor`.
-    """
-    fused = FusedTransform.from_shared(rspec["fused"], registry)
-    kernel = model_kernel_from_state(rspec["evaluator"], registry)
-    candidate_threads = [int(t) for t in rspec["candidate_threads"]]
-    compiled = CompiledPredictor.from_state(key, candidate_threads, fused, kernel)
-    predictor = ThreadPredictor.__new__(ThreadPredictor)
-    predictor.routine = key
-    predictor.pipeline = None
-    predictor.model = None
-    predictor.candidate_threads = candidate_threads
-    predictor.model_name = rspec["model_name"]
-    predictor.cache_capacity = int(rspec["cache_capacity"])
-    predictor.feature_names = feature_names(key)
-    predictor._cache = OrderedDict()
-    predictor._compiled = compiled
-    predictor.n_model_evaluations = 0
-    predictor.n_cache_hits = 0
-    predictor.n_cache_misses = 0
-    return predictor
-
-
-def _engine_from_spec(spec: dict, registry) -> ServingEngine:
-    simulator_spec = spec["simulator"]
-    simulator = TimingSimulator(
-        simulator_spec["platform"],
-        seed=simulator_spec["seed"],
-        noise_level=simulator_spec["noise_level"],
-        patch_probability=simulator_spec["patch_probability"],
-        patch_strength=simulator_spec["patch_strength"],
-    )
-    installations = {
-        key: _WorkerInstallation(_predictor_from_spec(key, rspec, registry))
-        for key, rspec in spec["routines"].items()
-    }
-    source = _WorkerSource(spec["platform"], simulator, installations)
-    engine_spec = spec["engine"]
-    drift_threshold = engine_spec["drift_threshold"]
-    telemetry = (
-        EngineTelemetry(drift_threshold=drift_threshold)
-        if drift_threshold is not None
-        else EngineTelemetry()
-    )
-    return ServingEngine(
-        source,
-        max_batch_size=engine_spec["max_batch_size"],
-        use_cache=engine_spec["use_cache"],
-        timing_cache_capacity=engine_spec["timing_cache_capacity"],
-        telemetry=telemetry,
-    )
 
 
 def _worker_main(conn, spec: dict) -> None:
-    """Worker-process entry: map shared state, serve frames until STOP."""
-    faults = spec.get("faults") or {}
+    """Worker-process entry: open the source, serve frames until STOP."""
+    faults = spec["faults"]
     if faults.get("ignore_stop"):
         # Chaos harness: simulate a worker wedged past graceful shutdown.
         # It keeps serving but ignores STOP frames and SIGTERM, so only the
         # parent's kill() escalation can end it (the close() backstop test).
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    registry = SharedSegmentRegistry()
     engine: Optional[ServingEngine] = None
     init_error: Optional[str] = None
     try:
         try:
-            _native.adopt_library(spec.get("native_library"))
-            engine = _engine_from_spec(spec, registry)
+            source = spec["source"]
+            if isinstance(source, Path):
+                source = BundleHandle(source)
+            engine = build_engine(source, **spec["engine"])
         except BaseException as exc:
             init_error = f"worker initialisation failed: {exc!r}"
         while True:
@@ -637,7 +443,6 @@ def _worker_main(conn, spec: dict) -> None:
             except BaseException as exc:
                 conn.send_bytes(_frame(KIND_ERROR, 0, repr(exc).encode("utf-8")))
     finally:
-        registry.close()
         try:
             conn.close()
         except OSError:
@@ -654,8 +459,7 @@ class ProcessShard(ShardBase):
     default).  ``stop()`` captures the worker's final statistics snapshots
     *before* sending the STOP frame — so :meth:`stats` keeps answering
     after close, matching the thread backend where engines outlive their
-    shards — then joins the worker and releases the shard's reference on
-    the shared model export.  A worker that dies mid-batch surfaces a
+    shards — then joins the worker.  A worker that dies mid-batch surfaces a
     ``RuntimeError`` naming the pid and exit code on the affected futures;
     it never hangs them, and ``stop()`` afterwards stays idempotent.
     """
@@ -665,12 +469,12 @@ class ProcessShard(ShardBase):
     def __init__(
         self,
         index: int,
-        export: SharedSourceExport,
+        spec: dict,
         start_method: Optional[str] = None,
         stop_timeout: float = 10.0,
     ):
         super().__init__(index)
-        self._export = export.acquire()
+        self._spec = spec
         self._ctx = worker_context(start_method)
         self._proc = None
         self._conn = None
@@ -678,7 +482,7 @@ class ProcessShard(ShardBase):
         # callers and stats readers share one duplex pipe.
         self._pipe_lock = threading.Lock()
         self._dead = False
-        self._released = False
+        self._closed = False
         self._final: Optional[dict] = None
         self._stop_timeout = float(stop_timeout)
         # Chaos hook: the fault injector arms this to mangle the next
@@ -690,16 +494,20 @@ class ProcessShard(ShardBase):
     # -- backend contract ----------------------------------------------------------
     @property
     def max_batch_size(self) -> int:
-        return self._export.max_batch_size
+        return self._spec["engine"]["max_batch_size"]
 
     def _execute_batch(self, requests: Sequence[PlanRequest]) -> List[ExecutionPlan]:
         with self._pipe_lock:
             self._ensure_worker()
-            _, count, payload = self._roundtrip(encode_requests(requests), "mid-batch")
+            kind, count, payload = self._roundtrip(
+                encode_requests(requests), "mid-batch"
+            )
         if self._corrupt_next_reply:
             self._corrupt_next_reply = False
             payload = payload[:7]  # short buffer: every decode layout breaks
         try:
+            if kind != KIND_PLANS:
+                raise ValueError(f"frame kind {kind} answered a requests frame")
             return decode_plans(count, payload, requests)
         except Exception as exc:
             # The pipe may hold half-consumed garbage after a bad frame;
@@ -713,13 +521,13 @@ class ProcessShard(ShardBase):
     # -- worker lifecycle ----------------------------------------------------------
     def _ensure_worker(self) -> None:
         """Launch the worker process if needed (caller holds the pipe lock)."""
-        if self._released:
+        if self._closed:
             raise RuntimeError(f"process shard {self.index} is closed")
         if self._proc is None:
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._export.spec),
+                args=(child_conn, self._spec),
                 name=f"adsala-procshard-{self.index}",
                 daemon=True,
             )
@@ -740,8 +548,8 @@ class ProcessShard(ShardBase):
             message = payload.decode("utf-8", "replace")
             if message.startswith("worker initialisation failed"):
                 # The worker process is up but its engine never built —
-                # typically the shared segments it attaches by name are
-                # gone.  Restartable: recovery re-exports and respawns.
+                # typically the bundle it opens is missing or mid-rewrite.
+                # Restartable: recovery respawns and the source is reopened.
                 self._terminate_worker_locked()
                 raise WorkerInitError(
                     f"process shard {self.index} worker could not initialise "
@@ -787,14 +595,11 @@ class ProcessShard(ShardBase):
     def restart(self) -> None:
         """Discard a dead/poisoned worker; the next batch spawns a fresh one.
 
-        Verifies the shared model segments first: if they died with the
-        worker (or were unlinked by chaos) the export rebuilds them from
-        its retained source, so the replacement worker attaches live
-        state.  Raises ``RuntimeError`` on a closed shard — a released
-        export cannot be revived.
+        The replacement builds its engine from the same spec, so it opens
+        the bundle anew.  Raises ``RuntimeError`` on a closed shard.
         """
         with self._pipe_lock:
-            if self._released:
+            if self._closed:
                 raise RuntimeError(f"process shard {self.index} is closed")
             process = self._proc
             if process is not None and process.is_alive():
@@ -812,17 +617,14 @@ class ProcessShard(ShardBase):
             self._conn = None
             self._dead = False
             self._corrupt_next_reply = False
-        self._export.ensure_alive()
 
     def _on_stop(self) -> None:
-        """Capture final stats, stop the worker, release the shared export.
+        """Capture final stats and stop the worker.
 
         Runs under the lifecycle lock; idempotent — repeated ``stop()``
-        calls (including after a dead worker) release the shared-memory
-        reference exactly once and never raise.
+        calls (including after a dead worker) never raise.
         """
-        if self._released:
-            return
+        self._closed = True
         process = self._proc
         if process is not None:
             if not self._dead:
@@ -850,8 +652,6 @@ class ProcessShard(ShardBase):
                 pass
             self._proc = None
             self._conn = None
-        self._released = True
-        self._export.release()
 
     def _capture_final(self) -> dict:
         """Best-effort final statistics snapshot before the worker exits."""
@@ -881,7 +681,7 @@ class ProcessShard(ShardBase):
             "batches": 0,
             "mean_batch_size": 0.0,
             "max_batch_size": 0.0,
-            "drift_threshold": self._export.spec["engine"]["drift_threshold"]
+            "drift_threshold": self._spec["engine"]["drift_threshold"]
             or EngineTelemetry().drift_threshold,
             "reinstall_candidates": [],
             "routines": {},
@@ -905,7 +705,7 @@ class ProcessShard(ShardBase):
                 "hits": 0,
                 "misses": 0,
                 "size": 0,
-                "capacity": self._export.spec["engine"]["timing_cache_capacity"],
+                "capacity": self._spec["engine"]["timing_cache_capacity"],
             },
         }
 
@@ -946,7 +746,7 @@ class ProcessShard(ShardBase):
 
     def record_observation(self, plan: ExecutionPlan, observed_time: float) -> None:
         with self._pipe_lock:
-            if self._released or self._dead:
+            if self._closed or self._dead:
                 return  # worker gone; nothing to feed
             self._ensure_worker()
             try:

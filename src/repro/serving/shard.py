@@ -19,11 +19,12 @@ Two backends implement the interface:
   serialises.
 * :class:`~repro.serving.procshard.ProcessShard` runs the engine in a
   worker *process*; batches cross a pipe as compact framed arrays and the
-  compiled model state is mapped from shared memory.
+  worker opens the bundle itself.
 
 The :class:`~repro.serving.frontend.ShardedFrontend` talks only to the
 :class:`ShardBase` interface — routing, admission control and statistics
-merging are identical for both backends.
+merging are identical for both backends — and every engine either backend
+runs (first start or restart) is built by :func:`build_engine`.
 
 Fault tolerance
 ---------------
@@ -53,12 +54,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import ExecutionPlan
 from repro.serving.engine import PlanRequest, ServingEngine
+from repro.serving.telemetry import EngineTelemetry
 
 __all__ = [
     "DeadlineExceededError",
     "EngineShard",
     "ShardBase",
     "ShardFailure",
+    "build_engine",
     "shard_index",
 ]
 
@@ -79,6 +82,33 @@ class ShardFailure(RuntimeError):
 
 class DeadlineExceededError(TimeoutError):
     """A request's deadline passed before a plan could be produced."""
+
+
+def build_engine(
+    source,
+    max_batch_size: int = 64,
+    use_cache: bool = True,
+    timing_cache_capacity: int = 4096,
+    drift_threshold: Optional[float] = None,
+) -> ServingEngine:
+    """The one way a shard gets its engine, whichever backend runs it.
+
+    ``source`` must be this engine's alone — a
+    :class:`~repro.serving.registry.BundleHandle` nobody else holds or an
+    independent copy of the bundle — because engines guard their source's
+    predictor caches with their own lock only.
+    """
+    return ServingEngine(
+        source,
+        max_batch_size=max_batch_size,
+        use_cache=use_cache,
+        timing_cache_capacity=timing_cache_capacity,
+        telemetry=(
+            EngineTelemetry(drift_threshold=drift_threshold)
+            if drift_threshold is not None
+            else None
+        ),
+    )
 
 
 def shard_index(routine: str, dims_key: tuple, n_shards: int) -> int:

@@ -14,11 +14,11 @@ owned goes dark.  The :class:`ShardSupervisor` closes that gap:
   every request is answered exactly once — by whichever worker finally
   produces the plan — and the answers are bit-identical to a sequential
   replay because plans are pure functions of their requests.
-* **Shared-memory re-attachment** — a process-shard restart re-verifies
-  the shared model segments before the replacement worker spawns
-  (:meth:`~repro.serving.procshard.SharedSourceExport.ensure_alive`); if
-  the segments died, the model state is re-exported from the retained
-  source and the worker spec swapped, transparently.
+* **Stateless restarts** — a replacement engine is built the way the
+  first one was (:func:`~repro.serving.shard.build_engine` over a fresh
+  handle on the bundle directory or an independent copy of the bundle),
+  in the worker process or in this one; a restart has no model state to
+  re-verify.
 * **Liveness monitoring** — a daemon monitor thread watches each shard's
   oldest in-flight batch.  Past ``hang_timeout`` a process shard's worker
   is SIGKILLed (the blocked drain thread then unblocks into the normal

@@ -14,17 +14,11 @@ import pytest
 
 from repro.blas.api import ROUTINE_KEYS, parse_routine
 from repro.core import compiled as compiled_mod
-from repro.core.compiled import (
-    CompiledPredictor,
-    export_model_evaluator,
-    model_kernel_from_state,
-)
 from repro.core.features import FeatureGridWriter
 from repro.core.predictor import ThreadPredictor
 from repro.ml import _native
 from repro.ml.model_zoo import CANDIDATE_MODEL_NAMES, make_model
 from repro.preprocessing.pipeline import FusedTransform, PreprocessingPipeline
-from repro.shm import SharedSegmentRegistry
 
 kernels = _native.load_kernels()
 
@@ -239,59 +233,12 @@ class TestSelfCheck:
 
 
 class TestPrebuiltHandoff:
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        previous = _native._PREBUILT
-        yield
-        _native._PREBUILT = previous
-        _native._reset_kernel_cache()
-        assert _native.load_kernels() is not None
-
     def test_library_path_round_trip(self):
+        """What the procshard parent builds is what a later load picks up."""
         path = _native.library_path()
         assert path is not None
-        _native._PREBUILT = None
-        _native.adopt_library(path)
-        assert _native._PREBUILT is not None
-        assert str(_native._PREBUILT) == path
+        assert path.endswith(f"kernels_{_native._source_digest()}.so")
         _native._reset_kernel_cache()
-        assert _native.load_kernels() is not None
-
-    def test_adopt_rejects_missing_path(self):
-        _native._PREBUILT = None
-        _native.adopt_library("/nonexistent/kernels_feedfacefeedface.so")
-        assert _native._PREBUILT is None
-
-    def test_adopt_rejects_digest_mismatch(self, tmp_path):
-        _native._PREBUILT = None
-        stale = tmp_path / "kernels_0000000000000000.so"
-        stale.write_bytes(b"not a library")
-        _native.adopt_library(str(stale))
-        assert _native._PREBUILT is None
-
-    def test_adopt_none_is_noop(self):
-        _native._PREBUILT = None
-        _native.adopt_library(None)
-        assert _native._PREBUILT is None
-
-
-class TestFromState:
-    def test_model_kernel_from_state_keeps_fused(self):
-        """ModelKernel state (the procshard path) keeps the fused call."""
-        predictor = _trained_predictor("ssymm", "LinearRegression")
-        registry = SharedSegmentRegistry()
-        try:
-            kernel = model_kernel_from_state(
-                export_model_evaluator(predictor.model, registry), registry
-            )
-            rebuilt = CompiledPredictor.from_state(
-                "ssymm", THREADS, predictor.compile()._fused, kernel
-            )
-            assert rebuilt.path == "native"
-            dims_list = _random_dims("ssymm", 8, seed=7)
-            assert np.array_equal(
-                rebuilt.predict_runtimes_batch(dims_list),
-                predictor.predict_runtimes_batch(dims_list),
-            )
-        finally:
-            registry.close()
+        reloaded = _native.load_kernels()
+        assert reloaded is not None
+        assert reloaded.library == path

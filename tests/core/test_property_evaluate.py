@@ -16,8 +16,8 @@ draws batches of shapes and asserts:
   BLAS product whose summation order depends on the row count, so a batch
   row and the single call differ by an ULP or two there; every path still
   agrees with every other path on the same batch, bit for bit;
-* a kernel exported to and re-imported from a shared-memory registry
-  ``==`` the in-process one, alone and inside a ``from_state`` predictor.
+* a twin that crossed a pickle and recompiled on its own — what a process
+  shard worker serves from — ``==`` the in-process one.
 """
 
 import os
@@ -28,13 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.compiled import (
-    CompiledPredictor,
-    compile_model_kernel,
-    export_model_evaluator,
-    model_kernel_from_state,
-    reference_mode,
-)
+from repro.core.compiled import compile_model_kernel, reference_mode
 from repro.core.features import FeatureGridWriter
 from repro.core.predictor import ThreadPredictor
 from repro.ml import _native
@@ -42,7 +36,6 @@ from repro.ml.model_zoo import make_model
 from repro.preprocessing.pipeline import PreprocessingPipeline
 from repro.routines.catalog import build_catalog, get_catalog, reset_catalog
 from repro.routines.contrib import register
-from repro.shm import SharedSegmentRegistry
 
 THREADS = [1, 2, 3, 4, 6, 8]
 MAX_DIM = 10**5
@@ -102,9 +95,8 @@ def _trained_predictor(routine, model_name):
 
 @pytest.fixture(scope="module")
 def cases():
-    """Lazily built ``(production, fallback, shared)`` predictors per case."""
+    """Lazily built ``(production, fallback, worker)`` predictors per case."""
     built = {}
-    registries = []
 
     def case(routine, kind):
         if (routine, kind) not in built:
@@ -121,20 +113,14 @@ def cases():
             fallback = pickle.loads(pickle.dumps(production))
             with _native_disabled():
                 assert fallback.compile().path_reason == "disabled"
-            registry = SharedSegmentRegistry()
-            registries.append(registry)
-            kernel = model_kernel_from_state(
-                export_model_evaluator(production.model, registry), registry
-            )
-            shared = CompiledPredictor.from_state(
-                routine, THREADS, production.pipeline.compile(), kernel
-            )
-            built[routine, kind] = (production, fallback, shared)
+            # The same twin left to compile normally is a process worker's
+            # predictor: it takes whichever path production took.
+            worker = pickle.loads(pickle.dumps(production))
+            assert worker.compile().path == production.compile().path
+            built[routine, kind] = (production, fallback, worker)
         return built[routine, kind]
 
-    yield case
-    for registry in registries:
-        registry.close()
+    return case
 
 
 shapes = st.lists(
@@ -148,7 +134,7 @@ picks = st.lists(st.integers(0, 11), min_size=1, max_size=40)
 @given(shapes=shapes, picks=picks)
 @settings(max_examples=5, deadline=None)
 def test_three_paths_agree(cases, routine, kind, shapes, picks):
-    production, fallback, shared = cases(routine, kind)
+    production, fallback, worker = cases(routine, kind)
     dim_names = get_catalog().resolve(routine)[2].dim_names
     pool = [dict(zip(dim_names, shape)) for shape in shapes]
     batch = [pool[pick % len(pool)] for pick in picks]  # duplicates included
@@ -165,11 +151,4 @@ def test_three_paths_agree(cases, routine, kind, shapes, picks):
         else:
             assert np.array_equal(row, single)
 
-    assert np.array_equal(served, shared.predict_runtimes_batch(batch))
-    fused = production.pipeline.compile()
-    writer = FeatureGridWriter(routine, THREADS, columns=fused.kept_indices)
-    transformed = fused.transform_kept(writer.write_dicts(batch))
-    assert np.array_equal(
-        shared._model_kernel.evaluate(transformed),
-        compile_model_kernel(production.model).evaluate(transformed),
-    )
+    assert np.array_equal(served, worker.predict_runtimes_batch(batch))

@@ -1,10 +1,10 @@
 """Tests for the seeded fault-injection harness and chaos equivalence.
 
 The chaos extension of the PR 5/6 stress-equivalence suites: with worker
-kills, frame corruption and shared-memory destruction injected mid-traffic
-from a seeded schedule, the supervised frontend must still answer **every
-request id exactly once**, each plan **bit-identical** to a sequential
-single-engine replay — zero lost, zero duplicated, zero wrong.
+kills and frame corruption injected mid-traffic from a seeded schedule,
+the supervised frontend must still answer **every request id exactly
+once**, each plan **bit-identical** to a sequential single-engine replay —
+zero lost, zero duplicated, zero wrong.
 """
 
 import threading
@@ -64,6 +64,14 @@ class TestParseFaultSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown fault kind 'explode'"):
             parse_fault_spec("explode:1")
+
+    def test_removed_shm_kind_fails_naming_the_remaining_kinds(self):
+        with pytest.raises(ValueError, match="unknown fault kind 'shm'") as caught:
+            parse_fault_spec("shm:1")
+        for kind in ("kill", "hang", "corrupt", "slow"):
+            assert kind in str(caught.value)
+        with pytest.raises(ValueError, match="unknown fault kind 'shm'"):
+            FaultInjector({"shm": 1})
 
     def test_bad_count(self):
         with pytest.raises(ValueError, match="must be an integer"):
@@ -203,30 +211,6 @@ class TestChaosEquivalence:
             snapshot = frontend.supervisor.snapshot()
         assert snapshot["injected"]["injected"] == {"kill": 3}
         assert [_plan_key(p) for p in plans] == [_plan_key(p) for p in reference]
-
-
-class TestShmFault:
-    def test_dead_segments_are_reexported_on_restart(self, clear_caches):
-        injector = FaultInjector("shm:1", seed=5, horizon=6, warmup=1)
-        frontend = ShardedFrontend.from_bundle(
-            clear_caches,
-            2,
-            backend="process",
-            max_batch_size=2,
-            injector=injector,
-            restart_policy=_chaos_policy(),
-        )
-        with frontend:
-            for step in range(16):
-                plan = frontend.plan("dgemm", m=64 + step, k=32, n=16)
-                assert plan.threads >= 1
-            export = frontend.shards[0]._export
-            snapshot = frontend.supervisor.snapshot()
-        assert snapshot["injected"]["injected"] == {"shm": 1}
-        # The model segments died with the fault; recovery re-exported them
-        # from the retained source before respawning the worker.
-        assert export.n_reexports >= 1
-        assert snapshot["restarts"] >= 1
 
 
 class TestCorruptFault:

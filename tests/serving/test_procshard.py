@@ -5,26 +5,29 @@ the shard count and client thread count, the process backend produces
 exactly one plan per request id, each bit-identical (routine, dims,
 threads, predicted/baseline times, fallback policy) to a sequential
 single-engine replay — only ``from_cache`` may differ, since each worker
-warms its own LRU.  On top of that: shared-memory segment lifecycle
-(created on construction, probeable by deterministic name, released
-exactly once on close), worker-death behaviour (clear errors, never
-hangs), and the inline fallback when shared memory is unavailable.
+warms its own LRU.  On top of that: both source kinds (in-memory bundle,
+bundle directory) through the one engine constructor, before and after a
+supervised restart; the parent's bundle staying untouched; the native
+kernel built once for all workers; and worker-death behaviour (clear
+errors, never hangs).
 """
 
+import dataclasses
 import os
 import signal
 import threading
 import time
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.shm as shm_mod
+from repro.machine.simulator import TimingSimulator
+from repro.machine.topology import apply_calibration
+from repro.ml import _native
 from repro.serving.engine import ServingEngine, normalize_request
 from repro.serving.frontend import ShardedFrontend
 from repro.serving.procshard import ProcessShard, export_source_spec
+from repro.serving.registry import BundleHandle
 from repro.serving.workload import generate_workload
 
 
@@ -50,13 +53,6 @@ def _sequential_reference(bundle, workload):
     for installation in bundle.routines.values():
         installation.predictor.clear_cache()
     return plans
-
-
-def _segments_in_dev_shm(names):
-    root = Path("/dev/shm")
-    if not root.is_dir():
-        return None  # probing unsupported on this platform
-    return [name for name in names if (root / name).exists()]
 
 
 def _kill_worker(shard: ProcessShard) -> int:
@@ -145,77 +141,127 @@ class TestProcessStressEquivalence:
         assert plan.policy == "cross-precision"
 
 
-class TestSharedMemoryLifecycle:
-    def test_workers_share_one_export_and_release_on_close(self, clear_caches):
-        frontend = ShardedFrontend.from_bundle(clear_caches, 2, backend="process")
-        registries = {id(shard._export.registry) for shard in frontend.shards}
-        assert len(registries) == 1  # one export shared by both shards
-        registry = frontend.shards[0]._export.registry
-        names = registry.segment_names()
-        if not registry.shared_available:
-            pytest.skip("shared memory unavailable in this environment")
-        assert names and all(name.startswith("adsala-") for name in names)
-        live = _segments_in_dev_shm(names)
-        if live is not None:
-            assert sorted(live) == sorted(names)  # probeable while serving
-        with frontend:
-            frontend.plan("dgemm", m=96, k=48, n=24)
-        assert registry.closed
-        assert registry.n_closes == 1
-        if live is not None:
-            assert _segments_in_dev_shm(names) == []  # all unlinked
+class TestSourceKindsAndRestarts:
+    """Workers open the source themselves; nothing about the plans changes."""
 
-    def test_double_close_releases_segments_exactly_once(self, clear_caches):
-        frontend = ShardedFrontend.from_bundle(clear_caches, 2, backend="process")
-        registry = frontend.shards[0]._export.registry
-        names = registry.segment_names()
-        frontend.start()
-        frontend.close()
-        frontend.close()
-        for shard in frontend.shards:
-            shard.stop()  # belt and braces: still exactly-once
-        assert registry.closed
-        assert registry.n_closes == 1
-        live = _segments_in_dev_shm(names)
-        assert live in (None, [])
-
-    def test_frontend_construction_survives_missing_shared_memory(
-        self, clear_caches, monkeypatch
+    @pytest.mark.parametrize("kind", ["bundle", "directory"])
+    def test_both_source_kinds_match_threads_and_sequential_across_a_restart(
+        self, clear_caches, saved_bundle_dir, kind
     ):
-        """No shared memory → RuntimeWarning + per-process copies, not a crash."""
-
-        def denied(*args, **kwargs):
-            raise PermissionError("shared memory denied by test")
-
-        monkeypatch.setattr(shm_mod, "SharedMemory", denied)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            frontend = ShardedFrontend.from_bundle(
-                clear_caches, 2, backend="process"
-            )
-        assert any(
-            issubclass(w.category, RuntimeWarning)
-            and "per-process" in str(w.message)
-            for w in caught
-        )
-        registry = frontend.shards[0]._export.registry
-        assert not registry.shared_available
-        assert registry.segment_names() == []
         workload = generate_workload(
-            ["dgemm", "dsyrk"], 24, distribution="cycling", seed=53
+            ["dgemm", "dsyrk"], 160, distribution="skewed", seed=83, pool_size=10
         )
-        reference = _sequential_reference(clear_caches, workload)
-        with frontend:
-            plans = frontend.plan_many(
-                request.as_tuple() for request in workload
+        stream = [request.as_tuple() for request in workload]
+        if kind == "bundle":
+            reference = _sequential_reference(clear_caches, workload)
+
+            def make(backend):
+                return ShardedFrontend.from_bundle(
+                    clear_caches, n_shards=2, backend=backend
+                )
+        else:
+            reference = ServingEngine(BundleHandle(saved_bundle_dir)).plan_many(stream)
+
+            def make(backend):
+                return ShardedFrontend.from_directory(
+                    saved_bundle_dir, n_shards=2, backend=backend
+                )
+
+        expected = [_plan_key(plan) for plan in reference]
+        with make("process") as frontend:
+            half = len(stream) // 2
+            plans = frontend.plan_many(stream[:half])
+            _kill_worker(frontend.shards[0])
+            plans += frontend.plan_many(stream[half:])
+            # The replacement worker answers the whole stream again.
+            replayed = frontend.plan_many(stream)
+            supervision = frontend.stats()["supervision"]
+        assert supervision["restarts"] >= 1
+        assert supervision["quarantined"] == []
+        assert [_plan_key(plan) for plan in plans] == expected
+        assert [_plan_key(plan) for plan in replayed] == expected
+        with make("thread") as frontend:
+            threaded = frontend.plan_many(stream)
+        assert [_plan_key(plan) for plan in threaded] == expected
+
+    def test_parent_bundle_is_not_touched_by_process_serving(self, clear_caches):
+        bundle = clear_caches
+
+        def fingerprint():
+            return (
+                bundle.simulator.n_evaluations,
+                {
+                    key: (
+                        installation.predictor.cache_info(),
+                        installation.predictor.n_model_evaluations,
+                    )
+                    for key, installation in bundle.routines.items()
+                },
             )
-        assert [_plan_key(p) for p in plans] == [_plan_key(p) for p in reference]
+
+        before = fingerprint()
+        workload = generate_workload(
+            ["dgemm", "dsyrk"], 80, distribution="cycling", seed=89, pool_size=6
+        )
+        with ShardedFrontend.from_bundle(bundle, 2, backend="process") as frontend:
+            plans = frontend.plan_many(request.as_tuple() for request in workload)
+            stats = frontend.stats()
+        assert len(plans) == len(workload)
+        assert stats["cache"]["model_evaluations"] > 0  # the workers did the work
+        assert fingerprint() == before
+
+    def test_simulator_settings_and_calibrated_platform_cross_intact(
+        self, clear_caches
+    ):
+        platform = apply_calibration(
+            clear_caches.platform, {"clock_ghz": 0.7, "sync_cost_per_thread": 1.6}
+        )
+        tuned = dataclasses.replace(
+            clear_caches,
+            platform=platform,
+            simulator=TimingSimulator(
+                platform, seed=3, noise_level=0.11, patch_probability=0.2
+            ),
+        )
+        workload = generate_workload(
+            ["dgemm", "dsyrk"], 48, distribution="cycling", seed=97, pool_size=12
+        )
+        stock = [_plan_key(p) for p in _sequential_reference(clear_caches, workload)]
+        expected = [_plan_key(p) for p in _sequential_reference(tuned, workload)]
+        assert expected != stock  # the settings do reach the plans
+        with ShardedFrontend.from_bundle(tuned, 2, backend="process") as frontend:
+            plans = frontend.plan_many(request.as_tuple() for request in workload)
+        assert [_plan_key(plan) for plan in plans] == expected
+
+    def test_workers_reuse_the_one_native_build(
+        self, clear_caches, tmp_path, monkeypatch
+    ):
+        """Empty cache, two workers: one compile, no race, same evaluate path."""
+        parent_path = clear_caches.predictor("dgemm").compile().path
+        cache = tmp_path / "native-cache"
+        cache.mkdir(mode=0o700)
+        monkeypatch.setenv("ADSALA_NATIVE_CACHE", str(cache))  # workers inherit it
+        if _native.library_path() is None:
+            pytest.skip("no C compiler (or ADSALA_NATIVE=0): nothing to build")
+        workload = generate_workload(
+            ["dgemm", "dsyrk"], 64, distribution="uniform", seed=101
+        )
+        with ShardedFrontend.from_bundle(clear_caches, 2, backend="process") as frontend:
+            frontend.plan_many(request.as_tuple() for request in workload)
+            per_shard = [shard.cache_statistics() for shard in frontend.shards]
+        assert [entry.name for entry in cache.iterdir()] == [
+            f"kernels_{_native._source_digest()}.so"
+        ]  # one library, no leftover build directory
+        for snapshot in per_shard:
+            assert snapshot["routines"]  # both workers served traffic
+            for entry in snapshot["routines"].values():
+                assert entry["evaluate_path"] == parent_path
 
 
 class TestWorkerDeath:
     def _live_shard(self, bundle) -> ProcessShard:
-        export = export_source_spec(bundle, max_batch_size=16)
-        shard = ProcessShard(0, export)
+        spec = export_source_spec(bundle, max_batch_size=16)
+        shard = ProcessShard(0, spec)
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
         shard.execute([request])  # launches the worker
         return shard
@@ -247,12 +293,9 @@ class TestWorkerDeath:
 
     def test_close_after_dead_worker_is_idempotent(self, clear_caches):
         shard = self._live_shard(clear_caches)
-        registry = shard._export.registry
         _kill_worker(shard)
         shard.stop()  # must not raise or hang on the corpse
         shard.stop()
-        assert registry.closed
-        assert registry.n_closes == 1
         # Post-mortem stats answer with an empty-but-shaped snapshot.
         snapshot = shard.stats()
         assert snapshot["requests"] == 0
@@ -277,12 +320,12 @@ class TestCloseEscalation:
         """Regression for the stop() backstop: a worker that ignores both the
         STOP frame and SIGTERM must be SIGKILLed within the bounded join
         budget — close() may be slow, but it must never hang forever."""
-        export = export_source_spec(
+        spec = export_source_spec(
             clear_caches,
             max_batch_size=8,
             worker_faults={"ignore_stop": True},
         )
-        shard = ProcessShard(0, export, stop_timeout=0.5)
+        shard = ProcessShard(0, spec, stop_timeout=0.5)
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
         (plan,) = shard.execute([request])  # worker up and serving
         assert plan.threads >= 1
@@ -291,19 +334,28 @@ class TestCloseEscalation:
         elapsed = time.perf_counter() - start
         assert elapsed < 30  # 3 bounded joins, not an unbounded hang
         assert shard.stop_escalation == "kill"
-        assert export.registry.closed
 
     def test_clean_close_does_not_escalate(self, clear_caches):
-        export = export_source_spec(clear_caches, max_batch_size=8)
-        shard = ProcessShard(0, export)
+        spec = export_source_spec(clear_caches, max_batch_size=8)
+        shard = ProcessShard(0, spec)
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
         shard.execute([request])
         shard.stop()
         assert shard.stop_escalation is None
 
+    def test_double_close_is_idempotent(self, clear_caches):
+        frontend = ShardedFrontend.from_bundle(clear_caches, 2, backend="process")
+        with frontend:
+            frontend.plan("dgemm", m=96, k=48, n=24)
+        frontend.close()
+        for shard in frontend.shards:
+            shard.stop()  # belt and braces: still a no-op
+            assert shard.worker_pid is None
+        assert frontend.stats()["requests"] == 1  # final snapshot survives
+
     def test_restart_on_closed_shard_raises(self, clear_caches):
-        export = export_source_spec(clear_caches, max_batch_size=8)
-        shard = ProcessShard(0, export)
+        spec = export_source_spec(clear_caches, max_batch_size=8)
+        shard = ProcessShard(0, spec)
         shard.stop()
         with pytest.raises(RuntimeError, match="closed"):
             shard.restart()
@@ -393,7 +445,7 @@ class TestConstructionValidation:
 
     def test_shared_source_allowed_for_process_backend(self, clear_caches):
         # The thread backend rejects shared sources; the process backend
-        # *expects* them (one export, N workers).
+        # *expects* them (one spec, N workers that each open it).
         frontend = ShardedFrontend(
             [clear_caches, clear_caches], backend="process"
         )
@@ -401,8 +453,8 @@ class TestConstructionValidation:
         frontend.close()
 
     def test_closed_shard_rejects_new_batches(self, clear_caches):
-        export = export_source_spec(clear_caches)
-        shard = ProcessShard(0, export)
+        spec = export_source_spec(clear_caches)
+        shard = ProcessShard(0, spec)
         shard.stop()
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
         with pytest.raises(RuntimeError, match="closed"):

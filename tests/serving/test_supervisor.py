@@ -181,8 +181,8 @@ class TestKillRecovery:
         from repro.serving import WorkerDiedError
         from repro.serving.procshard import export_source_spec, ProcessShard
 
-        export = export_source_spec(clear_caches, max_batch_size=8)
-        shard = ProcessShard(0, export)
+        spec = export_source_spec(clear_caches, max_batch_size=8)
+        shard = ProcessShard(0, spec)
         try:
             request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
             (healthy,) = shard._dispatch([request])

@@ -228,6 +228,22 @@ class TestServeCommand:
         assert "2 process shards x 2 clients" in out
         assert "0 shed (block mode" in out
 
+    def test_serve_removed_shm_fault_kind_fails_loudly(self, installed_dir, capsys):
+        exit_code = main(
+            [
+                "serve",
+                "--bundle", str(installed_dir),
+                "--requests", "8",
+                "--inject-faults", "shm:1",
+            ]
+        )
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert "Served" not in captured.out  # nothing ran with an empty schedule
+        assert "unknown fault kind 'shm'" in captured.err
+        for kind in ("kill", "hang", "corrupt", "slow"):
+            assert kind in captured.err
+
     def test_serve_invalid_shard_count_fails(self, installed_dir, capsys):
         exit_code = main(
             ["serve", "--bundle", str(installed_dir), "--shards", "0"]
