@@ -5,10 +5,10 @@ process-parallel execution:
 
 * **data gathering** — scalar per-call simulator loop vs the vectorised
   ``TimingSimulator.time_batch`` campaign (one array pass per routine);
-* **end-to-end installation** — the reference pipeline (scalar gather,
-  per-shape selection loops, node-at-a-time tree builders with the
-  per-feature split search, recursive tree prediction — forced via
-  ``repro.ml.tree.reference_mode``) vs the optimised serial pipeline
+* **end-to-end installation** — the reference pipeline (node-at-a-time
+  tree builders with the per-feature split search, recursive tree
+  prediction — forced via ``repro.ml.tree.reference_mode``; timing is
+  batched on both sides) vs the optimised serial pipeline
   (forest-wide level-wise grower) vs the process-parallel pipeline on 2+
   jobs.  The two tree builders share their random stream and their
   summation order, so the asserted ``best_models()`` equality covers the
@@ -80,11 +80,18 @@ def test_install_scaling(benchmark, record, record_json):
                     threads_per_shape=config.threads_per_shape,
                     seed=config.seed,
                 )
-            scalar_ds, elapsed = _timed(lambda: make().gather(use_batch=False))
-            gather_scalar_s += elapsed
-            batch_ds, elapsed = _timed(lambda: make().gather(use_batch=True))
+            batch_ds, elapsed = _timed(lambda: make().gather())
             gather_batch_s += elapsed
-            assert scalar_ds.times == batch_ds.times  # bit-identical campaigns
+            # The same rows, one scalar simulator call each (the oracle).
+            scalar = TimingSimulator(platform, seed=config.seed)
+            scalar_times, elapsed = _timed(
+                lambda: [
+                    scalar.time(routine, dims, threads)
+                    for dims, threads in zip(batch_ds.dims, batch_ds.threads)
+                ]
+            )
+            gather_scalar_s += elapsed
+            assert scalar_times == batch_ds.times  # bit-identical campaigns
 
         # -- end-to-end installation: reference vs optimised vs parallel --
         # Best-of-two timings for the serial modes, dropping each bundle
@@ -95,9 +102,7 @@ def test_install_scaling(benchmark, record, record_json):
             gc.collect()
             with tree_mod.reference_mode():
                 bundle, elapsed = _timed(
-                    lambda: install_adsala(
-                        **install_kwargs, n_jobs=1, use_batch_timing=False
-                    )
+                    lambda: install_adsala(**install_kwargs, n_jobs=1)
                 )
             install_reference_s = min(install_reference_s, elapsed)
             reference_models = bundle.best_models()
@@ -181,7 +186,7 @@ def test_install_scaling(benchmark, record, record_json):
             "speedup": round(
                 result["install_reference_s"] / result["install_serial_s"], 2
             ),
-            "notes": "batch timing + vectorised/flat trees, 1 job",
+            "notes": "reference_mode() trees vs frontier grower/flat trees, 1 job",
         },
         {
             "stage": f"install end-to-end ({result['n_jobs']} jobs)",

@@ -98,11 +98,13 @@ def _warm_up(frontend, warmup_workload):
 
 
 def _sharded_bulk_clients(bundle, backend, workload, warmup):
-    """M clients each pushing a bulk slice through ``plan_many``.
+    """M clients each pushing a whole slice through ``plan_many``.
 
-    The batched-RPC client model: per-request future overhead disappears,
-    shards drain concurrently on the callers' thread pools, and each
-    backend serialises per shard (engine lock / pipe lock).
+    ``plan_many`` submits the slice through the same admission → inbox →
+    drain-loop route as the futures mode and collects the futures in
+    order; what differs is the client model — each client hands over its
+    whole slice before it waits, so the inboxes fill deeper and the
+    micro-batches run fuller.
     """
     _clear_caches(bundle)
     results = [None] * len(workload)

@@ -46,9 +46,8 @@ only wall-clock time, never results (same seeds -> same outputs):
   candidate model instead.  ``-1`` uses every core.
 * ``TimingSimulator.time_batch`` / ``breakdown_batch`` evaluate whole
   arrays of (shape, thread-count) configurations in one vectorised pass —
-  the data gatherer and model selection use them automatically;
-  ``install_adsala(..., use_batch_timing=False)`` restores the scalar
-  reference path.
+  the data gatherer and model selection use them; the scalar
+  ``TimingSimulator.time`` stays as their oracle.
 * ``ThreadPredictor(..., cache_capacity=K)`` bounds the LRU prediction
   cache (``K=1`` is the paper's last-call cache); cache misses run through
   the compiled fused feature→preprocess→ensemble kernel

@@ -320,7 +320,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         QueueFullError,
         ShardedFrontend,
     )
-    from repro.serving.registry import BundleHandle, ModelRegistry
+    from repro.serving.registry import ModelRegistry
     from repro.serving.supervisor import RestartPolicy
     from repro.serving.telemetry import EngineTelemetry
     from repro.serving.workload import generate_workload, load_workload
@@ -427,42 +427,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             or args.deadline is not None
         )
         if sharded:
-            if args.backend == "process":
-                # One worker spec: every worker opens the bundle directory itself.
-                frontend = ShardedFrontend(
-                    [handle] * args.shards,
-                    max_pending=args.max_pending,
-                    backpressure=args.backpressure,
-                    max_batch_size=args.batch_size,
-                    use_cache=not args.no_cache,
-                    backend="process",
-                    drift_threshold=args.drift_threshold,
-                    supervise=supervise,
-                    restart_policy=restart_policy,
-                    injector=injector,
-                )
-            else:
-                # One independent lazy handle per shard (separate model/LRU
-                # state); custom telemetry rides in on pre-built engines.
-                engines = [
-                    ServingEngine(
-                        BundleHandle(args.bundle),
-                        max_batch_size=args.batch_size,
-                        use_cache=not args.no_cache,
-                        telemetry=EngineTelemetry(
-                            drift_threshold=args.drift_threshold
-                        ),
-                    )
-                    for _ in range(args.shards)
-                ]
-                frontend = ShardedFrontend(
-                    engines,
-                    max_pending=args.max_pending,
-                    backpressure=args.backpressure,
-                    supervise=supervise,
-                    restart_policy=restart_policy,
-                    injector=injector,
-                )
+            # Both backends through one constructor: an independent lazy
+            # handle per thread shard, one worker spec for process shards
+            # (every worker opens the bundle directory itself).
+            frontend = ShardedFrontend.from_directory(
+                args.bundle,
+                args.shards,
+                backend=args.backend,
+                max_pending=args.max_pending,
+                backpressure=args.backpressure,
+                max_batch_size=args.batch_size,
+                use_cache=not args.no_cache,
+                drift_threshold=args.drift_threshold,
+                supervise=supervise,
+                restart_policy=restart_policy,
+                injector=injector,
+            )
             results: list = [None] * len(requests)
             client_errors: list = []
             expired_slots: list = []

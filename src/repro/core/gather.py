@@ -121,20 +121,16 @@ class DataGatherer:
             seed=seed,
         )
 
-    def gather(
-        self,
-        use_batch: bool = True,
-        shapes: List[Dict[str, int]] | None = None,
-    ) -> TimingDataset:
+    def gather(self, shapes: List[Dict[str, int]] | None = None) -> TimingDataset:
         """Run the sampling + timing campaign and return the dataset.
 
-        With ``use_batch`` (the default) the whole campaign — every sampled
-        shape at every spread thread count — is timed in a single
+        The whole campaign — every sampled shape at every spread thread
+        count — is timed in a single
         :meth:`~repro.machine.simulator.TimingSimulator.time_batch` call,
         collapsing thousands of scalar simulator evaluations into a handful
-        of array ops.  ``use_batch=False`` keeps the original per-call loop
-        as a reference path; both produce bit-identical datasets
-        (``benchmarks/bench_install_scaling.py`` tracks the speedup).
+        of array ops; the dataset is bit-identical to a loop of scalar
+        :meth:`~repro.machine.simulator.TimingSimulator.time` calls over
+        the same rows (``tests/machine/test_batch_timing.py`` holds that).
 
         ``shapes`` overrides the Halton-sampled problem shapes with an
         explicit list (the adaptive re-gather seeds the campaign from the
@@ -156,27 +152,21 @@ class DataGatherer:
             spread_thread_counts(max_threads, self.threads_per_shape, rng=rng)
             for _ in shapes
         ]
-        if use_batch:
-            dim_names = list(shapes[0])
-            lengths = [len(counts) for counts in per_shape_counts]
-            dim_arrays = {
-                name: np.repeat([dims[name] for dims in shapes], lengths)
-                for name in dim_names
-            }
-            threads = np.concatenate(
-                [np.asarray(counts, dtype=np.int64) for counts in per_shape_counts]
-            )
-            times = self.simulator.time_batch(self.routine, dim_arrays, threads)
-            row = 0
-            for dims, thread_counts in zip(shapes, per_shape_counts):
-                for threads_count in thread_counts:
-                    dataset.append(dims, int(threads_count), float(times[row]))
-                    row += 1
-        else:
-            for dims, thread_counts in zip(shapes, per_shape_counts):
-                for threads_count in thread_counts:
-                    elapsed = self.simulator.time(self.routine, dims, threads_count)
-                    dataset.append(dims, threads_count, elapsed)
+        dim_names = list(shapes[0])
+        lengths = [len(counts) for counts in per_shape_counts]
+        dim_arrays = {
+            name: np.repeat([dims[name] for dims in shapes], lengths)
+            for name in dim_names
+        }
+        threads = np.concatenate(
+            [np.asarray(counts, dtype=np.int64) for counts in per_shape_counts]
+        )
+        times = self.simulator.time_batch(self.routine, dim_arrays, threads)
+        row = 0
+        for dims, thread_counts in zip(shapes, per_shape_counts):
+            for threads_count in thread_counts:
+                dataset.append(dims, int(threads_count), float(times[row]))
+                row += 1
         return dataset
 
     def gather_test_set(self, n_shapes: int, skip: int = 9973) -> List[Dict[str, int]]:

@@ -96,7 +96,6 @@ def fit_routine_installation(
     seed: int = 0,
     n_jobs: int | None = 1,
     parallel_backend: str = "process",
-    use_batch_timing: bool = True,
 ) -> RoutineInstallation:
     """Model-select and fit one routine from an already-gathered dataset.
 
@@ -117,7 +116,6 @@ def fit_routine_installation(
         seed=seed,
         n_jobs=n_jobs,
         parallel_backend=parallel_backend,
-        use_batch_timing=use_batch_timing,
     )
     best_model = report._fitted_models[report.best_model_name]  # type: ignore[attr-defined]
     pipeline = report._pipeline  # type: ignore[attr-defined]
@@ -147,7 +145,6 @@ def _install_one_routine(payload: dict) -> tuple[RoutineInstallation, int]:
     routine = payload["routine"]
     simulator = payload["simulator"]
     seed = payload["seed"]
-    use_batch_timing = payload["use_batch_timing"]
     evaluations_before = simulator.n_evaluations
     gatherer = DataGatherer(
         simulator=simulator,
@@ -161,7 +158,7 @@ def _install_one_routine(payload: dict) -> tuple[RoutineInstallation, int]:
         scrambled=payload["scrambled_sampling"],
         seed=seed,
     )
-    dataset = gatherer.gather(use_batch=use_batch_timing)
+    dataset = gatherer.gather()
     test_shapes = gatherer.gather_test_set(payload["n_test_shapes"])
 
     installation = fit_routine_installation(
@@ -176,7 +173,6 @@ def _install_one_routine(payload: dict) -> tuple[RoutineInstallation, int]:
         seed=seed,
         n_jobs=payload["candidate_n_jobs"],
         parallel_backend=payload["parallel_backend"],
-        use_batch_timing=use_batch_timing,
     )
     return installation, simulator.n_evaluations - evaluations_before
 
@@ -201,7 +197,6 @@ def install_adsala(
     simulator: TimingSimulator | None = None,
     n_jobs: int | None = None,
     parallel_backend: str = "process",
-    use_batch_timing: bool = True,
 ) -> InstallationBundle:
     """Install ADSALA for a set of routines on a (simulated) platform.
 
@@ -215,9 +210,7 @@ def install_adsala(
     is requested the fan-out happens per candidate model instead.  Every
     seed flows through the payloads explicitly, so the resulting bundle is
     bit-identical to the serial one — the only observable difference is
-    wall-clock time.  ``use_batch_timing=False`` selects the original
-    scalar simulator/per-shape evaluation paths (kept as the reference for
-    ``benchmarks/bench_install_scaling.py``).
+    wall-clock time.
 
     Returns
     -------
@@ -259,7 +252,6 @@ def install_adsala(
             "noise_level": noise_level,
             "seed": seed,
             "n_jobs": n_jobs,
-            "use_batch_timing": use_batch_timing,
         },
     )
 
@@ -289,7 +281,6 @@ def install_adsala(
             "sampling_scale": sampling_scale,
             "scrambled_sampling": scrambled_sampling,
             "seed": seed,
-            "use_batch_timing": use_batch_timing,
             "candidate_n_jobs": candidate_n_jobs,
             "parallel_backend": parallel_backend,
         }

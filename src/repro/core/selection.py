@@ -92,39 +92,20 @@ def _speedup_statistics(
     simulator: TimingSimulator,
     test_shapes: Sequence[Dict[str, int]],
     eval_time_seconds: float,
-    original_times: np.ndarray | None = None,
-    use_batch: bool = True,
+    original_times: np.ndarray,
 ) -> tuple[float, float, float, float]:
     """(ideal_mean, ideal_aggregate, estimated_mean, estimated_aggregate).
 
-    With ``use_batch`` (the default) the predictor chooses thread counts for
-    all held-out shapes in one model evaluation and the simulator times them
-    in one vectorised pass.  ``original_times`` carries the candidate-
-    independent max-thread baselines hoisted out of the per-candidate loop
-    by :func:`evaluate_candidates`; when ``None`` they are (re)computed
-    here.  ``use_batch=False`` keeps the original per-shape loop as the
-    reference path.
+    The predictor chooses thread counts for all held-out shapes in one
+    model evaluation and the simulator times them in one vectorised pass.
+    ``original_times`` carries the candidate-independent max-thread
+    baselines hoisted out of the per-candidate loop by
+    :func:`evaluate_candidates`.
     """
-    if use_batch:
-        test_shapes = list(test_shapes)
-        threads = predictor.predict_threads_batch(test_shapes)
-        chosen = simulator.time_batch(predictor.routine, test_shapes, threads)
-        if original_times is None:
-            original_times = simulator.time_at_max_threads_batch(
-                predictor.routine, test_shapes
-            )
-        original = np.asarray(original_times)
-    else:
-        original_list = []
-        chosen_list = []
-        for dims in test_shapes:
-            threads = predictor.predict_threads(dims, use_cache=False)
-            chosen_list.append(simulator.time(predictor.routine, dims, threads))
-            original_list.append(
-                simulator.time_at_max_threads(predictor.routine, dims)
-            )
-        original = np.asarray(original_list)
-        chosen = np.asarray(chosen_list)
+    test_shapes = list(test_shapes)
+    threads = predictor.predict_threads_batch(test_shapes)
+    chosen = simulator.time_batch(predictor.routine, test_shapes, threads)
+    original = np.asarray(original_times)
 
     ideal_ratios = original / chosen
     estimated_ratios = original / (chosen + eval_time_seconds)
@@ -157,7 +138,6 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     original_times = payload["original_times"]
     tune_hyperparameters = payload["tune_hyperparameters"]
     eval_time_mode = payload["eval_time_mode"]
-    use_batch_timing = payload["use_batch_timing"]
     evaluations_before = simulator.n_evaluations
     result = fit_candidate(name, X_train, y_train, tune=tune_hyperparameters)
     model = result.model
@@ -181,8 +161,7 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
         simulator,
         test_shapes,
         eval_time,
-        original_times=original_times,
-        use_batch=use_batch_timing,
+        original_times,
     )
     evaluation = CandidateEvaluation(
         model_name=name,
@@ -209,7 +188,6 @@ def evaluate_candidates(
     seed: int = 0,
     n_jobs: int | None = 1,
     parallel_backend: str = "process",
-    use_batch_timing: bool = True,
 ) -> SelectionReport:
     """Fit, evaluate and rank every candidate model for one routine.
 
@@ -242,9 +220,6 @@ def evaluate_candidates(
         the serial run for every value.
     parallel_backend:
         Backend for the candidate fan-out ("process", "thread" or "serial").
-    use_batch_timing:
-        Evaluate the speedup statistics through the vectorised batch
-        simulator/predictor path (default) or the original per-shape loop.
     """
     if eval_time_mode not in ("native", "measured"):
         raise ValueError("eval_time_mode must be 'native' or 'measured'")
@@ -272,11 +247,7 @@ def evaluate_candidates(
     # The max-thread baseline of every held-out shape is candidate-
     # independent: compute it once (one batch call) instead of once per
     # candidate inside the scoring loop.
-    original_times = (
-        simulator.time_at_max_threads_batch(dataset.routine, test_shapes)
-        if use_batch_timing
-        else None
-    )
+    original_times = simulator.time_at_max_threads_batch(dataset.routine, test_shapes)
 
     n_workers = min(resolve_n_jobs(n_jobs), len(candidate_names))
     pooled = n_workers > 1 and parallel_backend != "serial"
@@ -298,7 +269,6 @@ def evaluate_candidates(
             "original_times": original_times,
             "tune_hyperparameters": tune_hyperparameters,
             "eval_time_mode": eval_time_mode,
-            "use_batch_timing": use_batch_timing,
         }
         for name in candidate_names
     ]

@@ -31,19 +31,13 @@ __all__ = ["StatsCollector", "collect_serving_stats", "collect_adaptation"]
 
 
 def _set_counter(registry: MetricsRegistry, name: str, value, help_text: str, **labels):
-    if value is None:
-        return
-    registry.counter(name, help_text, tuple(sorted(labels))).labels(**labels).set_total(
-        float(value)
-    )
+    if value is not None:
+        registry.set_counter(name, float(value), help_text, **labels)
 
 
 def _set_gauge(registry: MetricsRegistry, name: str, value, help_text: str, **labels):
-    if value is None:
-        return
-    registry.gauge(name, help_text, tuple(sorted(labels))).labels(**labels).set(
-        float(value)
-    )
+    if value is not None:
+        registry.set_gauge(name, float(value), help_text, **labels)
 
 
 def _collect_routines(registry: MetricsRegistry, routines: Mapping[str, Mapping]) -> None:
@@ -215,7 +209,7 @@ def collect_serving_stats(registry: MetricsRegistry, stats: Mapping) -> None:
     )
     _set_gauge(
         registry, "adsala_pending", stats.get("pending"),
-        "Requests queued and not yet drained (summed across shards)",
+        "Requests enqueued on a shard and not yet resolved (summed across shards)",
     )
     _set_gauge(
         registry, "adsala_stats_wall_time_seconds", stats.get("wall_time"),

@@ -10,8 +10,12 @@ engine is the serving loop that feeds them.  ``AdsalaRuntime.plan()`` is
 this same path used as a micro-batch of one (the engine is the runtime's
 backend), so both of its timings come from one ``time_batch`` call:
 
-1. requests enter a queue (:meth:`ServingEngine.submit`),
-2. :meth:`ServingEngine.flush` drains the queue in micro-batches of at most
+1. requests are validated and normalised at intake (:meth:`ServingEngine.plan`
+   for one, :meth:`ServingEngine.plan_many` for a stream;
+   :meth:`ServingEngine.execute` takes requests a frontend already
+   normalised) — the engine holds no queue, every entry point answers
+   before it returns,
+2. :meth:`ServingEngine.execute` splits them into micro-batches of at most
    ``max_batch_size`` requests,
 3. each batch is routed through the :class:`~repro.serving.fallback.FallbackChain`
    and grouped by resolved routine,
@@ -29,14 +33,13 @@ The engine accepts either an in-memory
 Concurrency
 -----------
 The engine is safe to drive from multiple threads: every mutating entry
-point (``submit`` / ``flush`` / ``plan`` / ``plan_many`` / ``execute`` /
-``record_observation`` / ``reload_source``) and every stats reader
-serialises on one coarse engine lock, so batches, telemetry, the timing
-memo and the per-routine predictor LRU caches never interleave.  Request
-ids are allocated lock-free (an atomic counter), so ``submit`` callers
-contend only for the queue append itself.  One engine still processes one
-batch at a time — for CPU parallelism across requests, shard traffic over
-several engines with :class:`~repro.serving.frontend.ShardedFrontend`.
+point (``plan`` / ``plan_many`` / ``execute`` / ``record_observation`` /
+``reload_source``) and every stats reader serialises on one coarse engine
+lock, so batches, telemetry, the timing memo and the per-routine predictor
+LRU caches never interleave.  Request ids are allocated lock-free (an
+atomic counter).  One engine still processes one batch at a time — for
+CPU parallelism across requests, shard traffic over several engines with
+:class:`~repro.serving.frontend.ShardedFrontend`.
 """
 
 from __future__ import annotations
@@ -62,10 +65,10 @@ __all__ = ["PlanRequest", "ServingEngine", "normalize_request"]
 
 @dataclass(frozen=True)
 class PlanRequest:
-    """One queued plan request (dimensions already normalized).
+    """One plan request (dimensions already normalized).
 
     ``dims_key`` is the canonical hashable form of ``dims`` (sorted items),
-    computed once at submission and reused by every cache probe downstream.
+    computed once at intake and reused by every cache probe downstream.
     ``deadline`` is an optional absolute :func:`time.monotonic` instant —
     the drain loop sheds a request whose deadline already passed instead of
     spending a micro-batch slot on an answer nobody is waiting for.  The
@@ -88,7 +91,7 @@ def normalize_request(
 ) -> PlanRequest:
     """Validate and normalize one request into a :class:`PlanRequest`.
 
-    Shared by :meth:`ServingEngine.submit` (engine-local ids) and the
+    Shared by the engine's own intake (engine-local ids) and the
     sharded frontend (globally allocated ids): bad routines or dimensions
     raise here, at intake, never mid-batch.
     """
@@ -104,7 +107,7 @@ def normalize_request(
 
 
 class ServingEngine:
-    """Queue + micro-batch + fallback + telemetry around a bundle.
+    """Micro-batch + fallback + telemetry around a bundle.
 
     Safe for concurrent use: all mutating methods and stats readers hold a
     coarse per-engine :class:`threading.RLock`; request ids come from an
@@ -157,7 +160,6 @@ class ServingEngine:
         self._timing_cache: "OrderedDict[tuple, float]" = OrderedDict()
         self.n_timing_hits = 0
         self.n_timing_misses = 0
-        self._queue: List[PlanRequest] = []
         self.n_rejected_unknown = 0
         # CPython guarantees next() on one iterator is atomic, so request-id
         # allocation never touches the engine lock.
@@ -182,13 +184,9 @@ class ServingEngine:
     def simulator(self):
         return self.source.simulator
 
-    @property
-    def n_pending(self) -> int:
-        return len(self._queue)
-
     # -- request intake -------------------------------------------------------------
     def _make_request(self, routine: str, dims: Dict[str, int]) -> PlanRequest:
-        """Validate and normalize one request (shared by submit and plan).
+        """Validate and normalize one request (shared by plan and plan_many).
 
         An unknown routine key raises the catalog's structured
         :class:`~repro.routines.catalog.UnknownRoutineError` (naming every
@@ -202,53 +200,24 @@ class ServingEngine:
                 self.n_rejected_unknown += 1
             raise
 
-    def submit(self, routine: str, **dims: int) -> int:
-        """Queue one plan request; returns its request id.
-
-        Dimensions are validated and normalized immediately (bad requests
-        fail at submission, not mid-batch).
-        """
-        request = self._make_request(routine, dims)
-        with self._lock:
-            self._queue.append(request)
-        return request.request_id
-
-    def flush(self) -> List[ExecutionPlan]:
-        """Answer every queued request; plans come back in submission order.
-
-        The lock is taken per micro-batch, so concurrent ``submit`` calls
-        interleave with a long drain instead of stalling behind it; each
-        dequeued request is answered exactly once whichever flusher drains
-        it.
-        """
-        plans: List[ExecutionPlan] = []
-        while True:
-            with self._lock:
-                if not self._queue:
-                    break
-                batch = self._queue[: self.max_batch_size]
-                del self._queue[: len(batch)]
-                plans.extend(self._process_batch(batch))
-        return plans
-
     def plan(self, routine: str, use_cache: Optional[bool] = None, **dims: int) -> ExecutionPlan:
         """Plan a single call through the batch path (micro-batch of one).
 
-        Independent of the :meth:`submit` queue: pending requests stay
-        queued for the next :meth:`flush` and are unaffected by a
-        ``use_cache`` override, which applies to this call only.
+        A ``use_cache`` override applies to this call only.
         """
         request = self._make_request(routine, dims)
         with self._lock:
             return self._process_batch([request], use_cache=use_cache)[0]
 
     def execute(self, requests: Sequence[PlanRequest]) -> List[ExecutionPlan]:
-        """Answer pre-validated requests, bypassing the queue.
+        """Answer pre-validated requests.
 
         Splits into micro-batches of at most ``max_batch_size`` and returns
-        plans in request order (one per request, loudly enforced).  This is
-        the sharded frontend's entry point: requests carry globally
-        allocated ids, so they must not pass through :meth:`submit`.
+        plans in request order (one per request, loudly enforced).  The
+        lock is taken per micro-batch, so concurrent callers interleave
+        with a long stream instead of stalling behind it.  This is the
+        shards' entry point: their requests carry ids the frontend
+        allocated globally.
         """
         plans: List[ExecutionPlan] = []
         for start in range(0, len(requests), self.max_batch_size):
@@ -261,10 +230,14 @@ class ServingEngine:
     def plan_many(
         self, requests: Iterable[Tuple[str, Dict[str, int]]]
     ) -> List[ExecutionPlan]:
-        """Submit ``(routine, dims)`` pairs and flush; a convenience wrapper."""
-        for routine, dims in requests:
-            self.submit(routine, **dims)
-        return self.flush()
+        """Plan ``(routine, dims)`` pairs; plans come back in request order.
+
+        Every pair is validated and normalised before the first micro-batch
+        runs, so a bad request raises without planning its predecessors.
+        """
+        return self.execute(
+            [self._make_request(routine, dims) for routine, dims in requests]
+        )
 
     # -- batch processing ------------------------------------------------------------
     def _timed_rows(
@@ -510,7 +483,7 @@ class ServingEngine:
             }
 
     def stats(self) -> Dict[str, object]:
-        """Telemetry snapshot plus queue/cache counters (JSON-serialisable).
+        """Telemetry snapshot plus cache counters (JSON-serialisable).
 
         Stamped with ``wall_time`` (orders snapshots across processes and
         machines) and ``monotonic_time`` (orders them within this process,
@@ -519,7 +492,6 @@ class ServingEngine:
         """
         with self._lock:
             snapshot = self.telemetry.snapshot()
-            snapshot["pending"] = self.n_pending
             snapshot["batch_size_limit"] = self.max_batch_size
             snapshot["fallback_chain"] = self.fallback.describe()
             snapshot["rejected_unknown_routine"] = self.n_rejected_unknown

@@ -9,18 +9,26 @@ several engines side by side.  :class:`ShardedFrontend` is that layer:
   ``hash``), so a given problem shape always lands on the same engine and
   that engine's per-routine prediction LRU and timing memo stay hot for
   it.  The same stream routes identically in every process and run.
-* **Waitable submission** — :meth:`submit` validates the request, admits it
-  against a bounded global in-flight budget and returns a
-  :class:`PlanFuture` (a :class:`concurrent.futures.Future` carrying the
-  request id); :meth:`plan` is the blocking convenience.  Each shard's
-  worker thread coalesces queued submissions into micro-batches.
+* **One route from request to plan** — :meth:`submit` validates the
+  request, admits it against a bounded global in-flight budget, enqueues
+  it on its shard's inbox and returns a :class:`PlanFuture` (a
+  :class:`concurrent.futures.Future` carrying the request id).
+  :meth:`plan` is submit-and-wait for one request and :meth:`plan_many`
+  is submit-all-then-collect for a stream: there is no second,
+  synchronous path around the inboxes, so every request meets the same
+  drain loop, deadline check and supervised recovery.  Each shard's worker
+  thread coalesces queued submissions into micro-batches.
 * **Admission control** — at most ``max_pending`` requests may be in
-  flight at once.  ``backpressure="block"`` makes :meth:`submit` wait for
-  a slot (bounded memory, lossless); ``backpressure="reject"`` raises
+  flight at once, :meth:`plan_many` streams included.
+  ``backpressure="block"`` makes :meth:`submit` wait for a slot (bounded
+  memory, lossless); ``backpressure="reject"`` raises
   :class:`QueueFullError` immediately and counts the shed request in the
-  merged stats, for callers that prefer to degrade.
+  merged stats, for callers that prefer to degrade.  :meth:`plan_many`
+  always waits — a stream is never shed half-way.
 * **Merged observability** — :meth:`stats`, :meth:`cache_statistics` and
-  :meth:`reinstall_candidates` aggregate every shard into one snapshot.
+  :meth:`reinstall_candidates` aggregate every shard into one snapshot,
+  all three derived from the one ``stats()`` call each shard backend
+  implements.
 
 Determinism: predictor models and the timing simulator are pure functions
 of the request, so the *plans* a sharded run produces are identical —
@@ -53,7 +61,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import ExecutionPlan
 from repro.obs.metrics import BucketHistogram
-from repro.parallel import map_parallel
 from repro.routines.catalog import UnknownRoutineError
 from repro.serving.engine import PlanRequest, ServingEngine, normalize_request
 from repro.serving.procshard import ProcessShard, export_source_spec
@@ -133,11 +140,12 @@ class ShardedFrontend:
         (a handle's directory, or its own unpickled copy of the bundle),
         so passing the same object N times is the expected shape.
     max_pending:
-        Global bound on in-flight :meth:`submit` requests (admission
-        control).
+        Global bound on in-flight requests — :meth:`submit`, :meth:`plan`
+        and :meth:`plan_many` alike (admission control).
     backpressure:
         ``"block"`` (default) or ``"reject"`` — what :meth:`submit` does
-        when ``max_pending`` requests are already in flight.
+        when ``max_pending`` requests are already in flight
+        (:meth:`plan_many` always waits).
     max_batch_size / use_cache / timing_cache_capacity:
         Forwarded to each shard's :class:`ServingEngine` (ignored for
         pre-built engines).
@@ -376,9 +384,20 @@ class ShardedFrontend:
             raise ValueError("timeout must be positive")
         return time.monotonic() + timeout
 
-    def _admit(self) -> None:
-        if self.backpressure == "block":
-            self._slots.acquire()
+    def _admit(self, request: PlanRequest, wait: bool) -> None:
+        """Take one admission slot, waiting for it (at most until the
+        request's deadline) or shedding the request when none is free."""
+        if wait:
+            remaining = (
+                None
+                if request.deadline is None
+                else max(0.0, request.deadline - time.monotonic())
+            )
+            if not self._slots.acquire(timeout=remaining):
+                raise DeadlineExceededError(
+                    f"request {request.request_id} missed its deadline "
+                    f"waiting for one of {self.max_pending} admission slots"
+                )
             return
         if not self._slots.acquire(blocking=False):
             with self._counters_lock:
@@ -393,32 +412,21 @@ class ShardedFrontend:
         with self._counters_lock:
             self.n_completed += 1
 
-    def submit(
-        self, routine: str, timeout: Optional[float] = None, **dims: int
-    ) -> PlanFuture:
-        """Route one request to its shard; returns a waitable future.
-
-        Validation happens first (bad requests raise ``ValueError`` without
-        consuming an admission slot), then admission control, then the
-        enqueue.  The slot is released when the future resolves — whether
-        with a plan or an error.
-
-        ``timeout`` (seconds) stamps an end-to-end deadline on the request:
-        if it is still queued when the deadline passes, the drain loop
-        sheds it and the future raises
-        :class:`~repro.serving.shard.DeadlineExceededError` naming the
-        request and shard.
-        """
+    def _normalize(
+        self, routine: str, dims: Dict[str, int], deadline: Optional[float]
+    ) -> PlanRequest:
         try:
-            request = normalize_request(
-                routine, dims, next(self._request_ids),
-                deadline=self._deadline_from(timeout),
+            return normalize_request(
+                routine, dims, next(self._request_ids), deadline=deadline
             )
         except UnknownRoutineError:
             with self._counters_lock:
                 self.n_rejected_unknown += 1
             raise
-        self._admit()
+
+    def _enqueue(self, request: PlanRequest, wait: bool) -> PlanFuture:
+        """Admit, route and enqueue one normalised request."""
+        self._admit(request, wait)
         with self._lifecycle_lock:
             if self._closed:
                 self._slots.release()  # the admission slot, no future to free it
@@ -436,6 +444,26 @@ class ShardedFrontend:
             shard.enqueue(request, future)
         return future
 
+    def submit(
+        self, routine: str, timeout: Optional[float] = None, **dims: int
+    ) -> PlanFuture:
+        """Route one request to its shard; returns a waitable future.
+
+        Validation happens first (bad requests raise ``ValueError`` without
+        consuming an admission slot), then admission control, then the
+        enqueue.  The slot is released when the future resolves — whether
+        with a plan or an error.
+
+        ``timeout`` (seconds) stamps an end-to-end deadline on the request:
+        if it is still queued when the deadline passes, the drain loop
+        sheds it and the future raises
+        :class:`~repro.serving.shard.DeadlineExceededError` naming the
+        request and shard; under ``backpressure="block"`` the wait for an
+        admission slot ends at the same deadline.
+        """
+        request = self._normalize(routine, dims, self._deadline_from(timeout))
+        return self._enqueue(request, wait=self.backpressure == "block")
+
     def plan(
         self, routine: str, timeout: Optional[float] = None, **dims: int
     ) -> ExecutionPlan:
@@ -450,57 +478,33 @@ class ShardedFrontend:
         requests: Iterable[Tuple[str, Dict[str, int]]],
         timeout: Optional[float] = None,
     ) -> List[ExecutionPlan]:
-        """Answer a whole stream synchronously; plans in request order.
+        """Answer a whole stream; plans come back in request order.
 
-        The bulk path: requests are routed into per-shard batches up front
-        and the shards drain **in parallel** on a thread pool
-        (:func:`repro.parallel.map_parallel`, thread backend — one worker
-        per non-empty shard).  Bypasses the admission queue (the batch
-        itself bounds memory) and is safe to run alongside concurrent
-        :meth:`submit` traffic: the engines' locks serialise per shard.
+        Every request is validated first, then submitted through the same
+        admission → route → inbox path as :meth:`submit` and the futures
+        are collected in order, so the stream gets the shards' micro-
+        batching, deadline shedding and supervised recovery, and counts
+        against ``max_pending`` like any other traffic.  A stream is never
+        shed: whatever the ``backpressure`` mode, each request waits for
+        its admission slot, so a stream longer than ``max_pending``
+        completes as the shards free slots.
 
-        ``timeout`` is one end-to-end deadline for the whole stream: a
-        chunk that has not started executing when it expires raises
-        :class:`~repro.serving.shard.DeadlineExceededError`.
+        ``timeout`` is one end-to-end deadline for the whole stream: the
+        first request still unanswered when it expires raises
+        :class:`~repro.serving.shard.DeadlineExceededError` naming the
+        request and its shard, and the drain loops shed the rest.
         """
         deadline = self._deadline_from(timeout)
         made = [
-            normalize_request(
-                routine, dims, next(self._request_ids), deadline=deadline
-            )
-            for routine, dims in requests
+            self._normalize(routine, dims, deadline) for routine, dims in requests
         ]
-        per_shard: List[List[Tuple[int, PlanRequest]]] = [
-            [] for _ in self.shards
-        ]
-        for slot, request in enumerate(made):
-            primary = shard_index(
-                request.routine, request.dims_key, len(self.shards)
+        futures = [self._enqueue(request, wait=True) for request in made]
+        return [
+            future.result(
+                None if deadline is None else max(0.0, deadline - time.monotonic())
             )
-            if self.supervisor is not None:
-                primary = self.supervisor.resolve_request(request, primary)
-            per_shard[primary].append((slot, request))
-        work = [
-            (shard, assigned)
-            for shard, assigned in zip(self.shards, per_shard)
-            if assigned
+            for future in futures
         ]
-
-        def drain(item: Tuple[ShardBase, List[Tuple[int, PlanRequest]]]):
-            shard, assigned = item
-            plans = shard.execute(
-                [request for _, request in assigned], deadline=deadline
-            )
-            return [(slot, plan) for (slot, _), plan in zip(assigned, plans)]
-
-        chunks = map_parallel(
-            drain, work, n_jobs=max(1, len(work)), backend="thread"
-        )
-        plans: List[Optional[ExecutionPlan]] = [None] * len(made)
-        for chunk in chunks:
-            for slot, plan in chunk:
-                plans[slot] = plan
-        return plans  # type: ignore[return-value]
 
     def record_observation(self, plan: ExecutionPlan, observed_time: float) -> None:
         """Feed one executed call's runtime to the shard that planned it.
@@ -520,7 +524,7 @@ class ShardedFrontend:
         """Union of every shard's drift flags (sorted)."""
         flagged = set()
         for shard in self.shards:
-            flagged.update(shard.reinstall_candidates())
+            flagged.update(shard.stats()["reinstall_candidates"])
         return sorted(flagged)
 
     @staticmethod
@@ -557,13 +561,16 @@ class ShardedFrontend:
     def cache_statistics(self) -> Dict[str, object]:
         """Shard cache counters merged into one single-engine-shaped snapshot."""
         return self._merge_cache(
-            [shard.cache_statistics() for shard in self.shards]
+            [shard.stats()["cache"] for shard in self.shards]
         )
 
     def stats(self) -> Dict[str, object]:
         """One merged, JSON-serialisable snapshot across every shard.
 
-        Counters sum (including ``pending``); ``mean_batch_size`` and
+        Counters sum; ``pending`` is the requests enqueued on a shard and
+        not yet resolved (inbox depth plus in-flight batch sizes, summed
+        over the same ``per_shard`` rows it is reported in);
+        ``mean_batch_size`` and
         per-routine error statistics are weighted by each shard's
         contribution (quantile merges are therefore approximate — exact
         per-shard values ride along under ``"per_shard"``) while
@@ -586,7 +593,6 @@ class ShardedFrontend:
             for snapshot in shard_snapshots
         )
         batches = sum(snapshot["batches"] for snapshot in shard_snapshots)
-        pending = sum(snapshot.get("pending", 0) for snapshot in shard_snapshots)
         max_batch_size = max(
             (snapshot.get("max_batch_size", 0) for snapshot in shard_snapshots),
             default=0,
@@ -665,6 +671,7 @@ class ShardedFrontend:
         flagged = set()
         for snapshot in shard_snapshots:
             flagged.update(snapshot["reinstall_candidates"])
+        per_shard = [shard.describe() for shard in self.shards]
         supervision = (
             self.supervisor.snapshot() if self.supervisor is not None else None
         )
@@ -676,11 +683,11 @@ class ShardedFrontend:
             "batches": batches,
             "mean_batch_size": requests / batches if batches else 0.0,
             "max_batch_size": max_batch_size,
-            "pending": pending,
+            "pending": sum(entry["pending"] for entry in per_shard),
             "batch_size_limit": shard_snapshots[0].get("batch_size_limit"),
             "wall_time": time.time(),
             "monotonic_time": time.monotonic(),
-            "fallback_chain": self.shards[0].fallback_describe(),
+            "fallback_chain": shard_snapshots[0]["fallback_chain"],
             "rejected_unknown_routine": rejected_unknown,
             "reinstall_candidates": sorted(flagged),
             "routines": routines,
@@ -688,5 +695,5 @@ class ShardedFrontend:
             "cache": self._merge_cache(
                 [snapshot["cache"] for snapshot in shard_snapshots]
             ),
-            "per_shard": [shard.describe() for shard in self.shards],
+            "per_shard": per_shard,
         }

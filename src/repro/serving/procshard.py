@@ -26,6 +26,12 @@ shard's engine into a worker **process**:
   (routine/dims/threads/times/policy) to the thread backend and to a
   sequential single-engine replay by construction; only ``from_cache``
   flags may differ because each worker warms its own LRU.
+* **One statistics frame** — the parent asks a worker for exactly one
+  thing, its engine's ``stats()`` snapshot (a ``KIND_STATS`` frame out,
+  one JSON frame back); the frontend derives the cache block, the drift
+  flags and the fallback chain from it.  ``stop()`` captures that
+  snapshot once before the STOP frame, and a shard with no live worker
+  answers an empty snapshot of the same schema.
 * **One native build** — :func:`export_source_spec` calls
   :func:`repro.ml._native.library_path` before the first spawn, so the
   fused kernel is compiled once in the parent and every worker finds the
@@ -42,7 +48,6 @@ from __future__ import annotations
 import json
 import signal
 import threading
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -53,10 +58,8 @@ from repro.core.runtime import ExecutionPlan
 from repro.ml import _native
 from repro.parallel import worker_context
 from repro.serving.engine import PlanRequest, ServingEngine
-from repro.serving.fallback import default_serving_chain
 from repro.serving.registry import BundleHandle
 from repro.serving.shard import ShardBase, ShardFailure, build_engine
-from repro.serving.telemetry import EngineTelemetry
 
 __all__ = [
     "FrameCorruptionError",
@@ -94,12 +97,6 @@ KIND_STATS = 4
 KIND_JSON = 5
 KIND_OBSERVE = 6
 KIND_STOP = 7
-
-#: Stats opcodes (payload of a KIND_STATS frame).
-STATS_SNAPSHOT = 0
-STATS_CACHE = 1
-STATS_REINSTALL = 2
-STATS_FALLBACK = 3
 
 _I8 = np.dtype("<i8")
 _F8 = np.dtype("<f8")
@@ -424,20 +421,8 @@ def _worker_main(conn, spec: dict) -> None:
                     plans = engine.execute(requests)
                     conn.send_bytes(encode_plans(plans))
                 elif kind == KIND_STATS:
-                    (opcode,) = np.frombuffer(payload, dtype=_I8, count=1)
-                    if opcode == STATS_SNAPSHOT:
-                        result = engine.stats()
-                    elif opcode == STATS_CACHE:
-                        result = engine.cache_statistics()
-                    elif opcode == STATS_REINSTALL:
-                        result = engine.reinstall_candidates()
-                    elif opcode == STATS_FALLBACK:
-                        result = engine.fallback.describe()
-                    else:
-                        raise ValueError(f"unknown stats opcode {int(opcode)}")
-                    conn.send_bytes(
-                        _frame(KIND_JSON, 0, json.dumps(result).encode("utf-8"))
-                    )
+                    snapshot = json.dumps(engine.stats()).encode("utf-8")
+                    conn.send_bytes(_frame(KIND_JSON, 0, snapshot))
                 else:
                     raise ValueError(f"unknown frame kind {kind}")
             except BaseException as exc:
@@ -456,7 +441,7 @@ class ProcessShard(ShardBase):
     """One engine in a worker process, spoken to over framed pipe messages.
 
     The worker is launched lazily on first use (spawn start method by
-    default).  ``stop()`` captures the worker's final statistics snapshots
+    default).  ``stop()`` captures the worker's final statistics snapshot
     *before* sending the STOP frame — so :meth:`stats` keeps answering
     after close, matching the thread backend where engines outlive their
     shards — then joins the worker.  A worker that dies mid-batch surfaces a
@@ -478,8 +463,8 @@ class ProcessShard(ShardBase):
         self._ctx = worker_context(start_method)
         self._proc = None
         self._conn = None
-        # Serialises pipe round-trips: the drain worker, bulk execute()
-        # callers and stats readers share one duplex pipe.
+        # Serialises pipe round-trips: the drain worker and stats readers
+        # share one duplex pipe.
         self._pipe_lock = threading.Lock()
         self._dead = False
         self._closed = False
@@ -628,7 +613,10 @@ class ProcessShard(ShardBase):
         process = self._proc
         if process is not None:
             if not self._dead:
-                self._final = self._capture_final()
+                try:
+                    self._final = self.stats()
+                except RuntimeError:
+                    self._final = self._empty_stats()
                 with self._pipe_lock:
                     try:
                         self._conn.send_bytes(_frame(KIND_STOP, 0))
@@ -653,96 +641,36 @@ class ProcessShard(ShardBase):
             self._proc = None
             self._conn = None
 
-    def _capture_final(self) -> dict:
-        """Best-effort final statistics snapshot before the worker exits."""
-        final: dict = {}
-        queries = (
-            ("stats", STATS_SNAPSHOT),
-            ("cache", STATS_CACHE),
-            ("reinstall", STATS_REINSTALL),
-            ("fallback", STATS_FALLBACK),
-        )
-        try:
-            with self._pipe_lock:
-                for name, opcode in queries:
-                    _, _, payload = self._roundtrip(
-                        _frame(KIND_STATS, 1, np.array([opcode], dtype=_I8).tobytes()),
-                        "capturing final statistics",
-                    )
-                    final[name] = json.loads(payload.decode("utf-8"))
-        except RuntimeError:
-            return self._empty_final()
-        return final
-
     # -- statistics interface ------------------------------------------------------
-    def _empty_engine_stats(self) -> dict:
-        return {
-            "requests": 0,
-            "batches": 0,
-            "mean_batch_size": 0.0,
-            "max_batch_size": 0.0,
-            "drift_threshold": self._spec["engine"]["drift_threshold"]
-            or EngineTelemetry().drift_threshold,
-            "reinstall_candidates": [],
-            "routines": {},
-            "pending": 0,
-            "batch_size_limit": self.max_batch_size,
-            "fallback_chain": default_serving_chain().describe(),
-            "cache": self._empty_cache_stats(),
-            # Same timestamp keys the live engine stamps, so merged
-            # snapshots stay orderable even while a worker is down.
-            "wall_time": time.time(),
-            "monotonic_time": time.monotonic(),
-        }
-
-    def _empty_cache_stats(self) -> dict:
-        return {
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "model_evaluations": 0,
-            "routines": {},
-            "timing": {
-                "hits": 0,
-                "misses": 0,
-                "size": 0,
-                "capacity": self._spec["engine"]["timing_cache_capacity"],
-            },
-        }
-
-    def _empty_final(self) -> dict:
-        return {
-            "stats": self._empty_engine_stats(),
-            "cache": self._empty_cache_stats(),
-            "reinstall": [],
-            "fallback": default_serving_chain().describe(),
-        }
-
-    def _query(self, name: str, opcode: int):
-        """Live stats query, or the cached/empty snapshot when no worker."""
-        if self._final is not None:
-            return self._final[name]
-        with self._pipe_lock:
-            if self._final is not None:  # stop() raced us
-                return self._final[name]
-            if self._proc is None or self._dead:
-                return self._empty_final()[name]
-            _, _, payload = self._roundtrip(
-                _frame(KIND_STATS, 1, np.array([opcode], dtype=_I8).tobytes()),
-                "answering a statistics query",
-            )
-            return json.loads(payload.decode("utf-8"))
-
     def stats(self) -> Dict[str, object]:
-        return self._query("stats", STATS_SNAPSHOT)
+        """The worker engine's ``stats()``: one frame out, one JSON frame back.
 
-    def cache_statistics(self) -> Dict[str, object]:
-        return self._query("cache", STATS_CACHE)
+        A stopped shard keeps answering with the snapshot captured at
+        ``stop()``; one whose worker never started, or died — including
+        under this very query, which then leaves the restart to the drain
+        loop's next batch — with an empty snapshot of the same schema.
+        """
+        with self._pipe_lock:
+            if self._final is not None:
+                return self._final
+            if self._proc is None or self._dead:
+                return self._empty_stats()
+            try:
+                _, _, payload = self._roundtrip(
+                    _frame(KIND_STATS, 0), "answering a statistics query"
+                )
+            except ShardFailure:
+                return self._empty_stats()
+        return json.loads(payload.decode("utf-8"))
 
-    def reinstall_candidates(self) -> List[str]:
-        return self._query("reinstall", STATS_REINSTALL)
+    def _empty_stats(self) -> dict:
+        """What a fresh engine's ``stats()`` reads, for a shard with no worker.
 
-    def fallback_describe(self) -> str:
-        return self._query("fallback", STATS_FALLBACK)
+        Read off a real engine built from the worker's own settings, so the
+        schema cannot drift from the live one; an engine that has planned
+        nothing never touches its source, hence ``None``.
+        """
+        return build_engine(None, **self._spec["engine"]).stats()
 
     def record_observation(self, plan: ExecutionPlan, observed_time: float) -> None:
         with self._pipe_lock:
@@ -753,10 +681,6 @@ class ProcessShard(ShardBase):
                 self._conn.send_bytes(encode_observation(plan, observed_time))
             except (BrokenPipeError, OSError) as exc:
                 self._raise_dead("recording an observation", exc)
-
-    @property
-    def n_pending(self) -> int:
-        return 0  # the worker executes synchronously; nothing queues in it
 
     @property
     def worker_pid(self) -> Optional[int]:

@@ -4,9 +4,11 @@ A shard owns an inbox of ``(request, future)`` pairs and a worker thread
 that blocks on it, opportunistically coalesces whatever else is already
 queued into one micro-batch (up to the shard's ``max_batch_size``) and
 answers the batch through the shard's execution backend — so a burst of
-concurrent submissions is amortised exactly like the single-engine queue
-drain, while a lone request is answered immediately instead of waiting for
-peers.
+concurrent submissions is amortised into the micro-batches one engine
+would cut from the same stream, while a lone request is answered
+immediately instead of waiting for peers.  The inbox is the only way in:
+``submit``, ``plan`` and ``plan_many`` on the frontend all enqueue here, so
+one drain loop, one deadline check and one recovery path serve them all.
 
 Two backends implement the interface:
 
@@ -127,8 +129,8 @@ class ShardBase:
     """Inbox, drain worker and lifecycle shared by every shard backend.
 
     Subclasses provide :meth:`_execute_batch` (answer a list of requests
-    with a list of plans), the :attr:`max_batch_size` coalescing bound, the
-    statistics accessors, and optionally :meth:`_on_start` /
+    with a list of plans), the :attr:`max_batch_size` coalescing bound,
+    :meth:`stats`, :meth:`record_observation`, and optionally :meth:`_on_start` /
     :meth:`_on_stop` lifecycle hooks.  The worker is started lazily by
     :meth:`start` (the frontend does this on first use) and stopped by
     :meth:`stop`, which processes every request already enqueued before
@@ -241,39 +243,6 @@ class ShardBase:
         """Put a harvested/failed batch back on the inbox for redispatch."""
         for item in batch:
             self._inbox.put(item)
-
-    def execute(
-        self,
-        requests: Sequence[PlanRequest],
-        deadline: Optional[float] = None,
-    ) -> List[ExecutionPlan]:
-        """Synchronous bulk path: answer ``requests`` on the caller's thread.
-
-        Bypasses the inbox entirely; safe to run concurrently with the
-        worker because the backend serialises batches itself (the engine
-        lock in-process, the pipe lock for a worker process).  When a
-        supervisor is attached, failed micro-batches are retried through
-        its restart/quarantine machinery instead of raising.  ``deadline``
-        (absolute monotonic time) bounds the whole drain: micro-batches
-        not yet dispatched when it passes raise
-        :class:`DeadlineExceededError`.
-        """
-        plans: List[ExecutionPlan] = []
-        limit = self.max_batch_size
-        supervisor = self.supervisor
-        for start in range(0, len(requests), limit):
-            chunk = requests[start : start + limit]
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceededError(
-                    f"request {chunk[0].request_id} missed its deadline before "
-                    f"execution on shard {self.index} "
-                    f"({len(requests) - start} of {len(requests)} still queued)"
-                )
-            if supervisor is not None:
-                plans.extend(supervisor.execute_batch(self, chunk, deadline=deadline))
-            else:
-                plans.extend(self._dispatch(chunk))
-        return plans
 
     # -- worker --------------------------------------------------------------------
     def _drain_loop(self, generation: int) -> None:
@@ -407,26 +376,33 @@ class ShardBase:
             supervisor.on_batch_success(self)
 
     # -- statistics interface ------------------------------------------------------
-    # The frontend merges these without ever touching a backend's engine
-    # object (a process shard has none in the parent).
     def stats(self) -> Dict[str, object]:
-        raise NotImplementedError
+        """The engine's ``stats()`` snapshot, from wherever the engine runs.
 
-    def cache_statistics(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    def reinstall_candidates(self) -> List[str]:
+        The one statistics call a backend implements: the frontend derives
+        the cache block, the drift flags and the fallback chain from it
+        without ever touching an engine object (a process shard has none
+        in the parent).
+        """
         raise NotImplementedError
 
     def record_observation(self, plan: ExecutionPlan, observed_time: float) -> None:
         raise NotImplementedError
 
-    def fallback_describe(self) -> str:
-        raise NotImplementedError
-
     @property
-    def n_pending(self) -> int:
-        raise NotImplementedError
+    def pending(self) -> int:
+        """Requests enqueued here and not yet resolved.
+
+        Inbox depth plus the sizes of the batches in flight.  A batch the
+        drain worker is coalescing, or one between a failure and its
+        requeue, is momentarily in neither, so a snapshot under live
+        traffic may read low by that one batch.
+        """
+        with self._inflight_lock:
+            in_flight = sum(
+                len(batch) for _, batch in self._inflight.values() if batch
+            )
+        return self._inbox.qsize() + in_flight
 
     @property
     def worker_pid(self) -> int:
@@ -442,7 +418,7 @@ class ShardBase:
             "running": self.running,
             "batches_drained": self.n_batches_drained,
             "requests_drained": self.n_requests_drained,
-            "pending": self.n_pending,
+            "pending": self.pending,
             "deadline_expired": self.n_deadline_expired,
             "duplicate_answers": self.n_duplicate_answers,
         }
@@ -451,8 +427,8 @@ class ShardBase:
 class EngineShard(ShardBase):
     """Thread-backed shard: the engine executes in the serving process.
 
-    Batches run on the drain thread (or the caller's thread for the bulk
-    path) under the engine's own lock; the ``engine`` attribute stays
+    Batches run on the drain thread under the engine's own lock; the
+    ``engine`` attribute stays
     public for in-process telemetry and cache inspection.
 
     ``engine_factory`` (optional) builds a replacement engine for
@@ -491,21 +467,8 @@ class EngineShard(ShardBase):
     def stats(self) -> Dict[str, object]:
         return self.engine.stats()
 
-    def cache_statistics(self) -> Dict[str, object]:
-        return self.engine.cache_statistics()
-
-    def reinstall_candidates(self) -> List[str]:
-        return self.engine.reinstall_candidates()
-
     def record_observation(self, plan: ExecutionPlan, observed_time: float) -> None:
         self.engine.record_observation(plan, observed_time)
-
-    def fallback_describe(self) -> str:
-        return self.engine.fallback.describe()
-
-    @property
-    def n_pending(self) -> int:
-        return self.engine.n_pending
 
     @property
     def worker_pid(self) -> int:

@@ -33,6 +33,10 @@ owned goes dark.  The :class:`ShardSupervisor` closes that gap:
   ``stats()``.  With no survivors left, affected requests fail loudly
   with :class:`NoHealthyShardError` — nothing ever hangs.
 
+There is one recovery path: every request reaches a shard through its
+inbox (``submit``, ``plan`` and ``plan_many`` alike), so every failure
+arrives here from a drain loop via :meth:`ShardSupervisor.on_batch_failure`.
+
 The supervisor is attached (or not) by the
 :class:`~repro.serving.frontend.ShardedFrontend`; shards without one
 behave exactly as before — failures surface on the affected futures.
@@ -49,12 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.engine import PlanRequest
-from repro.serving.shard import (
-    DeadlineExceededError,
-    ShardBase,
-    ShardFailure,
-    shard_index,
-)
+from repro.serving.shard import ShardBase, ShardFailure, shard_index
 from repro.serving.telemetry import FaultTelemetry
 
 __all__ = ["NoHealthyShardError", "RestartPolicy", "ShardSupervisor"]
@@ -117,8 +116,8 @@ class ShardSupervisor:
     optional fault injector) into every shard; :meth:`start` spawns the
     liveness monitor.  All mutable per-shard state lives in
     :class:`~repro.serving.telemetry.FaultTelemetry` records guarded by one
-    supervisor lock — the drain threads, bulk callers and the monitor all
-    report through it.
+    supervisor lock — the drain threads and the monitor both report
+    through it.
     """
 
     def __init__(
@@ -259,7 +258,7 @@ class ShardSupervisor:
         batch: List[Tuple[PlanRequest, object]],
         exc: ShardFailure,
     ) -> None:
-        """Drain-loop path: restart and requeue, or reroute on quarantine.
+        """The one recovery path: restart and requeue, or reroute on quarantine.
 
         The futures are *not* failed — they ride back onto an inbox and
         resolve when a healthy worker answers them.  Only with every shard
@@ -294,59 +293,6 @@ class ShardSupervisor:
             target = self.shards[target_index]
             target.start()
             target.enqueue(request, future)
-
-    def execute_batch(
-        self,
-        shard: ShardBase,
-        requests: Sequence[PlanRequest],
-        deadline: Optional[float] = None,
-    ) -> List:
-        """Bulk path: one micro-batch with restart/quarantine recovery.
-
-        Loops dispatch → recover until the batch is answered, the deadline
-        passes, or the shard quarantines (then the requests re-split over
-        the survivors and drain through *their* supervised bulk paths).
-        """
-        requests = list(requests)
-        while True:
-            state = self._states[shard.index]
-            if state.quarantined:
-                return self._execute_rerouted(shard, requests, deadline)
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceededError(
-                    f"request {requests[0].request_id} missed its deadline "
-                    f"during failure recovery on shard {shard.index}"
-                )
-            try:
-                plans = shard._dispatch(requests)
-            except ShardFailure as exc:
-                self._recover(shard, exc)
-                continue
-            self.on_batch_success(shard)
-            return plans
-
-    def _execute_rerouted(
-        self,
-        shard: ShardBase,
-        requests: Sequence[PlanRequest],
-        deadline: Optional[float],
-    ) -> List:
-        state = self._states[shard.index]
-        groups: Dict[int, List[PlanRequest]] = {}
-        for request in requests:
-            groups.setdefault(
-                self.resolve_request(request, shard.index), []
-            ).append(request)
-        with self._lock:
-            state.n_redispatched += len(requests)
-        by_id = {}
-        for target_index, grouped in groups.items():
-            target = self.shards[target_index]
-            for request, plan in zip(
-                grouped, target.execute(grouped, deadline=deadline)
-            ):
-                by_id[request.request_id] = plan
-        return [by_id[request.request_id] for request in requests]
 
     # -- liveness monitor ----------------------------------------------------------
     def _monitor_loop(self) -> None:

@@ -26,6 +26,12 @@ else:
     hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: spawns worker processes or runs for several seconds"
+    )
+
+
 @pytest.fixture(scope="session")
 def laptop():
     """The small 8-core test platform."""

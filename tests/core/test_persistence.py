@@ -101,6 +101,23 @@ class TestLoad:
         restored = load_bundle(saved_dir)
         assert restored.settings["n_samples"] == small_bundle.settings["n_samples"]
 
+    def test_manifest_with_the_retired_use_batch_timing_setting_loads(
+        self, small_bundle, tmp_path
+    ):
+        # Bundles written before the scalar install fork was deleted carry
+        # the flag in their settings; it is inert and must not stop a load.
+        assert "use_batch_timing" not in small_bundle.settings
+        directory = save_bundle(small_bundle, tmp_path / "bundle")
+        manifest = json.loads((directory / "bundle.json").read_text())
+        manifest["settings"]["use_batch_timing"] = True
+        (directory / "bundle.json").write_text(json.dumps(manifest))
+        restored = load_bundle(directory)
+        assert restored.settings["use_batch_timing"] is True
+        dims = {"m": 96, "k": 64, "n": 48}
+        assert restored.predictor("dgemm").predict_threads(
+            dims, use_cache=False
+        ) == small_bundle.predictor("dgemm").predict_threads(dims, use_cache=False)
+
 
 class TestSchemaVersioning:
     def test_manifest_carries_schema_and_checksums(self, saved_dir):

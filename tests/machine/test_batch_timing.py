@@ -153,18 +153,17 @@ class TestGatherBatchEquivalence:
     def test_batch_gather_dataset_is_bit_identical(self, laptop, routine):
         from repro.core.gather import DataGatherer
 
-        def build(use_batch):
-            gatherer = DataGatherer(
-                TimingSimulator(laptop, seed=0),
-                routine,
-                n_shapes=12,
-                threads_per_shape=5,
-                seed=0,
-            )
-            return gatherer.gather(use_batch=use_batch)
-
-        scalar = build(False)
-        batch = build(True)
-        assert scalar.dims == batch.dims
-        assert scalar.threads == batch.threads
-        assert scalar.times == batch.times
+        batch = DataGatherer(
+            TimingSimulator(laptop, seed=0),
+            routine,
+            n_shapes=12,
+            threads_per_shape=5,
+            seed=0,
+        ).gather()
+        # The oracle: one scalar simulator call per gathered row.
+        scalar = TimingSimulator(laptop, seed=0)
+        assert len(batch.times) == 12 * 5
+        assert batch.times == [
+            scalar.time(routine, dims, threads)
+            for dims, threads in zip(batch.dims, batch.threads)
+        ]

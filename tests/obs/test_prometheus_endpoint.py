@@ -107,6 +107,7 @@ REQUIRED_ENGINE_SERIES = (
 REQUIRED_FRONTEND_SERIES = REQUIRED_ENGINE_SERIES + (
     "adsala_shards",
     "adsala_inflight",
+    "adsala_pending",
     "adsala_admission_capacity",
     "adsala_submitted_total",
     "adsala_completed_total",
@@ -138,7 +139,7 @@ class TestEngineScrape:
             assert name in samples, f"missing required series {name}"
         assert types["adsala_requests_total"] == "counter"
         assert types["adsala_plan_latency_seconds"] == "histogram"
-        assert types["adsala_pending"] == "gauge"
+        assert "adsala_pending" not in samples  # an engine holds no queue
         # Per-routine labels on the routine-level series.
         routines = {labels["routine"] for labels, _ in samples["adsala_plans_total"]}
         assert routines == {"dgemm", "dsyrk"}
@@ -210,16 +211,17 @@ class TestFrontendScrape:
         workload = generate_workload(["dgemm", "dsyrk"], 48, seed=21)
         with frontend:
             with MetricsServer(registry, collector=collector) as server:
-                # submit() (not plan_many) so the admission counters move.
                 futures = [
                     frontend.submit(request.routine, **request.dims)
                     for request in workload
                 ]
                 for future in futures:
                     future.result(timeout=30)
-                samples, _ = parse_exposition(scrape(server.url))
+                samples, types = parse_exposition(scrape(server.url))
         for name in REQUIRED_FRONTEND_SERIES:
             assert name in samples, f"missing required series {name}"
+        assert types["adsala_pending"] == "gauge"
+        assert samples["adsala_pending"][0][1] == 0.0  # every future resolved
         assert samples["adsala_shards"][0][1] == 2.0
         assert samples["adsala_shards_healthy"][0][1] == 2.0
         assert samples["adsala_submitted_total"][0][1] == 48.0

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.core.runtime import AdsalaRuntime
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import ServingEngine, normalize_request
 from repro.serving.fallback import default_runtime_chain
 from repro.serving.telemetry import EngineTelemetry
 from repro.serving.workload import generate_workload
@@ -105,30 +105,52 @@ class TestBatching:
     def test_submission_order_preserved(self, clear_caches):
         engine = ServingEngine(clear_caches, max_batch_size=4)
         workload = generate_workload(["dgemm", "dsyrk"], 10, seed=2)
-        for request in workload:
-            engine.submit(request.routine, **request.dims)
-        assert engine.n_pending == 10
-        plans = engine.flush()
-        assert engine.n_pending == 0
+        plans = engine.plan_many(request.as_tuple() for request in workload)
         assert len(plans) == len(workload)  # one plan per request, none dropped
         for request, plan in zip(workload, plans):
             assert plan.dims == request.dims
 
-    def test_max_batch_size_splits_queue(self, clear_caches):
-        engine = ServingEngine(clear_caches, max_batch_size=4)
-        for request in generate_workload(["dgemm"], 10, seed=3):
-            engine.submit(request.routine, **request.dims)
-        engine.flush()
-        assert engine.telemetry.n_batches == 3
-        assert engine.telemetry.batch_sizes.max == 4
+    def test_max_batch_size_splits_stream(self, clear_caches):
+        workload = generate_workload(["dgemm"], 10, seed=3)
+        streamed = ServingEngine(clear_caches, max_batch_size=4)
+        streamed.plan_many(request.as_tuple() for request in workload)
+        prepared = ServingEngine(clear_caches, max_batch_size=4)
+        prepared.execute(
+            [
+                normalize_request(request.routine, request.dims, index)
+                for index, request in enumerate(workload)
+            ]
+        )
+        for engine in (streamed, prepared):
+            assert engine.telemetry.n_batches == 3
+            assert engine.telemetry.batch_sizes.max == 4
 
-    def test_invalid_requests_fail_at_submit(self, clear_caches):
+    def test_invalid_requests_fail_at_intake(self, clear_caches):
         engine = ServingEngine(clear_caches)
+        valid = ("dgemm", {"m": 64, "k": 64, "n": 64})
         with pytest.raises(ValueError):
-            engine.submit("dgemm", m=0, k=10, n=10)
+            engine.plan_many([valid, ("dgemm", {"m": 0, "k": 10, "n": 10})])
         with pytest.raises(ValueError):
-            engine.submit("dgemm", m=10)  # missing dims
-        assert engine.n_pending == 0
+            engine.plan_many([valid, ("dgemm", {"m": 10})])  # missing dims
+        # Validation precedes the first micro-batch: the valid predecessor
+        # was not planned either.
+        assert engine.telemetry.n_requests == 0
+
+    def test_plan_many_equals_a_loop_of_plan(self, serving_bundle):
+        workload = generate_workload(
+            ["dgemm", "dsyrk", "sgemm"], 60, distribution="cycling", seed=9, pool_size=7
+        )
+        streamed = ServingEngine(copy.deepcopy(serving_bundle), max_batch_size=8)
+        looped = ServingEngine(copy.deepcopy(serving_bundle), max_batch_size=8)
+        many = streamed.plan_many(request.as_tuple() for request in workload)
+        single = [looped.plan(request.routine, **request.dims) for request in workload]
+        assert many == single  # every field, from_cache flags included
+        for counter in ("cache_hits", "cache_misses"):
+            assert (
+                streamed.cache_statistics()[counter]
+                == looped.cache_statistics()[counter]
+            ), counter
+        assert streamed.stats()["requests"] == looped.stats()["requests"] == 60
 
     def test_invalid_batch_size(self, clear_caches):
         with pytest.raises(ValueError):
@@ -153,17 +175,19 @@ class TestFallbackIntegration:
 
     def test_runtime_chain_rejects_unknown(self, clear_caches):
         engine = ServingEngine(clear_caches, fallback=default_runtime_chain())
-        engine.submit("dsymm", m=10, n=10)
         with pytest.raises(KeyError):
-            engine.flush()
+            engine.plan_many([("dsymm", {"m": 10, "n": 10})])
 
     def test_mixed_batch_with_fallbacks(self, clear_caches):
         engine = ServingEngine(clear_caches, max_batch_size=8)
-        engine.submit("dgemm", m=64, k=64, n=64)
-        engine.submit("sgemm", m=64, k=64, n=64)
-        engine.submit("strmm", m=32, n=32)
-        plans = engine.flush()
-        assert len(plans) == 3  # every submitted request answered
+        plans = engine.plan_many(
+            [
+                ("dgemm", {"m": 64, "k": 64, "n": 64}),
+                ("sgemm", {"m": 64, "k": 64, "n": 64}),
+                ("strmm", {"m": 32, "n": 32}),
+            ]
+        )
+        assert len(plans) == 3  # every request answered
         assert [p.policy for p in plans] == [
             "installed", "cross-precision", "max-threads",
         ]
@@ -284,18 +308,7 @@ class TestPlanBatchExactEquivalence:
         assert list(batched._cache) == list(sequential._cache)
 
 
-class TestPlanQueueIndependence:
-    def test_plan_does_not_consume_pending_queue(self, clear_caches):
-        engine = ServingEngine(clear_caches)
-        engine.submit("dsyrk", n=96, k=48)
-        plan = engine.plan("dgemm", m=64, k=64, n=64)
-        assert plan.routine == "dgemm"
-        assert engine.n_pending == 1
-        queued = engine.flush()
-        assert len(queued) == 1
-        assert queued[0].routine == "dsyrk"
-        assert queued[0].dims == {"n": 96, "k": 48}
-
+class TestPlanCallLocality:
     def test_use_cache_override_is_call_local(self, clear_caches):
         engine = ServingEngine(clear_caches, use_cache=True)
         engine.plan("dgemm", m=64, k=64, n=64)
@@ -393,46 +406,49 @@ class TestConcurrency:
             assert plan.predicted_time == expected.predicted_time, slot
             assert plan.baseline_time == expected.baseline_time, slot
 
-    def test_concurrent_submit_and_flush_answer_every_request_once(
+    def test_concurrent_streams_answer_every_request_once(
         self, clear_caches
     ):
+        # Two stream callers and two pre-normalised callers share one
+        # engine; the lock is taken per micro-batch, so their batches
+        # interleave — and every request must still be answered once.
         engine = ServingEngine(clear_caches, max_batch_size=8)
         workload = generate_workload(
             ["dgemm", "dsyrk"], 300, distribution="cycling", seed=27, pool_size=8
         )
-        collected = []
-        collected_lock = threading.Lock()
-        done_submitting = threading.Event()
+        n_callers = 4
+        collected = [None] * n_callers
 
-        def submitter(offset):
-            for slot in range(offset, len(workload), 2):
-                request = workload[slot]
-                engine.submit(request.routine, **request.dims)
+        def caller(offset):
+            mine = workload[offset::n_callers]
+            if offset % 2:
+                collected[offset] = engine.execute(
+                    [
+                        normalize_request(request.routine, request.dims, index)
+                        for index, request in enumerate(mine)
+                    ]
+                )
+            else:
+                collected[offset] = engine.plan_many(
+                    request.as_tuple() for request in mine
+                )
 
-        def flusher():
-            while not done_submitting.is_set() or engine.n_pending:
-                plans = engine.flush()
-                if plans:
-                    with collected_lock:
-                        collected.extend(plans)
-
-        submitters = [
-            threading.Thread(target=submitter, args=(index,)) for index in range(2)
+        threads = [
+            threading.Thread(target=caller, args=(index,))
+            for index in range(n_callers)
         ]
-        flushers = [threading.Thread(target=flusher) for _ in range(2)]
-        for thread in flushers + submitters:
+        for thread in threads:
             thread.start()
-        for thread in submitters:
-            thread.join()
-        done_submitting.set()
-        for thread in flushers:
-            thread.join()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
 
-        assert engine.n_pending == 0
-        assert len(collected) == len(workload)  # exactly one plan per request
-        expected = sorted(tuple(sorted(r.dims.items())) for r in workload)
-        answered = sorted(tuple(sorted(p.dims.items())) for p in collected)
-        assert answered == expected
+        assert engine.telemetry.n_requests == len(workload)  # none duplicated
+        for offset, plans in enumerate(collected):
+            mine = workload[offset::n_callers]
+            assert len(plans) == len(mine)  # exactly one plan per request
+            for request, plan in zip(mine, plans):
+                assert plan.dims == request.dims  # each caller's order held
 
 
 class TestCacheStatisticsAfterHotReload:

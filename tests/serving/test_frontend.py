@@ -8,13 +8,17 @@ a sequential single-engine replay of the same stream would have produced.
 Only ``from_cache`` flags may differ, because each shard warms its own LRU.
 """
 
+import copy
 import threading
 import time
 
 import pytest
 
+from repro.obs.collectors import collect_serving_stats
+from repro.obs.metrics import MetricsRegistry
 from repro.serving.engine import ServingEngine
 from repro.serving.frontend import (
+    DeadlineExceededError,
     PlanFuture,
     QueueFullError,
     ShardedFrontend,
@@ -150,7 +154,7 @@ class TestConcurrentStress:
         assert [_plan_key(p) for p in plans] == [_plan_key(p) for p in reference]
 
     def test_concurrent_submit_and_plan_many(self, clear_caches):
-        """The async and bulk paths interleave safely on the same shards."""
+        """Futures and a stream interleave safely on the same shard inboxes."""
         bundle = clear_caches
         workload = generate_workload(
             ["dgemm", "dsyrk"], 200, distribution="cycling", seed=37, pool_size=10
@@ -223,6 +227,43 @@ class TestAdmissionControl:
             assert blocked_result["plan"].dims["m"] == 96
             assert first.result(timeout=30).dims["m"] == 64
         assert frontend.n_shed == 0
+
+    @pytest.mark.parametrize("backpressure", ["block", "reject"])
+    def test_plan_many_longer_than_max_pending_completes(
+        self, clear_caches, backpressure
+    ):
+        # A stream counts against max_pending like any other traffic, but
+        # it always waits for its slots — even in reject mode it is never
+        # shed half-way.
+        workload = generate_workload(["dgemm", "dsyrk"], 40, seed=53)
+        reference = _sequential_reference(clear_caches, workload)
+        frontend = ShardedFrontend.from_bundle(
+            clear_caches, n_shards=2, max_pending=4, backpressure=backpressure
+        )
+        with frontend:
+            plans = frontend.plan_many(request.as_tuple() for request in workload)
+            stats = frontend.stats()
+        assert [_plan_key(p) for p in plans] == [_plan_key(p) for p in reference]
+        assert stats["admission"]["submitted"] == 40
+        assert stats["admission"]["completed"] == 40
+        assert stats["admission"]["shed"] == 0
+        assert stats["admission"]["in_flight"] == 0
+        assert frontend._slots.acquire(blocking=False)  # slots came back
+        frontend._slots.release()
+
+    def test_block_mode_admission_wait_ends_at_the_deadline(self, clear_caches):
+        frontend, engine = self._gated_frontend(
+            clear_caches, max_pending=1, backpressure="block"
+        )
+        with frontend:
+            first = frontend.submit("dgemm", m=64, k=64, n=64)
+            with pytest.raises(DeadlineExceededError, match="admission slot"):
+                frontend.submit("dgemm", timeout=0.05, m=96, k=64, n=64)
+            engine.gate.set()
+            assert first.result(timeout=30).dims["m"] == 64
+            stats = frontend.stats()
+        assert stats["admission"]["submitted"] == 1  # the second never got in
+        assert stats["admission"]["in_flight"] == 0
 
     def test_invalid_requests_do_not_consume_slots(self, clear_caches):
         frontend, engine = self._gated_frontend(
@@ -300,11 +341,78 @@ class TestMergedStatistics:
             assert entry["mean_abs_rel_error"] == pytest.approx(
                 0.1 / 1.1, rel=1e-9
             )
-        # The per-shard raw snapshots ride along and sum to the same totals.
-        assert sum(s["requests_drained"] for s in stats["per_shard"]) == 0
+        # The per-shard raw snapshots ride along and sum to the same totals:
+        # a stream drains through the shard inboxes like any other traffic.
+        assert sum(s["requests_drained"] for s in stats["per_shard"]) == len(workload)
+        assert stats["admission"]["submitted"] == len(workload)
+        assert stats["pending"] == 0
         assert stats["batches"] == sum(
             shard.engine.telemetry.n_batches for shard in frontend.shards
         )
+
+    def test_pending_counts_requests_enqueued_and_not_yet_resolved(
+        self, serving_bundle
+    ):
+        # Regression: ``pending`` used to read the engines' private queues,
+        # which the futures route never touches — with both engines wedged
+        # and 200 requests in flight it reported 0.
+        engines = [_GatedEngine(copy.deepcopy(serving_bundle)) for _ in range(2)]
+        frontend = ShardedFrontend(engines, max_pending=256)
+        workload = generate_workload(["dgemm", "dsyrk"], 200, seed=59)
+        with frontend:
+            futures = [
+                frontend.submit(request.routine, **request.dims)
+                for request in workload
+            ]
+            # Wait until each drain worker is wedged inside its engine with
+            # one batch in flight; everything else sits in the inboxes.
+            deadline = time.monotonic() + 30
+            while any(shard.stalled_for() is None for shard in frontend.shards):
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            stats = frontend.stats()
+            assert stats["admission"]["in_flight"] == 200
+            assert stats["pending"] == 200
+            assert sum(entry["pending"] for entry in stats["per_shard"]) == 200
+            assert all(entry["pending"] > 0 for entry in stats["per_shard"])
+            registry = MetricsRegistry()
+            collect_serving_stats(registry, stats)
+            assert "adsala_pending 200\n" in registry.render_prometheus()
+            for engine in engines:
+                engine.gate.set()
+            for future in futures:
+                future.result(timeout=30)
+            drained = frontend.stats()
+        assert drained["pending"] == 0
+        assert [entry["pending"] for entry in drained["per_shard"]] == [0, 0]
+        assert drained["admission"]["in_flight"] == 0
+
+    def test_merged_views_derive_from_the_shard_snapshots(self, clear_caches):
+        # cache_statistics(), reinstall_candidates() and fallback_chain come
+        # out of each shard's one stats() snapshot; they must equal what
+        # asking every engine directly yields.
+        frontend = ShardedFrontend.from_bundle(clear_caches, n_shards=3)
+        workload = generate_workload(
+            ["dgemm", "dsyrk", "sgemm"], 90, distribution="cycling", seed=61,
+            pool_size=9,
+        )
+        with frontend:
+            plans = frontend.plan_many(request.as_tuple() for request in workload)
+            for plan in plans:
+                if plan.routine == "dgemm":
+                    frontend.record_observation(plan, abs(plan.predicted_time) * 10 + 1)
+            engines = [shard.engine for shard in frontend.shards]
+            direct_cache = frontend._merge_cache(
+                [engine.cache_statistics() for engine in engines]
+            )
+            direct_flags = sorted(
+                {key for engine in engines for key in engine.reinstall_candidates()}
+            )
+            stats = frontend.stats()
+            assert frontend.cache_statistics() == direct_cache == stats["cache"]
+            assert frontend.reinstall_candidates() == direct_flags == ["dgemm"]
+            assert stats["reinstall_candidates"] == direct_flags
+            assert stats["fallback_chain"] == engines[0].fallback.describe()
 
     def test_cache_statistics_merge(self, clear_caches):
         bundle = clear_caches

@@ -248,7 +248,7 @@ class TestSourceKindsAndRestarts:
         )
         with ShardedFrontend.from_bundle(clear_caches, 2, backend="process") as frontend:
             frontend.plan_many(request.as_tuple() for request in workload)
-            per_shard = [shard.cache_statistics() for shard in frontend.shards]
+            per_shard = [shard.stats()["cache"] for shard in frontend.shards]
         assert [entry.name for entry in cache.iterdir()] == [
             f"kernels_{_native._source_digest()}.so"
         ]  # one library, no leftover build directory
@@ -263,7 +263,7 @@ class TestWorkerDeath:
         spec = export_source_spec(bundle, max_batch_size=16)
         shard = ProcessShard(0, spec)
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
-        shard.execute([request])  # launches the worker
+        shard._dispatch([request])  # launches the worker
         return shard
 
     def test_killed_worker_surfaces_clear_error_not_hang(self, clear_caches):
@@ -273,8 +273,24 @@ class TestWorkerDeath:
             request = normalize_request("dgemm", {"m": 80, "k": 40, "n": 20}, 1)
             start = time.perf_counter()
             with pytest.raises(RuntimeError, match=f"pid {pid}.*died"):
-                shard.execute([request])
+                shard._dispatch([request])
             assert time.perf_counter() - start < 30  # an error, not a hang
+        finally:
+            shard.stop()
+
+    def test_stats_query_survives_the_worker_dying_under_it(self, clear_caches):
+        # Found by the stateful frontend test: a scrape that raced a kill
+        # raised WorkerDiedError out of frontend.stats().  The query now
+        # answers the empty snapshot and leaves recovery to the next batch.
+        shard = self._live_shard(clear_caches)
+        try:
+            assert shard.stats()["requests"] == 1
+            _kill_worker(shard)
+            snapshot = shard.stats()
+            assert snapshot["requests"] == 0 and snapshot["routines"] == {}
+            request = normalize_request("dgemm", {"m": 80, "k": 40, "n": 20}, 1)
+            with pytest.raises(RuntimeError, match="died"):
+                shard._dispatch([request])  # the failure still reaches recovery
         finally:
             shard.stop()
 
@@ -296,18 +312,25 @@ class TestWorkerDeath:
         _kill_worker(shard)
         shard.stop()  # must not raise or hang on the corpse
         shard.stop()
-        # Post-mortem stats answer with an empty-but-shaped snapshot.
+        # Post-mortem stats answer with an empty snapshot of the live
+        # engine's schema, nested cache block included.
         snapshot = shard.stats()
         assert snapshot["requests"] == 0
         assert snapshot["routines"] == {}
-        assert shard.cache_statistics()["cache_hits"] == 0
-        assert shard.reinstall_candidates() == []
+        assert snapshot["cache"]["cache_hits"] == 0
+        assert snapshot["reinstall_candidates"] == []
+        live = ServingEngine(clear_caches).stats()
+        assert snapshot.keys() == live.keys()
+        assert snapshot["cache"].keys() == live["cache"].keys()
+        assert snapshot["cache"]["timing"].keys() == live["cache"]["timing"].keys()
+        assert snapshot["fallback_chain"] == live["fallback_chain"]
+        assert shard.pending == 0
 
     def test_observations_after_death_are_dropped_not_fatal(self, clear_caches):
         shard = self._live_shard(clear_caches)
         try:
             request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 2)
-            (plan,) = shard.execute([request])
+            (plan,) = shard._dispatch([request])
             _kill_worker(shard)
             shard.stop()
             shard.record_observation(plan, plan.predicted_time * 1.2)  # no-op
@@ -327,7 +350,7 @@ class TestCloseEscalation:
         )
         shard = ProcessShard(0, spec, stop_timeout=0.5)
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
-        (plan,) = shard.execute([request])  # worker up and serving
+        (plan,) = shard._dispatch([request])  # worker up and serving
         assert plan.threads >= 1
         start = time.perf_counter()
         shard.stop()
@@ -339,7 +362,7 @@ class TestCloseEscalation:
         spec = export_source_spec(clear_caches, max_batch_size=8)
         shard = ProcessShard(0, spec)
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
-        shard.execute([request])
+        shard._dispatch([request])
         shard.stop()
         assert shard.stop_escalation is None
 
@@ -458,7 +481,7 @@ class TestConstructionValidation:
         shard.stop()
         request = normalize_request("dgemm", {"m": 64, "k": 32, "n": 16}, 0)
         with pytest.raises(RuntimeError, match="closed"):
-            shard.execute([request])
+            shard._dispatch([request])
 
 
 class TestWireCodec:

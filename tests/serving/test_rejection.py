@@ -11,10 +11,16 @@ from repro.serving.frontend import ShardedFrontend
 
 
 class TestEngineRejection:
-    def test_submit_unknown_routine_raises_structured_error(self, serving_bundle):
+    def test_unknown_routine_raises_structured_error(self, serving_bundle):
         engine = ServingEngine(serving_bundle)
         with pytest.raises(UnknownRoutineError) as excinfo:
-            engine.submit("dnotaroutine", m=10, k=10, n=10)
+            engine.plan_many(
+                [
+                    ("dgemm", {"m": 64, "k": 64, "n": 64}),
+                    ("dnotaroutine", {"m": 10, "k": 10, "n": 10}),
+                ]
+            )
+        assert engine.stats()["requests"] == 0  # rejected at intake, nothing planned
         assert excinfo.value.routine == "dnotaroutine"
         assert "dgemm" in excinfo.value.known_keys
         assert "registered routine keys" in str(excinfo.value)

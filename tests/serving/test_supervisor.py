@@ -8,6 +8,7 @@ produced.  Deadlines bound how long a caller can be made to wait for that
 answer; quarantine bounds how long a dying shard can hog its key range.
 """
 
+import copy
 import os
 import signal
 import threading
@@ -133,11 +134,24 @@ class TestDeadlines:
     def test_plan_many_deadline(self, clear_caches):
         frontend = ShardedFrontend.from_bundle(clear_caches, 2)
         with frontend:
-            with pytest.raises(DeadlineExceededError):
+            with pytest.raises(DeadlineExceededError) as excinfo:
                 frontend.plan_many(
                     [("dgemm", {"m": 64 + i, "k": 32, "n": 16}) for i in range(8)],
                     timeout=1e-9,
                 )
+            # The first request of the stream, and the shard it was routed to.
+            assert "request 0 " in str(excinfo.value)
+            assert "shard " in str(excinfo.value)
+            # The rest of the stream is shed by the drain loops, not leaked:
+            # every admission slot comes back.
+            deadline = time.monotonic() + 30
+            while frontend.in_flight:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            stats = frontend.stats()
+            assert stats["admission"]["submitted"] == 8
+            assert stats["supervision"]["deadline_expired"] >= 1
+            assert stats["pending"] == 0
             # And without a timeout the same stream is fine.
             plans = frontend.plan_many(
                 [("dgemm", {"m": 64 + i, "k": 32, "n": 16}) for i in range(8)]
@@ -254,7 +268,9 @@ class TestQuarantine:
         assert stats["admission"]["in_flight"] == 0
         assert stats["supervision"]["healthy_shards"] == 0
 
-    def test_bulk_path_reroutes_around_quarantine(self, clear_caches):
+    def test_plan_many_reroutes_around_quarantine(self, clear_caches):
+        stream = [("dgemm", {"m": 64 + i, "k": 32, "n": 16}) for i in range(12)]
+        reference = ServingEngine(copy.deepcopy(clear_caches)).plan_many(stream)
         frontend = ShardedFrontend.from_bundle(
             clear_caches,
             2,
@@ -263,16 +279,45 @@ class TestQuarantine:
         _always_failing(frontend.shards[0])
         with frontend:
             with pytest.warns(RuntimeWarning, match="quarantined"):
-                plans = frontend.plan_many(
-                    [
-                        ("dgemm", {"m": 64 + i, "k": 32, "n": 16})
-                        for i in range(12)
-                    ]
-                )
-            assert len(plans) == 12
-            assert all(plan.threads >= 1 for plan in plans)
+                plans = frontend.plan_many(stream)
             snapshot = frontend.supervisor.snapshot()
+            stats = frontend.stats()
+        # Request order and every field survive the reroute (twelve distinct
+        # shapes on cold caches, so the from_cache flags agree too).
+        assert plans == reference
         assert snapshot["quarantined"] == [0]
+        assert snapshot["redispatched"] >= 1
+        assert stats["admission"]["in_flight"] == 0
+
+    def test_plan_many_with_no_healthy_shard_fails_loudly(self, clear_caches):
+        frontend = ShardedFrontend.from_bundle(
+            clear_caches,
+            2,
+            restart_policy=_fast_policy(max_consecutive_failures=1),
+        )
+        for shard in frontend.shards:
+            _always_failing(shard)
+        with frontend:
+            with pytest.warns(RuntimeWarning, match="quarantined"):
+                with pytest.raises(NoHealthyShardError):
+                    frontend.plan_many(
+                        [("dgemm", {"m": 64 + i, "k": 32, "n": 16}) for i in range(12)]
+                    )
+            deadline = time.monotonic() + 30
+            while frontend.in_flight:  # the rest of the stream fails too
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert frontend.supervisor.snapshot()["healthy_shards"] == 0
+
+    def test_unsupervised_failure_surfaces_from_plan_many(self, clear_caches):
+        frontend = ShardedFrontend.from_bundle(clear_caches, 2, supervise=False)
+        _always_failing(frontend.shards[0], "synthetic transport failure")
+        with frontend:
+            with pytest.raises(ShardFailure, match="synthetic transport failure"):
+                frontend.plan_many(
+                    [("dgemm", {"m": 64 + i, "k": 32, "n": 16}) for i in range(12)]
+                )
+        assert frontend.in_flight == 0  # close() drained the healthy shard
 
 
 class TestHangRecovery:

@@ -228,6 +228,51 @@ class TestServeCommand:
         assert "2 process shards x 2 clients" in out
         assert "0 shed (block mode" in out
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_serve_engine_options_reach_every_shard(
+        self, installed_dir, tmp_path, capsys, backend
+    ):
+        """--batch-size, --no-cache and --drift-threshold configure the
+        engines behind the frontend, whichever backend builds them."""
+        from repro.obs.journal import read_journal
+
+        journal = tmp_path / "journal.jsonl"
+        exit_code = main(
+            [
+                "serve",
+                "--bundle", str(installed_dir),
+                "--requests", "160",
+                "--routines", "dgemm",
+                "--mix", "cycling",
+                "--shards", "2",
+                "--backend", backend,
+                "--clients", "2",
+                "--seed", "5",
+                "--observe",
+                "--drift-threshold", "1e-9",
+                "--no-cache",
+                "--batch-size", "4",
+                "--journal", str(journal),
+            ]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "Served 160 plans" in out
+        assert f"2 {backend} shards x 2 clients" in out
+        # Any observed error clears a 1e-9 threshold.
+        assert "Re-install candidates (drift > 1e-09): dgemm" in out
+        (run_end,) = [
+            row for row in read_journal(journal) if row["event"] == "run_end"
+        ]
+        stats = run_end["stats"]
+        assert stats["batch_size_limit"] == 4
+        assert 0 < stats["max_batch_size"] <= 4
+        # A cycling stream repeats its shapes; only --no-cache keeps every
+        # plan off the prediction LRU.
+        assert stats["cache"]["cache_hits"] == 0
+        assert stats["routines"]["dgemm"]["cache_hits"] == 0
+        assert stats["reinstall_candidates"] == ["dgemm"]
+
     def test_serve_removed_shm_fault_kind_fails_loudly(self, installed_dir, capsys):
         exit_code = main(
             [
