@@ -607,6 +607,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         f"{injected['remaining']} unfired of "
                         f"{sum(injected['spec'].values())} scheduled)"
                     )
+            elif args.deadline is not None:
+                print(
+                    f"  supervision: off | {len(expired_slots)} deadline-expired"
+                )
         cache = stats["cache"]
         print(
             f"  cache: {cache['cache_hits']} hits / {cache['cache_misses']} misses, "
@@ -625,7 +629,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 row["mean_err"] = round(snap["mean_abs_rel_error"], 3)
                 row["drifting"] = routine in stats["reinstall_candidates"]
             rows.append(row)
-        print(format_table(rows, title="Per-routine serving statistics"))
+        if rows:  # every request shed past its deadline: nothing to tabulate
+            print(format_table(rows, title="Per-routine serving statistics"))
         if args.observe:
             candidates = stats["reinstall_candidates"]
             if candidates:

@@ -8,6 +8,10 @@ layer that outlives a run:
   counter / gauge / histogram primitives, a Prometheus-text exposition
   endpoint and a JSON snapshot, served by a tiny stdlib HTTP thread
   (:class:`MetricsServer`, wired up by ``adsala serve --metrics-port``).
+* :mod:`repro.obs.schema` — the format of one ``stats()`` snapshot,
+  declared once: each statistic's key, how shards combine it and the
+  series it is exported as; the frontend's merge and the collectors
+  below both derive from it.
 * :mod:`repro.obs.collectors` — translate the serving stack's existing
   ``stats()`` snapshots (single engine, sharded frontend on either
   backend, supervisor, adaptation audit trail) into registry series at

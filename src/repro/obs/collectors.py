@@ -8,10 +8,13 @@ collectors ride that plumbing instead of inventing a second cross-process
 channel: at scrape time :func:`collect_serving_stats` walks the latest
 snapshot (either a single engine's or a frontend's merged one) and
 mirrors it into :class:`~repro.obs.metrics.MetricsRegistry` counters,
-gauges and histograms; :func:`collect_adaptation` does the same for the
-adaptation audit trail.  :class:`StatsCollector` bundles both behind the
-zero-argument callable :class:`~repro.obs.metrics.MetricsServer` invokes
-before each scrape.
+gauges and histograms — which key becomes which series, under which name,
+help text and labels, is declared once in :mod:`repro.obs.schema`, and
+this module only writes what that declaration yields;
+:func:`collect_adaptation` does the same for the adaptation audit trail
+(its three series are its own).  :class:`StatsCollector` bundles both
+behind the zero-argument callable
+:class:`~repro.obs.metrics.MetricsServer` invokes before each scrape.
 
 Mirrored counters are *collected*, not incremented: each scrape sets the
 series to the upstream snapshot value (a value below the previous one is
@@ -25,238 +28,33 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional
 
+from repro.obs import schema
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["StatsCollector", "collect_serving_stats", "collect_adaptation"]
 
 
-def _set_counter(registry: MetricsRegistry, name: str, value, help_text: str, **labels):
-    if value is not None:
-        registry.set_counter(name, float(value), help_text, **labels)
-
-
-def _set_gauge(registry: MetricsRegistry, name: str, value, help_text: str, **labels):
-    if value is not None:
-        registry.set_gauge(name, float(value), help_text, **labels)
-
-
-def _collect_routines(registry: MetricsRegistry, routines: Mapping[str, Mapping]) -> None:
-    for routine, entry in routines.items():
-        labels = {"routine": routine}
-        _set_counter(
-            registry, "adsala_plans_total", entry.get("plans"),
-            "Plans served, by routine", **labels,
-        )
-        _set_counter(
-            registry, "adsala_plan_cache_hits_total", entry.get("cache_hits"),
-            "Plans answered from the prediction LRU cache", **labels,
-        )
-        _set_counter(
-            registry, "adsala_fallback_plans_total", entry.get("fallback_plans"),
-            "Plans produced by a fallback policy", **labels,
-        )
-        _set_counter(
-            registry, "adsala_heuristic_plans_total", entry.get("heuristic_plans"),
-            "Plans produced by the max-threads heuristic", **labels,
-        )
-        _set_counter(
-            registry, "adsala_observations_total", entry.get("observations"),
-            "Executed-call runtimes folded into the drift window", **labels,
-        )
-        _set_counter(
-            registry, "adsala_invalid_observations_total",
-            entry.get("invalid_observations"),
-            "Observations rejected as non-physical", **labels,
-        )
-        error_help = "Observed-vs-predicted |relative error| over the rolling window"
-        for stat, key in (
-            ("mean", "mean_abs_rel_error"),
-            ("p50", "p50_abs_rel_error"),
-            ("p99", "p99_abs_rel_error"),
-            ("max", "max_abs_rel_error"),
-        ):
-            _set_gauge(
-                registry, "adsala_prediction_abs_rel_error", entry.get(key),
-                error_help, routine=routine, stat=stat,
-            )
-        latency = entry.get("latency")
-        if isinstance(latency, Mapping) and latency.get("count"):
-            family = registry.histogram(
-                "adsala_plan_latency_seconds",
-                "Per-plan share of the micro-batch planning pass",
-                ("routine",),
-                buckets=tuple(float(b) for b in latency["bounds"]),
-            )
-            family.labels(**labels).load_snapshot(latency)
-
-
-def _collect_cache(registry: MetricsRegistry, cache: Mapping) -> None:
-    _set_counter(
-        registry, "adsala_predictor_cache_hits_total", cache.get("cache_hits"),
-        "Prediction LRU cache hits across routines",
-    )
-    _set_counter(
-        registry, "adsala_predictor_cache_misses_total", cache.get("cache_misses"),
-        "Prediction LRU cache misses across routines",
-    )
-    _set_counter(
-        registry, "adsala_model_evaluations_total", cache.get("model_evaluations"),
-        "Predictor model evaluations (cache misses that ran the model)",
-    )
-    timing = cache.get("timing")
-    if isinstance(timing, Mapping):
-        _set_counter(
-            registry, "adsala_timing_cache_hits_total", timing.get("hits"),
-            "Timing-memo hits (simulated rows answered from the LRU memo)",
-        )
-        _set_counter(
-            registry, "adsala_timing_cache_misses_total", timing.get("misses"),
-            "Timing-memo misses (rows that ran the simulator)",
-        )
-        _set_gauge(
-            registry, "adsala_timing_cache_size", timing.get("size"),
-            "Rows currently held by the timing memo",
-        )
-        _set_gauge(
-            registry, "adsala_timing_cache_capacity", timing.get("capacity"),
-            "Timing-memo capacity (summed across shards when merged)",
-        )
-
-
-def _collect_supervision(registry: MetricsRegistry, supervision: Mapping) -> None:
-    per_shard_help = {
-        "failures": ("adsala_shard_failures_total", "Worker failures observed"),
-        "restarts": ("adsala_shard_restarts_total", "Worker restarts performed"),
-        "redispatched": (
-            "adsala_shard_redispatched_total",
-            "Stranded in-flight requests redispatched after a failure",
-        ),
-        "rerouted": (
-            "adsala_shard_rerouted_total",
-            "Requests rerouted away from a quarantined shard",
-        ),
-        "hangs": ("adsala_shard_hangs_total", "Hung-worker detections"),
-        "deadline_expired": (
-            "adsala_shard_deadline_expired_total",
-            "Requests shed because their deadline passed",
-        ),
-        "duplicate_answers": (
-            "adsala_shard_duplicate_answers_total",
-            "Answers discarded because the request was already resolved",
-        ),
-    }
-    for entry in supervision.get("per_shard", ()):
-        shard = str(entry.get("index"))
-        for key, (name, help_text) in per_shard_help.items():
-            _set_counter(registry, name, entry.get(key), help_text, shard=shard)
-        _set_gauge(
-            registry, "adsala_shard_quarantined",
-            1.0 if entry.get("quarantined") else 0.0,
-            "Whether the shard is quarantined (1) or serving (0)", shard=shard,
-        )
-    _set_gauge(
-        registry, "adsala_shards_healthy", supervision.get("healthy_shards"),
-        "Shards currently serving (not quarantined)",
-    )
-    _set_counter(
-        registry, "adsala_recovery_episodes_total",
-        supervision.get("recovery_episodes"),
-        "Completed failure-to-healthy recovery episodes",
-    )
-    _set_gauge(
-        registry, "adsala_recovery_seconds_mean", supervision.get("recovery_mean_s"),
-        "Mean seconds from first failure to first healthy batch",
-    )
-    _set_gauge(
-        registry, "adsala_recovery_seconds_max", supervision.get("recovery_max_s"),
-        "Worst recovery episode in the rolling window, seconds",
-    )
-
-
 def collect_serving_stats(registry: MetricsRegistry, stats: Mapping) -> None:
     """Mirror one ``stats()`` snapshot into the registry.
 
-    Accepts both shapes the serving stack produces: a single
-    :meth:`~repro.serving.engine.ServingEngine.stats` snapshot, or a
-    :meth:`~repro.serving.frontend.ShardedFrontend.stats` merged one
-    (recognised by its ``admission`` block).  Keys the snapshot does not
-    carry are simply skipped, so older/partial snapshots stay collectable.
+    Accepts both shapes the serving stack produces — a single
+    :meth:`~repro.serving.engine.ServingEngine.stats` snapshot or a
+    :meth:`~repro.serving.frontend.ShardedFrontend.stats` merged one — and
+    writes every series :mod:`repro.obs.schema` declares for a key the
+    snapshot carries.  Keys it does not carry are simply skipped, so
+    older/partial snapshots stay collectable.
     """
-    _set_counter(
-        registry, "adsala_requests_total", stats.get("requests"),
-        "Plan requests answered",
-    )
-    _set_counter(
-        registry, "adsala_batches_total", stats.get("batches"),
-        "Micro-batches processed",
-    )
-    _set_counter(
-        registry, "adsala_rejected_unknown_routine_total",
-        stats.get("rejected_unknown_routine"),
-        "Requests rejected at intake for an unregistered routine key",
-    )
-    _set_gauge(
-        registry, "adsala_batch_size_mean", stats.get("mean_batch_size"),
-        "Mean micro-batch size over the rolling window",
-    )
-    _set_gauge(
-        registry, "adsala_batch_size_max", stats.get("max_batch_size"),
-        "Largest micro-batch in the rolling window",
-    )
-    _set_gauge(
-        registry, "adsala_batch_size_limit", stats.get("batch_size_limit"),
-        "Configured micro-batch size bound",
-    )
-    _set_gauge(
-        registry, "adsala_pending", stats.get("pending"),
-        "Requests enqueued on a shard and not yet resolved (summed across shards)",
-    )
-    _set_gauge(
-        registry, "adsala_stats_wall_time_seconds", stats.get("wall_time"),
-        "Wall-clock instant the collected snapshot was taken",
-    )
-    _set_gauge(
-        registry, "adsala_reinstall_candidates",
-        len(stats.get("reinstall_candidates", ())),
-        "Routines currently flagged as drifted past threshold",
-    )
-
-    routines = stats.get("routines")
-    if isinstance(routines, Mapping):
-        _collect_routines(registry, routines)
-    cache = stats.get("cache")
-    if isinstance(cache, Mapping):
-        _collect_cache(registry, cache)
-
-    admission = stats.get("admission")
-    if isinstance(admission, Mapping):
-        _set_gauge(
-            registry, "adsala_shards", stats.get("shards"),
-            "Engine shards behind the frontend",
-        )
-        _set_gauge(
-            registry, "adsala_inflight", admission.get("in_flight"),
-            "Requests admitted and not yet answered",
-        )
-        _set_gauge(
-            registry, "adsala_admission_capacity", admission.get("capacity"),
-            "Bound on concurrently admitted requests",
-        )
-        _set_counter(
-            registry, "adsala_submitted_total", admission.get("submitted"),
-            "Requests admitted by the frontend",
-        )
-        _set_counter(
-            registry, "adsala_completed_total", admission.get("completed"),
-            "Admitted requests whose future resolved",
-        )
-        _set_counter(
-            registry, "adsala_shed_total", admission.get("shed"),
-            "Requests refused by reject-mode admission control",
-        )
-    supervision = stats.get("supervision")
-    if isinstance(supervision, Mapping):
-        _collect_supervision(registry, supervision)
+    for stat, value, labels in schema.series(stats):
+        if stat.kind == "histogram":
+            if value.get("count"):
+                registry.histogram(
+                    stat.name, stat.help, tuple(labels),
+                    buckets=tuple(float(b) for b in value["bounds"]),
+                ).labels(**labels).load_snapshot(value)
+        elif stat.kind == "counter":
+            registry.set_counter(stat.name, float(value), stat.help, **labels)
+        else:
+            registry.set_gauge(stat.name, float(value), stat.help, **labels)
 
 
 def collect_adaptation(
@@ -292,14 +90,14 @@ def collect_adaptation(
                 states_seen.setdefault(routine, set()).add(state)
                 latest_state[routine] = state
     for event, count in sorted(by_type.items()):
-        _set_counter(
-            registry, "adsala_adaptation_events_total", count,
+        registry.set_counter(
+            "adsala_adaptation_events_total", count,
             "Adaptation audit-trail events, by type", event=event,
         )
     for routine, states in states_seen.items():
         for state in sorted(states):
-            _set_gauge(
-                registry, "adsala_adaptation_state",
+            registry.set_gauge(
+                "adsala_adaptation_state",
                 1.0 if latest_state.get(routine) == state else 0.0,
                 "One-hot lifecycle state per routine (latest event wins)",
                 routine=routine, state=state,
@@ -311,8 +109,8 @@ def collect_adaptation(
             manifest = read_manifest(bundle_dir)
         except Exception:
             return
-        _set_gauge(
-            registry, "adsala_bundle_version",
+        registry.set_gauge(
+            "adsala_bundle_version",
             int(manifest.get("bundle_version", 1)),
             "Live bundle version from the manifest",
         )

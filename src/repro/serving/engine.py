@@ -57,6 +57,7 @@ from repro.blas.api import parse_routine
 from repro.core.persistence import BundleFormatError
 from repro.routines.catalog import UnknownRoutineError
 from repro.core.runtime import ExecutionPlan
+from repro.obs.metrics import now_timestamps
 from repro.serving.fallback import FallbackChain, default_serving_chain
 from repro.serving.telemetry import EngineTelemetry
 
@@ -496,6 +497,5 @@ class ServingEngine:
             snapshot["fallback_chain"] = self.fallback.describe()
             snapshot["rejected_unknown_routine"] = self.n_rejected_unknown
             snapshot["cache"] = self.cache_statistics()
-            snapshot["wall_time"] = time.time()
-            snapshot["monotonic_time"] = time.monotonic()
+            snapshot.update(now_timestamps())
             return snapshot

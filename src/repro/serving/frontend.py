@@ -25,10 +25,11 @@ several engines side by side.  :class:`ShardedFrontend` is that layer:
   :class:`QueueFullError` immediately and counts the shed request in the
   merged stats, for callers that prefer to degrade.  :meth:`plan_many`
   always waits — a stream is never shed half-way.
-* **Merged observability** — :meth:`stats`, :meth:`cache_statistics` and
-  :meth:`reinstall_candidates` aggregate every shard into one snapshot,
-  all three derived from the one ``stats()`` call each shard backend
-  implements.
+* **Merged observability** — :meth:`stats` aggregates every shard into one
+  snapshot, built from the one ``stats()`` call each shard backend
+  implements and combined key by key as :mod:`repro.obs.schema` declares;
+  :meth:`cache_statistics` and :meth:`reinstall_candidates` are views of
+  that same snapshot.
 
 Determinism: predictor models and the timing simulator are pure functions
 of the request, so the *plans* a sharded run produces are identical —
@@ -60,7 +61,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import ExecutionPlan
-from repro.obs.metrics import BucketHistogram
+from repro.obs import schema
+from repro.obs.metrics import now_timestamps
 from repro.routines.catalog import UnknownRoutineError
 from repro.serving.engine import PlanRequest, ServingEngine, normalize_request
 from repro.serving.procshard import ProcessShard, export_source_spec
@@ -522,144 +524,33 @@ class ShardedFrontend:
     # -- merged statistics ------------------------------------------------------------
     def reinstall_candidates(self) -> List[str]:
         """Union of every shard's drift flags (sorted)."""
-        flagged = set()
-        for shard in self.shards:
-            flagged.update(shard.stats()["reinstall_candidates"])
-        return sorted(flagged)
-
-    @staticmethod
-    def _merge_cache(cache_snapshots: Sequence[Dict]) -> Dict[str, object]:
-        """Merge per-shard cache snapshots into one single-engine shape."""
-        merged: Dict[str, object] = {
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "model_evaluations": 0,
-            "routines": {},
-            "timing": {"hits": 0, "misses": 0, "size": 0, "capacity": 0},
-        }
-        routines: Dict[str, Dict[str, object]] = merged["routines"]
-        for stats in cache_snapshots:
-            for counter in ("cache_hits", "cache_misses", "model_evaluations"):
-                merged[counter] += stats[counter]
-            for counter in ("hits", "misses", "size", "capacity"):
-                merged["timing"][counter] += stats["timing"][counter]
-            for routine, entry in stats["routines"].items():
-                slot = routines.setdefault(routine, {"hits": 0, "misses": 0})
-                if entry.get("unloadable"):
-                    slot["unloadable"] = True
-                    continue
-                slot["hits"] += entry["hits"]
-                slot["misses"] += entry["misses"]
-                # One shard off the native path is what an operator must see.
-                if slot.get("evaluate_path") != "numpy":
-                    slot["evaluate_path"] = entry["evaluate_path"]
-        for entry in routines.values():
-            probes = entry.get("hits", 0) + entry.get("misses", 0)
-            entry["hit_rate"] = entry.get("hits", 0) / probes if probes else 0.0
-        return merged
+        return self.stats()["reinstall_candidates"]
 
     def cache_statistics(self) -> Dict[str, object]:
         """Shard cache counters merged into one single-engine-shaped snapshot."""
-        return self._merge_cache(
-            [shard.stats()["cache"] for shard in self.shards]
-        )
+        return self.stats()["cache"]
 
     def stats(self) -> Dict[str, object]:
         """One merged, JSON-serialisable snapshot across every shard.
 
-        Counters sum; ``pending`` is the requests enqueued on a shard and
-        not yet resolved (inbox depth plus in-flight batch sizes, summed
-        over the same ``per_shard`` rows it is reported in);
-        ``mean_batch_size`` and
-        per-routine error statistics are weighted by each shard's
-        contribution (quantile merges are therefore approximate — exact
-        per-shard values ride along under ``"per_shard"``) while
-        ``max_batch_size`` and error maxima take the max; per-routine
-        latency histograms sum bucket-wise (fixed buckets make this
-        exact); drift flags union.  The merged block carries the same
-        counter names as a single engine's snapshot — plus ``wall_time``
-        / ``monotonic_time`` stamped at merge time — so consumers need
-        one schema for both shapes.  Every merged value — including the
-        cache block and drift flags — derives from **one**
-        ``engine.stats()`` call per shard, so the snapshot is internally
-        consistent (no second lock round-trip racing live traffic).
+        The engine keys — counters, per-routine entries, the cache block,
+        drift flags — keep a single engine's names and are combined rule
+        by rule as :data:`repro.obs.schema.ENGINE` declares, so consumers
+        need one schema for both shapes.  A key declared shard-local there
+        is carried nowhere in the merge: a routine's ``shapes`` histogram
+        stays readable per shard (``frontend.shards[i].stats()``).  Around
+        them the frontend adds its own ``backend`` / ``shards``,
+        ``admission``, ``supervision``, one ``describe()`` row per shard
+        under ``per_shard``, ``pending`` summed over those same rows, and
+        ``wall_time`` / ``monotonic_time`` stamped at merge time.  Every
+        value derives from **one** ``stats()`` call per shard, so the
+        snapshot is internally consistent under live traffic.
         """
         shard_snapshots = [shard.stats() for shard in self.shards]
-        requests = sum(snapshot["requests"] for snapshot in shard_snapshots)
+        per_shard = [shard.describe() for shard in self.shards]
         with self._counters_lock:
-            rejected_unknown = self.n_rejected_unknown
-        rejected_unknown += sum(
-            snapshot.get("rejected_unknown_routine", 0)
-            for snapshot in shard_snapshots
-        )
-        batches = sum(snapshot["batches"] for snapshot in shard_snapshots)
-        max_batch_size = max(
-            (snapshot.get("max_batch_size", 0) for snapshot in shard_snapshots),
-            default=0,
-        )
-        routines: Dict[str, Dict[str, object]] = {}
-        latency_parts: Dict[str, List[Dict]] = {}
-        for snapshot in shard_snapshots:
-            for routine, entry in snapshot["routines"].items():
-                slot = routines.setdefault(
-                    routine,
-                    {
-                        "routine": routine,
-                        "plans": 0,
-                        "cache_hits": 0,
-                        "fallback_plans": 0,
-                        "heuristic_plans": 0,
-                        "observations": 0,
-                        "invalid_observations": 0,
-                        "mean_abs_rel_error": 0.0,
-                        "p50_abs_rel_error": 0.0,
-                        "p99_abs_rel_error": 0.0,
-                        "max_abs_rel_error": 0.0,
-                    },
-                )
-                for counter in (
-                    "plans",
-                    "cache_hits",
-                    "fallback_plans",
-                    "heuristic_plans",
-                    "observations",
-                    "invalid_observations",
-                ):
-                    slot[counter] += entry[counter]
-                # Weighted by observation count so shards that saw more
-                # traffic dominate the merged error, like one engine would.
-                # For the quantiles this weighting is an approximation (the
-                # exact merged quantile would need the raw windows).
-                for stat in (
-                    "mean_abs_rel_error",
-                    "p50_abs_rel_error",
-                    "p99_abs_rel_error",
-                ):
-                    slot[stat] += entry.get(stat, 0.0) * entry["observations"]
-                slot["max_abs_rel_error"] = max(
-                    slot["max_abs_rel_error"], entry["max_abs_rel_error"]
-                )
-                latency = entry.get("latency")
-                if isinstance(latency, dict):
-                    latency_parts.setdefault(routine, []).append(latency)
-        for routine, entry in routines.items():
-            if entry["observations"]:
-                for stat in (
-                    "mean_abs_rel_error",
-                    "p50_abs_rel_error",
-                    "p99_abs_rel_error",
-                ):
-                    entry[stat] /= entry["observations"]
-            entry["cache_hit_rate"] = (
-                entry["cache_hits"] / entry["plans"] if entry["plans"] else 0.0
-            )
-            parts = latency_parts.get(routine)
-            if parts:
-                merged_latency = BucketHistogram(parts[0]["bounds"])
-                for part in parts:
-                    merged_latency.merge_snapshot(part)
-                entry["latency"] = merged_latency.snapshot()
-        with self._counters_lock:
+            # The frontend's own intake rejections ride in as one more part.
+            own = {"rejected_unknown_routine": self.n_rejected_unknown}
             admission = {
                 "capacity": self.max_pending,
                 "mode": self.backpressure,
@@ -668,32 +559,17 @@ class ShardedFrontend:
                 "in_flight": self.n_submitted - self.n_completed,
                 "shed": self.n_shed,
             }
-        flagged = set()
-        for snapshot in shard_snapshots:
-            flagged.update(snapshot["reinstall_candidates"])
-        per_shard = [shard.describe() for shard in self.shards]
-        supervision = (
-            self.supervisor.snapshot() if self.supervisor is not None else None
-        )
         return {
+            **schema.merge(schema.ENGINE, shard_snapshots + [own]),
             "backend": self.backend,
             "shards": len(self.shards),
-            "supervision": supervision,
-            "requests": requests,
-            "batches": batches,
-            "mean_batch_size": requests / batches if batches else 0.0,
-            "max_batch_size": max_batch_size,
-            "pending": sum(entry["pending"] for entry in per_shard),
-            "batch_size_limit": shard_snapshots[0].get("batch_size_limit"),
-            "wall_time": time.time(),
-            "monotonic_time": time.monotonic(),
-            "fallback_chain": shard_snapshots[0]["fallback_chain"],
-            "rejected_unknown_routine": rejected_unknown,
-            "reinstall_candidates": sorted(flagged),
-            "routines": routines,
-            "admission": admission,
-            "cache": self._merge_cache(
-                [snapshot["cache"] for snapshot in shard_snapshots]
+            "supervision": (
+                self.supervisor.snapshot(per_shard)
+                if self.supervisor is not None
+                else None
             ),
+            "pending": sum(entry["pending"] for entry in per_shard),
+            "admission": admission,
             "per_shard": per_shard,
+            **now_timestamps(),
         }

@@ -50,8 +50,9 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs import schema
 from repro.serving.engine import PlanRequest
 from repro.serving.shard import ShardBase, ShardFailure, shard_index
 from repro.serving.telemetry import FaultTelemetry
@@ -357,47 +358,30 @@ class ShardSupervisor:
         shard.start()
 
     # -- observability --------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-serialisable supervision block for the merged stats."""
+    def snapshot(self, shard_rows: Optional[Sequence[Mapping]] = None) -> Dict[str, object]:
+        """JSON-serialisable supervision block for the merged stats.
+
+        ``shard_rows`` are the shards' ``describe()`` rows when the caller
+        already took them (the frontend passes the ones it reports under
+        ``per_shard``, so both copies of a shard's own counters agree).
+        """
+        if shard_rows is None:
+            shard_rows = [shard.describe() for shard in self.shards]
         with self._lock:
-            per_shard = [
-                dict(
-                    state.snapshot(),
-                    deadline_expired=shard.n_deadline_expired,
-                    duplicate_answers=shard.n_duplicate_answers,
-                )
-                for shard, state in zip(self.shards, self._states)
-            ]
+            fault_rows = [state.snapshot() for state in self._states]
+        # A declared row key the shard's describe() row carries is the
+        # shard's own counter: one copy of it rides in the supervision row.
+        declared = [stat.key for stat in schema.SUPERVISION_ROW]
+        per_shard = [
+            {**fault, **{key: shard[key] for key in declared if key in shard}}
+            for fault, shard in zip(fault_rows, shard_rows)
+        ]
         quarantined = [entry["index"] for entry in per_shard if entry["quarantined"]]
-        recovery_counts = sum(entry["recovery"]["count"] for entry in per_shard)
-        recovery_mean = (
-            sum(
-                entry["recovery"]["mean"] * entry["recovery"]["count"]
-                for entry in per_shard
-            )
-            / recovery_counts
-            if recovery_counts
-            else 0.0
-        )
         merged: Dict[str, object] = {
-            "failures": sum(entry["failures"] for entry in per_shard),
-            "restarts": sum(entry["restarts"] for entry in per_shard),
-            "redispatched": sum(entry["redispatched"] for entry in per_shard),
-            "rerouted": sum(entry["rerouted"] for entry in per_shard),
-            "hangs": sum(entry["hangs"] for entry in per_shard),
-            "deadline_expired": sum(
-                entry["deadline_expired"] for entry in per_shard
-            ),
-            "duplicate_answers": sum(
-                entry["duplicate_answers"] for entry in per_shard
-            ),
+            **schema.merge(schema.SUPERVISION_ROW, per_shard),
+            **schema.merge(schema.SUPERVISION, per_shard),
             "quarantined": quarantined,
             "healthy_shards": len(per_shard) - len(quarantined),
-            "recovery_episodes": recovery_counts,
-            "recovery_mean_s": recovery_mean,
-            "recovery_max_s": max(
-                (entry["recovery"]["max"] for entry in per_shard), default=0.0
-            ),
             "policy": {
                 "max_consecutive_failures": self.policy.max_consecutive_failures,
                 "backoff_base": self.policy.backoff_base,

@@ -429,7 +429,10 @@ class EngineTelemetry:
         return {
             "requests": self.n_requests,
             "batches": self.n_batches,
-            "mean_batch_size": self.batch_sizes.mean,
+            # Lifetime, not windowed: requests / batches merges exactly.
+            "mean_batch_size": (
+                self.n_requests / self.n_batches if self.n_batches else 0.0
+            ),
             "max_batch_size": self.batch_sizes.max,
             "drift_threshold": self.drift_threshold,
             "reinstall_candidates": self.reinstall_candidates(),

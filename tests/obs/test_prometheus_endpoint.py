@@ -15,7 +15,7 @@ from repro.adaptive.promote import ADAPTATION_LOG_FILE, AdaptationLog
 from repro.obs.collectors import StatsCollector
 from repro.obs.metrics import MetricsRegistry, MetricsServer
 from repro.serving.engine import ServingEngine
-from repro.serving.frontend import ShardedFrontend
+from repro.serving.frontend import DeadlineExceededError, ShardedFrontend
 from repro.serving.registry import BundleHandle
 from repro.serving.workload import generate_workload
 
@@ -233,3 +233,29 @@ class TestFrontendScrape:
         # Merged latency histogram counts every plan exactly once.
         total = sum(v for _, v in samples["adsala_plan_latency_seconds_count"])
         assert total == 48.0
+
+    def test_unsupervised_frontend_exports_its_shards_deadline_sheds(self, obs_bundle):
+        # Regression: the collectors read deadline_expired / duplicate_answers
+        # only from the supervision block, so with supervise=False fifty shed
+        # requests left no adsala_shard_deadline_expired_total series at all.
+        frontend = ShardedFrontend.from_bundle(obs_bundle, 2, supervise=False)
+        workload = generate_workload(["dgemm", "dsyrk"], 50, seed=9)
+        with frontend:
+            futures = [
+                frontend.submit(request.routine, timeout=1e-9, **request.dims)
+                for request in workload
+            ]
+            for future in futures:
+                with pytest.raises(DeadlineExceededError):
+                    future.result(timeout=30)
+            stats = frontend.stats()
+        assert stats["supervision"] is None
+        registry = MetricsRegistry()
+        StatsCollector(registry, stats_fn=lambda: stats)()
+        samples, types = parse_exposition(registry.render_prometheus())
+        assert types["adsala_shard_deadline_expired_total"] == "counter"
+        shed = samples["adsala_shard_deadline_expired_total"]
+        assert {labels["shard"] for labels, _ in shed} == {"0", "1"}
+        assert sum(value for _, value in shed) == 50
+        assert [value for _, value in samples["adsala_shard_duplicate_answers_total"]] == [0, 0]
+        assert "adsala_shards_healthy" not in samples  # nothing supervises

@@ -402,14 +402,30 @@ class TestMergedStatistics:
                 if plan.routine == "dgemm":
                     frontend.record_observation(plan, abs(plan.predicted_time) * 10 + 1)
             engines = [shard.engine for shard in frontend.shards]
-            direct_cache = frontend._merge_cache(
-                [engine.cache_statistics() for engine in engines]
-            )
+            direct = [engine.cache_statistics() for engine in engines]
             direct_flags = sorted(
                 {key for engine in engines for key in engine.reinstall_candidates()}
             )
             stats = frontend.stats()
-            assert frontend.cache_statistics() == direct_cache == stats["cache"]
+            cache = frontend.cache_statistics()
+            assert cache == stats["cache"]
+            for counter in ("cache_hits", "cache_misses", "model_evaluations"):
+                assert cache[counter] == sum(part[counter] for part in direct)
+            for counter in ("hits", "misses", "size", "capacity"):
+                assert cache["timing"][counter] == sum(
+                    part["timing"][counter] for part in direct
+                )
+            assert set(cache["routines"]) == {
+                routine for part in direct for routine in part["routines"]
+            }
+            for routine, entry in cache["routines"].items():
+                parts = [
+                    part["routines"][routine]
+                    for part in direct
+                    if routine in part["routines"]
+                ]
+                assert entry["hits"] == sum(part["hits"] for part in parts)
+                assert entry["misses"] == sum(part["misses"] for part in parts)
             assert frontend.reinstall_candidates() == direct_flags == ["dgemm"]
             assert stats["reinstall_candidates"] == direct_flags
             assert stats["fallback_chain"] == engines[0].fallback.describe()

@@ -109,6 +109,17 @@ class TestEngineTelemetry:
         assert telemetry.n_requests == 10
         assert telemetry.batch_sizes.mean == pytest.approx(5.0)
 
+    def test_mean_batch_size_is_lifetime_and_max_is_the_window(self):
+        # One meaning at engine and merged level: requests / batches.  The
+        # rolling window keeps serving the max only.
+        telemetry = EngineTelemetry(window=2)
+        for size in (8, 2, 2):
+            telemetry.record_batch(size)
+        snap = telemetry.snapshot()
+        assert snap["mean_batch_size"] == 4.0
+        assert snap["max_batch_size"] == 2.0
+        assert EngineTelemetry().snapshot()["mean_batch_size"] == 0.0
+
     def test_reinstall_candidates(self):
         telemetry = EngineTelemetry(drift_threshold=0.25, min_observations=3)
         for _ in range(3):

@@ -208,6 +208,27 @@ class TestServeCommand:
         assert "2 thread shards x 4 clients" in out
         assert "0 shed (block mode" in out
 
+    def test_serve_unsupervised_deadline_run_reports_its_sheds(
+        self, installed_dir, capsys
+    ):
+        # Without a supervisor there is no supervision line to carry the
+        # deadline-expired count; the run must still say what it shed.
+        exit_code = main(
+            [
+                "serve",
+                "--bundle", str(installed_dir),
+                "--requests", "40",
+                "--shards", "2",
+                "--no-supervise",
+                "--deadline", "1e-9",
+                "--seed", "3",
+            ]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "Served 0 plans" in out
+        assert "supervision: off | 40 deadline-expired" in out
+
     def test_serve_process_backend(self, installed_dir, capsys):
         exit_code = main(
             [
