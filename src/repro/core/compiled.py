@@ -330,12 +330,12 @@ class CompiledPredictor:
         the native path, the same three stages as NumPy expressions
         otherwise.
         """
-        if self._fused_call is not None:
-            predictions = self._predict_fused(dims_list)
-            if self._selfcheck_pending:
-                predictions = self._run_selfcheck(dims_list, predictions)
-        else:
+        if self._fused_call is None:
             predictions = self._predict_numpy(dims_list)
+        elif self._selfcheck_pending:
+            predictions = self._run_selfcheck(dims_list)
+        else:
+            predictions = self._predict_fused(dims_list)
         return predictions.reshape(len(dims_list), self.n_candidates)
 
     def _predict_numpy(self, dims_list) -> np.ndarray:
@@ -344,23 +344,34 @@ class CompiledPredictor:
         transformed = self._fused.transform_kept(grid)
         return np.asarray(self._model_kernel.evaluate(transformed), dtype=float)
 
+    def _transform_fused(self, dims_list) -> np.ndarray:
+        """Native fill + transform only (mode 2): the transformed grid, as a
+        view of the writer's buffer."""
+        writer = self._writer
+        dims = writer.load_dims(dims_list)
+        grid = writer.grid_view(dims.shape[0])
+        lambdas, shift, scale = self._flat_state
+        self._fused_call(
+            self._program, dims, writer.nt, grid,
+            lambdas, shift, scale,
+            2, None, None, None, 0.0, 0.0, None,
+        )
+        return grid
+
     def _predict_fused(self, dims_list) -> np.ndarray:
         """One native call over the whole evaluate span."""
+        kernel = self._model_kernel
+        mode = self._native_mode
+        if mode == 2:
+            return np.asarray(
+                kernel.evaluate(self._transform_fused(dims_list)), dtype=float
+            )
         writer = self._writer
         dims = writer.load_dims(dims_list)
         n_shapes = dims.shape[0]
         grid = writer.grid_view(n_shapes)
         rows = grid.shape[0]
         lambdas, shift, scale = self._flat_state
-        kernel = self._model_kernel
-        mode = self._native_mode
-        if mode == 2:
-            self._fused_call(
-                self._program, dims, writer.nt, grid,
-                lambdas, shift, scale,
-                2, None, None, None, 0.0, 0.0, None,
-            )
-            return np.asarray(kernel.evaluate(grid), dtype=float)
         roots, depths, nodes = self._stack_arrays
         if mode == 1:
             out = np.empty(rows, dtype=np.float64)
@@ -382,21 +393,40 @@ class CompiledPredictor:
             return out.mean(axis=0)
         return weighted_median(out.T, kernel.weights)
 
-    def _run_selfcheck(
-        self, dims_list, predictions: np.ndarray
-    ) -> np.ndarray:
-        """First-call guard: fused C result must equal the NumPy path bitwise.
+    def _run_selfcheck(self, dims_list) -> np.ndarray:
+        """First-call guard: the fused C result must equal the NumPy path.
+
+        For tree kernels (modes 0 and 1) that is the predictions, value for
+        value.  For ``linear``/``opaque`` kernels (mode 2) the native call
+        stops after the transform and the same ``kernel.evaluate`` finishes
+        both sides, so the transformed grids are compared bit for bit
+        instead — equal inputs give equal outputs — and the model is
+        evaluated once.
 
         On mismatch this predictor drops to the NumPy path for good (the
         long-trusted descent kernel inside :class:`StackedTrees` stays), a
         warning is emitted once, and the NumPy result is returned.
         """
         self._selfcheck_pending = False
-        reference = self._predict_numpy(dims_list)
-        if np.array_equal(
-            np.asarray(predictions, dtype=float).reshape(reference.shape),
-            reference,
-        ):
+        if self._native_mode == 2:
+            # Snapshot: write_dicts below refills the buffer this views.
+            fused = self._transform_fused(dims_list).copy()
+            transformed = self._fused.transform_kept(
+                self._writer.write_dicts(dims_list)
+            )
+            agree = fused.tobytes() == transformed.tobytes()
+            reference = np.asarray(
+                self._model_kernel.evaluate(transformed), dtype=float
+            )
+            predictions = reference
+        else:
+            predictions = self._predict_fused(dims_list)
+            reference = self._predict_numpy(dims_list)
+            agree = np.array_equal(
+                np.asarray(predictions, dtype=float).reshape(reference.shape),
+                reference,
+            )
+        if agree:
             return predictions
         warnings.warn(
             f"native fused evaluate diverged from the NumPy path for "

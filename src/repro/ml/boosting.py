@@ -10,6 +10,21 @@ algorithmic features:
 * :class:`HistGradientBoostingRegressor` — histogram-binned split finding
   (LightGBM's key trick), which bins each feature into at most
   ``max_bins`` quantile buckets before growing depth-limited trees.
+
+**Growing.**  The histogram trees grow level-wise
+(:meth:`_HistTree._grow_levels`): a histogram is additive over rows, so all
+nodes of a level share one weighted ``bincount`` (and one unweighted one),
+and the gain, leaf-minimum mask and first-max ``argmax`` run once over a
+``(nodes, features, bins)`` block.  The per-node recursive
+:meth:`_HistTree._build` is its oracle under
+:func:`~repro.ml.tree.reference_mode`; the two agree bit for bit on every
+node array (``tests/ml/test_property_grower.py``), and nothing but that
+context chooses between them.  The exact-split :class:`_NewtonTree` stays
+recursive: boosting rounds are sequential, and without a fixed set of bins
+a level has nothing to share — a level-wise exact grower, a rank-coded
+histogram and the CART frontier grower at ``T = 1`` all measured slower
+than it on install-sized data (ROADMAP, "Install path").  AdaBoost's rounds
+are :class:`~repro.ml.tree.DecisionTreeRegressor` fits.
 """
 
 from __future__ import annotations
@@ -49,6 +64,15 @@ def weighted_median(all_predictions: np.ndarray, weights: np.ndarray) -> np.ndar
     threshold = 0.5 * cumulative[:, -1][:, None]
     median_idx = np.argmax(cumulative >= threshold, axis=1)
     return sorted_predictions[np.arange(all_predictions.shape[0]), median_idx]
+
+
+def _check_n_features(model, X: np.ndarray) -> None:
+    """A stacked descent indexes columns unchecked: reject a wrong width."""
+    if X.shape[1] != model.n_features_in_:
+        raise ValueError(
+            f"X has {X.shape[1]} features but model was fitted with "
+            f"{model.n_features_in_}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +169,7 @@ class AdaBoostRegressor(BaseRegressor):
         if not self.estimators_:
             raise RuntimeError("AdaBoost failed to fit any estimator")
         self.n_features_in_ = X.shape[1]
+        self._stacked_cache = None
         return self
 
     def stacked(self) -> StackedTrees:
@@ -170,6 +195,7 @@ class AdaBoostRegressor(BaseRegressor):
         """Weighted-median prediction over the boosted ensemble."""
         self._check_fitted("estimators_")
         X = check_X(X)
+        _check_n_features(self, X)
         if active_impl() == "reference":
             per_tree = [tree.predict(X) for tree in self.estimators_]
             return self._weighted_median(np.column_stack(per_tree))
@@ -448,6 +474,7 @@ class GradientBoostingRegressor(BaseRegressor):
             self.estimators_.append(tree)
 
         self.n_features_in_ = X.shape[1]
+        self._stacked_cache = None
         return self
 
     def stacked(self) -> StackedTrees:
@@ -473,6 +500,7 @@ class GradientBoostingRegressor(BaseRegressor):
     def predict(self, X) -> np.ndarray:
         self._check_fitted("estimators_")
         X = check_X(X)
+        _check_n_features(self, X)
         if active_impl() != "reference":
             return self._predict_stacked(X)
         prediction = np.full(X.shape[0], self.base_prediction_)
@@ -503,7 +531,13 @@ def _unbinned_flat_tree(flat: FlatTree, bin_edges) -> FlatTree:
 
 
 class _HistTree:
-    """Depth-limited tree over pre-binned features using histogram gains."""
+    """Depth-limited tree over pre-binned features using histogram gains.
+
+    Squared loss has unit hessians, so a node's hessian sum is its row
+    count.  :meth:`fit` grows level-wise (:meth:`_grow_levels`); under
+    :func:`~repro.ml.tree.reference_mode` it grows node by node
+    (:meth:`_build`).  The two produce the same ``flat_`` bit for bit.
+    """
 
     def __init__(self, max_depth, min_samples_leaf, reg_lambda, max_bins):
         self.max_depth = max_depth
@@ -511,15 +545,183 @@ class _HistTree:
         self.reg_lambda = reg_lambda
         self.max_bins = max_bins
 
-    def fit(self, binned: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "_HistTree":
-        self.root_ = self._build(binned, grad, hess, np.arange(binned.shape[0]), 0)
-        self.flat_ = FlatTree.from_node(self.root_)
-        return self
+    def fit(self, binned: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """Grow on the binned training rows; returns each row's leaf value."""
+        if active_impl() == "reference":
+            n_rows = binned.shape[0]
+            root = self._build(binned, grad, np.ones(n_rows), np.arange(n_rows), 0)
+            self.flat_ = FlatTree.from_node(root)
+            return self.predict_reference(binned)
+        # With reg_lambda = 0 a cut off an empty side divides by zero; it is
+        # masked by the leaf minimum.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.flat_, leaf_values = self._grow_levels(binned, grad)
+        return leaf_values
 
     def _leaf_value(self, g: float, h: float) -> float:
         return -g / (h + self.reg_lambda)
 
+    def _grow_levels(self, binned, grad):
+        """Level-wise grower: every node of a level shares one histogram pass.
+
+        ``rows`` holds the level's nodes back to back, each node's rows
+        ascending, so every histogram cell accumulates in the order
+        :meth:`_build` adds it up; node totals are taken with
+        :meth:`_build`'s own per-node ``sum`` and Python-float arithmetic.
+        Rows of nodes that stay leaves drop out of ``rows``; a node too small
+        to split needs no case of its own, because none of its cuts passes
+        the leaf minimum.
+
+        Returns the tree, numbered in pre-order as ``FlatTree.from_node``
+        numbers the oracle's, and the leaf value of every training row.
+        """
+        n_features = binned.shape[1]
+        cell = binned + np.arange(n_features) * self.max_bins
+        binned_flat = binned.ravel()
+
+        rows = np.arange(binned.shape[0])
+        size = np.array([rows.size])
+        node_of_row = np.zeros(rows.size, dtype=np.intp)
+        first_id = 0
+        levels = []
+        while True:
+            n_nodes = size.size
+            may_split = len(levels) < self.max_depth
+            g = grad[rows]
+            grad_total = np.empty(n_nodes)
+            value = np.empty(n_nodes)
+            parent_score = np.zeros(n_nodes)
+            start = 0
+            for k, stop in enumerate(np.cumsum(size).tolist()):
+                total = float(g[start:stop].sum())
+                hess_total = float(stop - start)
+                grad_total[k] = total
+                value[k] = self._leaf_value(total, hess_total)
+                if may_split and stop - start >= 2 * self.min_samples_leaf:
+                    parent_score[k] = total ** 2 / (hess_total + self.reg_lambda)
+                start = stop
+
+            if not may_split:
+                leaf = np.full(n_nodes, -1, dtype=np.intp)
+                levels.append((leaf, np.zeros(n_nodes), leaf, value))
+                break
+
+            row_node = np.repeat(np.arange(n_nodes), size)
+            feature, split_bin, left_size = self._best_splits(
+                cell.take(rows, axis=0), row_node, g, size, grad_total, parent_score
+            )
+            found = feature >= 0
+            # Children are numbered pairwise, in node order, on the next level.
+            child_slot = 2 * (found.cumsum() - 1)
+            first_id += n_nodes
+            levels.append(
+                (
+                    feature,
+                    np.where(found, split_bin, 0.0),
+                    np.where(found, first_id + child_slot, -1),
+                    value,
+                )
+            )
+            if not found.any():
+                break
+
+            # Partition: a stable sort on the child slot keeps rows ascending.
+            if not found.all():
+                moving = found[row_node]
+                rows = rows[moving]
+                row_node = row_node[moving]
+            go_right = (
+                binned_flat.take(rows * n_features + feature[row_node])
+                > split_bin[row_node]
+            )
+            slot = child_slot[row_node] + go_right
+            order = slot.argsort(kind="stable")
+            rows = rows[order]
+            node_of_row[rows] = first_id + slot[order]
+            size = np.column_stack((left_size, size - left_size))[found].ravel()
+
+        feature, threshold, left, value = (
+            np.concatenate(field) for field in zip(*levels)
+        )
+        leaf_values = value[node_of_row]
+        # Level order -> pre-order.
+        children = left.tolist()
+        order = []
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if children[node] >= 0:
+                stack.append(children[node] + 1)
+                stack.append(children[node])
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        feature = feature[order]
+        left = left[order]
+        flat = FlatTree(
+            feature,
+            threshold[order],
+            np.where(feature >= 0, rank[left], -1),
+            np.where(feature >= 0, rank[left + 1], -1),
+            value[order],
+            len(levels) - 1,
+        )
+        return flat, leaf_values
+
+    def _best_splits(self, cell_rows, row_node, g, size, grad_total, parent_score):
+        """Best cut of every node of one level: :meth:`_build`'s split search
+        as one pass over a ``(nodes, features, bins)`` block.
+
+        A histogram is additive over rows, so one weighted ``bincount`` over
+        the combined index ``(node * F + feature) * B + bin`` fills every
+        node's gradient histogram, and one unweighted ``bincount`` the count
+        histogram — which, as floats, is the unit-hessian histogram.
+
+        Returns ``(feature, bin, left size)`` per node; ``feature`` is ``-1``
+        where no cut clears the gain floor.
+        """
+        min_leaf = self.min_samples_leaf
+        reg = self.reg_lambda
+        n_nodes = size.size
+        n_features = cell_rows.shape[1]
+        shape = (n_nodes, n_features, self.max_bins)
+        cells = n_features * self.max_bins
+        index = (cell_rows + (row_node * cells)[:, None]).ravel()
+        grad_hist = np.bincount(
+            index, weights=np.repeat(g, n_features), minlength=n_nodes * cells
+        )
+        count_hist = np.bincount(index, minlength=n_nodes * cells)
+        g_cum = grad_hist.reshape(shape).cumsum(axis=2)[:, :, :-1]
+        c_cum = count_hist.reshape(shape).cumsum(axis=2)[:, :, :-1]
+        h_cum = c_cum.astype(np.float64)
+        g_right = grad_total[:, None, None] - g_cum
+        h_right = size.astype(np.float64)[:, None, None] - h_cum
+        c_right = size[:, None, None] - c_cum
+        valid = (c_cum >= min_leaf) & (c_right >= min_leaf)
+        gain = 0.5 * (
+            g_cum ** 2 / (h_cum + reg)
+            + g_right ** 2 / (h_right + reg)
+            - parent_score[:, None, None]
+        )
+        gain = np.where(valid, gain, -np.inf)
+
+        # First maximum per feature, then the first maximum among the
+        # features that clear the floor: a later feature wins only by more.
+        best_bin = gain.argmax(axis=2)
+        feature_gain = gain.max(axis=2)
+        feature_gain = np.where(feature_gain > 1e-12, feature_gain, -np.inf)
+        feature = feature_gain.argmax(axis=1)
+        nodes = np.arange(n_nodes)
+        found = feature_gain[nodes, feature] > -np.inf
+        split_bin = best_bin[nodes, feature]
+        return (
+            np.where(found, feature, -1),
+            split_bin,
+            c_cum[nodes, feature, split_bin],
+        )
+
     def _build(self, binned, grad, hess, indices, depth) -> _BoostNode:
+        """Node-at-a-time recursive builder: the oracle for :meth:`_grow_levels`."""
         grad_total = float(grad[indices].sum())
         hess_total = float(hess[indices].sum())
         node = _BoostNode(value=self._leaf_value(grad_total, hess_total))
@@ -571,24 +773,20 @@ class _HistTree:
         node.right = self._build(binned, grad, hess, indices[~mask], depth + 1)
         return node
 
-    def predict(self, binned: np.ndarray) -> np.ndarray:
-        if active_impl() == "reference":
-            return self.predict_reference(binned)
-        return self.flat_.predict(binned)
-
     def predict_reference(self, binned: np.ndarray) -> np.ndarray:
-        """Recursive node-walk prediction (the pre-flattening reference)."""
+        """Recursive node-walk prediction (the oracle for the stacked descent)."""
+        flat = self.flat_
         out = np.empty(binned.shape[0])
 
-        def walk(node: _BoostNode, indices: np.ndarray) -> None:
-            if node.is_leaf or indices.size == 0:
-                out[indices] = node.value
+        def walk(node: int, indices: np.ndarray) -> None:
+            if flat.feature[node] < 0 or indices.size == 0:
+                out[indices] = flat.value[node]
                 return
-            mask = binned[indices, node.feature] <= node.threshold
-            walk(node.left, indices[mask])
-            walk(node.right, indices[~mask])
+            mask = binned[indices, flat.feature[node]] <= flat.threshold[node]
+            walk(flat.left[node], indices[mask])
+            walk(flat.right[node], indices[~mask])
 
-        walk(self.root_, np.arange(binned.shape[0]))
+        walk(0, np.arange(binned.shape[0]))
         return out
 
 
@@ -655,19 +853,17 @@ class HistGradientBoostingRegressor(BaseRegressor):
         self.estimators_: List[_HistTree] = []
 
         for _ in range(self.n_estimators):
-            grad = current - y
-            hess = np.ones(n_samples)
             tree = _HistTree(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 reg_lambda=self.reg_lambda,
                 max_bins=self.max_bins,
             )
-            tree.fit(binned, grad, hess)
-            current += self.learning_rate * tree.predict(binned)
+            current += self.learning_rate * tree.fit(binned, current - y)
             self.estimators_.append(tree)
 
         self.n_features_in_ = X.shape[1]
+        self._stacked_cache = None
         return self
 
     def stacked(self) -> StackedTrees:
@@ -699,15 +895,11 @@ class HistGradientBoostingRegressor(BaseRegressor):
     def predict(self, X) -> np.ndarray:
         self._check_fitted("estimators_")
         X = check_X(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features but model was fitted with "
-                f"{self.n_features_in_}"
-            )
+        _check_n_features(self, X)
         if active_impl() != "reference":
             return self._predict_stacked(X)
         binned = self._transform_bins(X)
         prediction = np.full(X.shape[0], self.base_prediction_)
         for tree in self.estimators_:
-            prediction += self.learning_rate * tree.predict(binned)
+            prediction += self.learning_rate * tree.predict_reference(binned)
         return prediction

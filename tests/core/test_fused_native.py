@@ -211,9 +211,34 @@ class TestSelfCheck:
         assert not compiled._selfcheck_pending
         assert compiled.path == "native"  # check passed, stays on
 
-    def test_selfcheck_catches_divergence_and_falls_back(self):
-        """A tampered flat state must trip the guard, not ship wrong plans."""
-        predictor = _trained_predictor("sgemm", "DecisionTree")
+    @pytest.mark.parametrize("model_name", ["LinearRegression", "KNN"], ids=["linear", "opaque"])
+    def test_selfcheck_evaluates_a_python_finished_model_once(self, model_name):
+        """Linear/opaque kernels: the check compares transformed grids, so the
+        model itself runs once on the first batch, not once per side."""
+        predictor = _trained_predictor("dsyrk", model_name)
+        compiled = predictor.compile()
+        kernel = compiled._model_kernel
+        calls = []
+        evaluate = kernel.evaluate
+        kernel.evaluate = lambda X: calls.append(X.shape) or evaluate(X)
+        dims_list = _random_dims("dsyrk", 5, seed=6)
+        first = predictor.predict_runtimes_batch(dims_list)
+        assert len(calls) == 1 and compiled.path == "native"
+        kernel.evaluate = evaluate
+        with compiled_mod.reference_mode():
+            reference = predictor.predict_runtimes_batch(dims_list)
+        assert np.array_equal(first, reference)
+
+    @pytest.mark.parametrize(
+        "model_name",
+        ["DecisionTree", "LinearRegression", "KNN"],
+        ids=["tree", "linear", "opaque"],  # the kernel kind each compiles to
+    )
+    def test_selfcheck_catches_divergence_and_falls_back(self, model_name):
+        """A tampered flat state must trip the guard, not ship wrong plans —
+        whether the check compares predictions (tree kernels) or the
+        transformed grid (linear and opaque kernels)."""
+        predictor = _trained_predictor("sgemm", model_name)
         compiled = predictor.compile()
         lambdas, shift, scale = compiled._flat_state
         compiled._flat_state = (lambdas, shift + 10.0, scale)

@@ -141,3 +141,33 @@ class TestHistGradientBoosting:
         y = 2.0 * X[:, 1]
         model = HistGradientBoostingRegressor(n_estimators=20).fit(X, y)
         assert r2_score(y, model.predict(X)) > 0.8
+
+
+BOOSTERS = [
+    lambda: AdaBoostRegressor(n_estimators=6, max_depth=3, random_state=0),
+    lambda: GradientBoostingRegressor(n_estimators=6, max_depth=3),
+    lambda: HistGradientBoostingRegressor(n_estimators=6, max_depth=3),
+]
+BOOSTER_IDS = ["AdaBoost", "XGBoost", "LightGBM"]
+
+
+@pytest.mark.parametrize("make", BOOSTERS, ids=BOOSTER_IDS)
+class TestEveryBooster:
+    def test_refit_predicts_from_the_new_trees(self, make, regression_data):
+        # predict() caches the stacked trees; a second fit must drop them.
+        X, y = regression_data
+        y_other = -3.0 * y + X[:, 0]
+        model = make().fit(X, y)
+        model.predict(X)
+        refit = model.fit(X, y_other).predict(X)
+        fresh = make().fit(X, y_other).predict(X)
+        assert refit.tobytes() == fresh.tobytes()
+
+    def test_wrong_feature_count_raises(self, make, regression_data):
+        # The stacked descent indexes columns unchecked: with too few it
+        # reads past each row, and extra ones it silently ignores.
+        X, y = regression_data
+        model = make().fit(X, y)
+        for wrong in (X[:3, :2], np.column_stack([X[:3], X[:3, :2]])):
+            with pytest.raises(ValueError, match=f"X has {wrong.shape[1]} features"):
+                model.predict(wrong)

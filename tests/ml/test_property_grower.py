@@ -1,10 +1,12 @@
-"""The frontier grower against its node-at-a-time oracle, on generated inputs.
+"""The level-wise growers against their node-at-a-time oracles, on generated inputs.
 
 ``repro.ml.tree._grow_frontier`` (production) and ``_grow_reference`` (the
 ``reference_mode()`` oracle) must produce the same node arrays bit for bit:
-structure, thresholds, values, sample counts and impurities.  The guards the
-grower's correctness rests on are mutation-checked: each is edited out of the
-module's source and the mutant grower must disagree with the oracle.
+structure, thresholds, values, sample counts and impurities.  So must the
+histogram booster's ``_HistTree._grow_levels`` and its recursive
+``_HistTree._build``.  The guards each grower's correctness rests on are
+mutation-checked: each is edited out of the module's source and the mutant
+grower must disagree with the oracle.
 """
 
 import inspect
@@ -15,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ml import boosting as boosting_mod
 from repro.ml import tree as tree_mod
+from repro.ml.boosting import HistGradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor, reference_mode
 
@@ -134,21 +138,26 @@ class TestGrowerEqualsOracle:
                 )
 
 
-def mutant_grower(original: str, replacement: str):
-    """``_grow_frontier`` from ``repro.ml.tree`` recompiled with one source
-    fragment replaced (the fragment must occur exactly once in the module)."""
-    source = inspect.getsource(tree_mod)
+def mutant_module(module, original: str, replacement: str):
+    """``module`` recompiled with one source fragment replaced (the fragment
+    must occur exactly once in it)."""
+    source = inspect.getsource(module)
     assert source.count(original) == 1, f"guard not found exactly once: {original!r}"
-    mutant = types.ModuleType("repro.ml.tree_mutant")
+    mutant = types.ModuleType(module.__name__ + "_mutant")
     sys.modules[mutant.__name__] = mutant  # dataclasses resolve annotations through it
     try:
         exec(
-            compile(source.replace(original, replacement), tree_mod.__file__, "exec"),
+            compile(source.replace(original, replacement), module.__file__, "exec"),
             mutant.__dict__,
         )
     finally:
         del sys.modules[mutant.__name__]
-    return mutant._grow_frontier
+    return mutant
+
+
+def mutant_grower(original: str, replacement: str):
+    """``_grow_frontier`` from a one-fragment mutant of ``repro.ml.tree``."""
+    return mutant_module(tree_mod, original, replacement)._grow_frontier
 
 
 def single_tree_problem(X, y, **params):
@@ -305,3 +314,196 @@ class TestFitValidation:
         with reference_mode():
             oracle = DecisionTreeRegressor().fit(X, y, sample_weight=weights)
             np.testing.assert_array_equal(oracle.predict(X), predictions)
+
+
+# ---------------------------------------------------------------------------
+# The histogram booster's level-wise grower against its per-node oracle
+# ---------------------------------------------------------------------------
+FLAT_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def assert_same_flat(ours, theirs):
+    assert ours.depth == theirs.depth
+    for name in FLAT_ARRAYS:
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def grow_hist_both(problem, tree_cls=boosting_mod._HistTree):
+    """``(flat tree, training-row leaf values)`` from ``tree_cls``'s level-wise
+    grower and from the per-node oracle."""
+    binned, grad, params = problem
+    grown = tree_cls(**params)
+    values = grown.fit(binned, grad)
+    oracle = boosting_mod._HistTree(**params)
+    # reg_lambda = 0: the oracle divides by zero at cuts it then masks.
+    with reference_mode(), np.errstate(divide="ignore", invalid="ignore"):
+        oracle_values = oracle.fit(binned, grad)
+    return (grown.flat_, values), (oracle.flat_, oracle_values)
+
+
+def assert_hist_agrees(problem, tree_cls=boosting_mod._HistTree):
+    (flat, values), (oracle_flat, oracle_values) = grow_hist_both(problem, tree_cls)
+    assert_same_flat(flat, oracle_flat)
+    assert values.tobytes() == oracle_values.tobytes()
+
+
+def hist_disagrees(problem, tree_cls) -> bool:
+    try:
+        assert_hist_agrees(problem, tree_cls)
+    except (AssertionError, IndexError, ValueError):
+        return True
+    return False
+
+
+def hist_problem_from(binned, grad, **params):
+    params = {
+        "max_depth": 6, "min_samples_leaf": 1, "reg_lambda": 1.0, "max_bins": 8, **params
+    }
+    binned = np.asarray(binned, dtype=np.int64)
+    if binned.ndim == 1:
+        binned = binned[:, None]
+    return binned, np.asarray(grad, dtype=float), params
+
+
+@st.composite
+def hist_problem(draw):
+    n_rows = draw(st.integers(1, 48))
+    n_features = draw(st.integers(1, 5))
+    max_bins = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # Few occupied bins, so duplicated values and tied gains are common.
+    occupied = draw(st.integers(1, max_bins))
+    binned = rng.integers(0, occupied, size=(n_rows, n_features))
+    for column in range(n_features):
+        if draw(st.booleans()) and draw(st.booleans()):
+            binned[:, column] = binned[0, column]  # constant column
+    grad = np.round(rng.normal(size=n_rows), draw(st.integers(0, 3)))
+    params = dict(
+        max_depth=draw(st.sampled_from([0, 1, 2, 3, 6])),
+        # Up to past n_rows / 2: roots with n < 2 * min_samples_leaf.
+        min_samples_leaf=draw(st.integers(1, 8)),
+        reg_lambda=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        max_bins=max_bins,
+    )
+    return binned, grad, params
+
+
+class TestHistGrowerEqualsOracle:
+    @given(hist_problem())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_arrays_and_leaf_values_are_bitwise_equal(self, problem):
+        assert_hist_agrees(problem)
+
+    @given(
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(2, 64),
+        st.sampled_from([1, 3, 5]),
+        st.sampled_from([1, 2, 5]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fit_agrees_under_reference_mode(self, seed, max_bins, max_depth, min_samples_leaf):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(40, 3)), 1)  # duplicated raw values
+        y = X[:, 0] * X[:, 1] + rng.normal(size=40)
+        queries = rng.normal(size=(9, 3))
+        params = dict(
+            n_estimators=4, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+            max_bins=max_bins,
+        )
+        model = HistGradientBoostingRegressor(**params).fit(X, y)
+        with reference_mode():
+            oracle = HistGradientBoostingRegressor(**params).fit(X, y)
+            oracle_prediction = oracle.predict(queries)
+        for ours, theirs in zip(model.estimators_, oracle.estimators_):
+            assert_same_flat(ours.flat_, theirs.flat_)
+        assert model.predict(queries).tobytes() == oracle_prediction.tobytes()
+
+    def test_level_where_no_node_splits(self):
+        # The root separates the two gradient values; both children are then
+        # pure, so depth 1 searches and finds nothing with depth to spare.
+        problem = hist_problem_from([0, 0, 0, 1, 1, 1], [1.0, 1.0, 1.0, -2.0, -2.0, -2.0])
+        (flat, _), _ = grow_hist_both(problem)
+        assert flat.depth == 1 and flat.n_nodes == 3
+        assert_hist_agrees(problem)
+
+    def test_root_smaller_than_two_leaves(self):
+        problem = hist_problem_from([0, 1, 2], [1.0, -1.0, 5.0], min_samples_leaf=2)
+        (flat, values), _ = grow_hist_both(problem)
+        assert flat.n_nodes == 1 and np.all(values == flat.value[0])
+        assert_hist_agrees(problem)
+
+    def test_one_fit_makes_two_bincounts_per_level(self, regression_data, monkeypatch):
+        # A count, not a timing: the per-node builder makes 18 per *node*.
+        X, y = regression_data
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(
+            np, "bincount", lambda *args, **kwargs: calls.append(1) or bincount(*args, **kwargs)
+        )
+        model = HistGradientBoostingRegressor(n_estimators=5, max_depth=4).fit(X, y)
+        assert 0 < len(calls) <= 2 * model.n_estimators * (model.max_depth + 1)
+        assert max(tree.flat_.depth for tree in model.estimators_) == 4
+
+
+def mutant_hist_tree(original: str, replacement: str):
+    """``_HistTree`` from a one-fragment mutant of ``repro.ml.boosting``."""
+    return mutant_module(boosting_mod, original, replacement)._HistTree
+
+
+class TestHistGuardsAreLoadBearing:
+    """Remove one guard of ``_best_splits`` at a time: the mutant must stop
+    matching the oracle."""
+
+    # One outlier at either end: the best cut isolates it.
+    OUTLIER_LEFT = ([0, 1, 2, 3, 4], [50.0, 1.0, 2.0, 1.0, 2.0])
+    OUTLIER_RIGHT = ([0, 1, 2, 3, 4], [1.0, 2.0, 1.0, 2.0, 50.0])
+
+    def test_unmutated_source_round_trips(self):
+        same = mutant_hist_tree("(c_cum >= min_leaf)", "(c_cum >= min_leaf)")
+        for binned, grad in (self.OUTLIER_LEFT, self.OUTLIER_RIGHT):
+            assert not hist_disagrees(
+                hist_problem_from(binned, grad, min_samples_leaf=2), same
+            )
+
+    def test_leaf_minimum_on_the_left(self):
+        mutant = mutant_hist_tree("(c_cum >= min_leaf)", "(c_cum >= 1)")
+        problem = hist_problem_from(*self.OUTLIER_LEFT, min_samples_leaf=2)
+        assert hist_disagrees(problem, mutant)
+
+    def test_leaf_minimum_on_the_right(self):
+        mutant = mutant_hist_tree("(c_right >= min_leaf)", "(c_right >= 1)")
+        problem = hist_problem_from(*self.OUTLIER_RIGHT, min_samples_leaf=2)
+        assert hist_disagrees(problem, mutant)
+
+    def test_tie_break_prefers_the_earlier_feature(self):
+        # Two identical columns: equal gains, feature 0 must win.
+        column = [0, 1, 2, 3]
+        problem = hist_problem_from(
+            np.column_stack([column, column]), [0.0, 0.0, 5.0, 5.0], max_depth=1
+        )
+        mutant = mutant_hist_tree(
+            "feature = feature_gain.argmax(axis=1)",
+            "feature = n_features - 1 - feature_gain[:, ::-1].argmax(axis=1)",
+        )
+        (flat, _), (oracle_flat, _) = grow_hist_both(problem, mutant)
+        assert oracle_flat.feature[0] == 0 and flat.feature[0] == 1
+
+    def test_gain_floor(self):
+        # Equal gradients: every cut's gain is zero up to rounding, which
+        # the 1e-12 floor must not mistake for an improvement.
+        mutant = mutant_hist_tree("feature_gain > 1e-12", "feature_gain > 0.0")
+        split = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            problem = hist_problem_from(
+                rng.integers(0, 8, size=(24, 2)),
+                np.full(24, rng.normal()),
+                reg_lambda=0.0,
+                max_depth=1,
+            )
+            (flat, _), (oracle_flat, _) = grow_hist_both(problem, mutant)
+            assert oracle_flat.n_nodes == 1
+            split += flat.n_nodes > 1
+        assert split > 0
