@@ -32,25 +32,108 @@ Cross-precision substitutions are no longer silent: the returned
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.blas.api import parse_routine
 from repro.blas.threaded import ThreadedBlas
 from repro.core.install import InstallationBundle
 
 __all__ = ["ExecutionPlan", "AdsalaRuntime", "AdsalaBlas"]
 
 
-@dataclass(frozen=True)
+class PendingTimings:
+    """Simulator rows one planning group still owes, timed in one pass.
+
+    Pins the simulator the group was planned under, so a later bundle reload
+    cannot change what its plans report; once resolved it drops the simulator
+    and its rows.  ``lock`` is the engine's one resolver lock: the simulator
+    is never entered from two threads.
+    """
+
+    __slots__ = ("routine", "simulator", "lock", "rows", "__weakref__")
+
+    def __init__(self, routine: str, simulator, lock):
+        self.routine = routine
+        self.simulator = simulator
+        self.lock = lock
+        self.rows: List[Tuple[Dict[str, int], int, TimingCell]] = []
+
+    def add(self, dims: Dict[str, int], threads: int) -> "TimingCell":
+        cell = TimingCell(self)
+        self.rows.append((dims, threads, cell))
+        return cell
+
+    def resolve(self) -> None:
+        with self.lock:
+            if self.simulator is None:  # another reader got here first
+                return
+            dim_names = parse_routine(self.routine)[2].dim_names
+            # One int64 row per dimension, threads last, in a single conversion.
+            table = np.array(
+                [[row[0][name] for row in self.rows] for name in dim_names]
+                + [[row[1] for row in self.rows]],
+                dtype=np.int64,
+            )
+            times = self.simulator.time_batch(
+                self.routine, dict(zip(dim_names, table)), table[-1]
+            )
+            for (_, _, cell), value in zip(self.rows, times):
+                cell.value = float(value)
+                cell.group = None
+            self.simulator = self.rows = None
+
+
+class TimingCell:
+    """One ``(routine, dims, threads)`` simulator row: a float once timed."""
+
+    __slots__ = ("value", "group")
+
+    def __init__(self, group: PendingTimings):
+        self.value: Optional[float] = None
+        self.group: Optional[PendingTimings] = group
+
+    def resolve(self) -> float:
+        group = self.group
+        if group is not None:
+            group.resolve()
+        return self.value
+
+
+class _SimulatedTime:
+    """Read-only view of a plan slot holding a float or a :class:`TimingCell`."""
+
+    def __init__(self, slot: str):
+        self.slot = slot
+
+    def __get__(self, plan, owner=None):
+        if plan is None:  # class access: tells @dataclass there is no default
+            raise AttributeError(self.slot)
+        value = getattr(plan, self.slot)
+        return value.resolve() if value.__class__ is TimingCell else value
+
+
+@dataclass(frozen=True, init=False)
 class ExecutionPlan:
     """A planned BLAS call: chosen thread count plus simulator estimates.
+
+    ``predicted_time`` and ``baseline_time`` are views.  The constructor
+    takes floats (decoded frames, tests) or, from the engine, deferred
+    :class:`TimingCell` rows: planning does not run the simulator.  The
+    first read of an untimed field, from any thread, times every row its
+    planning group still owes in one batched simulator pass; ``==``,
+    ``repr``, pickling and :attr:`estimated_speedup` read the fields and so
+    see timed values.
 
     Attributes
     ----------
     routine:
         The routine key whose model produced the plan (the *served* key).
+    predicted_time / baseline_time:
+        Simulated runtime at the chosen thread count / at the platform's
+        maximum thread count.
     fallback_from:
         The originally requested key when a fallback policy substituted a
         different model (e.g. ``"sgemm"`` served by the ``dgemm`` model),
@@ -63,11 +146,28 @@ class ExecutionPlan:
     routine: str
     dims: Dict[str, int]
     threads: int
-    predicted_time: float
-    baseline_time: float
+    predicted_time: float = _SimulatedTime("_predicted_time")
+    baseline_time: float = _SimulatedTime("_baseline_time")
     from_cache: bool
     fallback_from: Optional[str] = None
     policy: str = "installed"
+
+    def __init__(self, routine, dims, threads, predicted_time, baseline_time, from_cache,
+                 fallback_from=None, policy="installed"):
+        # Written out (the generated one would reach the two view slots through
+        # a descriptor ``__set__`` per plan): this is the per-plan hot path.
+        put = object.__setattr__
+        put(self, "routine", routine)
+        put(self, "dims", dims)
+        put(self, "threads", threads)
+        put(self, "_predicted_time", predicted_time)
+        put(self, "_baseline_time", baseline_time)
+        put(self, "from_cache", from_cache)
+        put(self, "fallback_from", fallback_from)
+        put(self, "policy", policy)
+
+    def __reduce__(self):
+        return ExecutionPlan, tuple(getattr(self, f.name) for f in fields(self))
 
     #: Sentinel returned by :attr:`estimated_speedup` when the predicted
     #: time is non-positive and no meaningful ratio exists.

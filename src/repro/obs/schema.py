@@ -90,7 +90,7 @@ ROUTINE = (
     Stat("p99_abs_rel_error", MEAN, *_ERROR, of="observations", labels={"stat": "p99"}),
     Stat("max_abs_rel_error", MAX, *_ERROR, labels={"stat": "max"}),
     Stat("latency", HISTOGRAM, "adsala_plan_latency_seconds",
-         "Per-plan share of the micro-batch planning pass"),
+         "Per-plan share of its group's planning time (model pass only: no simulator time)"),
     # Top-5 lists do not merge exactly: read them per shard.
     Stat("shapes"),
     Stat("traffic_records", SUM),

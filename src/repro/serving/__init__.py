@@ -8,9 +8,10 @@ engine fit for heavy traffic:
   bundles: lazy per-routine loading, several platforms/bundle versions side
   by side, and hot-reload of a re-installed bundle directory.
 * :mod:`repro.serving.engine` — a micro-batching plan server: requests are
-  queued, coalesced per routine and answered through one
-  ``predict_threads_batch`` / ``time_batch`` pass instead of N scalar
-  ``plan()`` calls.  Thread-safe behind one coarse engine lock.
+  coalesced per routine and answered through one batched predictor pass
+  instead of N scalar ``plan()`` calls; a plan's simulated times are
+  deferred rows, timed in one ``time_batch`` pass when first read.
+  Thread-safe behind one coarse engine lock.
 * :mod:`repro.serving.frontend` / :mod:`repro.serving.shard` — the
   concurrent sharded frontend: traffic partitioned across N engine shards
   by a deterministic ``(routine, dims_key)`` hash, waitable ``submit()``

@@ -1,14 +1,15 @@
 """Micro-batching plan server over an installation bundle.
 
-Answering one request at a time — one model evaluation plus a predicted
-and a baseline timing per call — is the wrong shape under serving traffic.
-PR 1 built batch primitives
-(:meth:`~repro.core.predictor.ThreadPredictor.predict_runtimes_batch`,
-:meth:`~repro.machine.simulator.TimingSimulator.time_batch`) that amortise
-the per-call overhead across whole arrays of problem shapes, and this
-engine is the serving loop that feeds them.  ``AdsalaRuntime.plan()`` is
+Answering one request at a time — one model evaluation per call — is the
+wrong shape under serving traffic.  PR 1 built a batch primitive
+(:meth:`~repro.core.predictor.ThreadPredictor.predict_runtimes_batch`) that
+amortises the per-call overhead across whole arrays of problem shapes, and
+this engine is the serving loop that feeds it.  ``AdsalaRuntime.plan()`` is
 this same path used as a micro-batch of one (the engine is the runtime's
-backend), so both of its timings come from one ``time_batch`` call:
+backend).  The timing simulator is not in this path: a plan's
+``predicted_time`` / ``baseline_time`` are deferred rows, timed by
+:meth:`~repro.machine.simulator.TimingSimulator.time_batch` when someone
+first reads them (:class:`~repro.core.runtime.ExecutionPlan`):
 
 1. requests are validated and normalised at intake (:meth:`ServingEngine.plan`
    for one, :meth:`ServingEngine.plan_many` for a stream;
@@ -19,9 +20,11 @@ backend), so both of its timings come from one ``time_batch`` call:
    ``max_batch_size`` requests,
 3. each batch is routed through the :class:`~repro.serving.fallback.FallbackChain`
    and grouped by resolved routine,
-4. each group is answered in **one** batched predictor evaluation plus one
-   batched timing pass — bit-identical to the scalar path, so a micro-batch
-   returns exactly the plans a ``plan()`` loop would have produced,
+4. each group is answered in **one** batched predictor evaluation and
+   handed its deferred timing rows (memoised cells, or one pending set per
+   group that a first read times in one batched pass) — bit-identical to the
+   scalar path, so a micro-batch returns exactly the plans a ``plan()`` loop
+   would have produced,
 5. plans and (optionally) observed runtimes feed the
    :class:`~repro.serving.telemetry.EngineTelemetry` drift tracker.
 
@@ -51,12 +54,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.blas.api import parse_routine
 from repro.core.persistence import BundleFormatError
 from repro.routines.catalog import UnknownRoutineError
-from repro.core.runtime import ExecutionPlan
+from repro.core.runtime import ExecutionPlan, PendingTimings, TimingCell
 from repro.obs.metrics import now_timestamps
 from repro.serving.fallback import FallbackChain, default_serving_chain
 from repro.serving.telemetry import EngineTelemetry
@@ -133,10 +134,10 @@ class ServingEngine:
         cache (mirrors the ``use_cache`` flag of ``plan()``).
     timing_cache_capacity:
         Bound on the engine's timing memo (distinct ``(routine, dims,
-        threads)`` rows).  The timing simulator is deterministic, so
-        re-simulating a shape the engine has already timed only burns
-        latency; under cycling/skewed traffic this memo removes the
-        simulator from the hot path entirely.  ``0`` disables it.
+        threads)`` rows).  No plan runs the simulator in the request path;
+        the timing simulator is deterministic, so the memo lets plans of a
+        repeated shape share one row and a read of their timing fields
+        simulate it once.  ``0`` disables it.
     """
 
     def __init__(
@@ -158,7 +159,9 @@ class ServingEngine:
         self.telemetry = telemetry if telemetry is not None else EngineTelemetry()
         self.use_cache = use_cache
         self.timing_cache_capacity = int(timing_cache_capacity)
-        self._timing_cache: "OrderedDict[tuple, float]" = OrderedDict()
+        self._timing_cache: "OrderedDict[tuple, TimingCell]" = OrderedDict()
+        # Held only while a plan's deferred rows are timed (PendingTimings).
+        self._resolver_lock = threading.Lock()
         self.n_timing_hits = 0
         self.n_timing_misses = 0
         self.n_rejected_unknown = 0
@@ -241,63 +244,48 @@ class ServingEngine:
         )
 
     # -- batch processing ------------------------------------------------------------
-    def _timed_rows(
+    def _timing_cells(
         self, key: str, rows: List[Tuple[Dict[str, int], tuple, int]]
-    ) -> List[float]:
-        """Runtimes for ``(dims, dims_key, threads)`` rows, memoised.
+    ) -> List[TimingCell]:
+        """Deferred runtimes for ``(dims, dims_key, threads)`` rows, memoised.
 
-        Rows the engine already timed come straight from the LRU memo (the
-        simulator is deterministic, so the values are identical); the
-        remaining distinct rows are answered in **one** vectorised
-        ``time_batch`` pass over column arrays — no per-row dict
-        re-validation, no second baseline pass.
+        Nothing is simulated here.  A row the memo already holds — timed or
+        still pending from an earlier group — shares that cell (the simulator
+        is deterministic, so the values are identical); the remaining
+        distinct rows become one :class:`~repro.core.runtime.PendingTimings`
+        group, timed in **one** vectorised ``time_batch`` pass by whoever
+        first reads one of its plans' timing fields.
         """
         cache = self._timing_cache
         capacity = self.timing_cache_capacity
-        times: List[Optional[float]] = [None] * len(rows)
-        pending: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for slot, (dims, dims_key, threads) in enumerate(rows):
+        cells: List[TimingCell] = []
+        fresh: Dict[tuple, TimingCell] = {}
+        group: Optional[PendingTimings] = None
+        for dims, dims_key, threads in rows:
             memo_key = (key, dims_key, threads)
-            if capacity:
-                cached = cache.get(memo_key)
-                if cached is not None:
-                    cache.move_to_end(memo_key)
-                    self.n_timing_hits += 1
-                    times[slot] = cached
-                    continue
-            slots = pending.get(memo_key)
-            if slots is None:
-                # One miss per distinct simulated row; within-batch
-                # duplicates (e.g. prediction == baseline threads) share
-                # the row and count neither as hit nor miss.
-                if capacity:
-                    self.n_timing_misses += 1
-                pending[memo_key] = [slot]
+            cell = cache.get(memo_key) if capacity else None
+            if cell is not None:
+                cache.move_to_end(memo_key)
+                self.n_timing_hits += 1
             else:
-                slots.append(slot)
-
-        if pending:
-            dim_names = parse_routine(key)[2].dim_names
-            first = [rows[slots[0]] for slots in pending.values()]
-            # One int64 row per dimension, threads last, in a single conversion.
-            table = np.array(
-                [[row[0][name] for row in first] for name in dim_names]
-                + [[row[2] for row in first]],
-                dtype=np.int64,
-            )
-            columns = dict(zip(dim_names, table))
-            fresh = self.source.simulator.time_batch(key, columns, table[-1])
-            for memo_key, value in zip(pending, fresh):
-                value = float(value)
-                for slot in pending[memo_key]:
-                    times[slot] = value
-                if capacity:
-                    cache[memo_key] = value
-                    cache.move_to_end(memo_key)
-            if capacity:
-                while len(cache) > capacity:
-                    cache.popitem(last=False)
-        return times  # type: ignore[return-value]
+                cell = fresh.get(memo_key)
+                if cell is None:
+                    # One miss per distinct row; within-batch duplicates
+                    # (e.g. prediction == baseline threads) share the cell
+                    # and count neither as hit nor miss.
+                    if capacity:
+                        self.n_timing_misses += 1
+                    if group is None:
+                        group = PendingTimings(
+                            key, self.source.simulator, self._resolver_lock
+                        )
+                    cell = fresh[memo_key] = group.add(dims, threads)
+            cells.append(cell)
+        if capacity and fresh:
+            cache.update(fresh)
+            while len(cache) > capacity:
+                cache.popitem(last=False)
+        return cells
 
     def _process_batch(
         self, batch: Sequence[PlanRequest], use_cache: Optional[bool] = None
@@ -327,15 +315,15 @@ class ServingEngine:
                 threads = [p.threads for p in prediction_plans]
                 from_cache = [p.from_cache for p in prediction_plans]
 
-            # One memoised timing pass answers both the chosen-thread
-            # prediction and the max-thread baseline; for heuristic groups
-            # (and predictions that chose max threads) the rows coincide.
+            # Two deferred rows per plan: the chosen-thread prediction and the
+            # max-thread baseline; for heuristic groups (and predictions that
+            # chose max threads) the rows coincide.
             timing_rows: List[Tuple[Dict[str, int], tuple, int]] = []
             for slot, index in enumerate(indices):
                 request = batch[index]
                 timing_rows.append((request.dims, request.dims_key, int(threads[slot])))
                 timing_rows.append((request.dims, request.dims_key, max_threads))
-            timed = self._timed_rows(key, timing_rows)
+            timed = self._timing_cells(key, timing_rows)
 
             for slot, index in enumerate(indices):
                 resolution = resolutions[index]
@@ -358,8 +346,8 @@ class ServingEngine:
                     dims_key=batch[index].dims_key,
                 )
             # Each plan's latency is its share of the group's batched
-            # predictor + timing pass — the per-request number an external
-            # scraper wants, not the whole batch's.
+            # predictor pass — the per-request number an external scraper
+            # wants, not the whole batch's.  No simulator time is in it.
             per_plan_latency = (time.perf_counter() - group_started) / len(indices)
             for _ in indices:
                 self.telemetry.record_latency(key, per_plan_latency)

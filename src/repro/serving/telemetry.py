@@ -225,8 +225,10 @@ class RoutineTelemetry:
         self.errors = RollingStats(window)
         self.shapes = ShapeHistogram(shape_capacity)
         self.traffic: Deque[TrafficRecord] = deque(maxlen=self.window)
-        #: Per-plan share of the micro-batch planning pass, fixed buckets —
-        #: the live p50/p99 plan-latency source for the metrics exporter.
+        #: Per-plan share of its group's planning time (the group's model
+        #: pass / group size; plans defer their simulator rows, so none of
+        #: it is simulator time), fixed buckets — the live p50/p99
+        #: plan-latency source for the metrics exporter.
         self.latency = BucketHistogram()
 
     def record_plan(

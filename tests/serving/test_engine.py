@@ -101,6 +101,112 @@ class TestTimesEqualScalarSimulatorOracle:
             self._assert_oracle_times(clear_caches, plan)
 
 
+def _distinct_rows(plans, max_threads):
+    return {
+        (plan.routine, tuple(sorted(plan.dims.items())), threads)
+        for plan in plans
+        for threads in (plan.threads, max_threads)
+    }
+
+
+class TestPlanningDefersTheSimulator:
+    """Planning leaves the simulator alone; the first read of a timing field
+    times its whole planning group once — counts, not timings."""
+
+    SHAPES = [("dgemm", {"m": 96 + 16 * i, "k": 64, "n": 320 - 32 * i}) for i in range(5)]
+
+    def test_no_simulator_row_before_a_timing_field_is_read(self, clear_caches):
+        bundle = clear_caches
+        runtime = AdsalaRuntime(bundle)
+        simulator = bundle.simulator
+        before = simulator.n_evaluations
+        single = runtime.plan("dsyrk", n=640, k=33)
+        group = runtime.plan_many(self.SHAPES)
+        later = runtime.plan_many(self.SHAPES[:2])  # memo-shared with ``group``
+        assert single.threads >= 1 and all(plan.threads >= 1 for plan in group)
+        assert simulator.n_evaluations == before
+
+        group[2].predicted_time
+        n_rows = len(_distinct_rows(group, bundle.platform.max_threads))
+        assert simulator.n_evaluations - before == n_rows
+        for plan in [group[2], *group, *later]:  # same plan, siblings, later batch
+            plan.predicted_time, plan.baseline_time, plan.estimated_speedup
+        assert simulator.n_evaluations - before == n_rows
+
+        single.baseline_time
+        assert simulator.n_evaluations - before == n_rows + len(
+            _distinct_rows([single], bundle.platform.max_threads)
+        )
+
+    def test_eight_concurrent_first_readers_cause_one_pass(self, clear_caches, monkeypatch):
+        import sys
+
+        bundle = clear_caches
+        plans = ServingEngine(bundle).plan_many(self.SHAPES * 2)
+        passes = []
+        time_batch = bundle.simulator.time_batch
+
+        def counted(*args):
+            passes.append(len(args[2]))
+            return time_batch(*args)
+
+        monkeypatch.setattr(bundle.simulator, "time_batch", counted)
+        start = threading.Barrier(8)
+        seen = [None] * 8
+
+        def reader(slot):
+            start.wait(10)
+            seen[slot] = [(plan.predicted_time, plan.baseline_time) for plan in plans[slot:]]
+
+        threads = [threading.Thread(target=reader, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert passes == [len(_distinct_rows(plans, bundle.platform.max_threads))]
+        oracle = [(plan.predicted_time, plan.baseline_time) for plan in plans]
+        assert all(seen[slot] == oracle[slot:] for slot in range(8))
+
+    def test_a_resolved_group_holds_no_simulator_or_dims(self, clear_caches):
+        import gc
+        import weakref
+
+        plan = ServingEngine(clear_caches, timing_cache_capacity=0).plan(
+            "dgemm", m=77, k=78, n=79
+        )
+        group = plan._predicted_time.group
+        assert group.simulator is clear_caches.simulator and group.rows
+        plan.predicted_time
+        assert group.simulator is None and group.rows is None
+        dead = weakref.ref(group)
+        del group
+        gc.collect()
+        assert dead() is None  # the plan's cells let go of their group
+
+    def test_observation_on_a_never_read_plan_feeds_the_simulated_time(self, clear_caches):
+        engine = ServingEngine(clear_caches)
+        plan = engine.plan("dgemm", m=311, k=97, n=1203)
+        engine.record_observation(plan, 1.0)
+        (record,) = engine.telemetry.routines["dgemm"].traffic
+        oracle = copy.deepcopy(clear_caches.simulator)
+        assert record.predicted == oracle.time("dgemm", plan.dims, plan.threads)
+
+    def test_an_untimed_plan_pickles_and_compares_as_its_timed_self(self, clear_caches):
+        engine = ServingEngine(clear_caches)
+        plan = engine.plan("dsyrk", n=640, k=33)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan and repr(clone) == repr(plan)
+        assert (clone.predicted_time, clone.baseline_time) == (
+            plan.predicted_time, plan.baseline_time
+        )
+
+
 class TestBatching:
     def test_submission_order_preserved(self, clear_caches):
         engine = ServingEngine(clear_caches, max_batch_size=4)

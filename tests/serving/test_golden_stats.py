@@ -45,7 +45,12 @@ PERMITTED = {
     "added_per_routine": ("traffic_records",),
     # One meaning for mean_batch_size (lifetime requests / batches), and a
     # help text that says so instead of "rolling window".
-    "reworded_help": ("adsala_batch_size_mean",),
+    "reworded_help": (
+        "adsala_batch_size_mean",
+        # Planning time / group size; since plans defer their simulator rows
+        # it holds no simulator time, and the help text says so.
+        "adsala_plan_latency_seconds",
+    ),
 }
 
 
