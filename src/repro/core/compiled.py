@@ -20,10 +20,19 @@ buffers:
   construct a :class:`~repro.core.features.FeatureGridWriter` that
   materialises *only the kept feature columns*; bind the model to a
   :class:`ModelKernel` (trees stacked into one struct-of-arrays, a linear
-  model's ``(coef, intercept)`` pair).
-* **evaluate time** — fill the feature grid from the dims arrays, apply
-  the fused preprocessing (whole-matrix Yeo-Johnson, then one affine),
-  and run the single stacked ensemble descent.
+  model's ``(coef, intercept)`` pair); and cast every constant argument
+  of the native call — column program, thread counts, lambdas / shift /
+  scale, mode, the stacked trees, the fold constants — to its C pointer
+  exactly once (:class:`repro.ml._native.BoundEvaluate`, which also
+  validates them and keeps them alive).
+* **evaluate time** — write the dims into the writer's scratch and make
+  one plain C call that fills the feature grid, applies the fused
+  preprocessing (whole-matrix Yeo-Johnson, then one affine) and runs the
+  single stacked ensemble descent.  Dims scratch and grid belong to the
+  writer, the output buffer to the predictor; their three addresses are
+  re-cast only when a larger batch made the writer replace its buffers,
+  so a steady-state evaluation marshals nothing, and what it returns is
+  an owned array, never a view of a reused buffer.
 
 One model over one (shapes × candidate-threads) grid is evaluated in
 exactly three ways, each with one job:
@@ -281,17 +290,24 @@ class CompiledPredictor:
             self._path_reason = "no-column-program"
             return
         self._path_reason = None
-        self._fused_call = kernels.fused_evaluate
         self._selfcheck_pending = True
         self._flat_state = self._fused.flat_arrays()
-        self._native_mode = self._NATIVE_MODES[self._model_kernel.kind]
-        stack = self._model_kernel.stack
-        if stack is not None:
-            self._stack_arrays = (
-                np.ascontiguousarray(stack.roots),
-                np.ascontiguousarray(stack.depths),
-                np.ascontiguousarray(stack.nodes_packed),
-            )
+        kernel = self._model_kernel
+        mode = self._native_mode = self._NATIVE_MODES[kernel.kind]
+        # Output values per grid row: one per tree, one folded sum, or none.
+        self._out_width = 0 if mode == 2 else 1 if mode == 1 else kernel.stack.n_trees
+        self._bind_fused()
+
+    def _bind_fused(self) -> None:
+        """Cast every per-predictor constant of the native call, once."""
+        kernel = self._model_kernel
+        stack = kernel.stack
+        trees = (None,) * 3 if stack is None else (stack.roots, stack.depths, stack.nodes_packed)
+        self._fused_call = _native.load_kernels().fused_evaluate.bind(
+            self._program, self._writer.nt, *self._flat_state,
+            self._native_mode, *trees, kernel.base, kernel.scale,
+        )  # fmt: skip
+        self._out = None
 
     @property
     def path(self) -> str:
@@ -344,51 +360,43 @@ class CompiledPredictor:
         transformed = self._fused.transform_kept(grid)
         return np.asarray(self._model_kernel.evaluate(transformed), dtype=float)
 
+    def _call_fused(self, dims_list) -> int:
+        """Load the dims and make the one C call; returns the shape count.
+
+        The bound call is re-pointed (three casts) only when the writer
+        replaced its buffers; the output buffer is regrown to match then.
+        """
+        writer = self._writer
+        writer.load_dims(dims_list)
+        dims, grid = writer.buffers
+        bound = self._fused_call
+        if grid is not bound.buffers[1]:
+            rows = grid.shape[0] * grid.shape[1]
+            self._out = np.empty(self._out_width * rows) if self._out_width else None
+            bound.point(dims, grid, self._out)
+        n_shapes = len(dims_list)
+        bound(n_shapes)
+        return n_shapes
+
     def _transform_fused(self, dims_list) -> np.ndarray:
         """Native fill + transform only (mode 2): the transformed grid, as a
         view of the writer's buffer."""
-        writer = self._writer
-        dims = writer.load_dims(dims_list)
-        grid = writer.grid_view(dims.shape[0])
-        lambdas, shift, scale = self._flat_state
-        self._fused_call(
-            self._program, dims, writer.nt, grid,
-            lambdas, shift, scale,
-            2, None, None, None, 0.0, 0.0, None,
-        )
-        return grid
+        return self._writer.grid_view(self._call_fused(dims_list))
 
     def _predict_fused(self, dims_list) -> np.ndarray:
-        """One native call over the whole evaluate span."""
+        """One native call over the whole evaluate span; the result is an
+        owned array, never a view of the reused output buffer."""
         kernel = self._model_kernel
         mode = self._native_mode
         if mode == 2:
             return np.asarray(
                 kernel.evaluate(self._transform_fused(dims_list)), dtype=float
             )
-        writer = self._writer
-        dims = writer.load_dims(dims_list)
-        n_shapes = dims.shape[0]
-        grid = writer.grid_view(n_shapes)
-        rows = grid.shape[0]
-        lambdas, shift, scale = self._flat_state
-        roots, depths, nodes = self._stack_arrays
-        if mode == 1:
-            out = np.empty(rows, dtype=np.float64)
-            self._fused_call(
-                self._program, dims, writer.nt, grid,
-                lambdas, shift, scale,
-                1, roots, depths, nodes, kernel.base, kernel.scale, out,
-            )
-            return out
-        out = np.empty((roots.shape[0], rows), dtype=np.float64)
-        self._fused_call(
-            self._program, dims, writer.nt, grid,
-            lambdas, shift, scale,
-            0, roots, depths, nodes, 0.0, 0.0, out,
-        )
-        if kernel.kind == "tree":
-            return out[0]
+        rows = self._call_fused(dims_list) * self.n_candidates
+        width = self._out_width
+        out = self._out[: width * rows].reshape(width, rows)
+        if mode == 1 or kernel.kind == "tree":
+            return out[0].copy()
         if kernel.kind == "forest-mean":
             return out.mean(axis=0)
         return weighted_median(out.T, kernel.weights)

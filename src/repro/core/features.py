@@ -292,6 +292,13 @@ class FeatureGridWriter:
     def n_columns(self) -> int:
         return int(self.columns.size)
 
+    @property
+    def buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole ``(dims scratch, grid)`` pair — replaced, never resized
+        in place, when capacity grows, so holders of raw addresses re-derive
+        them exactly when an identity changes."""
+        return self._dims_scratch, self._buffer
+
     def _reserve(self, n_shapes: int) -> None:
         if n_shapes <= self._capacity:
             return

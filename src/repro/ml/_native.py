@@ -11,7 +11,8 @@ One shared object, compiled on first use, covers the whole
     exported by :meth:`repro.core.features.FeatureGridWriter.column_program`
     in the Python recipe's exact operation order (left-associated sums of
     products, exact ``1.0 *`` / ``2 *`` coefficients), so the grid is
-    bit-identical.
+    bit-identical.  A predictor binds it once (:class:`BoundEvaluate`);
+    the 14-argument wrapper is bind-then-call-once for tests and probes.
 
 ``descent``
     The bare ``stacked_descent`` kernel :class:`repro.ml.tree.StackedTrees`
@@ -58,6 +59,7 @@ callers silently use NumPy.  Nothing is ever installed.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -786,6 +788,27 @@ def _verify_transform(kernels) -> bool:
         return False
 
 
+_F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
+_POINTER_OF = {_F64: _DOUBLE_P, _I64: _INT64_P, NODE_DTYPE: ctypes.c_void_p}
+
+
+def _pointer(name: str, array, dtype: np.dtype, ndim: int | None):
+    """The one marshalling routine: validate an array argument, then cast it.
+
+    ``None`` becomes a null pointer; anything but a C-contiguous ndarray of
+    exactly ``dtype`` (and rank ``ndim``, unless that is ``None``) raises a
+    ``TypeError`` naming the argument — C would read it as raw memory.  A
+    cast costs microseconds, hence :class:`BoundEvaluate`.
+    """
+    if array is None:
+        return None
+    ok = isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.c_contiguous
+    if not ok or (ndim is not None and array.ndim != ndim):
+        rank = "" if ndim is None else f" of rank {ndim}"
+        raise TypeError(f"{name} must be a C-contiguous {dtype.name} ndarray{rank}, got {array!r}")
+    return array.ctypes.data_as(_POINTER_OF[dtype])
+
+
 def _make_descent_wrapper(fn):
     def kernel(
         x: np.ndarray,
@@ -797,16 +820,16 @@ def _make_descent_wrapper(fn):
         out: np.ndarray,
     ) -> np.ndarray:
         fn(
-            x.ctypes.data_as(_DOUBLE_P),
+            _pointer("x", x, _F64, 2),
             x.shape[0],
             x.shape[1],
-            roots.ctypes.data_as(_INT64_P),
-            depths.ctypes.data_as(_INT64_P),
+            _pointer("roots", roots, _I64, 1),
+            _pointer("depths", depths, _I64, 1),
             roots.shape[0],
-            nodes.ctypes.data,
+            _pointer("nodes", nodes, NODE_DTYPE, 1),
             mode,
             scale,
-            out.ctypes.data_as(_DOUBLE_P),
+            _pointer("out", out, _F64, None),
         )
         return out
 
@@ -825,18 +848,80 @@ def _make_transform_wrapper(fn):
         scale: np.ndarray,
     ) -> np.ndarray:
         fn(
-            x.ctypes.data_as(_DOUBLE_P),
+            _pointer("x", x, _F64, 2),
             x.shape[0],
             x.shape[1],
             0 if lambdas is None else 1,
-            None if lambdas is None else lambdas.ctypes.data_as(_DOUBLE_P),
-            shift.ctypes.data_as(_DOUBLE_P),
-            scale.ctypes.data_as(_DOUBLE_P),
+            _pointer("lambdas", lambdas, _F64, 1),
+            _pointer("shift", shift, _F64, 1),
+            _pointer("scale", scale, _F64, 1),
         )
         return x
 
     kernel.ctypes_fn = fn
     return kernel
+
+
+class BoundEvaluate:
+    """``fused_evaluate`` bound to one predictor: bind once, call many.
+
+    The constructor validates and casts, exactly once, every argument that
+    cannot change after a predictor is built and keeps a strong reference to
+    each array, so no bound address can dangle.  ``lambdas is None``
+    (affine-only pipeline) and ``roots is None`` (mode 2: stop after the
+    transform) bind null pointers.  The three arrays that do vary belong to
+    the caller and persist too: :meth:`point` casts them, and is repeated
+    only after the caller *replaced* one.  ``bound(n_shapes)`` is then a
+    plain C call over their first ``n_shapes`` shapes — no ``ctypes.cast``.
+    The addresses sit in one mutable argument list, so an instance serves
+    one predictor and is **not** thread-safe; it cannot be pickled.
+    """
+
+    __slots__ = ("_fn", "_args", "_keep", "buffers")
+
+    def __init__(
+        self, fn, program, nt, lambdas, shift, scale,
+        model_mode, roots, depths, nodes, fold_base, fold_scale,
+    ):  # fmt: skip
+        self._fn = fn
+        self._args = [  # in ``_EVALUATE_ARGTYPES`` order
+            None, 0, 0,  # dims, n_shapes, n_dims: point() and __call__
+            _pointer("nt", nt, _F64, 1), nt.shape[0],
+            _pointer("base_offsets", program.base_offsets, _I64, 1),
+            program.base_offsets.shape[0] - 1,
+            _pointer("term_coef", program.term_coef, _F64, 1),
+            _pointer("term_fac", program.term_fac, _I64, 2),
+            _pointer("col_kind", program.col_kind, _I64, 1),
+            _pointer("col_base", program.col_base, _I64, 1),
+            program.col_kind.shape[0],
+            None,  # grid: point()
+            0 if lambdas is None else 1,
+            _pointer("lambdas", lambdas, _F64, 1),
+            _pointer("shift", shift, _F64, 1),
+            _pointer("scale", scale, _F64, 1),
+            model_mode,
+            _pointer("roots", roots, _I64, 1),
+            _pointer("depths", depths, _I64, 1),
+            0 if roots is None else roots.shape[0],
+            _pointer("nodes", nodes, NODE_DTYPE, 1),
+            fold_base, fold_scale,
+            None,  # out: point()
+        ]  # fmt: skip
+        self._keep = (program, nt, lambdas, shift, scale, roots, depths, nodes)
+        self.buffers = (None, None, None)  # what point() last cast; kept alive
+
+    def point(self, dims: np.ndarray, grid: np.ndarray, out: np.ndarray | None) -> None:
+        """Cast the per-call buffers: a ``(capacity, n_dims)`` dims array, and
+        a grid and an output (``None`` in mode 2) sized for as many shapes."""
+        args = self._args
+        args[0], args[2] = _pointer("dims", dims, _F64, 2), dims.shape[1]
+        args[len(_FILL_ARGTYPES) - 1] = _pointer("grid", grid, _F64, None)
+        args[-1] = _pointer("out", out, _F64, None)
+        self.buffers = (dims, grid, out)
+
+    def __call__(self, n_shapes: int) -> None:
+        self._args[1] = n_shapes
+        self._fn(*self._args)
 
 
 def _make_evaluate_wrapper(fn):
@@ -856,34 +941,15 @@ def _make_evaluate_wrapper(fn):
         fold_scale: float,
         out: np.ndarray | None,
     ) -> np.ndarray | None:
-        fn(
-            dims.ctypes.data_as(_DOUBLE_P),
-            dims.shape[0],
-            dims.shape[1],
-            nt.ctypes.data_as(_DOUBLE_P),
-            nt.shape[0],
-            program.base_offsets.ctypes.data_as(_INT64_P),
-            program.base_offsets.shape[0] - 1,
-            program.term_coef.ctypes.data_as(_DOUBLE_P),
-            program.term_fac.ctypes.data_as(_INT64_P),
-            program.col_kind.ctypes.data_as(_INT64_P),
-            program.col_base.ctypes.data_as(_INT64_P),
-            program.col_kind.shape[0],
-            grid.ctypes.data_as(_DOUBLE_P),
-            0 if lambdas is None else 1,
-            None if lambdas is None else lambdas.ctypes.data_as(_DOUBLE_P),
-            shift.ctypes.data_as(_DOUBLE_P),
-            scale.ctypes.data_as(_DOUBLE_P),
-            model_mode,
-            None if roots is None else roots.ctypes.data_as(_INT64_P),
-            None if depths is None else depths.ctypes.data_as(_INT64_P),
-            0 if roots is None else roots.shape[0],
-            None if nodes is None else nodes.ctypes.data,
-            fold_base,
-            fold_scale,
-            None if out is None else out.ctypes.data_as(_DOUBLE_P),
-        )
+        """Bind, point and call once — tests, probes and the benchmark."""
+        bound = kernel.bind(
+            program, nt, lambdas, shift, scale,
+            model_mode, roots, depths, nodes, fold_base, fold_scale,
+        )  # fmt: skip
+        bound.point(dims, grid, out)
+        bound(dims.shape[0])
         return out
 
     kernel.ctypes_fn = fn
+    kernel.bind = functools.partial(BoundEvaluate, fn)
     return kernel

@@ -58,12 +58,13 @@ def weighted_median(all_predictions: np.ndarray, weights: np.ndarray) -> np.ndar
     :meth:`AdaBoostRegressor._weighted_median`).
     """
     order = np.argsort(all_predictions, axis=1)
-    sorted_predictions = np.take_along_axis(all_predictions, order, axis=1)
     sorted_weights = weights[order]
     cumulative = np.cumsum(sorted_weights, axis=1)
     threshold = 0.5 * cumulative[:, -1][:, None]
     median_idx = np.argmax(cumulative >= threshold, axis=1)
-    return sorted_predictions[np.arange(all_predictions.shape[0]), median_idx]
+    # One element per row: the median's tree, not the whole sorted matrix.
+    rows = np.arange(all_predictions.shape[0])
+    return all_predictions[rows, order[rows, median_idx]]
 
 
 def _check_n_features(model, X: np.ndarray) -> None:

@@ -7,6 +7,9 @@ switch and a first-call self-check.  Every comparison here is exact array
 equality.
 """
 
+import ctypes
+import pickle
+import time
 import warnings
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 
 from repro.blas.api import ROUTINE_KEYS, parse_routine
 from repro.core import compiled as compiled_mod
-from repro.core.features import FeatureGridWriter
+from repro.core.features import ColumnProgram, FeatureGridWriter
 from repro.core.predictor import ThreadPredictor
 from repro.ml import _native
 from repro.ml.model_zoo import CANDIDATE_MODEL_NAMES, make_model
@@ -237,11 +240,14 @@ class TestSelfCheck:
     def test_selfcheck_catches_divergence_and_falls_back(self, model_name):
         """A tampered flat state must trip the guard, not ship wrong plans —
         whether the check compares predictions (tree kernels) or the
-        transformed grid (linear and opaque kernels)."""
+        transformed grid (linear and opaque kernels).  The C side reads the
+        addresses taken at bind time, so the tamper is followed by the bind
+        step ``_configure_native`` itself runs."""
         predictor = _trained_predictor("sgemm", model_name)
         compiled = predictor.compile()
         lambdas, shift, scale = compiled._flat_state
         compiled._flat_state = (lambdas, shift + 10.0, scale)
+        compiled._bind_fused()
         dims_list = _random_dims("sgemm", 7, seed=4)
         with pytest.warns(RuntimeWarning, match="diverged"):
             out = predictor.predict_runtimes_batch(dims_list)
@@ -255,6 +261,170 @@ class TestSelfCheck:
             warnings.simplefilter("error")  # warned once, not per batch
             again = predictor.predict_runtimes_batch(dims_list)
         assert np.array_equal(again, reference)
+
+
+#: One zoo model per ModelKernel kind.
+KIND_MODELS = {
+    "tree": "DecisionTree",
+    "forest-mean": "RandomForest",
+    "weighted-median": "AdaBoost",
+    "fold": "XGBoost",
+    "linear": "LinearRegression",
+    "opaque": "KNN",
+}
+
+
+def _bind_arguments(**replaced):
+    """A valid ``fused_evaluate.bind`` argument list for a one-column grid,
+    with any argument (program fields included) replaced by keyword."""
+    program = {
+        "base_offsets": np.array([0, 1], dtype=np.int64),
+        "term_coef": np.array([1.0]),
+        "term_fac": np.array([[0, -1, -1]], dtype=np.int64),
+        "col_kind": np.array([1], dtype=np.int64),
+        "col_base": np.array([0], dtype=np.int64),
+    }
+    nodes = np.zeros(1, dtype=_native.NODE_DTYPE)
+    nodes["thr"] = np.inf
+    nodes["value"] = 7.25
+    arguments = {
+        "nt": np.array([1.0, 2.0]),
+        "lambdas": np.ones(1),
+        "shift": np.zeros(1),
+        "scale": np.ones(1),
+        "model_mode": 0,
+        "roots": np.zeros(1, dtype=np.int64),
+        "depths": np.ones(1, dtype=np.int64),
+        "nodes": nodes,
+        "fold_base": 0.0,
+        "fold_scale": 0.0,
+    }
+    for name, value in replaced.items():
+        (program if name in program else arguments)[name] = value
+    return (ColumnProgram(**program), *arguments.values())
+
+
+class TestBindValidation:
+    """What ``data_as`` silently trusted per call is checked once at bind."""
+
+    def test_valid_arguments_bind_and_evaluate(self):
+        bound = kernels.fused_evaluate.bind(*_bind_arguments())
+        dims, grid, out = np.full((3, 1), 5.0), np.empty((3, 2, 1)), np.empty(6)
+        bound.point(dims, grid, out)
+        bound(3)
+        assert np.array_equal(out, np.full(6, 7.25))
+        assert np.array_equal(grid, np.full((3, 2, 1), 5.0))
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("nt", np.array([1, 2], dtype=np.int64)),
+            ("nt", np.ones((2, 1))),
+            ("base_offsets", np.array([0, 1], dtype=np.int32)),
+            ("term_coef", np.arange(4.0)[::2]),
+            ("term_fac", np.array([0, -1, -1], dtype=np.int64)),
+            ("col_kind", np.array([1.0])),
+            ("col_base", [0]),
+            ("lambdas", np.ones(1, dtype=np.float32)),
+            ("shift", np.zeros((1, 1))),
+            ("scale", np.ones(4)[::2]),
+            ("roots", np.zeros(1, dtype=np.int32)),
+            ("depths", np.ones(1)),
+            ("nodes", np.zeros(4)),
+        ],
+    )
+    def test_wrong_dtype_rank_or_layout_is_rejected_by_name(self, name, bad):
+        with pytest.raises(TypeError, match=rf"^{name} must be a C-contiguous"):
+            kernels.fused_evaluate.bind(*_bind_arguments(**{name: bad}))
+
+    def test_varying_buffers_are_validated_when_pointed(self):
+        bound = kernels.fused_evaluate.bind(*_bind_arguments())
+        dims, grid, out = np.full((3, 1), 5.0), np.empty((3, 2, 1)), np.empty(6)
+        for name, bad in [
+            ("dims", (dims[:, 0], grid, out)),
+            ("grid", (dims, grid.astype(np.float32), out)),
+            ("out", (dims, grid, np.empty(12)[::2])),
+        ]:
+            with pytest.raises(TypeError, match=rf"^{name} must be"):
+                bound.point(*bad)
+
+    def test_none_binds_null_pointers(self):
+        """``lambdas is None`` is the affine-only pipeline, ``roots is None``
+        mode 2 — both reach C as NULL, and mode 2 takes no output."""
+        arguments = _bind_arguments(
+            lambdas=None, shift=np.full(1, 1.0), scale=np.full(1, 2.0),
+            model_mode=2, roots=None, depths=None, nodes=None,
+        )  # fmt: skip
+        bound = kernels.fused_evaluate.bind(*arguments)
+        assert bound._args[13:15] == [0, None]  # has_lambdas, lambdas
+        assert bound._args[18:22] == [None, None, 0, None]  # roots .. nodes
+        dims, grid = np.full((2, 1), 5.0), np.full((2, 2, 1), np.nan)
+        bound.point(dims, grid, None)
+        bound(2)
+        assert np.array_equal(grid, np.full((2, 2, 1), 2.0))  # (5 - 1) / 2
+
+    def test_generic_wrappers_validate_too(self):
+        with pytest.raises(TypeError, match="^x must be"):
+            kernels.fused_transform(np.ones((2, 2), dtype=np.float32), None,
+                                    np.zeros(2), np.ones(2))  # fmt: skip
+        with pytest.raises(TypeError, match="^roots must be"):
+            kernels.descent(
+                np.ones((1, 1)), np.zeros(1, dtype=np.int32),
+                np.ones(1, dtype=np.int64), np.zeros(1, dtype=_native.NODE_DTYPE),
+                0, 0.0, np.empty((1, 1)),
+            )  # fmt: skip
+
+
+class _CastCounter:
+    """``ctypes.cast`` wrapped by a counter — NumPy's ``data_as`` is a call
+    of it, so this sees every array marshalled anywhere in the process."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        real = ctypes.cast
+
+        def counting_cast(*args):
+            self.count += 1
+            return real(*args)
+
+        monkeypatch.setattr(ctypes, "cast", counting_cast)
+
+    def during(self, call) -> int:
+        before = self.count
+        call()
+        return self.count - before
+
+
+class TestMarshalledOnce:
+    @pytest.mark.parametrize("kind", list(KIND_MODELS))
+    def test_steady_state_calls_cast_nothing(self, kind, monkeypatch):
+        predictor = _trained_predictor("dsymm", KIND_MODELS[kind])
+        compiled = predictor.compile()
+        assert compiled._model_kernel.kind == kind and compiled.path == "native"
+        casts = _CastCounter(monkeypatch)
+        one, many = _random_dims("dsymm", 1, seed=1), _random_dims("dsymm", 40, seed=2)
+        assert casts.during(lambda: predictor.predict_runtimes_batch(one)) > 0
+        for _ in range(3):  # unchanged batch size: nothing left to marshal
+            assert casts.during(lambda: predictor.predict_runtimes_batch(one)) == 0
+        # Growing the writer replaces dims scratch, grid and output: three.
+        assert 0 < casts.during(lambda: predictor.predict_runtimes_batch(many)) <= 3
+        for batch in (many, one, many[:7]):  # and any size within capacity
+            assert casts.during(lambda: predictor.predict_runtimes_batch(batch)) == 0
+        assert compiled.path == "native"
+
+    def test_compile_stays_under_a_millisecond_per_routine(self):
+        """Bind-time work must not leak into set-up: one build of each of a
+        six-routine bundle's predictors, best of five per routine."""
+        routines = ["dgemm", "dsymm", "dsyrk", "dsyr2k", "dtrmm", "dtrsm"]
+        for routine, model_name in zip(routines, KIND_MODELS.values()):
+            blob = pickle.dumps(_trained_predictor(routine, model_name))
+            best = float("inf")
+            for _ in range(5):
+                twin = pickle.loads(blob)
+                start = time.perf_counter()
+                twin.compile()
+                best = min(best, time.perf_counter() - start)
+            assert best < 1e-3, (routine, model_name, best)
 
 
 class TestPrebuiltHandoff:

@@ -7,6 +7,7 @@ from repro.ml.boosting import (
     AdaBoostRegressor,
     GradientBoostingRegressor,
     HistGradientBoostingRegressor,
+    weighted_median,
 )
 from repro.ml.metrics import r2_score
 
@@ -46,6 +47,31 @@ class TestAdaBoost:
         combined = model.predict(X[:5])
         assert np.all(combined >= per_tree.min(axis=1) - 1e-9)
         assert np.all(combined <= per_tree.max(axis=1) + 1e-9)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "tie-heavy"])
+    def test_weighted_median_equals_the_sorted_matrix_gather(self, ties):
+        """Reading one element per row picks the same element, bit for bit,
+        as gathering the whole sorted matrix and indexing it."""
+
+        def sorted_matrix_gather(all_predictions, weights):
+            order = np.argsort(all_predictions, axis=1)
+            sorted_predictions = np.take_along_axis(all_predictions, order, axis=1)
+            cumulative = np.cumsum(weights[order], axis=1)
+            threshold = 0.5 * cumulative[:, -1][:, None]
+            median_idx = np.argmax(cumulative >= threshold, axis=1)
+            return sorted_predictions[np.arange(all_predictions.shape[0]), median_idx]
+
+        rng = np.random.default_rng(11)
+        for n_rows, n_trees in [(1, 1), (7, 2), (96, 30), (300, 13)]:
+            block = rng.normal(size=(n_rows, n_trees))
+            if ties:
+                block = np.round(block)  # a handful of distinct values per row
+            weights = rng.random(n_trees) + 0.01
+            # The compiled predictor passes a transposed (Fortran-order) view.
+            for predictions in (block, np.asfortranarray(block)):
+                got = weighted_median(predictions, weights)
+                expected = sorted_matrix_gather(predictions, weights)
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestGradientBoosting:
