@@ -22,6 +22,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.routines.builtin import ROUTINE_SPECS
+from repro.routines.catalog import get_catalog
 from repro.routines.spec import PRECISIONS, OperandSpec, RoutineSpec
 
 __all__ = [
@@ -57,8 +58,6 @@ def parse_routine(routine: str) -> Tuple[str, str, RoutineSpec]:
     keys raise :class:`repro.routines.UnknownRoutineError` (a
     :class:`KeyError`) naming the registered catalog keys.
     """
-    from repro.routines.catalog import get_catalog
-
     return get_catalog().resolve(routine)
 
 

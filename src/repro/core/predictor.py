@@ -229,7 +229,10 @@ class ThreadPredictor:
         return np.asarray(self.candidate_threads, dtype=int)[best]
 
     def plan_batch(
-        self, dims_list: Sequence[Dict[str, int]], use_cache: bool = True
+        self,
+        dims_list: Sequence[Dict[str, int]],
+        use_cache: bool = True,
+        keys: Sequence[tuple] | None = None,
     ) -> list:
         """Plan many shapes with one model evaluation, LRU cache included.
 
@@ -242,9 +245,25 @@ class ThreadPredictor:
         than ``cache_capacity``).  The only difference is cost: all misses
         share a single :meth:`predict_runtimes_batch` evaluation (duplicate
         shapes evaluated once), so ``n_model_evaluations`` grows by at most
-        one instead of once per miss.
+        one instead of once per miss.  ``keys`` are the shapes'
+        :meth:`cache_key` tuples when the caller already holds them (a
+        :class:`~repro.serving.engine.PlanRequest` does).
         """
-        key_of = [self.cache_key(dims) for dims in dims_list]
+        key_of = [self.cache_key(dims) for dims in dims_list] if keys is None else keys
+        cache = self._cache
+        if use_cache:
+            # Probe before simulating.  With every key already cached nothing
+            # is inserted, so nothing is evicted: the sequential answer is the
+            # cached plans, touched in request order.
+            try:
+                plans = [cache[key] for key in key_of]
+            except KeyError:
+                pass  # a miss: replay the timeline below
+            else:
+                for key in key_of:
+                    cache.move_to_end(key)
+                self.n_cache_hits += len(plans)
+                return plans
         hit = [False] * len(dims_list)
         pending: "OrderedDict[tuple, Dict[str, int]]" = OrderedDict()
         if use_cache:
@@ -289,7 +308,6 @@ class ThreadPredictor:
         # operations to the real cache in sequential order (plan() stores
         # every computed result, cached or not requested via use_cache).
         plans: list = []
-        cache = self._cache
         for i, key in enumerate(key_of):
             if hit[i]:
                 plan = cache[key]

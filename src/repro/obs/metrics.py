@@ -87,11 +87,16 @@ class BucketHistogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Fold in ``count`` observations of ``value``: one bucket search, and
+        the same float additions ``count`` single calls would make."""
         value = float(value)
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
+        self.counts[bisect.bisect_left(self.bounds, value)] += count
+        total = self.sum
+        for _ in range(count):
+            total += value
+        self.sum = total
+        self.count += count
 
     def cumulative(self) -> List[int]:
         """Prometheus-style cumulative counts, one per bound plus ``+Inf``."""

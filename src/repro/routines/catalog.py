@@ -103,6 +103,10 @@ class RoutineCatalog:
 
     def __init__(self):
         self._entries: Dict[str, CatalogEntry] = {}
+        #: Successful :meth:`resolve` answers per spelling, filled on use and
+        #: dropped by every registration.  Failures are never kept, so the
+        #: memo is bounded by the case variants of registered names.
+        self._resolved: Dict[str, Tuple[str, str, RoutineSpec]] = {}
         self._lock = threading.Lock()
         #: (origin, message) pairs for plugin files/entry points that failed
         #: to load and were skipped.
@@ -159,6 +163,7 @@ class RoutineCatalog:
                 source=source,
             )
             self._entries[base] = entry
+            self._resolved.clear()
         return entry
 
     def _all_names_locked(self) -> set:
@@ -326,20 +331,28 @@ class RoutineCatalog:
         A bare base name defaults to double precision when the routine
         supports it, else to its first declared precision.
         """
+        try:
+            return self._resolved[routine]
+        except (KeyError, TypeError):  # first use of this spelling, or unhashable
+            pass
         key = str(routine).lower()
         entry = self._entries.get(key)
         if entry is not None:
             prefix = "d" if "d" in entry.spec.precisions else entry.spec.precisions[0]
-            return prefix, key, entry.spec
-        prefix, base = key[:1], key[1:]
-        entry = self._entries.get(base)
-        if (
-            entry is not None
-            and prefix in PRECISIONS
-            and prefix in entry.spec.precisions
-        ):
-            return prefix, base, entry.spec
-        raise UnknownRoutineError(routine, self.keys())
+            resolved = (prefix, key, entry.spec)
+        else:
+            prefix, base = key[:1], key[1:]
+            entry = self._entries.get(base)
+            if (
+                entry is None
+                or prefix not in PRECISIONS
+                or prefix not in entry.spec.precisions
+            ):
+                raise UnknownRoutineError(routine, self.keys())
+            resolved = (prefix, base, entry.spec)
+        if routine.__class__ is str:
+            self._resolved[routine] = resolved
+        return resolved
 
 
 # -- the process-wide catalog --------------------------------------------------

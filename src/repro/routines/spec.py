@@ -147,13 +147,14 @@ class RoutineSpec:
                 )
             dims = dict(zip(self.dim_names, args))
         else:
-            missing = [d for d in self.dim_names if d not in kwargs]
-            if missing:
-                raise ValueError(f"{self.name} missing dimensions: {missing}")
-            extra = [d for d in kwargs if d not in self.dim_names]
-            if extra:
+            try:
+                dims = {d: kwargs[d] for d in self.dim_names}
+            except KeyError:
+                missing = [d for d in self.dim_names if d not in kwargs]
+                raise ValueError(f"{self.name} missing dimensions: {missing}") from None
+            if len(kwargs) != len(dims):
+                extra = [d for d in kwargs if d not in self.dim_names]
                 raise ValueError(f"{self.name} got unexpected dimensions: {extra}")
-            dims = {d: kwargs[d] for d in self.dim_names}
         for key, value in dims.items():
             value = int(value)
             if value < 1:

@@ -65,12 +65,13 @@ from repro.serving.telemetry import EngineTelemetry
 __all__ = ["PlanRequest", "ServingEngine", "normalize_request"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlanRequest:
     """One plan request (dimensions already normalized).
 
     ``dims_key`` is the canonical hashable form of ``dims`` (sorted items),
-    computed once at intake and reused by every cache probe downstream.
+    computed once at intake: shard routing, the predictor's LRU probe, the
+    timing memo and the shape histogram all key on this one tuple.
     ``deadline`` is an optional absolute :func:`time.monotonic` instant —
     the drain loop sheds a request whose deadline already passed instead of
     spending a micro-batch slot on an answer nobody is waiting for.  The
@@ -81,8 +82,17 @@ class PlanRequest:
     request_id: int
     routine: str
     dims: Dict[str, int]
-    dims_key: tuple = ()
+    dims_key: tuple
     deadline: Optional[float] = None
+
+    def __init__(self, request_id, routine, dims, dims_key, deadline=None):
+        # Written out like ExecutionPlan's: one per request on the hot path.
+        put = object.__setattr__
+        put(self, "request_id", request_id)
+        put(self, "routine", routine)
+        put(self, "dims", dims)
+        put(self, "dims_key", dims_key)
+        put(self, "deadline", deadline)
 
 
 def normalize_request(
@@ -100,11 +110,7 @@ def normalize_request(
     prefix, base, spec = parse_routine(routine)
     normalized = spec.dims_from_args(**dims)
     return PlanRequest(
-        request_id=request_id,
-        routine=prefix + base,
-        dims=normalized,
-        dims_key=tuple(sorted(normalized.items())),
-        deadline=deadline,
+        request_id, prefix + base, normalized, tuple(sorted(normalized.items())), deadline
     )
 
 
@@ -292,9 +298,16 @@ class ServingEngine:
     ) -> List[ExecutionPlan]:
         use_cache = self.use_cache if use_cache is None else use_cache
         self.telemetry.record_batch(len(batch))
-        resolutions = [
-            self.fallback.resolve(request.routine, self.source) for request in batch
-        ]
+        # A micro-batch holds a handful of routines: route each of them once.
+        routed: Dict[str, object] = {}
+        resolutions = []
+        for request in batch:
+            resolution = routed.get(request.routine)
+            if resolution is None:
+                resolution = routed[request.routine] = self.fallback.resolve(
+                    request.routine, self.source
+                )
+            resolutions.append(resolution)
         groups: "OrderedDict[Tuple[str, bool], List[int]]" = OrderedDict()
         for index, resolution in enumerate(resolutions):
             groups.setdefault((resolution.key, resolution.heuristic), []).append(index)
@@ -308,9 +321,10 @@ class ServingEngine:
                 from_cache = [False] * len(indices)
             else:
                 self._touched_routines.add(key)
-                dims_list = [batch[i].dims for i in indices]
                 prediction_plans = self.source.predictor(key).plan_batch(
-                    dims_list, use_cache=use_cache
+                    [batch[i].dims for i in indices],
+                    use_cache=use_cache,
+                    keys=[batch[i].dims_key for i in indices],
                 )
                 threads = [p.threads for p in prediction_plans]
                 from_cache = [p.from_cache for p in prediction_plans]
@@ -325,6 +339,7 @@ class ServingEngine:
                 timing_rows.append((request.dims, request.dims_key, max_threads))
             timed = self._timing_cells(key, timing_rows)
 
+            telemetry = self.telemetry.routine(key)
             for slot, index in enumerate(indices):
                 resolution = resolutions[index]
                 plan = ExecutionPlan(
@@ -338,19 +353,18 @@ class ServingEngine:
                     policy=resolution.policy,
                 )
                 plans[index] = plan
-                self.telemetry.record_plan(
-                    routine=key,
+                telemetry.record_plan(
                     from_cache=plan.from_cache,
                     fallback=plan.fallback_from is not None,
-                    heuristic=resolution.heuristic,
+                    heuristic=heuristic,
                     dims_key=batch[index].dims_key,
                 )
             # Each plan's latency is its share of the group's batched
             # predictor pass — the per-request number an external scraper
             # wants, not the whole batch's.  No simulator time is in it.
-            per_plan_latency = (time.perf_counter() - group_started) / len(indices)
-            for _ in indices:
-                self.telemetry.record_latency(key, per_plan_latency)
+            telemetry.record_latency(
+                (time.perf_counter() - group_started) / len(indices), len(indices)
+            )
         # Every request resolves to exactly one group slot, so every slot
         # must hold a plan; a silent filter here would turn a resolution
         # bug into lost requests.

@@ -442,7 +442,8 @@ class ShardedFrontend:
                 self.n_submitted += 1
             future = PlanFuture(request.request_id, shard.index)
             future.add_done_callback(self._on_done)
-            shard.start()
+            if not shard.running:  # start() takes the shard's lifecycle lock
+                shard.start()
             shard.enqueue(request, future)
         return future
 

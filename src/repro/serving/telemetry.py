@@ -248,10 +248,10 @@ class RoutineTelemetry:
         if dims_key is not None:
             self.shapes.record(dims_key)
 
-    def record_latency(self, seconds: float) -> None:
-        """Fold one plan's share of its batch's planning time into the
-        latency histogram (engine lock held, like every mutator here)."""
-        self.latency.observe(seconds)
+    def record_latency(self, seconds: float, count: int = 1) -> None:
+        """Fold ``count`` plans' equal shares of their group's planning time
+        into the latency histogram (engine lock held, like every mutator here)."""
+        self.latency.observe(seconds, count)
 
     def record_observation(
         self,
@@ -365,7 +365,8 @@ class EngineTelemetry:
         self.batch_sizes = RollingStats(window)
         self.routines: "OrderedDict[str, RoutineTelemetry]" = OrderedDict()
 
-    def _routine(self, routine: str) -> RoutineTelemetry:
+    def routine(self, routine: str) -> RoutineTelemetry:
+        """One routine's row, created on first use."""
         telemetry = self.routines.get(routine)
         if telemetry is None:
             telemetry = RoutineTelemetry(
@@ -387,12 +388,12 @@ class EngineTelemetry:
         heuristic: bool,
         dims_key: tuple | None = None,
     ) -> None:
-        self._routine(routine).record_plan(
+        self.routine(routine).record_plan(
             from_cache, fallback, heuristic, dims_key=dims_key
         )
 
     def record_latency(self, routine: str, seconds: float) -> None:
-        self._routine(routine).record_latency(seconds)
+        self.routine(routine).record_latency(seconds)
 
     def record_observation(
         self,
@@ -402,7 +403,7 @@ class EngineTelemetry:
         dims: Optional[Dict[str, int]] = None,
         threads: Optional[int] = None,
     ) -> None:
-        self._routine(routine).record_observation(
+        self.routine(routine).record_observation(
             predicted, observed, dims=dims, threads=threads
         )
 

@@ -211,3 +211,56 @@ class TestPluginProtocol:
     def test_base_plugin_requires_specs(self):
         with pytest.raises(NotImplementedError):
             RoutinePlugin().routine_specs()
+
+
+class TestResolveMemo:
+    """``resolve`` keeps successful answers per spelling — and only those."""
+
+    def test_repeat_is_served_from_the_memo(self):
+        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        assert catalog._resolved == {}  # nothing precomputed: filled on use
+        first = catalog.resolve("dgemm")
+        assert catalog._resolved == {"dgemm": first}
+        assert catalog.resolve("dgemm") is first
+
+    def test_case_variants_return_the_same_spec(self):
+        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        answers = [catalog.resolve(s) for s in ("dgemm", "DGEMM", "dGemm", "gemm", "GEMM")]
+        assert {(prefix, base) for prefix, base, _ in answers} == {("d", "gemm")}
+        assert all(spec is answers[0][2] for _, _, spec in answers)
+        assert catalog.resolve("DGEMM") == catalog.resolve("dgemm")
+
+    def test_plugin_registered_after_a_resolution(self):
+        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        gemm = catalog.resolve("dgemm")
+        with pytest.raises(UnknownRoutineError):
+            catalog.resolve("dtoy")  # unknown before registration ...
+        catalog.register_spec(_toy_spec(), plugin_name="t")
+        assert catalog._resolved == {}  # every registration drops the memo
+        prefix, base, spec = catalog.resolve("dtoy")  # ... known after it
+        assert (prefix, base, spec.dim_names) == ("d", "toy", ("p", "q"))
+        assert catalog.resolve("toy") == ("d", "toy", spec)
+        assert catalog.resolve("dgemm") == gemm
+
+    def test_failures_are_never_memoised(self):
+        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        for i in range(10_000):
+            with pytest.raises(UnknownRoutineError):
+                catalog.resolve(f"nosuch{i}")
+        assert catalog._resolved == {}
+        with pytest.raises(UnknownRoutineError):
+            catalog.resolve("zgemm")  # registered base, undeclared precision
+        with pytest.raises(UnknownRoutineError):
+            catalog.resolve(["dgemm"])  # unhashable spelling: same structured error
+        assert catalog._resolved == {}
+
+    def test_reset_catalog_empties_the_memo(self, fresh_global_catalog):
+        from repro.blas.api import parse_routine
+
+        get_catalog().register_spec(_toy_spec(), plugin_name="t")
+        assert parse_routine("dtoy")[1] == "toy"
+        assert set(get_catalog()._resolved) == {"dtoy"}
+        reset_catalog()
+        assert get_catalog()._resolved == {}
+        with pytest.raises(UnknownRoutineError):
+            parse_routine("dtoy")

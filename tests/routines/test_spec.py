@@ -209,3 +209,61 @@ class TestMakeRoutineSpec:
             measure=lambda platform, prec, dims, t: np.asarray(t, dtype=float),
         )
         assert float(spec.memory_words({"p": 10, "q": 7})) == 10 * 7 + 2 * 7
+
+
+class TestDimsFromArgs:
+    """The error matrix of ``dims_from_args``, pinned to what PR 21 produced:
+    same exception types, same messages, same precedence, same coercions."""
+
+    GEMM = ROUTINE_SPECS["gemm"]
+    SYRK = ROUTINE_SPECS["syrk"]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(m=1, n=2), "gemm missing dimensions: ['k']"),
+            (dict(n=2), "gemm missing dimensions: ['m', 'k']"),
+            ({}, "gemm missing dimensions: ['m', 'k', 'n']"),
+            (dict(m=1, k=2, n=3, z=4, y=5), "gemm got unexpected dimensions: ['z', 'y']"),
+            # both: missing wins, in declaration order
+            (dict(m=1, z=4), "gemm missing dimensions: ['k', 'n']"),
+            (dict(z=4, m=1, y=2, k=9), "gemm missing dimensions: ['n']"),
+            # non-positive: the first offender in declaration order, after int()
+            (dict(m=1, k=0, n=3), "Dimension k must be positive, got 0"),
+            (dict(m=-5, k=0, n=3), "Dimension m must be positive, got -5"),
+            (dict(m=0.9, k=2, n=3), "Dimension m must be positive, got 0"),
+            (dict(m="x", k=2, n=3), "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_keyword_errors(self, kwargs, message):
+        with pytest.raises(ValueError) as caught:
+            self.GEMM.dims_from_args(**kwargs)
+        assert str(caught.value) == message
+
+    def test_positional_errors(self):
+        with pytest.raises(TypeError) as caught:
+            self.GEMM.dims_from_args(1, 2, n=3)
+        assert str(caught.value) == "Pass dimensions either positionally or by name, not both"
+        for args in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError) as caught:
+                self.GEMM.dims_from_args(*args)
+            assert str(caught.value) == (
+                f"gemm expects 3 dimensions ('m', 'k', 'n'), got {len(args)}"
+            )
+        with pytest.raises(ValueError, match="Dimension k must be positive, got 0"):
+            self.GEMM.dims_from_args(1, 0, 3)
+        with pytest.raises(TypeError, match="not 'NoneType'"):
+            self.GEMM.dims_from_args(m=None, k=2, n=3)
+
+    def test_coercion(self):
+        for dims in (
+            self.GEMM.dims_from_args(n=3.9, k=np.int32(7), m=True),
+            self.GEMM.dims_from_args(True, np.int64(7), 3.9),
+        ):
+            assert dims == {"m": 1, "k": 7, "n": 3}
+            assert list(dims) == ["m", "k", "n"]  # declaration order, whatever the call's
+            assert [type(v) for v in dims.values()] == [int, int, int]
+        assert self.GEMM.dims_from_args(m="12", k=2, n=3) == {"m": 12, "k": 2, "n": 3}
+        assert self.SYRK.dims_from_args(k=np.uint8(3), n=2.0) == {"n": 2, "k": 3}
+        with pytest.raises(ValueError, match="Dimension k must be positive, got 0"):
+            self.SYRK.dims_from_args(k=False, n=2)
