@@ -22,17 +22,22 @@ buffers:
   :class:`ModelKernel` (trees stacked into one struct-of-arrays, a linear
   model's ``(coef, intercept)`` pair); and cast every constant argument
   of the native call — column program, thread counts, lambdas / shift /
-  scale, mode, the stacked trees, the fold constants — to its C pointer
-  exactly once (:class:`repro.ml._native.BoundEvaluate`, which also
-  validates them and keeps them alive).
+  scale, mode, the stacked trees, the fold constants, AdaBoost's weights
+  — to its C pointer exactly once, into the one argument record the call
+  reads (:class:`repro.ml._native.BoundEvaluate`, which also validates
+  them and keeps them alive).
 * **evaluate time** — write the dims into the writer's scratch and make
-  one plain C call that fills the feature grid, applies the fused
-  preprocessing (whole-matrix Yeo-Johnson, then one affine) and runs the
-  single stacked ensemble descent.  Dims scratch and grid belong to the
-  writer, the output buffer to the predictor; their three addresses are
-  re-cast only when a larger batch made the writer replace its buffers,
-  so a steady-state evaluation marshals nothing, and what it returns is
-  an owned array, never a view of a reused buffer.
+  one C call, passing the record's address and the shape count, that
+  fills the feature grid, applies the fused preprocessing (Yeo-Johnson
+  then one affine, each column transformed only where its input varies
+  and copied elsewhere), runs the single stacked ensemble descent and,
+  for AdaBoost, takes the weighted median of each row.  Dims scratch and
+  grid belong to the writer, the output and median buffers to the
+  predictor; their addresses are re-cast only when a larger batch made
+  the writer replace its buffers, so a steady-state evaluation marshals
+  nothing, and what it returns is an owned array, never a view of a
+  reused buffer.  Only a median row whose leaves tie comes back to
+  NumPy (``median_tie_rows`` counts them; see ``_finish_median``).
 
 One model over one (shapes × candidate-threads) grid is evaluated in
 exactly three ways, each with one job:
@@ -238,6 +243,11 @@ class CompiledPredictor:
 
     The instance owns reusable buffers and is **not** thread-safe; each
     :class:`~repro.core.predictor.ThreadPredictor` builds its own.
+
+    Beside ``path`` / ``path_reason``, ``median_tie_rows`` says which code
+    finished an AdaBoost median: it counts the grid rows the native call
+    handed back to ``boosting.weighted_median`` because two of their leaves
+    tie (0 unless trees share a leaf value; always 0 on the NumPy path).
     """
 
     def __init__(
@@ -258,11 +268,12 @@ class CompiledPredictor:
 
     #: Native descent mode per model kind (see ``fused_evaluate`` in
     #: :mod:`repro.ml._native`): 0 = per-tree leaf matrix, 1 = boosted
-    #: fold, 2 = stop after the transform and finish in Python.
+    #: fold, 2 = stop after the transform and finish in Python, 3 = leaf
+    #: matrix plus its weighted median per row.
     _NATIVE_MODES = {
         "tree": 0,
         "forest-mean": 0,
-        "weighted-median": 0,
+        "weighted-median": 3,
         "fold": 1,
         "linear": 2,
         "opaque": 2,
@@ -276,6 +287,7 @@ class CompiledPredictor:
         """
         self._fused_call = None
         self._selfcheck_pending = False
+        self.median_tie_rows = 0
         kernels = _native.load_kernels()
         if kernels is None:
             self._path_reason = (
@@ -305,9 +317,9 @@ class CompiledPredictor:
         trees = (None,) * 3 if stack is None else (stack.roots, stack.depths, stack.nodes_packed)
         self._fused_call = _native.load_kernels().fused_evaluate.bind(
             self._program, self._writer.nt, *self._flat_state,
-            self._native_mode, *trees, kernel.base, kernel.scale,
+            self._native_mode, *trees, kernel.base, kernel.scale, kernel.weights,
         )  # fmt: skip
-        self._out = None
+        self._out = self._median = None
 
     @property
     def path(self) -> str:
@@ -363,8 +375,9 @@ class CompiledPredictor:
     def _call_fused(self, dims_list) -> int:
         """Load the dims and make the one C call; returns the shape count.
 
-        The bound call is re-pointed (three casts) only when the writer
-        replaced its buffers; the output buffer is regrown to match then.
+        The bound call is re-pointed (one cast per buffer) only when the
+        writer replaced its buffers; the output buffer and, in mode 3, the
+        median buffer are regrown to match then.
         """
         writer = self._writer
         writer.load_dims(dims_list)
@@ -373,7 +386,8 @@ class CompiledPredictor:
         if grid is not bound.buffers[1]:
             rows = grid.shape[0] * grid.shape[1]
             self._out = np.empty(self._out_width * rows) if self._out_width else None
-            bound.point(dims, grid, self._out)
+            self._median = np.empty(rows) if self._native_mode == 3 else None
+            bound.point(dims, grid, self._out, self._median)
         n_shapes = len(dims_list)
         bound(n_shapes)
         return n_shapes
@@ -393,13 +407,26 @@ class CompiledPredictor:
                 kernel.evaluate(self._transform_fused(dims_list)), dtype=float
             )
         rows = self._call_fused(dims_list) * self.n_candidates
+        if mode == 3:
+            return self._finish_median(rows)
         width = self._out_width
         out = self._out[: width * rows].reshape(width, rows)
         if mode == 1 or kernel.kind == "tree":
             return out[0].copy()
-        if kernel.kind == "forest-mean":
-            return out.mean(axis=0)
-        return weighted_median(out.T, kernel.weights)
+        return out.mean(axis=0)  # forest-mean
+
+    def _finish_median(self, rows: int) -> np.ndarray:
+        """Mode 3's result: the medians C took, and NumPy's for the rows it
+        flagged (NaN) because two of their leaves tie — ``argsort``'s tie
+        order is the host's, so only ``weighted_median`` itself, on the leaf
+        matrix the call wrote, reproduces it."""
+        median = self._median[:rows].copy()
+        if self._fused_call.n_tied:
+            tied = np.flatnonzero(np.isnan(median))
+            leaves = self._out[: self._out_width * rows].reshape(self._out_width, rows)
+            median[tied] = weighted_median(leaves[:, tied].T, self._model_kernel.weights)
+            self.median_tie_rows += tied.size
+        return median
 
     def _run_selfcheck(self, dims_list) -> np.ndarray:
         """First-call guard: the fused C result must equal the NumPy path.

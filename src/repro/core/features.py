@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.blas.api import parse_routine
 from repro.blas.flops import memory_words
+from repro.ml._native import MAX_PROGRAM_BASES
 from repro.routines.spec import derive_footprint_terms, feature_layout
 
 __all__ = [
@@ -431,6 +432,11 @@ class FeatureGridWriter:
             for _, factors in terms:
                 if len(factors) > 3:
                     return None
+        # The C fill accumulates the bases of one shape in a fixed array of
+        # ``MAX_PROGRAM_BASES`` doubles (``MAX_BASES`` in ml/_native.py's
+        # source); a wider program takes the NumPy path.
+        if len(base_terms) > MAX_PROGRAM_BASES:
+            return None
         offsets = [0]
         coefs: list[float] = []
         facs: list[tuple[int, int, int]] = []

@@ -5,14 +5,37 @@ One shared object, compiled on first use, covers the whole
 
 ``fused_evaluate``
     **The production path.**  Chains feature fill → fused Yeo-Johnson +
-    affine transform → stacked descent in **one C call**, so the GIL is
-    dropped across the whole span and intermediate buffers never surface
-    to Python.  The fill replays the compact i64/f64 *column program*
-    exported by :meth:`repro.core.features.FeatureGridWriter.column_program`
-    in the Python recipe's exact operation order (left-associated sums of
-    products, exact ``1.0 *`` / ``2 *`` coefficients), so the grid is
-    bit-identical.  A predictor binds it once (:class:`BoundEvaluate`);
-    the 14-argument wrapper is bind-then-call-once for tests and probes.
+    affine transform → stacked descent (→ AdaBoost's weighted median) in
+    **one C call**, so the GIL is dropped across the whole span and
+    intermediate buffers never surface to Python.  Nothing in it is
+    computed more often than it changes:
+
+    * the fill replays the compact i64/f64 *column program* exported by
+      :meth:`repro.core.features.FeatureGridWriter.column_program` in the
+      Python recipe's exact operation order (left-associated sums of
+      products, exact ``1.0 *`` / ``2 *`` coefficients), so the grid is
+      bit-identical;
+    * the transform goes **by column kind**: a ``base / nt`` column (kind
+      2) is transformed over every grid row, a ``base`` column (kind 1)
+      once per shape and copied down the shape's thread rows, an ``nt``
+      column (kind 0) over the first shape's rows and copied across the
+      shapes — the same ``transform_column`` on the same operands, a third
+      (many shapes) to a half (one shape) as many of them;
+    * ``model_mode`` picks the tail: 0 = per-tree leaf matrix (single
+      trees and forests), 1 = boosted fold, 2 = stop after the transform
+      (linear and opaque models finish in Python on the same grid), 3 =
+      the leaf matrix plus ``boosting.weighted_median`` of each row, taken
+      in C with NumPy's additions in NumPy's order.  A row holding two
+      equal leaves (or a NaN) has no unique order and NumPy's ``argsort``
+      tie order is the host's, so C flags such a row (NaN in the median
+      buffer, a count in the record) and the caller finishes *those rows*
+      with ``weighted_median`` itself on the leaf matrix the call wrote;
+    * the arguments travel as **one record**: a predictor binds the call
+      once (:class:`BoundEvaluate` fills an :class:`_EvaluateArgs`
+      structure mirroring the C ``evaluate_args``), and a call passes the
+      record's address and the shape count — two arguments.  The
+      14-argument wrapper is bind-then-call-once through the same entry,
+      for tests and the load-time probe.
 
 ``descent``
     The bare ``stacked_descent`` kernel :class:`repro.ml.tree.StackedTrees`
@@ -20,20 +43,21 @@ One shared object, compiled on first use, covers the whole
     and of every ensemble ``predict``.
 
 ``fused_transform``
-    The transform stage alone, kept for the load-time probe and the
-    per-branch tests.  It reproduces ``FusedTransform.transform_kept``
-    bit-identically: per-column λ dispatch mirrors NumPy's scalar fast
-    paths exactly (λ or 2-λ in {-1, 0.5, 1, 2} become reciprocal / sqrt /
-    copy / square — exact operations), the |λ|≤1e-12 and |λ-2|≤1e-12
-    branches become log1p, and everything else calls ``pow``.  On AVX512
-    hosts where NumPy itself dispatches ``**`` and ``log1p`` to Intel
-    SVML, the kernel calls **NumPy's own** ``__svml_pow8_ha`` /
-    ``__svml_log1p8_ha`` symbols through function pointers
-    (:func:`set_svml_pointers`), so the transcendentals are the same code
-    NumPy runs; elsewhere it uses libm, which is what NumPy uses there
-    too.  A bit-exactness probe at load time (:func:`_verify_transform`)
-    compares the kernel against the NumPy reference and, on any mismatch,
-    drops it and the fused chain that contains it.
+    The transform stage alone — the all-kind-2 case of the one transform
+    loop — kept for the load-time probe and the per-branch tests.  It
+    reproduces ``FusedTransform.transform_kept`` bit-identically:
+    per-column λ dispatch mirrors NumPy's scalar fast paths exactly (λ or
+    2-λ in {-1, 0.5, 1, 2} become reciprocal / sqrt / copy / square —
+    exact operations), the |λ|≤1e-12 and |λ-2|≤1e-12 branches become
+    log1p, and everything else calls ``pow``.  On AVX512 hosts where NumPy
+    itself dispatches ``**`` and ``log1p`` to Intel SVML, the kernel calls
+    **NumPy's own** ``__svml_pow8_ha`` / ``__svml_log1p8_ha`` symbols
+    through function pointers (:func:`set_svml_pointers`), so the
+    transcendentals are the same code NumPy runs; elsewhere it uses libm,
+    which is what NumPy uses there too.  A bit-exactness probe at load
+    time (:func:`_verify_transform`) compares both the whole-column pass
+    and the by-kind grouping against the NumPy reference and, on any
+    mismatch, drops the transform and the fused chain that contains it.
 
 Three environment variables, no more:
 
@@ -65,11 +89,13 @@ import os
 import shutil
 import subprocess
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "MAX_PROGRAM_BASES",
     "NODE_DTYPE",
     "NativeKernels",
     "library_path",
@@ -89,6 +115,11 @@ NODE_DTYPE = np.dtype(
     ]
 )
 
+
+#: Accumulators the C fill holds per shape (``MAX_BASES`` in the source
+#: below, substituted from here).  ``FeatureGridWriter._build_program``
+#: hands out no column program with more bases, so none reaches the kernel.
+MAX_PROGRAM_BASES = 16
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -349,8 +380,63 @@ static void transform_column(double *x,
     }
 }
 
-/* In-place fused transform of a row-major (n_rows, n_cols) matrix:
- * per-column Yeo-Johnson (when has_lambdas) then (y - shift) / scale. */
+/* The one transform loop: in-place per-column Yeo-Johnson (when
+ * has_lambdas) then (y - shift) / scale over a row-major
+ * (n_shapes * n_threads, n_cols) grid, threads varying fastest.
+ *
+ * A column is transformed only where its input varies (col_kind as in
+ * feature_fill; NULL means every column is kind 2):
+ *
+ *   kind 2 (base / nt): every row;
+ *   kind 1 (base)     : each shape's first row, copied down its other rows;
+ *   kind 0 (nt)       : the first shape's rows, copied across the shapes.
+ *
+ * The copied cells held the very operand the transformed cell had, and
+ * transform_column is lane-independent (the load-time probe checks that
+ * on the host's vector pow / log1p), so every cell gets the bits the
+ * whole-column pass gave it — from far fewer transcendental evaluations.
+ */
+static void transform_grid(double *x,
+                           int64_t n_shapes,
+                           int64_t n_threads,
+                           int64_t n_cols,
+                           const int64_t *col_kind,
+                           int64_t has_lambdas,
+                           const double *lambdas,
+                           const double *shift,
+                           const double *scale)
+{
+    const int64_t shape_stride = n_threads * n_cols;
+    for (int64_t j = 0; j < n_cols; ++j) {
+        double *col = x + j;
+        const int64_t kind = col_kind ? col_kind[j] : 2;
+        const double lam = has_lambdas ? lambdas[j] : 0.0;
+        if (kind == 2) {
+            transform_column(col, n_shapes * n_threads, n_cols, has_lambdas,
+                             lam, shift[j], scale[j]);
+        } else if (kind == 1) {
+            transform_column(col, n_shapes, shape_stride, has_lambdas,
+                             lam, shift[j], scale[j]);
+            for (int64_t s = 0; s < n_shapes; ++s) {
+                double *first = col + s * shape_stride;
+                for (int64_t th = 1; th < n_threads; ++th)
+                    first[th * n_cols] = *first;
+            }
+        } else {
+            transform_column(col, n_threads, n_cols, has_lambdas,
+                             lam, shift[j], scale[j]);
+            for (int64_t s = 1; s < n_shapes; ++s) {
+                double *shape = col + s * shape_stride;
+                for (int64_t th = 0; th < n_threads; ++th)
+                    shape[th * n_cols] = col[th * n_cols];
+            }
+        }
+    }
+}
+
+/* The whole-column case of transform_grid, exported for the load-time
+ * probe and the per-branch tests: a (n_rows, n_cols) matrix is n_rows
+ * shapes of one thread count with every column kind 2. */
 void fused_transform(double *x,
                      int64_t n_rows,
                      int64_t n_cols,
@@ -359,10 +445,8 @@ void fused_transform(double *x,
                      const double *shift,
                      const double *scale)
 {
-    for (int64_t j = 0; j < n_cols; ++j)
-        transform_column(x + j, n_rows, n_cols, has_lambdas,
-                         has_lambdas ? lambdas[j] : 0.0,
-                         shift[j], scale[j]);
+    transform_grid(x, n_rows, 1, n_cols, 0, has_lambdas, lambdas, shift,
+                   scale);
 }
 
 /* ---- Feature-grid fill -------------------------------------------------
@@ -377,8 +461,15 @@ void fused_transform(double *x,
  *
  * The grid is row-major (n_shapes * n_threads, n_cols), threads varying
  * fastest — exactly the writer's layout.
+ *
+ * MAX_BASES bounds the accumulator array below.  It is Python's
+ * MAX_PROGRAM_BASES (this module), which
+ * FeatureGridWriter._build_program enforces: a wider program is never
+ * handed out, so none reaches this loop.
  */
-void feature_fill(const double *dims,
+#define MAX_BASES __MAX_PROGRAM_BASES__
+
+static void feature_fill(const double *dims,
                   int64_t n_shapes,
                   int64_t n_dims,
                   const double *nt,
@@ -392,7 +483,7 @@ void feature_fill(const double *dims,
                   int64_t n_cols,
                   double *grid)
 {
-    double bases[16];
+    double bases[MAX_BASES];
     for (int64_t s = 0; s < n_shapes; ++s) {
         const double *d = dims + s * n_dims;
         for (int64_t b = 0; b < n_bases; ++b) {
@@ -423,53 +514,134 @@ void feature_fill(const double *dims,
     }
 }
 
+/* ---- AdaBoost.R2 weighted median ---------------------------------------
+ *
+ * boosting.weighted_median over the (n_trees, rows) leaf matrix, row by
+ * row: order the row's leaves, accumulate the weights left to right in
+ * that order, take the first leaf whose running sum reaches 0.5 * total
+ * (leaf 0 of the order when none does — NumPy's argmax of all-False) —
+ * NumPy's additions exactly, provided the order is unique.  The sort is
+ * an insertion sort that starts from the previous row's permutation:
+ * neighbouring thread counts barely reorder the leaves.
+ *
+ * A row holding two equal leaves, or a NaN beside another leaf, has no
+ * unique order, and NumPy's argsort tie order is host-specific; such a
+ * row gets NaN in median[] and is counted in the return value, and Python
+ * finishes those rows.  (The marker is unambiguous whenever the count is
+ * nonzero: that takes two trees, and a uniquely ordered row of two or
+ * more leaves holds no NaN, so its median is never one.)
+ */
+static int64_t weighted_median_rows(const double *leaves,
+                                    int64_t n_trees,
+                                    int64_t rows,
+                                    const double *weights,
+                                    int64_t *order,
+                                    double *median)
+{
+    int64_t n_tied = 0;
+    for (int64_t t = 0; t < n_trees; ++t)
+        order[t] = t;
+    for (int64_t r = 0; r < rows; ++r) {
+        const double *leaf = leaves + r; /* tree t's leaf: leaf[t * rows] */
+        for (int64_t i = 1; i < n_trees; ++i) {
+            const int64_t t = order[i];
+            const double v = leaf[t * rows];
+            int64_t k = i;
+            for (; k > 0 && leaf[order[k - 1] * rows] > v; --k)
+                order[k] = order[k - 1];
+            order[k] = t;
+        }
+        int unique = 1;
+        for (int64_t i = 1; i < n_trees && unique; ++i)
+            unique = leaf[order[i - 1] * rows] < leaf[order[i] * rows];
+        if (!unique) {
+            median[r] = NAN;
+            ++n_tied;
+            continue;
+        }
+        double total = weights[order[0]];
+        for (int64_t i = 1; i < n_trees; ++i)
+            total += weights[order[i]];
+        const double threshold = 0.5 * total;
+        double running = weights[order[0]];
+        int64_t pick = 0;
+        while (!(running >= threshold)) {
+            if (++pick == n_trees) {
+                pick = 0;
+                break;
+            }
+            running += weights[order[pick]];
+        }
+        median[r] = leaf[order[pick] * rows];
+    }
+    return n_tied;
+}
+
 /* ---- Fused evaluate ----------------------------------------------------
  *
- * feature_fill -> fused_transform -> stacked_descent in one call, so the
- * caller drops the GIL across the whole span.  model_mode selects the
- * tail: 0 = per-tree leaf matrix, 1 = fold (out pre-set to fold_base
- * here, then += fold_scale * leaf per tree), 2 = stop after the
- * transform (linear / opaque models finish in Python on the same grid).
+ * feature_fill -> transform_grid -> stacked_descent in one call, so the
+ * caller drops the GIL across the whole span.  The arguments arrive as
+ * one record the caller filled when it bound the predictor (ctypes'
+ * _EvaluateArgs mirrors it field for field), so a call marshals a
+ * pointer and a count.  model_mode selects the tail: 0 = per-tree leaf
+ * matrix, 1 = fold (out pre-set to fold_base here, then += fold_scale *
+ * leaf per tree), 2 = stop after the transform (linear / opaque models
+ * finish in Python on the same grid), 3 = the leaf matrix of mode 0,
+ * then its weighted median per row into median[] and the tied-row count
+ * into n_tied.
  */
-void fused_evaluate(const double *dims,
-                    int64_t n_shapes,
-                    int64_t n_dims,
-                    const double *nt,
-                    int64_t n_threads,
-                    const int64_t *base_off,
-                    int64_t n_bases,
-                    const double *term_coef,
-                    const int64_t *term_fac,
-                    const int64_t *col_kind,
-                    const int64_t *col_base,
-                    int64_t n_cols,
-                    double *grid,
-                    int64_t has_lambdas,
-                    const double *lambdas,
-                    const double *shift,
-                    const double *scale,
-                    int64_t model_mode,
-                    const int64_t *roots,
-                    const int64_t *depths,
-                    int64_t n_trees,
-                    const node_t *nodes,
-                    double fold_base,
-                    double fold_scale,
-                    double *out)
+typedef struct {
+    const double *dims;
+    int64_t n_dims;
+    const double *nt;
+    int64_t n_threads;
+    const int64_t *base_off;
+    int64_t n_bases;
+    const double *term_coef;
+    const int64_t *term_fac;
+    const int64_t *col_kind;
+    const int64_t *col_base;
+    int64_t n_cols;
+    double *grid;
+    int64_t has_lambdas;
+    const double *lambdas;
+    const double *shift;
+    const double *scale;
+    int64_t model_mode;
+    const int64_t *roots;
+    const int64_t *depths;
+    int64_t n_trees;
+    const node_t *nodes;
+    double fold_base;
+    double fold_scale;
+    double *out;
+    const double *weights; /* mode 3: per-tree weights ...        */
+    int64_t *order;        /* ... n_trees entries of sort scratch  */
+    double *median;        /* ... and one result per grid row      */
+    int64_t n_tied;        /* written by the call (mode 3)         */
+} evaluate_args;
+
+void fused_evaluate(evaluate_args *a, int64_t n_shapes)
 {
-    feature_fill(dims, n_shapes, n_dims, nt, n_threads, base_off, n_bases,
-                 term_coef, term_fac, col_kind, col_base, n_cols, grid);
-    const int64_t rows = n_shapes * n_threads;
-    fused_transform(grid, rows, n_cols, has_lambdas, lambdas, shift, scale);
-    if (model_mode == 2)
+    feature_fill(a->dims, n_shapes, a->n_dims, a->nt, a->n_threads,
+                 a->base_off, a->n_bases, a->term_coef, a->term_fac,
+                 a->col_kind, a->col_base, a->n_cols, a->grid);
+    transform_grid(a->grid, n_shapes, a->n_threads, a->n_cols, a->col_kind,
+                   a->has_lambdas, a->lambdas, a->shift, a->scale);
+    if (a->model_mode == 2)
         return;
-    if (model_mode == 1)
+    const int64_t rows = n_shapes * a->n_threads;
+    if (a->model_mode == 1)
         for (int64_t r = 0; r < rows; ++r)
-            out[r] = fold_base;
-    stacked_descent(grid, rows, n_cols, roots, depths, n_trees, nodes,
-                    model_mode, fold_scale, out);
+            a->out[r] = a->fold_base;
+    stacked_descent(a->grid, rows, a->n_cols, a->roots, a->depths,
+                    a->n_trees, a->nodes, a->model_mode == 1, a->fold_scale,
+                    a->out);
+    if (a->model_mode == 3)
+        a->n_tied = weighted_median_rows(a->out, a->n_trees, rows,
+                                         a->weights, a->order, a->median);
 }
-"""
+""".replace("__MAX_PROGRAM_BASES__", str(MAX_PROGRAM_BASES))
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
@@ -662,22 +834,6 @@ _DESCENT_ARGTYPES = [
     _DOUBLE_P,  # out
 ]
 
-_FILL_ARGTYPES = [
-    _DOUBLE_P,  # dims
-    ctypes.c_int64,  # n_shapes
-    ctypes.c_int64,  # n_dims
-    _DOUBLE_P,  # nt
-    ctypes.c_int64,  # n_threads
-    _INT64_P,  # base_off
-    ctypes.c_int64,  # n_bases
-    _DOUBLE_P,  # term_coef
-    _INT64_P,  # term_fac
-    _INT64_P,  # col_kind
-    _INT64_P,  # col_base
-    ctypes.c_int64,  # n_cols
-    _DOUBLE_P,  # grid
-]
-
 _TRANSFORM_ARGTYPES = [
     _DOUBLE_P,  # x
     ctypes.c_int64,  # n_rows
@@ -688,23 +844,45 @@ _TRANSFORM_ARGTYPES = [
     _DOUBLE_P,  # scale
 ]
 
-_EVALUATE_ARGTYPES = (
-    _FILL_ARGTYPES
-    + [
-        ctypes.c_int64,  # has_lambdas
-        _DOUBLE_P,  # lambdas
-        _DOUBLE_P,  # shift
-        _DOUBLE_P,  # scale
-        ctypes.c_int64,  # model_mode
-        _INT64_P,  # roots
-        _INT64_P,  # depths
-        ctypes.c_int64,  # n_trees
-        ctypes.c_void_p,  # nodes
-        ctypes.c_double,  # fold_base
-        ctypes.c_double,  # fold_scale
-        _DOUBLE_P,  # out
+
+class _EvaluateArgs(ctypes.Structure):
+    """The C ``evaluate_args`` record, field for field and in its order."""
+
+    _fields_ = [
+        ("dims", _DOUBLE_P),
+        ("n_dims", ctypes.c_int64),
+        ("nt", _DOUBLE_P),
+        ("n_threads", ctypes.c_int64),
+        ("base_off", _INT64_P),
+        ("n_bases", ctypes.c_int64),
+        ("term_coef", _DOUBLE_P),
+        ("term_fac", _INT64_P),
+        ("col_kind", _INT64_P),
+        ("col_base", _INT64_P),
+        ("n_cols", ctypes.c_int64),
+        ("grid", _DOUBLE_P),
+        ("has_lambdas", ctypes.c_int64),
+        ("lambdas", _DOUBLE_P),
+        ("shift", _DOUBLE_P),
+        ("scale", _DOUBLE_P),
+        ("model_mode", ctypes.c_int64),
+        ("roots", _INT64_P),
+        ("depths", _INT64_P),
+        ("n_trees", ctypes.c_int64),
+        ("nodes", ctypes.c_void_p),
+        ("fold_base", ctypes.c_double),
+        ("fold_scale", ctypes.c_double),
+        ("out", _DOUBLE_P),
+        ("weights", _DOUBLE_P),
+        ("order", _INT64_P),
+        ("median", _DOUBLE_P),
+        ("n_tied", ctypes.c_int64),
     ]
-)
+
+
+#: ``fused_evaluate(record address, n_shapes)`` — everything else is in the
+#: record, filled once per predictor (:class:`BoundEvaluate`).
+_EVALUATE_ARGTYPES = [ctypes.c_void_p, ctypes.c_int64]
 
 
 def _declare_signatures(lib) -> None:
@@ -745,47 +923,103 @@ def _wire_svml(lib):
     return numpy_cdll, True
 
 
-def _verify_transform(kernels) -> bool:
-    """Probe the fused transform against the NumPy reference, bitwise.
+#: Every dispatch branch of ``transform_column``: the λ fast paths
+#: {-1, 0.5, 1, 2} and their 2-λ mirrors, the log1p thresholds (0, ≈0, 2,
+#: ≈2) and generic pow lambdas.
+_PROBE_LAMBDAS = np.array(
+    [
+        -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0,
+        0.37, -0.84, 2.5, 1e-13, 2.0 - 1e-13, 2.0 + 1e-13, -2.2,
+    ]
+)  # fmt: skip
 
-    Exercises every dispatch branch: the λ fast paths {-1, 0.5, 1, 2}
-    and their 2-λ mirrors, the log1p thresholds (0, ≈0, 2, ≈2), generic
-    pow lambdas, positive and negative inputs, and a non-multiple-of-8
-    row count (tail lanes).
+
+def _verify_transform(kernels) -> bool:
+    """Probe the native transform against the NumPy reference, bitwise.
+
+    Every λ branch (``_PROBE_LAMBDAS``), positive and negative inputs and
+    tail lanes (row counts that are no multiple of 8), twice: the
+    whole-column pass through ``fused_transform``, and the by-kind grouping
+    production calls, through ``fused_evaluate`` stopped after the transform
+    — where a column of kind 0 / 1 is transformed in other lane groups than
+    NumPy's and copied, so a host whose vector ``pow`` / ``log1p`` is not
+    lane-independent fails here, once, instead of in every predictor's
+    first-call self-check.
     """
     try:
         from repro.preprocessing.power import yeo_johnson_transform_matrix
     except Exception:  # pragma: no cover - degenerate environment
         return False
-    lambdas = np.array(
-        [
-            -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0,
-            0.37, -0.84, 2.5, 1e-13, 2.0 - 1e-13, 2.0 + 1e-13, -2.2,
-        ]
-    )
+
+    def reference(X, lambdas, shift, scale):
+        if lambdas is not None:
+            X = yeo_johnson_transform_matrix(X, lambdas)
+        return (X - shift) / scale
+
+    try:
+        return _probe_whole_columns(kernels, reference) and _probe_by_kind(kernels, reference)
+    except Exception:  # pragma: no cover - probe must never take down load
+        return False
+
+
+def _probe_whole_columns(kernels, reference) -> bool:
+    lambdas = _PROBE_LAMBDAS
     base = np.array(
         [
             0.0, 0.37, 1.0, 7.5, 1234.5, 1e6, -0.25,
             -3.5, 0.999, 42.0, 1e-9, 5.0e4, 2.0,
         ]
-    )
+    )  # fmt: skip
     X = np.empty((base.shape[0], lambdas.shape[0]))
     for j in range(lambdas.shape[0]):
         X[:, j] = np.roll(base, j)
     shift = np.linspace(-1.5, 2.0, lambdas.shape[0])
     scale = np.linspace(0.5, 3.0, lambdas.shape[0])
-    try:
-        expected = (yeo_johnson_transform_matrix(X, lambdas) - shift) / scale
-        got = np.ascontiguousarray(X)
-        kernels.fused_transform(got, lambdas, shift, scale)
-        if not np.array_equal(expected, got):
+    return all(
+        np.array_equal(
+            reference(X, lam, shift, scale),
+            kernels.fused_transform(X.copy(), lam, shift, scale),
+        )
+        for lam in (lambdas, None)
+    )
+
+
+def _probe_by_kind(kernels, reference) -> bool:
+    """A 3-shape × 5-thread grid with one column of each kind per probe λ.
+
+    The hand-written column program publishes two signed bases (the dims
+    themselves), and the "thread counts" are signed too, so every kind
+    meets both Yeo-Johnson branches; 15, 3 and 5 rows all leave tail lanes.
+    """
+    dims = np.array([[0.37, -3.5], [1234.5, 0.999], [-0.25, 42.0]])
+    nt = np.array([1.0, -2.0, 7.5, 0.5, -96.0])
+    n_lambdas = _PROBE_LAMBDAS.shape[0]
+    lambdas = np.repeat(_PROBE_LAMBDAS, 3)
+    kinds = np.tile(np.arange(3, dtype=np.int64), n_lambdas)
+    bases = np.arange(kinds.shape[0], dtype=np.int64) // 3 % 2
+    program = types.SimpleNamespace(
+        base_offsets=np.array([0, 1, 2], dtype=np.int64),
+        term_coef=np.ones(2),
+        term_fac=np.array([[0, -1, -1], [1, -1, -1]], dtype=np.int64),
+        col_kind=kinds,
+        col_base=bases,
+    )
+    base_cells = dims[:, bases][:, None, :]  # (shapes, 1, columns)
+    nt_cells = nt[None, :, None]
+    filled = np.where(
+        kinds == 0, nt_cells, np.where(kinds == 1, base_cells, base_cells / nt_cells)
+    ).reshape(dims.shape[0] * nt.shape[0], kinds.shape[0])
+    shift = np.linspace(-1.5, 2.0, kinds.shape[0])
+    scale = np.linspace(0.5, 3.0, kinds.shape[0])
+    for lam in (lambdas, None):
+        grid = np.full(filled.shape, np.nan)
+        kernels.fused_evaluate(
+            program, dims, nt, grid, lam, shift, scale,
+            2, None, None, None, 0.0, 0.0, None,
+        )  # fmt: skip
+        if not np.array_equal(reference(filled, lam, shift, scale), grid):
             return False
-        affine_expected = (X - shift) / scale
-        affine_got = np.ascontiguousarray(X)
-        kernels.fused_transform(affine_got, None, shift, scale)
-        return bool(np.array_equal(affine_expected, affine_got))
-    except Exception:  # pragma: no cover - probe must never take down load
-        return False
+    return True
 
 
 _F64, _I64 = np.dtype(np.float64), np.dtype(np.int64)
@@ -866,62 +1100,88 @@ class BoundEvaluate:
     """``fused_evaluate`` bound to one predictor: bind once, call many.
 
     The constructor validates and casts, exactly once, every argument that
-    cannot change after a predictor is built and keeps a strong reference to
-    each array, so no bound address can dangle.  ``lambdas is None``
-    (affine-only pipeline) and ``roots is None`` (mode 2: stop after the
-    transform) bind null pointers.  The three arrays that do vary belong to
-    the caller and persist too: :meth:`point` casts them, and is repeated
-    only after the caller *replaced* one.  ``bound(n_shapes)`` is then a
-    plain C call over their first ``n_shapes`` shapes — no ``ctypes.cast``.
-    The addresses sit in one mutable argument list, so an instance serves
-    one predictor and is **not** thread-safe; it cannot be pickled.
+    cannot change after a predictor is built, writes it into one
+    :class:`_EvaluateArgs` record and keeps a strong reference to each
+    array, so no bound address can dangle.  ``lambdas is None`` (affine-only
+    pipeline) and ``roots is None`` (mode 2: stop after the transform) bind
+    null pointers; mode 3 takes the per-tree ``weights`` and owns the sort
+    scratch.  The arrays that do vary belong to the caller and persist too:
+    :meth:`point` casts them into the record, and is repeated only after the
+    caller *replaced* one.  ``bound(n_shapes)`` is then the C call over their
+    first ``n_shapes`` shapes with two arguments — the record's address and
+    the count — and no ``ctypes.cast``.  C reads, and in mode 3 writes, the
+    one record, so an instance serves one predictor and is **not**
+    thread-safe; it cannot be pickled.
     """
 
-    __slots__ = ("_fn", "_args", "_keep", "buffers")
+    __slots__ = ("_fn", "_address", "_keep", "record", "buffers")
 
     def __init__(
         self, fn, program, nt, lambdas, shift, scale,
-        model_mode, roots, depths, nodes, fold_base, fold_scale,
+        model_mode, roots, depths, nodes, fold_base, fold_scale, weights=None,
     ):  # fmt: skip
+        n_trees = 0 if roots is None else roots.shape[0]
+        order = None
+        if model_mode == 3:
+            if not isinstance(weights, np.ndarray) or weights.shape != (n_trees,):
+                raise TypeError(f"weights must hold one value per tree in mode 3, got {weights!r}")
+            order = np.empty(n_trees, dtype=np.int64)  # the median's sort scratch
         self._fn = fn
-        self._args = [  # in ``_EVALUATE_ARGTYPES`` order
-            None, 0, 0,  # dims, n_shapes, n_dims: point() and __call__
-            _pointer("nt", nt, _F64, 1), nt.shape[0],
-            _pointer("base_offsets", program.base_offsets, _I64, 1),
-            program.base_offsets.shape[0] - 1,
-            _pointer("term_coef", program.term_coef, _F64, 1),
-            _pointer("term_fac", program.term_fac, _I64, 2),
-            _pointer("col_kind", program.col_kind, _I64, 1),
-            _pointer("col_base", program.col_base, _I64, 1),
-            program.col_kind.shape[0],
-            None,  # grid: point()
-            0 if lambdas is None else 1,
-            _pointer("lambdas", lambdas, _F64, 1),
-            _pointer("shift", shift, _F64, 1),
-            _pointer("scale", scale, _F64, 1),
-            model_mode,
-            _pointer("roots", roots, _I64, 1),
-            _pointer("depths", depths, _I64, 1),
-            0 if roots is None else roots.shape[0],
-            _pointer("nodes", nodes, NODE_DTYPE, 1),
-            fold_base, fold_scale,
-            None,  # out: point()
-        ]  # fmt: skip
-        self._keep = (program, nt, lambdas, shift, scale, roots, depths, nodes)
-        self.buffers = (None, None, None)  # what point() last cast; kept alive
+        self.record = _EvaluateArgs(  # dims, grid, out, median: point()
+            nt=_pointer("nt", nt, _F64, 1),
+            n_threads=nt.shape[0],
+            base_off=_pointer("base_offsets", program.base_offsets, _I64, 1),
+            n_bases=program.base_offsets.shape[0] - 1,
+            term_coef=_pointer("term_coef", program.term_coef, _F64, 1),
+            term_fac=_pointer("term_fac", program.term_fac, _I64, 2),
+            col_kind=_pointer("col_kind", program.col_kind, _I64, 1),
+            col_base=_pointer("col_base", program.col_base, _I64, 1),
+            n_cols=program.col_kind.shape[0],
+            has_lambdas=0 if lambdas is None else 1,
+            lambdas=_pointer("lambdas", lambdas, _F64, 1),
+            shift=_pointer("shift", shift, _F64, 1),
+            scale=_pointer("scale", scale, _F64, 1),
+            model_mode=model_mode,
+            roots=_pointer("roots", roots, _I64, 1),
+            depths=_pointer("depths", depths, _I64, 1),
+            n_trees=n_trees,
+            nodes=_pointer("nodes", nodes, NODE_DTYPE, 1),
+            fold_base=fold_base,
+            fold_scale=fold_scale,
+            weights=_pointer("weights", weights, _F64, 1),
+            order=_pointer("order", order, _I64, 1),
+        )
+        self._address = ctypes.addressof(self.record)
+        self._keep = (program, nt, lambdas, shift, scale, roots, depths, nodes, weights, order)
+        self.buffers = (None, None, None, None)  # what point() last cast; kept alive
 
-    def point(self, dims: np.ndarray, grid: np.ndarray, out: np.ndarray | None) -> None:
+    def point(
+        self,
+        dims: np.ndarray,
+        grid: np.ndarray,
+        out: np.ndarray | None,
+        median: np.ndarray | None = None,
+    ) -> None:
         """Cast the per-call buffers: a ``(capacity, n_dims)`` dims array, and
-        a grid and an output (``None`` in mode 2) sized for as many shapes."""
-        args = self._args
-        args[0], args[2] = _pointer("dims", dims, _F64, 2), dims.shape[1]
-        args[len(_FILL_ARGTYPES) - 1] = _pointer("grid", grid, _F64, None)
-        args[-1] = _pointer("out", out, _F64, None)
-        self.buffers = (dims, grid, out)
+        a grid, an output (``None`` in mode 2) and, in mode 3, one median per
+        grid row, all sized for as many shapes."""
+        record = self.record
+        if record.model_mode == 3 and median is None:
+            raise TypeError("median must be a C-contiguous float64 ndarray in mode 3, got None")
+        record.dims, record.n_dims = _pointer("dims", dims, _F64, 2), dims.shape[1]
+        record.grid = _pointer("grid", grid, _F64, None)
+        record.out = _pointer("out", out, _F64, None)
+        record.median = _pointer("median", median, _F64, 1)
+        self.buffers = (dims, grid, out, median)
 
     def __call__(self, n_shapes: int) -> None:
-        self._args[1] = n_shapes
-        self._fn(*self._args)
+        self._fn(self._address, n_shapes)
+
+    @property
+    def n_tied(self) -> int:
+        """Rows of the last mode-3 call left to Python (NaN in ``median``):
+        their leaves had no unique order."""
+        return self.record.n_tied
 
 
 def _make_evaluate_wrapper(fn):
@@ -941,7 +1201,7 @@ def _make_evaluate_wrapper(fn):
         fold_scale: float,
         out: np.ndarray | None,
     ) -> np.ndarray | None:
-        """Bind, point and call once — tests, probes and the benchmark."""
+        """Bind, point and call once — tests and the load-time probe."""
         bound = kernel.bind(
             program, nt, lambdas, shift, scale,
             model_mode, roots, depths, nodes, fold_base, fold_scale,

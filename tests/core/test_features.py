@@ -166,3 +166,22 @@ class TestFeatureGridWriter:
             self._grid_writer("dgemm", [0, 1])
         with pytest.raises(ValueError):
             self._grid_writer("dgemm", [1, 2], columns=[17])
+
+    def test_a_program_wider_than_the_kernels_accumulators_is_not_built(self):
+        """The C fill sums bases into ``double bases[MAX_PROGRAM_BASES]``: a
+        program with one base more has no native encoding (NumPy path).  No
+        catalog spec gets there — 4 dimensions already carry a 4-factor
+        product — so the layout is widened directly."""
+        import dataclasses
+
+        from repro.ml._native import MAX_PROGRAM_BASES
+
+        writer = self._grid_writer("dgemm", [1, 2])
+        layout = writer._layout
+        spare = MAX_PROGRAM_BASES - 1 - len(layout.subsets)  # the footprint is a base too
+        assert spare > 0
+        writer._layout = dataclasses.replace(layout, subsets=layout.subsets + ((0, 1),) * spare)
+        program = writer._build_program()
+        assert program is not None and program.n_bases == MAX_PROGRAM_BASES
+        writer._layout = dataclasses.replace(layout, subsets=writer._layout.subsets + ((0, 1),))
+        assert writer._build_program() is None

@@ -10,6 +10,7 @@ equality.
 import ctypes
 import pickle
 import time
+import types
 import warnings
 
 import numpy as np
@@ -205,6 +206,37 @@ class TestKillSwitches:
         assert np.array_equal(fallback, reference)
 
 
+    def test_load_probe_covers_the_by_kind_grouping(self):
+        """The probe runs what production calls: one wrong bit in a cell the
+        by-kind pass *copied* (the last shape's last row of an ``nt`` column)
+        fails it, though the whole-column pass is untouched."""
+        real = _native.load_kernels()
+        assert _native._verify_transform(real)
+
+        def off_by_an_ulp(program, dims, nt, grid, *rest):
+            real.fused_evaluate(program, dims, nt, grid, *rest)
+            column = int(np.flatnonzero(program.col_kind == 0)[-1])
+            grid[-1, column] = np.nextafter(grid[-1, column], np.inf)
+
+        wrong = types.SimpleNamespace(
+            fused_transform=real.fused_transform, fused_evaluate=off_by_an_ulp
+        )
+        assert not _native._verify_transform(wrong)
+
+    def test_too_many_bases_for_the_kernel_take_the_numpy_path(self, monkeypatch):
+        """``FeatureGridWriter`` hands out no program the C fill's fixed
+        accumulator array could not hold (here: the limit lowered under
+        dgemm's eight bases)."""
+        monkeypatch.setattr("repro.core.features.MAX_PROGRAM_BASES", 7)
+        predictor = _trained_predictor("dgemm", "DecisionTree")
+        compiled = predictor.compile()
+        assert (compiled.path, compiled.path_reason) == ("numpy", "no-column-program")
+        dims_list = _random_dims("dgemm", 5, seed=8)
+        with compiled_mod.reference_mode():
+            reference = predictor.predict_runtimes_batch(dims_list)
+        assert np.array_equal(predictor.predict_runtimes_batch(dims_list), reference)
+
+
 class TestSelfCheck:
     def test_selfcheck_clears_after_first_batch(self):
         predictor = _trained_predictor("dtrsm", "DecisionTree")
@@ -356,12 +388,29 @@ class TestBindValidation:
             model_mode=2, roots=None, depths=None, nodes=None,
         )  # fmt: skip
         bound = kernels.fused_evaluate.bind(*arguments)
-        assert bound._args[13:15] == [0, None]  # has_lambdas, lambdas
-        assert bound._args[18:22] == [None, None, 0, None]  # roots .. nodes
+        record = bound.record
+        assert record.has_lambdas == 0 and not record.lambdas  # NULL is falsy
+        assert not record.roots and not record.depths and record.nodes is None
+        assert record.n_trees == 0 and not record.weights and not record.order
         dims, grid = np.full((2, 1), 5.0), np.full((2, 2, 1), np.nan)
         bound.point(dims, grid, None)
         bound(2)
         assert np.array_equal(grid, np.full((2, 2, 1), 2.0))  # (5 - 1) / 2
+
+    def test_mode_three_needs_its_weights_and_its_median_buffer(self):
+        """C dereferences both unconditionally in mode 3: a missing or
+        mis-sized one must stop at bind / point, by name."""
+        for bad in (None, np.ones(2), np.ones(1, dtype=np.float32)):
+            with pytest.raises(TypeError, match="^weights must"):
+                kernels.fused_evaluate.bind(*_bind_arguments(model_mode=3), bad)
+        bound = kernels.fused_evaluate.bind(*_bind_arguments(model_mode=3), np.ones(1))
+        dims, grid, out = np.full((3, 1), 5.0), np.empty((3, 2, 1)), np.empty(6)
+        with pytest.raises(TypeError, match="^median must"):
+            bound.point(dims, grid, out)
+        median = np.empty(6)
+        bound.point(dims, grid, out, median)
+        bound(3)
+        assert np.array_equal(median, np.full(6, 7.25)) and bound.n_tied == 0
 
     def test_generic_wrappers_validate_too(self):
         with pytest.raises(TypeError, match="^x must be"):
@@ -406,11 +455,28 @@ class TestMarshalledOnce:
         assert casts.during(lambda: predictor.predict_runtimes_batch(one)) > 0
         for _ in range(3):  # unchanged batch size: nothing left to marshal
             assert casts.during(lambda: predictor.predict_runtimes_batch(one)) == 0
-        # Growing the writer replaces dims scratch, grid and output: three.
-        assert 0 < casts.during(lambda: predictor.predict_runtimes_batch(many)) <= 3
+        # Growing the writer re-casts only what it replaced: dims scratch and
+        # grid, the output of a tree kernel, the median buffer of mode 3.
+        replaced = 2 + (compiled._out_width > 0) + (compiled._native_mode == 3)
+        assert casts.during(lambda: predictor.predict_runtimes_batch(many)) == replaced <= 4
         for batch in (many, one, many[:7]):  # and any size within capacity
             assert casts.during(lambda: predictor.predict_runtimes_batch(batch)) == 0
         assert compiled.path == "native"
+
+    @pytest.mark.parametrize("kind", list(KIND_MODELS))
+    def test_a_call_passes_the_record_and_a_count(self, kind):
+        """Everything but the shape count reaches C through the one record
+        filled at bind: the foreign function sees exactly two arguments."""
+        predictor = _trained_predictor("dsymm", KIND_MODELS[kind])
+        bound = predictor.compile()._fused_call
+        entry, seen = bound._fn, []
+        assert entry is _native.load_kernels().fused_evaluate.ctypes_fn
+        bound._fn = lambda *args: seen.append(args) or entry(*args)
+        for batch in (_random_dims("dsymm", 1, seed=1), _random_dims("dsymm", 9, seed=2)):
+            predictor.predict_runtimes_batch(batch)
+        address = ctypes.addressof(bound.record)
+        # The first batch is evaluated once more by the NumPy self-check only.
+        assert seen == [(address, 1), (address, 9)]
 
     def test_compile_stays_under_a_millisecond_per_routine(self):
         """Bind-time work must not leak into set-up: one build of each of a

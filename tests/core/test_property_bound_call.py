@@ -1,8 +1,9 @@
 """Pointer-lifetime and aliasing suite for the bound native call.
 
 A compiled predictor casts the constant arguments of ``fused_evaluate`` once
-(:class:`repro.ml._native.BoundEvaluate`) and re-casts the three per-call
-buffers only when the feature writer replaced them.  Holding raw addresses
+into one argument record (:class:`repro.ml._native.BoundEvaluate`) and
+re-casts the per-call buffers (dims, grid, output, AdaBoost's median) only
+when the feature writer replaced them.  Holding raw addresses
 across calls is safe only if nothing they point at can move, die or leak out:
 
 * across generated sequences of batch sizes that force the writer to
@@ -126,7 +127,7 @@ def test_returned_arrays_are_owned(kind):
         single[:] = -1.0
         again = entry.predict_runtimes_batch(batch)
         assert (again == expected).all()
-        for buffer in (compiled._out, *compiled._writer.buffers):
+        for buffer in (compiled._out, compiled._median, *compiled._writer.buffers):
             if buffer is not None:
                 assert not np.shares_memory(again, buffer)
 
