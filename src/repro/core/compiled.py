@@ -364,7 +364,7 @@ class CompiledPredictor:
             predictions = self._run_selfcheck(dims_list)
         else:
             predictions = self._predict_fused(dims_list)
-        return predictions.reshape(len(dims_list), self.n_candidates)
+        return predictions.reshape(len(dims_list), self.candidate_threads.size)
 
     def _predict_numpy(self, dims_list) -> np.ndarray:
         """The fallback: the three stages as NumPy expressions."""
@@ -400,18 +400,18 @@ class CompiledPredictor:
     def _predict_fused(self, dims_list) -> np.ndarray:
         """One native call over the whole evaluate span; the result is an
         owned array, never a view of the reused output buffer."""
-        kernel = self._model_kernel
+        n_shapes = self._call_fused(dims_list)
         mode = self._native_mode
         if mode == 2:
             return np.asarray(
-                kernel.evaluate(self._transform_fused(dims_list)), dtype=float
+                self._model_kernel.evaluate(self._writer.grid_view(n_shapes)), dtype=float
             )
-        rows = self._call_fused(dims_list) * self.n_candidates
+        rows = n_shapes * self.candidate_threads.size
         if mode == 3:
             return self._finish_median(rows)
         width = self._out_width
         out = self._out[: width * rows].reshape(width, rows)
-        if mode == 1 or kernel.kind == "tree":
+        if mode == 1 or self._model_kernel.kind == "tree":
             return out[0].copy()
         return out.mean(axis=0)  # forest-mean
 

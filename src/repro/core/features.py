@@ -360,7 +360,8 @@ class FeatureGridWriter:
         n_shapes = len(dims_list)
         if n_shapes == 0:
             raise ValueError("dims_list must not be empty")
-        self._reserve(n_shapes)
+        if n_shapes > self._capacity:
+            self._reserve(n_shapes)
         values = self._dims_scratch
         dim_names = self.spec.dim_names
         n_dims = len(dim_names)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from repro.preprocessing.pipeline import PreprocessingPipeline
 __all__ = ["PredictionPlan", "ThreadPredictor"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PredictionPlan:
     """Result of one thread-count prediction."""
 
@@ -57,6 +57,16 @@ class PredictionPlan:
     threads: int
     predicted_time: float
     from_cache: bool
+
+    def __init__(self, routine, dims, threads, predicted_time, from_cache):
+        # Written out like ExecutionPlan's: two per evaluated shape (the fresh
+        # plan and its cached twin) on the miss path.
+        put = object.__setattr__
+        put(self, "routine", routine)
+        put(self, "dims", dims)
+        put(self, "threads", threads)
+        put(self, "predicted_time", predicted_time)
+        put(self, "from_cache", from_cache)
 
 
 class ThreadPredictor:
@@ -141,20 +151,6 @@ class ThreadPredictor:
         """
         return tuple(sorted(dims.items()))
 
-    @staticmethod
-    def _use_compiled() -> bool:
-        """Whether evaluations should ride the compiled kernel right now.
-
-        Both reference toggles opt out: the predictor-level
-        ``repro.core.compiled.reference_mode`` and the tree-level
-        ``repro.ml.tree.reference_mode`` (the compiled kernel binds the
-        stacked descent directly and would otherwise ignore the latter).
-        """
-        return (
-            compiled_mod.active_impl() == "compiled"
-            and tree_mod.active_impl() == "vectorized"
-        )
-
     # -- prediction -------------------------------------------------------------
     def predict_runtimes(self, dims: Dict[str, int]) -> np.ndarray:
         """Predicted runtime for every candidate thread count (no caching)."""
@@ -169,8 +165,12 @@ class ThreadPredictor:
         matches ``predict_runtimes(dims_list[i])``; the feature grid,
         preprocessing and model evaluation each run exactly once.
         """
-        if self._use_compiled():
-            runtimes = self.compile().predict_runtimes_batch(dims_list)
+        # Both reference toggles opt out of the compiled kernel: the
+        # predictor-level ``repro.core.compiled.reference_mode`` and the
+        # tree-level ``repro.ml.tree.reference_mode`` (the kernel binds the
+        # stacked descent directly and would otherwise ignore the latter).
+        if compiled_mod.active_impl() == "compiled" and tree_mod.active_impl() == "vectorized":
+            runtimes = (self._compiled or self.compile()).predict_runtimes_batch(dims_list)
             self.n_model_evaluations += 1
             return runtimes
         X = feature_matrix_grid(
@@ -187,7 +187,11 @@ class ThreadPredictor:
         Calls whose dimensions are among the last ``cache_capacity`` distinct
         shapes are served from the LRU cache without re-evaluating the model;
         the cached ``from_cache=True`` plan is precomputed at store time, so
-        a hit is a dictionary lookup and nothing more.
+        a hit is a dictionary lookup and nothing more.  A probe is counted
+        when its plan exists: a shape the evaluation rejects raises and
+        leaves every counter where it was.
+
+        This is the sequential oracle :meth:`plan_batch` is held to.
         """
         key = self.cache_key(dims)
         if use_cache:
@@ -196,21 +200,18 @@ class ThreadPredictor:
                 self._cache.move_to_end(key)
                 self.n_cache_hits += 1
                 return cached
-            self.n_cache_misses += 1
         runtimes = self.predict_runtimes(dims)
+        if use_cache:
+            self.n_cache_misses += 1
         best_idx = int(np.argmin(runtimes))
-        plan = PredictionPlan(
-            routine=self.routine,
-            dims=dict(dims),
-            threads=self.candidate_threads[best_idx],
-            predicted_time=float(runtimes[best_idx]),
-            from_cache=False,
-        )
-        self._cache[key] = replace(plan, from_cache=True)
+        threads = self.candidate_threads[best_idx]
+        predicted = float(runtimes[best_idx])
+        dims = dict(dims)
+        self._cache[key] = PredictionPlan(self.routine, dims, threads, predicted, True)
         self._cache.move_to_end(key)
         while len(self._cache) > self.cache_capacity:
             self._cache.popitem(last=False)
-        return plan
+        return PredictionPlan(self.routine, dims, threads, predicted, False)
 
     def predict_threads(self, dims: Dict[str, int], use_cache: bool = True) -> int:
         """Convenience wrapper returning only the chosen thread count."""
@@ -240,21 +241,31 @@ class ThreadPredictor:
         identical to ``plan(dims_list[i], use_cache=use_cache)`` issued in
         sequence — same thread choices, same predicted times, same
         ``from_cache`` flags, same hit/miss counters and the same final
-        cache contents (a simulated cache timeline reproduces sequential
-        eviction exactly, even when the batch holds more unique shapes
-        than ``cache_capacity``).  The only difference is cost: all misses
-        share a single :meth:`predict_runtimes_batch` evaluation (duplicate
-        shapes evaluated once), so ``n_model_evaluations`` grows by at most
-        one instead of once per miss.  ``keys`` are the shapes'
+        cache contents, even when the batch holds more unique shapes than
+        ``cache_capacity``.  The only difference is cost: all misses share a
+        single :meth:`predict_runtimes_batch` evaluation (duplicate shapes
+        evaluated once), so ``n_model_evaluations`` grows by at most one
+        instead of once per miss.  ``keys`` are the shapes'
         :meth:`cache_key` tuples when the caller already holds them (a
         :class:`~repro.serving.engine.PlanRequest` does).
+
+        One pass replays the sequential timeline on the LRU itself.  A miss
+        takes its slot at once, as a ``None`` placeholder the evaluation
+        fills in place, so every later request of the group meets the hit /
+        miss / evict order a ``plan()`` loop would: one that finds the
+        placeholder is the ``from_cache=True`` twin, one whose slot was
+        evicted in between is a second miss sharing the group's one
+        evaluation.  No placeholder outlives the call.  When the evaluation
+        raises, the placeholders are deleted, nothing is counted (probes or
+        evaluation) and the exception propagates unchanged; entries the
+        group touched or evicted on its way stay touched or evicted.
         """
         key_of = [self.cache_key(dims) for dims in dims_list] if keys is None else keys
         cache = self._cache
         if use_cache:
-            # Probe before simulating.  With every key already cached nothing
-            # is inserted, so nothing is evicted: the sequential answer is the
-            # cached plans, touched in request order.
+            # Probe first.  With every key already cached nothing is inserted,
+            # so nothing is evicted: the sequential answer is the cached
+            # plans, touched in request order.
             try:
                 plans = [cache[key] for key in key_of]
             except KeyError:
@@ -264,67 +275,58 @@ class ThreadPredictor:
                     cache.move_to_end(key)
                 self.n_cache_hits += len(plans)
                 return plans
-        hit = [False] * len(dims_list)
-        pending: "OrderedDict[tuple, Dict[str, int]]" = OrderedDict()
-        if use_cache:
-            # Pass 1 — replay the sequential hit/miss timeline against a
-            # key-only simulation of the cache, so duplicates separated by
-            # an eviction count as misses exactly like a plan() loop.
-            simulated: "OrderedDict[tuple, None]" = OrderedDict.fromkeys(self._cache)
-            for i, key in enumerate(key_of):
-                if key in simulated:
-                    self.n_cache_hits += 1
-                    hit[i] = True
-                else:
-                    self.n_cache_misses += 1
-                    pending.setdefault(key, dims_list[i])
-                    simulated[key] = None
-                    while len(simulated) > self.cache_capacity:
-                        simulated.popitem(last=False)
-                simulated.move_to_end(key)
-        else:
-            for i, key in enumerate(key_of):
-                pending.setdefault(key, dims_list[i])
-
-        # Pass 2 — one batched evaluation covers every distinct miss.
-        fresh: Dict[tuple, PredictionPlan] = {}
-        if pending:
-            pending_dims = list(pending.values())
-            runtimes = self.predict_runtimes_batch(pending_dims)
-            best = np.argmin(runtimes, axis=1)
-            routine = self.routine
-            candidates = self.candidate_threads
-            for slot, (key, dims) in enumerate(pending.items()):
-                idx = int(best[slot])
-                fresh[key] = PredictionPlan(
-                    routine=routine,
-                    dims=dict(dims),
-                    threads=candidates[idx],
-                    predicted_time=float(runtimes[slot, idx]),
-                    from_cache=False,
-                )
-
-        # Pass 3 — assemble the plans and apply the store/touch/evict
-        # operations to the real cache in sequential order (plan() stores
-        # every computed result, cached or not requested via use_cache).
+        capacity = self.cache_capacity
         plans: list = []
-        for i, key in enumerate(key_of):
-            if hit[i]:
-                plan = cache[key]
+        pending: Dict[tuple, Dict[str, int]] = {}  # distinct shapes to evaluate
+        owed = []  # (slot, key, from_cache) of the plans the evaluation fills in
+        hits = 0
+        for dims, key in zip(dims_list, key_of):
+            from_cache = False
+            if key in cache:
                 cache.move_to_end(key)
+                if use_cache:
+                    hits += 1
+                    cached = cache[key]
+                    if cached is not None:
+                        plans.append(cached)
+                        continue
+                    from_cache = True  # the placeholder of this group's own miss
             else:
-                plan = fresh[key]
-                cache[key] = PredictionPlan(
-                    routine=plan.routine,
-                    dims=plan.dims,
-                    threads=plan.threads,
-                    predicted_time=plan.predicted_time,
-                    from_cache=True,
-                )
-                cache.move_to_end(key)
-                while len(cache) > self.cache_capacity:
+                cache[key] = None
+                while len(cache) > capacity:
                     cache.popitem(last=False)
-            plans.append(plan)
+            if key not in pending:
+                pending[key] = dims
+            owed.append((len(plans), key, from_cache))
+            plans.append(None)
+        if not owed:  # an empty group
+            return plans
+        try:
+            runtimes = self.predict_runtimes_batch(list(pending.values()))
+        except BaseException:
+            for key in pending:
+                if key in cache and cache[key] is None:
+                    del cache[key]
+            raise
+        if use_cache:
+            self.n_cache_hits += hits
+            self.n_cache_misses += len(plans) - hits
+        routine = self.routine
+        candidates = self.candidate_threads
+        runtime_at = runtimes.item
+        fresh = {}
+        for slot, (best, (key, dims)) in enumerate(
+            zip(runtimes.argmin(axis=1).tolist(), pending.items())
+        ):
+            dims = dict(dims)
+            threads = candidates[best]
+            predicted = runtime_at(slot, best)
+            twin = PredictionPlan(routine, dims, threads, predicted, True)
+            if key in cache:  # unless evicted again inside the group
+                cache[key] = twin
+            fresh[key] = (PredictionPlan(routine, dims, threads, predicted, False), twin)
+        for slot, key, from_cache in owed:
+            plans[slot] = fresh[key][from_cache]
         return plans
 
     def clear_cache(self) -> None:

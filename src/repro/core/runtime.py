@@ -37,9 +37,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blas.api import parse_routine
 from repro.blas.threaded import ThreadedBlas
 from repro.core.install import InstallationBundle
+from repro.routines import get_catalog
 
 __all__ = ["ExecutionPlan", "AdsalaRuntime", "AdsalaBlas"]
 
@@ -70,7 +70,7 @@ class PendingTimings:
         with self.lock:
             if self.simulator is None:  # another reader got here first
                 return
-            dim_names = parse_routine(self.routine)[2].dim_names
+            dim_names = get_catalog().resolve(self.routine)[2].dim_names
             # One int64 row per dimension, threads last, in a single conversion.
             table = np.array(
                 [[row[0][name] for row in self.rows] for name in dim_names]
@@ -225,7 +225,7 @@ class AdsalaRuntime:
         only the latter was installed) are applied by the engine's fallback
         chain and recorded on the plan's ``fallback_from`` field.
         """
-        return self.engine.plan(routine, use_cache=use_cache, **dims)
+        return self.engine.plan(routine, use_cache, **dims)
 
     def plan_many(
         self, requests: Iterable[Tuple[str, Dict[str, int]]]

@@ -18,13 +18,17 @@ first reads them (:class:`~repro.core.runtime.ExecutionPlan`):
    before it returns,
 2. :meth:`ServingEngine.execute` splits them into micro-batches of at most
    ``max_batch_size`` requests,
-3. each batch is routed through the :class:`~repro.serving.fallback.FallbackChain`
-   and grouped by resolved routine,
-4. each group is answered in **one** batched predictor evaluation and
-   handed its deferred timing rows (memoised cells, or one pending set per
-   group that a first read times in one batched pass) — bit-identical to the
-   scalar path, so a micro-batch returns exactly the plans a ``plan()`` loop
-   would have produced,
+3. one loop over the batch routes and groups it: each distinct routine goes
+   through the :class:`~repro.serving.fallback.FallbackChain` once, and its
+   requests join the planning group of the model that resolution names,
+4. each group pays for itself once — one
+   :meth:`~repro.core.predictor.ThreadPredictor.plan_batch` pass over the
+   predictor's LRU (a miss takes its slot as a placeholder that the group's
+   **one** batched evaluation fills), one walk that hands every plan its two
+   deferred timing rows (memoised cells, or one pending set per group that
+   a first read times in one batched pass), one telemetry record —
+   bit-identical to the scalar path, so a micro-batch returns exactly the
+   plans a ``plan()`` loop would have produced,
 5. plans and (optionally) observed runtimes feed the
    :class:`~repro.serving.telemetry.EngineTelemetry` drift tracker.
 
@@ -54,11 +58,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.blas.api import parse_routine
 from repro.core.persistence import BundleFormatError
-from repro.routines.catalog import UnknownRoutineError
 from repro.core.runtime import ExecutionPlan, PendingTimings, TimingCell
 from repro.obs.metrics import now_timestamps
+from repro.routines import UnknownRoutineError, get_catalog
 from repro.serving.fallback import FallbackChain, default_serving_chain
 from repro.serving.telemetry import EngineTelemetry
 
@@ -107,7 +110,7 @@ def normalize_request(
     sharded frontend (globally allocated ids): bad routines or dimensions
     raise here, at intake, never mid-batch.
     """
-    prefix, base, spec = parse_routine(routine)
+    prefix, base, spec = get_catalog().resolve(routine)
     normalized = spec.dims_from_args(**dims)
     return PlanRequest(
         request_id, prefix + base, normalized, tuple(sorted(normalized.items())), deadline
@@ -217,7 +220,7 @@ class ServingEngine:
         """
         request = self._make_request(routine, dims)
         with self._lock:
-            return self._process_batch([request], use_cache=use_cache)[0]
+            return self._process_batch([request], use_cache)[0]
 
     def execute(self, requests: Sequence[PlanRequest]) -> List[ExecutionPlan]:
         """Answer pre-validated requests.
@@ -250,10 +253,9 @@ class ServingEngine:
         )
 
     # -- batch processing ------------------------------------------------------------
-    def _timing_cells(
-        self, key: str, rows: List[Tuple[Dict[str, int], tuple, int]]
-    ) -> List[TimingCell]:
-        """Deferred runtimes for ``(dims, dims_key, threads)`` rows, memoised.
+    def _timing_cells(self, key: str, members, threads, max_threads: int) -> List[TimingCell]:
+        """Deferred runtimes of one group, memoised: two cells per member, the
+        row at its chosen thread count and the row at ``max_threads``.
 
         Nothing is simulated here.  A row the memo already holds — timed or
         still pending from an earlier group — shares that cell (the simulator
@@ -267,30 +269,34 @@ class ServingEngine:
         cells: List[TimingCell] = []
         fresh: Dict[tuple, TimingCell] = {}
         group: Optional[PendingTimings] = None
-        for dims, dims_key, threads in rows:
-            memo_key = (key, dims_key, threads)
-            cell = cache.get(memo_key) if capacity else None
-            if cell is not None:
-                cache.move_to_end(memo_key)
-                self.n_timing_hits += 1
-            else:
-                cell = fresh.get(memo_key)
-                if cell is None:
-                    # One miss per distinct row; within-batch duplicates
-                    # (e.g. prediction == baseline threads) share the cell
-                    # and count neither as hit nor miss.
-                    if capacity:
-                        self.n_timing_misses += 1
-                    if group is None:
-                        group = PendingTimings(
-                            key, self.source.simulator, self._resolver_lock
-                        )
-                    cell = fresh[memo_key] = group.add(dims, threads)
-            cells.append(cell)
-        if capacity and fresh:
-            cache.update(fresh)
-            while len(cache) > capacity:
-                cache.popitem(last=False)
+        hits = 0
+        for (_, request, _), chosen in zip(members, threads):
+            dims_key = request.dims_key
+            for n_threads in (chosen, max_threads):
+                memo_key = (key, dims_key, n_threads)
+                cell = cache.get(memo_key) if capacity else None
+                if cell is not None:
+                    cache.move_to_end(memo_key)
+                    hits += 1
+                else:
+                    cell = fresh.get(memo_key)
+                    if cell is None:
+                        # One miss per distinct row; within-group duplicates
+                        # (e.g. prediction == baseline threads) share the
+                        # cell and count neither as hit nor miss.
+                        if group is None:
+                            group = PendingTimings(
+                                key, self.source.simulator, self._resolver_lock
+                            )
+                        cell = fresh[memo_key] = group.add(request.dims, n_threads)
+                cells.append(cell)
+        if capacity:
+            self.n_timing_hits += hits
+            self.n_timing_misses += len(fresh)
+            if fresh:
+                cache.update(fresh)
+                while len(cache) > capacity:
+                    cache.popitem(last=False)
         return cells
 
     def _process_batch(
@@ -298,82 +304,68 @@ class ServingEngine:
     ) -> List[ExecutionPlan]:
         use_cache = self.use_cache if use_cache is None else use_cache
         self.telemetry.record_batch(len(batch))
-        # A micro-batch holds a handful of routines: route each of them once.
-        routed: Dict[str, object] = {}
-        resolutions = []
-        for request in batch:
-            resolution = routed.get(request.routine)
-            if resolution is None:
-                resolution = routed[request.routine] = self.fallback.resolve(
-                    request.routine, self.source
-                )
-            resolutions.append(resolution)
-        groups: "OrderedDict[Tuple[str, bool], List[int]]" = OrderedDict()
-        for index, resolution in enumerate(resolutions):
-            groups.setdefault((resolution.key, resolution.heuristic), []).append(index)
+        # One loop routes and groups.  A micro-batch holds a handful of
+        # routines: each is resolved once, and its requests join the members
+        # — (index, request, resolution) — of the (served key, heuristic)
+        # group that resolution names.
+        routed: Dict[str, tuple] = {}
+        groups: Dict[Tuple[str, bool], list] = {}
+        for index, request in enumerate(batch):
+            route = routed.get(request.routine)
+            if route is None:
+                resolution = self.fallback.resolve(request.routine, self.source)
+                members = groups.setdefault((resolution.key, resolution.heuristic), [])
+                route = routed[request.routine] = (resolution, members)
+            resolution, members = route
+            members.append((index, request, resolution))
 
         max_threads = self.source.platform.max_threads
         plans: List[Optional[ExecutionPlan]] = [None] * len(batch)
-        for (key, heuristic), indices in groups.items():
+        answered = 0
+        for (key, heuristic), members in groups.items():
             group_started = time.perf_counter()
             if heuristic:
-                threads = [max_threads] * len(indices)
-                from_cache = [False] * len(indices)
+                threads = [max_threads] * len(members)
+                from_cache = [False] * len(members)
             else:
                 self._touched_routines.add(key)
                 prediction_plans = self.source.predictor(key).plan_batch(
-                    [batch[i].dims for i in indices],
-                    use_cache=use_cache,
-                    keys=[batch[i].dims_key for i in indices],
+                    [member[1].dims for member in members],
+                    use_cache,
+                    [member[1].dims_key for member in members],
                 )
                 threads = [p.threads for p in prediction_plans]
                 from_cache = [p.from_cache for p in prediction_plans]
-
             # Two deferred rows per plan: the chosen-thread prediction and the
             # max-thread baseline; for heuristic groups (and predictions that
             # chose max threads) the rows coincide.
-            timing_rows: List[Tuple[Dict[str, int], tuple, int]] = []
-            for slot, index in enumerate(indices):
-                request = batch[index]
-                timing_rows.append((request.dims, request.dims_key, int(threads[slot])))
-                timing_rows.append((request.dims, request.dims_key, max_threads))
-            timed = self._timing_cells(key, timing_rows)
-
+            cells = iter(self._timing_cells(key, members, threads, max_threads))
             telemetry = self.telemetry.routine(key)
-            for slot, index in enumerate(indices):
-                resolution = resolutions[index]
-                plan = ExecutionPlan(
-                    routine=key,
-                    dims=batch[index].dims,
-                    threads=int(threads[slot]),
-                    predicted_time=timed[2 * slot],
-                    baseline_time=timed[2 * slot + 1],
-                    from_cache=bool(from_cache[slot]),
-                    fallback_from=resolution.fallback_from,
-                    policy=resolution.policy,
-                )
-                plans[index] = plan
+            for (index, request, resolution), chosen, cached, predicted, baseline in zip(
+                members, threads, from_cache, cells, cells
+            ):
+                fallback_from = resolution.fallback_from
+                plans[index] = ExecutionPlan(
+                    key, request.dims, chosen, predicted, baseline, cached,
+                    fallback_from, resolution.policy,
+                )  # fmt: skip
                 telemetry.record_plan(
-                    from_cache=plan.from_cache,
-                    fallback=plan.fallback_from is not None,
-                    heuristic=heuristic,
-                    dims_key=batch[index].dims_key,
+                    cached, fallback_from is not None, heuristic, request.dims_key
                 )
+                answered += 1
             # Each plan's latency is its share of the group's batched
             # predictor pass — the per-request number an external scraper
             # wants, not the whole batch's.  No simulator time is in it.
             telemetry.record_latency(
-                (time.perf_counter() - group_started) / len(indices), len(indices)
+                (time.perf_counter() - group_started) / len(members), len(members)
             )
-        # Every request resolves to exactly one group slot, so every slot
-        # must hold a plan; a silent filter here would turn a resolution
-        # bug into lost requests.
-        unanswered = [
-            batch[index].request_id
-            for index, plan in enumerate(plans)
-            if plan is None
-        ]
-        if unanswered:
+        # Every request joins exactly one group and every member is answered,
+        # so every slot must hold a plan; a silent filter here would turn a
+        # resolution bug into lost requests.
+        if answered != len(batch):
+            unanswered = [
+                batch[index].request_id for index, plan in enumerate(plans) if plan is None
+            ]
             raise RuntimeError(
                 f"Batch processing dropped {len(unanswered)} of {len(batch)} "
                 f"requests (ids {unanswered}); grouping/resolution invariant "
