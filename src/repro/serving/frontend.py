@@ -11,13 +11,14 @@ several engines side by side.  :class:`ShardedFrontend` is that layer:
   it.  The same stream routes identically in every process and run.
 * **One route from request to plan** — :meth:`submit` validates the
   request, admits it against a bounded global in-flight budget, enqueues
-  it on its shard's inbox and returns a :class:`PlanFuture` (a
-  :class:`concurrent.futures.Future` carrying the request id).
+  it on its shard's inbox and returns a :class:`PlanFuture` (request id,
+  shard, ``result(timeout)``, ``done()``; a request cannot be cancelled).
   :meth:`plan` is submit-and-wait for one request and :meth:`plan_many`
   is submit-all-then-collect for a stream: there is no second,
   synchronous path around the inboxes, so every request meets the same
   drain loop, deadline check and supervised recovery.  Each shard's worker
-  thread coalesces queued submissions into micro-batches.
+  thread coalesces queued submissions into micro-batches and frees their
+  admission slots once per batch.
 * **Admission control** — at most ``max_pending`` requests may be in
   flight at once, :meth:`plan_many` streams included.
   ``backpressure="block"`` makes :meth:`submit` wait for a slot (bounded
@@ -39,15 +40,11 @@ assert exactly this, keyed by request id).  Only the ``from_cache`` flags
 may differ, because each shard warms its own LRU.
 
 Fault tolerance: with ``supervise=True`` (the default) a
-:class:`~repro.serving.supervisor.ShardSupervisor` health-checks the
-shards, restarts dead/hung workers with capped exponential backoff,
-redispatches the in-flight requests a failure stranded (each answered
-exactly once, bit-identical to a healthy run) and quarantines a shard
-whose restarts keep failing, rerouting its key range to the survivors.
-Requests accept a per-request ``timeout=``: expired requests are shed
-from the drain loop with :class:`~repro.serving.shard.DeadlineExceededError`
-instead of wasting a micro-batch slot — deadlines bound *latency*, while
-``max_pending`` backpressure bounds *memory*; the two compose.
+:class:`~repro.serving.supervisor.ShardSupervisor` restarts, redispatches
+and quarantines (see there).  A per-request ``timeout=`` sheds an expired
+request from the drain loop with
+:class:`~repro.serving.shard.DeadlineExceededError` — deadlines bound
+*latency*, ``max_pending`` bounds *memory*; the two compose.
 """
 
 from __future__ import annotations
@@ -56,7 +53,8 @@ import copy
 import itertools
 import threading
 import time
-from concurrent.futures import Future
+from _thread import allocate_lock
+from concurrent.futures import InvalidStateError
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,7 +69,6 @@ from repro.serving.shard import (
     DeadlineExceededError,
     EngineShard,
     ShardBase,
-    ShardFailure,
     build_engine,
     shard_index,
 )
@@ -97,31 +94,55 @@ class QueueFullError(RuntimeError):
     """The frontend's bounded in-flight budget is exhausted (reject mode)."""
 
 
-class PlanFuture(Future):
-    """A waitable plan: ``result()`` blocks until the shard answers.
+class PlanFuture:
+    """A waitable plan: ``result(timeout)`` blocks until the shard answers.
 
-    Carries the globally allocated ``request_id`` and the index of the
-    shard serving it, so callers can match answers back to submissions
-    without extra bookkeeping — and so a timed-out ``result()`` can say
-    *which* request is stuck *where* instead of raising a bare
-    ``TimeoutError``.
+    Carries the ``request_id`` and the index of the ``shard`` serving it,
+    so a timed-out ``result()`` names which request is stuck where.  It
+    offers ``result`` and ``done()`` only: a plan request cannot be
+    cancelled.  The shard resolves it once — ``set_result`` /
+    ``set_exception`` take the *claim* lock without waiting, a second
+    raises :class:`concurrent.futures.InvalidStateError` — and releases the
+    *ready* lock held since construction; each waiter takes and returns it.
     """
 
-    def __init__(self, request_id: int, shard: Optional[int] = None):
-        super().__init__()
-        self.request_id = int(request_id)
-        self.shard = shard
+    __slots__ = ("request_id", "shard", "_claim", "_ready", "_plan", "_error")
 
-    def result(self, timeout: Optional[float] = None):
-        try:
-            return super().result(timeout)
-        except DeadlineExceededError:
-            raise  # shed by the drain loop; already names request and shard
-        except TimeoutError:
+    def __init__(self, request_id: int, shard: Optional[int] = None):
+        self.request_id = request_id
+        self.shard = shard
+        self._claim = allocate_lock()
+        self._ready = allocate_lock()
+        self._ready.acquire()
+        self._plan: Optional[ExecutionPlan] = None
+        self._error: Optional[BaseException] = None
+
+    def set_result(self, plan: ExecutionPlan) -> None:
+        if not self._claim.acquire(False):
+            raise InvalidStateError(f"request {self.request_id} is already answered")
+        self._plan = plan
+        self._ready.release()
+
+    def set_exception(self, error: BaseException) -> None:
+        if not self._claim.acquire(False):
+            raise InvalidStateError(f"request {self.request_id} is already answered")
+        self._error = error
+        self._ready.release()
+
+    def done(self) -> bool:
+        return self._claim.locked()
+
+    def result(self, timeout: Optional[float] = None) -> ExecutionPlan:
+        ready = self._ready
+        if not ready.acquire(True, -1 if timeout is None else max(0.0, timeout)):
             raise DeadlineExceededError(
                 f"request {self.request_id} still unanswered after "
                 f"{timeout}s waiting on shard {self.shard}"
-            ) from None
+            )
+        ready.release()
+        if self._error is not None:
+            raise self._error
+        return self._plan
 
 
 class ShardedFrontend:
@@ -165,12 +186,9 @@ class ShardedFrontend:
         Ignored for pre-built engines, which carry their own telemetry.
     supervise:
         ``True`` (default) attaches a
-        :class:`~repro.serving.supervisor.ShardSupervisor`: dead or hung
-        shard workers are restarted with capped exponential backoff, the
-        requests they stranded are redispatched (answered exactly once),
-        and a shard whose restarts keep failing is quarantined with its
-        key range rerouted to the survivors.  ``False`` restores the
-        fail-fast behaviour: a worker death errors its in-flight futures.
+        :class:`~repro.serving.supervisor.ShardSupervisor` (restart,
+        redispatch, quarantine).  ``False`` restores the fail-fast
+        behaviour: a worker death errors its in-flight futures.
     restart_policy:
         Optional :class:`~repro.serving.supervisor.RestartPolicy`
         overriding the supervision thresholds (backoff, hang timeout,
@@ -267,7 +285,8 @@ class ShardedFrontend:
             ]
         self.max_pending = int(max_pending)
         self.backpressure = backpressure
-        self._slots = threading.Semaphore(self.max_pending)
+        # Bounded: a slot released twice raises instead of widening the budget.
+        self._slots = threading.BoundedSemaphore(self.max_pending)
         self._request_ids = itertools.count()
         self._counters_lock = threading.Lock()
         # Makes the closed-check + enqueue atomic against close(): without
@@ -279,15 +298,15 @@ class ShardedFrontend:
         self.n_shed = 0
         self.n_rejected_unknown = 0
         self._closed = False
+        for shard in self.shards:
+            shard.on_resolved = self._on_resolved
+            shard.injector = injector
         self.supervisor: Optional[ShardSupervisor] = None
         if supervise:
             self.supervisor = ShardSupervisor(
                 self.shards, policy=restart_policy, injector=injector
             )
             self.supervisor.attach()
-        elif injector is not None:
-            for shard in self.shards:
-                shard.injector = injector
 
     # -- construction helpers -------------------------------------------------------
     @classmethod
@@ -305,9 +324,7 @@ class ShardedFrontend:
         if kwargs.get("backend", "thread") == "process":
             sources = [bundle] * n_shards
         else:
-            sources = [bundle] + [
-                copy.deepcopy(bundle) for _ in range(n_shards - 1)
-            ]
+            sources = [bundle] + [copy.deepcopy(bundle) for _ in range(n_shards - 1)]
         return cls(sources, **kwargs)
 
     @classmethod
@@ -390,12 +407,10 @@ class ShardedFrontend:
         """Take one admission slot, waiting for it (at most until the
         request's deadline) or shedding the request when none is free."""
         if wait:
-            remaining = (
-                None
-                if request.deadline is None
-                else max(0.0, request.deadline - time.monotonic())
-            )
-            if not self._slots.acquire(timeout=remaining):
+            deadline = request.deadline
+            if not self._slots.acquire(
+                timeout=None if deadline is None else deadline - time.monotonic()
+            ):
                 raise DeadlineExceededError(
                     f"request {request.request_id} missed its deadline "
                     f"waiting for one of {self.max_pending} admission slots"
@@ -409,10 +424,11 @@ class ShardedFrontend:
                 "backpressure mode is 'reject'"
             )
 
-    def _on_done(self, future: Future) -> None:
-        self._slots.release()
-        with self._counters_lock:
-            self.n_completed += 1
+    def _on_resolved(self, count: int) -> None:
+        """Shard hook: ``count`` admitted requests were answered; free their slots."""
+        with self._counters_lock:  # first, so in_flight never exceeds the slots held
+            self.n_completed += count
+        self._slots.release(count)
 
     def _normalize(
         self, routine: str, dims: Dict[str, int], deadline: Optional[float]
@@ -430,32 +446,28 @@ class ShardedFrontend:
         """Admit, route and enqueue one normalised request."""
         self._admit(request, wait)
         with self._lifecycle_lock:
-            if self._closed:
-                self._slots.release()  # the admission slot, no future to free it
-                raise RuntimeError("ShardedFrontend is closed")
             try:
+                if self._closed:
+                    raise RuntimeError("ShardedFrontend is closed")
                 shard = self._route(request)
-            except ShardFailure:
-                self._slots.release()  # never enqueued, no future to free it
+            except BaseException:
+                self._slots.release()  # never enqueued, so no shard frees it
                 raise
             with self._counters_lock:
                 self.n_submitted += 1
             future = PlanFuture(request.request_id, shard.index)
-            future.add_done_callback(self._on_done)
             if not shard.running:  # start() takes the shard's lifecycle lock
                 shard.start()
             shard.enqueue(request, future)
         return future
 
-    def submit(
-        self, routine: str, timeout: Optional[float] = None, **dims: int
-    ) -> PlanFuture:
+    def submit(self, routine: str, timeout: Optional[float] = None, **dims: int) -> PlanFuture:
         """Route one request to its shard; returns a waitable future.
 
         Validation happens first (bad requests raise ``ValueError`` without
         consuming an admission slot), then admission control, then the
-        enqueue.  The slot is released when the future resolves — whether
-        with a plan or an error.
+        enqueue.  The shard releases the slot once it has resolved the
+        future — with a plan or an error.
 
         ``timeout`` (seconds) stamps an end-to-end deadline on the request:
         if it is still queued when the deadline passes, the drain loop
@@ -467,9 +479,7 @@ class ShardedFrontend:
         request = self._normalize(routine, dims, self._deadline_from(timeout))
         return self._enqueue(request, wait=self.backpressure == "block")
 
-    def plan(
-        self, routine: str, timeout: Optional[float] = None, **dims: int
-    ) -> ExecutionPlan:
+    def plan(self, routine: str, timeout: Optional[float] = None, **dims: int) -> ExecutionPlan:
         """Blocking convenience: submit and wait for the plan.
 
         ``timeout`` both stamps the request deadline and bounds the wait.
@@ -503,9 +513,7 @@ class ShardedFrontend:
         ]
         futures = [self._enqueue(request, wait=True) for request in made]
         return [
-            future.result(
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
+            future.result(None if deadline is None else deadline - time.monotonic())
             for future in futures
         ]
 
@@ -513,14 +521,17 @@ class ShardedFrontend:
         """Feed one executed call's runtime to the shard that planned it.
 
         Routed by the *requested* key (``fallback_from`` when a fallback
-        policy substituted a model, else the plan's routine) — the same key
-        :meth:`submit` routed the request by — so each shard's drift window
+        policy substituted a model, else the plan's routine) and by the
+        rule :meth:`submit` routed the request by — around a quarantined
+        shard, without counting a reroute — so each shard's drift window
         sees exactly the traffic it planned.
         """
         requested = plan.fallback_from or plan.routine
         dims_key = tuple(sorted(plan.dims.items()))
-        shard = self.shards[shard_index(requested, dims_key, len(self.shards))]
-        shard.record_observation(plan, observed_time)
+        index = shard_index(requested, dims_key, len(self.shards))
+        if self.supervisor is not None:
+            index = self.supervisor.route(requested, dims_key, index)
+        self.shards[index].record_observation(plan, observed_time)
 
     # -- merged statistics ------------------------------------------------------------
     def reinstall_candidates(self) -> List[str]:
@@ -564,11 +575,7 @@ class ShardedFrontend:
             **schema.merge(schema.ENGINE, shard_snapshots + [own]),
             "backend": self.backend,
             "shards": len(self.shards),
-            "supervision": (
-                self.supervisor.snapshot(per_shard)
-                if self.supervisor is not None
-                else None
-            ),
+            "supervision": self.supervisor and self.supervisor.snapshot(per_shard),
             "pending": sum(entry["pending"] for entry in per_shard),
             "admission": admission,
             "per_shard": per_shard,

@@ -39,9 +39,12 @@ redispatch instead of failing the futures; without one, behaviour is
 unchanged (the error surfaces on every affected future).  Futures are
 resolved at-most-once via the future's own atomicity: a request that was
 redispatched *and* answered late by the original worker keeps the first
-answer and the duplicate is counted, never raised.  Requests carry an
-optional deadline; the drain loop sheds expired entries with
-:class:`DeadlineExceededError` before they cost a micro-batch slot.
+answer (plans are pure functions of the request) and the duplicate is
+counted, never raised.  First answers free admission slots through the
+frontend's ``on_resolved(count)`` hook, once per answered batch and once
+per future on the rare paths (shed, failed batch, no healthy shard).
+Requests carry an optional deadline; the drain loop sheds expired entries
+with :class:`DeadlineExceededError` before they cost a micro-batch slot.
 """
 
 from __future__ import annotations
@@ -161,6 +164,8 @@ class ShardBase:
         self.supervisor = None
         #: Optional deterministic chaos source (see serving/faults.py).
         self.injector = None
+        #: Told how many futures each resolution answered first (frontend).
+        self.on_resolved: Callable[[int], None] = lambda count: None
         # Touched only by the worker thread; read by stats snapshots.
         self.n_batches_drained = 0
         self.n_requests_drained = 0
@@ -259,28 +264,19 @@ class ShardBase:
                 return
             stopping = item is _STOP
             batch: List[Tuple[PlanRequest, object]] = [] if stopping else [item]
-            while len(batch) < self.max_batch_size:
+            # Once stopping, everything left joins the last batch.
+            while stopping or len(batch) < self.max_batch_size:
                 try:
                     extra = self._inbox.get_nowait()
                 except queue.Empty:
                     break
                 if extra is _STOP:
                     stopping = True
-                    break
-                batch.append(extra)
+                else:
+                    batch.append(extra)
             if batch:
                 self._answer(batch)
             if stopping:
-                leftovers: List[Tuple[PlanRequest, object]] = []
-                while True:
-                    try:
-                        extra = self._inbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is not _STOP:
-                        leftovers.append(extra)
-                if leftovers:
-                    self._answer(leftovers)
                 return
 
     def _dispatch(
@@ -309,23 +305,14 @@ class ShardBase:
             oldest = min(since for since, _ in self._inflight.values())
         return (time.monotonic() if now is None else now) - oldest
 
-    def _resolve(self, future, plan=None, error: Optional[BaseException] = None):
-        """Resolve a future at-most-once; count (never raise on) duplicates."""
+    def _resolve(self, future, error: BaseException) -> None:
+        """Fail a future at-most-once and free its slot; count duplicates."""
         try:
-            if error is not None:
-                future.set_exception(error)
-            else:
-                future.set_result(plan)
+            future.set_exception(error)
         except InvalidStateError:
-            # A redispatched request was already answered by the original
-            # worker (or vice versa).  Both answers are bit-identical —
-            # plans are pure functions of the request — so keeping the
-            # first is exactly-once delivery, not data loss.
             self.n_duplicate_answers += 1
-
-    def _fail_batch(self, batch, exc: BaseException) -> None:
-        for _, future in batch:
-            self._resolve(future, error=exc)
+        else:
+            self.on_resolved(1)
 
     def _shed_expired(self, batch):
         """Resolve expired entries with DeadlineExceededError; return the rest."""
@@ -336,13 +323,10 @@ class ShardBase:
         for request, future in batch:
             if request.deadline is not None and now > request.deadline:
                 self.n_deadline_expired += 1
-                self._resolve(
-                    future,
-                    error=DeadlineExceededError(
-                        f"request {request.request_id} missed its deadline "
-                        f"before execution on shard {self.index}"
-                    ),
-                )
+                self._resolve(future, DeadlineExceededError(
+                    f"request {request.request_id} missed its deadline "
+                    f"before execution on shard {self.index}"
+                ))
             else:
                 live.append((request, future))
         return live
@@ -354,21 +338,27 @@ class ShardBase:
         requests = [request for request, _ in batch]
         try:
             plans = self._dispatch(requests, batch)
-        except ShardFailure as exc:
-            supervisor = self.supervisor
-            if supervisor is not None:
+        except BaseException as exc:  # resolve futures even on backend bugs
+            if isinstance(exc, ShardFailure) and self.supervisor is not None:
                 # Recoverable transport failure: the supervisor restarts
                 # the backend and redispatches the batch — the futures
                 # stay pending until a healthy worker answers them.
-                supervisor.on_batch_failure(self, batch, exc)
-                return
-            self._fail_batch(batch, exc)
+                self.supervisor.on_batch_failure(self, batch, exc)
+            else:
+                for _, future in batch:
+                    self._resolve(future, exc)
             return
-        except BaseException as exc:  # resolve futures even on backend bugs
-            self._fail_batch(batch, exc)
-            return
+        answered = 0
         for (_, future), plan in zip(batch, plans):
-            self._resolve(future, plan=plan)
+            try:
+                future.set_result(plan)
+            except InvalidStateError:
+                # Redispatched and answered twice; both answers are identical.
+                self.n_duplicate_answers += 1
+            else:
+                answered += 1
+        if answered:
+            self.on_resolved(answered)
         self.n_batches_drained += 1
         self.n_requests_drained += len(batch)
         supervisor = self.supervisor

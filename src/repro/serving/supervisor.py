@@ -189,15 +189,25 @@ class ShardSupervisor:
         state = self._states[primary]
         if not state.quarantined:
             return primary
-        live = self.live_indices()
-        if not live:
+        target = self.route(request.routine, request.dims_key, primary)
+        if target == primary:
             raise NoHealthyShardError(
                 f"request {request.request_id}: every shard is quarantined"
             )
-        target = live[shard_index(request.routine, request.dims_key, len(live))]
         with self._lock:
             state.n_rerouted += 1
         return target
+
+    def route(self, routine: str, dims_key: tuple, primary: int) -> int:
+        """The rule :meth:`resolve_request` applies, counting nothing.
+
+        ``primary`` while it is live, else the rehash over the live shards;
+        ``primary`` again when no shard is live.
+        """
+        if not self._states[primary].quarantined:
+            return primary
+        live = self.live_indices()
+        return live[shard_index(routine, dims_key, len(live))] if live else primary
 
     # -- recovery core -------------------------------------------------------------
     def on_batch_success(self, shard: ShardBase) -> None:

@@ -246,6 +246,32 @@ class TestQuarantine:
         assert per_victim["rerouted"] >= 1
         assert per_victim["last_error"]
 
+    def test_observation_follows_the_reroute(self, clear_caches):
+        # The survivor planned the request, so its drift window must see
+        # the observation — not the quarantined primary's — and recording
+        # it is not another reroute.
+        frontend = ShardedFrontend.from_bundle(
+            clear_caches, 2, restart_policy=_fast_policy(max_consecutive_failures=1)
+        )
+        from repro.serving.shard import shard_index
+
+        probe = normalize_request("dgemm", {"m": 64, "k": 64, "n": 64}, 0)
+        victim = shard_index(probe.routine, probe.dims_key, 2)
+        _always_failing(frontend.shards[victim])
+        with frontend:
+            with pytest.warns(RuntimeWarning, match=f"shard {victim} quarantined"):
+                plan = frontend.plan("dgemm", m=64, k=64, n=64)
+            rerouted = frontend.supervisor.snapshot()["per_shard"][victim]["rerouted"]
+            frontend.record_observation(plan, plan.predicted_time * 2.0)
+            windows = [
+                shard.engine.telemetry.routines.get("dgemm") for shard in frontend.shards
+            ]
+            assert windows[victim] is None or windows[victim].n_observations == 0
+            assert len(windows[1 - victim].errors) == 1
+            assert windows[1 - victim].n_observations == 1
+            snapshot = frontend.supervisor.snapshot()
+        assert snapshot["per_shard"][victim]["rerouted"] == rerouted
+
     def test_no_healthy_shard_fails_loudly(self, clear_caches):
         frontend = ShardedFrontend.from_bundle(
             clear_caches,
