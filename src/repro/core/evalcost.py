@@ -2,21 +2,26 @@
 
 The paper measures ``t_eval`` on its compiled C++ runtime, where a linear
 model costs ~5-15 µs, tree ensembles hundreds of µs and kNN several ms
-(Table VI).  This reproduction's predictors run in interpreted Python, whose
-per-call overhead (~100-500 µs even for a linear model) would distort the
-accuracy-versus-latency trade-off that the paper's model selection is about.
+(Table VI).  This reproduction's predictor is cheaper than that for the
+ensembles: its evaluate span (feature fill, transform and stacked descent
+over 96 thread counts) is one native call.  On the benchmark install (gadi,
+six routines, 2-core host) ``eval_time_mode="measured"`` reads about
+12-23 µs for the linear models and the single tree, 30-150 µs for the tree
+ensembles, 320-360 µs for SVR and 430-730 µs for kNN — and selection then
+picks forests and boosters (README, "What selection charges").
 
-Two cost notions are therefore exposed:
+Two cost notions are exposed:
 
-* :func:`measured_eval_time` — the honest wall-clock cost of this package's
-  Python predictor (also available as
-  :meth:`repro.core.predictor.ThreadPredictor.measure_eval_time`);
-* :func:`estimate_native_eval_time` — an analytic estimate of what the same
-  model costs in a compiled deployment, calibrated against the evaluation
-  times the paper reports in Table VI.  Model selection uses this estimate
-  by default so that the selection dynamics (cheap linear models beating
-  slightly more accurate but slow kNN/forest models on latency-sensitive
-  routines) match the paper; the substitution is documented in DESIGN.md.
+* :func:`measured_eval_time` — the wall-clock cost of this package's
+  predictor (also available as
+  :meth:`repro.core.predictor.ThreadPredictor.measure_eval_time`); it
+  depends on the host and the minute, so bundles installed with it are
+  not reproducible;
+* :func:`estimate_native_eval_time` — an analytic estimate calibrated
+  against the evaluation times the paper reports in Table VI.  Model
+  selection uses it by default: it is deterministic, and it keeps the
+  paper's selection dynamics (cheap linear models beating slightly more
+  accurate but slower kNN/forest models on latency-sensitive routines).
 """
 
 from __future__ import annotations

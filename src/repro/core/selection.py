@@ -3,7 +3,11 @@
 For every candidate model the selection stage records
 
 * the normalised test RMSE of its runtime predictions,
-* its evaluation time ``t_eval`` (measured, in microseconds),
+* its evaluation time ``t_eval`` in microseconds — by default the analytic
+  compiled-runtime estimate of :func:`repro.core.evalcost.estimate_native_eval_time`
+  (deterministic: selection never reads a clock), with
+  ``eval_time_mode="measured"`` the wall-clock cost of this package's
+  predictor,
 * the *ideal* speedup — running each held-out problem with the model's
   chosen thread count instead of the maximum thread count,
 * the *estimated* speedup — the same but charging ``t_eval`` to every call:

@@ -1,7 +1,14 @@
-"""Optional native (C) kernels for the compiled prediction hot path.
+"""Optional native (C) kernels: the compiled prediction hot path and the
+install's tree growers.
 
 One shared object, compiled on first use, covers the whole
-``CompiledPredictor`` evaluate span.  Python binds three entry points:
+``CompiledPredictor`` evaluate span and the growing of every exact-split
+tree (``grow_cart`` / ``grow_newton``, see ``_GROWER_SOURCE`` and
+:class:`BoundGrower`: one whole tree per call, bit-identical to the
+node-at-a-time oracles in :mod:`repro.ml.tree` and
+:mod:`repro.ml.boosting`, which a load-time probe checks —
+:func:`_verify_growers` — dropping only the growers on a mismatch).  For the
+evaluate span Python binds three entry points:
 
 ``fused_evaluate``
     **The production path.**  Chains feature fill → fused Yeo-Johnson +
@@ -85,6 +92,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -643,6 +651,579 @@ void fused_evaluate(evaluate_args *a, int64_t n_shapes)
 }
 """.replace("__MAX_PROGRAM_BASES__", str(MAX_PROGRAM_BASES))
 
+#: The two exact-split tree growers.  Self-contained (its own includes), so
+#: the mutation tests can compile it alone.
+_GROWER_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* ---- Exact-split tree growers ------------------------------------------
+ *
+ * One whole tree per call, written straight into FlatTree's node arrays:
+ * grow_cart is tree._grow_reference (weighted-SSE CART, level-order node
+ * numbering, bootstrap-multiset roots, per-node max_features subsets) and
+ * grow_newton is boosting._NewtonTree._build (XGBoost's gain, pre-order
+ * numbering).  Bit identity with those oracles rests on what they share:
+ *
+ *   order   - a node's rows are its root's slots in slot order, and a
+ *             column's sorted rows are ordered by (value, slot) - NumPy's
+ *             stable argsort of the node's column.  Each column is counting-
+ *             sorted once per root by its dense value ranks, filled in slot
+ *             order, and every split partitions the node's segment of every
+ *             list stably, so no node sorts again;
+ *   totals  - CART node totals are sequential sums (cumsum's last entry);
+ *             Newton node totals are NumPy's pairwise sum (pairwise_sum);
+ *             Python's float ``** 2`` is libm pow, NumPy's array ``** 2`` a
+ *             multiply;
+ *   scan    - per feature, NumPy's argmax of the gain with -inf at the
+ *             inadmissible cuts (the first maximum, or the first NaN); a
+ *             later feature wins only by more than 1e-12;
+ *   subsets - a CART tree's feature subsets come from one block of uniform
+ *             keys, a row per open node in open-node order (level by level,
+ *             node order within a level): the node examines the
+ *             n_split_features features with the smallest keys, in key
+ *             order - tree._draw_feature_subsets.
+ *
+ * Hyper-parameters travel as doubles and are compared as Python compares
+ * an int with them; max_depth is +inf for "unlimited".
+ */
+enum {
+    GROW_NO_MEMORY = -1,
+    GROW_KEYS_EXHAUSTED = -2,
+    GROW_EMPTY_CHILD = -3,
+    GROW_CAPACITY = -4,
+    GROW_ZERO_DIVISION = -5,
+    GROW_OVERFLOW = -6
+};
+
+typedef struct {
+    const double *columns;   /* (n_features, n_rows): X transposed        */
+    const int64_t *rank;     /* (n_features, n_rows): dense value ranks   */
+    int64_t n_rows;
+    int64_t n_features;
+    int64_t n_ranks;         /* 1 + the largest rank in any column        */
+    double max_depth;
+    double min_samples_split;        /* CART                              */
+    double min_samples_leaf;
+    double min_child_weight;         /* Newton                            */
+    double reg_lambda;
+    double gamma;
+    int64_t n_split_features;        /* CART, with keys                   */
+    /* one tree */
+    const int64_t *root;     /* slot -> row; a row may fill many slots    */
+    int64_t n_slots;
+    const double *target;    /* per row: y (CART) / gradient (Newton)     */
+    const double *weight;    /* per row: sample weight / hessian          */
+    const double *keys;      /* (n_keys, n_features) or NULL: all features */
+    int64_t n_keys;
+    int64_t capacity;        /* node slots in each output row             */
+    int64_t *ints;           /* (4, capacity): feature, left, right, n    */
+    double *floats;          /* (3, capacity): threshold, value, impurity */
+    int64_t depth;           /* written: the deepest node's depth         */
+} grow_args;
+
+/* NumPy's float64 sum: below 8 elements a plain loop from 0.0, up to 128
+ * eight accumulators, otherwise halves cut at a multiple of 8; the result
+ * is added to the reduction's 0.0 identity. */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; ++k)
+            r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; ++k)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+double pairwise_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* One root's slot lists: values, targets and weights gathered by slot,
+ * every column's slots in (value, slot) order, the node order. */
+typedef struct {
+    int64_t n;
+    int64_t n_features;
+    double *x;               /* (n_features, n) */
+    double *t;
+    double *w;
+    int64_t *sorted;         /* (n_features, n) */
+    int64_t *order;
+    int64_t *spare;
+    unsigned char *goes_left;
+} workspace;
+
+static void release(workspace *ws)
+{
+    free(ws->x);
+    free(ws->t);
+    free(ws->w);
+    free(ws->sorted);
+    free(ws->order);
+    free(ws->spare);
+    free(ws->goes_left);
+}
+
+static int prepare(const grow_args *a, workspace *ws)
+{
+    const int64_t n = a->n_slots, nf = a->n_features, rows = a->n_rows;
+    const size_t cells = (size_t)(nf * n) + 1, slots = (size_t)n + 1;
+    int64_t *count = malloc(sizeof(int64_t) * (size_t)(a->n_ranks + 1));
+    ws->n = n;
+    ws->n_features = nf;
+    ws->x = malloc(sizeof(double) * cells);
+    ws->t = malloc(sizeof(double) * slots);
+    ws->w = malloc(sizeof(double) * slots);
+    ws->sorted = malloc(sizeof(int64_t) * cells);
+    ws->order = malloc(sizeof(int64_t) * slots);
+    ws->spare = malloc(sizeof(int64_t) * slots);
+    ws->goes_left = malloc(slots);
+    if (!count || !ws->x || !ws->t || !ws->w || !ws->sorted || !ws->order ||
+        !ws->spare || !ws->goes_left) {
+        free(count);
+        release(ws);
+        return 0;
+    }
+    for (int64_t s = 0; s < n; ++s) {
+        ws->t[s] = a->target[a->root[s]];
+        ws->w[s] = a->weight[a->root[s]];
+        ws->order[s] = s;
+    }
+    for (int64_t f = 0; f < nf; ++f) {
+        const double *column = a->columns + f * rows;
+        const int64_t *rank = a->rank + f * rows;
+        double *xf = ws->x + f * n;
+        int64_t *sorted = ws->sorted + f * n;
+        memset(count, 0, sizeof(int64_t) * (size_t)(a->n_ranks + 1));
+        for (int64_t s = 0; s < n; ++s) {
+            xf[s] = column[a->root[s]];
+            ++count[rank[a->root[s]] + 1];
+        }
+        for (int64_t r = 1; r <= a->n_ranks; ++r)
+            count[r] += count[r - 1];
+        for (int64_t s = 0; s < n; ++s)
+            sorted[count[rank[a->root[s]]]++] = s;
+    }
+    free(count);
+    return 1;
+}
+
+/* Stable partition of one segment of slots by goes_left.  Branch-free: a
+ * slot is written to both sides and only its own side's cursor advances
+ * (n_left <= i, so the left write never overtakes the read). */
+static void partition(int64_t *segment, int64_t count,
+                      const unsigned char *goes_left, int64_t *spare)
+{
+    int64_t n_left = 0, n_right = 0;
+    for (int64_t i = 0; i < count; ++i) {
+        const int64_t s = segment[i];
+        const int64_t to_left = goes_left[s];
+        segment[n_left] = s;
+        spare[n_right] = s;
+        n_left += to_left;
+        n_right += 1 - to_left;
+    }
+    memcpy(segment + n_left, spare, sizeof(int64_t) * (size_t)n_right);
+}
+
+/* Send a node's rows left where x[feature] <= threshold, in every list;
+ * returns the left child's size. */
+static int64_t apply_split(workspace *ws, int64_t start, int64_t count,
+                           int64_t feature, double threshold)
+{
+    const double *xf = ws->x + feature * ws->n;
+    int64_t n_left = 0;
+    for (int64_t i = start; i < start + count; ++i) {
+        const int64_t s = ws->order[i];
+        ws->goes_left[s] = xf[s] <= threshold;
+        n_left += ws->goes_left[s];
+    }
+    partition(ws->order + start, count, ws->goes_left, ws->spare);
+    for (int64_t f = 0; f < ws->n_features; ++f)
+        partition(ws->sorted + f * ws->n + start, count, ws->goes_left,
+                  ws->spare);
+    return n_left;
+}
+
+/* NumPy's argmax fed one element at a time: the first maximum, or the
+ * first NaN, which nothing displaces. */
+typedef struct {
+    double top;
+    int64_t at;
+} first_max;
+
+static void push_gain(first_max *m, int64_t i, double gain)
+{
+    if (m->at < 0 || (!(gain <= m->top) && !isnan(m->top))) {
+        m->top = gain;
+        m->at = i;
+    }
+}
+
+/* tree._best_split_reference over one node's segment; returns the winning
+ * feature (-1: none) and writes its cut. */
+static int64_t cart_best_split(const workspace *ws, int64_t start,
+                               int64_t count, const int64_t *features,
+                               int64_t n_examined, const double *totals,
+                               int64_t positive, double min_leaf,
+                               double *threshold)
+{
+    const double tw = totals[0], twy = totals[1], twyy = totals[2];
+    const double parent = twyy - twy * twy / tw;
+    double best_gain = 0.0;
+    int64_t best = -1;
+    for (int64_t j = 0; j < n_examined; ++j) {
+        const int64_t f = features[j];
+        const int64_t *seg = ws->sorted + f * ws->n + start;
+        const double *xf = ws->x + f * ws->n;
+        double lw = 0.0, lwy = 0.0, lwyy = 0.0;
+        int64_t lpos = 0;
+        first_max m = {0.0, -1};
+        for (int64_t i = 0; i + 1 < count; ++i) {
+            const int64_t s = seg[i];
+            const double wi = ws->w[s];
+            const double wyi = wi * ws->t[s];
+            const double wyyi = wyi * ws->t[s];
+            if (i == 0) {
+                lw = wi;
+                lwy = wyi;
+                lwyy = wyyi;
+            } else {
+                lw += wi;
+                lwy += wyi;
+                lwyy += wyyi;
+            }
+            lpos += wi > 0.0;
+            double gain = -INFINITY;
+            /* The value changes here, both children keep the leaf minimum
+             * and a row of positive weight. */
+            if (xf[s] < xf[seg[i + 1]] && i + 1 >= min_leaf &&
+                count - (i + 1) >= min_leaf && lpos > 0 && lpos < positive) {
+                const double rw = tw - lw, rwy = twy - lwy, rwyy = twyy - lwyy;
+                gain = parent -
+                       ((lwyy - lwy * lwy / lw) + (rwyy - rwy * rwy / rw));
+            }
+            push_gain(&m, i, gain);
+        }
+        if (m.at >= 0 && m.top > best_gain + 1e-12) {
+            const double below = xf[seg[m.at]], above = xf[seg[m.at + 1]];
+            best_gain = m.top;
+            best = f;
+            *threshold = 0.5 * (below + above);
+            /* Adjacent floats: a midpoint that rounded up would send both
+             * values left. */
+            if (*threshold == above)
+                *threshold = below;
+        }
+    }
+    return best;
+}
+
+/* The row's n_features indices in stable key order (insertion sort). */
+static void key_order(const double *key, int64_t n_features, int64_t *index)
+{
+    for (int64_t j = 0; j < n_features; ++j) {
+        int64_t m = j;
+        for (; m > 0 && key[index[m - 1]] > key[j]; --m)
+            index[m] = index[m - 1];
+        index[m] = j;
+    }
+}
+
+int64_t grow_cart(grow_args *a)
+{
+    const int64_t n = a->n_slots, cap = a->capacity, nf = a->n_features;
+    int64_t *feature = a->ints, *left = a->ints + cap;
+    int64_t *right = a->ints + 2 * cap, *n_samples = a->ints + 3 * cap;
+    double *threshold = a->floats, *value = a->floats + cap;
+    double *impurity = a->floats + 2 * cap;
+    workspace ws;
+    if (!prepare(a, &ws))
+        return GROW_NO_MEMORY;
+    /* This level's and the next level's (id, start, count) triples, each
+     * node's (weight, wy, wyy) totals and positive-weight row count. */
+    int64_t *levels = malloc(sizeof(int64_t) * (size_t)(6 * n + 1));
+    double *totals = malloc(sizeof(double) * (size_t)(3 * n + 1));
+    int64_t *positive = malloc(sizeof(int64_t) * (size_t)(n + 1));
+    unsigned char *open = malloc((size_t)n + 1);
+    int64_t *examined = malloc(sizeof(int64_t) * (size_t)(nf + 1));
+    int64_t status = GROW_NO_MEMORY;
+    if (!levels || !totals || !positive || !open || !examined)
+        goto done;
+    for (int64_t f = 0; f < nf; ++f)
+        examined[f] = f;
+
+    int64_t *level = levels, *next = levels + 3 * n;
+    int64_t n_level = 1, n_nodes = 1, depth = 0, key_row = 0;
+    level[0] = 0;
+    level[1] = 0;
+    level[2] = n;
+    for (;;) {
+        for (int64_t i = 0; i < n_level; ++i) {
+            const int64_t id = level[3 * i], count = level[3 * i + 2];
+            const int64_t *seg = ws.order + level[3 * i + 1];
+            double tw = 0.0, twy = 0.0, twyy = 0.0, spread = 0.0;
+            int64_t pos = 0;
+            for (int64_t k = 0; k < count; ++k) {
+                const double wi = ws.w[seg[k]];
+                const double wyi = wi * ws.t[seg[k]];
+                const double wyyi = wyi * ws.t[seg[k]];
+                if (k == 0) {
+                    tw = wi;
+                    twy = wyi;
+                    twyy = wyyi;
+                } else {
+                    tw += wi;
+                    twy += wyi;
+                    twyy += wyyi;
+                }
+                pos += wi > 0.0;
+            }
+            const double v = twy / tw;
+            for (int64_t k = 0; k < count; ++k) {
+                const double d = ws.t[seg[k]] - v;
+                const double term = ws.w[seg[k]] * (d * d);
+                spread = k == 0 ? term : spread + term;
+            }
+            const double imp = spread / tw;
+            feature[id] = -1;
+            left[id] = -1;
+            right[id] = -1;
+            threshold[id] = 0.0;
+            value[id] = v;
+            n_samples[id] = count;
+            impurity[id] = imp;
+            totals[3 * i] = tw;
+            totals[3 * i + 1] = twy;
+            totals[3 * i + 2] = twyy;
+            positive[i] = pos;
+            open[i] = !(count < a->min_samples_split || depth >= a->max_depth ||
+                        imp <= 1e-15);
+        }
+        int64_t n_next = 0;
+        for (int64_t i = 0; i < n_level; ++i) {
+            if (!open[i])
+                continue;
+            const int64_t id = level[3 * i], start = level[3 * i + 1];
+            const int64_t count = level[3 * i + 2];
+            int64_t n_examined = nf;
+            if (a->keys) {
+                if (key_row == a->n_keys) {
+                    status = GROW_KEYS_EXHAUSTED;
+                    goto done;
+                }
+                key_order(a->keys + key_row++ * nf, nf, examined);
+                n_examined = a->n_split_features;
+            }
+            double cut = 0.0;
+            const int64_t best = cart_best_split(
+                &ws, start, count, examined, n_examined, totals + 3 * i,
+                positive[i], a->min_samples_leaf, &cut);
+            if (best < 0)
+                continue;
+            const int64_t n_left = apply_split(&ws, start, count, best, cut);
+            if (n_left == 0 || n_left == count) {
+                status = GROW_EMPTY_CHILD;
+                goto done;
+            }
+            if (n_nodes + 2 > cap) {
+                status = GROW_CAPACITY;
+                goto done;
+            }
+            feature[id] = best;
+            threshold[id] = cut;
+            left[id] = n_nodes;
+            right[id] = n_nodes + 1;
+            next[3 * n_next] = n_nodes;
+            next[3 * n_next + 1] = start;
+            next[3 * n_next + 2] = n_left;
+            next[3 * n_next + 3] = n_nodes + 1;
+            next[3 * n_next + 4] = start + n_left;
+            next[3 * n_next + 5] = count - n_left;
+            n_next += 2;
+            n_nodes += 2;
+        }
+        if (n_next == 0)
+            break;
+        ++depth;
+        int64_t *swap = level;
+        level = next;
+        next = swap;
+        n_level = n_next;
+    }
+    a->depth = depth;
+    status = n_nodes;
+done:
+    free(levels);
+    free(totals);
+    free(positive);
+    free(open);
+    free(examined);
+    release(&ws);
+    return status;
+}
+
+/* _NewtonTree._best_split_reference over one node's segment, every
+ * feature in order; returns the winning feature (-1: none). */
+static int64_t newton_best_split(const workspace *ws, const grow_args *a,
+                                 int64_t start, int64_t count,
+                                 double grad_total, double hess_total,
+                                 double parent_score, double *threshold)
+{
+    const double lam = a->reg_lambda, min_leaf = a->min_samples_leaf;
+    double best_gain = 0.0;
+    int64_t best = -1;
+    for (int64_t f = 0; f < ws->n_features; ++f) {
+        const int64_t *seg = ws->sorted + f * ws->n + start;
+        const double *xf = ws->x + f * ws->n;
+        double gl = 0.0, hl = 0.0;
+        first_max m = {0.0, -1};
+        for (int64_t i = 0; i + 1 < count; ++i) {
+            const int64_t s = seg[i];
+            if (i == 0) {
+                gl = ws->t[s];
+                hl = ws->w[s];
+            } else {
+                gl += ws->t[s];
+                hl += ws->w[s];
+            }
+            const double gr = grad_total - gl, hr = hess_total - hl;
+            double gain = -INFINITY;
+            if (xf[s] < xf[seg[i + 1]] && i + 1 >= min_leaf &&
+                count - (i + 1) >= min_leaf && hl >= a->min_child_weight &&
+                hr >= a->min_child_weight)
+                gain = 0.5 * ((gl * gl / (hl + lam) + gr * gr / (hr + lam)) -
+                              parent_score) -
+                       a->gamma;
+            push_gain(&m, i, gain);
+        }
+        if (m.at >= 0 && m.top > best_gain + 1e-12) {
+            best_gain = m.top;
+            best = f;
+            *threshold = 0.5 * (xf[seg[m.at]] + xf[seg[m.at + 1]]);
+        }
+    }
+    return best;
+}
+
+int64_t grow_newton(grow_args *a)
+{
+    const int64_t n = a->n_slots, cap = a->capacity;
+    int64_t *feature = a->ints, *left = a->ints + cap;
+    int64_t *right = a->ints + 2 * cap, *n_samples = a->ints + 3 * cap;
+    double *threshold = a->floats, *value = a->floats + cap;
+    double *impurity = a->floats + 2 * cap;
+    /* A volatile exponent keeps the compiler from turning pow(x, 2.0)
+     * into x * x: CPython's float ** 2 calls libm pow. */
+    volatile double two = 2.0;
+    workspace ws;
+    if (!prepare(a, &ws))
+        return GROW_NO_MEMORY;
+    /* Open nodes, depth first: (start, count, depth, 2 * parent + side). */
+    int64_t *stack = malloc(sizeof(int64_t) * (size_t)(8 * cap + 8));
+    double *gathered = malloc(sizeof(double) * (size_t)(2 * n + 1));
+    int64_t status = GROW_NO_MEMORY;
+    if (!stack || !gathered)
+        goto done;
+
+    int64_t top = 1, n_nodes = 0, depth = 0;
+    stack[0] = 0;
+    stack[1] = n;
+    stack[2] = 0;
+    stack[3] = -1;
+    while (top > 0) {
+        --top;
+        const int64_t start = stack[4 * top], count = stack[4 * top + 1];
+        const int64_t node_depth = stack[4 * top + 2], link = stack[4 * top + 3];
+        if (n_nodes == cap) {
+            status = GROW_CAPACITY;
+            goto done;
+        }
+        const int64_t id = n_nodes++;
+        if (link >= 0)
+            (link & 1 ? right : left)[link >> 1] = id;
+        if (node_depth > depth)
+            depth = node_depth;
+        double *grad = gathered, *hess = gathered + n;
+        for (int64_t k = 0; k < count; ++k) {
+            grad[k] = ws.t[ws.order[start + k]];
+            hess[k] = ws.w[ws.order[start + k]];
+        }
+        const double grad_total = pairwise_sum(grad, count);
+        const double hess_total = pairwise_sum(hess, count);
+        const double denominator = hess_total + a->reg_lambda;
+        if (denominator == 0.0) {
+            status = GROW_ZERO_DIVISION;
+            goto done;
+        }
+        feature[id] = -1;
+        left[id] = -1;
+        right[id] = -1;
+        threshold[id] = 0.0;
+        value[id] = -grad_total / denominator;
+        n_samples[id] = count;
+        impurity[id] = 0.0;
+        if (node_depth >= a->max_depth || count < 2 * a->min_samples_leaf)
+            continue;
+        /* CPython: 0.0 ** 2 is 0.0 without pow, a negative base is
+         * squared through its magnitude, and an infinite result raises. */
+        const double square = grad_total == 0.0 ? 0.0 : pow(fabs(grad_total), two);
+        if (isinf(square)) {
+            status = GROW_OVERFLOW;
+            goto done;
+        }
+        double cut = 0.0;
+        const int64_t best =
+            newton_best_split(&ws, a, start, count, grad_total, hess_total,
+                              square / denominator, &cut);
+        if (best < 0)
+            continue;
+        const int64_t n_left = apply_split(&ws, start, count, best, cut);
+        feature[id] = best;
+        threshold[id] = cut;
+        /* Right below left, so the left subtree is numbered first. */
+        stack[4 * top] = start + n_left;
+        stack[4 * top + 1] = count - n_left;
+        stack[4 * top + 2] = node_depth + 1;
+        stack[4 * top + 3] = 2 * id + 1;
+        stack[4 * top + 4] = start;
+        stack[4 * top + 5] = n_left;
+        stack[4 * top + 6] = node_depth + 1;
+        stack[4 * top + 7] = 2 * id;
+        top += 2;
+    }
+    a->depth = depth;
+    status = n_nodes;
+done:
+    free(stack);
+    free(gathered);
+    release(&ws);
+    return status;
+}
+"""
+
+_SOURCE += _GROWER_SOURCE
+
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
@@ -671,8 +1252,8 @@ def _owned_by_current_user(path: Path) -> bool:
         return False
 
 
-def _source_digest() -> str:
-    return hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+def _source_digest(source: str = _SOURCE) -> str:
+    return hashlib.sha256(source.encode()).hexdigest()[:16]
 
 
 def _cache_dir() -> Path:
@@ -687,13 +1268,17 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"adsala-native-{uid}"
 
 
-def _build_library() -> Path | None:
-    """Compile (or reuse) the cached shared object; None when impossible."""
+def _build_library(source: str = _SOURCE) -> Path | None:
+    """Compile (or reuse) the cached shared object; None when impossible.
+
+    ``source`` is the module's C source; the mutation tests pass an edited
+    copy of a part of it.
+    """
     compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     if compiler is None:
         return None
     cache_dir = _cache_dir()
-    library = cache_dir / f"kernels_{_source_digest()}.so"
+    library = cache_dir / f"kernels_{_source_digest(source)}.so"
     if library.exists():
         if _owned_by_current_user(cache_dir) and _owned_by_current_user(library):
             return library
@@ -703,8 +1288,8 @@ def _build_library() -> Path | None:
         if not _owned_by_current_user(cache_dir):
             return None
         with tempfile.TemporaryDirectory(dir=cache_dir) as workdir:
-            source = Path(workdir) / "kernels.c"
-            source.write_text(_SOURCE)
+            source_file = Path(workdir) / "kernels.c"
+            source_file.write_text(source)
             built = Path(workdir) / "kernels.so"
             subprocess.run(
                 [
@@ -715,7 +1300,7 @@ def _build_library() -> Path | None:
                     "-fPIC",
                     "-o",
                     str(built),
-                    str(source),
+                    str(source_file),
                     "-lm",
                 ],
                 check=True,
@@ -750,8 +1335,11 @@ def _reset_kernel_cache() -> None:
 class NativeKernels:
     """The loaded kernel bundle: the bound entry points plus load metadata.
 
-    ``descent`` is always bound; ``fused_transform`` and ``fused_evaluate``
-    are ``None`` when the transform failed its bit-exactness probe.
+    ``descent`` and ``pairwise_sum`` are always bound; ``fused_transform``
+    and ``fused_evaluate`` are ``None`` when the transform failed its
+    bit-exactness probe, ``grow_cart`` and ``grow_newton`` when the growers
+    failed theirs (``growers_reason`` says why; it is empty when they
+    passed).
     """
 
     def __init__(self, library: str):
@@ -759,8 +1347,12 @@ class NativeKernels:
         self.descent = None
         self.fused_transform = None
         self.fused_evaluate = None
+        self.grow_cart = None
+        self.grow_newton = None
+        self.pairwise_sum = None
         self.svml_bridged = False
         self.transform_verified = False
+        self.growers_reason = ""
         self._lib = None  # strong ref: keeps the dlopen handle alive
         self._numpy_cdll = None  # strong ref: SVML symbols' home
 
@@ -818,6 +1410,14 @@ def _load_kernels_impl() -> NativeKernels | None:
     if not kernels.transform_verified:
         kernels.fused_transform = None
         kernels.fused_evaluate = None
+
+    kernels.pairwise_sum = _make_sum_wrapper(lib.pairwise_sum)
+    kernels.grow_cart, kernels.grow_newton = _bind_growers(lib)
+    # The growers answer to the reference growers alone: on a mismatch
+    # only they are dropped (trees then grow through the oracle).
+    kernels.growers_reason = _verify_growers(kernels)
+    if kernels.growers_reason:
+        kernels.grow_cart = kernels.grow_newton = None
     return kernels
 
 
@@ -894,6 +1494,15 @@ def _declare_signatures(lib) -> None:
     lib.fused_evaluate.argtypes = _EVALUATE_ARGTYPES
     lib.set_svml_pointers.restype = None
     lib.set_svml_pointers.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    _declare_grower_signatures(lib)
+
+
+def _declare_grower_signatures(lib) -> None:
+    for grower in (lib.grow_cart, lib.grow_newton):
+        grower.restype = ctypes.c_int64
+        grower.argtypes = [ctypes.c_void_p]  # the _GrowArgs record
+    lib.pairwise_sum.restype = ctypes.c_double
+    lib.pairwise_sum.argtypes = [_DOUBLE_P, ctypes.c_int64]
 
 
 def _wire_svml(lib):
@@ -1036,11 +1645,24 @@ def _pointer(name: str, array, dtype: np.dtype, ndim: int | None):
     """
     if array is None:
         return None
+    _validate(name, array, dtype, ndim)
+    return array.ctypes.data_as(_POINTER_OF[dtype])
+
+
+def _address(name: str, array, dtype: np.dtype, ndim: int | None):
+    """:func:`_pointer` for a ``c_void_p`` field: the same validation, the
+    bare address (``None`` stays a null pointer)."""
+    if array is None:
+        return None
+    _validate(name, array, dtype, ndim)
+    return array.ctypes.data
+
+
+def _validate(name: str, array, dtype: np.dtype, ndim: int | None) -> None:
     ok = isinstance(array, np.ndarray) and array.dtype == dtype and array.flags.c_contiguous
     if not ok or (ndim is not None and array.ndim != ndim):
         rank = "" if ndim is None else f" of rank {ndim}"
         raise TypeError(f"{name} must be a C-contiguous {dtype.name} ndarray{rank}, got {array!r}")
-    return array.ctypes.data_as(_POINTER_OF[dtype])
 
 
 def _make_descent_wrapper(fn):
@@ -1213,3 +1835,273 @@ def _make_evaluate_wrapper(fn):
     kernel.ctypes_fn = fn
     kernel.bind = functools.partial(BoundEvaluate, fn)
     return kernel
+
+
+# ---------------------------------------------------------------------------
+# Exact-split tree growers
+# ---------------------------------------------------------------------------
+class _GrowArgs(ctypes.Structure):
+    """The C ``grow_args`` record, field for field and in its order."""
+
+    _fields_ = [
+        ("columns", ctypes.c_void_p),
+        ("rank", ctypes.c_void_p),
+        ("n_rows", ctypes.c_int64),
+        ("n_features", ctypes.c_int64),
+        ("n_ranks", ctypes.c_int64),
+        ("max_depth", ctypes.c_double),
+        ("min_samples_split", ctypes.c_double),
+        ("min_samples_leaf", ctypes.c_double),
+        ("min_child_weight", ctypes.c_double),
+        ("reg_lambda", ctypes.c_double),
+        ("gamma", ctypes.c_double),
+        ("n_split_features", ctypes.c_int64),
+        ("root", ctypes.c_void_p),
+        ("n_slots", ctypes.c_int64),
+        ("target", ctypes.c_void_p),
+        ("weight", ctypes.c_void_p),
+        ("keys", ctypes.c_void_p),
+        ("n_keys", ctypes.c_int64),
+        ("capacity", ctypes.c_int64),
+        ("ints", ctypes.c_void_p),
+        ("floats", ctypes.c_void_p),
+        ("depth", ctypes.c_int64),
+    ]
+
+
+#: A negative ``grow_*`` return, as the exception the reference grower
+#: raises in the same situation (the first four cannot happen to a valid
+#: call).
+_GROW_ERRORS = {
+    -1: (MemoryError, "the native tree grower could not allocate its workspace"),
+    -2: (RuntimeError, "a tree opened more nodes than its feature-subset key block has rows"),
+    -3: (ValueError, "a split left one child empty"),
+    -4: (RuntimeError, "a tree outgrew its node capacity"),
+    -5: (ZeroDivisionError, "float division by zero"),
+    -6: (OverflowError, "(34, 'Numerical result out of range')"),
+}
+
+
+def _dense_ranks(columns: np.ndarray):
+    """``(rank, n_ranks)``: every value's rank among its row's distinct
+    values, for an ``(n_features, n_rows)`` array of columns — equal values,
+    ``-0.0`` and ``0.0`` among them, share one — and one more than the
+    largest."""
+    n_features, n_rows = columns.shape
+    # Flat positions of each column's values in value order.
+    order = columns.argsort(axis=1)
+    order += (np.arange(n_features) * n_rows)[:, None]
+    ordered = columns.ravel()[order]
+    steps = np.zeros(columns.shape, dtype=np.int64)
+    np.greater(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+    np.cumsum(steps, axis=1, out=steps)
+    rank = np.empty(columns.shape, dtype=np.int64)
+    rank.ravel()[order.ravel()] = steps.ravel()
+    return rank, int(steps[:, -1].max()) + 1
+
+
+def _cart_capacity(n_slots: int, max_depth) -> int:
+    """Every CART leaf holds a slot, so a tree has at most ``2n - 1`` nodes."""
+    return max(2 * n_slots - 1, 1)
+
+
+def _newton_capacity(n_slots: int, max_depth) -> int:
+    """A Newton cut can leave a child empty (a midpoint that rounds up to the
+    value above it sends every row left), so a leaf need not hold a slot:
+    at most the full tree of ``max_depth`` levels, and at most ``2 max_depth
+    + 1`` nodes for each of the ``2n - 1`` a tree of non-empty leaves has."""
+    depth = max(0, math.ceil(max_depth))
+    return min(2 ** (depth + 1) - 1, max(2 * n_slots - 1, 1) * (2 * depth + 1))
+
+
+class NativeGrower:
+    """One loaded C tree grower; :meth:`bind` prepares one fit's data for it."""
+
+    __slots__ = ("ctypes_fn", "_capacity")
+
+    def __init__(self, fn, capacity):
+        self.ctypes_fn = fn
+        self._capacity = capacity
+
+    def bind(self, X: np.ndarray, **params) -> "BoundGrower":
+        return BoundGrower(self.ctypes_fn, self._capacity, X, **params)
+
+
+class BoundGrower:
+    """A C tree grower bound to one fit's feature matrix: bind once, grow
+    many trees.
+
+    The constructor transposes ``X`` into columns and ranks every value
+    within its column (:func:`_dense_ranks`), so the grower orders a root's
+    slots by one counting sort per column instead of a comparison sort per
+    node, and writes both with the hyper-parameters into one
+    :class:`_GrowArgs` record.  :meth:`grow` points the record at one
+    tree's arrays and calls.  A forest's trees or a booster's rounds share
+    the binding; it serves one fit at a time.
+    """
+
+    __slots__ = ("_fn", "_capacity", "_record", "_address", "_data")
+
+    def __init__(
+        self, fn, capacity, X, *, max_depth=None, min_samples_split=2,
+        min_samples_leaf=1, min_child_weight=0.0, reg_lambda=0.0, gamma=0.0,
+        n_split_features=None,
+    ):  # fmt: skip
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
+        n_rows, n_features = X.shape
+        if n_split_features is None:
+            n_split_features = n_features
+        if not 1 <= n_split_features <= n_features:
+            raise ValueError(f"n_split_features must be in [1, {n_features}], got {n_split_features}")
+        columns = np.ascontiguousarray(X.T)
+        rank, n_ranks = _dense_ranks(columns)
+        max_depth = math.inf if max_depth is None else max_depth
+        self._fn = fn
+        self._capacity = functools.partial(capacity, max_depth=max_depth)
+        self._record = _GrowArgs(
+            columns=columns.ctypes.data,
+            rank=rank.ctypes.data,
+            n_rows=n_rows,
+            n_features=n_features,
+            n_ranks=n_ranks,
+            max_depth=max_depth,
+            min_samples_split=min_samples_split,
+            min_samples_leaf=min_samples_leaf,
+            min_child_weight=min_child_weight,
+            reg_lambda=reg_lambda,
+            gamma=gamma,
+            n_split_features=n_split_features,
+        )
+        self._address = ctypes.addressof(self._record)
+        self._data = (columns, rank)  # what the record points at
+
+    @property
+    def n_features(self) -> int:
+        return self._record.n_features
+
+    @property
+    def n_split_features(self) -> int:
+        return self._record.n_split_features
+
+    def grow(self, root: np.ndarray, target: np.ndarray, weight: np.ndarray, keys=None):
+        """Grow one tree in one call.
+
+        ``root`` lists the tree's rows of ``X``, one per slot (a bootstrap
+        set repeats rows); ``target`` and ``weight`` hold a value per row of
+        ``X`` (CART: ``y`` and the sample weights, Newton: gradient and
+        hessian); ``keys`` is a CART tree's feature-subset key block, a row
+        per open node, or ``None`` to examine every feature.  Returns the
+        node arrays ``(feature, threshold, left, right, value, n_samples,
+        impurity)`` — ``impurity`` is zero in a Newton tree — and the depth.
+        """
+        record = self._record
+        n_rows, n_features = record.n_rows, record.n_features
+        record.root = _address("root", root, _I64, 1)
+        if root.size and not (root.min() >= 0 and root.max() < n_rows):
+            raise IndexError("root lists a row outside X")
+        for name, array in (("target", target), ("weight", weight)):
+            _validate(name, array, _F64, 1)
+            if array.shape[0] != n_rows:
+                raise ValueError(f"{name} must hold one value per row of X")
+        record.target = target.ctypes.data
+        record.weight = weight.ctypes.data
+        record.keys = _address("keys", keys, _F64, 2)
+        if keys is not None and keys.shape[1] != n_features:
+            raise ValueError("keys must hold one column per feature")
+        record.n_keys = 0 if keys is None else keys.shape[0]
+        record.n_slots = root.shape[0]
+        capacity = self._capacity(root.shape[0])
+        ints = np.empty((4, capacity), dtype=np.int64)
+        floats = np.empty((3, capacity))
+        record.capacity = capacity
+        record.ints = ints.ctypes.data
+        record.floats = floats.ctypes.data
+        n_nodes = self._fn(self._address)
+        if n_nodes < 0:
+            error, message = _GROW_ERRORS[n_nodes]
+            raise error(message)
+        feature, left, right, n_samples = (row[:n_nodes].copy() for row in ints)
+        threshold, value, impurity = (row[:n_nodes].copy() for row in floats)
+        return feature, threshold, left, right, value, n_samples, impurity, record.depth
+
+
+def _bind_growers(lib):
+    """``(grow_cart, grow_newton)`` over a loaded library whose grower
+    signatures are declared (:func:`_declare_grower_signatures`)."""
+    return NativeGrower(lib.grow_cart, _cart_capacity), NativeGrower(lib.grow_newton, _newton_capacity)
+
+
+def _make_sum_wrapper(fn):
+    def pairwise_sum(a: np.ndarray) -> float:
+        """``np.sum`` of a float64 vector as the Newton grower takes it."""
+        return fn(_pointer("a", a, _F64, 1), a.shape[0])
+
+    pairwise_sum.ctypes_fn = fn
+    return pairwise_sum
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _verify_growers(kernels) -> str:
+    """Grow a fixed small forest and booster through both C growers and
+    through the reference growers: why they differ, or ``""``.
+
+    Every column repeats values and two columns are equal (ties inside a
+    column and between features), some rows weigh nothing, one forest root
+    is a bootstrap multiset and the forest examines two of four features
+    per node; the booster grows once on every row and once on a subsample,
+    with ``min_child_weight`` and ``gamma`` set.
+    """
+    rng = np.random.default_rng(27)
+    X = np.round(rng.normal(size=(40, 4)), 1)
+    X[:, 3] = X[:, 1]
+    for name, probe in (("grow_cart", _probe_cart), ("grow_newton", _probe_newton)):
+        try:
+            differs = probe(getattr(kernels, name), X, rng)
+        except Exception as exc:  # the probe must never take down load
+            return f"{name}: raised {type(exc).__name__}: {exc}"
+        if differs:
+            return f"{name}: {differs}"
+    return ""
+
+
+def _probe_cart(grower, X, rng) -> str:
+    from repro.ml import tree
+
+    y = X[:, 0] * X[:, 2] + rng.normal(size=X.shape[0])
+    w = rng.uniform(0.5, 2.0, size=X.shape[0])
+    w[::9] = 0.0
+    roots = [np.arange(X.shape[0]), rng.integers(0, X.shape[0], size=X.shape[0])]
+    params = dict(max_depth=None, min_samples_split=3, min_samples_leaf=1, n_split_features=2)
+    seeds = (5, 6)
+    grown = tree._grow_native(
+        grower.bind(X, **params), y, w, roots, [np.random.default_rng(s) for s in seeds]
+    )
+    oracle = tree._grow_reference(X, y, w, roots, [np.random.default_rng(s) for s in seeds], **params)
+    for t, (ours, theirs) in enumerate(zip(grown, oracle)):
+        for name in ("feature", "threshold", "left", "right", "value", "n_samples", "impurity", "depth"):
+            if not _same_bits(getattr(ours, name), getattr(theirs, name)):
+                return f"tree {t} {name} differs from tree._grow_reference"
+    return ""
+
+
+def _probe_newton(grower, X, rng) -> str:
+    from repro.ml import boosting
+
+    newton = boosting._NewtonTree(
+        max_depth=4, min_child_weight=2.0, reg_lambda=1.0, gamma=0.05, min_samples_leaf=1
+    )
+    bound = newton.bind(grower, X)
+    grad, hess = np.round(rng.normal(size=X.shape[0]), 2), np.ones(X.shape[0])
+    for rows in (np.arange(X.shape[0]), rng.choice(X.shape[0], size=30, replace=False)):
+        ours = newton.grow(bound, rows, grad, hess).flat_
+        theirs = newton.fit_reference(X[rows], grad[rows], hess[rows]).flat_
+        for name in ("feature", "threshold", "left", "right", "value", "depth"):
+            if not _same_bits(getattr(ours, name), getattr(theirs, name)):
+                return f"{name} differs from _NewtonTree._build on {rows.size} rows"
+    return ""

@@ -19,12 +19,20 @@ and the gain, leaf-minimum mask and first-max ``argmax`` run once over a
 :meth:`_HistTree._build` is its oracle under
 :func:`~repro.ml.tree.reference_mode`; the two agree bit for bit on every
 node array (``tests/ml/test_property_grower.py``), and nothing but that
-context chooses between them.  The exact-split :class:`_NewtonTree` stays
-recursive: boosting rounds are sequential, and without a fixed set of bins
-a level has nothing to share — a level-wise exact grower, a rank-coded
-histogram and the CART frontier grower at ``T = 1`` all measured slower
-than it on install-sized data (ROADMAP, "Install path").  AdaBoost's rounds
-are :class:`~repro.ml.tree.DecisionTreeRegressor` fits.
+context chooses between them.
+
+The exact-split :class:`_NewtonTree` grows in C, one whole tree per call
+of the ``grow_newton`` kernel of :mod:`repro.ml._native`: a booster binds
+its ``X`` once (columns and dense value ranks), and each round passes its
+gradient and its rows — all of them, or the round's subsample.  The kernel
+sorts each column once per tree and partitions the sorted lists stably at
+every split, takes node totals as NumPy's pairwise ``sum`` and
+``grad_total ** 2`` as Python's libm ``pow``, and numbers nodes in
+pre-order, so it reproduces the recursive oracle :meth:`_NewtonTree._build`
+bit for bit; that oracle grows under ``reference_mode`` and wherever the
+kernel is missing.  AdaBoost's rounds are
+:class:`~repro.ml.tree.DecisionTreeRegressor` fits, which grow through the
+C CART grower.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from repro.ml.tree import (
     FlatTree,
     StackedTrees,
     active_impl,
+    native_grower,
 )
 
 __all__ = [
@@ -123,6 +132,10 @@ class AdaBoostRegressor(BaseRegressor):
         sample_weight = np.full(n_samples, 1.0 / n_samples)
         self.estimators_: List[DecisionTreeRegressor] = []
         self.estimator_weights_: List[float] = []
+        # Every round's tree grows over X through one binding; a round's
+        # resample is its root, the tree fit(X[indices], y[indices]) grows.
+        grow = DecisionTreeRegressor(max_depth=self.max_depth)._grower(X)
+        unit_weight = np.ones(n_samples)
 
         for _ in range(self.n_estimators):
             # Weighted bootstrap: resample the training set according to the
@@ -132,7 +145,8 @@ class AdaBoostRegressor(BaseRegressor):
                 max_depth=self.max_depth,
                 random_state=int(rng.integers(0, 2 ** 31 - 1)),
             )
-            tree.fit(X[indices], y[indices])
+            grown = grow(y, unit_weight, [indices], [np.random.default_rng(tree.random_state)])
+            tree._adopt(grown[0], X.shape[1])
             predictions = tree.predict(X)
 
             abs_error = np.abs(predictions - y)
@@ -220,7 +234,14 @@ class _BoostNode:
 
 
 class _NewtonTree:
-    """Regression tree on (gradient, hessian) statistics with XGBoost gains."""
+    """Regression tree on (gradient, hessian) statistics with XGBoost gains.
+
+    Grown in one call of the C ``grow_newton`` kernel when it loaded
+    (:meth:`bind` + :meth:`grow`); otherwise, and under
+    :func:`~repro.ml.tree.reference_mode`, by the recursive oracle
+    :meth:`_build` (:meth:`fit_reference`).  Both number the nodes in
+    pre-order, as :meth:`FlatTree.from_node` does, and agree bit for bit.
+    """
 
     def __init__(
         self,
@@ -236,12 +257,31 @@ class _NewtonTree:
         self.gamma = gamma
         self.min_samples_leaf = min_samples_leaf
 
-    def fit(self, X, grad, hess) -> "_NewtonTree":
-        # Squared loss has unit hessians, for which the hessian prefix sums
-        # are just the split positions (exact in float64).
-        self._uniform_hess = bool(np.all(hess == 1.0))
-        self.root_ = self._build(X, grad, hess, np.arange(X.shape[0]), depth=0)
-        self.flat_ = FlatTree.from_node(self.root_)
+    def bind(self, grower, X):
+        """``grower`` (``load_kernels().grow_newton``) bound to ``X`` under
+        these hyper-parameters; a booster binds once for all its rounds."""
+        return grower.bind(
+            X,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            min_child_weight=self.min_child_weight,
+            reg_lambda=self.reg_lambda,
+            gamma=self.gamma,
+        )
+
+    def grow(self, bound, rows, grad, hess) -> "_NewtonTree":
+        """Grow natively on the rows ``rows`` lists of the bound ``X``
+        (``grad`` and ``hess`` hold a value per row of ``X``) — the tree
+        :meth:`fit_reference` grows on ``X[rows]``."""
+        feature, threshold, left, right, value, _, _, depth = bound.grow(rows, grad, hess)
+        self.flat_ = FlatTree(feature, threshold, left, right, value, depth)
+        return self
+
+    def fit_reference(self, X, grad, hess) -> "_NewtonTree":
+        """Grow through the node-at-a-time oracle."""
+        self.flat_ = FlatTree.from_node(
+            self._build(X, grad, hess, np.arange(X.shape[0]), depth=0)
+        )
         return self
 
     def _leaf_value(self, grad_sum: float, hess_sum: float) -> float:
@@ -290,59 +330,6 @@ class _NewtonTree:
                 best = (feature, 0.5 * (col[best_idx] + col[best_idx + 1]))
         return best
 
-    def _best_split(self, cols, grad, hess, grad_total, hess_total, parent_score):
-        """Vectorised split search over every feature column at once.
-
-        ``cols`` is the node's gathered ``(n_samples, n_features)`` block;
-        tie-breaking matches :meth:`_best_split_reference` exactly.
-        """
-        n_samples = cols.shape[0]
-        order = cols.argsort(axis=0, kind="mergesort")
-        column_pos = np.arange(cols.shape[1])
-        col_sorted = cols[order, column_pos]
-        g_cum = grad[order].cumsum(axis=0)[:-1]
-        left_count = np.arange(1, n_samples)
-        if getattr(self, "_uniform_hess", False):
-            h_cum = left_count.astype(np.float64)[:, None]
-        else:
-            h_cum = hess[order].cumsum(axis=0)[:-1]
-        g_right = grad_total - g_cum
-        h_right = hess_total - h_cum
-
-        valid = col_sorted[:-1] < col_sorted[1:]
-        valid &= (
-            (left_count >= self.min_samples_leaf)
-            & (n_samples - left_count >= self.min_samples_leaf)
-        )[:, None]
-        valid &= h_cum >= self.min_child_weight
-        valid &= h_right >= self.min_child_weight
-
-        gain = (
-            0.5
-            * (
-                g_cum ** 2 / (h_cum + self.reg_lambda)
-                + g_right ** 2 / (h_right + self.reg_lambda)
-                - parent_score
-            )
-            - self.gamma
-        )
-        gain[~valid] = -np.inf
-        best_rows = gain.argmax(axis=0)
-        per_feature_gain = gain[best_rows, column_pos]
-
-        best_gain = 0.0
-        best = None
-        for feature in range(cols.shape[1]):
-            candidate = per_feature_gain[feature]
-            if candidate > best_gain + 1e-12:
-                row = best_rows[feature]
-                best_gain = float(candidate)
-                best = (
-                    feature,
-                    0.5 * (col_sorted[row, feature] + col_sorted[row + 1, feature]),
-                )
-        return best
-
     def _build(self, X, grad, hess, indices, depth: int) -> _BoostNode:
         g_node = grad[indices]
         h_node = hess[indices]
@@ -354,14 +341,9 @@ class _NewtonTree:
             return node
 
         parent_score = self._score(grad_total, hess_total)
-        if active_impl() == "reference":
-            best = self._best_split_reference(
-                X[indices], g_node, h_node, grad_total, hess_total, parent_score
-            )
-        else:
-            best = self._best_split(
-                X[indices], g_node, h_node, grad_total, hess_total, parent_score
-            )
+        best = self._best_split_reference(
+            X[indices], g_node, h_node, grad_total, hess_total, parent_score
+        )
 
         if best is None:
             return node
@@ -380,19 +362,8 @@ class _NewtonTree:
         return self.flat_.predict(X)
 
     def predict_reference(self, X) -> np.ndarray:
-        """Recursive node-walk prediction (the pre-flattening reference)."""
-        out = np.empty(X.shape[0])
-
-        def walk(node: _BoostNode, indices: np.ndarray) -> None:
-            if node.is_leaf or indices.size == 0:
-                out[indices] = node.value
-                return
-            mask = X[indices, node.feature] <= node.threshold
-            walk(node.left, indices[mask])
-            walk(node.right, indices[~mask])
-
-        walk(self.root_, np.arange(X.shape[0]))
-        return out
+        """Recursive node-walk prediction (the oracle for the flat descent)."""
+        return self.flat_.predict_reference(X)
 
 
 class GradientBoostingRegressor(BaseRegressor):
@@ -453,15 +424,18 @@ class GradientBoostingRegressor(BaseRegressor):
         self.base_prediction_ = float(y.mean())
         current = np.full(n_samples, self.base_prediction_)
         self.estimators_: List[_NewtonTree] = []
+        hess = np.ones(n_samples)  # second derivative of squared loss
+        every_row = np.arange(n_samples)
+        grower = native_grower("grow_newton")
+        bound = None
 
         for _ in range(self.n_estimators):
-            grad = current - y          # d/dF 0.5*(F-y)^2
-            hess = np.ones(n_samples)   # second derivative of squared loss
+            grad = current - y  # d/dF 0.5*(F-y)^2
             if self.subsample < 1.0:
                 n_sub = max(2, int(round(self.subsample * n_samples)))
                 subset = rng.choice(n_samples, size=n_sub, replace=False)
             else:
-                subset = slice(None)
+                subset = every_row
             tree = _NewtonTree(
                 max_depth=self.max_depth,
                 min_child_weight=self.min_child_weight,
@@ -469,7 +443,12 @@ class GradientBoostingRegressor(BaseRegressor):
                 gamma=self.gamma,
                 min_samples_leaf=self.min_samples_leaf,
             )
-            tree.fit(X[subset], grad[subset], hess[subset])
+            if grower is None:
+                tree.fit_reference(X[subset], grad[subset], hess[subset])
+            else:
+                if bound is None:
+                    bound = tree.bind(grower, X)  # X's columns and ranks, once per fit
+                tree.grow(bound, subset, grad, hess)
             update = tree.predict(X)
             current += self.learning_rate * update
             self.estimators_.append(tree)
@@ -776,19 +755,7 @@ class _HistTree:
 
     def predict_reference(self, binned: np.ndarray) -> np.ndarray:
         """Recursive node-walk prediction (the oracle for the stacked descent)."""
-        flat = self.flat_
-        out = np.empty(binned.shape[0])
-
-        def walk(node: int, indices: np.ndarray) -> None:
-            if flat.feature[node] < 0 or indices.size == 0:
-                out[indices] = flat.value[node]
-                return
-            mask = binned[indices, flat.feature[node]] <= flat.threshold[node]
-            walk(flat.left[node], indices[mask])
-            walk(flat.right[node], indices[~mask])
-
-        walk(0, np.arange(binned.shape[0]))
-        return out
+        return self.flat_.predict_reference(binned)
 
 
 class HistGradientBoostingRegressor(BaseRegressor):

@@ -13,12 +13,12 @@ __all__ = ["RandomForestRegressor"]
 class RandomForestRegressor(BaseRegressor):
     """Bagged ensemble of CART regression trees.
 
-    ``fit`` draws every tree's seed and bootstrap set, then grows the whole
-    forest in one call of the level-wise grower in :mod:`repro.ml.tree`: all
-    open nodes of all trees advance together, so the cost per level is a
-    fixed number of array passes instead of one split search per node.  The
-    trees share ``X`` and ``y``; a bootstrap set is a row-index multiset, not
-    a copy.  Per-split feature subsets come from each tree's own generator,
+    ``fit`` draws every tree's seed and bootstrap set, then grows the trees
+    through one grower bound to ``X`` (see
+    :meth:`repro.ml.tree.DecisionTreeRegressor._grower`): one C call per
+    tree, over columns sorted once per bootstrap set.  The trees share ``X``
+    and ``y``; a bootstrap set is a row-index multiset, not a copy.
+    Per-split feature subsets come from each tree's own generator,
     one ``random((open_nodes, n_features))`` block per level (see
     :func:`repro.ml.tree._draw_feature_subsets`), so forests fitted before
     that definition differ from today's for the same ``random_state`` — an
@@ -86,7 +86,7 @@ class RandomForestRegressor(BaseRegressor):
                 roots.append(rng.integers(0, n_samples, size=n_samples))
             else:
                 roots.append(np.arange(n_samples))
-        grown = trees[0]._grow(X, y, np.ones(n_samples), roots, rngs)
+        grown = trees[0]._grower(X)(y, np.ones(n_samples), roots, rngs)
         self.estimators_ = [
             tree._adopt(result, n_features) for tree, result in zip(trees, grown)
         ]

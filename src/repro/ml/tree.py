@@ -4,37 +4,43 @@ The tree is the building block for the Random Forest and AdaBoost
 candidates (the two gradient boosters grow their own Newton trees in
 :mod:`repro.ml.boosting` and share only :class:`FlatTree`).
 
-**Growing.**  There is one production grower, :func:`_grow_frontier`.  It
-takes ``T`` roots — row-index sets into one shared ``X``/``y``/``w`` — and
-advances every open node of every tree one level per iteration: nodes are
-bucketed by size class into padded ``(nodes, features, width)`` blocks, and
-the stable per-feature sort, the per-node prefix sums, the gain, the
-validity mask, the first-max ``argmax`` and the earlier-feature tie-break
-are one array pass per bucket instead of ~45 NumPy dispatches per node.
-``RandomForestRegressor.fit`` makes one ``T``-root call;
-``DecisionTreeRegressor.fit`` (and so every AdaBoost round) is the ``T = 1``
-case of the same code.  The grower writes the node arrays of a
-:class:`FlatTree` directly; no linked node graph exists at any point.
+**Growing.**  Production trees grow in C, one whole tree per call of the
+``grow_cart`` kernel of :mod:`repro.ml._native` (:func:`_grow_native`).
+``DecisionTreeRegressor._grower`` binds a fit's ``X`` once (its columns
+and their dense value ranks); every tree grown through it is then one call
+over a root — a row-index multiset into ``X``:
+``RandomForestRegressor.fit`` grows its ``T`` bootstrap sets,
+``AdaBoostRegressor.fit`` one resample per round and
+``DecisionTreeRegressor.fit`` every row.  The
+kernel sorts each column once per root and carries the stable order
+through every partition, so no node sorts again, and it writes the node
+arrays of a :class:`FlatTree` directly; no linked node graph exists at any
+point.
 
-**The oracle.**  Under :func:`reference_mode` trees are grown by
-:func:`_grow_reference` — one tree, one node, one feature at a time, through
-:func:`_best_split_reference` — and predicted by a recursive walk, tree by
-tree; it shares no descent code with the production path, and
-:func:`repro.core.compiled.reference_mode` nests it.  The two
-builders produce the same node arrays bit for bit
-(``tests/ml/test_property_grower.py``, ``tests/ml/test_flat_tree.py``)
-because they share two definitions:
+**The oracle.**  :func:`_grow_reference` — one tree, one node, one feature
+at a time, through :func:`_best_split_reference` — grows trees under
+:func:`reference_mode` and wherever the C grower is missing
+(``ADSALA_NATIVE=0``, no compiler, or a failed load-time probe); trees are
+then predicted by a recursive walk, tree by tree, which shares no descent
+code with the production path.  :func:`repro.core.compiled.reference_mode`
+nests it.  The two growers produce the same node arrays bit for bit
+(``tests/ml/test_property_grower.py``, ``tests/ml/test_flat_tree.py``,
+checked again at every kernel load) because they share these definitions:
 
+* *Row order.*  A node's rows are its root's slots in slot order, and a
+  column's rows sort by (value, slot) — NumPy's stable argsort.
 * *Feature subsets.*  With ``max_features`` below the feature count, tree
   ``t`` draws one ``rng.random((open_nodes, n_features))`` block per level,
   one row per open node in node order, and a node examines the ``k``
   features with the smallest keys, in key order
-  (:func:`_draw_feature_subsets`).  A tree's stream therefore depends only
-  on its own shape, not on which other trees grow beside it.
+  (:func:`_draw_feature_subsets`); the C grower takes the same rows from
+  one block drawn up front.  A tree's stream therefore depends only on its
+  own shape, not on which other trees grow beside it.
 * *Node totals.*  A node's weight, ``Σwy`` and ``Σwy²`` are the last entries
-  of sequential prefix sums (``cumsum``) over its rows in node order — the
-  arithmetic a padded block reproduces exactly, which pairwise ``sum`` and
-  BLAS ``dot`` are not.
+  of sequential prefix sums (``cumsum``) over its rows in node order.
+* *The scan.*  Per feature, the first maximum of the gain over the
+  admissible cuts (``argmax``: a NaN counts as one); a later feature wins
+  only by more than ``1e-12``.
 
 **Prediction.**  ``predict`` descends the :class:`FlatTree`
 struct-of-arrays (``feature[]``, ``threshold[]``, ``left[]``, ``right[]``,
@@ -48,6 +54,7 @@ recursive oracle.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -62,6 +69,7 @@ __all__ = [
     "FlatTree",
     "StackedTrees",
     "native_descent_active",
+    "native_grower",
     "reference_mode",
 ]
 
@@ -103,9 +111,20 @@ def native_descent_active() -> bool:
     return _native.load_kernels() is not None
 
 
+def native_grower(name: str):
+    """``load_kernels().<name>`` — ``grow_cart`` or ``grow_newton`` — or
+    ``None`` under :func:`reference_mode`, without the native build, or
+    when the growers failed their load-time probe."""
+    if _IMPL == "reference":
+        return None
+    kernels = _native.load_kernels()
+    return None if kernels is None else getattr(kernels, name)
+
+
 @dataclass
 class _Node:
-    """Unpickle target for estimators saved before the frontier grower.
+    """Unpickle target for estimators saved by versions that grew a linked
+    node graph.
 
     Those pickles carry a linked ``tree_`` graph of these beside their
     ``flat_tree_``; nothing builds or reads one any more.
@@ -233,6 +252,22 @@ class FlatTree:
             go_left = X[rows, descent_feature[node]] <= descent_threshold[node]
             node = children[node, go_left.view(np.int8)]
         return self.value[node]
+
+    def predict_reference(self, X: np.ndarray) -> np.ndarray:
+        """Recursive node walk over the same arrays: the oracle for
+        :meth:`predict` and for every ensemble's stacked descent."""
+        out = np.empty(X.shape[0])
+
+        def walk(node: int, rows: np.ndarray) -> None:
+            if self.feature[node] < 0 or rows.size == 0:
+                out[rows] = self.value[node]
+                return
+            mask = X[rows, self.feature[node]] <= self.threshold[node]
+            walk(self.left[node], rows[mask])
+            walk(self.right[node], rows[~mask])
+
+        walk(0, np.arange(X.shape[0]))
+        return out
 
 
 class StackedTrees:
@@ -447,7 +482,7 @@ def _best_split_reference(
     ``(feature, threshold, gain)`` of the best weighted-SSE split, or
     ``(None, None, 0.0)`` when no admissible split improves it.  Node totals
     are the last entries of sequential prefix sums in node row order — the
-    definition the frontier grower shares (see the module docstring).
+    definition the C grower shares (see the module docstring).
     """
     n_samples = X.shape[0]
     wy = sample_weight * y
@@ -512,21 +547,16 @@ def _best_split_reference(
     return best_feature, best_threshold, best_gain
 
 
-def _draw_feature_subsets(rngs, n_open, n_features: int, n_split_features: int):
-    """Per-split feature subsets for one level: ``(sum(n_open), k)`` indices.
+def _draw_feature_subsets(rng, n_open: int, n_features: int, n_split_features: int):
+    """One tree's per-split feature subsets for one level: ``(n_open, k)``.
 
-    Tree ``t`` contributes one ``rngs[t].random((n_open[t], n_features))``
-    block — one row per open node, in node order — and each node examines
-    the ``k`` features with the smallest keys, in key order.  Both builders
-    call this, so a tree's stream depends only on its own open-node counts:
-    growing it alone or inside a forest consumes the same numbers.
+    One ``rng.random((n_open, n_features))`` block, a row per open node in
+    node order; each node examines the ``k`` features with the smallest
+    keys, in key order.  :func:`_grow_native` hands the C grower the same
+    rows as one block drawn up front, so a tree's stream depends only on
+    its own open nodes, never on which other trees grow beside it.
     """
-    keys = np.empty((int(np.sum(n_open)), n_features))
-    stop = 0
-    for rng, count in zip(rngs, n_open):
-        if count:
-            start, stop = stop, stop + int(count)
-            rng.random(out=keys[start:stop])
+    keys = rng.random((n_open, n_features))
     return keys.argsort(axis=1, kind="stable")[:, :n_split_features]
 
 
@@ -558,12 +588,13 @@ class _GrownTree:
 def _grow_reference(
     X, y, w, roots, rngs, max_depth, min_samples_split, min_samples_leaf, n_split_features
 ):
-    """Node-at-a-time level-order builder: the oracle for :func:`_grow_frontier`.
+    """Node-at-a-time level-order builder: the oracle for :func:`_grow_native`,
+    and the grower wherever the C one is unavailable.
 
     One tree after another, one node after another, every split found by
     :func:`_best_split_reference` on a copied row subset.  It visits nodes
-    in the order the frontier grower numbers them, so the two agree on the
-    node arrays element for element.
+    in the order the C grower numbers them, so the two agree on the node
+    arrays element for element.
     """
     n_features = X.shape[1]
     all_features = np.arange(n_features)
@@ -593,7 +624,7 @@ def _grow_reference(
                     open_nodes.append((node, indices))
             if n_split_features < n_features:
                 subsets = _draw_feature_subsets(
-                    [rng], [len(open_nodes)], n_features, n_split_features
+                    rng, len(open_nodes), n_features, n_split_features
                 )
             else:
                 subsets = [all_features] * len(open_nodes)
@@ -621,256 +652,27 @@ def _grow_reference(
     return grown
 
 
-def _best_split_blocks(columns, feature_base, bucket, min_samples_leaf, uniform):
-    """Best split of every node in one bucket: :func:`_best_split_reference`
-    as one array pass over a padded ``(nodes, features, width)`` block.
+def _grow_native(bound, y, w, roots, rngs):
+    """The production grower: each tree is one call of the C CART grower.
 
-    ``feature_base`` holds, per node (or once for all), the offsets of the
-    examined features into the flat ``columns``.  Returns ``(found, rank,
-    threshold)``: the bucket positions of the nodes that split, the rank of
-    the winning feature among those examined, and the cut.
+    ``bound`` is ``load_kernels().grow_cart`` bound to the fit's ``X`` and
+    hyper-parameters, shared by every tree.  With ``max_features`` below the
+    feature count, tree ``t`` draws its whole key block up front:
+    ``rngs[t].random((len(root) - 1, n_features))``, whose rows the grower
+    takes one per open node in the order :func:`_grow_reference` draws them
+    level by level — the same stream, because a tree opens at most
+    ``len(root) - 1`` nodes (every open node holds two slots or more) and
+    its generator feeds nothing else.
     """
-    _, last, block_rows, yb, wb, wyb, total_weight, total_wy = bucket
-    n_members, width = block_rows.shape
-    n_examined = feature_base.shape[1]
-    total_weight = total_weight[:, None, None]
-    total_wy = total_wy[:, None, None]
-    total_wyy = (wyb * yb).cumsum(axis=1)[np.arange(n_members), last][:, None, None]
-    parent_sse = total_wyy - total_wy * total_wy / total_weight
-
-    # Stable sort of every examined column of every node; the +inf padding
-    # stays behind the real rows.
-    cols = columns.take(feature_base + block_rows[:, None, :])
-    order = cols.argsort(axis=2, kind="stable")
-    col_sorted = cols.ravel().take(
-        order
-        + (np.arange(n_members * n_examined) * width).reshape(n_members, n_examined, 1)
-    )
-    order += (np.arange(n_members) * width)[:, None, None]
-    y_sorted = yb.ravel().take(order)
-    left_count = np.arange(1, width)
-    if uniform:
-        # Unit weights: the weight prefix sums are the counts.
-        wy_sorted = y_sorted
-        left_w = left_count
-    else:
-        w_sorted = wb.ravel().take(order)
-        wy_sorted = w_sorted * y_sorted
-        left_w = w_sorted.cumsum(axis=2)[:, :, :-1]
-    left_wy = wy_sorted.cumsum(axis=2)[:, :, :-1]
-    left_wyy = (wy_sorted * y_sorted).cumsum(axis=2)[:, :, :-1]
-    right_w = total_weight - left_w
-    right_wy = total_wy - left_wy
-    right_wyy = total_wyy - left_wyy
-    # Cuts into the padding, or off a weightless end, divide by zero; they
-    # are masked below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left_sse = left_wyy - left_wy * left_wy / left_w
-        right_sse = right_wyy - right_wy * right_wy / right_w
-        gain = parent_sse - (left_sse + right_sse)
-
-    # Admissible cuts: the feature value changes there, both children keep
-    # the leaf minimum (which also rules out every cut into the padding) ...
-    valid = col_sorted[:, :, :-1] < col_sorted[:, :, 1:]
-    valid &= (
-        (left_count >= min_samples_leaf)
-        & (last[:, None] + 1 - left_count >= min_samples_leaf)
-    )[:, None, :]
-    if not uniform:
-        # ... and both hold a row of positive weight.
-        weighted = (w_sorted > 0).cumsum(axis=2)
-        valid &= (weighted[:, :, :-1] > 0) & (
-            weighted[:, :, :-1] < weighted[:, :, -1:]
-        )
-    gain = np.where(valid, gain, -np.inf)
-
-    # First maximum per feature (a NaN counts as one, as in argmax); a
-    # later feature wins only by more than 1e-12.
-    best_position = gain.argmax(axis=2)
-    feature_gain = gain.max(axis=2)
-    best_gain = np.zeros(n_members)
-    rank = np.full(n_members, -1)
-    for j in range(n_examined):
-        better = feature_gain[:, j] > best_gain + 1e-12
-        best_gain[better] = feature_gain[better, j]
-        rank[better] = j
-    found = np.flatnonzero(rank >= 0)
-    rank = rank[found]
-    position = best_position[found, rank]
-    below = col_sorted[found, rank, position]
-    above = col_sorted[found, rank, position + 1]
-    threshold = 0.5 * (below + above)
-    # Adjacent floats: a midpoint that rounded up would send both values left.
-    threshold = np.where(threshold == above, below, threshold)
-    return found, rank, threshold
-
-
-def _grow_frontier(
-    X, y, w, roots, rngs, max_depth, min_samples_split, min_samples_leaf, n_split_features
-):
-    """Grow every tree of a forest together, one level per iteration.
-
-    The frontier is every node of every tree at the current depth, kept as
-    flat arrays (``rows`` holds the nodes' row indices back to back, trees in
-    order, each tree's nodes left to right).  Nodes are bucketed by size
-    class — the next power of two — into padded ``(nodes, width)`` blocks, so
-    per-node statistics, the split search and the child partition are a
-    fixed number of array passes per bucket however many nodes it holds.
-
-    Padding is one sentinel row past the data: features ``+inf``, target and
-    weight zero.  It sorts behind every real row, adds exact zeros to the
-    prefix sums (which run along the padded axis and so restart at each
-    node), and can never be a split position because a split there would
-    leave no real row on its right.
-    """
-    n_rows, n_features = X.shape
-    n_trees = len(roots)
-    subsample = n_split_features < n_features
-    stride = n_rows + 1
-    columns = np.empty((n_features, stride))
-    columns[:, :n_rows] = X.T
-    columns[:, n_rows] = np.inf
-    columns = columns.ravel()
-    y_pad = np.append(y, 0.0)
-    w_pad = np.append(w, 0.0)
-    uniform = bool(np.all(w == 1.0))
-    every_feature = np.arange(n_features)[None, :]
-
-    rows = np.concatenate(roots).astype(np.intp, copy=False)
-    size = np.asarray([len(root) for root in roots], dtype=np.intp)
-    tree = np.arange(n_trees)
-    first_id = np.zeros(n_trees, dtype=np.intp)
-    tree_depth = np.zeros(n_trees, dtype=np.intp)
-    levels = []
-    depth = 0
-
-    while True:
-        n_nodes = size.size
-        node_ids = np.arange(n_nodes)
-        start = np.cumsum(size) - size
-        rows_pad = np.append(rows, n_rows)
-        may_split = max_depth is None or depth < max_depth
-
-        # Node value and impurity, from prefix sums in node row order.
-        value = np.empty(n_nodes)
-        impurity = np.empty(n_nodes)
-        widths = 1 << np.frexp(size - 1)[1]  # next power of two
-        buckets = []
-        for width in np.unique(widths):
-            members = np.flatnonzero(widths == width)
-            slot = np.arange(width)
-            last = size[members] - 1
-            position = start[members, None] + slot
-            position[slot > last[:, None]] = rows.size
-            block_rows = rows_pad[position]
-            yb = y_pad[block_rows]
-            wb = w_pad[block_rows]
-            wyb = wb * yb
-            at = (np.arange(members.size), last)
-            total_weight = wb.cumsum(axis=1)[at]
-            total_wy = wyb.cumsum(axis=1)[at]
-            node_value = total_wy / total_weight
-            deviation = yb - node_value[:, None]
-            value[members] = node_value
-            impurity[members] = (
-                (wb * (deviation * deviation)).cumsum(axis=1)[at] / total_weight
-            )
-            if may_split and width > 1:
-                buckets.append(
-                    (members, last, block_rows, yb, wb, wyb, total_weight, total_wy)
-                )
-
-        # Split search over the open nodes, bucket by bucket.
-        split_feature = np.full(n_nodes, -1, dtype=np.intp)
-        split_threshold = np.zeros(n_nodes)
-        open_mask = (size >= min_samples_split) & ~(impurity <= 1e-15) & may_split
-        if subsample:
-            subsets = _draw_feature_subsets(
-                rngs,
-                np.bincount(tree[open_mask], minlength=n_trees),
-                n_features,
-                n_split_features,
-            )
-            subset_of = np.cumsum(open_mask) - 1
-        for bucket in buckets:
-            keep = open_mask[bucket[0]]
-            if not keep.any():
-                continue
-            if not keep.all():
-                bucket = tuple(array[keep] for array in bucket)
-            members = bucket[0]
-            features = subsets[subset_of[members]] if subsample else every_feature
-            found, rank, threshold = _best_split_blocks(
-                columns,
-                (features * stride)[:, :, None],
-                bucket,
-                min_samples_leaf,
-                uniform,
-            )
-            split_feature[members[found]] = np.broadcast_to(
-                features, (members.size, features.shape[1])
-            )[found, rank]
-            split_threshold[members[found]] = threshold
-
-        # Number this level's nodes and their children per tree.
-        is_split = split_feature >= 0
-        split_nodes = np.flatnonzero(is_split)
-        split_tree = tree[split_nodes]
-        per_tree = np.bincount(tree, minlength=n_trees)
-        per_tree_split = np.bincount(split_tree, minlength=n_trees)
-        local_id = first_id[tree] + node_ids - (np.cumsum(per_tree) - per_tree)[tree]
-        first_id = first_id + per_tree
-        left = np.full(n_nodes, -1, dtype=np.intp)
-        left[split_nodes] = first_id[split_tree] + 2 * (
-            np.arange(split_nodes.size)
-            - (np.cumsum(per_tree_split) - per_tree_split)[split_tree]
-        )
-        right = np.where(is_split, left + 1, -1)
-        levels.append(
-            (tree, local_id, split_feature, split_threshold, left, right,
-             value, size, impurity)
-        )
-        tree_depth[tree] = depth
-        if not split_nodes.size:
-            break
-
-        # Partition the split nodes' rows: one stable sort on
-        # (node, side) keeps every child's rows in parent order.
-        row_node = np.repeat(node_ids, size)
-        moving = is_split[row_node]
-        row_node = row_node[moving]
-        moved = rows[moving]
-        go_right = ~(
-            columns.take(split_feature[row_node] * stride + moved)
-            <= split_threshold[row_node]
-        )
-        key = 2 * row_node + go_right
-        rows = moved[key.argsort(kind="stable")]
-        size = np.bincount(key, minlength=2 * n_nodes).reshape(n_nodes, 2)[
-            split_nodes
-        ].ravel()
-        if not size.all():
-            # Cannot happen for a cut strictly between two feature
-            # values; without this an overflowed midpoint would loop.
-            raise ValueError("a split left one child empty")
-        tree = np.repeat(split_tree, 2)
-        depth += 1
-
-    # Scatter the per-level records into per-tree arrays in level order.
-    fields = [np.concatenate(field) for field in zip(*levels)]
-    offsets = np.cumsum(first_id) - first_id
-    where = offsets[fields[0]] + fields[1]
-    arrays = []
-    for field in fields[2:]:
-        out = np.empty_like(field)
-        out[where] = field
-        arrays.append(out)
-    return [
-        _GrownTree(
-            *(out[offset:offset + count] for out in arrays), depth=int(tree_depth[t])
-        )
-        for t, (offset, count) in enumerate(zip(offsets, first_id))
-    ]
+    grown = []
+    for root, rng in zip(roots, rngs):
+        root = np.ascontiguousarray(root, dtype=np.int64)
+        keys = None
+        if bound.n_split_features < bound.n_features:
+            keys = rng.random((max(root.size - 1, 0), bound.n_features))
+        *arrays, depth = bound.grow(root, y, w, keys)
+        grown.append(_GrownTree(*arrays, depth=depth))
+    return grown
 
 
 class DecisionTreeRegressor(BaseRegressor):
@@ -939,28 +741,34 @@ class DecisionTreeRegressor(BaseRegressor):
             if not sample_weight.sum() > 0:
                 raise ValueError("sample_weight must have a positive total")
         rng = np.random.default_rng(self.random_state)
-        grown = self._grow(X, y, sample_weight, [np.arange(n_samples)], [rng])
+        grown = self._grower(X)(y, sample_weight, [np.arange(n_samples)], [rng])
         return self._adopt(grown[0], X.shape[1])
 
-    def _grow(self, X, y, sample_weight, roots, rngs) -> list:
-        """Grow one tree per root of validated data under these hyper-parameters.
+    def _grower(self, X):
+        """``grow(y, sample_weight, roots, rngs) -> [_GrownTree]`` over the
+        rows of validated ``X`` under these hyper-parameters.
 
-        ``roots[t]`` is a row-index set into the shared ``X``/``y``/
-        ``sample_weight`` and ``rngs[t]`` feeds tree ``t``'s per-split
-        feature subsets; a forest passes all its trees at once.
+        ``roots[t]`` is a row-index multiset into ``X`` (a forest's bootstrap
+        set, an AdaBoost round's resample) and ``rngs[t]`` feeds tree ``t``'s
+        per-split feature subsets.  The C grower binds ``X`` here, once, so
+        every tree grown through the returned callable shares its columns
+        and value ranks; without it, and under :func:`reference_mode`, trees
+        grow through :func:`_grow_reference`.
         """
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        grower = _grow_reference if _IMPL == "reference" else _grow_frontier
-        return grower(
-            X, y, sample_weight, roots, rngs,
-            self.max_depth,
-            self.min_samples_split,
-            self.min_samples_leaf,
-            self._resolve_max_features(X.shape[1]),
+        params = dict(
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            n_split_features=self._resolve_max_features(X.shape[1]),
         )
+        grower = native_grower("grow_cart")
+        if grower is None:
+            return functools.partial(_grow_reference, X, **params)
+        return functools.partial(_grow_native, grower.bind(X, **params))
 
     def _adopt(self, grown: _GrownTree, n_features: int) -> "DecisionTreeRegressor":
         """Take a grown tree as this estimator's fitted state."""
@@ -989,19 +797,7 @@ class DecisionTreeRegressor(BaseRegressor):
     def predict_reference(self, X) -> np.ndarray:
         """Recursive node-walk prediction (the oracle for the flat descent)."""
         self._check_fitted("flat_tree_")
-        X = check_X(X)
-        out = np.empty(X.shape[0])
-        self._predict_into(0, X, np.arange(X.shape[0]), out)
-        return out
-
-    def _predict_into(self, node: int, X, indices, out) -> None:
-        flat = self.flat_tree_
-        if flat.feature[node] < 0 or indices.size == 0:
-            out[indices] = flat.value[node]
-            return
-        mask = X[indices, flat.feature[node]] <= flat.threshold[node]
-        self._predict_into(flat.left[node], X, indices[mask], out)
-        self._predict_into(flat.right[node], X, indices[~mask], out)
+        return self.flat_tree_.predict_reference(check_X(X))
 
     # -- introspection ------------------------------------------------------
     def feature_importances(self) -> np.ndarray:

@@ -174,6 +174,6 @@ class TestFlatTreeStructure:
         X_query = np.array(X[:20])
         X_query[::3, 0] = np.nan
         X_query[::4, 5] = np.nan
-        out = np.empty(X_query.shape[0])
-        model._predict_into(0, X_query, np.arange(X_query.shape[0]), out)
-        np.testing.assert_array_equal(model.flat_tree_.predict(X_query), out)
+        np.testing.assert_array_equal(
+            model.flat_tree_.predict(X_query), model.flat_tree_.predict_reference(X_query)
+        )

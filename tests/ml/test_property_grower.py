@@ -1,15 +1,23 @@
-"""The level-wise growers against their node-at-a-time oracles, on generated inputs.
+"""The production tree growers against their node-at-a-time oracles, on generated inputs.
 
-``repro.ml.tree._grow_frontier`` (production) and ``_grow_reference`` (the
-``reference_mode()`` oracle) must produce the same node arrays bit for bit:
-structure, thresholds, values, sample counts and impurities.  So must the
-histogram booster's ``_HistTree._grow_levels`` and its recursive
-``_HistTree._build``.  The guards each grower's correctness rests on are
-mutation-checked: each is edited out of the module's source and the mutant
-grower must disagree with the oracle.
+The C CART grower (``load_kernels().grow_cart``, driven by
+``repro.ml.tree._grow_native``) and ``_grow_reference`` (the
+``reference_mode()`` oracle and the fallback without a compiler) must produce
+the same node arrays bit for bit: structure, thresholds, values, sample
+counts and impurities.  So must the C Newton grower (``grow_newton``) and
+XGBoost's recursive ``_NewtonTree._build``, and the histogram booster's
+``_HistTree._grow_levels`` and its recursive ``_HistTree._build``.  The
+guards each grower's correctness rests on are mutation-checked: each is
+edited out of the grower's source — for the C growers ``_GROWER_SOURCE``,
+recompiled — and the mutant must disagree with the oracle.
+
+The native suites skip without a C compiler — except under
+``ADSALA_NATIVE_REQUIRE=1`` (a CI step), where they fail instead.
 """
 
+import ctypes
 import inspect
+import os
 import sys
 import types
 
@@ -17,13 +25,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ml import _native
 from repro.ml import boosting as boosting_mod
 from repro.ml import tree as tree_mod
-from repro.ml.boosting import HistGradientBoostingRegressor
+from repro.ml.boosting import GradientBoostingRegressor, HistGradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor, reference_mode
 
+kernels = _native.load_kernels()
+NATIVE = kernels is not None and kernels.grow_cart is not None
+REQUIRED = os.environ.get("ADSALA_NATIVE_REQUIRE") == "1"
+
+needs_native = pytest.mark.skipif(
+    not NATIVE and not REQUIRED, reason="native tree growers unavailable"
+)
+
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
+
+
+def test_required_native_growers_are_loaded():
+    """Under ``ADSALA_NATIVE_REQUIRE=1`` nothing below may run on the oracle alone."""
+    assert NATIVE or not REQUIRED, kernels and kernels.growers_reason
 
 
 def assert_same_trees(grown, expected):
@@ -37,14 +59,20 @@ def assert_same_trees(grown, expected):
             assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
 
 
+def rngs(seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+def grow_native(problem, grower=None):
+    X, y, w, roots, seeds, params = problem
+    bound = (grower or kernels.grow_cart).bind(X, **params)
+    return tree_mod._grow_native(bound, y, w, roots, rngs(seeds))
+
+
 def grow_both(problem, grower=None):
     X, y, w, roots, seeds, params = problem
-    grower = grower or tree_mod._grow_frontier
-    grown = grower(X, y, w, roots, [np.random.default_rng(s) for s in seeds], **params)
-    oracle = tree_mod._grow_reference(
-        X, y, w, roots, [np.random.default_rng(s) for s in seeds], **params
-    )
-    return grown, oracle
+    oracle = tree_mod._grow_reference(X, y, w, roots, rngs(seeds), **params)
+    return grow_native(problem, grower), oracle
 
 
 @st.composite
@@ -91,6 +119,7 @@ def forest_problem(draw):
     return X, y, w, roots, seeds, params
 
 
+@needs_native
 class TestGrowerEqualsOracle:
     @given(forest_problem())
     @settings(max_examples=150, deadline=None)
@@ -100,13 +129,12 @@ class TestGrowerEqualsOracle:
     @given(forest_problem())
     @settings(max_examples=60, deadline=None)
     def test_one_forest_call_equals_one_call_per_tree(self, problem):
+        # A binding carries nothing from one tree to the next.
         X, y, w, roots, seeds, params = problem
-        together = tree_mod._grow_frontier(
-            X, y, w, roots, [np.random.default_rng(s) for s in seeds], **params
-        )
+        together = grow_native(problem)
         alone = [
-            tree_mod._grow_frontier(X, y, w, [root], [np.random.default_rng(s)], **params)[0]
-            for root, s in zip(roots, seeds)
+            grow_native((X, y, w, [root], [seed], params))[0]
+            for root, seed in zip(roots, seeds)
         ]
         assert_same_trees(together, alone)
 
@@ -120,6 +148,18 @@ class TestGrowerEqualsOracle:
         grown, oracle = grow_both(problem)
         assert_same_trees(grown, oracle)
         assert max(tree.depth for tree in grown) >= 6
+
+    def test_any_memory_layout_of_X(self, regression_data):
+        # The binding copies X into columns itself: a Fortran-ordered or
+        # strided X grows the same trees as a C-ordered one.
+        X, y = regression_data
+        for model in (
+            RandomForestRegressor(n_estimators=3, max_depth=5, random_state=2),
+            GradientBoostingRegressor(n_estimators=3, subsample=0.7, random_state=2),
+        ):
+            expected = model.fit(X, y).predict(X)
+            for layout in (np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):
+                assert model.fit(layout, y).predict(X).tobytes() == expected.tobytes()
 
     def test_estimators_agree_under_reference_mode(self, regression_data):
         X, y = regression_data
@@ -155,9 +195,25 @@ def mutant_module(module, original: str, replacement: str):
     return mutant
 
 
-def mutant_grower(original: str, replacement: str):
-    """``_grow_frontier`` from a one-fragment mutant of ``repro.ml.tree``."""
-    return mutant_module(tree_mod, original, replacement)._grow_frontier
+@pytest.fixture(scope="module")
+def mutant_growers(tmp_path_factory):
+    """``build(original, replacement) -> {"grow_cart": ..., "grow_newton": ...}``:
+    the C growers compiled from ``_GROWER_SOURCE`` with one fragment (found
+    exactly once) replaced, into a cache of this module's own."""
+    cache = tmp_path_factory.mktemp("grower-mutants")
+
+    def build(original: str, replacement: str):
+        source = _native._GROWER_SOURCE
+        assert source.count(original) == 1, f"guard not found exactly once: {original!r}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("ADSALA_NATIVE_CACHE", str(cache))
+            library = _native._build_library(source.replace(original, replacement))
+        assert library is not None, "the mutant did not compile"
+        lib = ctypes.CDLL(str(library))
+        _native._declare_grower_signatures(lib)
+        return dict(zip(("grow_cart", "grow_newton"), _native._bind_growers(lib)))
+
+    return build
 
 
 def single_tree_problem(X, y, **params):
@@ -182,66 +238,78 @@ def disagrees(problem, grower) -> bool:
     return False
 
 
+#: The CART scan's admissibility test, as it stands in ``_GROWER_SOURCE``.
+CART_GUARD = (
+    "if (xf[s] < xf[seg[i + 1]] && i + 1 >= min_leaf &&\n"
+    "                count - (i + 1) >= min_leaf && lpos > 0 && lpos < positive) {"
+)
+#: The CART scan's feature tie-break.
+CART_TIE_BREAK = "m.top > best_gain + 1e-12) {\n            const double below"
+
+
+@needs_native
 class TestGuardsAreLoadBearing:
-    """Remove one guard at a time: the mutant must stop matching the oracle."""
+    """Remove one guard of the C CART grower at a time: the mutant must stop
+    matching the oracle."""
 
-    def test_unmutated_source_round_trips(self):
-        problem = single_tree_problem([[0.0], [0.0], [1.0], [2.0]], [0.0, 9.0, 9.0, 1.0])
-        assert not disagrees(problem, mutant_grower("columns[:, n_rows] = np.inf", "columns[:, n_rows] = np.inf"))
+    def cart_mutant(self, mutant_growers, original, replacement):
+        return mutant_growers(original, replacement)["grow_cart"]
 
-    def test_distinct_neighbour_mask(self):
+    def test_unmutated_source_round_trips(self, mutant_growers):
+        grower = self.cart_mutant(mutant_growers, CART_GUARD, CART_GUARD)
+        for X, y in (([[0.0], [0.0], [1.0], [2.0]], [0.0, 9.0, 9.0, 1.0]),
+                     ([[0.0], [1.0], [2.0], [3.0], [4.0]], [50.0, 1.0, 2.0, 1.0, 2.0])):
+            assert not disagrees(single_tree_problem(X, y, min_samples_leaf=2), grower)
+
+    def test_distinct_neighbour_mask(self, mutant_growers):
         # The best cut by gain alone separates two rows with equal x.
         problem = single_tree_problem([[0.0], [0.0], [0.0], [1.0]], [0.0, 9.0, 9.0, 9.0])
-        mutant = mutant_grower(
-            "valid = col_sorted[:, :, :-1] < col_sorted[:, :, 1:]",
-            "valid = np.ones(gain.shape, dtype=bool)",
+        mutant = self.cart_mutant(
+            mutant_growers, CART_GUARD, CART_GUARD.replace("xf[s] < xf[seg[i + 1]]", "1")
         )
         assert disagrees(problem, mutant)
 
-    def test_leaf_minimum(self):
+    def test_leaf_minimum(self, mutant_growers):
         # One outlier: the best cut isolates it, which min_samples_leaf=2 forbids.
         problem = single_tree_problem(
             [[0.0], [1.0], [2.0], [3.0], [4.0]], [50.0, 1.0, 2.0, 1.0, 2.0], min_samples_leaf=2
         )
-        mutant = mutant_grower(
-            "(left_count >= min_samples_leaf)", "(left_count >= 1)"
+        mutant = self.cart_mutant(
+            mutant_growers, CART_GUARD, CART_GUARD.replace("i + 1 >= min_leaf", "i + 1 >= 1")
         )
         assert disagrees(problem, mutant)
 
-    def test_leaf_minimum_also_bounds_the_padding(self):
-        # Five rows sit in an eight-wide block; without the right-hand bound
-        # a cut between the last row and the +inf padding is admissible.
+    def test_leaf_minimum_on_the_right(self, mutant_growers):
+        # The outlier at the other end: the right-hand bound forbids its cut.
         problem = single_tree_problem(
-            [[0.0], [1.0], [2.0], [3.0], [4.0]], [1.0, 1.0, 1.0, 1.0, 9.0], max_depth=1
+            [[0.0], [1.0], [2.0], [3.0], [4.0]], [1.0, 2.0, 1.0, 2.0, 50.0], min_samples_leaf=2
         )
-        mutant = mutant_grower(
-            "& (last[:, None] + 1 - left_count >= min_samples_leaf)",
-            "& (last[:, None] + 1 - left_count >= -width)",
+        mutant = self.cart_mutant(
+            mutant_growers,
+            CART_GUARD,
+            CART_GUARD.replace("count - (i + 1) >= min_leaf", "count - (i + 1) >= 1"),
         )
         grown, oracle = grow_both(problem, mutant)
-        assert oracle[0].threshold[0] == 3.5
-        assert disagrees(problem, mutant)
+        assert oracle[0].threshold[0] != 3.5 and grown[0].threshold[0] == 3.5
 
-    def test_tie_break_prefers_the_earlier_feature(self):
+    def test_tie_break_prefers_the_earlier_feature(self, mutant_growers):
         # Two identical columns: equal gains, feature 0 must win.
         column = [0.0, 1.0, 2.0, 3.0]
         problem = single_tree_problem(
             np.column_stack([column, column]), [0.0, 0.0, 5.0, 5.0], max_depth=1
         )
-        mutant = mutant_grower(
-            "better = feature_gain[:, j] > best_gain + 1e-12",
-            "better = feature_gain[:, j] >= best_gain",
+        mutant = self.cart_mutant(
+            mutant_growers, CART_TIE_BREAK, CART_TIE_BREAK.replace("> best_gain + 1e-12", ">= best_gain")
         )
         grown, oracle = grow_both(problem, mutant)
         assert oracle[0].feature[0] == 0 and grown[0].feature[0] == 1
 
-    def test_tie_break_tolerance(self):
+    def test_tie_break_tolerance(self, mutant_growers):
         # Column 1 is column 0 negated: the same partitions summed in the
         # opposite order, so gains differ by rounding only and feature 0
         # keeps the split unless the 1e-12 margin is dropped.
-        mutant = mutant_grower(
-            "better = feature_gain[:, j] > best_gain + 1e-12",
-            "better = feature_gain[:, j] > best_gain",
+        mutant = self.cart_mutant(
+            mutant_growers, CART_TIE_BREAK, CART_TIE_BREAK.replace(" + 1e-12", "")
         )
         flipped = 0
         for seed in range(40):
@@ -255,33 +323,39 @@ class TestGuardsAreLoadBearing:
             flipped += grown[0].feature[0] == 1
         assert flipped > 0
 
-    def test_children_keep_positive_weight(self):
+    def test_children_keep_positive_weight(self, mutant_growers):
         # Without the guard the weightless last row becomes a leaf of its
         # own, whose value is 0/0.
         X, y, _, roots, seeds, params = single_tree_problem(
             [[0.0], [1.0], [2.0], [3.0]], [1.0, 1.0, 2.0, 50.0]
         )
         problem = (X, y, np.array([0.3, 0.3, 0.3, 0.0]), roots, seeds, params)
-        mutant = mutant_grower(
-            "valid &= (weighted[:, :, :-1] > 0) & (", "valid |= (weighted[:, :, :-1] < 0) & ("
+        mutant = self.cart_mutant(
+            mutant_growers, CART_GUARD, CART_GUARD.replace("lpos > 0 && lpos < positive", "1")
         )
         grown, oracle = grow_both(problem, mutant)
         assert np.all(np.isfinite(oracle[0].value))
         assert disagrees(problem, mutant)
 
-    @pytest.mark.parametrize("sentinel", ["0.0", "-np.inf"])
-    def test_padding_sentinel_sorts_last(self, sentinel):
-        # Five rows in an eight-wide block: padding that does not sort
-        # behind every real value lands among them.
-        problem = single_tree_problem(
-            [[-2.0], [-1.0], [1.0], [2.0], [3.0]], [0.0, 0.0, 4.0, 4.0, 8.0]
+    def test_subset_keys_run_on_across_levels(self, mutant_growers):
+        # A key row feeds one open node: a mutant that restarts the rows at
+        # every level hands the second level the root's subset again.
+        mutant = self.cart_mutant(
+            mutant_growers,
+            "key_order(a->keys + key_row++ * nf, nf, examined);",
+            "key_order(a->keys + (key_row++, i) * nf, nf, examined);",
         )
-        mutant = mutant_grower(
-            "columns[:, n_rows] = np.inf", f"columns[:, n_rows] = {sentinel}"
-        )
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 6))
+        problem = (
+            X, X @ rng.normal(size=6), np.ones(40), [np.arange(40)], [7],
+            dict(max_depth=4, min_samples_split=2, min_samples_leaf=1, n_split_features=2),
+        )  # fmt: skip
+        assert not disagrees(problem, None)
         assert disagrees(problem, mutant)
 
 
+@needs_native
 class TestAdjacentFloats:
     def test_midpoint_that_rounds_up_still_separates(self):
         # 0.5 * (a + b) == b for these neighbours; a cut at b would send
@@ -317,7 +391,7 @@ class TestFitValidation:
 
 
 # ---------------------------------------------------------------------------
-# The histogram booster's level-wise grower against its per-node oracle
+# XGBoost's exact Newton grower against its recursive oracle
 # ---------------------------------------------------------------------------
 FLAT_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
@@ -330,6 +404,225 @@ def assert_same_flat(ours, theirs):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+def grow_newton_both(problem, grower=None):
+    """``(native flat tree, oracle flat tree)``; the native tree grows on the
+    listed rows of the bound ``X``, the oracle on ``X[rows]``."""
+    X, grad, hess, rows, params = problem
+    native = boosting_mod._NewtonTree(**params)
+    native.grow(native.bind(grower or kernels.grow_newton, X), rows, grad, hess)
+    oracle = boosting_mod._NewtonTree(**params)
+    # reg_lambda = 0: the oracle divides by zero at cuts it then masks.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        oracle.fit_reference(X[rows], grad[rows], hess[rows])
+    return native.flat_, oracle.flat_
+
+
+def newton_disagrees(problem, grower) -> bool:
+    try:
+        assert_same_flat(*grow_newton_both(problem, grower))
+    except (AssertionError, IndexError, ValueError):
+        return True
+    return False
+
+
+def newton_problem_from(X, grad, **params):
+    X = np.asarray(X, dtype=float)
+    params = {
+        "max_depth": 4, "min_child_weight": 1.0, "reg_lambda": 1.0, "gamma": 0.0,
+        "min_samples_leaf": 1, **params,
+    }  # fmt: skip
+    n_rows = X.shape[0]
+    return X, np.asarray(grad, dtype=float), np.ones(n_rows), np.arange(n_rows), params
+
+
+@st.composite
+def newton_problem(draw):
+    n_rows = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # Few distinct values per column: tied values are the common case.
+    levels = draw(st.integers(1, 10))
+    X = rng.integers(0, levels, size=(n_rows, n_features)).astype(float)
+    X *= rng.choice([0.1, 1.0, 3.7], size=n_features)
+    if draw(st.booleans()):
+        X[n_rows // 2:] = X[: n_rows - n_rows // 2]  # duplicate rows
+    grad = np.round(rng.normal(size=n_rows), draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        hess = np.ones(n_rows)  # squared loss, as GradientBoostingRegressor
+    else:
+        hess = np.round(rng.uniform(0.1, 2.0, size=n_rows), 1)
+    subsample = draw(st.sampled_from([1.0, 0.8, 0.5]))
+    if subsample < 1.0:
+        rows = rng.choice(n_rows, size=max(1, int(round(subsample * n_rows))), replace=False)
+    else:
+        rows = np.arange(n_rows)
+    params = dict(
+        max_depth=draw(st.sampled_from([0, 1, 2, 4, 6])),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        reg_lambda=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.1, 2.0])),
+        min_samples_leaf=draw(st.integers(1, 4)),
+    )
+    return X, grad, hess, rows, params
+
+
+@needs_native
+class TestNewtonGrowerEqualsOracle:
+    @given(newton_problem())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_arrays_are_bitwise_equal(self, problem):
+        assert_same_flat(*grow_newton_both(problem))
+
+    @given(
+        st.integers(0, 2 ** 32 - 1),
+        st.sampled_from([1.0, 0.6]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 0.5]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_fit_agrees_under_reference_mode(self, seed, subsample, reg_lambda, gamma):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(40, 3)), 1)  # duplicated raw values
+        y = X[:, 0] * X[:, 1] + rng.normal(size=40)
+        queries = rng.normal(size=(9, 3))
+        params = dict(
+            n_estimators=4, max_depth=3, min_child_weight=2.0, reg_lambda=reg_lambda,
+            gamma=gamma, subsample=subsample, random_state=seed % 1000,
+        )  # fmt: skip
+        model = GradientBoostingRegressor(**params).fit(X, y)
+        with reference_mode(), np.errstate(divide="ignore", invalid="ignore"):
+            oracle = GradientBoostingRegressor(**params).fit(X, y)
+            oracle_prediction = oracle.predict(queries)
+        for ours, theirs in zip(model.estimators_, oracle.estimators_):
+            assert_same_flat(ours.flat_, theirs.flat_)
+        assert model.predict(queries).tobytes() == oracle_prediction.tobytes()
+
+    def test_midpoint_that_rounds_up_leaves_an_empty_child(self):
+        # 0.5 * (b + c) == c: the cut sends both rows left, the right child
+        # is empty (value -0.0 / lambda), and the left one repeats the
+        # parent down to max_depth — in both growers.
+        b = np.nextafter(1.0, 2.0)
+        c = np.nextafter(b, 2.0)
+        problem = newton_problem_from([[b], [c]], [1.0, -1.0], max_depth=2, min_child_weight=0.0)
+        native, oracle = grow_newton_both(problem)
+        assert_same_flat(native, oracle)
+        assert native.n_nodes == 5 and native.threshold[0] == c
+        assert str(native.value[native.right[0]]) == "-0.0"
+        # Without regularisation the empty child's value is 0.0 / 0.0: the
+        # oracle's Python division raises, and so does the native grower.
+        X, grad, hess, rows, params = newton_problem_from(
+            [[b], [c]], [1.0, -1.0], max_depth=2, min_child_weight=0.0, reg_lambda=0.0
+        )
+        tree = boosting_mod._NewtonTree(**params)
+        with pytest.raises(ZeroDivisionError):
+            tree.grow(tree.bind(kernels.grow_newton, X), rows, grad, hess)
+        with pytest.raises(ZeroDivisionError):
+            tree.fit_reference(X, grad, hess)
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "n", [0, 1, 7, 8, 9, 15, 16, 17, 120, 127, 128, 129, 135, 136, 255, 256, 257, 263, 1000]
+)
+def test_pairwise_sum_is_numpys_sum(n):
+    # Node totals of the Newton grower: below 8 a plain loop, up to 128
+    # eight accumulators, beyond that halves cut at a multiple of 8.
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.normal(size=n) * 10.0 ** rng.integers(-3, 9, size=n),
+        np.round(rng.normal(size=n), 1),
+        np.where(rng.random(n) < 0.5, -0.0, rng.normal(size=n)),
+        np.full(n, -0.0),
+    ]
+    for a in cases:
+        assert np.float64(kernels.pairwise_sum(a)).tobytes() == a.sum().tobytes()
+
+
+#: The Newton scan's admissibility test, as it stands in ``_GROWER_SOURCE``.
+NEWTON_GUARD = (
+    "count - (i + 1) >= min_leaf && hl >= a->min_child_weight &&\n"
+    "                hr >= a->min_child_weight)"
+)
+
+
+@needs_native
+class TestNewtonGuardsAreLoadBearing:
+    # One outlier at either end: the best cut isolates it.
+    OUTLIER_LEFT = ([[0.0], [1.0], [2.0], [3.0], [4.0]], [50.0, 1.0, 2.0, 1.0, 2.0])
+    OUTLIER_RIGHT = ([[0.0], [1.0], [2.0], [3.0], [4.0]], [1.0, 2.0, 1.0, 2.0, 50.0])
+
+    def newton_mutant(self, mutant_growers, original, replacement):
+        return mutant_growers(original, replacement)["grow_newton"]
+
+    def test_min_child_weight_on_the_left(self, mutant_growers):
+        mutant = self.newton_mutant(
+            mutant_growers, NEWTON_GUARD, NEWTON_GUARD.replace("hl >= a->min_child_weight", "1")
+        )
+        problem = newton_problem_from(*self.OUTLIER_LEFT, min_child_weight=2.0, max_depth=1)
+        assert not newton_disagrees(problem, None)
+        assert newton_disagrees(problem, mutant)
+
+    def test_min_child_weight_on_the_right(self, mutant_growers):
+        mutant = self.newton_mutant(
+            mutant_growers, NEWTON_GUARD, NEWTON_GUARD.replace("hr >= a->min_child_weight", "1")
+        )
+        problem = newton_problem_from(*self.OUTLIER_RIGHT, min_child_weight=2.0, max_depth=1)
+        assert not newton_disagrees(problem, None)
+        assert newton_disagrees(problem, mutant)
+
+    def test_gamma_prices_every_split(self, mutant_growers):
+        mutant = self.newton_mutant(
+            mutant_growers, "parent_score) -\n                       a->gamma;", "parent_score);"
+        )
+        problem = newton_problem_from(*self.OUTLIER_LEFT, gamma=1e4)
+        native, _ = grow_newton_both(problem)
+        assert native.n_nodes == 1
+        assert newton_disagrees(problem, mutant)
+
+
+@needs_native
+class TestLoadTimeProbe:
+    """``load_kernels`` grows a small forest and booster through both C
+    growers and through the oracles; a mismatch drops the growers alone."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_kernel_cache(self):
+        yield
+        _native._reset_kernel_cache()
+        assert _native.load_kernels().grow_cart is not None
+
+    def test_probe_names_the_grower_that_differs(self, mutant_growers):
+        real = _native.load_kernels()
+        assert _native._verify_growers(real) == ""
+        cart = mutant_growers(CART_GUARD, CART_GUARD.replace("xf[s] < xf[seg[i + 1]]", "1"))
+        newton = mutant_growers(NEWTON_GUARD, NEWTON_GUARD.replace("hl >= a->min_child_weight", "1"))
+        broken_cart = types.SimpleNamespace(grow_cart=cart["grow_cart"], grow_newton=real.grow_newton)
+        broken_newton = types.SimpleNamespace(grow_cart=real.grow_cart, grow_newton=newton["grow_newton"])
+        assert _native._verify_growers(broken_cart).startswith("grow_cart: ")
+        assert _native._verify_growers(broken_newton).startswith("grow_newton: ")
+
+    def test_failed_probe_drops_only_the_growers(self, monkeypatch, regression_data):
+        monkeypatch.setattr(_native, "_verify_growers", lambda kernels: "grow_cart: tree 0 value differs")
+        _native._reset_kernel_cache()
+        loaded = _native.load_kernels()
+        assert loaded.grow_cart is None and loaded.grow_newton is None
+        assert loaded.growers_reason == "grow_cart: tree 0 value differs"
+        assert loaded.descent is not None and loaded.pairwise_sum is not None
+        assert (loaded.fused_evaluate is not None) == loaded.transform_verified
+        # Trees now grow through the oracle, which grows what the C grower grew.
+        X, y = regression_data
+        fallback = GradientBoostingRegressor(n_estimators=3, subsample=0.8, random_state=1).fit(X, y)
+        monkeypatch.undo()
+        _native._reset_kernel_cache()
+        native = GradientBoostingRegressor(n_estimators=3, subsample=0.8, random_state=1).fit(X, y)
+        for ours, theirs in zip(native.estimators_, fallback.estimators_):
+            assert_same_flat(ours.flat_, theirs.flat_)
+
+
+
+# ---------------------------------------------------------------------------
+# The histogram booster's level-wise grower against its per-node oracle
+# ---------------------------------------------------------------------------
 def grow_hist_both(problem, tree_cls=boosting_mod._HistTree):
     """``(flat tree, training-row leaf values)`` from ``tree_cls``'s level-wise
     grower and from the per-node oracle."""
