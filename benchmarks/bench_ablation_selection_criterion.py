@@ -33,6 +33,7 @@ def achieved_speedup(bundle, routine, model_name):
         model=model,
         candidate_threads=bundle.platform.candidate_thread_counts(),
         model_name=model_name,
+        target="log",  # fitted by the installer
     )
     eval_time = estimate_native_eval_time(
         model,

@@ -115,6 +115,7 @@ def test_plan_latency(benchmark, record, record_json):
                 model=report._fitted_models[model_name],
                 candidate_threads=platform.candidate_thread_counts(),
                 model_name=model_name,
+                target="log",  # fitted by the installer
             )
             compiled_s = _cold_plan_seconds(predictor, dims, COMPILED_REPEATS)
             with compiled_mod.reference_mode():

@@ -15,8 +15,10 @@ currently drifting routine: a budgeted, traffic-seeded re-gather on the
 model-selection criterion, a counterfactual-free shadow comparison against
 the live model, and — when the candidate clears the promotion bar — an
 atomic bundle promotion followed by an engine hot-reload, telemetry window
-reset and audit-log entry.  Candidates that fail shadow are discarded
-(``ROLLED_BACK``) and the routine stays eligible for the next cycle; a
+reset and audit-log entry.  The retrain's candidates are shadowed in its
+selection order and the first that clears the bar is promoted; when none
+does they are discarded (``ROLLED_BACK``) and the routine stays eligible
+for the next cycle; a
 promoted bundle can later be restored byte-for-byte with
 :meth:`AdaptationController.rollback`.
 
@@ -28,7 +30,7 @@ directory), mirroring the engine's own lock-free design.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -335,9 +337,8 @@ class AdaptationController:
             self._transition(routine, RoutineLifecycle.SHADOW)
             live = self.engine.source.predictor(routine)
             traffic = self.engine.telemetry.routines[routine].traffic
-            verdict = self.shadow_evaluator.evaluate(
-                routine, live, result.installation.predictor, traffic
-            )
+            result, verdict = self._shadow(routine, live, result, traffic)
+            results[routine] = result
             report.shadow[routine] = verdict
             if log is not None:
                 log.append(
@@ -392,6 +393,30 @@ class AdaptationController:
         report.promoted.sort()
         report.wall_time_s = time.perf_counter() - start
         return report
+
+    def _shadow(self, routine, live, result: RetrainResult, traffic):
+        """Shadow the retrained candidates in selection order; the first that
+        clears the bar is the one to promote.
+
+        The retrain ranks candidates by estimated speedup and the shadow bar
+        is a hard constraint on top of it, so a winner that is less accurate
+        than the live model gives way to the next-ranked one that is not.
+        Returns ``(result, verdict)``: the result carrying the accepted
+        installation and its verdict, or the unchanged result and the
+        winner's rejection when none clears the bar.
+        """
+        first = None
+        for installation in result.ranked_installations():
+            verdict = self.shadow_evaluator.evaluate(
+                routine, live, installation.predictor, traffic
+            )
+            if verdict.accepted:
+                return replace(result, installation=installation), verdict
+            if first is None:
+                first = verdict
+            if verdict.n_records < self.config.shadow_min_records:
+                break  # the traffic is too thin for every candidate alike
+        return result, first
 
     # -- rollback ----------------------------------------------------------------
     def rollback(self, to_version: Optional[int] = None) -> int:

@@ -24,8 +24,8 @@ for every ``n_jobs``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.adaptive.config import AdaptationConfig
 from repro.core.dataset import TimingDataset
 from repro.core.gather import DataGatherer
 from repro.core.install import RoutineInstallation, fit_routine_installation
+from repro.core.predictor import ThreadPredictor
 from repro.core.sampling import DomainSampler
 from repro.machine.simulator import TimingSimulator
 from repro.parallel import map_parallel, resolve_n_jobs
@@ -84,6 +85,36 @@ class RetrainResult:
     @property
     def model_name(self) -> str:
         return self.installation.best_model_name
+
+    def ranked_installations(self) -> Iterator[RoutineInstallation]:
+        """The selection winner, then every other fitted candidate by
+        descending estimated mean speedup (ties in evaluation order), each
+        as the installation that would promote it."""
+        winner = self.installation
+        yield winner
+        selection = winner.selection
+        fitted = getattr(selection, "_fitted_models", {})
+        live = winner.predictor
+        ranked = sorted(
+            selection.evaluations, key=lambda e: e.estimated_mean_speedup, reverse=True
+        )
+        for evaluation in ranked:
+            name = evaluation.model_name
+            if name == winner.best_model_name or name not in fitted:
+                continue
+            predictor = ThreadPredictor(
+                routine=live.routine,
+                pipeline=live.pipeline,
+                model=fitted[name],
+                candidate_threads=live.candidate_threads,
+                model_name=name,
+                target=live.target,
+            )
+            yield replace(
+                winner,
+                predictor=predictor,
+                selection=replace(selection, best_model_name=name),
+            )
 
 
 def _routine_rng(seed: int, routine: str) -> np.random.Generator:

@@ -852,6 +852,7 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
                 if isinstance(checksum, str) and ":" in checksum:
                     checksum = checksum.split(":", 1)[1][:12] + "..."
                 print(f"  {routine}: model={meta.get('model_name', '?')} "
+                      f"target={meta.get('target', 'seconds')} "
                       f"file={meta.get('model_file', '?')} checksum={checksum}")
         elif args.action == "rollback":
             from repro.adaptive.promote import BundlePromoter

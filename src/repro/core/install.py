@@ -8,7 +8,7 @@ requested platform:
    tuning) and model selection by estimated speedup
    (:mod:`repro.core.selection`),
 3. construction of the production :class:`~repro.core.predictor.ThreadPredictor`
-   for the winning model,
+   for the winning model (fitted to log-runtime, so ``target="log"``),
 
 and returns an :class:`InstallationBundle` — the in-memory equivalent of the
 "config file + trained model" pair the paper's installer writes to disk
@@ -125,6 +125,7 @@ def fit_routine_installation(
         model=best_model,
         candidate_threads=simulator.platform.candidate_thread_counts(),
         model_name=report.best_model_name,
+        target="log",
     )
     return RoutineInstallation(
         routine=routine,

@@ -32,6 +32,11 @@ versions of one platform side by side.  Schema history:
   fails with a :class:`BundleFormatError` naming the missing plugin; v1/v2
   bundles (builtin BLAS routines only) still load, and ``adsala bundle
   migrate`` stamps the provenance in place.
+* **4** — adds a per-routine ``target``: what the pickled model predicts,
+  ``"log"`` (log-seconds, what every install fits) or ``"seconds"``.  A
+  missing key means ``"seconds"``, so v1-v3 bundles load and plan exactly
+  as they did; ``adsala bundle migrate`` stamps ``"seconds"`` on them.  Any
+  other value is a :class:`BundleFormatError`.
 
 Structural problems (unknown schema, missing model file, checksum mismatch,
 corrupt pickle) raise :class:`BundleFormatError` with a human-readable
@@ -49,7 +54,7 @@ from typing import Dict
 
 from repro.core.install import InstallationBundle, RoutineInstallation
 from repro.core.dataset import TimingDataset
-from repro.core.predictor import ThreadPredictor
+from repro.core.predictor import TARGETS, ThreadPredictor
 from repro.core.selection import CandidateEvaluation, SelectionReport
 from repro.machine.platforms import get_platform
 from repro.machine.simulator import TimingSimulator
@@ -74,7 +79,7 @@ __all__ = [
 _BUNDLE_FILE = "bundle.json"
 
 #: Current on-disk manifest schema revision.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class BundleFormatError(RuntimeError):
@@ -168,6 +173,7 @@ def write_routine_model(
         "model_file": model_path.name,
         "checksum": f"sha256:{_sha256_file(model_path)}",
         "model_name": predictor.model_name,
+        "target": predictor.target,
         "candidate_threads": list(predictor.candidate_threads),
         "preprocessing": predictor.pipeline.to_config().to_dict(),
         "selection": _selection_to_dict(installation.selection),
@@ -358,6 +364,12 @@ def load_routine(
         raise BundleFormatError(
             f"Routine {routine!r} metadata is missing required key {exc}"
         ) from exc
+    target = meta.get("target", "seconds")  # schema <= 3 fitted seconds
+    if target not in TARGETS:
+        raise BundleFormatError(
+            f"Routine {routine!r} has unknown target {target!r}; this library "
+            f"reads {list(TARGETS)}"
+        )
     predictor = ThreadPredictor(
         routine=routine,
         pipeline=pipeline,
@@ -366,6 +378,7 @@ def load_routine(
             "candidate_threads", platform.candidate_thread_counts()
         ),
         model_name=meta.get("model_name", "unknown"),
+        target=target,
     )
     if "selection" in meta:
         selection = _selection_from_dict(meta["selection"])
@@ -464,14 +477,16 @@ def migrate_manifest(directory: str | Path) -> dict:
 
     Computes the missing per-routine checksums from the model files, renames
     the legacy ``format_version`` key, stamps ``schema_version`` /
-    ``bundle_version`` and records each routine's plugin provenance from
-    the live catalog (schema v3).  A manifest already at the current schema
-    is returned unchanged.  Returns the (possibly rewritten) manifest.
+    ``bundle_version``, records each routine's plugin provenance from
+    the live catalog (schema v3) and stamps ``target: "seconds"`` where it
+    is missing, since only schema v4 installs fit log-runtime (schema v4).
+    A manifest already at the current schema is returned unchanged.
+    Returns the (possibly rewritten) manifest.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
     if manifest_schema_version(manifest) == SCHEMA_VERSION and all(
-        meta.get("checksum") and meta.get("plugin")
+        meta.get("checksum") and meta.get("plugin") and meta.get("target")
         for meta in manifest["routines"].values()
     ):
         return manifest
@@ -488,5 +503,6 @@ def migrate_manifest(directory: str | Path) -> dict:
         meta["model_file"] = model_path.name
         meta["checksum"] = f"sha256:{_sha256_file(model_path)}"
         meta.setdefault("plugin", _routine_provenance(routine))
+        meta.setdefault("target", "seconds")
     _write_manifest(directory, manifest)
     return manifest

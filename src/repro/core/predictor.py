@@ -27,10 +27,21 @@ the object graph ``feature_matrix_grid`` → ``pipeline.transform`` →
 benchmark baselines.  The compiled kernel is working state, not model
 state: it is dropped from pickles and deep copies and rebuilt on first
 use.
+
+The model's output is a *score* whose argmin over the candidate thread
+counts is the plan.  ``target`` says what the score is: ``"log"`` (every
+install fits ``log(runtime)``; see :mod:`repro.core.selection`) or
+``"seconds"`` (bundles written before the log target).  Because ``log`` is
+monotone, ``plan``, ``plan_batch`` and ``predict_threads_batch`` take the
+argmin of the raw output either way and the request path does no extra
+work on the grid; only :meth:`ThreadPredictor.predict_runtimes_batch`
+converts the whole grid to seconds, and a plan's ``predicted_time`` is the
+one chosen score converted.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -45,12 +56,15 @@ from repro.ml import tree as tree_mod
 from repro.ml.base import BaseRegressor
 from repro.preprocessing.pipeline import PreprocessingPipeline
 
-__all__ = ["PredictionPlan", "ThreadPredictor"]
+__all__ = ["PredictionPlan", "ThreadPredictor", "TARGETS"]
+
+#: What a predictor's model output means: log-seconds or seconds.
+TARGETS = ("log", "seconds")
 
 
 @dataclass(frozen=True, init=False)
 class PredictionPlan:
-    """Result of one thread-count prediction."""
+    """Result of one thread-count prediction (``predicted_time`` in seconds)."""
 
     routine: str
     dims: Dict[str, int]
@@ -88,6 +102,9 @@ class ThreadPredictor:
     cache_capacity:
         Maximum number of distinct problem shapes kept in the LRU
         prediction cache (1 = the paper's last-call cache).
+    target:
+        What ``model`` predicts: ``"log"`` (log-seconds, what install fits)
+        or ``"seconds"`` (what bundles written before the log target hold).
     """
 
     def __init__(
@@ -98,6 +115,7 @@ class ThreadPredictor:
         candidate_threads: Sequence[int],
         model_name: str = "unknown",
         cache_capacity: int = 16,
+        target: str = "seconds",
     ):
         candidate_threads = sorted({int(t) for t in candidate_threads})
         if not candidate_threads:
@@ -106,12 +124,15 @@ class ThreadPredictor:
             raise ValueError("candidate thread counts must be positive")
         if cache_capacity < 1:
             raise ValueError("cache_capacity must be at least 1")
+        if target not in TARGETS:
+            raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
         self.routine = routine
         self.pipeline = pipeline
         self.model = model
         self.candidate_threads = candidate_threads
         self.model_name = model_name
         self.cache_capacity = int(cache_capacity)
+        self.target = target
         self.feature_names = feature_names(routine)
         self._cache: OrderedDict[tuple, PredictionPlan] = OrderedDict()
         self._compiled: CompiledPredictor | None = None
@@ -153,26 +174,40 @@ class ThreadPredictor:
 
     # -- prediction -------------------------------------------------------------
     def predict_runtimes(self, dims: Dict[str, int]) -> np.ndarray:
-        """Predicted runtime for every candidate thread count (no caching)."""
+        """Predicted runtime in seconds for every candidate thread count
+        (no caching)."""
         return self.predict_runtimes_batch([dims])[0]
 
     def predict_runtimes_batch(
         self, dims_list: Sequence[Dict[str, int]]
     ) -> np.ndarray:
-        """Predicted runtimes for many shapes in one model evaluation.
+        """Predicted runtimes in seconds for many shapes in one model evaluation.
 
         Returns a ``(len(dims_list), n_candidates)`` array whose row ``i``
         matches ``predict_runtimes(dims_list[i])``; the feature grid,
-        preprocessing and model evaluation each run exactly once.
+        preprocessing and model evaluation each run exactly once.  A
+        ``"log"`` predictor exponentiates the model's output.
+        """
+        scores = self.predict_scores_batch(dims_list)
+        return np.exp(scores) if self.target == "log" else scores
+
+    def predict_scores_batch(
+        self, dims_list: Sequence[Dict[str, int]]
+    ) -> np.ndarray:
+        """The model's raw output over the (shapes x candidates) grid.
+
+        Its row-wise argmin is the plan.  This is the one evaluation every
+        prediction method makes; the compiled kernel and the oracle compare
+        it bit for bit.
         """
         # Both reference toggles opt out of the compiled kernel: the
         # predictor-level ``repro.core.compiled.reference_mode`` and the
         # tree-level ``repro.ml.tree.reference_mode`` (the kernel binds the
         # stacked descent directly and would otherwise ignore the latter).
         if compiled_mod.active_impl() == "compiled" and tree_mod.active_impl() == "vectorized":
-            runtimes = (self._compiled or self.compile()).predict_runtimes_batch(dims_list)
+            scores = (self._compiled or self.compile()).predict_runtimes_batch(dims_list)
             self.n_model_evaluations += 1
-            return runtimes
+            return scores
         X = feature_matrix_grid(
             self.routine, dims_list, np.asarray(self.candidate_threads)
         )
@@ -200,12 +235,14 @@ class ThreadPredictor:
                 self._cache.move_to_end(key)
                 self.n_cache_hits += 1
                 return cached
-        runtimes = self.predict_runtimes(dims)
+        scores = self.predict_scores_batch([dims])[0]
         if use_cache:
             self.n_cache_misses += 1
-        best_idx = int(np.argmin(runtimes))
+        best_idx = int(np.argmin(scores))
         threads = self.candidate_threads[best_idx]
-        predicted = float(runtimes[best_idx])
+        predicted = float(scores[best_idx])
+        if self.target == "log":
+            predicted = math.exp(predicted)
         dims = dict(dims)
         self._cache[key] = PredictionPlan(self.routine, dims, threads, predicted, True)
         self._cache.move_to_end(key)
@@ -225,8 +262,7 @@ class ThreadPredictor:
         Bypasses the cache (the batch path is used at installation time on
         held-out shapes, where caching would only skew ``t_eval``).
         """
-        runtimes = self.predict_runtimes_batch(dims_list)
-        best = np.argmin(runtimes, axis=1)
+        best = np.argmin(self.predict_scores_batch(dims_list), axis=1)
         return np.asarray(self.candidate_threads, dtype=int)[best]
 
     def plan_batch(
@@ -243,7 +279,7 @@ class ThreadPredictor:
         ``from_cache`` flags, same hit/miss counters and the same final
         cache contents, even when the batch holds more unique shapes than
         ``cache_capacity``.  The only difference is cost: all misses share a
-        single :meth:`predict_runtimes_batch` evaluation (duplicate shapes
+        single :meth:`predict_scores_batch` evaluation (duplicate shapes
         evaluated once), so ``n_model_evaluations`` grows by at most one
         instead of once per miss.  ``keys`` are the shapes'
         :meth:`cache_key` tuples when the caller already holds them (a
@@ -302,7 +338,7 @@ class ThreadPredictor:
         if not owed:  # an empty group
             return plans
         try:
-            runtimes = self.predict_runtimes_batch(list(pending.values()))
+            scores = self.predict_scores_batch(list(pending.values()))
         except BaseException:
             for key in pending:
                 if key in cache and cache[key] is None:
@@ -313,14 +349,17 @@ class ThreadPredictor:
             self.n_cache_misses += len(plans) - hits
         routine = self.routine
         candidates = self.candidate_threads
-        runtime_at = runtimes.item
+        score_at = scores.item
+        exp = math.exp if self.target == "log" else None
         fresh = {}
         for slot, (best, (key, dims)) in enumerate(
-            zip(runtimes.argmin(axis=1).tolist(), pending.items())
+            zip(scores.argmin(axis=1).tolist(), pending.items())
         ):
             dims = dict(dims)
             threads = candidates[best]
-            predicted = runtime_at(slot, best)
+            predicted = score_at(slot, best)
+            if exp is not None:
+                predicted = exp(predicted)
             twin = PredictionPlan(routine, dims, threads, predicted, True)
             if key in cache:  # unless evicted again inside the group
                 cache[key] = twin
@@ -361,8 +400,8 @@ class ThreadPredictor:
             dims = {name: 1024 for name in spec.dim_names}
         # One warm-up evaluation so one-off allocation / import costs do not
         # count against the model.
-        self.predict_runtimes(dims)
+        self.predict_scores_batch([dims])
         start = time.perf_counter()
         for _ in range(repeats):
-            self.predict_runtimes(dims)
+            self.predict_scores_batch([dims])
         return (time.perf_counter() - start) / repeats

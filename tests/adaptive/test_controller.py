@@ -152,6 +152,49 @@ class TestEndToEndAdaptation:
         assert len(report.retrained) == 1
 
 
+class TestCandidateOrder:
+    def test_a_rejected_winner_gives_way_to_the_next_ranked_candidate(
+        self, loop, drive_traffic, drifted_observer
+    ):
+        """The shadow bar is a constraint on the retrain's ranking: when the
+        winner fails it, the next-ranked candidate is shadowed and promoted."""
+        _, handle, engine, controller, _ = loop
+        evaluate = controller.shadow_evaluator.evaluate
+        shadowed = []
+
+        def reject_each_winner(routine, live, candidate, traffic):
+            verdict = evaluate(routine, live, candidate, traffic)
+            shadowed.append((routine, candidate.model_name))
+            first = len([r for r, _ in shadowed if r == routine]) == 1
+            return replace(verdict, accepted=not first, reasons=["forced"] if first else [])
+
+        controller.shadow_evaluator.evaluate = reject_each_winner
+        drive_traffic(engine, drifted_observer)
+        report = controller.step()
+        assert sorted(report.promoted) == ["dgemm", "dsyrk"]
+        manifest = read_manifest(handle.directory)
+        for routine in report.promoted:
+            tried = [name for r, name in shadowed if r == routine]
+            winner, promoted = tried[0], tried[-1]
+            assert len(tried) == 2 and promoted != winner
+            assert report.retrained[routine].model_name == promoted
+            assert report.shadow[routine].candidate_model == promoted
+            assert manifest["routines"][routine]["model_name"] == promoted
+            assert engine.source.predictor(routine).model_name == promoted
+
+    def test_no_candidate_clearing_the_bar_rolls_back_with_the_winners_verdict(
+        self, loop, drive_traffic, drifted_observer, quick_config
+    ):
+        _, handle, engine, controller, _ = loop
+        controller.config = replace(quick_config, min_error_improvement=0.999)
+        controller.shadow_evaluator.config = controller.config
+        drive_traffic(engine, drifted_observer)
+        report = controller.step()
+        assert report.promoted == [] and handle.bundle_version == 1
+        for routine in report.rejected:
+            assert report.shadow[routine].candidate_model == report.retrained[routine].model_name
+
+
 class TestUninstalledRoutines:
     def test_heuristic_served_drift_is_skipped_not_fatal(
         self, loop, drive_traffic, drifted_observer

@@ -155,6 +155,34 @@ class TestRetrainDriftingRoutines:
             assert len(result.dataset) >= 10  # at least one row per shape
             assert result.model_name in ("LinearRegression", "DecisionTree")
 
+    def test_ranked_installations_follow_the_selection(
+        self, measurement_simulator, laptop
+    ):
+        config = AdaptationConfig(
+            seed=11,
+            regather_shapes=10,
+            regather_threads_per_shape=4,
+            regather_test_shapes=6,
+            candidate_models=("LinearRegression", "DecisionTree", "KNN"),
+        )
+        result = retrain_drifting_routines(measurement_simulator, ["dgemm"], {}, config)["dgemm"]
+        ranked = list(result.ranked_installations())
+        selection = result.installation.selection
+        assert ranked[0] is result.installation
+        speedup = {e.model_name: e.estimated_mean_speedup for e in selection.evaluations}
+        names = [installation.best_model_name for installation in ranked]
+        assert sorted(names) == sorted(speedup)
+        assert [speedup[name] for name in names] == sorted(speedup.values(), reverse=True)
+        for installation in ranked[1:]:
+            name = installation.best_model_name
+            predictor = installation.predictor
+            assert predictor.model is selection._fitted_models[name]
+            assert predictor.model_name == name
+            assert predictor.target == "log"
+            assert predictor.pipeline is result.installation.predictor.pipeline
+            assert installation.selection.evaluations == selection.evaluations
+            assert installation.dataset is result.dataset
+
     def test_preprocessing_policy_follows_the_bundle(
         self, measurement_simulator, quick_config
     ):

@@ -158,7 +158,7 @@ class TestCompiledPredictor:
         )
         dims_list = _random_dims("dsyr2k", 8, seed=5)
         with compiled_mod.reference_mode():
-            reference = predictor.predict_runtimes_batch(dims_list)
+            reference = predictor.predict_scores_batch(dims_list)
         assert np.array_equal(
             compiled.predict_runtimes_batch(dims_list), reference
         )

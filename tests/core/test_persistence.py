@@ -1,6 +1,9 @@
 """Tests for saving and loading installation bundles."""
 
 import json
+import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +151,108 @@ class TestSchemaVersioning:
         (saved_dir / "bundle.json").write_text(json.dumps({"schema_version": 2}))
         with pytest.raises(BundleFormatError, match="required keys"):
             load_bundle(saved_dir)
+
+
+#: A schema-v3 bundle written by the code before the log target (one
+#: DecisionTree routine, one LinearRegression routine, both fitted to
+#: seconds), with the plans that code made from it, ``predicted_time`` as
+#: ``float.hex``.
+V3_BUNDLE = Path(__file__).parent / "fixtures" / "bundle_v3"
+
+
+def _recorded_plans():
+    return json.loads((V3_BUNDLE / "plans.json").read_text())
+
+
+def _manifest(directory):
+    return json.loads((directory / "bundle.json").read_text())
+
+
+def _rewrite(directory, edit):
+    manifest = _manifest(directory)
+    edit(manifest)
+    (directory / "bundle.json").write_text(json.dumps(manifest))
+
+
+class TestTarget:
+    """Schema v4: each routine records whether its model predicts log-seconds."""
+
+    def test_v4_round_trips_the_log_target(self, small_bundle, saved_dir):
+        manifest = _manifest(saved_dir)
+        assert manifest["schema_version"] == 4
+        assert {meta["target"] for meta in manifest["routines"].values()} == {"log"}
+        restored = load_bundle(saved_dir)
+        for routine in small_bundle.installed_routines:
+            assert restored.predictor(routine).target == "log"
+            for dims in small_bundle.routines[routine].test_shapes[:3]:
+                assert restored.predictor(routine).plan(dims, use_cache=False) == (
+                    small_bundle.predictor(routine).plan(dims, use_cache=False)
+                )
+
+    def test_v3_manifest_reads_as_seconds(self, small_bundle, saved_dir):
+        def to_v3(manifest):
+            manifest["schema_version"] = 3
+            for meta in manifest["routines"].values():
+                del meta["target"]
+
+        _rewrite(saved_dir, to_v3)
+        restored = load_bundle(saved_dir)
+        for routine in small_bundle.installed_routines:
+            predictor = restored.predictor(routine)
+            assert predictor.target == "seconds"
+            for dims in small_bundle.routines[routine].test_shapes[:3]:
+                plan = predictor.plan(dims, use_cache=False)
+                scores = predictor.predict_scores_batch([dims])[0]
+                # Same argmin; the raw output is read as seconds, unconverted.
+                assert plan.threads == small_bundle.predictor(routine).plan(
+                    dims, use_cache=False
+                ).threads
+                assert plan.predicted_time == scores.min()
+                np.testing.assert_array_equal(predictor.predict_runtimes(dims), scores)
+
+    def test_bundle_written_before_the_log_target_plans_as_recorded(self):
+        bundle = load_bundle(V3_BUNDLE)
+        assert _manifest(V3_BUNDLE)["schema_version"] == 3
+        for routine, plans in _recorded_plans().items():
+            predictor = bundle.predictor(routine)
+            assert predictor.target == "seconds"
+            for recorded in plans:
+                plan = predictor.plan(recorded["dims"], use_cache=False)
+                assert plan.threads == recorded["threads"]
+                assert plan.predicted_time.hex() == recorded["predicted_time"]
+            batch = predictor.plan_batch([recorded["dims"] for recorded in plans])
+            assert [(p.threads, p.predicted_time.hex()) for p in batch] == [
+                (recorded["threads"], recorded["predicted_time"]) for recorded in plans
+            ]
+
+    def test_migrating_a_v3_bundle_stamps_seconds(self, tmp_path):
+        directory = tmp_path / "v3"
+        shutil.copytree(V3_BUNDLE, directory)
+        manifest = migrate_manifest(directory)
+        assert manifest["schema_version"] == SCHEMA_VERSION
+        assert {meta["target"] for meta in manifest["routines"].values()} == {"seconds"}
+        bundle = load_bundle(directory)
+        for routine, plans in _recorded_plans().items():
+            for recorded in plans:
+                plan = bundle.predictor(routine).plan(recorded["dims"], use_cache=False)
+                assert plan.predicted_time.hex() == recorded["predicted_time"]
+
+    @pytest.mark.parametrize("target", ["LOG", "log10", "", None, 1])
+    def test_unknown_target_rejected(self, saved_dir, target):
+        def corrupt(manifest):
+            manifest["routines"]["dgemm"]["target"] = target
+
+        _rewrite(saved_dir, corrupt)
+        with pytest.raises(BundleFormatError, match="target"):
+            load_bundle(saved_dir)
+
+    def test_log_predictions_are_seconds(self, saved_dir):
+        predictor = load_bundle(saved_dir).predictor("dgemm")
+        dims = {"m": 300, "k": 200, "n": 100}
+        scores = predictor.predict_scores_batch([dims])[0]
+        np.testing.assert_array_equal(predictor.predict_runtimes(dims), np.exp(scores))
+        plan = predictor.plan(dims, use_cache=False)
+        assert plan.predicted_time == math.exp(scores.min())
 
 
 class TestChecksums:

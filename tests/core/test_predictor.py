@@ -1,12 +1,13 @@
 """Tests for the runtime thread-count predictor and its last-call cache."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.features import feature_names
+from repro.core.features import feature_matrix_grid, feature_names
 from repro.core.gather import DataGatherer
 from repro.core.predictor import ThreadPredictor
 from repro.ml.tree import DecisionTreeRegressor
@@ -32,7 +33,38 @@ def trained_predictor(laptop):
     )
 
 
+@pytest.fixture(scope="module")
+def log_predictor(laptop):
+    """The same campaign fitted to log-runtime, as every install fits."""
+    from repro.machine.simulator import TimingSimulator
+
+    simulator = TimingSimulator(laptop, seed=0)
+    dataset = DataGatherer(simulator, "dgemm", n_shapes=20, threads_per_shape=6, seed=0).gather()
+    pipeline = PreprocessingPipeline(feature_names=dataset.feature_names, remove_outliers=False)
+    X, y = pipeline.fit_transform(dataset.feature_matrix(), dataset.target())
+    model = DecisionTreeRegressor(max_depth=10).fit(X, np.log(y))
+    return ThreadPredictor(
+        routine="dgemm",
+        pipeline=pipeline,
+        model=model,
+        candidate_threads=laptop.candidate_thread_counts(),
+        model_name="DecisionTree",
+        target="log",
+    )
+
+
 DIMS = {"m": 200, "k": 300, "n": 150}
+SHAPES = [DIMS, {"m": 64, "k": 64, "n": 64}, {"m": 2048, "k": 64, "n": 2048}]
+
+
+def _raw_output(predictor, dims_list):
+    """The model's output over the (shapes x threads) grid, by the object graph."""
+    grid = feature_matrix_grid(
+        predictor.routine, dims_list, np.asarray(predictor.candidate_threads)
+    )
+    return predictor.model.predict(predictor.pipeline.transform(grid)).reshape(
+        len(dims_list), -1
+    )
 
 
 class TestPrediction:
@@ -53,6 +85,59 @@ class TestPrediction:
 
     def test_predict_threads_shortcut(self, trained_predictor):
         assert trained_predictor.predict_threads(DIMS) == trained_predictor.plan(DIMS).threads
+
+
+class TestLogTarget:
+    """A ``target="log"`` predictor plans on the raw output and reports seconds."""
+
+    def test_threads_are_the_argmin_of_the_raw_output(self, log_predictor):
+        raw = _raw_output(log_predictor, SHAPES)
+        expected = [log_predictor.candidate_threads[i] for i in raw.argmin(axis=1)]
+        assert [log_predictor.plan(d, use_cache=False).threads for d in SHAPES] == expected
+        assert list(log_predictor.predict_threads_batch(SHAPES)) == expected
+        log_predictor.clear_cache()
+        assert [p.threads for p in log_predictor.plan_batch(SHAPES)] == expected
+
+    def test_scores_are_the_raw_output(self, log_predictor):
+        np.testing.assert_array_equal(
+            log_predictor.predict_scores_batch(SHAPES), _raw_output(log_predictor, SHAPES)
+        )
+
+    def test_runtimes_are_exp_of_the_raw_output(self, log_predictor):
+        raw = _raw_output(log_predictor, SHAPES)
+        np.testing.assert_array_equal(log_predictor.predict_runtimes_batch(SHAPES), np.exp(raw))
+        np.testing.assert_array_equal(log_predictor.predict_runtimes(DIMS), np.exp(raw[0]))
+
+    def test_predicted_time_is_in_seconds(self, log_predictor):
+        raw = _raw_output(log_predictor, SHAPES)
+        log_predictor.clear_cache()
+        batch = log_predictor.plan_batch(SHAPES)
+        for dims, row, planned in zip(SHAPES, raw, batch):
+            plan = log_predictor.plan(dims, use_cache=False)
+            assert plan.predicted_time == math.exp(row.min())
+            assert planned.predicted_time == plan.predicted_time
+            # Seconds: a runtime of a dgemm on the laptop, not a log of one.
+            assert 1e-7 < plan.predicted_time < 10.0
+
+    def test_seconds_predictor_reads_its_output_unconverted(self, trained_predictor):
+        raw = _raw_output(trained_predictor, SHAPES)
+        assert trained_predictor.target == "seconds"
+        np.testing.assert_array_equal(trained_predictor.predict_runtimes_batch(SHAPES), raw)
+        plan = trained_predictor.plan(DIMS, use_cache=False)
+        assert plan.predicted_time == raw[0].min()
+
+    def test_target_survives_a_pickle(self, log_predictor):
+        assert pickle.loads(pickle.dumps(log_predictor)).target == "log"
+
+    def test_unknown_target_rejected(self, trained_predictor):
+        with pytest.raises(ValueError, match="target"):
+            ThreadPredictor(
+                routine="dgemm",
+                pipeline=trained_predictor.pipeline,
+                model=trained_predictor.model,
+                candidate_threads=[1, 2],
+                target="log10",
+            )
 
 
 class TestCache:

@@ -11,6 +11,9 @@ from repro.core.selection import (
     select_best_model,
 )
 from repro.machine.simulator import TimingSimulator
+from repro.ml.linear import LinearRegression
+from repro.ml.metrics import root_mean_squared_error
+from repro.preprocessing.pipeline import PreprocessingPipeline
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +85,40 @@ class TestReportStructure:
     def test_fitted_models_stashed_for_reuse(self, report):
         assert set(report._fitted_models) == set(CANDIDATES)
         assert report._pipeline is not None
+
+
+class TestLogTarget:
+    """Candidates fit log-runtime; the Table VI RMSE stays in seconds."""
+
+    @pytest.fixture(scope="class")
+    def split(self, selection_inputs):
+        _, dataset, _ = selection_inputs
+        return dataset.train_test_split(test_size=0.15, random_state=0)
+
+    @pytest.fixture(scope="class")
+    def held_out(self, report, split):
+        _, X_test, _, y_test = split
+        return report._pipeline.transform(X_test), y_test
+
+    def test_models_fit_log_seconds(self, selection_inputs, report, split):
+        _, dataset, _ = selection_inputs
+        X_train, _, y_train, _ = split
+        pipeline = PreprocessingPipeline(feature_names=dataset.feature_names)
+        X, y = pipeline.fit_transform(X_train, y_train)
+        expected = LinearRegression().fit(X, np.log(y))
+        model = report._fitted_models["LinearRegression"]
+        np.testing.assert_array_equal(model.coef_, expected.coef_)
+        assert model.intercept_ == expected.intercept_
+
+    def test_rmse_is_in_seconds(self, report, held_out):
+        X_test, y_test = held_out
+        for evaluation in report.evaluations:
+            model = report._fitted_models[evaluation.model_name]
+            assert evaluation.rmse == root_mean_squared_error(
+                y_test, np.exp(model.predict(X_test))
+            )
+            # Not the log-space error, which is larger than every runtime here.
+            assert evaluation.rmse < y_test.max()
 
 
 class TestEvalTimeModes:

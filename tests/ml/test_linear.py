@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ml.linear import ElasticNet, LinearRegression, Ridge
+from repro.ml.linear import ElasticNet, LinearRegression, Ridge, _soft_threshold
 from repro.ml.metrics import r2_score
 
 
@@ -105,3 +106,71 @@ class TestElasticNet:
         model = ElasticNet(alpha=0.001, max_iter=2000).fit(X, y)
         assert model.coef_[0] == pytest.approx(0.0, abs=1e-8)
         assert model.coef_[1] == pytest.approx(3.0, abs=0.2)
+
+
+def _residual_form_elastic_net(X, y, alpha, l1_ratio, max_iter, tol, fit_intercept):
+    """Coordinate descent over the residual vector: the O(n_samples)-per-update
+    formulation ``ElasticNet`` used before its Gram form, kept as the oracle."""
+    n_samples, n_features = X.shape
+    if fit_intercept:
+        Xc = X - X.mean(axis=0)
+        yc = y - y.mean()
+    else:
+        Xc, yc = X.copy(), y.copy()
+    l1_penalty = alpha * l1_ratio * n_samples
+    l2_penalty = alpha * (1.0 - l1_ratio) * n_samples
+    coef = np.zeros(n_features)
+    column_norms = (Xc ** 2).sum(axis=0)
+    residual = yc - Xc @ coef
+    n_iterations = 0
+    for n_iterations in range(1, max_iter + 1):
+        max_update = 0.0
+        for j in range(n_features):
+            if column_norms[j] == 0.0:
+                continue
+            old = coef[j]
+            rho = Xc[:, j] @ residual + column_norms[j] * old
+            new = _soft_threshold(rho, l1_penalty) / (column_norms[j] + l2_penalty)
+            if new != old:
+                residual += Xc[:, j] * (old - new)
+                coef[j] = new
+                max_update = max(max_update, abs(new - old))
+        if max_update <= tol:
+            break
+    return coef, n_iterations
+
+
+class TestElasticNetGramForm:
+    """The Gram-form sweep is the residual-form sweep reassociated: same
+    coordinate order, same stopping rule, coefficients equal to rounding."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(12, 160),
+        n_features=st.integers(1, 12),
+        alpha=st.sampled_from([0.001, 0.01, 0.1]),
+        l1_ratio=st.sampled_from([0.2, 0.5, 0.8]),
+        fit_intercept=st.booleans(),
+        constant_column=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_residual_form(
+        self, seed, n_samples, n_features, alpha, l1_ratio, fit_intercept, constant_column
+    ):
+        rng = np.random.default_rng(seed)
+        # Correlated standardised features and an O(1) log-runtime-like target.
+        mixing = np.eye(n_features) + 0.5 * rng.normal(size=(n_features, n_features))
+        X = rng.normal(size=(n_samples, n_features)) @ mixing
+        X = (X - X.mean(axis=0)) / np.maximum(X.std(axis=0), 1e-12)
+        if constant_column:
+            X[:, 0] = 1.0
+        y = X @ rng.normal(size=n_features) - 7.0 + rng.normal(0.0, 0.1, n_samples)
+
+        model = ElasticNet(
+            alpha=alpha, l1_ratio=l1_ratio, max_iter=500, fit_intercept=fit_intercept
+        ).fit(X, y)
+        coef, n_iter = _residual_form_elastic_net(
+            X, y, alpha, l1_ratio, 500, model.tol, fit_intercept
+        )
+        assert model.n_iter_ == n_iter
+        np.testing.assert_allclose(model.coef_, coef, rtol=0, atol=1e-12)
