@@ -64,8 +64,8 @@ def _toy_bundle(tmp_path, catalog):
 
 
 class TestSchemaV3:
-    def test_current_schema_is_3(self):
-        assert SCHEMA_VERSION == 3
+    def test_current_schema_is_4(self):
+        assert SCHEMA_VERSION == 4
 
     def test_builtin_provenance_recorded(self, tmp_path):
         bundle = install_adsala(
@@ -78,7 +78,7 @@ class TestSchemaV3:
         )
         save_bundle(bundle, tmp_path / "b")
         manifest = read_manifest(tmp_path / "b")
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         plugin = manifest["routines"]["dgemm"]["plugin"]
         assert plugin == {
             "name": "builtin-blas3", "version": "1", "source": "builtin",
@@ -93,7 +93,7 @@ class TestSchemaV3:
         assert manifest["routines"]["dtoy"]["plugin"]["version"] == "7"
 
         handle = BundleHandle(directory)
-        assert handle.schema_version == 3
+        assert handle.schema_version == 4
         plan = handle.predictor("dtoy").plan({"p": 512, "q": 512})
         assert plan.threads >= 1
 
@@ -146,7 +146,7 @@ class TestSchemaV3:
         assert "dgemm" in loaded.routines
 
         migrated = migrate_manifest(directory)
-        assert migrated["schema_version"] == 3
+        assert migrated["schema_version"] == 4
         assert migrated["routines"]["dgemm"]["plugin"]["name"] == "builtin-blas3"
 
     def test_v2_migrates_via_cli(self, tmp_path, capsys):
@@ -168,5 +168,5 @@ class TestSchemaV3:
 
         assert main(["bundle", "migrate", "--bundle", str(directory)]) == 0
         migrated = read_manifest(directory)
-        assert migrated["schema_version"] == 3
+        assert migrated["schema_version"] == 4
         assert migrated["routines"]["dgemm"]["plugin"]["source"] == "builtin"

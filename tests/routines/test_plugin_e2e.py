@@ -40,7 +40,7 @@ def test_blackbox_install_serve_adapt(blackbox_env, tmp_path, capsys):
     ]) == 0
 
     manifest = json.loads((bundle / "bundle.json").read_text())
-    assert manifest["schema_version"] == 3
+    assert manifest["schema_version"] == 4
     assert manifest["routines"]["dopaque_scan"]["plugin"]["name"] == (
         "example-blackbox"
     )

@@ -7,6 +7,11 @@ against that tree::
 
     PYTHONPATH=<parent checkout>/src python tests/serving/test_golden_stats.py
 
+The timing-memo row counts (``timing.misses`` / ``timing.size`` and their
+two series) were re-recorded once, when installs began fitting
+log-runtime: more of the scenario's plans now choose max threads, whose
+chosen and baseline rows coincide.
+
 The scenario is a seeded, strictly sequential 2-shard thread-backend
 stream — observations, one fallback routine (``sgemm`` served by the
 ``dgemm`` model), deadline sheds and one injected ``kill`` — so every

@@ -147,7 +147,7 @@ class TestServeCommand:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "plans/sec" in out
-        assert "bundle v2, schema v3" in out
+        assert "bundle v2, schema v4" in out
         assert "dgemm" in out and "dsyrk" in out
 
     def test_serve_workload_file(self, installed_dir, tmp_path, capsys):
@@ -322,9 +322,10 @@ class TestBundleCommand:
     def test_inspect(self, installed_dir, capsys):
         assert main(["bundle", "inspect", "--bundle", str(installed_dir)]) == 0
         out = capsys.readouterr().out
-        assert "schema version: 3" in out
+        assert "schema version: 4" in out
         assert "sha256" not in out  # checksums shown truncated, without prefix
         assert "dgemm" in out
+        assert "target=log" in out
 
     def test_verify_ok(self, installed_dir, capsys):
         assert main(["bundle", "verify", "--bundle", str(installed_dir)]) == 0
@@ -358,7 +359,7 @@ class TestBundleCommand:
         assert main(["bundle", "verify", "--bundle", str(legacy)]) == 1
         capsys.readouterr()
         assert main(["bundle", "migrate", "--bundle", str(legacy)]) == 0
-        assert "v1 -> v3" in capsys.readouterr().out
+        assert "v1 -> v4" in capsys.readouterr().out
         assert main(["bundle", "verify", "--bundle", str(legacy)]) == 0
 
     def test_missing_bundle_reports_error(self, tmp_path, capsys):
