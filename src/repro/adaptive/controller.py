@@ -18,9 +18,8 @@ atomic bundle promotion followed by an engine hot-reload, telemetry window
 reset and audit-log entry.  The retrain's candidates are shadowed in its
 selection order and the first that clears the bar is promoted; when none
 does they are discarded (``ROLLED_BACK``) and the routine stays eligible
-for the next cycle; a
-promoted bundle can later be restored byte-for-byte with
-:meth:`AdaptationController.rollback`.
+for the next cycle.  A promoted bundle can later be restored byte-for-byte
+with :meth:`AdaptationController.rollback`.
 
 The controller is deliberately synchronous and single-threaded: it runs
 *between* serving flushes (or in a sidecar process watching the same bundle
@@ -414,8 +413,6 @@ class AdaptationController:
                 return replace(result, installation=installation), verdict
             if first is None:
                 first = verdict
-            if verdict.n_records < self.config.shadow_min_records:
-                break  # the traffic is too thin for every candidate alike
         return result, first
 
     # -- rollback ----------------------------------------------------------------

@@ -478,8 +478,8 @@ def migrate_manifest(directory: str | Path) -> dict:
     Computes the missing per-routine checksums from the model files, renames
     the legacy ``format_version`` key, stamps ``schema_version`` /
     ``bundle_version``, records each routine's plugin provenance from
-    the live catalog (schema v3) and stamps ``target: "seconds"`` where it
-    is missing, since only schema v4 installs fit log-runtime (schema v4).
+    the live catalog (schema v3) and stamps ``target: "seconds"`` where the
+    key is missing, since models fitted before schema v4 predict seconds.
     A manifest already at the current schema is returned unchanged.
     Returns the (possibly rewritten) manifest.
     """
