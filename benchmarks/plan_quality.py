@@ -53,7 +53,10 @@ from repro.machine.platforms import get_platform  # noqa: E402
 from repro.machine.simulator import TimingSimulator  # noqa: E402
 from repro.serving import ServingEngine, generate_workload  # noqa: E402
 
-# The benchmark's stream literals (benchmarks/e2e/harness.py).
+# The benchmark's stream literals (benchmarks/e2e/harness.py), copied rather
+# than imported: importing the harness would put its own checkout's ``src``
+# first on the path, and this script must score whichever ``repro`` is on
+# PYTHONPATH.
 MIN_DIM, MAX_DIM = 64, 4096
 HOT_POOL = 32
 HOT_POOL_SEED = 20240611
