@@ -45,12 +45,16 @@ exactly three ways, each with one job:
 * **production** (``path == "native"``) — the three stages as one
   GIL-free C call (``fused_evaluate`` in :mod:`repro.ml._native`);
 * **fallback** (``path == "numpy"``) — the same three stages as NumPy
-  expressions (``FeatureGridWriter.write_dicts`` →
-  ``FusedTransform.transform_kept`` → ``ModelKernel.evaluate``), taken
-  when ``ADSALA_NATIVE=0``, nothing native could be built, the load-time
-  transform probe failed, the routine has no column program, or the
-  first-call self-check tripped (``path_reason`` says which) — and what
-  that self-check compares the production result against;
+  expressions (:func:`numpy_grid`: ``FeatureGridWriter.write_dicts`` →
+  ``FusedTransform.transform_kept``; then :func:`numpy_scores`:
+  ``ModelKernel.evaluate``), taken when ``ADSALA_NATIVE=0``, nothing
+  native could be built, the load-time transform probe failed, the
+  routine has no column program, or the first-call self-check tripped
+  (``path_reason`` says which) — and what that self-check compares the
+  production result against.  Install-time scoring
+  (:mod:`repro.core.selection`) runs this path too: one grid per routine,
+  one :func:`numpy_scores` per candidate, no native call bound and no
+  self-check;
 * **oracle** — :func:`reference_mode`: the object graph above over
   recursive trees (:func:`repro.ml.tree.reference_mode`), sharing no
   descent code with the other two.  Tests and benchmark baselines only.
@@ -81,12 +85,14 @@ from repro.ml.boosting import (
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor, StackedTrees
 from repro.ml.tree import reference_mode as tree_reference_mode
-from repro.preprocessing.pipeline import PreprocessingPipeline
+from repro.preprocessing.pipeline import FusedTransform, PreprocessingPipeline
 
 __all__ = [
     "CompiledPredictor",
     "ModelKernel",
     "compile_model_kernel",
+    "numpy_grid",
+    "numpy_scores",
     "reference_mode",
     "active_impl",
 ]
@@ -223,6 +229,19 @@ def compile_model_kernel(model: BaseRegressor) -> ModelKernel:
             "linear", coef=np.asarray(coef, dtype=np.float64), intercept=intercept
         )
     return ModelKernel("opaque", model=model)
+
+
+def numpy_grid(
+    writer: FeatureGridWriter, fused: FusedTransform, dims_list: Sequence[Dict[str, int]]
+) -> np.ndarray:
+    """The fallback's fill and transform stages: the preprocessed
+    ``(len(dims_list) * n_threads, n_kept)`` grid, as an owned array."""
+    return fused.transform_kept(writer.write_dicts(dims_list))
+
+
+def numpy_scores(kernel: ModelKernel, transformed: np.ndarray) -> np.ndarray:
+    """The fallback's model stage over a :func:`numpy_grid` result."""
+    return np.asarray(kernel.evaluate(transformed), dtype=float)
 
 
 class CompiledPredictor:
@@ -368,9 +387,9 @@ class CompiledPredictor:
 
     def _predict_numpy(self, dims_list) -> np.ndarray:
         """The fallback: the three stages as NumPy expressions."""
-        grid = self._writer.write_dicts(dims_list)
-        transformed = self._fused.transform_kept(grid)
-        return np.asarray(self._model_kernel.evaluate(transformed), dtype=float)
+        return numpy_scores(
+            self._model_kernel, numpy_grid(self._writer, self._fused, dims_list)
+        )
 
     def _call_fused(self, dims_list) -> int:
         """Load the dims and make the one C call; returns the shape count.
@@ -403,9 +422,7 @@ class CompiledPredictor:
         n_shapes = self._call_fused(dims_list)
         mode = self._native_mode
         if mode == 2:
-            return np.asarray(
-                self._model_kernel.evaluate(self._writer.grid_view(n_shapes)), dtype=float
-            )
+            return numpy_scores(self._model_kernel, self._writer.grid_view(n_shapes))
         rows = n_shapes * self.candidate_threads.size
         if mode == 3:
             return self._finish_median(rows)
@@ -446,14 +463,9 @@ class CompiledPredictor:
         if self._native_mode == 2:
             # Snapshot: write_dicts below refills the buffer this views.
             fused = self._transform_fused(dims_list).copy()
-            transformed = self._fused.transform_kept(
-                self._writer.write_dicts(dims_list)
-            )
+            transformed = numpy_grid(self._writer, self._fused, dims_list)
             agree = fused.tobytes() == transformed.tobytes()
-            reference = np.asarray(
-                self._model_kernel.evaluate(transformed), dtype=float
-            )
-            predictions = reference
+            predictions = reference = numpy_scores(self._model_kernel, transformed)
         else:
             predictions = self._predict_fused(dims_list)
             reference = self._predict_numpy(dims_list)

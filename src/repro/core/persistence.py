@@ -105,9 +105,6 @@ def write_manifest(directory: str | Path, manifest: dict) -> None:
     os.replace(tmp, target)
 
 
-_write_manifest = write_manifest  # internal alias kept for older call sites
-
-
 def _sha256_file(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -235,7 +232,7 @@ def save_bundle(
         "candidate_names": list(bundle.candidate_names),
         "routines": routines_meta,
     }
-    _write_manifest(directory, manifest)
+    write_manifest(directory, manifest)
     return directory
 
 
@@ -504,5 +501,5 @@ def migrate_manifest(directory: str | Path) -> dict:
         meta["checksum"] = f"sha256:{_sha256_file(model_path)}"
         meta.setdefault("plugin", _routine_provenance(routine))
         meta.setdefault("target", "seconds")
-    _write_manifest(directory, manifest)
+    write_manifest(directory, manifest)
     return manifest

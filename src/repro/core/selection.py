@@ -16,8 +16,8 @@ For every candidate model the selection stage records
 * its evaluation time ``t_eval`` in microseconds — by default the analytic
   compiled-runtime estimate of :func:`repro.core.evalcost.estimate_native_eval_time`
   (deterministic: selection never reads a clock), with
-  ``eval_time_mode="measured"`` the wall-clock cost of this package's
-  predictor,
+  ``eval_time_mode="measured"`` the wall-clock cost of a plan through the
+  candidate's compiled predictor,
 * the *ideal* speedup — running each held-out problem with the model's
   chosen thread count instead of the maximum thread count,
 * the *estimated* speedup — the same but charging ``t_eval`` to every call:
@@ -28,6 +28,16 @@ total optimised time).  The candidate with the highest estimated mean
 speedup wins, which is exactly the trade-off that lets a cheap linear model
 beat a slightly more accurate ensemble on latency-sensitive routines
 (paper Tables IV-VI).
+
+Scoring evaluates each candidate exactly once.  The held-out shapes at
+every candidate thread count form one preprocessed grid per routine
+(:func:`repro.core.compiled.numpy_grid`, built once and shared), and each
+candidate's thread choices are the row-wise argmin of
+:func:`repro.core.compiled.numpy_scores` over it — the compiled
+predictor's NumPy fallback, which is also what its first-call self-check
+holds the native call to.  A candidate that is only being scored binds no
+native call and runs no self-check; the winner's production predictor,
+built at install, keeps both.
 """
 
 from __future__ import annotations
@@ -38,8 +48,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.core.compiled import compile_model_kernel, numpy_grid, numpy_scores
 from repro.core.dataset import TimingDataset
 from repro.core.evalcost import estimate_native_eval_time
+from repro.core.features import FeatureGridWriter
 from repro.core.predictor import ThreadPredictor
 from repro.core.tuning import fit_candidate
 from repro.machine.simulator import TimingSimulator
@@ -102,7 +114,8 @@ class SelectionReport:
 
 
 def _speedup_statistics(
-    predictor: ThreadPredictor,
+    routine: str,
+    threads: np.ndarray,
     simulator: TimingSimulator,
     test_shapes: Sequence[Dict[str, int]],
     eval_time_seconds: float,
@@ -110,15 +123,14 @@ def _speedup_statistics(
 ) -> tuple[float, float, float, float]:
     """(ideal_mean, ideal_aggregate, estimated_mean, estimated_aggregate).
 
-    The predictor chooses thread counts for all held-out shapes in one
-    model evaluation and the simulator times them in one vectorised pass.
+    ``threads`` holds the candidate's chosen thread count per held-out
+    shape; the simulator times them in one vectorised pass.
     ``original_times`` carries the candidate-independent max-thread
     baselines hoisted out of the per-candidate loop by
     :func:`evaluate_candidates`.
     """
     test_shapes = list(test_shapes)
-    threads = predictor.predict_threads_batch(test_shapes)
-    chosen = simulator.time_batch(predictor.routine, test_shapes, threads)
+    chosen = simulator.time_batch(routine, test_shapes, threads)
     original = np.asarray(original_times)
 
     ideal_ratios = original / chosen
@@ -138,15 +150,21 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     Returns ``(evaluation, fitted_model, n_simulator_evaluations)`` so that
     a parallel caller can fold the child simulator's evaluation counter back
     into the parent's.
+
+    The candidate's thread choices are the row-wise argmin of one
+    :func:`~repro.core.compiled.numpy_scores` over the routine's shared
+    scoring grid: the NumPy fallback a :class:`ThreadPredictor` would run,
+    and the result its first-call self-check holds the native call to, so
+    the choices equal that predictor's on every host.
     """
     name = payload["name"]
     X_train = payload["X_train"]
     y_train = payload["y_train"]
     X_test = payload["X_test"]
     y_test = payload["y_test"]
-    pipeline = payload["pipeline"]
     routine = payload["routine"]
-    candidate_threads = payload["candidate_threads"]
+    threads = payload["threads"]
+    grid = payload["grid"]
     simulator = payload["simulator"]
     test_shapes = payload["test_shapes"]
     original_times = payload["original_times"]
@@ -157,22 +175,26 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     model = result.model
     rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test)))
 
-    predictor = ThreadPredictor(
-        routine=routine,
-        pipeline=pipeline,
-        model=model,
-        candidate_threads=candidate_threads,
-        model_name=name,
-        target="log",
-    )
+    scores = numpy_scores(compile_model_kernel(model), grid)
+    best = np.argmin(scores.reshape(len(test_shapes), len(threads)), axis=1)
+    chosen_threads = np.asarray(threads, dtype=int)[best]
     if eval_time_mode == "native":
         eval_time = estimate_native_eval_time(
-            model, n_candidates=len(candidate_threads), n_features=X_train.shape[1]
+            model, n_candidates=len(threads), n_features=X_train.shape[1]
         )
     else:
+        predictor = ThreadPredictor(
+            routine=routine,
+            pipeline=payload["pipeline"],
+            model=model,
+            candidate_threads=threads,
+            model_name=name,
+            target="log",
+        )
         eval_time = predictor.measure_eval_time(repeats=3)
     ideal_mean, ideal_agg, est_mean, est_agg = _speedup_statistics(
-        predictor,
+        routine,
+        chosen_threads,
         simulator,
         test_shapes,
         eval_time,
@@ -228,7 +250,8 @@ def evaluate_candidates(
         ``"native"`` (default) charges the analytic compiled-runtime cost of
         :func:`repro.core.evalcost.estimate_native_eval_time` as ``t_eval``,
         matching the paper's C++ measurements; ``"measured"`` charges the
-        wall-clock cost of this package's Python predictor instead.
+        wall-clock cost of one plan through the candidate's compiled
+        predictor (:meth:`ThreadPredictor.measure_eval_time`) instead.
     n_jobs:
         Candidates are fitted and scored across this many workers (see
         :func:`repro.parallel.map_parallel`); results are bit-identical to
@@ -257,8 +280,13 @@ def evaluate_candidates(
     X_test_t = pipeline.transform(X_test)
     y_train_log = np.log(y_train_f)
 
-    candidate_threads = simulator.platform.candidate_thread_counts()
     test_shapes = list(test_shapes)
+    # One scoring grid per routine, shared by every candidate: the held-out
+    # shapes at every candidate thread count, filled and transformed once.
+    threads = sorted({int(t) for t in simulator.platform.candidate_thread_counts()})
+    fused = pipeline.compile()
+    writer = FeatureGridWriter(dataset.routine, threads, columns=fused.kept_indices)
+    grid = numpy_grid(writer, fused, test_shapes)
 
     # The max-thread baseline of every held-out shape is candidate-
     # independent: compute it once (one batch call) instead of once per
@@ -276,7 +304,8 @@ def evaluate_candidates(
             "y_test": y_test,
             "pipeline": pipeline,
             "routine": dataset.routine,
-            "candidate_threads": candidate_threads,
+            "threads": threads,
+            "grid": grid,
             # Pooled workers get private simulator copies (the process
             # backend would fork its own; the thread backend would
             # otherwise race on the shared evaluation counter).

@@ -14,7 +14,22 @@ import numpy as np
 
 from repro.ml.base import BaseRegressor, check_X, check_X_y
 
-__all__ = ["KNeighborsRegressor"]
+__all__ = ["KNeighborsRegressor", "squared_distances"]
+
+
+def squared_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances via the expansion trick, clamped at 0.
+
+    ``max(|x|² − 2·x·y + |y|², 0)`` for every row pair, computed inside the
+    ``X @ Y.T`` buffer: the same ufuncs in the same order as the
+    expression written out, so bit-identical to it, without its three
+    full-size temporaries.
+    """
+    distances = X @ Y.T
+    np.multiply(distances, 2.0, out=distances)
+    np.subtract(np.einsum("ij,ij->i", X, X)[:, None], distances, out=distances)
+    np.add(distances, np.einsum("ij,ij->i", Y, Y), out=distances)
+    return np.maximum(distances, 0.0, out=distances)
 
 
 class KNeighborsRegressor(BaseRegressor):
@@ -57,11 +72,7 @@ class KNeighborsRegressor(BaseRegressor):
                 f"X has {X.shape[1]} features but model was fitted with "
                 f"{self.n_features_in_}"
             )
-        # Squared Euclidean distances via the expansion trick.
-        cross = X @ self.X_train_.T
-        sq_train = np.einsum("ij,ij->i", self.X_train_, self.X_train_)
-        sq_query = np.einsum("ij,ij->i", X, X)
-        distances_sq = np.maximum(sq_query[:, None] - 2.0 * cross + sq_train[None, :], 0.0)
+        distances_sq = squared_distances(X, self.X_train_)
 
         k = self.n_neighbors
         neighbor_idx = np.argpartition(distances_sq, k - 1, axis=1)[:, :k]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseRegressor, check_X, check_X_y
+from repro.ml.neighbors import squared_distances
 
 __all__ = ["SVR"]
 
@@ -23,10 +24,10 @@ def _kernel_matrix(
     if kernel == "poly":
         return (gamma * (X @ Y.T) + coef0) ** degree
     if kernel == "rbf":
-        sq_x = np.einsum("ij,ij->i", X, X)
-        sq_y = np.einsum("ij,ij->i", Y, Y)
-        distances = np.maximum(sq_x[:, None] - 2.0 * (X @ Y.T) + sq_y[None, :], 0.0)
-        return np.exp(-gamma * distances)
+        # exp(-gamma * d²), finished inside the distance buffer.
+        K = squared_distances(X, Y)
+        np.multiply(K, -gamma, out=K)
+        return np.exp(K, out=K)
     raise ValueError(f"Unknown kernel {kernel!r}")
 
 

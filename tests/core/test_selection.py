@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import selection
+from repro.core.compiled import CompiledPredictor
 from repro.core.gather import DataGatherer
+from repro.core.predictor import ThreadPredictor
 from repro.core.selection import (
     CandidateEvaluation,
     SelectionReport,
@@ -13,6 +16,7 @@ from repro.core.selection import (
 from repro.machine.simulator import TimingSimulator
 from repro.ml.linear import LinearRegression
 from repro.ml.metrics import root_mean_squared_error
+from repro.ml.model_zoo import CANDIDATE_MODEL_NAMES
 from repro.preprocessing.pipeline import PreprocessingPipeline
 
 
@@ -119,6 +123,78 @@ class TestLogTarget:
             )
             # Not the log-space error, which is larger than every runtime here.
             assert evaluation.rmse < y_test.max()
+
+
+def _count_compiled_predictors(monkeypatch) -> list:
+    built = []
+    init = CompiledPredictor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["routine"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledPredictor, "__init__", counting_init)
+    return built
+
+
+class TestScoringIsTheProductionPredictor:
+    """Each candidate is scored once, through the compiled predictor's NumPy
+    fallback over one shared grid; its thread choices are the production
+    predictor's."""
+
+    @pytest.fixture(scope="class")
+    def scored(self, selection_inputs):
+        simulator, dataset, test_shapes = selection_inputs
+        choices = []
+        statistics = selection._speedup_statistics
+
+        def recording(routine, threads, *args):
+            choices.append(np.array(threads))
+            return statistics(routine, threads, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selection, "_speedup_statistics", recording)
+            report = evaluate_candidates(
+                dataset, simulator, test_shapes, candidate_names=CANDIDATE_MODEL_NAMES, seed=0
+            )
+        return report, dict(zip(CANDIDATE_MODEL_NAMES, choices))
+
+    @pytest.mark.parametrize("name", CANDIDATE_MODEL_NAMES)
+    def test_choices_equal_thread_predictor(self, selection_inputs, scored, name):
+        simulator, dataset, test_shapes = selection_inputs
+        report, choices = scored
+        predictor = ThreadPredictor(
+            dataset.routine,
+            report._pipeline,
+            report._fitted_models[name],
+            simulator.platform.candidate_thread_counts(),
+            target="log",
+        )
+        expected = predictor.predict_threads_batch(test_shapes)
+        assert choices[name].dtype == expected.dtype
+        np.testing.assert_array_equal(choices[name], expected)
+
+    def test_native_mode_builds_no_compiled_predictor(
+        self, selection_inputs, monkeypatch
+    ):
+        simulator, dataset, test_shapes = selection_inputs
+        built = _count_compiled_predictors(monkeypatch)
+        evaluate_candidates(
+            dataset, simulator, test_shapes, candidate_names=CANDIDATE_MODEL_NAMES,
+            eval_time_mode="native", seed=0,
+        )
+        assert built == []
+
+    def test_measured_mode_times_one_compiled_predictor_per_candidate(
+        self, selection_inputs, monkeypatch
+    ):
+        simulator, dataset, test_shapes = selection_inputs
+        built = _count_compiled_predictors(monkeypatch)
+        evaluate_candidates(
+            dataset, simulator, test_shapes, candidate_names=CANDIDATES,
+            eval_time_mode="measured", seed=0,
+        )
+        assert built == [dataset.routine] * len(CANDIDATES)
 
 
 class TestEvalTimeModes:
