@@ -11,8 +11,10 @@ last-call behaviour.
 
 Batch prediction (:meth:`ThreadPredictor.predict_threads_batch`) evaluates
 the model once over a ``(n_shapes * n_candidates)`` feature grid instead of
-looping shape by shape, which is what keeps installation-time model
-selection cheap (see :mod:`repro.core.selection`).
+looping shape by shape.  Installation-time model selection
+(:mod:`repro.core.selection`) makes the same choices without building a
+predictor per candidate: it scores every candidate on one shared grid
+through the compiled kernel's NumPy fallback.
 
 Cache misses ride the **compiled kernel**: the first evaluation builds a
 :class:`~repro.core.compiled.CompiledPredictor` (call
@@ -259,8 +261,8 @@ class ThreadPredictor:
     ) -> np.ndarray:
         """Chosen thread count per shape, from one batched model evaluation.
 
-        Bypasses the cache (the batch path is used at installation time on
-        held-out shapes, where caching would only skew ``t_eval``).
+        Bypasses the cache.  Install-time scoring makes the same choices
+        (``tests/core/test_selection.py`` holds it to this method).
         """
         best = np.argmin(self.predict_scores_batch(dims_list), axis=1)
         return np.asarray(self.candidate_threads, dtype=int)[best]
