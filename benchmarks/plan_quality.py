@@ -7,7 +7,8 @@ install seed), plans two request sets through ``ServingEngine.plan_many``
 and times every plan at every thread count:
 
 * **uniform** — 600 never-repeating shapes, dims 64-4096, the benchmark's
-  ``fresh_requests(ROUTINES, 600, 41)``;
+  ``fresh_requests(ROUTINES, 600, 41)`` (``--uniform-seed`` draws another
+  set in place of seed 41);
 * **hot** — the benchmark's 32-shape hot pool, each shape weighted by its
   Zipf weight ``1/k``.
 
@@ -20,12 +21,19 @@ per seed and as the median over seeds:
 * ``headroom`` — the share of the oracle's gain the planner takes,
   ``(mean - 1) / (oracle - 1)``;
 * ``<1x`` / ``<0.95x`` — the share of uniform plans slower than max
-  threads, overall and per routine.
+  threads, overall and per routine;
+* ``tied`` / ``width`` — the share of uniform plans whose predicted minimum
+  was tied (several thread counts share the row's smallest score; the
+  planner takes the middle of that run), and the mean number of thread
+  counts in those tied runs.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/plan_quality.py --platform gadi --seeds 0 1 2
-    PYTHONPATH=src python benchmarks/plan_quality.py --platform gadi --seeds 0 --min-uniform 1.10
+    PYTHONPATH=src python benchmarks/plan_quality.py --platform gadi --seeds 0 --min-uniform 1.19
+    # held-out check: unseen install seeds, truth and uniform set
+    PYTHONPATH=src python benchmarks/plan_quality.py --platform gadi --seeds 5 6 7 \
+        --truth-seed 7 --uniform-seed 1234
 
 ``--min-uniform`` exits 1 when the median uniform mean speedup is below it.
 """
@@ -109,7 +117,21 @@ def headroom(mean: float, oracle: float) -> float:
     return (mean - 1.0) / (oracle - 1.0) if oracle > 1.0 else float("nan")
 
 
-def score_seed(platform_name: str, seed: int, truth: TimingSimulator, literals: dict) -> dict:
+def tie_widths(bundle, requests: Sequence) -> np.ndarray:
+    """Per request, how many thread counts share its row's smallest score."""
+    widths = np.empty(len(requests), dtype=np.int64)
+    by_routine: Dict[str, List[int]] = {}
+    for index, request in enumerate(requests):
+        by_routine.setdefault(request.routine, []).append(index)
+    for routine, rows in by_routine.items():
+        scores = bundle.predictor(routine).predict_scores_batch([requests[i].dims for i in rows])
+        widths[rows] = (scores == scores.min(axis=1, keepdims=True)).sum(axis=1)
+    return widths
+
+
+def score_seed(
+    platform_name: str, seed: int, truth: TimingSimulator, literals: dict, uniform_seed: int
+) -> dict:
     routines = literals["ROUTINES"]
     install = dict(literals["INSTALL"], seed=seed)
     started = time.perf_counter()
@@ -117,7 +139,7 @@ def score_seed(platform_name: str, seed: int, truth: TimingSimulator, literals: 
     install_s = time.perf_counter() - started
     engine = ServingEngine(bundle)
 
-    uniform = fresh_requests(routines, UNIFORM_REQUESTS, UNIFORM_SEED)
+    uniform = fresh_requests(routines, UNIFORM_REQUESTS, uniform_seed)
     pool = fresh_requests(routines, HOT_POOL, HOT_POOL_SEED)
     weights = 1.0 / np.arange(1, HOT_POOL + 1)
     weights /= weights.sum()
@@ -137,6 +159,9 @@ def score_seed(platform_name: str, seed: int, truth: TimingSimulator, literals: 
             for routine in routines:
                 mine = speedups[[r.routine == routine for r in requests]]
                 row["below"][routine] = (float(np.mean(mine < 1.0)), float(np.mean(mine < 0.95)))
+            widths = tie_widths(bundle, requests)
+            tied = widths[widths > 1]
+            row["ties"] = (tied.size / widths.size, float(tied.mean()) if tied.size else 0.0)
     return row
 
 
@@ -144,19 +169,21 @@ def print_report(platform_name: str, rows: List[dict], routines: Sequence[str]) 
     print(f"plan quality on {platform_name}, scored against one fixed-seed simulator")
     header = (
         f"{'seed':>6} {'uniform':>8} {'oracle':>7} {'headroom':>8} "
-        f"{'hot':>7} {'oracle':>7} {'headroom':>8} {'<1x':>6} {'<0.95x':>7} {'install':>8}"
+        f"{'hot':>7} {'oracle':>7} {'headroom':>8} {'<1x':>6} {'<0.95x':>7} "
+        f"{'tied':>6} {'width':>6} {'install':>8}"
     )
     print(header)
 
-    def line(label, u, h, below, install):
+    def line(label, u, h, below, ties, install):
         print(
             f"{label:>6} {u['mean']:8.3f} {u['oracle']:7.3f} {u['headroom']:8.1%} "
             f"{h['mean']:7.3f} {h['oracle']:7.3f} {h['headroom']:8.1%} "
-            f"{below[0]:6.1%} {below[1]:7.1%} {install}"
+            f"{below[0]:6.1%} {below[1]:7.1%} {ties[0]:6.1%} {ties[1]:6.1f} {install}"
         )
 
     for row in rows:
-        line(row["seed"], row["uniform"], row["hot"], row["below"]["all"], f"{row['install_s']:7.2f}s")
+        install = f"{row['install_s']:7.2f}s"
+        line(row["seed"], row["uniform"], row["hot"], row["below"]["all"], row["ties"], install)
 
     def median_of(block, key):
         return statistics.median(row[block][key] for row in rows)
@@ -169,7 +196,8 @@ def print_report(platform_name: str, rows: List[dict], routines: Sequence[str]) 
         routine: tuple(statistics.median(row["below"][routine][i] for row in rows) for i in (0, 1))
         for routine in ["all", *routines]
     }
-    line("median", median["uniform"], median["hot"], median_below["all"], "")
+    median_ties = tuple(statistics.median(row["ties"][i] for row in rows) for i in (0, 1))
+    line("median", median["uniform"], median["hot"], median_below["all"], median_ties, "")
 
     print("\nuniform plans slower than max threads, per routine (<1x / <0.95x)")
     print(f"{'seed':>6} " + " ".join(f"{routine:>13}" for routine in routines))
@@ -189,6 +217,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--truth-seed", type=int, default=0, help="seed of the scoring simulator")
     parser.add_argument(
+        "--uniform-seed", type=int, default=UNIFORM_SEED,
+        help="seed of the uniform request set (default: the benchmark's)",
+    )
+    parser.add_argument(
         "--min-uniform", type=float, default=None,
         help="exit 1 when the median uniform mean speedup is below this",
     )
@@ -196,7 +228,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     literals = harness_literals()
     truth = TimingSimulator(get_platform(args.platform), seed=args.truth_seed)
-    rows = [score_seed(args.platform, seed, truth, literals) for seed in args.seeds]
+    rows = [
+        score_seed(args.platform, seed, truth, literals, args.uniform_seed) for seed in args.seeds
+    ]
     median = print_report(args.platform, rows, literals["ROUTINES"])
     if args.min_uniform is not None and median["uniform"]["mean"] < args.min_uniform:
         print(

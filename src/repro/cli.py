@@ -5,7 +5,9 @@ The CLI mirrors how the paper's library is used, plus the serving layer:
 * ``adsala install`` runs the installation workflow for a platform and
   writes the bundle (config + trained models) to a directory;
 * ``adsala predict`` loads a bundle and prints the predicted-optimal thread
-  count (and estimated speedup) for one BLAS call;
+  count (and estimated speedup) for one BLAS call, and the run of thread
+  counts the model predicts the same minimum for when there is one (the
+  plan is its middle);
 * ``adsala serve`` replays a request stream (a JSONL workload file or a
   generated mix) through the micro-batching serving engine and prints
   throughput plus per-routine telemetry (with ``--observe``, drift flags
@@ -298,6 +300,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         f"max-thread baseline {plan.baseline_time * 1e3:.2f} ms, "
         f"estimated speedup {plan.estimated_speedup:.2f}x)"
     )
+    if plan.policy != "max-threads":
+        # Re-scored here, off the request path: plans carry no scores.
+        predictor = bundle.predictor(plan.routine)
+        scores = predictor.predict_scores_batch([dims])[0]
+        counts = predictor.candidate_threads
+        tied = [i for i, score in enumerate(scores) if score == scores.min()]
+        if len(tied) > 1:
+            some = "" if tied[-1] - tied[0] + 1 == len(tied) else f" ({len(tied)} counts of them)"
+            print(
+                f"  model flat over {counts[tied[0]]}-{counts[tied[-1]]} threads{some}; "
+                f"took {plan.threads}"
+            )
     if plan.fallback_from is not None:
         print(
             f"  note: {plan.fallback_from} has no installed model; served by "

@@ -31,13 +31,16 @@ buffers:
   fills the feature grid, applies the fused preprocessing (Yeo-Johnson
   then one affine, each column transformed only where its input varies
   and copied elsewhere), runs the single stacked ensemble descent and,
-  for AdaBoost, takes the weighted median of each row.  Dims scratch and
-  grid belong to the writer, the output and median buffers to the
-  predictor; their addresses are re-cast only when a larger batch made
-  the writer replace its buffers, so a steady-state evaluation marshals
-  nothing, and what it returns is an owned array, never a view of a
-  reused buffer.  Only a median row whose leaves tie comes back to
-  NumPy (``median_tie_rows`` counts them; see ``_finish_median``).
+  for AdaBoost, takes the weighted median of each row — then picks each
+  shape's thread count (:func:`middle_of_ties`, in C: inside the call
+  where it wrote the final scores, as a second bound call after Python
+  finished them otherwise).  Dims scratch and grid belong to the writer,
+  the output, median, score and choice buffers to the predictor; their
+  addresses are re-cast only when a larger batch made the writer replace
+  its buffers, so a steady-state evaluation marshals nothing, and what it
+  returns is an owned array, never a view of a reused buffer.  Only a
+  median row whose leaves tie comes back to NumPy (``median_tie_rows``
+  counts them; see ``_finish_median``).
 
 One model over one (shapes × candidate-threads) grid is evaluated in
 exactly three ways, each with one job:
@@ -61,7 +64,10 @@ exactly three ways, each with one job:
 
 All three are bit-identical (``tests/core/test_compiled.py``,
 ``tests/core/test_property_evaluate.py``): they perform the exact same
-scalar operations per element, just batched differently.
+scalar operations per element, just batched differently.  The pick has
+one NumPy form, :func:`middle_of_ties`, which the fallback, the oracle and
+install-time scoring use and the native pick is held to (at the first
+call, and in ``tests/core/test_property_tie_pick.py``).
 """
 
 from __future__ import annotations
@@ -91,6 +97,7 @@ __all__ = [
     "CompiledPredictor",
     "ModelKernel",
     "compile_model_kernel",
+    "middle_of_ties",
     "numpy_grid",
     "numpy_scores",
     "reference_mode",
@@ -244,6 +251,31 @@ def numpy_scores(kernel: ModelKernel, transformed: np.ndarray) -> np.ndarray:
     return np.asarray(kernel.evaluate(transformed), dtype=float)
 
 
+def middle_of_ties(scores: np.ndarray) -> np.ndarray:
+    """The plan's column per row of a 2-D score matrix: the lower median of
+    the columns whose score equals the row minimum exactly.
+
+    A model flat over a run of thread counts (a decision tree's leaf, shared
+    by neighbouring counts) cannot tell them apart; ``np.argmin`` would take
+    the fewest threads of the run, furthest from the max-thread baseline,
+    where this takes its middle.  A row with one minimum keeps
+    ``np.argmin``'s column, and so does a row holding a NaN (its first NaN,
+    which no score equals).  This NumPy form is the oracle of the native
+    pick (``middle_of_ties`` in :mod:`repro.ml._native`) and the pick of the
+    NumPy fallback and of install-time scoring.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    # Running count of the ties along each row; the lower median of ``count``
+    # ties is where it first reaches (count + 1) // 2.
+    rank = np.cumsum(scores == scores.min(axis=1, keepdims=True), axis=1)
+    count = rank[:, -1:]
+    middle = (rank == (count + 1) // 2).argmax(axis=1)
+    if count.all():
+        return middle
+    # A NaN minimum equals nothing: those rows take argmin's first NaN.
+    return np.where(count[:, 0] > 0, middle, scores.argmin(axis=1))
+
+
 class CompiledPredictor:
     """Build-once / evaluate-many kernel for one routine's runtime model.
 
@@ -327,6 +359,10 @@ class CompiledPredictor:
         mode = self._native_mode = self._NATIVE_MODES[kernel.kind]
         # Output values per grid row: one per tree, one folded sum, or none.
         self._out_width = 0 if mode == 2 else 1 if mode == 1 else kernel.stack.n_trees
+        # Whether the call's own tail writes the final scores, so the call
+        # can end with the tie pick; a forest's mean and the mode-2 models
+        # are finished in Python, which then asks for the pick alone.
+        self._pick_in_call = kernel.kind in ("tree", "fold", "weighted-median")
         self._bind_fused()
 
     def _bind_fused(self) -> None:
@@ -337,8 +373,9 @@ class CompiledPredictor:
         self._fused_call = _native.load_kernels().fused_evaluate.bind(
             self._program, self._writer.nt, *self._flat_state,
             self._native_mode, *trees, kernel.base, kernel.scale, kernel.weights,
+            self._pick_in_call,
         )  # fmt: skip
-        self._out = self._median = None
+        self._out = self._median = self._scores = self._choice = None
 
     @property
     def path(self) -> str:
@@ -377,13 +414,23 @@ class CompiledPredictor:
         the native path, the same three stages as NumPy expressions
         otherwise.
         """
+        return self.choose_batch(dims_list)[0]
+
+    def choose_batch(self, dims_list: Sequence[Dict[str, int]]) -> tuple:
+        """:meth:`predict_runtimes_batch`'s scores and each shape's planned
+        column, :func:`middle_of_ties` of its row, as a list of ints.
+
+        On the native path the pick runs in C over the final scores: inside
+        the one call for a single tree, a fold and an AdaBoost median, as a
+        second bound call (:meth:`BoundEvaluate.pick`) after Python finished
+        a forest's mean, a linear or opaque model, or tied median rows.
+        """
         if self._fused_call is None:
-            predictions = self._predict_numpy(dims_list)
-        elif self._selfcheck_pending:
-            predictions = self._run_selfcheck(dims_list)
-        else:
-            predictions = self._predict_fused(dims_list)
-        return predictions.reshape(len(dims_list), self.candidate_threads.size)
+            scores = self._predict_numpy(dims_list).reshape(len(dims_list), -1)
+            return scores, middle_of_ties(scores).tolist()
+        if self._selfcheck_pending:
+            return self._run_selfcheck(dims_list)
+        return self._choose_fused(dims_list)
 
     def _predict_numpy(self, dims_list) -> np.ndarray:
         """The fallback: the three stages as NumPy expressions."""
@@ -395,8 +442,9 @@ class CompiledPredictor:
         """Load the dims and make the one C call; returns the shape count.
 
         The bound call is re-pointed (one cast per buffer) only when the
-        writer replaced its buffers; the output buffer and, in mode 3, the
-        median buffer are regrown to match then.
+        writer replaced its buffers; the output buffer, in mode 3 the median
+        buffer, and the pick's scores and choice buffers are regrown to
+        match then.
         """
         writer = self._writer
         writer.load_dims(dims_list)
@@ -406,7 +454,9 @@ class CompiledPredictor:
             rows = grid.shape[0] * grid.shape[1]
             self._out = np.empty(self._out_width * rows) if self._out_width else None
             self._median = np.empty(rows) if self._native_mode == 3 else None
-            bound.point(dims, grid, self._out, self._median)
+            self._scores = np.empty(rows)
+            self._choice = np.empty(grid.shape[0], dtype=np.int64)
+            bound.point(dims, grid, self._out, self._median, self._scores, self._choice)
         n_shapes = len(dims_list)
         bound(n_shapes)
         return n_shapes
@@ -416,65 +466,77 @@ class CompiledPredictor:
         view of the writer's buffer."""
         return self._writer.grid_view(self._call_fused(dims_list))
 
-    def _predict_fused(self, dims_list) -> np.ndarray:
-        """One native call over the whole evaluate span; the result is an
-        owned array, never a view of the reused output buffer."""
+    def _choose_fused(self, dims_list) -> tuple:
+        """One native call over the whole evaluate span (and, where Python
+        finishes the scores, the bound pick); the scores are an owned array,
+        never a view of the reused output buffer."""
         n_shapes = self._call_fused(dims_list)
         mode = self._native_mode
-        if mode == 2:
-            return numpy_scores(self._model_kernel, self._writer.grid_view(n_shapes))
         rows = n_shapes * self.candidate_threads.size
         if mode == 3:
-            return self._finish_median(rows)
-        width = self._out_width
-        out = self._out[: width * rows].reshape(width, rows)
-        if mode == 1 or self._model_kernel.kind == "tree":
-            return out[0].copy()
-        return out.mean(axis=0)  # forest-mean
+            scores = self._finish_median(n_shapes, rows)
+        elif self._pick_in_call:  # a single tree, a fold: out is the score
+            scores = self._out[:rows].copy()
+        else:
+            if mode == 2:
+                scores = numpy_scores(self._model_kernel, self._writer.grid_view(n_shapes))
+            else:  # forest-mean
+                scores = self._out[: self._out_width * rows].reshape(-1, rows).mean(axis=0)
+            self._pick_native(scores, n_shapes)
+        return scores.reshape(n_shapes, -1), self._choice[:n_shapes].tolist()
 
-    def _finish_median(self, rows: int) -> np.ndarray:
+    def _pick_native(self, scores: np.ndarray, n_shapes: int) -> None:
+        """The bound pick over scores Python finished."""
+        self._scores[: scores.size] = scores.reshape(-1)
+        self._fused_call.pick(n_shapes)
+
+    def _finish_median(self, n_shapes: int, rows: int) -> np.ndarray:
         """Mode 3's result: the medians C took, and NumPy's for the rows it
         flagged (NaN) because two of their leaves tie — ``argsort``'s tie
         order is the host's, so only ``weighted_median`` itself, on the leaf
-        matrix the call wrote, reproduces it."""
+        matrix the call wrote, reproduces it.  The call skipped its pick
+        then; it runs once the medians are whole."""
         median = self._median[:rows].copy()
         if self._fused_call.n_tied:
             tied = np.flatnonzero(np.isnan(median))
             leaves = self._out[: self._out_width * rows].reshape(self._out_width, rows)
             median[tied] = weighted_median(leaves[:, tied].T, self._model_kernel.weights)
             self.median_tie_rows += tied.size
+            self._pick_native(median, n_shapes)
         return median
 
-    def _run_selfcheck(self, dims_list) -> np.ndarray:
+    def _run_selfcheck(self, dims_list) -> tuple:
         """First-call guard: the fused C result must equal the NumPy path.
 
-        For tree kernels (modes 0 and 1) that is the predictions, value for
-        value.  For ``linear``/``opaque`` kernels (mode 2) the native call
-        stops after the transform and the same ``kernel.evaluate`` finishes
-        both sides, so the transformed grids are compared bit for bit
-        instead — equal inputs give equal outputs — and the model is
-        evaluated once.
+        For tree kernels (modes 0, 1 and 3) that is the predictions, value
+        for value.  For ``linear``/``opaque`` kernels (mode 2) the native
+        call stops after the transform and the same ``kernel.evaluate``
+        finishes both sides, so the transformed grids are compared bit for
+        bit instead — equal inputs give equal outputs — and the model is
+        evaluated once.  Either way the choices of the native pick must
+        equal :func:`middle_of_ties` of the NumPy scores.
 
         On mismatch this predictor drops to the NumPy path for good (the
         long-trusted descent kernel inside :class:`StackedTrees` stays), a
         warning is emitted once, and the NumPy result is returned.
         """
         self._selfcheck_pending = False
+        n_shapes = len(dims_list)
         if self._native_mode == 2:
             # Snapshot: write_dicts below refills the buffer this views.
             fused = self._transform_fused(dims_list).copy()
             transformed = numpy_grid(self._writer, self._fused, dims_list)
+            reference = numpy_scores(self._model_kernel, transformed).reshape(n_shapes, -1)
+            self._pick_native(reference, n_shapes)
+            predictions, choices = reference, self._choice[:n_shapes].tolist()
             agree = fused.tobytes() == transformed.tobytes()
-            predictions = reference = numpy_scores(self._model_kernel, transformed)
         else:
-            predictions = self._predict_fused(dims_list)
-            reference = self._predict_numpy(dims_list)
-            agree = np.array_equal(
-                np.asarray(predictions, dtype=float).reshape(reference.shape),
-                reference,
-            )
-        if agree:
-            return predictions
+            predictions, choices = self._choose_fused(dims_list)
+            reference = self._predict_numpy(dims_list).reshape(n_shapes, -1)
+            agree = np.array_equal(predictions, reference)
+        reference_choices = middle_of_ties(reference).tolist()
+        if agree and choices == reference_choices:
+            return predictions, choices
         warnings.warn(
             f"native fused evaluate diverged from the NumPy path for "
             f"routine {self.routine!r}; this predictor now evaluates in NumPy",
@@ -483,4 +545,4 @@ class CompiledPredictor:
         )
         self._fused_call = None
         self._path_reason = "selfcheck-failed"
-        return reference
+        return reference, reference_choices

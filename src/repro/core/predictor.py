@@ -1,7 +1,10 @@
 """Runtime thread-count prediction (paper Fig. 1b, "Parameter Predictor").
 
 For a given BLAS call the predictor evaluates the trained runtime model at
-every admissible thread count and returns the argmin (paper Section IV-A).
+every admissible thread count and returns the count with the smallest
+predicted runtime (paper Section IV-A); among counts the model predicts
+exactly the same minimum for, the middle one
+(:func:`~repro.core.compiled.middle_of_ties`).
 Repeated calls with recently seen dimensions skip the model evaluation
 entirely through a bounded LRU cache — a generalisation of the paper's
 last-call cache (Section III-B) that also serves cycling workloads (a
@@ -30,15 +33,20 @@ benchmark baselines.  The compiled kernel is working state, not model
 state: it is dropped from pickles and deep copies and rebuilt on first
 use.
 
-The model's output is a *score* whose argmin over the candidate thread
-counts is the plan.  ``target`` says what the score is: ``"log"`` (every
-install fits ``log(runtime)``; see :mod:`repro.core.selection`) or
-``"seconds"`` (bundles written before the log target).  Because ``log`` is
-monotone, ``plan``, ``plan_batch`` and ``predict_threads_batch`` take the
-argmin of the raw output either way and the request path does no extra
-work on the grid; only :meth:`ThreadPredictor.predict_runtimes_batch`
-converts the whole grid to seconds, and a plan's ``predicted_time`` is the
-one chosen score converted.
+The model's output is a *score*; the plan is the column
+:func:`~repro.core.compiled.middle_of_ties` picks from each shape's row of
+scores (the lower median of the columns tied at the row minimum, which is
+the plain argmin when the minimum is unique).  The compiled kernel makes
+that pick in native code with the evaluation; the NumPy form is its
+oracle.  ``target`` says what the score is: ``"log"`` (every install fits
+``log(runtime)``; see :mod:`repro.core.selection`) or ``"seconds"``
+(bundles written before the log target).  Because ``log`` is monotone and
+maps equal scores to equal runtimes, ``plan``, ``plan_batch`` and
+``predict_threads_batch`` pick from the raw output either way and the
+request path does no extra work on the grid; only
+:meth:`ThreadPredictor.predict_runtimes_batch` converts the whole grid to
+seconds, and a plan's ``predicted_time`` is the one chosen score
+converted.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro.core import compiled as compiled_mod
-from repro.core.compiled import CompiledPredictor
+from repro.core.compiled import CompiledPredictor, middle_of_ties
 from repro.core.features import feature_matrix_grid, feature_names
 from repro.ml import tree as tree_mod
 from repro.ml.base import BaseRegressor
@@ -198,28 +206,38 @@ class ThreadPredictor:
     ) -> np.ndarray:
         """The model's raw output over the (shapes x candidates) grid.
 
-        Its row-wise argmin is the plan.  This is the one evaluation every
-        prediction method makes; the compiled kernel and the oracle compare
-        it bit for bit.
+        Row ``i``'s :func:`~repro.core.compiled.middle_of_ties` column is the
+        plan (:meth:`choose_batch` returns both).  This is the one
+        evaluation every prediction method makes; the compiled kernel and
+        the oracle compare it bit for bit.
         """
+        return self.choose_batch(dims_list)[0]
+
+    def choose_batch(self, dims_list: Sequence[Dict[str, int]]) -> tuple:
+        """:meth:`predict_scores_batch`'s scores and each shape's chosen
+        candidate index, :func:`~repro.core.compiled.middle_of_ties` of its
+        row, as a list of ints — picked in native code with the compiled
+        evaluation, by the NumPy oracle otherwise."""
         # Both reference toggles opt out of the compiled kernel: the
         # predictor-level ``repro.core.compiled.reference_mode`` and the
         # tree-level ``repro.ml.tree.reference_mode`` (the kernel binds the
         # stacked descent directly and would otherwise ignore the latter).
         if compiled_mod.active_impl() == "compiled" and tree_mod.active_impl() == "vectorized":
-            scores = (self._compiled or self.compile()).predict_runtimes_batch(dims_list)
+            chosen = (self._compiled or self.compile()).choose_batch(dims_list)
             self.n_model_evaluations += 1
-            return scores
+            return chosen
         X = feature_matrix_grid(
             self.routine, dims_list, np.asarray(self.candidate_threads)
         )
         transformed = self.pipeline.transform(X)
         self.n_model_evaluations += 1
         predictions = np.asarray(self.model.predict(transformed), dtype=float)
-        return predictions.reshape(len(dims_list), len(self.candidate_threads))
+        scores = predictions.reshape(len(dims_list), len(self.candidate_threads))
+        return scores, middle_of_ties(scores).tolist()
 
     def plan(self, dims: Dict[str, int], use_cache: bool = True) -> PredictionPlan:
-        """Choose the thread count with the smallest predicted runtime.
+        """Choose the thread count with the smallest predicted runtime (the
+        middle one of a run the model predicts the same minimum for).
 
         Calls whose dimensions are among the last ``cache_capacity`` distinct
         shapes are served from the LRU cache without re-evaluating the model;
@@ -237,12 +255,11 @@ class ThreadPredictor:
                 self._cache.move_to_end(key)
                 self.n_cache_hits += 1
                 return cached
-        scores = self.predict_scores_batch([dims])[0]
+        scores, (best_idx,) = self.choose_batch([dims])
         if use_cache:
             self.n_cache_misses += 1
-        best_idx = int(np.argmin(scores))
         threads = self.candidate_threads[best_idx]
-        predicted = float(scores[best_idx])
+        predicted = float(scores[0, best_idx])
         if self.target == "log":
             predicted = math.exp(predicted)
         dims = dict(dims)
@@ -264,7 +281,7 @@ class ThreadPredictor:
         Bypasses the cache.  Install-time scoring makes the same choices
         (``tests/core/test_selection.py`` holds it to this method).
         """
-        best = np.argmin(self.predict_scores_batch(dims_list), axis=1)
+        _, best = self.choose_batch(dims_list)
         return np.asarray(self.candidate_threads, dtype=int)[best]
 
     def plan_batch(
@@ -340,7 +357,7 @@ class ThreadPredictor:
         if not owed:  # an empty group
             return plans
         try:
-            scores = self.predict_scores_batch(list(pending.values()))
+            scores, choices = self.choose_batch(list(pending.values()))
         except BaseException:
             for key in pending:
                 if key in cache and cache[key] is None:
@@ -354,9 +371,7 @@ class ThreadPredictor:
         score_at = scores.item
         exp = math.exp if self.target == "log" else None
         fresh = {}
-        for slot, (best, (key, dims)) in enumerate(
-            zip(scores.argmin(axis=1).tolist(), pending.items())
-        ):
+        for slot, (best, (key, dims)) in enumerate(zip(choices, pending.items())):
             dims = dict(dims)
             threads = candidates[best]
             predicted = score_at(slot, best)

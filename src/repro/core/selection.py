@@ -4,7 +4,8 @@ Every candidate is fitted to ``log(runtime)``, not to seconds.  Gathered
 runtimes span more than two orders of magnitude, so in seconds squared
 error and split gains are set by the largest shapes; in log space they
 weigh relative error, which is what choosing a thread count needs.  The
-argmin over thread counts is unchanged by the monotone log, so the winning
+planned thread count is unchanged by the monotone log (the smallest
+prediction stays smallest, and tied predictions stay tied), so the winning
 :class:`~repro.core.predictor.ThreadPredictor` (``target="log"``) plans on
 the raw model output.  (The paper regresses runtime directly.)
 
@@ -32,12 +33,13 @@ beat a slightly more accurate ensemble on latency-sensitive routines
 Scoring evaluates each candidate exactly once.  The held-out shapes at
 every candidate thread count form one preprocessed grid per routine
 (:func:`repro.core.compiled.numpy_grid`, built once and shared), and each
-candidate's thread choices are the row-wise argmin of
-:func:`repro.core.compiled.numpy_scores` over it — the compiled
-predictor's NumPy fallback, which is also what its first-call self-check
-holds the native call to.  A candidate that is only being scored binds no
-native call and runs no self-check; the winner's production predictor,
-built at install, keeps both.
+candidate's thread choices are the planner's pick,
+:func:`repro.core.compiled.middle_of_ties` (the middle of a run of tied
+minima), over :func:`repro.core.compiled.numpy_scores` of it — the
+compiled predictor's NumPy fallback, which is also what its first-call
+self-check holds the native call and its native pick to.  A candidate
+that is only being scored binds no native call and runs no self-check;
+the winner's production predictor, built at install, keeps both.
 """
 
 from __future__ import annotations
@@ -48,7 +50,12 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.compiled import compile_model_kernel, numpy_grid, numpy_scores
+from repro.core.compiled import (
+    compile_model_kernel,
+    middle_of_ties,
+    numpy_grid,
+    numpy_scores,
+)
 from repro.core.dataset import TimingDataset
 from repro.core.evalcost import estimate_native_eval_time
 from repro.core.features import FeatureGridWriter
@@ -151,7 +158,8 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     a parallel caller can fold the child simulator's evaluation counter back
     into the parent's.
 
-    The candidate's thread choices are the row-wise argmin of one
+    The candidate's thread choices are the row-wise
+    :func:`~repro.core.compiled.middle_of_ties` of one
     :func:`~repro.core.compiled.numpy_scores` over the routine's shared
     scoring grid: the NumPy fallback a :class:`ThreadPredictor` would run,
     and the result its first-call self-check holds the native call to, so
@@ -176,7 +184,7 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test)))
 
     scores = numpy_scores(compile_model_kernel(model), grid)
-    best = np.argmin(scores.reshape(len(test_shapes), len(threads)), axis=1)
+    best = middle_of_ties(scores.reshape(len(test_shapes), len(threads)))
     chosen_threads = np.asarray(threads, dtype=int)[best]
     if eval_time_mode == "native":
         eval_time = estimate_native_eval_time(

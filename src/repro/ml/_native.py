@@ -37,6 +37,13 @@ the evaluate span Python binds three entry points:
       tie order is the host's, so C flags such a row (NaN in the median
       buffer, a count in the record) and the caller finishes *those rows*
       with ``weighted_median`` itself on the leaf matrix the call wrote;
+    * the plan's **tie pick** (``middle_of_ties``: per shape, the lower
+      median of the thread counts tied at the row minimum, the rule of
+      ``repro.core.compiled.middle_of_ties``) ends the call where its tail
+      wrote the final scores — a single tree, a fold, a median with no
+      tied row — and is otherwise the record's second entry,
+      ``pick_scores``, over scores Python finished (a forest's mean, a
+      linear or opaque model, tied median rows);
     * the arguments travel as **one record**: a predictor binds the call
       once (:class:`BoundEvaluate` fills an :class:`_EvaluateArgs`
       structure mirroring the C ``evaluate_args``), and a call passes the
@@ -585,6 +592,44 @@ static int64_t weighted_median_rows(const double *leaves,
     return n_tied;
 }
 
+/* ---- Tie pick ----------------------------------------------------------
+ *
+ * Per row of a row-major (n_rows, n_cols) score matrix, the lower median
+ * of the columns whose score equals the row minimum exactly — the rule of
+ * repro.core.compiled.middle_of_ties, its oracle.  The minimum is
+ * np.argmin's: the first smallest score, or the first NaN, which no score
+ * equals, so a row holding one keeps that column; -0.0 == 0.0, so both
+ * join a tie.  A row with one minimum keeps argmin's column.
+ */
+void middle_of_ties(const double *scores,
+                    int64_t n_rows,
+                    int64_t n_cols,
+                    int64_t *choice)
+{
+    for (int64_t r = 0; r < n_rows; ++r) {
+        const double *row = scores + r * n_cols;
+        int64_t best = 0;
+        int nan = row[0] != row[0];
+        for (int64_t c = 1; c < n_cols && !nan; ++c) {
+            if (row[c] < row[best])
+                best = c;
+            else if (row[c] != row[c]) {
+                best = c;
+                nan = 1;
+            }
+        }
+        if (!nan) {
+            const double low = row[best];
+            int64_t count = 0;
+            for (int64_t c = best; c < n_cols; ++c)
+                count += row[c] == low;
+            for (int64_t skip = (count - 1) / 2; skip > 0;)
+                skip -= row[++best] == low;
+        }
+        choice[r] = best;
+    }
+}
+
 /* ---- Fused evaluate ----------------------------------------------------
  *
  * feature_fill -> transform_grid -> stacked_descent in one call, so the
@@ -596,7 +641,12 @@ static int64_t weighted_median_rows(const double *leaves,
  * leaf per tree), 2 = stop after the transform (linear / opaque models
  * finish in Python on the same grid), 3 = the leaf matrix of mode 0,
  * then its weighted median per row into median[] and the tied-row count
- * into n_tied.
+ * into n_tied.  With pick_in_call set (the caller sets it where the tail
+ * writes the final scores: a single tree's or the fold's out, mode 3's
+ * median), the call ends with middle_of_ties over them into choice[], one
+ * thread-count column per shape — unless a median row was left to Python.
+ * Where Python finishes the scores, it writes them to scores[] and calls
+ * pick_scores.
  */
 typedef struct {
     const double *dims;
@@ -627,6 +677,9 @@ typedef struct {
     int64_t *order;        /* ... n_trees entries of sort scratch  */
     double *median;        /* ... and one result per grid row      */
     int64_t n_tied;        /* written by the call (mode 3)         */
+    const double *scores;  /* final scores Python finished ...      */
+    int64_t *choice;       /* ... and one picked column per shape    */
+    int64_t pick_in_call;
 } evaluate_args;
 
 void fused_evaluate(evaluate_args *a, int64_t n_shapes)
@@ -648,6 +701,15 @@ void fused_evaluate(evaluate_args *a, int64_t n_shapes)
     if (a->model_mode == 3)
         a->n_tied = weighted_median_rows(a->out, a->n_trees, rows,
                                          a->weights, a->order, a->median);
+    if (a->pick_in_call && a->n_tied == 0)
+        middle_of_ties(a->model_mode == 3 ? a->median : a->out, n_shapes,
+                       a->n_threads, a->choice);
+}
+
+/* The pick alone, over the scores the caller finished in scores[]. */
+void pick_scores(evaluate_args *a, int64_t n_shapes)
+{
+    middle_of_ties(a->scores, n_shapes, a->n_threads, a->choice);
 }
 """.replace("__MAX_PROGRAM_BASES__", str(MAX_PROGRAM_BASES))
 
@@ -1519,7 +1581,8 @@ def _reset_kernel_cache() -> None:
 class NativeKernels:
     """The loaded kernel bundle: the bound entry points plus load metadata.
 
-    ``descent`` and ``pairwise_sum`` are always bound; ``fused_transform``
+    ``descent``, ``middle_of_ties`` and ``pairwise_sum`` are always bound;
+    ``fused_transform``
     and ``fused_evaluate`` are ``None`` when the transform failed its
     bit-exactness probe, ``grow_cart``, ``grow_newton`` and ``grow_hist``
     when the growers failed theirs (``growers_reason`` says why; it is
@@ -1531,6 +1594,7 @@ class NativeKernels:
         self.descent = None
         self.fused_transform = None
         self.fused_evaluate = None
+        self.middle_of_ties = None
         self.grow_cart = None
         self.grow_newton = None
         self.grow_hist = None
@@ -1585,7 +1649,8 @@ def _load_kernels_impl() -> NativeKernels | None:
 
     kernels.descent = _make_descent_wrapper(lib.stacked_descent)
     kernels.fused_transform = _make_transform_wrapper(lib.fused_transform)
-    kernels.fused_evaluate = _make_evaluate_wrapper(lib.fused_evaluate)
+    kernels.fused_evaluate = _make_evaluate_wrapper(lib.fused_evaluate, lib.pick_scores)
+    kernels.middle_of_ties = _make_pick_wrapper(lib.middle_of_ties)
 
     # The transform's transcendentals are the one place host math
     # libraries could diverge from NumPy: probe bit-exactness across
@@ -1662,6 +1727,9 @@ class _EvaluateArgs(ctypes.Structure):
         ("order", _INT64_P),
         ("median", _DOUBLE_P),
         ("n_tied", ctypes.c_int64),
+        ("scores", _DOUBLE_P),
+        ("choice", _INT64_P),
+        ("pick_in_call", ctypes.c_int64),
     ]
 
 
@@ -1677,6 +1745,10 @@ def _declare_signatures(lib) -> None:
     lib.fused_transform.argtypes = _TRANSFORM_ARGTYPES
     lib.fused_evaluate.restype = None
     lib.fused_evaluate.argtypes = _EVALUATE_ARGTYPES
+    lib.pick_scores.restype = None
+    lib.pick_scores.argtypes = _EVALUATE_ARGTYPES
+    lib.middle_of_ties.restype = None
+    lib.middle_of_ties.argtypes = [_DOUBLE_P, ctypes.c_int64, ctypes.c_int64, _INT64_P]
     lib.set_svml_pointers.restype = None
     lib.set_svml_pointers.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     _declare_grower_signatures(lib)
@@ -1916,16 +1988,21 @@ class BoundEvaluate:
     :meth:`point` casts them into the record, and is repeated only after the
     caller *replaced* one.  ``bound(n_shapes)`` is then the C call over their
     first ``n_shapes`` shapes with two arguments — the record's address and
-    the count — and no ``ctypes.cast``.  C reads, and in mode 3 writes, the
-    one record, so an instance serves one predictor and is **not**
-    thread-safe; it cannot be pickled.
+    the count — and no ``ctypes.cast``; :meth:`pick` is the tie pick alone
+    over the same record.  With ``pick_in_call`` the call itself ends with
+    the pick over the scores its tail wrote (a single tree's or the fold's
+    output, mode 3's median); ``pick`` reads the scores buffer, where the
+    caller writes scores it finished itself.  C reads, and
+    writes, the one record, so an instance serves one predictor and is
+    **not** thread-safe; it cannot be pickled.
     """
 
-    __slots__ = ("_fn", "_address", "_keep", "record", "buffers")
+    __slots__ = ("_fn", "_pick", "_address", "_keep", "record", "buffers")
 
     def __init__(
-        self, fn, program, nt, lambdas, shift, scale,
+        self, fn, pick, program, nt, lambdas, shift, scale,
         model_mode, roots, depths, nodes, fold_base, fold_scale, weights=None,
+        pick_in_call=False,
     ):  # fmt: skip
         n_trees = 0 if roots is None else roots.shape[0]
         order = None
@@ -1934,7 +2011,8 @@ class BoundEvaluate:
                 raise TypeError(f"weights must hold one value per tree in mode 3, got {weights!r}")
             order = np.empty(n_trees, dtype=np.int64)  # the median's sort scratch
         self._fn = fn
-        self.record = _EvaluateArgs(  # dims, grid, out, median: point()
+        self._pick = pick
+        self.record = _EvaluateArgs(  # dims, grid, out, median, scores, choice: point()
             nt=_pointer("nt", nt, _F64, 1),
             n_threads=nt.shape[0],
             base_off=_pointer("base_offsets", program.base_offsets, _I64, 1),
@@ -1957,10 +2035,11 @@ class BoundEvaluate:
             fold_scale=fold_scale,
             weights=_pointer("weights", weights, _F64, 1),
             order=_pointer("order", order, _I64, 1),
+            pick_in_call=1 if pick_in_call else 0,
         )
         self._address = ctypes.addressof(self.record)
         self._keep = (program, nt, lambdas, shift, scale, roots, depths, nodes, weights, order)
-        self.buffers = (None, None, None, None)  # what point() last cast; kept alive
+        self.buffers = (None,) * 6  # what point() last cast; kept alive
 
     def point(
         self,
@@ -1968,21 +2047,33 @@ class BoundEvaluate:
         grid: np.ndarray,
         out: np.ndarray | None,
         median: np.ndarray | None = None,
+        scores: np.ndarray | None = None,
+        choice: np.ndarray | None = None,
     ) -> None:
         """Cast the per-call buffers: a ``(capacity, n_dims)`` dims array, and
-        a grid, an output (``None`` in mode 2) and, in mode 3, one median per
-        grid row, all sized for as many shapes."""
+        a grid, an output (``None`` in mode 2), in mode 3 one median per grid
+        row, and for the pick one final score per grid row and one int64
+        choice per shape, all sized for as many shapes."""
         record = self.record
         if record.model_mode == 3 and median is None:
             raise TypeError("median must be a C-contiguous float64 ndarray in mode 3, got None")
+        if (record.pick_in_call or scores is not None) and choice is None:
+            raise TypeError("the pick needs a C-contiguous int64 choice ndarray, got None")
         record.dims, record.n_dims = _pointer("dims", dims, _F64, 2), dims.shape[1]
         record.grid = _pointer("grid", grid, _F64, None)
         record.out = _pointer("out", out, _F64, None)
         record.median = _pointer("median", median, _F64, 1)
-        self.buffers = (dims, grid, out, median)
+        record.scores = _pointer("scores", scores, _F64, 1)
+        record.choice = _pointer("choice", choice, _I64, 1)
+        self.buffers = (dims, grid, out, median, scores, choice)
 
     def __call__(self, n_shapes: int) -> None:
         self._fn(self._address, n_shapes)
+
+    def pick(self, n_shapes: int) -> None:
+        """The tie pick over the first ``n_shapes`` shapes' rows of the
+        pointed scores buffer, into the choice buffer."""
+        self._pick(self._address, n_shapes)
 
     @property
     def n_tied(self) -> int:
@@ -1991,7 +2082,7 @@ class BoundEvaluate:
         return self.record.n_tied
 
 
-def _make_evaluate_wrapper(fn):
+def _make_evaluate_wrapper(fn, pick):
     def kernel(
         program,
         dims: np.ndarray,
@@ -2018,8 +2109,24 @@ def _make_evaluate_wrapper(fn):
         return out
 
     kernel.ctypes_fn = fn
-    kernel.bind = functools.partial(BoundEvaluate, fn)
+    kernel.bind = functools.partial(BoundEvaluate, fn, pick)
     return kernel
+
+
+def _make_pick_wrapper(fn):
+    def middle_of_ties(scores: np.ndarray) -> np.ndarray:
+        """The C tie pick over a 2-D score matrix, casting per call — for
+        tests; a predictor picks through its :class:`BoundEvaluate`."""
+        choice = np.empty(scores.shape[0], dtype=np.int64)
+        fn(
+            _pointer("scores", scores, _F64, 2),
+            scores.shape[0],
+            scores.shape[1],
+            _pointer("choice", choice, _I64, 1),
+        )
+        return choice
+
+    return middle_of_ties
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,14 @@ class _Node:
         return self.left is None
 
 
+def _children(nodes: np.ndarray) -> np.ndarray:
+    """The ``(n_nodes, 2)`` int32 view of packed nodes' ``(right, left)``
+    fields, so the boolean "goes left" (``X[..] <= threshold``, false for
+    NaN — the recursive reference's routing) indexes the next node."""
+    right = _native.NODE_DTYPE.fields["right"][1] // 4
+    return nodes.view(np.int32).reshape(nodes.shape[0], -1)[:, right : right + 2]
+
+
 class FlatTree:
     """Struct-of-arrays compilation of a fitted binary regression tree.
 
@@ -152,17 +160,7 @@ class FlatTree:
     level).  The same compiled form serves every tree ensemble in :mod:`repro.ml`.
     """
 
-    __slots__ = (
-        "feature",
-        "threshold",
-        "left",
-        "right",
-        "value",
-        "depth",
-        "_descent_feature",
-        "_descent_threshold",
-        "_children",
-    )
+    __slots__ = ("feature", "threshold", "left", "right", "value", "depth", "nodes")
 
     def __init__(self, feature, threshold, left, right, value, depth):
         self.feature = feature
@@ -171,23 +169,20 @@ class FlatTree:
         self.right = right
         self.value = value
         self.depth = depth
-        # Descent tables with self-looping leaves: a row that reaches a leaf
-        # keeps routing to the same node (feature 0 vs +inf always goes
-        # "left" onto itself), so predict can run exactly `depth` fixed
-        # iterations with no per-level active-row bookkeeping.
-        node_ids = np.arange(feature.shape[0], dtype=np.intp)
+        # The descent table, one packed node per row (``_native.NODE_DTYPE``,
+        # the record the C kernel reads), with self-looping leaves: a row
+        # that reaches a leaf keeps routing to the same node (feature 0 vs
+        # +inf always goes "left" onto itself), so predict can run exactly
+        # `depth` fixed iterations with no per-level active-row bookkeeping.
         is_leaf = feature < 0
-        self._descent_feature = np.where(is_leaf, 0, feature)
-        self._descent_threshold = np.where(is_leaf, np.inf, threshold)
-        # Column 0 = right child, column 1 = left child, so the boolean
-        # "goes left" (X[..] <= threshold, false for NaN — same routing as
-        # the recursive reference) indexes the children table directly.
-        self._children = np.column_stack(
-            (
-                np.where(is_leaf, node_ids, right),
-                np.where(is_leaf, node_ids, left),
-            )
-        )
+        node_ids = np.arange(feature.shape[0], dtype=np.intp)
+        nodes = np.empty(feature.shape[0], dtype=_native.NODE_DTYPE)
+        nodes["thr"] = np.where(is_leaf, np.inf, threshold)
+        nodes["feat"] = np.where(is_leaf, 0, feature)
+        nodes["right"] = np.where(is_leaf, node_ids, right)
+        nodes["left"] = np.where(is_leaf, node_ids, left)
+        nodes["value"] = value
+        self.nodes = nodes
 
     def __getstate__(self):
         return (self.feature, self.threshold, self.left, self.right, self.value, self.depth)
@@ -243,9 +238,10 @@ class FlatTree:
         rows that reach a leaf early self-loop there until the fixed
         ``depth`` iterations finish.
         """
-        descent_feature = self._descent_feature
-        descent_threshold = self._descent_threshold
-        children = self._children
+        nodes = self.nodes
+        descent_feature = nodes["feat"]
+        descent_threshold = nodes["thr"]
+        children = _children(nodes)
         rows = np.arange(X.shape[0])
         node = np.zeros(X.shape[0], dtype=np.intp)
         for _ in range(self.depth):
@@ -271,40 +267,39 @@ class FlatTree:
 
 
 class StackedTrees:
-    """Every :class:`FlatTree` of an ensemble concatenated into one
-    struct-of-arrays.
+    """Every :class:`FlatTree` of an ensemble concatenated into one packed
+    node array.
 
-    The per-tree flat arrays (descent feature/threshold tables, children,
-    leaf values) are concatenated back to back and each tree's child indices
-    are shifted by its *root offset*, so the whole ensemble lives in one set
-    of arrays.  :meth:`predict_per_tree` then descends **all trees over all
-    query rows simultaneously**: one fancy-indexing step per level moves an
-    ``(n_trees, n_samples)`` frontier of node ids, replacing the per-tree
-    Python loop that dominated small-batch ensemble prediction.
+    The trees' packed descent tables (``FlatTree.nodes``) are concatenated
+    back to back and each tree's child indices are shifted by its *root
+    offset*, so the whole ensemble lives in ``nodes_packed`` — the one copy
+    of the nodes, read by the native kernel directly.  :meth:`predict_per_tree`
+    then descends **all trees over all query rows simultaneously**: one
+    step per level moves an ``(n_trees, n_samples)`` frontier of node ids,
+    replacing the per-tree Python loop that dominated small-batch ensemble
+    prediction.
 
     Routing is identical to the per-tree :meth:`FlatTree.predict` (leaves
     self-loop, so shallower trees simply idle until the deepest tree
     finishes), which makes the stacked prediction bit-identical to the
-    stacked per-tree loop it replaces.  The descent runs over a flat
-    ``(n_trees * n_samples,)`` frontier with preallocated scratch buffers
-    and ``np.take`` gathers — broadcast fancy indexing on 2-D frontiers
-    costs several times more per level at the µs scale this serves.
+    stacked per-tree loop it replaces.
 
     When the native kernel built (:func:`native_descent_active`), descent
-    and fold instead run through the GIL-free C ``stacked_descent`` over
-    the packed 32-byte node array; ``ADSALA_NATIVE=0`` falls back to the
-    bit-identical NumPy frontier loop above.
+    and fold run through the GIL-free C ``stacked_descent`` over the packed
+    32-byte nodes.  ``ADSALA_NATIVE=0`` falls back to a bit-identical NumPy
+    frontier loop over a flat ``(n_trees * n_samples,)`` frontier with
+    preallocated scratch and ``np.take`` gathers (broadcast fancy indexing
+    on 2-D frontiers costs several times more per level at the µs scale
+    this serves); its contiguous gather tables are split out of
+    ``nodes_packed`` on its first descent.
     """
 
     __slots__ = (
-        "feature",
-        "threshold",
-        "children_flat",
-        "value",
         "roots",
         "depths",
         "depth",
         "nodes_packed",
+        "_tables",
         "_scratch_size",
         "_scratch",
         "_out",
@@ -315,35 +310,24 @@ class StackedTrees:
         flat_trees = list(flat_trees)
         if not flat_trees:
             raise ValueError("StackedTrees needs at least one FlatTree")
-        sizes = np.asarray([tree.n_nodes for tree in flat_trees], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self.roots = np.ascontiguousarray(offsets, dtype=np.int64)
-        self.depths = np.ascontiguousarray(
-            [tree.depth for tree in flat_trees], dtype=np.int64
-        )
-        self.feature = np.concatenate(
-            [tree._descent_feature for tree in flat_trees]
-        )
-        self.threshold = np.concatenate(
-            [tree._descent_threshold for tree in flat_trees]
-        )
-        # Children interleaved per node as (right, left): the flat index
-        # ``2 * node + go_left`` selects the next node in one gather.
-        children = np.concatenate(
-            [tree._children + offset for tree, offset in zip(flat_trees, offsets)]
-        )
-        self.children_flat = np.ascontiguousarray(children.reshape(-1))
-        self.value = np.concatenate([tree.value for tree in flat_trees])
-        self.depth = max(tree.depth for tree in flat_trees)
-        # Packed 32-byte array-of-structs mirror for the native kernel: one
-        # cache line per node visit instead of four scattered gathers.
-        packed = np.empty(self.feature.shape[0], dtype=_native.NODE_DTYPE)
-        packed["thr"] = self.threshold
-        packed["feat"] = self.feature
-        packed["right"] = children[:, 0]
-        packed["left"] = children[:, 1]
-        packed["value"] = self.value
-        self.nodes_packed = packed
+        tables = [tree.nodes for tree in flat_trees]
+        sizes = np.asarray([len(table) for table in tables], dtype=np.int64)
+        self.roots = np.cumsum(sizes) - sizes
+        self.depths = np.asarray([tree.depth for tree in flat_trees], dtype=np.int64)
+        self.depth = int(self.depths.max())
+        if len(tables) == 1:
+            # Root offset 0: the tree's own table, shared, not copied.
+            self.nodes_packed = tables[0]
+        else:
+            # The bytes joined in one pass (a structured concatenate copies
+            # field by field, several times slower), then the children
+            # shifted to their tree's root offset.
+            packed = np.frombuffer(bytearray().join(tables), dtype=_native.NODE_DTYPE)
+            shift = np.repeat(self.roots.astype(np.int32), sizes)
+            packed["right"] += shift
+            packed["left"] += shift
+            self.nodes_packed = packed
+        self._tables = None
         # Scratch/output buffers are allocated on first descent.
         self._scratch_size = -1
         self._scratch = None
@@ -357,7 +341,7 @@ class StackedTrees:
 
     @property
     def n_nodes(self) -> int:
-        return self.feature.shape[0]
+        return self.nodes_packed.shape[0]
 
     def _out_buffer(self, n_samples: int) -> np.ndarray:
         """Reusable ``(n_trees, n_samples)`` output buffer."""
@@ -366,6 +350,21 @@ class StackedTrees:
             out = np.empty((self.roots.shape[0], n_samples), dtype=np.float64)
             self._out = out
         return out
+
+    def _gather_tables(self):
+        """The NumPy descent's contiguous ``(feature, threshold, children,
+        value)`` tables, split out of ``nodes_packed`` once.  Children are
+        interleaved per node as ``(right, left)``, so the flat index
+        ``2 * node + go_left`` selects the next node in one gather."""
+        if self._tables is None:
+            nodes = self.nodes_packed
+            self._tables = (
+                np.ascontiguousarray(nodes["feat"], dtype=np.intp),
+                np.ascontiguousarray(nodes["thr"]),
+                _children(nodes).astype(np.intp).reshape(-1),
+                np.ascontiguousarray(nodes["value"]),
+            )
+        return self._tables
 
     def _buffers(self, n_samples: int, n_features: int):
         """Reusable NumPy-descent scratch for a given frontier geometry.
@@ -412,6 +411,7 @@ class StackedTrees:
                 0.0,
                 out,
             )
+        feature, threshold, children_flat, value = self._gather_tables()
         scratch = self._buffers(n_samples, n_features)
         node = scratch["node"]
         fn = scratch["fn"]
@@ -423,15 +423,15 @@ class StackedTrees:
 
         node[:] = scratch["node_init"]
         for _ in range(self.depth):
-            np.take(self.feature, node, out=fn)
+            np.take(feature, node, out=fn)
             np.add(fn, row_base, out=fn)
             np.take(X_flat, fn, out=xv)
-            np.take(self.threshold, node, out=tv)
+            np.take(threshold, node, out=tv)
             np.less_equal(xv, tv, out=go_left)
             np.multiply(node, 2, out=node)
             np.add(node, go_left, out=node, casting="unsafe")
-            np.take(self.children_flat, node, out=node)
-        np.take(self.value, node, out=out.reshape(-1))
+            np.take(children_flat, node, out=node)
+        np.take(value, node, out=out.reshape(-1))
         return out
 
     def predict_per_tree(self, X: np.ndarray) -> np.ndarray:

@@ -2,9 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.compiled import middle_of_ties
+from repro.core.install import install_adsala
+from repro.core.persistence import save_bundle
+from repro.machine.platforms import get_platform
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +115,37 @@ class TestInstallAndPredict:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "use" in out and "threads" in out
+
+    @pytest.mark.parametrize("model", ["DecisionTree", "LinearRegression"])
+    def test_predict_prints_the_tied_run(self, model, tmp_path, capsys):
+        """A plan whose model predicts one minimum over several thread counts
+        (a tree's flat leaf) says so, with the run and the count taken from
+        its middle; a plan with one minimum (a linear model's) does not."""
+        bundle = install_adsala(
+            platform=get_platform("gadi"),
+            routines=["dgemm"],
+            n_samples=12,
+            threads_per_shape=5,
+            n_test_shapes=4,
+            candidate_models=[model],
+            seed=3,
+        )
+        bundle_dir = save_bundle(bundle, tmp_path / "bundle")
+        predictor = bundle.predictor("dgemm")
+        counts = predictor.candidate_threads
+        scores = predictor.predict_scores_batch([{"m": 1500, "k": 700, "n": 2300}])
+        tied = np.flatnonzero(scores[0] == scores[0].min())
+        assert (tied.size > 1) == (model == "DecisionTree")
+        dims = ["--dims", "1500", "700", "2300"]
+        main(["predict", "--bundle", str(bundle_dir), "--routine", "dgemm", *dims])
+        out = capsys.readouterr().out
+        took = counts[middle_of_ties(scores)[0]]
+        assert f"use {took} threads" in out
+        if tied.size == 1:
+            assert "model flat over" not in out
+        else:
+            assert f"model flat over {counts[tied[0]]}-{counts[tied[-1]]} threads" in out
+            assert out.rstrip().endswith(f"; took {took}")
 
     def test_predict_with_wrong_dimension_count(self, tmp_path, capsys):
         bundle_dir = tmp_path / "bundle"
