@@ -486,8 +486,8 @@ class CompiledPredictor:
         return scores.reshape(n_shapes, -1), self._choice[:n_shapes].tolist()
 
     def _pick_native(self, scores: np.ndarray, n_shapes: int) -> None:
-        """The bound pick over scores Python finished."""
-        self._scores[: scores.size] = scores.reshape(-1)
+        """The bound pick over flat scores Python finished."""
+        self._scores[: scores.size] = scores
         self._fused_call.pick(n_shapes)
 
     def _finish_median(self, n_shapes: int, rows: int) -> np.ndarray:
@@ -526,9 +526,10 @@ class CompiledPredictor:
             # Snapshot: write_dicts below refills the buffer this views.
             fused = self._transform_fused(dims_list).copy()
             transformed = numpy_grid(self._writer, self._fused, dims_list)
-            reference = numpy_scores(self._model_kernel, transformed).reshape(n_shapes, -1)
-            self._pick_native(reference, n_shapes)
-            predictions, choices = reference, self._choice[:n_shapes].tolist()
+            flat = numpy_scores(self._model_kernel, transformed)
+            self._pick_native(flat, n_shapes)
+            predictions = reference = flat.reshape(n_shapes, -1)
+            choices = self._choice[:n_shapes].tolist()
             agree = fused.tobytes() == transformed.tobytes()
         else:
             predictions, choices = self._choose_fused(dims_list)
