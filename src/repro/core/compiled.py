@@ -443,8 +443,9 @@ class CompiledPredictor:
 
         The bound call is re-pointed (one cast per buffer) only when the
         writer replaced its buffers; the output buffer, in mode 3 the median
-        buffer, and the pick's scores and choice buffers are regrown to
-        match then.
+        buffer, the choice buffer and, where Python finishes scores for the
+        bound pick (mode 2, a forest's mean, mode 3's tied rows), the scores
+        buffer are regrown to match then.
         """
         writer = self._writer
         writer.load_dims(dims_list)
@@ -452,9 +453,11 @@ class CompiledPredictor:
         bound = self._fused_call
         if grid is not bound.buffers[1]:
             rows = grid.shape[0] * grid.shape[1]
+            mode = self._native_mode
             self._out = np.empty(self._out_width * rows) if self._out_width else None
-            self._median = np.empty(rows) if self._native_mode == 3 else None
-            self._scores = np.empty(rows)
+            self._median = np.empty(rows) if mode == 3 else None
+            finished_in_python = not self._pick_in_call or mode == 3
+            self._scores = np.empty(rows) if finished_in_python else None
             self._choice = np.empty(grid.shape[0], dtype=np.int64)
             bound.point(dims, grid, self._out, self._median, self._scores, self._choice)
         n_shapes = len(dims_list)

@@ -601,10 +601,10 @@ static int64_t weighted_median_rows(const double *leaves,
  * equals, so a row holding one keeps that column; -0.0 == 0.0, so both
  * join a tie.  A row with one minimum keeps argmin's column.
  */
-void middle_of_ties(const double *scores,
-                    int64_t n_rows,
-                    int64_t n_cols,
-                    int64_t *choice)
+static void middle_of_ties(const double *scores,
+                           int64_t n_rows,
+                           int64_t n_cols,
+                           int64_t *choice)
 {
     for (int64_t r = 0; r < n_rows; ++r) {
         const double *row = scores + r * n_cols;
@@ -1581,8 +1581,7 @@ def _reset_kernel_cache() -> None:
 class NativeKernels:
     """The loaded kernel bundle: the bound entry points plus load metadata.
 
-    ``descent``, ``middle_of_ties`` and ``pairwise_sum`` are always bound;
-    ``fused_transform``
+    ``descent`` and ``pairwise_sum`` are always bound; ``fused_transform``
     and ``fused_evaluate`` are ``None`` when the transform failed its
     bit-exactness probe, ``grow_cart``, ``grow_newton`` and ``grow_hist``
     when the growers failed theirs (``growers_reason`` says why; it is
@@ -1594,7 +1593,6 @@ class NativeKernels:
         self.descent = None
         self.fused_transform = None
         self.fused_evaluate = None
-        self.middle_of_ties = None
         self.grow_cart = None
         self.grow_newton = None
         self.grow_hist = None
@@ -1650,7 +1648,6 @@ def _load_kernels_impl() -> NativeKernels | None:
     kernels.descent = _make_descent_wrapper(lib.stacked_descent)
     kernels.fused_transform = _make_transform_wrapper(lib.fused_transform)
     kernels.fused_evaluate = _make_evaluate_wrapper(lib.fused_evaluate, lib.pick_scores)
-    kernels.middle_of_ties = _make_pick_wrapper(lib.middle_of_ties)
 
     # The transform's transcendentals are the one place host math
     # libraries could diverge from NumPy: probe bit-exactness across
@@ -1747,8 +1744,6 @@ def _declare_signatures(lib) -> None:
     lib.fused_evaluate.argtypes = _EVALUATE_ARGTYPES
     lib.pick_scores.restype = None
     lib.pick_scores.argtypes = _EVALUATE_ARGTYPES
-    lib.middle_of_ties.restype = None
-    lib.middle_of_ties.argtypes = [_DOUBLE_P, ctypes.c_int64, ctypes.c_int64, _INT64_P]
     lib.set_svml_pointers.restype = None
     lib.set_svml_pointers.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
     _declare_grower_signatures(lib)
@@ -2111,22 +2106,6 @@ def _make_evaluate_wrapper(fn, pick):
     kernel.ctypes_fn = fn
     kernel.bind = functools.partial(BoundEvaluate, fn, pick)
     return kernel
-
-
-def _make_pick_wrapper(fn):
-    def middle_of_ties(scores: np.ndarray) -> np.ndarray:
-        """The C tie pick over a 2-D score matrix, casting per call — for
-        tests; a predictor picks through its :class:`BoundEvaluate`."""
-        choice = np.empty(scores.shape[0], dtype=np.int64)
-        fn(
-            _pointer("scores", scores, _F64, 2),
-            scores.shape[0],
-            scores.shape[1],
-            _pointer("choice", choice, _I64, 1),
-        )
-        return choice
-
-    return middle_of_ties
 
 
 # ---------------------------------------------------------------------------

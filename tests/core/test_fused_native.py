@@ -456,10 +456,13 @@ class TestMarshalledOnce:
         for _ in range(3):  # unchanged batch size: nothing left to marshal
             assert casts.during(lambda: predictor.predict_runtimes_batch(one)) == 0
         # Growing the writer re-casts only what it replaced: dims scratch and
-        # grid, the output of a tree kernel, the median buffer of mode 3, and
-        # the pick's scores (an alias of the output or the median where the
-        # call picks itself) and choice buffers.
-        replaced = 2 + (compiled._out_width > 0) + (compiled._native_mode == 3) + 2
+        # grid, the output of a tree kernel, the median buffer of mode 3, the
+        # pick's choice buffer and, where Python finishes scores for the
+        # bound pick (mode 2, a forest's mean, mode 3's tied rows), its
+        # scores buffer.
+        mode = compiled._native_mode
+        finished_in_python = not compiled._pick_in_call or mode == 3
+        replaced = 2 + (compiled._out_width > 0) + (mode == 3) + finished_in_python + 1
         assert casts.during(lambda: predictor.predict_runtimes_batch(many)) == replaced <= 6
         for batch in (many, one, many[:7]):  # and any size within capacity
             assert casts.during(lambda: predictor.predict_runtimes_batch(batch)) == 0

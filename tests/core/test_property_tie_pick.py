@@ -5,8 +5,12 @@ of a score matrix, the lower median of the columns whose score equals the
 row minimum exactly; a row with one minimum keeps ``np.argmin``'s column.
 The native pick (``middle_of_ties`` in ``repro.ml._native``, run inside the
 fused call or as the bound ``pick``) must choose the same column on every
-row.  The oracle half of this file runs under ``ADSALA_NATIVE=0`` too.
+row; the generated batches reach it the way a predictor's finished scores
+do, through ``CompiledPredictor._pick_native``.  The oracle half of this
+file runs under ``ADSALA_NATIVE=0`` too.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -95,14 +99,45 @@ def test_native_pick_is_the_oracle(n_rows, n_cols, values, seed, data):
             scores = np.copysign(scores, rng.choice([-1.0, 1.0], scores.shape))
     else:
         scores = rng.standard_normal((n_rows, n_cols))
-    got = _native.load_kernels().middle_of_ties(np.ascontiguousarray(scores))
-    assert got.tolist() == middle_of_ties(scores).tolist()
+    assert _native_pick(scores) == middle_of_ties(scores).tolist()
 
 
 @needs_native
 def test_native_pick_keeps_argmins_first_nan():
     scores = np.array([[2.0, np.nan, 1.0, 1.0, np.nan], [np.nan, 0.0, 0.0, 0.0, 3.0]])
-    assert _native.load_kernels().middle_of_ties(scores).tolist() == [1, 0]
+    assert _native_pick(scores) == [1, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_compiled(n_cols):
+    """A bound linear predictor over ``n_cols`` thread counts with room for
+    64 shapes: the bound pick of a model Python finishes."""
+    pipeline, model = _linear_fit()
+    predictor = ThreadPredictor("dgemm", pipeline, model, range(1, n_cols + 1), target="log")
+    predictor.choose_batch([{"m": 64 + i, "k": 64, "n": 64} for i in range(64)])
+    compiled = predictor.compile()
+    assert compiled.path == "native"
+    return compiled
+
+
+@functools.lru_cache(maxsize=None)
+def _linear_fit():
+    rng = np.random.default_rng(0)
+    dims_list = [dict(zip("mkn", map(int, row))) for row in rng.integers(16, 4096, (30, 3))]
+    writer = FeatureGridWriter("dgemm", np.asarray(THREADS, dtype=np.float64))
+    X = writer.write_dicts(dims_list).copy()
+    y = rng.standard_normal(X.shape[0])
+    pipeline = PreprocessingPipeline()
+    Xt, yt = pipeline.fit_transform(X, y)
+    return pipeline, make_model("LinearRegression").fit(Xt, yt)
+
+
+def _native_pick(scores):
+    """The production native pick over a generated score matrix."""
+    n_rows, n_cols = scores.shape
+    compiled = _linear_compiled(n_cols)
+    compiled._pick_native(np.ravel(scores), n_rows)
+    return compiled._choice[:n_rows].tolist()
 
 
 def _flat_predictor(model_name, seed=0):
