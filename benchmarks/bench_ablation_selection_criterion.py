@@ -33,7 +33,8 @@ def achieved_speedup(bundle, routine, model_name):
         model=model,
         candidate_threads=bundle.platform.candidate_thread_counts(),
         model_name=model_name,
-        target="log",  # fitted by the installer
+        target=installation.predictor.target,  # fitted by the installer
+        level=installation.predictor.level,
     )
     eval_time = estimate_native_eval_time(
         model,

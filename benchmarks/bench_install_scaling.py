@@ -138,7 +138,8 @@ def test_install_scaling(benchmark, record, record_json):
             model=report._fitted_models["RandomForest"],
             candidate_threads=platform.candidate_thread_counts(),
             model_name="RandomForest",
-            target="log",  # fitted by the installer
+            target=installation.predictor.target,  # fitted by the installer
+            level=installation.predictor.level,
         )
         predictor.predict_runtimes(PREDICT_DIMS)  # warm-up
         _, flat_s = _timed(

@@ -115,7 +115,8 @@ def test_plan_latency(benchmark, record, record_json):
                 model=report._fitted_models[model_name],
                 candidate_threads=platform.candidate_thread_counts(),
                 model_name=model_name,
-                target="log",  # fitted by the installer
+                target=bundle.predictor("dgemm").target,  # fitted by the installer
+                level=bundle.predictor("dgemm").level,
             )
             compiled_s = _cold_plan_seconds(predictor, dims, COMPILED_REPEATS)
             with compiled_mod.reference_mode():

@@ -109,6 +109,7 @@ class RetrainResult:
                 candidate_threads=live.candidate_threads,
                 model_name=name,
                 target=live.target,
+                level=live.level,
             )
             yield replace(
                 winner,

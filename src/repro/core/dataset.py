@@ -91,16 +91,39 @@ class TimingDataset:
                 shapes.append(dict(dims))
         return shapes
 
+    def reference_rows(self, threads: int) -> np.ndarray | None:
+        """Per row, the index of a row timing the same shape at ``threads``
+        (the first such row), or ``None`` when some shape was never timed
+        there."""
+        first: Dict[tuple, int] = {}
+        for row, (dims, count) in enumerate(zip(self.dims, self.threads)):
+            if count == threads:
+                first.setdefault(tuple(sorted(dims.items())), row)
+        try:
+            return np.array([first[tuple(sorted(dims.items()))] for dims in self.dims], dtype=np.intp)
+        except KeyError:
+            return None
+
     # -- splitting ----------------------------------------------------------------
+    def split_rows(
+        self, test_size: float = 0.15, random_state: int = 0
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices ``(train, test)`` of the stratified split (paper: 15 %
+        test, stratified over the runtimes)."""
+        rows = np.arange(len(self.times), dtype=np.float64)[:, None]
+        train, test, _, _ = stratified_train_test_split(
+            rows, self.target(), test_size=test_size, random_state=random_state
+        )
+        return train[:, 0].astype(np.intp), test[:, 0].astype(np.intp)
+
     def train_test_split(
         self, test_size: float = 0.15, random_state: int = 0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Stratified split of the feature matrix / runtimes (paper: 15 % test)."""
+        train, test = self.split_rows(test_size=test_size, random_state=random_state)
         X = self.feature_matrix()
         y = self.target()
-        return stratified_train_test_split(
-            X, y, test_size=test_size, random_state=random_state
-        )
+        return X[train], X[test], y[train], y[test]
 
     # -- summaries -----------------------------------------------------------------
     def describe(self) -> Dict[str, float]:

@@ -8,7 +8,9 @@ requested platform:
    tuning) and model selection by estimated speedup
    (:mod:`repro.core.selection`),
 3. construction of the production :class:`~repro.core.predictor.ThreadPredictor`
-   for the winning model (fitted to log-runtime, so ``target="log"``),
+   for the winning model (fitted to each shape's speedup curve against its
+   max-thread runtime, with a level head for that runtime, so
+   ``target="relative"``),
 
 and returns an :class:`InstallationBundle` — the in-memory equivalent of the
 "config file + trained model" pair the paper's installer writes to disk
@@ -119,13 +121,15 @@ def fit_routine_installation(
     )
     best_model = report._fitted_models[report.best_model_name]  # type: ignore[attr-defined]
     pipeline = report._pipeline  # type: ignore[attr-defined]
+    level = report._level  # type: ignore[attr-defined]
     predictor = ThreadPredictor(
         routine=routine,
         pipeline=pipeline,
         model=best_model,
         candidate_threads=simulator.platform.candidate_thread_counts(),
         model_name=report.best_model_name,
-        target="log",
+        target="log" if level is None else "relative",
+        level=level,
     )
     return RoutineInstallation(
         routine=routine,

@@ -33,10 +33,15 @@ versions of one platform side by side.  Schema history:
   bundles (builtin BLAS routines only) still load, and ``adsala bundle
   migrate`` stamps the provenance in place.
 * **4** — adds a per-routine ``target``: what the pickled model predicts,
-  ``"log"`` (log-seconds, what every install fits) or ``"seconds"``.  A
-  missing key means ``"seconds"``, so v1-v3 bundles load and plan exactly
-  as they did; ``adsala bundle migrate`` stamps ``"seconds"`` on them.  Any
-  other value is a :class:`BundleFormatError`.
+  ``"relative"`` (log-runtime over the shape's max-thread runtime, what
+  every install fits), ``"log"`` (log-seconds, what installs fitted before
+  the relative target) or ``"seconds"``.  A ``"relative"`` routine also
+  carries its ``level``, the :class:`~repro.core.predictor.LevelHead` that
+  puts the model's output back in seconds (``{"names": [...], "coef":
+  [...]}``).  A missing target means ``"seconds"``, so v1-v3 bundles load
+  and plan exactly as they did; ``adsala bundle migrate`` stamps
+  ``"seconds"`` on them.  Any other value is a :class:`BundleFormatError`,
+  so a library that predates a target refuses the bundle by name.
 
 Structural problems (unknown schema, missing model file, checksum mismatch,
 corrupt pickle) raise :class:`BundleFormatError` with a human-readable
@@ -54,7 +59,7 @@ from typing import Dict
 
 from repro.core.install import InstallationBundle, RoutineInstallation
 from repro.core.dataset import TimingDataset
-from repro.core.predictor import TARGETS, ThreadPredictor
+from repro.core.predictor import TARGETS, LevelHead, ThreadPredictor
 from repro.core.selection import CandidateEvaluation, SelectionReport
 from repro.machine.platforms import get_platform
 from repro.machine.simulator import TimingSimulator
@@ -165,12 +170,14 @@ def write_routine_model(
     with open(tmp, "wb") as handle:
         pickle.dump(predictor.model, handle)
     os.replace(tmp, model_path)
+    level = {} if predictor.level is None else {"level": predictor.level.to_dict()}
     return {
         "plugin": _routine_provenance(routine),
         "model_file": model_path.name,
         "checksum": f"sha256:{_sha256_file(model_path)}",
         "model_name": predictor.model_name,
         "target": predictor.target,
+        **level,
         "candidate_threads": list(predictor.candidate_threads),
         "preprocessing": predictor.pipeline.to_config().to_dict(),
         "selection": _selection_to_dict(installation.selection),
@@ -367,6 +374,14 @@ def load_routine(
             f"Routine {routine!r} has unknown target {target!r}; this library "
             f"reads {list(TARGETS)}"
         )
+    level = None
+    if target == "relative":
+        try:
+            level = LevelHead.from_dict(meta["level"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BundleFormatError(
+                f"Routine {routine!r} has target 'relative' but no valid 'level': {exc!r}"
+            ) from exc
     predictor = ThreadPredictor(
         routine=routine,
         pipeline=pipeline,
@@ -376,6 +391,7 @@ def load_routine(
         ),
         model_name=meta.get("model_name", "unknown"),
         target=target,
+        level=level,
     )
     if "selection" in meta:
         selection = _selection_from_dict(meta["selection"])

@@ -38,12 +38,15 @@ The model's output is a *score*; the plan is the column
 scores (the lower median of the columns tied at the row minimum, which is
 the plain argmin when the minimum is unique).  The compiled kernel makes
 that pick in native code with the evaluation; the NumPy form is its
-oracle.  ``target`` says what the score is: ``"log"`` (every install fits
-``log(runtime)``; see :mod:`repro.core.selection`) or ``"seconds"``
-(bundles written before the log target).  Because ``log`` is monotone and
-maps equal scores to equal runtimes, ``plan``, ``plan_batch`` and
-``predict_threads_batch`` pick from the raw output either way and the
-request path does no extra work on the grid; only
+oracle.  ``target`` says what the score is: ``"relative"`` (every install
+fits ``log(T(p) / T(p_max))``, the shape's speedup curve against its own
+max-thread runtime, and keeps a :class:`LevelHead` for ``log T(p_max)``;
+see :mod:`repro.core.selection`), ``"log"`` (``log(runtime)``, bundles
+written before the relative target) or ``"seconds"`` (bundles written
+before the log target).  A shape's level is one constant across its row,
+and ``log`` is monotone, so ``plan``, ``plan_batch`` and
+``predict_threads_batch`` pick from the raw output for every target and
+the request path does no extra work on the grid; only
 :meth:`ThreadPredictor.predict_runtimes_batch` converts the whole grid to
 seconds, and a plan's ``predicted_time`` is the one chosen score
 converted.
@@ -66,10 +69,58 @@ from repro.ml import tree as tree_mod
 from repro.ml.base import BaseRegressor
 from repro.preprocessing.pipeline import PreprocessingPipeline
 
-__all__ = ["PredictionPlan", "ThreadPredictor", "TARGETS"]
+__all__ = ["LevelHead", "PredictionPlan", "ThreadPredictor", "TARGETS"]
 
-#: What a predictor's model output means: log-seconds or seconds.
-TARGETS = ("log", "seconds")
+#: What a predictor's model output means: log-runtime relative to the
+#: shape's max-thread runtime, log-seconds, or seconds.
+TARGETS = ("relative", "log", "seconds")
+
+
+class LevelHead:
+    """A shape's log-runtime at the maximum thread count, linear in its log
+    dims: ``coef[0] + sum(coef[i] * log(dims[names[i - 1]]))``.
+
+    The absolute half of a ``"relative"`` predictor: the model predicts the
+    shape's speedup curve ``log(T(p) / T(p_max))``, which alone decides the
+    plan, and this head puts it back in seconds.  It is fitted by least
+    squares on the gathered max-thread rows.
+    """
+
+    __slots__ = ("names", "coef")
+
+    def __init__(self, names: Sequence[str], coef: Sequence[float]):
+        self.names = tuple(names)
+        self.coef = tuple(float(c) for c in coef)
+        if len(self.coef) != len(self.names) + 1:
+            raise ValueError("a level head needs one coefficient per dim plus a constant")
+
+    @classmethod
+    def fit(cls, dims_list: Sequence[Dict[str, int]], log_times: np.ndarray) -> "LevelHead":
+        names = tuple(sorted(dims_list[0]))
+        logs = np.log([[float(dims[name]) for name in names] for dims in dims_list])
+        design = np.column_stack([np.ones(len(logs)), logs])
+        coef = np.linalg.lstsq(design, np.asarray(log_times, dtype=np.float64), rcond=None)[0]
+        return cls(names, coef)
+
+    def __call__(self, dims: Dict[str, int]) -> float:
+        coef = self.coef
+        level = coef[0]
+        for i, name in enumerate(self.names, 1):
+            level += coef[i] * math.log(dims[name])
+        return level
+
+    def to_dict(self) -> dict:
+        return {"names": list(self.names), "coef": list(self.coef)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LevelHead":
+        return cls(data["names"], data["coef"])
+
+    def __eq__(self, other):
+        return isinstance(other, LevelHead) and (self.names, self.coef) == (
+            other.names,
+            other.coef,
+        )
 
 
 @dataclass(frozen=True, init=False)
@@ -113,8 +164,12 @@ class ThreadPredictor:
         Maximum number of distinct problem shapes kept in the LRU
         prediction cache (1 = the paper's last-call cache).
     target:
-        What ``model`` predicts: ``"log"`` (log-seconds, what install fits)
-        or ``"seconds"`` (what bundles written before the log target hold).
+        What ``model`` predicts: ``"relative"`` (log-runtime over the shape's
+        max-thread runtime, what install fits), ``"log"`` (log-seconds) or
+        ``"seconds"`` (what bundles written before the log target hold).
+    level:
+        The :class:`LevelHead` of a ``"relative"`` predictor (and of no
+        other).
     """
 
     def __init__(
@@ -126,6 +181,7 @@ class ThreadPredictor:
         model_name: str = "unknown",
         cache_capacity: int = 16,
         target: str = "seconds",
+        level: LevelHead | None = None,
     ):
         candidate_threads = sorted({int(t) for t in candidate_threads})
         if not candidate_threads:
@@ -136,6 +192,8 @@ class ThreadPredictor:
             raise ValueError("cache_capacity must be at least 1")
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
+        if (target == "relative") != (level is not None):
+            raise ValueError("a level head goes with target='relative', and only with it")
         self.routine = routine
         self.pipeline = pipeline
         self.model = model
@@ -143,6 +201,7 @@ class ThreadPredictor:
         self.model_name = model_name
         self.cache_capacity = int(cache_capacity)
         self.target = target
+        self.level = level
         self.feature_names = feature_names(routine)
         self._cache: OrderedDict[tuple, PredictionPlan] = OrderedDict()
         self._compiled: CompiledPredictor | None = None
@@ -196,9 +255,13 @@ class ThreadPredictor:
         Returns a ``(len(dims_list), n_candidates)`` array whose row ``i``
         matches ``predict_runtimes(dims_list[i])``; the feature grid,
         preprocessing and model evaluation each run exactly once.  A
-        ``"log"`` predictor exponentiates the model's output.
+        ``"log"`` predictor exponentiates the model's output, a
+        ``"relative"`` one the output plus each shape's level.
         """
         scores = self.predict_scores_batch(dims_list)
+        if self.target == "relative":
+            levels = np.array([self.level(dims) for dims in dims_list])
+            return np.exp(levels[:, None] + scores)
         return np.exp(scores) if self.target == "log" else scores
 
     def predict_scores_batch(
@@ -260,7 +323,9 @@ class ThreadPredictor:
             self.n_cache_misses += 1
         threads = self.candidate_threads[best_idx]
         predicted = float(scores[0, best_idx])
-        if self.target == "log":
+        if self.target == "relative":
+            predicted = math.exp(self.level(dims) + predicted)
+        elif self.target == "log":
             predicted = math.exp(predicted)
         dims = dict(dims)
         self._cache[key] = PredictionPlan(self.routine, dims, threads, predicted, True)
@@ -369,13 +434,16 @@ class ThreadPredictor:
         routine = self.routine
         candidates = self.candidate_threads
         score_at = scores.item
-        exp = math.exp if self.target == "log" else None
+        exp = math.exp if self.target != "seconds" else None
+        level = self.level
         fresh = {}
         for slot, (best, (key, dims)) in enumerate(zip(choices, pending.items())):
             dims = dict(dims)
             threads = candidates[best]
             predicted = score_at(slot, best)
-            if exp is not None:
+            if level is not None:
+                predicted = exp(level(dims) + predicted)
+            elif exp is not None:
                 predicted = exp(predicted)
             twin = PredictionPlan(routine, dims, threads, predicted, True)
             if key in cache:  # unless evicted again inside the group

@@ -1,19 +1,28 @@
 """Model evaluation and selection by estimated speedup (paper Section IV-D).
 
-Every candidate is fitted to ``log(runtime)``, not to seconds.  Gathered
+Every candidate is fitted to the shape's speedup curve,
+``log(T(p) / T(p_max))`` — each row's log-runtime less the log-runtime its
+shape measured at the maximum thread count — not to seconds.  Gathered
 runtimes span more than two orders of magnitude, so in seconds squared
 error and split gains are set by the largest shapes; in log space they
-weigh relative error, which is what choosing a thread count needs.  The
-planned thread count is unchanged by the monotone log (the smallest
-prediction stays smallest, and tied predictions stay tied), so the winning
-:class:`~repro.core.predictor.ThreadPredictor` (``target="log"``) plans on
-the raw model output.  (The paper regresses runtime directly.)
+weigh relative error, which is what choosing a thread count needs; and
+with the per-shape level taken out, a model spends its capacity on how
+the runtime moves with the thread count, which is all a plan reads (a
+tree fitted to ``log(runtime)`` splits on size first and stays flat over
+wide runs of thread counts).  The level itself, ``log T(p_max)``, is one
+:class:`~repro.core.predictor.LevelHead` per routine, linear in the log
+dims and shared by every candidate.  A shape's level is constant along
+its row, so the winning :class:`~repro.core.predictor.ThreadPredictor`
+(``target="relative"``) plans on the raw model output.  A dataset with a
+shape never timed at the maximum thread count has no curve to fit; its
+candidates fit ``log(runtime)`` (``target="log"``) instead.  (The paper
+regresses runtime directly.)
 
 For every candidate model the selection stage records
 
 * the normalised test RMSE of its runtime predictions, in seconds
-  (``exp`` of the model's output against the held-out runtimes, so the
-  Table VI column keeps the paper's units),
+  (``exp`` of the level plus the model's output against the held-out
+  runtimes, so the Table VI column keeps the paper's units),
 * its evaluation time ``t_eval`` in microseconds — by default the analytic
   compiled-runtime estimate of :func:`repro.core.evalcost.estimate_native_eval_time`
   (deterministic: selection never reads a clock), with
@@ -59,7 +68,7 @@ from repro.core.compiled import (
 from repro.core.dataset import TimingDataset
 from repro.core.evalcost import estimate_native_eval_time
 from repro.core.features import FeatureGridWriter
-from repro.core.predictor import ThreadPredictor
+from repro.core.predictor import LevelHead, ThreadPredictor
 from repro.core.tuning import fit_candidate
 from repro.machine.simulator import TimingSimulator
 from repro.ml.metrics import root_mean_squared_error
@@ -170,6 +179,7 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     y_train = payload["y_train"]
     X_test = payload["X_test"]
     y_test = payload["y_test"]
+    level_test = payload["level_test"]
     routine = payload["routine"]
     threads = payload["threads"]
     grid = payload["grid"]
@@ -181,7 +191,7 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     evaluations_before = simulator.n_evaluations
     result = fit_candidate(name, X_train, y_train, tune=tune_hyperparameters)
     model = result.model
-    rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test)))
+    rmse = root_mean_squared_error(y_test, np.exp(level_test + model.predict(X_test)))
 
     scores = numpy_scores(compile_model_kernel(model), grid)
     best = middle_of_ties(scores.reshape(len(test_shapes), len(threads)))
@@ -197,7 +207,8 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
             model=model,
             candidate_threads=threads,
             model_name=name,
-            target="log",
+            target="log" if payload["level"] is None else "relative",
+            level=payload["level"],
         )
         eval_time = predictor.measure_eval_time(repeats=3)
     ideal_mean, ideal_agg, est_mean, est_agg = _speedup_statistics(
@@ -276,17 +287,28 @@ def evaluate_candidates(
     if not test_shapes:
         raise ValueError("test_shapes must not be empty")
 
-    X_train, X_test, y_train, y_test = dataset.train_test_split(
-        test_size=test_size, random_state=seed
-    )
+    train, test = dataset.split_rows(test_size=test_size, random_state=seed)
+    X = dataset.feature_matrix()
+    times = dataset.target()
+    log_times = np.log(times)
+    # The curve target: each row against its shape's max-thread row, whose
+    # runtimes the level head learns; without one per shape, log-runtime.
+    reference = dataset.reference_rows(simulator.platform.max_threads)
+    level = None
+    if reference is not None:
+        reference_rows = np.unique(reference)
+        level = LevelHead.fit([dataset.dims[i] for i in reference_rows], log_times[reference_rows])
+        log_times = log_times - log_times[reference]
+        level_test = np.array([level(dataset.dims[i]) for i in test])
+    else:
+        level_test = np.zeros(test.size)
 
     pipeline = PreprocessingPipeline(
         use_yeo_johnson=use_yeo_johnson,
         feature_names=dataset.feature_names,
     )
-    X_train_t, y_train_f = pipeline.fit_transform(X_train, y_train)
-    X_test_t = pipeline.transform(X_test)
-    y_train_log = np.log(y_train_f)
+    X_train_t, y_train_fit = pipeline.fit_transform(X[train], log_times[train])
+    X_test_t = pipeline.transform(X[test])
 
     test_shapes = list(test_shapes)
     # One scoring grid per routine, shared by every candidate: the held-out
@@ -307,9 +329,11 @@ def evaluate_candidates(
         {
             "name": name,
             "X_train": X_train_t,
-            "y_train": y_train_log,
+            "y_train": y_train_fit,
             "X_test": X_test_t,
-            "y_test": y_test,
+            "y_test": times[test],
+            "level_test": level_test,
+            "level": level,
             "pipeline": pipeline,
             "routine": dataset.routine,
             "threads": threads,
@@ -358,6 +382,7 @@ def evaluate_candidates(
     # refitting from scratch.
     report._fitted_models = fitted_models  # type: ignore[attr-defined]
     report._pipeline = pipeline  # type: ignore[attr-defined]
+    report._level = level  # type: ignore[attr-defined]
     return report
 
 

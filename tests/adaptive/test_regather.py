@@ -178,7 +178,8 @@ class TestRetrainDriftingRoutines:
             predictor = installation.predictor
             assert predictor.model is selection._fitted_models[name]
             assert predictor.model_name == name
-            assert predictor.target == "log"
+            assert predictor.target == "relative"
+            assert predictor.level is result.installation.predictor.level
             assert predictor.pipeline is result.installation.predictor.pipeline
             assert installation.selection.evaluations == selection.evaluations
             assert installation.dataset is result.dataset

@@ -1,5 +1,6 @@
 """Tests for saving and loading installation bundles."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.predictor import LevelHead, ThreadPredictor
 from repro.core.persistence import (
     SCHEMA_VERSION,
     BundleFormatError,
@@ -174,20 +176,57 @@ def _rewrite(directory, edit):
     (directory / "bundle.json").write_text(json.dumps(manifest))
 
 
-class TestTarget:
-    """Schema v4: each routine records whether its model predicts log-seconds."""
+def _as_log_target(bundle):
+    """The bundle with every model's output read as log-seconds, as a bundle
+    installed before the relative target holds it."""
+    routines = {}
+    for routine, installation in bundle.routines.items():
+        live = installation.predictor
+        predictor = ThreadPredictor(
+            routine, live.pipeline, live.model, live.candidate_threads, live.model_name,
+            target="log",
+        )  # fmt: skip
+        routines[routine] = dataclasses.replace(installation, predictor=predictor)
+    return dataclasses.replace(bundle, routines=routines)
 
-    def test_v4_round_trips_the_log_target(self, small_bundle, saved_dir):
+
+@pytest.fixture()
+def log_saved_dir(small_bundle, tmp_path):
+    return save_bundle(_as_log_target(small_bundle), tmp_path / "log-bundle")
+
+
+class TestTarget:
+    """Schema v4: each routine records what its model predicts."""
+
+    def test_v4_round_trips_the_relative_target(self, small_bundle, saved_dir):
         manifest = _manifest(saved_dir)
         assert manifest["schema_version"] == 4
-        assert {meta["target"] for meta in manifest["routines"].values()} == {"log"}
+        assert {meta["target"] for meta in manifest["routines"].values()} == {"relative"}
         restored = load_bundle(saved_dir)
+        for routine in small_bundle.installed_routines:
+            predictor = restored.predictor(routine)
+            assert predictor.target == "relative"
+            assert predictor.level == small_bundle.predictor(routine).level
+            assert manifest["routines"][routine]["level"] == predictor.level.to_dict()
+            for dims in small_bundle.routines[routine].test_shapes[:3]:
+                assert predictor.plan(dims, use_cache=False) == (
+                    small_bundle.predictor(routine).plan(dims, use_cache=False)
+                )
+
+    def test_v4_round_trips_the_log_target(self, small_bundle, log_saved_dir):
+        manifest = _manifest(log_saved_dir)
+        assert manifest["schema_version"] == 4
+        assert {meta["target"] for meta in manifest["routines"].values()} == {"log"}
+        assert not any("level" in meta for meta in manifest["routines"].values())
+        logged = _as_log_target(small_bundle)
+        restored = load_bundle(log_saved_dir)
         for routine in small_bundle.installed_routines:
             assert restored.predictor(routine).target == "log"
             for dims in small_bundle.routines[routine].test_shapes[:3]:
-                assert restored.predictor(routine).plan(dims, use_cache=False) == (
-                    small_bundle.predictor(routine).plan(dims, use_cache=False)
-                )
+                plan = restored.predictor(routine).plan(dims, use_cache=False)
+                assert plan == logged.predictor(routine).plan(dims, use_cache=False)
+                # The model's output read another way: the same thread choice.
+                assert plan.threads == small_bundle.predictor(routine).predict_threads(dims)
 
     def test_v3_manifest_reads_as_seconds(self, small_bundle, saved_dir):
         def to_v3(manifest):
@@ -246,13 +285,32 @@ class TestTarget:
         with pytest.raises(BundleFormatError, match="target"):
             load_bundle(saved_dir)
 
-    def test_log_predictions_are_seconds(self, saved_dir):
-        predictor = load_bundle(saved_dir).predictor("dgemm")
+    def test_relative_target_without_a_level_rejected(self, saved_dir):
+        def strip(manifest):
+            del manifest["routines"]["dgemm"]["level"]
+
+        _rewrite(saved_dir, strip)
+        with pytest.raises(BundleFormatError, match="level"):
+            load_bundle(saved_dir)
+
+    def test_log_predictions_are_seconds(self, log_saved_dir):
+        predictor = load_bundle(log_saved_dir).predictor("dgemm")
         dims = {"m": 300, "k": 200, "n": 100}
         scores = predictor.predict_scores_batch([dims])[0]
         np.testing.assert_array_equal(predictor.predict_runtimes(dims), np.exp(scores))
         plan = predictor.plan(dims, use_cache=False)
         assert plan.predicted_time == math.exp(scores.min())
+
+    def test_relative_predictions_are_seconds(self, saved_dir):
+        predictor = load_bundle(saved_dir).predictor("dgemm")
+        assert isinstance(predictor.level, LevelHead)
+        dims = {"m": 300, "k": 200, "n": 100}
+        scores = predictor.predict_scores_batch([dims])[0]
+        level = predictor.level(dims)
+        np.testing.assert_array_equal(predictor.predict_runtimes(dims), np.exp(level + scores))
+        plan = predictor.plan(dims, use_cache=False)
+        assert plan.predicted_time == math.exp(level + scores.min())
+        assert predictor.plan_batch([dims], use_cache=False)[0] == plan
 
 
 class TestChecksums:

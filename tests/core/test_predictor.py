@@ -10,7 +10,7 @@ import pytest
 from repro.core.compiled import middle_of_ties
 from repro.core.features import feature_matrix_grid, feature_names
 from repro.core.gather import DataGatherer
-from repro.core.predictor import ThreadPredictor
+from repro.core.predictor import LevelHead, ThreadPredictor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.preprocessing.pipeline import PreprocessingPipeline
 
@@ -142,6 +142,65 @@ class TestLogTarget:
                 candidate_threads=[1, 2],
                 target="log10",
             )
+
+
+@pytest.fixture(scope="module")
+def relative_predictor(log_predictor):
+    """The log predictor's model read as a speedup curve over a level head
+    (the curve target's form; the plans are the same)."""
+    level = LevelHead(("k", "m", "n"), (-20.0, 0.9, 1.1, 1.0))
+    return ThreadPredictor(
+        "dgemm", log_predictor.pipeline, log_predictor.model, log_predictor.candidate_threads,
+        target="relative", level=level,
+    )  # fmt: skip
+
+
+class TestRelativeTarget:
+    """A ``target="relative"`` predictor plans on the raw output and reports
+    ``exp(level + output)`` seconds."""
+
+    def test_level_head_is_linear_in_the_log_dims(self):
+        level = LevelHead(("k", "m"), (0.5, 2.0, -1.0))
+        assert level({"m": 8, "k": 4, "n": 1}) == 0.5 + 2.0 * math.log(4) - math.log(8)
+        assert LevelHead.from_dict(level.to_dict()) == level
+        with pytest.raises(ValueError, match="coefficient"):
+            LevelHead(("k", "m"), (0.5, 2.0))
+
+    def test_level_head_fit_recovers_a_power_law(self):
+        rng = np.random.default_rng(0)
+        dims_list = [dict(zip("mkn", map(int, row))) for row in rng.integers(16, 4096, (30, 3))]
+        log_times = [-21.0 + math.log(d["m"] * d["k"] * d["n"]) for d in dims_list]
+        level = LevelHead.fit(dims_list, log_times)
+        assert level.names == ("k", "m", "n")
+        np.testing.assert_allclose(level.coef, (-21.0, 1.0, 1.0, 1.0), atol=1e-9)
+
+    def test_plans_are_the_log_predictors(self, relative_predictor, log_predictor):
+        assert [p.threads for p in relative_predictor.plan_batch(SHAPES, use_cache=False)] == [
+            p.threads for p in log_predictor.plan_batch(SHAPES, use_cache=False)
+        ]
+
+    def test_predicted_time_is_exp_of_level_plus_output(self, relative_predictor):
+        raw = _raw_output(relative_predictor, SHAPES)
+        levels = np.array([relative_predictor.level(dims) for dims in SHAPES])
+        np.testing.assert_array_equal(
+            relative_predictor.predict_runtimes_batch(SHAPES), np.exp(levels[:, None] + raw)
+        )
+        relative_predictor.clear_cache()
+        batch = relative_predictor.plan_batch(SHAPES)
+        for dims, level, row, planned in zip(SHAPES, levels, raw, batch):
+            plan = relative_predictor.plan(dims, use_cache=False)
+            assert plan.predicted_time == math.exp(level + row.min()) == planned.predicted_time
+
+    def test_level_survives_a_pickle(self, relative_predictor):
+        restored = pickle.loads(pickle.dumps(relative_predictor))
+        assert (restored.target, restored.level) == ("relative", relative_predictor.level)
+
+    def test_level_goes_with_the_relative_target_only(self, log_predictor, relative_predictor):
+        args = ("dgemm", log_predictor.pipeline, log_predictor.model, [1, 2])
+        with pytest.raises(ValueError, match="level"):
+            ThreadPredictor(*args, target="relative")
+        with pytest.raises(ValueError, match="level"):
+            ThreadPredictor(*args, target="log", level=relative_predictor.level)
 
 
 class TestCache:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import selection
 from repro.core.compiled import CompiledPredictor
+from repro.core.dataset import TimingDataset
 from repro.core.gather import DataGatherer
+from repro.core.install import fit_routine_installation
 from repro.core.predictor import ThreadPredictor
 from repro.core.selection import (
     CandidateEvaluation,
@@ -91,38 +93,125 @@ class TestReportStructure:
         assert report._pipeline is not None
 
 
-class TestLogTarget:
-    """Candidates fit log-runtime; the Table VI RMSE stays in seconds."""
+class TestRelativeTarget:
+    """Candidates fit each shape's speedup curve, log(T(p) / T(p_max)); the
+    level head carries log T(p_max) and the Table VI RMSE stays in seconds."""
 
     @pytest.fixture(scope="class")
-    def split(self, selection_inputs):
-        _, dataset, _ = selection_inputs
-        return dataset.train_test_split(test_size=0.15, random_state=0)
+    def curve(self, selection_inputs):
+        simulator, dataset, _ = selection_inputs
+        times = dataset.target()
+        p_max = simulator.platform.max_threads
+        reference = {
+            tuple(sorted(dims.items())): time
+            for dims, threads, time in zip(dataset.dims, dataset.threads, times)
+            if threads == p_max
+        }
+        return np.log(times) - np.log([reference[tuple(sorted(d.items()))] for d in dataset.dims])
 
-    @pytest.fixture(scope="class")
-    def held_out(self, report, split):
-        _, X_test, _, y_test = split
-        return report._pipeline.transform(X_test), y_test
-
-    def test_models_fit_log_seconds(self, selection_inputs, report, split):
+    def test_models_fit_the_speedup_curve(self, selection_inputs, report, curve):
         _, dataset, _ = selection_inputs
-        X_train, _, y_train, _ = split
+        train, _ = dataset.split_rows(test_size=0.15, random_state=0)
         pipeline = PreprocessingPipeline(feature_names=dataset.feature_names)
-        X, y = pipeline.fit_transform(X_train, y_train)
-        expected = LinearRegression().fit(X, np.log(y))
+        X, y = pipeline.fit_transform(dataset.feature_matrix()[train], curve[train])
+        expected = LinearRegression().fit(X, y)
         model = report._fitted_models["LinearRegression"]
         np.testing.assert_array_equal(model.coef_, expected.coef_)
         assert model.intercept_ == expected.intercept_
 
-    def test_rmse_is_in_seconds(self, report, held_out):
-        X_test, y_test = held_out
+    def test_the_level_is_fitted_on_the_max_thread_rows(self, selection_inputs, report):
+        simulator, dataset, _ = selection_inputs
+        rows = [i for i, t in enumerate(dataset.threads) if t == simulator.platform.max_threads]
+        level = report._level
+        assert level.names == tuple(sorted(dataset.dims[0]))
+        predicted = np.array([level(dataset.dims[i]) for i in rows])
+        measured = np.log(dataset.target()[rows])
+        # A least-squares fit: its residuals are orthogonal to the constant.
+        assert abs(np.sum(measured - predicted)) < 1e-9 * len(rows)
+        assert np.corrcoef(predicted, measured)[0, 1] > 0.9
+
+    def test_rmse_is_in_seconds(self, selection_inputs, report):
+        _, dataset, _ = selection_inputs
+        _, test = dataset.split_rows(test_size=0.15, random_state=0)
+        X_test = report._pipeline.transform(dataset.feature_matrix()[test])
+        y_test = dataset.target()[test]
+        level = np.array([report._level(dataset.dims[i]) for i in test])
         for evaluation in report.evaluations:
             model = report._fitted_models[evaluation.model_name]
+            assert evaluation.rmse == root_mean_squared_error(
+                y_test, np.exp(level + model.predict(X_test))
+            )
+            # Not the log-space error, which is larger than every runtime here.
+            assert evaluation.rmse < y_test.max()
+
+    def test_the_install_plans_on_the_curve(self, selection_inputs, report):
+        simulator, dataset, test_shapes = selection_inputs
+        installation = fit_routine_installation(
+            "dsyrk", dataset, test_shapes, simulator, candidate_models=CANDIDATES
+        )
+        predictor = installation.predictor
+        assert (predictor.target, predictor.level) == ("relative", report._level)
+
+
+class TestLogTarget:
+    """A dataset with a shape never timed at the maximum thread count has no
+    curve: candidates fit log-runtime; the Table VI RMSE stays in seconds."""
+
+    @pytest.fixture(scope="class")
+    def log_inputs(self, selection_inputs):
+        simulator, dataset, test_shapes = selection_inputs
+        # One shape loses its max-thread row.
+        dropped = dataset.threads.index(simulator.platform.max_threads)
+        kept = [i for i in range(len(dataset)) if i != dropped]
+        partial = TimingDataset(
+            dataset.routine, dataset.platform,
+            [dataset.dims[i] for i in kept], [dataset.threads[i] for i in kept],
+            [dataset.times[i] for i in kept],
+        )  # fmt: skip
+        return simulator, partial, test_shapes
+
+    @pytest.fixture(scope="class")
+    def log_report(self, log_inputs):
+        simulator, dataset, test_shapes = log_inputs
+        return evaluate_candidates(dataset, simulator, test_shapes, CANDIDATES, seed=0)
+
+    @pytest.fixture(scope="class")
+    def split(self, log_inputs):
+        _, dataset, _ = log_inputs
+        return dataset.train_test_split(test_size=0.15, random_state=0)
+
+    @pytest.fixture(scope="class")
+    def held_out(self, log_report, split):
+        _, X_test, _, y_test = split
+        return log_report._pipeline.transform(X_test), y_test
+
+    def test_models_fit_log_seconds(self, log_inputs, log_report, split):
+        _, dataset, _ = log_inputs
+        assert log_report._level is None
+        X_train, _, y_train, _ = split
+        pipeline = PreprocessingPipeline(feature_names=dataset.feature_names)
+        X, y = pipeline.fit_transform(X_train, y_train)
+        expected = LinearRegression().fit(X, np.log(y))
+        model = log_report._fitted_models["LinearRegression"]
+        np.testing.assert_array_equal(model.coef_, expected.coef_)
+        assert model.intercept_ == expected.intercept_
+
+    def test_rmse_is_in_seconds(self, log_report, held_out):
+        X_test, y_test = held_out
+        for evaluation in log_report.evaluations:
+            model = log_report._fitted_models[evaluation.model_name]
             assert evaluation.rmse == root_mean_squared_error(
                 y_test, np.exp(model.predict(X_test))
             )
             # Not the log-space error, which is larger than every runtime here.
             assert evaluation.rmse < y_test.max()
+
+    def test_the_install_plans_on_log_runtime(self, log_inputs):
+        simulator, dataset, test_shapes = log_inputs
+        installation = fit_routine_installation(
+            "dsyrk", dataset, test_shapes, simulator, candidate_models=CANDIDATES
+        )
+        assert (installation.predictor.target, installation.predictor.level) == ("log", None)
 
 
 def _count_compiled_predictors(monkeypatch) -> list:

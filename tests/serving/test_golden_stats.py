@@ -8,11 +8,12 @@ against that tree::
     PYTHONPATH=<parent checkout>/src python tests/serving/test_golden_stats.py
 
 The timing-memo row counts (``timing.misses`` / ``timing.size`` and their
-two series) were re-recorded twice: 16 -> 14 when installs began fitting
-log-runtime (more of the scenario's plans chose max threads, whose chosen
-and baseline rows coincide), and 14 -> 16 when a tied predicted minimum
+two series) were re-recorded three times: 16 -> 14 when installs began
+fitting log-runtime (more of the scenario's plans chose max threads, whose
+chosen and baseline rows coincide), 14 -> 16 when a tied predicted minimum
 began planning the middle of its run instead of its fewest threads (two
-more distinct chosen rows).
+more distinct chosen rows), and 16 -> 17 when installs began fitting each
+shape's speedup curve (one more).
 
 The scenario is a seeded, strictly sequential 2-shard thread-backend
 stream — observations, one fallback routine (``sgemm`` served by the

@@ -361,7 +361,7 @@ class TestBundleCommand:
         assert "schema version: 4" in out
         assert "sha256" not in out  # checksums shown truncated, without prefix
         assert "dgemm" in out
-        assert "target=log" in out
+        assert "target=relative" in out
 
     def test_verify_ok(self, installed_dir, capsys):
         assert main(["bundle", "verify", "--bundle", str(installed_dir)]) == 0
