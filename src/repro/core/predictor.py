@@ -77,22 +77,26 @@ TARGETS = ("relative", "log", "seconds")
 
 
 class LevelHead:
-    """A shape's log-runtime at the maximum thread count, linear in its log
-    dims: ``coef[0] + sum(coef[i] * log(dims[names[i - 1]]))``.
+    """A shape's runtime at the maximum thread count, a power law in its
+    dims: ``exp(coef[0]) * prod(dims[names[i - 1]] ** coef[i])`` seconds.
 
     The absolute half of a ``"relative"`` predictor: the model predicts the
     shape's speedup curve ``log(T(p) / T(p_max))``, which alone decides the
-    plan, and this head puts it back in seconds.  It is fitted by least
-    squares on the gathered max-thread rows.
+    plan, and ``exp`` of that times this head is the runtime in seconds.
+    The coefficients are a least-squares fit of the log-runtime of the
+    gathered max-thread rows on the log dims.  Evaluating the head makes no
+    call below it: one per planned shape is all it adds to a plan.
     """
 
-    __slots__ = ("names", "coef")
+    __slots__ = ("names", "coef", "_scale", "_powers")
 
     def __init__(self, names: Sequence[str], coef: Sequence[float]):
         self.names = tuple(names)
         self.coef = tuple(float(c) for c in coef)
         if len(self.coef) != len(self.names) + 1:
             raise ValueError("a level head needs one coefficient per dim plus a constant")
+        self._scale = math.exp(self.coef[0])
+        self._powers = tuple(zip(self.names, self.coef[1:]))
 
     @classmethod
     def fit(cls, dims_list: Sequence[Dict[str, int]], log_times: np.ndarray) -> "LevelHead":
@@ -103,11 +107,10 @@ class LevelHead:
         return cls(names, coef)
 
     def __call__(self, dims: Dict[str, int]) -> float:
-        coef = self.coef
-        level = coef[0]
-        for i, name in enumerate(self.names, 1):
-            level += coef[i] * math.log(dims[name])
-        return level
+        seconds = self._scale
+        for name, power in self._powers:
+            seconds *= dims[name] ** power
+        return seconds
 
     def to_dict(self) -> dict:
         return {"names": list(self.names), "coef": list(self.coef)}
@@ -256,12 +259,12 @@ class ThreadPredictor:
         matches ``predict_runtimes(dims_list[i])``; the feature grid,
         preprocessing and model evaluation each run exactly once.  A
         ``"log"`` predictor exponentiates the model's output, a
-        ``"relative"`` one the output plus each shape's level.
+        ``"relative"`` one scales that by each shape's level.
         """
         scores = self.predict_scores_batch(dims_list)
         if self.target == "relative":
             levels = np.array([self.level(dims) for dims in dims_list])
-            return np.exp(levels[:, None] + scores)
+            return np.exp(scores) * levels[:, None]
         return np.exp(scores) if self.target == "log" else scores
 
     def predict_scores_batch(
@@ -323,10 +326,10 @@ class ThreadPredictor:
             self.n_cache_misses += 1
         threads = self.candidate_threads[best_idx]
         predicted = float(scores[0, best_idx])
-        if self.target == "relative":
-            predicted = math.exp(self.level(dims) + predicted)
-        elif self.target == "log":
+        if self.target != "seconds":
             predicted = math.exp(predicted)
+            if self.level is not None:
+                predicted *= self.level(dims)
         dims = dict(dims)
         self._cache[key] = PredictionPlan(self.routine, dims, threads, predicted, True)
         self._cache.move_to_end(key)
@@ -441,10 +444,10 @@ class ThreadPredictor:
             dims = dict(dims)
             threads = candidates[best]
             predicted = score_at(slot, best)
-            if level is not None:
-                predicted = exp(level(dims) + predicted)
-            elif exp is not None:
+            if exp is not None:
                 predicted = exp(predicted)
+                if level is not None:
+                    predicted *= level(dims)
             twin = PredictionPlan(routine, dims, threads, predicted, True)
             if key in cache:  # unless evicted again inside the group
                 cache[key] = twin

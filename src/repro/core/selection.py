@@ -21,8 +21,8 @@ regresses runtime directly.)
 For every candidate model the selection stage records
 
 * the normalised test RMSE of its runtime predictions, in seconds
-  (``exp`` of the level plus the model's output against the held-out
-  runtimes, so the Table VI column keeps the paper's units),
+  (``exp`` of the model's output times the shape's level against the
+  held-out runtimes, so the Table VI column keeps the paper's units),
 * its evaluation time ``t_eval`` in microseconds — by default the analytic
   compiled-runtime estimate of :func:`repro.core.evalcost.estimate_native_eval_time`
   (deterministic: selection never reads a clock), with
@@ -191,7 +191,7 @@ def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object,
     evaluations_before = simulator.n_evaluations
     result = fit_candidate(name, X_train, y_train, tune=tune_hyperparameters)
     model = result.model
-    rmse = root_mean_squared_error(y_test, np.exp(level_test + model.predict(X_test)))
+    rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test)) * level_test)
 
     scores = numpy_scores(compile_model_kernel(model), grid)
     best = middle_of_ties(scores.reshape(len(test_shapes), len(threads)))
@@ -301,7 +301,7 @@ def evaluate_candidates(
         log_times = log_times - log_times[reference]
         level_test = np.array([level(dataset.dims[i]) for i in test])
     else:
-        level_test = np.zeros(test.size)
+        level_test = np.ones(test.size)
 
     pipeline = PreprocessingPipeline(
         use_yeo_johnson=use_yeo_johnson,

@@ -307,9 +307,9 @@ class TestTarget:
         dims = {"m": 300, "k": 200, "n": 100}
         scores = predictor.predict_scores_batch([dims])[0]
         level = predictor.level(dims)
-        np.testing.assert_array_equal(predictor.predict_runtimes(dims), np.exp(level + scores))
+        np.testing.assert_array_equal(predictor.predict_runtimes(dims), np.exp(scores) * level)
         plan = predictor.plan(dims, use_cache=False)
-        assert plan.predicted_time == math.exp(level + scores.min())
+        assert plan.predicted_time == math.exp(scores.min()) * level
         assert predictor.plan_batch([dims], use_cache=False)[0] == plan
 
 

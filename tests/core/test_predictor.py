@@ -148,7 +148,7 @@ class TestLogTarget:
 def relative_predictor(log_predictor):
     """The log predictor's model read as a speedup curve over a level head
     (the curve target's form; the plans are the same)."""
-    level = LevelHead(("k", "m", "n"), (-20.0, 0.9, 1.1, 1.0))
+    level = LevelHead(("k", "m", "n"), (-20.0, 0.9, 1.1, 1.0))  # seconds at max threads
     return ThreadPredictor(
         "dgemm", log_predictor.pipeline, log_predictor.model, log_predictor.candidate_threads,
         target="relative", level=level,
@@ -157,11 +157,11 @@ def relative_predictor(log_predictor):
 
 class TestRelativeTarget:
     """A ``target="relative"`` predictor plans on the raw output and reports
-    ``exp(level + output)`` seconds."""
+    ``exp(output)`` times the shape's level, in seconds."""
 
-    def test_level_head_is_linear_in_the_log_dims(self):
+    def test_level_head_is_a_power_law_in_the_dims(self):
         level = LevelHead(("k", "m"), (0.5, 2.0, -1.0))
-        assert level({"m": 8, "k": 4, "n": 1}) == 0.5 + 2.0 * math.log(4) - math.log(8)
+        assert level({"m": 8, "k": 4, "n": 1}) == math.exp(0.5) * 4**2.0 * 8**-1.0
         assert LevelHead.from_dict(level.to_dict()) == level
         with pytest.raises(ValueError, match="coefficient"):
             LevelHead(("k", "m"), (0.5, 2.0))
@@ -183,13 +183,13 @@ class TestRelativeTarget:
         raw = _raw_output(relative_predictor, SHAPES)
         levels = np.array([relative_predictor.level(dims) for dims in SHAPES])
         np.testing.assert_array_equal(
-            relative_predictor.predict_runtimes_batch(SHAPES), np.exp(levels[:, None] + raw)
+            relative_predictor.predict_runtimes_batch(SHAPES), np.exp(raw) * levels[:, None]
         )
         relative_predictor.clear_cache()
         batch = relative_predictor.plan_batch(SHAPES)
         for dims, level, row, planned in zip(SHAPES, levels, raw, batch):
             plan = relative_predictor.plan(dims, use_cache=False)
-            assert plan.predicted_time == math.exp(level + row.min()) == planned.predicted_time
+            assert plan.predicted_time == math.exp(row.min()) * level == planned.predicted_time
 
     def test_level_survives_a_pickle(self, relative_predictor):
         restored = pickle.loads(pickle.dumps(relative_predictor))

@@ -124,7 +124,7 @@ class TestRelativeTarget:
         rows = [i for i, t in enumerate(dataset.threads) if t == simulator.platform.max_threads]
         level = report._level
         assert level.names == tuple(sorted(dataset.dims[0]))
-        predicted = np.array([level(dataset.dims[i]) for i in rows])
+        predicted = np.log([level(dataset.dims[i]) for i in rows])
         measured = np.log(dataset.target()[rows])
         # A least-squares fit: its residuals are orthogonal to the constant.
         assert abs(np.sum(measured - predicted)) < 1e-9 * len(rows)
@@ -139,7 +139,7 @@ class TestRelativeTarget:
         for evaluation in report.evaluations:
             model = report._fitted_models[evaluation.model_name]
             assert evaluation.rmse == root_mean_squared_error(
-                y_test, np.exp(level + model.predict(X_test))
+                y_test, np.exp(model.predict(X_test)) * level
             )
             # Not the log-space error, which is larger than every runtime here.
             assert evaluation.rmse < y_test.max()
