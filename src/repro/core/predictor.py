@@ -40,7 +40,7 @@ the plain argmin when the minimum is unique).  The compiled kernel makes
 that pick in native code with the evaluation; the NumPy form is its
 oracle.  ``target`` says what the score is: ``"relative"`` (every install
 fits ``log(T(p) / T(p_max))``, the shape's speedup curve against its own
-max-thread runtime, and keeps a :class:`LevelHead` for ``log T(p_max)``;
+max-thread runtime, and keeps a :class:`LevelHead` for ``T(p_max)``;
 see :mod:`repro.core.selection`), ``"log"`` (``log(runtime)``, bundles
 written before the relative target) or ``"seconds"`` (bundles written
 before the log target).  A shape's level is one constant across its row,

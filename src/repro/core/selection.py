@@ -9,14 +9,15 @@ weigh relative error, which is what choosing a thread count needs; and
 with the per-shape level taken out, a model spends its capacity on how
 the runtime moves with the thread count, which is all a plan reads (a
 tree fitted to ``log(runtime)`` splits on size first and stays flat over
-wide runs of thread counts).  The level itself, ``log T(p_max)``, is one
-:class:`~repro.core.predictor.LevelHead` per routine, linear in the log
-dims and shared by every candidate.  A shape's level is constant along
-its row, so the winning :class:`~repro.core.predictor.ThreadPredictor`
-(``target="relative"``) plans on the raw model output.  A dataset with a
-shape never timed at the maximum thread count has no curve to fit; its
-candidates fit ``log(runtime)`` (``target="log"``) instead.  (The paper
-regresses runtime directly.)
+wide runs of thread counts).  The level itself, ``T(p_max)``, is one
+:class:`~repro.core.predictor.LevelHead` per routine, a power law in the
+dims fitted in log space and shared by every candidate.  A shape's level
+is constant along its row, so the winning
+:class:`~repro.core.predictor.ThreadPredictor` (``target="relative"``)
+plans on the raw model output.  A dataset with a shape never timed at the
+maximum thread count has no curve to fit; its candidates fit
+``log(runtime)`` (``target="log"``) instead.  (The paper regresses runtime
+directly.)
 
 For every candidate model the selection stage records
 
