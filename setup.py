@@ -14,6 +14,6 @@ setup(
     version="1.6.0",  # repro.__version__
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
     entry_points={"console_scripts": ["adsala = repro.cli:main"]},
 )

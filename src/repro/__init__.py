@@ -63,15 +63,32 @@ only wall-clock time, never results (same seeds -> same outputs):
   (batch gathering, end-to-end install, per-call prediction).
 """
 
-from repro.adaptive import AdaptationConfig, AdaptationController
-from repro.core.compiled import CompiledPredictor
-from repro.core.install import install_adsala, InstallationBundle
-from repro.core.runtime import AdsalaBlas, AdsalaRuntime
-from repro.core.predictor import ThreadPredictor
-from repro.machine import get_platform, list_platforms
-from repro.serving import ModelRegistry, ServingEngine, ShardedFrontend
+import importlib
 
 __version__ = "1.6.0"
+
+#: Public name -> the module that defines it, imported on first access.
+_EXPORTS = {
+    "install_adsala": "repro.core.install",
+    "InstallationBundle": "repro.core.install",
+    "AdsalaBlas": "repro.core.runtime",
+    "AdsalaRuntime": "repro.core.runtime",
+    "ThreadPredictor": "repro.core.predictor",
+    "CompiledPredictor": "repro.core.compiled",
+    "ModelRegistry": "repro.serving",
+    "ServingEngine": "repro.serving",
+    "ShardedFrontend": "repro.serving",
+    "AdaptationConfig": "repro.adaptive",
+    "AdaptationController": "repro.adaptive",
+    "get_platform": "repro.machine",
+    "list_platforms": "repro.machine",
+}
+
+#: Submodules reachable as attributes (``repro.serving``) without an import.
+_SUBMODULES = frozenset({
+    "adaptive", "blas", "cli", "core", "harness", "machine", "ml", "obs",
+    "parallel", "preprocessing", "routines", "serving",
+})
 
 __all__ = [
     "install_adsala",
@@ -89,3 +106,20 @@ __all__ = [
     "list_platforms",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import the module behind ``name`` on first access (PEP 562) and cache
+    the result in the package namespace, so later lookups never come here."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | _SUBMODULES)

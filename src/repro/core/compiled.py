@@ -265,6 +265,12 @@ def middle_of_ties(scores: np.ndarray) -> np.ndarray:
     NumPy fallback and of install-time scoring.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape[0] == 1:
+        # One plan: index its tied columns directly, at half the cost of the
+        # running count below; a NaN row has none and takes argmin's.
+        row = scores[0]
+        tied = np.flatnonzero(row == row.min())
+        return np.array([tied[(tied.size - 1) // 2] if tied.size else row.argmin()])
     # Running count of the ties along each row; the lower median of ``count``
     # ties is where it first reaches (count + 1) // 2.
     rank = np.cumsum(scores == scores.min(axis=1, keepdims=True), axis=1)

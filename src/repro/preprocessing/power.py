@@ -8,7 +8,6 @@ log-likelihood of the transformed values over λ.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "yeo_johnson_transform",
@@ -131,7 +130,14 @@ def _negative_log_likelihood(lmbda: float, x: np.ndarray) -> float:
 
 
 def estimate_lambda(x: np.ndarray, bracket: tuple[float, float] = (-3.0, 5.0)) -> float:
-    """MLE estimate of λ for one feature (bounded scalar minimisation)."""
+    """MLE estimate of λ for one feature (bounded scalar minimisation).
+
+    ``scipy.optimize`` is imported here, not at module level: only a fit
+    needs it, and loading it costs a fresh process about half a second
+    that planning and serving never use.
+    """
+    from scipy import optimize
+
     x = np.asarray(x, dtype=np.float64)
     if np.allclose(x, x[0]):
         return 1.0

@@ -55,7 +55,9 @@ def planted_ties(draw):
 @settings(max_examples=200, deadline=None)
 def test_a_planted_tie_picks_its_lower_median(planted):
     row, expected = planted
-    assert middle_of_ties(row[None, :]).tolist() == [expected]
+    assert middle_of_ties(row[None, :]).tolist() == [expected]  # the one-row form
+    batch = np.stack([np.arange(row.size, 0.0, -1.0), row])  # the batch form
+    assert middle_of_ties(batch).tolist() == [row.size - 1, expected]
 
 
 @given(
@@ -68,11 +70,15 @@ def test_untied_rows_are_argmin(n_rows, n_cols, seed):
     scores = np.random.default_rng(seed).permutation(n_rows * n_cols).reshape(n_rows, n_cols)
     scores = scores.astype(np.float64) * 0.25 - 7.0
     assert middle_of_ties(scores).tolist() == scores.argmin(axis=1).tolist()
+    assert [middle_of_ties(row[None, :]).item() for row in scores] == scores.argmin(axis=1).tolist()
 
 
 def test_a_nan_row_keeps_argmins_first_nan():
     scores = np.array([[2.0, np.nan, 1.0, 1.0, np.nan], [np.nan, 0.0, 0.0, 0.0, 3.0]])
     assert middle_of_ties(scores).tolist() == scores.argmin(axis=1).tolist() == [1, 0]
+    for row, expected in (([2.0, np.nan, 1.0, 1.0, np.nan], 1), ([np.nan, np.nan, np.nan], 0)):
+        single = np.array([row])
+        assert middle_of_ties(single).tolist() == single.argmin(axis=1).tolist() == [expected]
 
 
 #: Few distinct values (both zeros among them), so most rows tie somewhere.

@@ -9,6 +9,7 @@ the native-call count is zero and every other count still holds; under
 group, so the file cannot pass vacuously on the NumPy path.
 """
 
+import gc
 import os
 import sys
 
@@ -85,7 +86,12 @@ class _Counts:
 
 
 def _profiled(call):
-    """Run ``call``; return its result and the names of the events it made."""
+    """Run ``call``; return its result and the names of the events it made.
+
+    The collector is emptied first and held off during the call: a garbage
+    collection landing inside it would add the events of whatever GC
+    callbacks earlier tests left installed (hypothesis installs one).
+    """
     events = []
 
     def profile(frame, event, arg):
@@ -94,11 +100,16 @@ def _profiled(call):
         elif event == "c_call":
             events.append(arg.__qualname__)
 
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         result = call()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return result, events[:-1]  # the last event is the closing sys.setprofile
 
 
