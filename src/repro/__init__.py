@@ -24,6 +24,13 @@ BLAS Level 3 on Modern Multi-Core Systems" (Xia & Barca, 2024).  It contains
 * :mod:`repro.harness` — drivers that regenerate every table and figure of
   the paper's evaluation section.
 
+Importing the package imports none of these.  The names of ``__all__``
+and the subpackages above (``repro.serving``, ...) are each imported on
+first access and then kept in the package namespace, so a process pays
+only for what it calls: planning from a saved bundle never loads the
+adaptation loop or SciPy, and ``adsala --help`` loads neither serving nor
+the installer.
+
 Quickstart
 ----------
 >>> from repro import install_adsala, AdsalaBlas

@@ -69,8 +69,9 @@ def test_a_planted_tie_picks_its_lower_median(planted):
 def test_untied_rows_are_argmin(n_rows, n_cols, seed):
     scores = np.random.default_rng(seed).permutation(n_rows * n_cols).reshape(n_rows, n_cols)
     scores = scores.astype(np.float64) * 0.25 - 7.0
-    assert middle_of_ties(scores).tolist() == scores.argmin(axis=1).tolist()
-    assert [middle_of_ties(row[None, :]).item() for row in scores] == scores.argmin(axis=1).tolist()
+    argmins = scores.argmin(axis=1).tolist()
+    assert middle_of_ties(scores).tolist() == argmins
+    assert [middle_of_ties(row[None, :]).item() for row in scores] == argmins
 
 
 def test_a_nan_row_keeps_argmins_first_nan():
