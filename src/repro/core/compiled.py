@@ -30,7 +30,9 @@ buffers:
   one C call, passing the record's address and the shape count, that
   fills the feature grid, applies the fused preprocessing (Yeo-Johnson
   then one affine, each column transformed only where its input varies
-  and copied elsewhere), runs the single stacked ensemble descent and,
+  and copied elsewhere; the shape-free ``nt`` column is transformed once
+  per predictor, by the bound call's first use, and copied into every
+  grid after), runs the single stacked ensemble descent and,
   for AdaBoost, takes the weighted median of each row — then picks each
   shape's thread count (:func:`middle_of_ties`, in C: inside the call
   where it wrote the final scores, as a second bound call after Python
@@ -436,7 +438,23 @@ class CompiledPredictor:
             return scores, middle_of_ties(scores).tolist()
         if self._selfcheck_pending:
             return self._run_selfcheck(dims_list)
-        return self._choose_fused(dims_list)
+        # One native call over the whole evaluate span (and, where Python
+        # finishes the scores, the bound pick); the scores are an owned
+        # array, never a view of the reused output buffer.
+        n_shapes = self._call_fused(dims_list)
+        mode = self._native_mode
+        rows = n_shapes * self.candidate_threads.size
+        if mode == 3:
+            scores = self._finish_median(n_shapes, rows)
+        elif self._pick_in_call:  # a single tree, a fold: out is the score
+            scores = self._out[:rows].copy()
+        else:
+            if mode == 2:
+                scores = numpy_scores(self._model_kernel, self._writer.grid_view(n_shapes))
+            else:  # forest-mean
+                scores = self._out[: self._out_width * rows].reshape(-1, rows).mean(axis=0)
+            self._pick_native(scores, n_shapes)
+        return scores.reshape(n_shapes, -1), self._choice[:n_shapes].tolist()
 
     def _predict_numpy(self, dims_list) -> np.ndarray:
         """The fallback: the three stages as NumPy expressions."""
@@ -474,25 +492,6 @@ class CompiledPredictor:
         """Native fill + transform only (mode 2): the transformed grid, as a
         view of the writer's buffer."""
         return self._writer.grid_view(self._call_fused(dims_list))
-
-    def _choose_fused(self, dims_list) -> tuple:
-        """One native call over the whole evaluate span (and, where Python
-        finishes the scores, the bound pick); the scores are an owned array,
-        never a view of the reused output buffer."""
-        n_shapes = self._call_fused(dims_list)
-        mode = self._native_mode
-        rows = n_shapes * self.candidate_threads.size
-        if mode == 3:
-            scores = self._finish_median(n_shapes, rows)
-        elif self._pick_in_call:  # a single tree, a fold: out is the score
-            scores = self._out[:rows].copy()
-        else:
-            if mode == 2:
-                scores = numpy_scores(self._model_kernel, self._writer.grid_view(n_shapes))
-            else:  # forest-mean
-                scores = self._out[: self._out_width * rows].reshape(-1, rows).mean(axis=0)
-            self._pick_native(scores, n_shapes)
-        return scores.reshape(n_shapes, -1), self._choice[:n_shapes].tolist()
 
     def _pick_native(self, scores: np.ndarray, n_shapes: int) -> None:
         """The bound pick over flat scores Python finished."""
@@ -541,7 +540,7 @@ class CompiledPredictor:
             choices = self._choice[:n_shapes].tolist()
             agree = fused.tobytes() == transformed.tobytes()
         else:
-            predictions, choices = self._choose_fused(dims_list)
+            predictions, choices = self.choose_batch(dims_list)  # no longer pending
             reference = self._predict_numpy(dims_list).reshape(n_shapes, -1)
             agree = np.array_equal(predictions, reference)
         reference_choices = middle_of_ties(reference).tolist()

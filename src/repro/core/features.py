@@ -316,6 +316,9 @@ class FeatureGridWriter:
         self._dims_scratch = np.empty(
             (capacity, self.spec.n_dims), dtype=np.float64
         )
+        # The scratch as one flat float64 view: a cell store through it is a
+        # third cheaper than NumPy's two-index setitem.
+        self._dims_flat = memoryview(self._dims_scratch).cast("B").cast("d")
         self._capacity = capacity
 
     def _bases(self, dim_values: np.ndarray) -> tuple:
@@ -369,6 +372,7 @@ class FeatureGridWriter:
         if n_shapes > self._capacity:
             self._reserve(n_shapes)
         values = self._dims_scratch
+        flat = self._dims_flat
         dim_names = self.spec.dim_names
         n_dims = len(dim_names)
         for i, dims in enumerate(dims_list):
@@ -376,14 +380,14 @@ class FeatureGridWriter:
             # ints) — the serving engine always sends these.  Anything else
             # takes the full dims_from_args validation for its exact errors.
             if len(dims) == n_dims:
-                ok = True
-                for j, name in enumerate(dim_names):
+                cell = i * n_dims
+                for name in dim_names:
                     value = dims.get(name)
                     if type(value) is not int or value < 1:
-                        ok = False
                         break
-                    values[i, j] = value
-                if ok:
+                    flat[cell] = value
+                    cell += 1
+                else:
                     continue
             normalized = self.spec.dims_from_args(**dims)
             for j, name in enumerate(dim_names):

@@ -71,6 +71,9 @@ from repro.preprocessing.pipeline import PreprocessingPipeline
 
 __all__ = ["LevelHead", "PredictionPlan", "ThreadPredictor", "TARGETS"]
 
+#: ``cache.get`` default: a key the LRU does not hold (``None`` is a placeholder).
+_ABSENT = object()
+
 #: What a predictor's model output means: log-runtime relative to the
 #: shape's max-thread runtime, log-seconds, or seconds.
 TARGETS = ("relative", "log", "seconds")
@@ -137,14 +140,14 @@ class PredictionPlan:
     from_cache: bool
 
     def __init__(self, routine, dims, threads, predicted_time, from_cache):
-        # Written out like ExecutionPlan's: two per evaluated shape (the fresh
-        # plan and its cached twin) on the miss path.
-        put = object.__setattr__
-        put(self, "routine", routine)
-        put(self, "dims", dims)
-        put(self, "threads", threads)
-        put(self, "predicted_time", predicted_time)
-        put(self, "from_cache", from_cache)
+        # Written to the instance dict, like ExecutionPlan's: one per
+        # evaluated shape (its cached twin) on the serving miss path.
+        state = self.__dict__
+        state["routine"] = routine
+        state["dims"] = dims
+        state["threads"] = threads
+        state["predicted_time"] = predicted_time
+        state["from_cache"] = from_cache
 
 
 class ThreadPredictor:
@@ -314,28 +317,39 @@ class ThreadPredictor:
 
         This is the sequential oracle :meth:`plan_batch` is held to.
         """
-        key = self.cache_key(dims)
+        twin, from_cache = self._plan_one(dims, self.cache_key(dims), use_cache)
+        if from_cache:
+            return twin
+        return PredictionPlan(twin.routine, twin.dims, twin.threads, twin.predicted_time, False)
+
+    def _plan_one(self, dims: Dict[str, int], key: tuple, use_cache: bool) -> tuple:
+        """One shape's plan in its cached form, and whether it was a hit —
+        :meth:`plan` and a one-shape :meth:`cached_plans`."""
+        cache = self._cache
         if use_cache:
-            cached = self._cache.get(key)
+            cached = cache.get(key)
             if cached is not None:
-                self._cache.move_to_end(key)
+                cache.move_to_end(key)
                 self.n_cache_hits += 1
-                return cached
-        scores, (best_idx,) = self.choose_batch([dims])
+                return cached, True
+        scores, (best,) = self.choose_batch([dims])
         if use_cache:
             self.n_cache_misses += 1
-        threads = self.candidate_threads[best_idx]
-        predicted = float(scores[0, best_idx])
-        if self.target != "seconds":
-            predicted = math.exp(predicted)
-            if self.level is not None:
-                predicted *= self.level(dims)
+        twin = cache[key] = self._twin(dims, scores.item(0, best), best)
+        cache.move_to_end(key)
+        while len(cache) > self.cache_capacity:
+            cache.popitem(last=False)
+        return twin, False
+
+    def _twin(self, dims: Dict[str, int], score: float, best: int) -> PredictionPlan:
+        """The plan of a shape whose evaluation chose column ``best`` at
+        ``score``, in its cached form: the dims copied, the score in seconds."""
         dims = dict(dims)
-        self._cache[key] = PredictionPlan(self.routine, dims, threads, predicted, True)
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_capacity:
-            self._cache.popitem(last=False)
-        return PredictionPlan(self.routine, dims, threads, predicted, False)
+        if self.target != "seconds":
+            score = math.exp(score)
+            if self.level is not None:
+                score *= self.level(dims)
+        return PredictionPlan(self.routine, dims, self.candidate_threads[best], score, True)
 
     def predict_threads(self, dims: Dict[str, int], use_cache: bool = True) -> int:
         """Convenience wrapper returning only the chosen thread count."""
@@ -372,6 +386,35 @@ class ThreadPredictor:
         :meth:`cache_key` tuples when the caller already holds them (a
         :class:`~repro.serving.engine.PlanRequest` does).
 
+        :meth:`cached_plans` does the work; a plan that was no hit is its
+        cached twin with ``from_cache=False``, one per distinct shape.
+        """
+        twins, hit = self.cached_plans(dims_list, use_cache, keys)
+        fresh: Dict[int, PredictionPlan] = {}
+        plans = []
+        for twin, from_cache in zip(twins, hit):
+            if not from_cache:
+                plan = fresh.get(id(twin))
+                if plan is None:
+                    plan = fresh[id(twin)] = PredictionPlan(
+                        twin.routine, twin.dims, twin.threads, twin.predicted_time, False
+                    )
+                twin = plan
+            plans.append(twin)
+        return plans
+
+    def cached_plans(
+        self,
+        dims_list: Sequence[Dict[str, int]],
+        use_cache: bool = True,
+        keys: Sequence[tuple] | None = None,
+    ) -> tuple:
+        """:meth:`plan_batch` as the serving engine needs it: every shape's
+        plan in its cached (``from_cache=True``) form, and the list of
+        ``from_cache`` flags :meth:`plan_batch` returns, with the same
+        counters and final cache contents.  The engine reads the threads and
+        the flags, so no ``from_cache=False`` plan is built.
+
         One pass replays the sequential timeline on the LRU itself.  A miss
         takes its slot at once, as a ``None`` placeholder the evaluation
         fills in place, so every later request of the group meets the hit /
@@ -384,48 +427,58 @@ class ThreadPredictor:
         group touched or evicted on its way stay touched or evicted.
         """
         key_of = [self.cache_key(dims) for dims in dims_list] if keys is None else keys
+        if len(key_of) == 1:  # the whole timeline is one plan() call
+            twin, from_cache = self._plan_one(dims_list[0], key_of[0], use_cache)
+            return [twin], [from_cache]
         cache = self._cache
-        if use_cache:
-            # Probe first.  With every key already cached nothing is inserted,
-            # so nothing is evicted: the sequential answer is the cached
-            # plans, touched in request order.
-            try:
-                plans = [cache[key] for key in key_of]
-            except KeyError:
-                pass  # a miss: replay the timeline below
-            else:
-                for key in key_of:
-                    cache.move_to_end(key)
-                self.n_cache_hits += len(plans)
-                return plans
-        capacity = self.cache_capacity
         plans: list = []
-        pending: Dict[tuple, Dict[str, int]] = {}  # distinct shapes to evaluate
-        owed = []  # (slot, key, from_cache) of the plans the evaluation fills in
-        hits = 0
-        for dims, key in zip(dims_list, key_of):
+        if use_cache:
+            # The hits up to the first miss, touched as a plan() loop touches
+            # them.  With every key cached nothing is inserted, so nothing is
+            # evicted: the sequential answer is the cached plans.
+            probe, touch = cache.get, cache.move_to_end
+            for key in key_of:
+                cached = probe(key)
+                if cached is None:
+                    break
+                touch(key)
+                plans.append(cached)
+            if len(plans) == len(key_of):
+                self.n_cache_hits += len(plans)
+                return plans, [True] * len(plans)
+        hits = len(plans)
+        flags = [True] * hits
+        capacity = self.cache_capacity
+        # Distinct shape key -> [its dims, then the slots its plan fills].
+        pending: Dict[tuple, list] = {}
+        for slot in range(hits, len(key_of)):
+            key = key_of[slot]
+            cached = cache.get(key, _ABSENT)
             from_cache = False
-            if key in cache:
-                cache.move_to_end(key)
-                if use_cache:
-                    hits += 1
-                    cached = cache[key]
-                    if cached is not None:
-                        plans.append(cached)
-                        continue
-                    from_cache = True  # the placeholder of this group's own miss
-            else:
+            if cached is _ABSENT:
                 cache[key] = None
                 while len(cache) > capacity:
                     cache.popitem(last=False)
-            if key not in pending:
-                pending[key] = dims
-            owed.append((len(plans), key, from_cache))
+            else:
+                cache.move_to_end(key)
+                if use_cache:
+                    hits += 1
+                    if cached is not None:
+                        plans.append(cached)
+                        flags.append(True)
+                        continue
+                    from_cache = True  # the placeholder of this group's own miss
+            owed = pending.get(key)
+            if owed is None:
+                pending[key] = [dims_list[slot], slot]
+            else:
+                owed.append(slot)
             plans.append(None)
-        if not owed:  # an empty group
-            return plans
+            flags.append(from_cache)
+        if not pending:  # an empty group
+            return plans, flags
         try:
-            scores, choices = self.choose_batch(list(pending.values()))
+            scores, choices = self.choose_batch([owed[0] for owed in pending.values()])
         except BaseException:
             for key in pending:
                 if key in cache and cache[key] is None:
@@ -434,27 +487,14 @@ class ThreadPredictor:
         if use_cache:
             self.n_cache_hits += hits
             self.n_cache_misses += len(plans) - hits
-        routine = self.routine
-        candidates = self.candidate_threads
         score_at = scores.item
-        exp = math.exp if self.target != "seconds" else None
-        level = self.level
-        fresh = {}
-        for slot, (best, (key, dims)) in enumerate(zip(choices, pending.items())):
-            dims = dict(dims)
-            threads = candidates[best]
-            predicted = score_at(slot, best)
-            if exp is not None:
-                predicted = exp(predicted)
-                if level is not None:
-                    predicted *= level(dims)
-            twin = PredictionPlan(routine, dims, threads, predicted, True)
+        for row, (best, (key, owed)) in enumerate(zip(choices, pending.items())):
+            twin = self._twin(owed[0], score_at(row, best), best)
             if key in cache:  # unless evicted again inside the group
                 cache[key] = twin
-            fresh[key] = (PredictionPlan(routine, dims, threads, predicted, False), twin)
-        for slot, key, from_cache in owed:
-            plans[slot] = fresh[key][from_cache]
-        return plans
+            for index in range(1, len(owed)):
+                plans[owed[index]] = twin
+        return plans, flags
 
     def clear_cache(self) -> None:
         self._cache.clear()

@@ -154,17 +154,18 @@ class ExecutionPlan:
 
     def __init__(self, routine, dims, threads, predicted_time, baseline_time, from_cache,
                  fallback_from=None, policy="installed"):
-        # Written out (the generated one would reach the two view slots through
-        # a descriptor ``__set__`` per plan): this is the per-plan hot path.
-        put = object.__setattr__
-        put(self, "routine", routine)
-        put(self, "dims", dims)
-        put(self, "threads", threads)
-        put(self, "_predicted_time", predicted_time)
-        put(self, "_baseline_time", baseline_time)
-        put(self, "from_cache", from_cache)
-        put(self, "fallback_from", fallback_from)
-        put(self, "policy", policy)
+        # Written to the instance dict (the generated one would reach the two
+        # view slots through a descriptor ``__set__`` and every field through
+        # ``object.__setattr__``): this is the per-plan hot path.
+        state = self.__dict__
+        state["routine"] = routine
+        state["dims"] = dims
+        state["threads"] = threads
+        state["_predicted_time"] = predicted_time
+        state["_baseline_time"] = baseline_time
+        state["from_cache"] = from_cache
+        state["fallback_from"] = fallback_from
+        state["policy"] = policy
 
     def __reduce__(self):
         return ExecutionPlan, tuple(getattr(self, f.name) for f in fields(self))

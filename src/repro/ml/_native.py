@@ -6,9 +6,9 @@ One shared object, compiled on first use, covers the whole
 (``grow_cart`` / ``grow_newton`` / ``grow_hist``, see ``_GROWER_SOURCE``,
 :class:`BoundGrower` and :class:`BoundHistGrower`: one whole tree per
 call, bit-identical to the node-at-a-time oracles in :mod:`repro.ml.tree`
-and :mod:`repro.ml.boosting`, which a load-time probe checks —
-:func:`_verify_growers` — dropping only the growers on a mismatch).  For
-the evaluate span Python binds three entry points:
+and :mod:`repro.ml.boosting`, which a probe checks at the growers' first
+use — :func:`_verify_growers`, dropping only the growers on a mismatch).
+For the evaluate span Python binds three entry points:
 
 ``fused_evaluate``
     **The production path.**  Chains feature fill → fused Yeo-Johnson +
@@ -24,10 +24,14 @@ the evaluate span Python binds three entry points:
       bit-identical;
     * the transform goes **by column kind**: a ``base / nt`` column (kind
       2) is transformed over every grid row, a ``base`` column (kind 1)
-      once per shape and copied down the shape's thread rows, an ``nt``
-      column (kind 0) over the first shape's rows and copied across the
-      shapes — the same ``transform_column`` on the same operands, a third
-      (many shapes) to a half (one shape) as many of them;
+      once per shape and copied down the shape's thread rows, and an
+      ``nt`` column (kind 0) once per bound record — its first call fills
+      the record's ``nt_table`` and every call's fill copies from it —
+      the same ``transform_column`` on the same operands, a third (many
+      shapes) to a half (one shape) as many of them and none per call for
+      the ``nt`` columns.  A block of eight non-negative lanes of a
+      non-log ``pow`` branch takes the lanes' own operations without their
+      per-lane dispatch;
     * ``model_mode`` picks the tail: 0 = per-tree leaf matrix (single
       trees and forests), 1 = boosted fold, 2 = stop after the transform
       (linear and opaque models finish in Python on the same grid), 3 =
@@ -104,6 +108,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import types
 from pathlib import Path
 
@@ -331,8 +336,28 @@ static void transform_column(double *x,
     const int pos_op = pos_log ? OP_POW : op_for_exponent(pos_e);
     const int neg_op = neg_log ? OP_POW : op_for_exponent(neg_e);
 
+    /* A block of eight non-negative lanes of a non-log pow branch (most
+     * base / nt columns) takes the lanes' own operations without their
+     * per-lane dispatch: t = x + 1, pow(t, lam), (p - 1) / lam, the affine. */
+    const int block_pow = !pos_log && pos_op == OP_POW;
     for (int64_t r0 = 0; r0 < n_rows; r0 += LANES) {
         const int64_t live = n_rows - r0 < LANES ? n_rows - r0 : LANES;
+        if (block_pow && live == LANES) {
+            double tb[LANES], eb[LANES], pb[LANES];
+            int positive = 1;
+            for (int l = 0; l < LANES; ++l) {
+                const double xv = x[(r0 + l) * stride];
+                positive &= xv >= 0.0;
+                tb[l] = xv + 1.0;
+                eb[l] = pos_e;
+            }
+            if (positive) {
+                vec_pow8(tb, eb, pb);
+                for (int l = 0; l < LANES; ++l)
+                    x[(r0 + l) * stride] = ((pb[l] - 1.0) / pos_e - shift) / scale;
+                continue;
+            }
+        }
         double v[LANES], t[LANES], p[LANES], y[LANES];
         double tin[LANES], ein[LANES], lin[LANES];
         double powres[LANES], logres[LANES];
@@ -404,7 +429,9 @@ static void transform_column(double *x,
  *
  *   kind 2 (base / nt): every row;
  *   kind 1 (base)     : each shape's first row, copied down its other rows;
- *   kind 0 (nt)       : the first shape's rows, copied across the shapes.
+ *   kind 0 (nt)       : not at all: feature_fill copied them from the
+ *                       record's nt table, transformed once per bound
+ *                       record (bind_nt_table).
  *
  * The copied cells held the very operand the transformed cell had, and
  * transform_column is lane-independent (the load-time probe checks that
@@ -437,14 +464,6 @@ static void transform_grid(double *x,
                 for (int64_t th = 1; th < n_threads; ++th)
                     first[th * n_cols] = *first;
             }
-        } else {
-            transform_column(col, n_threads, n_cols, has_lambdas,
-                             lam, shift[j], scale[j]);
-            for (int64_t s = 1; s < n_shapes; ++s) {
-                double *shape = col + s * shape_stride;
-                for (int64_t th = 0; th < n_threads; ++th)
-                    shape[th * n_cols] = col[th * n_cols];
-            }
         }
     }
 }
@@ -472,7 +491,8 @@ void fused_transform(double *x,
  *          [base_off[b], base_off[b+1]) left-to-right; each term is
  *          term_coef[t] * d[f0] * d[f1] * ... over term_fac[t*3 + q]
  *          factor indices (-1 padded), multiplied left-to-right.
- *   columns: col_kind 0 -> nt, 1 -> bases[col_base], 2 -> bases / nt.
+ *   columns: col_kind 0 -> nt_table's cell (the nt column, already
+ *            transformed), 1 -> bases[col_base], 2 -> bases / nt.
  *
  * The grid is row-major (n_shapes * n_threads, n_cols), threads varying
  * fastest — exactly the writer's layout.
@@ -488,6 +508,7 @@ static void feature_fill(const double *dims,
                   int64_t n_shapes,
                   int64_t n_dims,
                   const double *nt,
+                  const double *nt_table,
                   int64_t n_threads,
                   const int64_t *base_off,
                   int64_t n_bases,
@@ -515,11 +536,12 @@ static void feature_fill(const double *dims,
         double *row = grid + s * n_threads * n_cols;
         for (int64_t th = 0; th < n_threads; ++th) {
             const double ntv = nt[th];
+            const double *table_row = nt_table + th * n_cols;
             double *cell = row + th * n_cols;
             for (int64_t c = 0; c < n_cols; ++c) {
                 const int64_t kind = col_kind[c];
                 if (kind == 0)
-                    cell[c] = ntv;
+                    cell[c] = table_row[c];
                 else if (kind == 1)
                     cell[c] = bases[col_base[c]];
                 else
@@ -680,13 +702,36 @@ typedef struct {
     const double *scores;  /* final scores Python finished ...      */
     int64_t *choice;       /* ... and one picked column per shape    */
     int64_t pick_in_call;
+    double *nt_table;      /* (n_threads, n_cols): transformed nt ... */
+    int64_t nt_bound;      /* ... columns, once filled by the call    */
 } evaluate_args;
+
+/* The nt columns (kind 0) do not depend on the shape: the first call of a
+ * bound record transforms them once, into nt_table, exactly as a call's
+ * own transform would have (the same transform_column over the same
+ * n_threads operands at the same stride), and every call copies them. */
+static void bind_nt_table(evaluate_args *a)
+{
+    double *table = a->nt_table;
+    for (int64_t j = 0; j < a->n_cols; ++j) {
+        if (a->col_kind[j] != 0)
+            continue;
+        for (int64_t th = 0; th < a->n_threads; ++th)
+            table[th * a->n_cols + j] = a->nt[th];
+        transform_column(table + j, a->n_threads, a->n_cols, a->has_lambdas,
+                         a->has_lambdas ? a->lambdas[j] : 0.0, a->shift[j],
+                         a->scale[j]);
+    }
+    a->nt_bound = 1;
+}
 
 void fused_evaluate(evaluate_args *a, int64_t n_shapes)
 {
-    feature_fill(a->dims, n_shapes, a->n_dims, a->nt, a->n_threads,
-                 a->base_off, a->n_bases, a->term_coef, a->term_fac,
-                 a->col_kind, a->col_base, a->n_cols, a->grid);
+    if (!a->nt_bound)
+        bind_nt_table(a);
+    feature_fill(a->dims, n_shapes, a->n_dims, a->nt, a->nt_table,
+                 a->n_threads, a->base_off, a->n_bases, a->term_coef,
+                 a->term_fac, a->col_kind, a->col_base, a->n_cols, a->grid);
     transform_grid(a->grid, n_shapes, a->n_threads, a->n_cols, a->col_kind,
                    a->has_lambdas, a->lambdas, a->shift, a->scale);
     if (a->model_mode == 2)
@@ -1586,22 +1631,49 @@ class NativeKernels:
     bit-exactness probe, ``grow_cart``, ``grow_newton`` and ``grow_hist``
     when the growers failed theirs (``growers_reason`` says why; it is
     empty when they passed).
+
+    Only installs grow trees, so the growers' probe runs at their first
+    use — the first read of any of those four attributes, or
+    :meth:`verify_growers` — not at load: a planning or serving process
+    never pays for it.
     """
+
+    GROWERS = ("grow_cart", "grow_newton", "grow_hist")
 
     def __init__(self, library: str):
         self.library = library
         self.descent = None
         self.fused_transform = None
         self.fused_evaluate = None
-        self.grow_cart = None
-        self.grow_newton = None
-        self.grow_hist = None
         self.pairwise_sum = None
         self.svml_bridged = False
         self.transform_verified = False
-        self.growers_reason = ""
         self._lib = None  # strong ref: keeps the dlopen handle alive
         self._numpy_cdll = None  # strong ref: SVML symbols' home
+        self._unverified = None  # the bound growers, until their probe ran
+        self._growers_lock = threading.Lock()
+
+    def verify_growers(self) -> str:
+        """Run the growers' probe if it has not run, binding ``grow_cart``,
+        ``grow_newton``, ``grow_hist`` and ``growers_reason``; returns the
+        reason (``""`` when they passed)."""
+        with self._growers_lock:
+            if "growers_reason" not in self.__dict__:
+                growers = self._unverified
+                reason = _verify_growers(types.SimpleNamespace(**dict(zip(self.GROWERS, growers))))
+                # On a mismatch only the growers go: trees grow through the oracle.
+                for name, grower in zip(self.GROWERS, growers):
+                    setattr(self, name, None if reason else grower)
+                self._unverified = None
+                self.growers_reason = reason
+        return self.growers_reason
+
+    def __getattr__(self, name: str):
+        # Reached only while the growers are unbound: their first read runs the probe.
+        if name in self.GROWERS or name == "growers_reason":
+            self.verify_growers()
+            return self.__dict__[name]
+        raise AttributeError(name)
 
 
 def load_kernels() -> NativeKernels | None:
@@ -1659,12 +1731,9 @@ def _load_kernels_impl() -> NativeKernels | None:
         kernels.fused_evaluate = None
 
     kernels.pairwise_sum = _make_sum_wrapper(lib.pairwise_sum)
-    kernels.grow_cart, kernels.grow_newton, kernels.grow_hist = _bind_growers(lib)
-    # The growers answer to the reference growers alone: on a mismatch
-    # only they are dropped (trees then grow through the oracle).
-    kernels.growers_reason = _verify_growers(kernels)
-    if kernels.growers_reason:
-        kernels.grow_cart = kernels.grow_newton = kernels.grow_hist = None
+    # The growers answer to the reference growers alone, probed at their
+    # first use (NativeKernels.verify_growers).
+    kernels._unverified = _bind_growers(lib)
     return kernels
 
 
@@ -1727,6 +1796,8 @@ class _EvaluateArgs(ctypes.Structure):
         ("scores", _DOUBLE_P),
         ("choice", _INT64_P),
         ("pick_in_call", ctypes.c_int64),
+        ("nt_table", _DOUBLE_P),
+        ("nt_bound", ctypes.c_int64),
     ]
 
 
@@ -2005,6 +2076,8 @@ class BoundEvaluate:
             if not isinstance(weights, np.ndarray) or weights.shape != (n_trees,):
                 raise TypeError(f"weights must hold one value per tree in mode 3, got {weights!r}")
             order = np.empty(n_trees, dtype=np.int64)  # the median's sort scratch
+        # The transformed nt columns, filled by the first call (bind_nt_table).
+        nt_table = np.empty((nt.shape[0], program.col_kind.shape[0]))
         self._fn = fn
         self._pick = pick
         self.record = _EvaluateArgs(  # dims, grid, out, median, scores, choice: point()
@@ -2031,9 +2104,12 @@ class BoundEvaluate:
             weights=_pointer("weights", weights, _F64, 1),
             order=_pointer("order", order, _I64, 1),
             pick_in_call=1 if pick_in_call else 0,
+            nt_table=_pointer("nt_table", nt_table, _F64, 2),
         )
         self._address = ctypes.addressof(self.record)
-        self._keep = (program, nt, lambdas, shift, scale, roots, depths, nodes, weights, order)
+        self._keep = (
+            program, nt, lambdas, shift, scale, roots, depths, nodes, weights, order, nt_table,
+        )  # fmt: skip
         self.buffers = (None,) * 6  # what point() last cast; kept alive
 
     def point(

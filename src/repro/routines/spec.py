@@ -156,10 +156,10 @@ class RoutineSpec:
                 extra = [d for d in kwargs if d not in self.dim_names]
                 raise ValueError(f"{self.name} got unexpected dimensions: {extra}")
         for key, value in dims.items():
-            value = int(value)
+            if value.__class__ is not int:
+                value = dims[key] = int(value)
             if value < 1:
                 raise ValueError(f"Dimension {key} must be positive, got {value}")
-            dims[key] = value
         return dims
 
     def dim_bounds(self, name: str) -> Optional[Tuple[int, int]]:

@@ -18,13 +18,17 @@ first reads them (:class:`~repro.core.runtime.ExecutionPlan`):
    before it returns,
 2. :meth:`ServingEngine.execute` splits them into micro-batches of at most
    ``max_batch_size`` requests,
-3. one loop over the batch routes and groups it: each distinct routine goes
-   through the :class:`~repro.serving.fallback.FallbackChain` once, and its
-   requests join the planning group of the model that resolution names,
+3. one loop over the batch routes and groups it: each requested routine goes
+   through the :class:`~repro.serving.fallback.FallbackChain` once per source
+   generation — its route (resolution, predictor, telemetry row) is kept until
+   the source reloads (:meth:`ServingEngine.reload_source`, or a
+   ``ModelRegistry.refresh()`` of the handle) — and its requests join the
+   planning group of the model that route names,
 4. each group pays for itself once — one
-   :meth:`~repro.core.predictor.ThreadPredictor.plan_batch` pass over the
+   :meth:`~repro.core.predictor.ThreadPredictor.cached_plans` pass over the
    predictor's LRU (a miss takes its slot as a placeholder that the group's
-   **one** batched evaluation fills), one walk that hands every plan its two
+   **one** batched evaluation fills; the engine reads the cached plans' thread
+   counts and builds no other), one walk that hands every plan its two
    deferred timing rows (memoised cells, or one pending set per group that
    a first read times in one batched pass), one telemetry record —
    bit-identical to the scalar path, so a micro-batch returns exactly the
@@ -89,13 +93,14 @@ class PlanRequest:
     deadline: Optional[float] = None
 
     def __init__(self, request_id, routine, dims, dims_key, deadline=None):
-        # Written out like ExecutionPlan's: one per request on the hot path.
-        put = object.__setattr__
-        put(self, "request_id", request_id)
-        put(self, "routine", routine)
-        put(self, "dims", dims)
-        put(self, "dims_key", dims_key)
-        put(self, "deadline", deadline)
+        # Written to the instance dict (the generated one goes through
+        # object.__setattr__ per field): one per request on the hot path.
+        state = self.__dict__
+        state["request_id"] = request_id
+        state["routine"] = routine
+        state["dims"] = dims
+        state["dims_key"] = dims_key
+        state["deadline"] = deadline
 
 
 def normalize_request(
@@ -115,6 +120,22 @@ def normalize_request(
     return PlanRequest(
         request_id, prefix + base, normalized, tuple(sorted(normalized.items())), deadline
     )
+
+
+class _Route:
+    """Where one requested routine key goes under one source generation: its
+    fallback resolution, plus what the first group served through it looks
+    up — the serving predictor and the routine's telemetry row."""
+
+    __slots__ = ("key", "heuristic", "group", "fallback_from", "policy", "predictor", "telemetry")
+
+    def __init__(self, resolution):
+        self.key = resolution.key
+        self.heuristic = resolution.heuristic
+        self.group = (self.key, self.heuristic)
+        self.fallback_from = resolution.fallback_from
+        self.policy = resolution.policy
+        self.predictor = self.telemetry = None
 
 
 class ServingEngine:
@@ -178,6 +199,9 @@ class ServingEngine:
         # allocation never touches the engine lock.
         self._request_ids = itertools.count()
         self._touched_routines: set[str] = set()
+        # Requested routine key -> _Route, for the source generation named by
+        # _routes_generation (see _routes_now).
+        self._new_generation(getattr(source, "manifest", None))
         self._lock = threading.RLock()
         # In-memory bundles hold every predictor already; compile their
         # fused kernels up front so no request pays the one-off build cost.
@@ -253,6 +277,27 @@ class ServingEngine:
         )
 
     # -- batch processing ------------------------------------------------------------
+    def _routes_now(self) -> Dict[str, "_Route"]:
+        """The route entries of the source's current generation.
+
+        A :class:`~repro.serving.registry.BundleHandle` reads its manifest
+        into a new dict on every reload — through :meth:`reload_source`, or
+        a ``ModelRegistry.refresh()`` behind this engine's back — so the
+        manifest's identity names the generation; an in-memory bundle has no
+        manifest and never changes its routines.
+        """
+        generation = getattr(self.source, "manifest", None)
+        if generation is not self._routes_generation:
+            self._new_generation(generation)
+        return self._routes
+
+    def _new_generation(self, generation) -> None:
+        """Forget every route and the platform's thread ceiling (the
+        heuristic plan and every baseline row), re-read by the next batch."""
+        self._routes: Dict[str, _Route] = {}
+        self._routes_generation = generation
+        self._max_threads: Optional[int] = None
+
     def _timing_cells(self, key: str, members, threads, max_threads: int) -> List[TimingCell]:
         """Deferred runtimes of one group, memoised: two cells per member, the
         row at its chosen thread count and the row at ``max_threads``.
@@ -262,41 +307,49 @@ class ServingEngine:
         is deterministic, so the values are identical); the remaining
         distinct rows become one :class:`~repro.core.runtime.PendingTimings`
         group, timed in **one** vectorised ``time_batch`` pass by whoever
-        first reads one of its plans' timing fields.
+        first reads one of its plans' timing fields.  A missed row's key is
+        hashed twice, by the probe and by the insertion that follows the
+        group; only a group of several members also keeps its new rows in a
+        dict, for a second member of the same shape.
         """
         cache = self._timing_cache
         capacity = self.timing_cache_capacity
         cells: List[TimingCell] = []
-        fresh: Dict[tuple, TimingCell] = {}
+        new_rows: List[Tuple[tuple, TimingCell]] = []  # in first-seen order
+        seen: Optional[Dict[tuple, TimingCell]] = {} if len(members) > 1 else None
         group: Optional[PendingTimings] = None
         hits = 0
         for (_, request, _), chosen in zip(members, threads):
             dims_key = request.dims_key
-            for n_threads in (chosen, max_threads):
-                memo_key = (key, dims_key, n_threads)
-                cell = cache.get(memo_key) if capacity else None
-                if cell is not None:
-                    cache.move_to_end(memo_key)
+            for n_threads in (chosen, max_threads) if chosen != max_threads else (chosen,):
+                row = (key, dims_key, n_threads)
+                cell = cache.get(row) if capacity else None
+                hit = cell is not None
+                if hit:
+                    cache.move_to_end(row)
                     hits += 1
-                else:
-                    cell = fresh.get(memo_key)
-                    if cell is None:
-                        # One miss per distinct row; within-group duplicates
-                        # (e.g. prediction == baseline threads) share the
-                        # cell and count neither as hit nor miss.
-                        if group is None:
-                            group = PendingTimings(
-                                key, self.source.simulator, self._resolver_lock
-                            )
-                        cell = fresh[memo_key] = group.add(request.dims, n_threads)
+                elif seen is None or (cell := seen.get(row)) is None:
+                    # One miss per distinct row; within-group duplicates share
+                    # the cell and count neither as hit nor miss.
+                    if group is None:
+                        group = PendingTimings(key, self.source.simulator, self._resolver_lock)
+                    cell = group.add(request.dims, n_threads)
+                    new_rows.append((row, cell))
+                    if seen is not None:
+                        seen[row] = cell
                 cells.append(cell)
+            if chosen == max_threads:
+                # The baseline row is the prediction's: its cell again, and a
+                # second hit where the memo held it, as a second probe counts.
+                cells.append(cell)
+                hits += hit
         if capacity:
             self.n_timing_hits += hits
-            self.n_timing_misses += len(fresh)
-            if fresh:
-                cache.update(fresh)
-                while len(cache) > capacity:
-                    cache.popitem(last=False)
+            self.n_timing_misses += len(new_rows)
+            for row, cell in new_rows:
+                cache[row] = cell
+            while len(cache) > capacity:
+                cache.popitem(last=False)
         return cells
 
     def _process_batch(
@@ -304,50 +357,58 @@ class ServingEngine:
     ) -> List[ExecutionPlan]:
         use_cache = self.use_cache if use_cache is None else use_cache
         self.telemetry.record_batch(len(batch))
-        # One loop routes and groups.  A micro-batch holds a handful of
-        # routines: each is resolved once, and its requests join the members
-        # — (index, request, resolution) — of the (served key, heuristic)
-        # group that resolution names.
-        routed: Dict[str, tuple] = {}
+        # One loop routes and groups: each request joins the members —
+        # (index, request, route) — of the (served key, heuristic) group its
+        # routine's route names.  A routine is routed through the fallback
+        # chain once per source generation, not once per batch.
+        routes = self._routes_now()
         groups: Dict[Tuple[str, bool], list] = {}
         for index, request in enumerate(batch):
-            route = routed.get(request.routine)
+            route = routes.get(request.routine)
             if route is None:
-                resolution = self.fallback.resolve(request.routine, self.source)
-                members = groups.setdefault((resolution.key, resolution.heuristic), [])
-                route = routed[request.routine] = (resolution, members)
-            resolution, members = route
-            members.append((index, request, resolution))
+                resolution = self.fallback.route(request.routine, self.source)
+                route = routes[request.routine] = _Route(resolution)
+            members = groups.get(route.group)
+            if members is None:
+                members = groups[route.group] = []
+            members.append((index, request, route))
 
-        max_threads = self.source.platform.max_threads
+        max_threads = self._max_threads
+        if max_threads is None:
+            max_threads = self._max_threads = self.source.platform.max_threads
         plans: List[Optional[ExecutionPlan]] = [None] * len(batch)
         answered = 0
         for (key, heuristic), members in groups.items():
             group_started = time.perf_counter()
+            route = members[0][2]
             if heuristic:
                 threads = [max_threads] * len(members)
                 from_cache = [False] * len(members)
             else:
-                self._touched_routines.add(key)
-                prediction_plans = self.source.predictor(key).plan_batch(
+                predictor = route.predictor
+                if predictor is None:  # the route's first group
+                    self._touched_routines.add(key)
+                    predictor = route.predictor = self.source.predictor(key)
+                twins, from_cache = predictor.cached_plans(
                     [member[1].dims for member in members],
                     use_cache,
                     [member[1].dims_key for member in members],
                 )
-                threads = [p.threads for p in prediction_plans]
-                from_cache = [p.from_cache for p in prediction_plans]
+                threads = [twin.threads for twin in twins]
             # Two deferred rows per plan: the chosen-thread prediction and the
             # max-thread baseline; for heuristic groups (and predictions that
             # chose max threads) the rows coincide.
             cells = iter(self._timing_cells(key, members, threads, max_threads))
-            telemetry = self.telemetry.routine(key)
-            for (index, request, resolution), chosen, cached, predicted, baseline in zip(
+            telemetry = route.telemetry
+            if telemetry is None:
+                telemetry = route.telemetry = self.telemetry.routine(key)
+            for (index, request, route), chosen, cached, predicted, baseline in zip(
                 members, threads, from_cache, cells, cells
             ):
-                fallback_from = resolution.fallback_from
+                fallback_from = route.fallback_from
                 plans[index] = ExecutionPlan(
                     key, request.dims, chosen, predicted, baseline, cached,
-                    fallback_from, resolution.policy,
+                    fallback_from, route.policy,
                 )  # fmt: skip
                 telemetry.record_plan(
                     cached, fallback_from is not None, heuristic, request.dims_key
@@ -416,6 +477,7 @@ class ServingEngine:
             changed = bool(reload(force=force))
             if changed:
                 self.clear_timing_cache()
+                self._new_generation(getattr(self.source, "manifest", None))
                 # A reloaded bundle may no longer install every routine this
                 # engine served; stale keys would make cache_statistics()
                 # raise KeyError on source.predictor(key).

@@ -147,7 +147,11 @@ class FallbackChain:
         policy resolves the request.
         """
         prefix, base, _ = parse_routine(routine)
-        requested = prefix + base
+        return self.route(prefix + base, source)
+
+    def route(self, requested: str, source) -> RoutineResolution:
+        """:meth:`resolve` for a key intake already normalised (``"sgemm"``,
+        never ``"SGEMM"`` or ``"gemm"``): the policies alone, no parse."""
         for policy in self.policies:
             resolution = policy.resolve(requested, source)
             if resolution is not None:

@@ -17,9 +17,16 @@ shortcuts must be invisible in the bits:
   NumPy (``median_tie_rows``, the call's ``n_tied``) are exactly the rows
   whose leaves have no unique order;
 * **whole span** — for all six model-kernel kinds ``predict_runtimes_batch``
-  equals the ``reference_mode()`` oracle.
+  equals the ``reference_mode()`` oracle;
+* **bound nt table and positive blocks** — one bound record answers a
+  generated sequence of batches (1 shape and many, a batch that makes the
+  writer replace its buffers and the record re-point, the first call that
+  fills the record's transformed ``nt`` columns and the warmed calls that copy
+  them) byte-equal to NumPy on every exponent branch, and the whole-column
+  transform of generated matrices — eight-row blocks of non-negative inputs,
+  and blocks holding a negative, a signed zero or a NaN — equals NumPy's.
 
-The first two drive the native kernel and are skipped without one — except
+The first two and the last drive the native kernel and are skipped without one — except
 under ``ADSALA_NATIVE_REQUIRE=1`` (CI's native leg), where a missing kernel
 fails them instead.  The third runs on whichever path the process has, so
 under ``ADSALA_NATIVE=0`` it holds the NumPy fallback to the oracle.
@@ -251,3 +258,78 @@ def test_every_kernel_kind_equals_the_oracle(kind, shapes):
         oracle = predictor.predict_runtimes_batch(dims_list)
     assert got.tobytes() == oracle.tobytes() == again.tobytes()
     assert compiled.path == ("native" if NATIVE else "numpy")
+
+
+# -- (iv) the bound nt table and the positive-block transform ------------------------
+def _numpy_transform(X, lambdas, shift, scale):
+    from repro.preprocessing.power import yeo_johnson_transform_matrix
+
+    if lambdas is not None:
+        X = yeo_johnson_transform_matrix(X, lambdas)
+    return (X - shift) / scale
+
+
+@needs_native
+@given(
+    lambdas=st.none() | st.lists(st.sampled_from(LAMBDAS), min_size=17, max_size=17),
+    n_threads=st.sampled_from([1, 7, 8, 24, 96]),
+    batches=st.lists(st.integers(1, 40), min_size=2, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+@example(lambdas=[0.37] * 17, n_threads=96, batches=[1, 1, 5, 40, 1], seed=0)
+@example(lambdas=LAMBDAS + LAMBDAS[:5], n_threads=24, batches=[3, 1, 17], seed=1)
+@settings(max_examples=30, deadline=None)
+def test_one_bound_record_answers_every_batch_like_numpy(lambdas, n_threads, batches, seed):
+    """Fresh record, warmed record, re-pointed record: the same bits."""
+    rng = np.random.default_rng(seed)
+    nt = np.arange(1.0, n_threads + 1)
+    writer = FeatureGridWriter("dgemm", nt)  # every column: kinds 0, 1 and 2
+    oracle = FeatureGridWriter("dgemm", nt)
+    program = writer.column_program()
+    assert set(program.col_kind.tolist()) == {0, 1, 2}
+    lambdas = None if lambdas is None else np.asarray(lambdas)
+    n_cols = program.col_kind.shape[0]
+    shift, scale = rng.normal(size=n_cols), rng.random(n_cols) + 0.5
+    bound = kernels.fused_evaluate.bind(
+        program, nt, lambdas, shift, scale, 2, None, None, None, 0.0, 0.0
+    )
+    for n_shapes in batches:
+        shapes = rng.integers(1, 10**5, size=(n_shapes, 3))
+        dims_list = [dict(zip(writer.spec.dim_names, map(int, shape))) for shape in shapes]
+        writer.load_dims(dims_list)
+        dims, grid = writer.buffers
+        if grid is not bound.buffers[1]:  # a larger batch replaced the buffers
+            bound.point(dims, grid, None)
+        grid.fill(np.nan)
+        bound(n_shapes)
+        expected = _numpy_transform(oracle.write_dicts(dims_list), lambdas, shift, scale)
+        assert writer.grid_view(n_shapes).tobytes() == expected.tobytes()
+    assert bound.record.nt_bound == 1
+
+
+@needs_native
+@given(
+    n_rows=st.integers(1, 40),
+    odd=st.lists(st.sampled_from([-3.5, -0.25, -0.0, 0.0, np.nan]), max_size=6),
+    seed=st.integers(0, 2**16),
+)
+@example(n_rows=16, odd=[], seed=0)  # two full non-negative blocks per column
+@example(n_rows=16, odd=[np.nan], seed=1)
+@example(n_rows=8, odd=[-0.25], seed=2)
+@settings(max_examples=60, deadline=None)
+def test_whole_column_transform_blocks_equal_numpy(n_rows, odd, seed):
+    """Every λ branch over eight-row blocks, non-negative or holding an odd
+    input; a NaN cell must stay NaN, every other cell is compared bytewise."""
+    rng = np.random.default_rng(seed)
+    lambdas = np.asarray(LAMBDAS)
+    X = np.exp(rng.uniform(-3.0, 12.0, size=(n_rows, lambdas.shape[0])))
+    for value in odd:
+        X[rng.integers(n_rows), rng.integers(lambdas.shape[0])] = value
+    shift = rng.normal(size=lambdas.shape[0])
+    scale = rng.random(lambdas.shape[0]) + 0.5
+    for lam in (lambdas, None):
+        expected = _numpy_transform(X, lam, shift, scale)
+        got = kernels.fused_transform(X.copy(), lam, shift, scale)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()

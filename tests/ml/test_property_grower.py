@@ -585,6 +585,18 @@ class TestLoadTimeProbe:
             broken = types.SimpleNamespace(**{**growers, name: mutants[name]})
             assert _native._verify_growers(broken).startswith(f"{name}: ")
 
+    def test_probe_runs_at_the_first_grower_use_not_at_load(self, monkeypatch):
+        real = _native._verify_growers
+        probed = []
+        monkeypatch.setattr(_native, "_verify_growers", lambda k: probed.append(k) or real(k))
+        _native._reset_kernel_cache()
+        loaded = _native.load_kernels()
+        assert probed == [] and "growers_reason" not in vars(loaded)
+        assert loaded.fused_evaluate is not None or not loaded.transform_verified
+        assert loaded.grow_newton is not None and len(probed) == 1
+        assert loaded.verify_growers() == loaded.growers_reason == ""
+        assert loaded.grow_cart is not None and loaded.grow_hist is not None and len(probed) == 1
+
     def test_failed_probe_drops_only_the_growers(self, monkeypatch, regression_data):
         monkeypatch.setattr(_native, "_verify_growers", lambda kernels: "grow_cart: tree 0 value differs")
         _native._reset_kernel_cache()

@@ -613,6 +613,81 @@ class TestCacheStatisticsAfterHotReload:
         assert stats["cache_hits"] == 0
 
 
+class TestHotReloadReroutes:
+    """A routine is routed once per source generation, so a reload must
+    re-route it: through ``engine.reload_source()``, and through a
+    ``ModelRegistry.refresh()`` that reloads the handle behind the engine."""
+
+    def test_a_warmed_routine_is_not_routed_again(self, saved_bundle_dir, monkeypatch):
+        from repro.serving.fallback import FallbackChain
+        from repro.serving.registry import BundleHandle
+
+        engine = ServingEngine(BundleHandle(saved_bundle_dir))
+        routed = []
+        original = FallbackChain.route
+
+        def route(chain, key, source):
+            routed.append(key)
+            return original(chain, key, source)
+
+        monkeypatch.setattr(FallbackChain, "route", route)
+        for size in (64, 72, 80):
+            shape = {"m": size, "k": 32, "n": 48}
+            engine.plan_many([("dgemm", shape), ("sgemm", shape)])
+        assert routed == ["dgemm", "sgemm"]
+        assert engine.reload_source(force=True)  # a new generation, same files
+        engine.plan("sgemm", m=64, k=32, n=48)
+        assert routed == ["dgemm", "sgemm", "sgemm"]
+
+    @staticmethod
+    def _swap_dsyrk_for_sgemm(serving_bundle, directory):
+        """Rewrite the bundle on disk: ``sgemm`` gains a model (a copy of
+        dgemm's), ``dsyrk`` loses its own."""
+        from repro.core.install import InstallationBundle
+        from repro.core.persistence import save_bundle
+
+        sgemm = copy.deepcopy(serving_bundle.routines["dgemm"])
+        sgemm.routine = sgemm.predictor.routine = "sgemm"
+        save_bundle(
+            InstallationBundle(
+                platform=serving_bundle.platform,
+                simulator=serving_bundle.simulator,
+                routines={"dgemm": serving_bundle.routines["dgemm"], "sgemm": sgemm},
+                candidate_names=list(serving_bundle.candidate_names),
+                settings=dict(serving_bundle.settings),
+            ),
+            directory,
+            bundle_version=2,
+        )
+
+    @pytest.mark.parametrize("reload", ["reload_source", "registry_refresh"])
+    def test_reload_reroutes_every_routine(self, serving_bundle, saved_bundle_dir, reload):
+        from repro.serving.registry import ModelRegistry
+
+        registry = ModelRegistry()
+        handle = registry.register(saved_bundle_dir, name="served")
+        engine = ServingEngine(handle)  # installed -> cross-precision -> max-threads
+        gemm, syrk = {"m": 96, "k": 32, "n": 48}, {"n": 96, "k": 40}
+        before = engine.plan("sgemm", **gemm), engine.plan("dsyrk", **syrk)
+        assert [(p.routine, p.policy, p.fallback_from) for p in before] == [
+            ("dgemm", "cross-precision", "sgemm"),
+            ("dsyrk", "installed", None),
+        ]
+        self._swap_dsyrk_for_sgemm(serving_bundle, saved_bundle_dir)
+        if reload == "reload_source":
+            assert engine.reload_source()
+        else:
+            assert registry.refresh() == {"served": "reloaded"}
+        after = engine.plan("sgemm", **gemm), engine.plan("dsyrk", **syrk)
+        # sgemm's own model appeared; dsyrk's left, so the next policy serves it.
+        assert [(p.routine, p.policy, p.fallback_from) for p in after] == [
+            ("sgemm", "installed", None),
+            ("dsyrk", "max-threads", None),
+        ]
+        assert after[0].threads == handle.predictor("sgemm").plan(gemm, use_cache=False).threads
+        assert after[1].threads == serving_bundle.platform.max_threads
+
+
 class TestServedBundleCopies:
     @pytest.mark.parametrize(
         "clone",

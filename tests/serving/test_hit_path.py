@@ -1,8 +1,9 @@
 """What a cache hit is allowed to cost, as call counts.
 
 Intake resolves the routine and sorts the shape key once; every layer below
-carries them.  These guards count the calls that used to repeat per request
-(the pattern of ``tests/core/test_fused_native.py::TestMarshalledOnce``).
+carries them, and the engine routes each routine once per source generation,
+not once per batch.  These guards count the calls that used to repeat per
+request (the pattern of ``tests/core/test_fused_native.py::TestMarshalledOnce``).
 """
 
 import threading
@@ -54,16 +55,19 @@ def test_all_hit_batch_routes_each_routine_once(clear_caches, monkeypatch):
     ]
     # The contract the probe rests on: a request's key is the predictor's key.
     assert all(r.dims_key == ThreadPredictor.cache_key(r.dims) for r in batch)
+    routed = _count_calls(monkeypatch, FallbackChain, "route")
+    parsed = _count_calls(monkeypatch, FallbackChain, "resolve")
     cold = engine.execute(batch)
+    assert len(routed) == 3  # one per distinct request.routine, not one per request
     predictors = [clear_caches.predictor(key) for key in ("dgemm", "dsyrk")]
     evaluations = [p.n_model_evaluations for p in predictors]
     hits = sum(p.n_cache_hits for p in predictors)
 
-    routed = _count_calls(monkeypatch, FallbackChain, "resolve")
     keyed = _count_calls(monkeypatch, ThreadPredictor, "cache_key", static=True)
     warm = engine.execute(batch)
 
-    assert len(routed) == 3  # one per distinct request.routine, not one per request
+    assert len(routed) == 3  # a warmed routine is routed 0 times per batch
+    assert parsed == []  # intake normalised the key: the engine never re-parses it
     assert keyed == []  # the requests' own dims_key is the LRU key
     assert [p.n_model_evaluations for p in predictors] == evaluations
     assert sum(p.n_cache_hits for p in predictors) == hits + 32
@@ -86,4 +90,4 @@ def test_one_submit_resolves_the_routine_once(serving_bundle, monkeypatch):
         assert future.result(30).from_cache
         me = threading.get_ident()
         assert resolved.count(me) == 1  # intake, on the caller's thread
-        assert len(resolved) == 2  # plus the shard routing its micro-batch of one
+        assert len(resolved) == 1  # the shard's engine routed dgemm at the warm-up plan

@@ -1,9 +1,11 @@
 """What a cache miss is allowed to cost, as call and object counts.
 
 The miss-path twin of ``test_hit_path.py``: a planning group pays for each
-thing once — one route, one ``plan_batch`` pass over the LRU itself (no
-key-only copy of it), one native evaluation, one pending-timings group — and
-builds only the objects its plans are made of.  Under ``ADSALA_NATIVE=0``
+thing once — one ``cached_plans`` pass over the LRU itself (no key-only copy
+of it), one native evaluation, one pending-timings group — and builds only
+the objects its plans are made of: per evaluated shape its cached plan, no
+second ``from_cache=False`` copy.  A warmed routine is not routed at all:
+the engine routes it once per source generation.  Under ``ADSALA_NATIVE=0``
 the native-call count is zero and every other count still holds; under
 ``ADSALA_NATIVE_REQUIRE=1`` (CI's native leg) it must be exactly one per
 group, so the file cannot pass vacuously on the NumPy path.
@@ -27,8 +29,9 @@ ROUTINES = ["dgemm", "dsymm", "dsyrk", "dsyr2k", "dtrmm", "dtrsm"]
 #: ``call`` + ``c_call`` events of one warmed miss through
 #: ``AdsalaRuntime.plan``: the largest count over the six routines of the
 #: bundle below, plus a slack of 5.  The tree before the single pass read
-#: 124-127 here, this one 112-115.
-CALL_BUDGET = 115 + 5
+#: 124-127 here, the one before routes were kept per source generation
+#: 112-118, this one 95-101.
+CALL_BUDGET = 101 + 5
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +66,8 @@ class _Counts:
     """Calls and constructions of the miss path, counted by wrapping."""
 
     COUNTED = {
-        "route": (FallbackChain, "resolve"),
+        "route": (FallbackChain, "route"),
+        "cached_plans": (ThreadPredictor, "cached_plans"),
         "plan_batch": (ThreadPredictor, "plan_batch"),
         "native": (BoundEvaluate, "__call__"),
         "PredictionPlan": (PredictionPlan, "__init__"),
@@ -134,10 +138,11 @@ def test_one_miss_pays_for_each_thing_once(six_routines, native, monkeypatch):
             distinct_rows = 1 if plan.threads == max_threads else 2
             rows_seen.add(distinct_rows)
             assert counts.seen == {
-                "route": 1,
-                "plan_batch": 1,
+                "route": 0,  # routed when the engine was warmed
+                "cached_plans": 1,
+                "plan_batch": 0,  # its from_cache=False plans are for other callers
                 "native": 1 if native else 0,
-                "PredictionPlan": 2,  # the fresh plan and its cached twin
+                "PredictionPlan": 1,  # the cached plan; the engine reads it
                 "PendingTimings": 1,
                 "ExecutionPlan": 1,
                 "TimingCell": distinct_rows,
@@ -163,10 +168,11 @@ def test_six_groups_pay_six_times_not_twenty_four(six_routines, native, monkeypa
             for plan in plans
             for threads in (plan.threads, six_routines.platform.max_threads)}
     assert counts.seen == {
-        "route": 6,
-        "plan_batch": 6,
+        "route": 0,
+        "cached_plans": 6,
+        "plan_batch": 0,
         "native": 6 if native else 0,
-        "PredictionPlan": 48,
+        "PredictionPlan": 24,  # one cached plan per evaluated shape
         "PendingTimings": 6,
         "ExecutionPlan": 24,
         "TimingCell": len(rows),
@@ -180,9 +186,11 @@ def test_six_groups_pay_six_times_not_twenty_four(six_routines, native, monkeypa
 def test_a_group_that_answers_too_few_plans_is_loud(six_routines, monkeypatch):
     """The 'every slot answered' invariant: a count, and today's message."""
     engine = _warmed_engine(six_routines)
-    original = ThreadPredictor.plan_batch
+    original = ThreadPredictor.cached_plans
     monkeypatch.setattr(
-        ThreadPredictor, "plan_batch", lambda *args, **kwargs: original(*args, **kwargs)[:-1]
+        ThreadPredictor,
+        "cached_plans",
+        lambda *args, **kwargs: tuple(part[:-1] for part in original(*args, **kwargs)),
     )
     batch = [normalize_request("dsyrk", _dims("dsyrk", 300 + i), 40 + i) for i in range(3)]
     with pytest.raises(RuntimeError, match=r"dropped 1 of 3 requests \(ids \[42\]\)"):

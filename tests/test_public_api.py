@@ -81,6 +81,9 @@ class TestColdImport:
             "from repro.core.persistence import load_bundle\n"
             f"runtime = AdsalaRuntime(load_bundle({str(tmp_path / 'bundle')!r}))\n"
             "assert runtime.plan('dgemm', m=512, k=256, n=384).threads >= 1\n"
+            "from repro.ml import _native\n"
+            "kernels = _native.load_kernels()\n"
+            "assert kernels is None or 'growers_reason' not in vars(kernels)  # nothing grew\n"
         )
         assert _fresh_modules(code, "scipy") == {"scipy": False}
 
