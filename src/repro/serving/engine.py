@@ -115,11 +115,9 @@ def normalize_request(
     sharded frontend (globally allocated ids): bad routines or dimensions
     raise here, at intake, never mid-batch.
     """
-    prefix, base, spec = get_catalog().resolve(routine)
-    normalized = spec.dims_from_args(**dims)
-    return PlanRequest(
-        request_id, prefix + base, normalized, tuple(sorted(normalized.items())), deadline
-    )
+    form = get_catalog().request_form(routine)
+    normalized, dims_key, _ = form.parts(dims)
+    return PlanRequest(request_id, form.key, normalized, dims_key, deadline)
 
 
 class _Route:

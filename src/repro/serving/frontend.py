@@ -4,28 +4,29 @@ One :class:`~repro.serving.engine.ServingEngine` answers one micro-batch at
 a time behind its coarse lock; heavy multi-client traffic therefore wants
 several engines side by side.  :class:`ShardedFrontend` is that layer:
 
-* **Deterministic routing** — each request goes to the shard picked by a
-  stable hash of ``(routine, dims_key)`` (CRC-32, not Python's salted
-  ``hash``), so a given problem shape always lands on the same engine and
-  that engine's per-routine prediction LRU and timing memo stay hot for
-  it.  The same stream routes identically in every process and run.
+* **Deterministic routing** — each request goes to the shard picked by the
+  CRC-32 of ``repr((routine, dims_key))``, which intake fills into its
+  routine's template of that text (not Python's salted ``hash``), so a given
+  problem shape always lands on the same engine and that engine's
+  per-routine prediction LRU and timing memo stay hot for it.  The same
+  stream routes identically in every process and run.
 * **One route from request to plan** — :meth:`submit` validates the
-  request, admits it against a bounded global in-flight budget, enqueues
-  it on its shard's inbox and returns a :class:`PlanFuture` (request id,
-  shard, ``result(timeout)``, ``done()``; a request cannot be cancelled).
-  :meth:`plan` is submit-and-wait for one request and :meth:`plan_many`
-  is submit-all-then-collect for a stream: there is no second,
-  synchronous path around the inboxes, so every request meets the same
-  drain loop, deadline check and supervised recovery.  Each shard's worker
-  thread coalesces queued submissions into micro-batches and frees their
-  admission slots once per batch.
+  request in one intake pass (dims, ``dims_key`` and routing digest), then
+  admits, routes, counts and enqueues it under the frontend's one lock and
+  returns a :class:`PlanFuture` (request id, shard, ``result(timeout)``,
+  ``done()``; a request cannot be cancelled).  :meth:`plan` is
+  submit-and-wait for one request and :meth:`plan_many` is
+  submit-all-then-collect for a stream: there is no second path around the
+  inboxes, so every request meets the same drain loop, deadline check and
+  supervised recovery.  Each shard's worker coalesces queued submissions
+  into micro-batches and reports their answers once per batch.
 * **Admission control** — at most ``max_pending`` requests may be in
-  flight at once, :meth:`plan_many` streams included.
-  ``backpressure="block"`` makes :meth:`submit` wait for a slot (bounded
-  memory, lossless); ``backpressure="reject"`` raises
-  :class:`QueueFullError` immediately and counts the shed request in the
-  merged stats, for callers that prefer to degrade.  :meth:`plan_many`
-  always waits — a stream is never shed half-way.
+  flight at once, :meth:`plan_many` streams included; the in-flight count
+  is the ledger itself, ``submitted − completed``.  ``backpressure="block"``
+  makes :meth:`submit` wait for room (bounded memory, lossless);
+  ``backpressure="reject"`` raises :class:`QueueFullError` immediately and
+  counts the shed request in the merged stats.  :meth:`plan_many` always
+  waits — a stream is never shed half-way.
 * **Merged observability** — :meth:`stats` aggregates every shard into one
   snapshot, built from the one ``stats()`` call each shard backend
   implements and combined key by key as :mod:`repro.obs.schema` declares;
@@ -61,8 +62,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.runtime import ExecutionPlan
 from repro.obs import schema
 from repro.obs.metrics import now_timestamps
-from repro.routines.catalog import UnknownRoutineError
-from repro.serving.engine import PlanRequest, ServingEngine, normalize_request
+from repro.routines.catalog import UnknownRoutineError, get_catalog
+from repro.serving.engine import PlanRequest, ServingEngine
 from repro.serving.procshard import ProcessShard, export_source_spec
 from repro.serving.registry import BundleHandle
 from repro.serving.shard import (
@@ -70,6 +71,7 @@ from repro.serving.shard import (
     EngineShard,
     ShardBase,
     build_engine,
+    request_digest,
     shard_index,
 )
 from repro.serving.supervisor import RestartPolicy, ShardSupervisor
@@ -285,14 +287,12 @@ class ShardedFrontend:
             ]
         self.max_pending = int(max_pending)
         self.backpressure = backpressure
-        # Bounded: a slot released twice raises instead of widening the budget.
-        self._slots = threading.BoundedSemaphore(self.max_pending)
         self._request_ids = itertools.count()
-        self._counters_lock = threading.Lock()
-        # Makes the closed-check + enqueue atomic against close(): without
-        # it a submit racing close() could land in a drained inbox and its
-        # future would never resolve.
-        self._lifecycle_lock = threading.Lock()
+        # One lock over admission, the closed check, routing, counting and the
+        # enqueue, so a submit racing close() cannot land in a drained inbox.
+        # Taken before the supervisor's or a shard's lock, never after them.
+        self._lock = threading.Lock()
+        self._room = threading.Condition(self._lock)  # waited on only while full
         self.n_submitted = 0
         self.n_completed = 0
         self.n_shed = 0
@@ -354,7 +354,7 @@ class ShardedFrontend:
     @property
     def in_flight(self) -> int:
         """Requests admitted by :meth:`submit` and not yet answered."""
-        with self._counters_lock:
+        with self._lock:
             return self.n_submitted - self.n_completed
 
     # -- lifecycle ------------------------------------------------------------------
@@ -368,13 +368,15 @@ class ShardedFrontend:
     def close(self) -> None:
         """Answer everything in flight, then stop the shard workers.
 
-        Setting the closed flag under the lifecycle lock fences out any
+        Setting the closed flag under the frontend's lock fences out any
         in-progress :meth:`submit`: once the flag is visible, every request
         that passed the check has already been enqueued, so the shard
-        drains answer it before the workers exit.
+        drains answer it before the workers exit.  Submitters waiting for
+        room wake and raise.
         """
-        with self._lifecycle_lock:
+        with self._lock:
             self._closed = True
+            self._room.notify_all()
         if self.supervisor is not None:
             self.supervisor.stop()
         for shard in self.shards:
@@ -388,12 +390,6 @@ class ShardedFrontend:
         self.close()
 
     # -- request path ----------------------------------------------------------------
-    def _route(self, request: PlanRequest) -> ShardBase:
-        primary = shard_index(request.routine, request.dims_key, len(self.shards))
-        if self.supervisor is not None:
-            return self.shards[self.supervisor.resolve_request(request, primary)]
-        return self.shards[primary]
-
     @staticmethod
     def _deadline_from(timeout: Optional[float]) -> Optional[float]:
         if timeout is None:
@@ -403,71 +399,76 @@ class ShardedFrontend:
             raise ValueError("timeout must be positive")
         return time.monotonic() + timeout
 
-    def _admit(self, request: PlanRequest, wait: bool) -> None:
-        """Take one admission slot, waiting for it (at most until the
-        request's deadline) or shedding the request when none is free."""
-        if wait:
-            deadline = request.deadline
-            if not self._slots.acquire(
-                timeout=None if deadline is None else deadline - time.monotonic()
-            ):
-                raise DeadlineExceededError(
-                    f"request {request.request_id} missed its deadline "
-                    f"waiting for one of {self.max_pending} admission slots"
-                )
-            return
-        if not self._slots.acquire(blocking=False):
-            with self._counters_lock:
-                self.n_shed += 1
-            raise QueueFullError(
-                f"{self.max_pending} requests already in flight and "
-                "backpressure mode is 'reject'"
-            )
-
-    def _on_resolved(self, count: int) -> None:
-        """Shard hook: ``count`` admitted requests were answered; free their slots."""
-        with self._counters_lock:  # first, so in_flight never exceeds the slots held
-            self.n_completed += count
-        self._slots.release(count)
-
-    def _normalize(
-        self, routine: str, dims: Dict[str, int], deadline: Optional[float]
-    ) -> PlanRequest:
+    def _intake(self, routine: str, dims: Dict[str, int], deadline) -> Tuple[PlanRequest, int]:
+        """Validate one request; return it with its routing digest."""
+        request_id = next(self._request_ids)
         try:
-            return normalize_request(
-                routine, dims, next(self._request_ids), deadline=deadline
-            )
+            form = get_catalog().request_form(routine)
         except UnknownRoutineError:
-            with self._counters_lock:
+            with self._lock:
                 self.n_rejected_unknown += 1
             raise
+        normalized, dims_key, ordered = form.parts(dims)
+        return PlanRequest(request_id, form.key, normalized, dims_key, deadline), form.digest(ordered)
 
-    def _enqueue(self, request: PlanRequest, wait: bool) -> PlanFuture:
-        """Admit, route and enqueue one normalised request."""
-        self._admit(request, wait)
-        with self._lifecycle_lock:
+    def _enqueue(self, request: PlanRequest, digest: int, wait: bool) -> PlanFuture:
+        """Admit, route, count and enqueue one validated request; a full budget
+        sheds it (reject mode) or waits for room until its deadline (block)."""
+        with self._lock:
+            if self.n_submitted - self.n_completed >= self.max_pending:
+                if not wait:
+                    self.n_shed += 1
+                    raise QueueFullError(
+                        f"{self.max_pending} requests already in flight and "
+                        "backpressure mode is 'reject'"
+                    )
+                deadline = request.deadline
+                if not self._room.wait_for(
+                    lambda: self._closed
+                    or self.n_submitted - self.n_completed < self.max_pending,
+                    None if deadline is None else deadline - time.monotonic(),
+                ):
+                    raise DeadlineExceededError(
+                        f"request {request.request_id} missed its deadline "
+                        f"waiting for one of {self.max_pending} admission slots"
+                    )
             try:
                 if self._closed:
                     raise RuntimeError("ShardedFrontend is closed")
-                shard = self._route(request)
+                index = digest % len(self.shards)
+                if self.supervisor is not None:
+                    index = self.supervisor.resolve_request(request, index, digest)
+                shard = self.shards[index]
+                # Started under the lock, so close() finds and joins every
+                # worker a submit started.  A shard starts at its first use or
+                # after a hung worker was abandoned; answers wait meanwhile.
+                if not shard.running:
+                    shard.start()
             except BaseException:
-                self._slots.release()  # never enqueued, so no shard frees it
+                self._room.notify()  # hand on a wakeup this room was given for
                 raise
-            with self._counters_lock:
-                self.n_submitted += 1
-            future = PlanFuture(request.request_id, shard.index)
-            if not shard.running:  # start() takes the shard's lifecycle lock
-                shard.start()
+            self.n_submitted += 1
+            future = PlanFuture(request.request_id, index)
             shard.enqueue(request, future)
         return future
+
+    def _on_resolved(self, count: int) -> None:
+        """Shard hook: ``count`` admitted requests were answered.  More than
+        are in flight raises: a request freed twice cannot widen the budget."""
+        with self._lock:
+            in_flight = self.n_submitted - self.n_completed
+            if count > in_flight:
+                raise ValueError(f"{count} requests answered, {in_flight} in flight")
+            self.n_completed += count
+            self._room.notify(count)
 
     def submit(self, routine: str, timeout: Optional[float] = None, **dims: int) -> PlanFuture:
         """Route one request to its shard; returns a waitable future.
 
         Validation happens first (bad requests raise ``ValueError`` without
-        consuming an admission slot), then admission control, then the
-        enqueue.  The shard releases the slot once it has resolved the
-        future — with a plan or an error.
+        being admitted), then admission, routing and the enqueue under the
+        frontend's lock.  The shard's answer — a plan or an error — ends
+        the admission.
 
         ``timeout`` (seconds) stamps an end-to-end deadline on the request:
         if it is still queued when the deadline passes, the drain loop
@@ -476,8 +477,8 @@ class ShardedFrontend:
         request and shard; under ``backpressure="block"`` the wait for an
         admission slot ends at the same deadline.
         """
-        request = self._normalize(routine, dims, self._deadline_from(timeout))
-        return self._enqueue(request, wait=self.backpressure == "block")
+        request, digest = self._intake(routine, dims, self._deadline_from(timeout))
+        return self._enqueue(request, digest, self.backpressure == "block")
 
     def plan(self, routine: str, timeout: Optional[float] = None, **dims: int) -> ExecutionPlan:
         """Blocking convenience: submit and wait for the plan.
@@ -508,10 +509,8 @@ class ShardedFrontend:
         request and its shard, and the drain loops shed the rest.
         """
         deadline = self._deadline_from(timeout)
-        made = [
-            self._normalize(routine, dims, deadline) for routine, dims in requests
-        ]
-        futures = [self._enqueue(request, wait=True) for request in made]
+        made = [self._intake(routine, dims, deadline) for routine, dims in requests]
+        futures = [self._enqueue(request, digest, True) for request, digest in made]
         return [
             future.result(None if deadline is None else deadline - time.monotonic())
             for future in futures
@@ -526,11 +525,10 @@ class ShardedFrontend:
         shard, without counting a reroute — so each shard's drift window
         sees exactly the traffic it planned.
         """
-        requested = plan.fallback_from or plan.routine
-        dims_key = tuple(sorted(plan.dims.items()))
-        index = shard_index(requested, dims_key, len(self.shards))
+        digest = request_digest(plan.fallback_from or plan.routine, plan.dims)
+        index = digest % len(self.shards)
         if self.supervisor is not None:
-            index = self.supervisor.route(requested, dims_key, index)
+            index = self.supervisor.route(digest, index)
         self.shards[index].record_observation(plan, observed_time)
 
     # -- merged statistics ------------------------------------------------------------
@@ -560,7 +558,7 @@ class ShardedFrontend:
         """
         shard_snapshots = [shard.stats() for shard in self.shards]
         per_shard = [shard.describe() for shard in self.shards]
-        with self._counters_lock:
+        with self._lock:
             # The frontend's own intake rejections ride in as one more part.
             own = {"rejected_unknown_routine": self.n_rejected_unknown}
             admission = {

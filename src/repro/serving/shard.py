@@ -26,7 +26,11 @@ Two backends implement the interface:
 The :class:`~repro.serving.frontend.ShardedFrontend` talks only to the
 :class:`ShardBase` interface — routing, admission control and statistics
 merging are identical for both backends — and every engine either backend
-runs (first start or restart) is built by :func:`build_engine`.
+runs (first start or restart) is built by :func:`build_engine`.  Routing's
+definition is :func:`shard_index`, the CRC-32 of ``repr((routine,
+dims_key))`` modulo the shard count; :func:`request_digest` computes that
+digest as intake does, from the routine's template of the repr, without
+building it.
 
 Fault tolerance
 ---------------
@@ -40,9 +44,10 @@ unchanged (the error surfaces on every affected future).  Futures are
 resolved at-most-once via the future's own atomicity: a request that was
 redispatched *and* answered late by the original worker keeps the first
 answer (plans are pure functions of the request) and the duplicate is
-counted, never raised.  First answers free admission slots through the
-frontend's ``on_resolved(count)`` hook, once per answered batch and once
-per future on the rare paths (shed, failed batch, no healthy shard).
+counted, never raised.  First answers are counted on the frontend's
+in-flight ledger through its ``on_resolved(count)`` hook, once per answered
+batch and once per future on the rare paths (shed, failed batch, no healthy
+shard).
 Requests carry an optional deadline; the drain loop sheds expired entries
 with :class:`DeadlineExceededError` before they cost a micro-batch slot.
 """
@@ -55,9 +60,10 @@ import threading
 import time
 import zlib
 from concurrent.futures import InvalidStateError
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.runtime import ExecutionPlan
+from repro.routines import get_catalog
 from repro.serving.engine import PlanRequest, ServingEngine
 from repro.serving.telemetry import EngineTelemetry
 
@@ -67,6 +73,7 @@ __all__ = [
     "ShardBase",
     "ShardFailure",
     "build_engine",
+    "request_digest",
     "shard_index",
 ]
 
@@ -126,6 +133,15 @@ def shard_index(routine: str, dims_key: tuple, n_shards: int) -> int:
     """
     digest = zlib.crc32(repr((routine, dims_key)).encode("utf-8"))
     return digest % n_shards
+
+
+def request_digest(routine: str, dims: Mapping[str, int]) -> int:
+    """The digest the frontend routes a request by, taken as its intake takes
+    it: the routine's :class:`~repro.routines.catalog.RequestForm` fills the
+    validated values into the text :func:`shard_index` hashes, so
+    ``request_digest(r, dims) % n == shard_index(r, dims_key, n)``."""
+    form = get_catalog().request_form(routine)
+    return form.digest(form.parts(dims)[2])
 
 
 class ShardBase:

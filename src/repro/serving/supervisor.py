@@ -54,7 +54,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import schema
 from repro.serving.engine import PlanRequest
-from repro.serving.shard import ShardBase, ShardFailure, shard_index
+from repro.serving.shard import ShardBase, ShardFailure, request_digest
 from repro.serving.telemetry import FaultTelemetry
 
 __all__ = ["NoHealthyShardError", "RestartPolicy", "ShardSupervisor"]
@@ -178,18 +178,19 @@ class ShardSupervisor:
                 if not state.quarantined
             )
 
-    def resolve_request(self, request: PlanRequest, primary: int) -> int:
+    def resolve_request(self, request: PlanRequest, primary: int, digest: int) -> int:
         """Shard index that should serve ``request`` (primary unless dark).
 
         A quarantined primary's traffic is rehashed deterministically over
-        the *live* shard list — stable for a given quarantine set, so a
-        problem shape keeps landing on one survivor and its caches stay
-        hot.  Counts the reroute against the quarantined shard.
+        the *live* shard list by the request's routing ``digest`` — stable
+        for a given quarantine set, so a problem shape keeps landing on one
+        survivor and its caches stay hot.  Counts the reroute against the
+        quarantined shard.
         """
         state = self._states[primary]
         if not state.quarantined:
             return primary
-        target = self.route(request.routine, request.dims_key, primary)
+        target = self.route(digest, primary)
         if target == primary:
             raise NoHealthyShardError(
                 f"request {request.request_id}: every shard is quarantined"
@@ -198,16 +199,16 @@ class ShardSupervisor:
             state.n_rerouted += 1
         return target
 
-    def route(self, routine: str, dims_key: tuple, primary: int) -> int:
+    def route(self, digest: int, primary: int) -> int:
         """The rule :meth:`resolve_request` applies, counting nothing.
 
-        ``primary`` while it is live, else the rehash over the live shards;
-        ``primary`` again when no shard is live.
+        ``primary`` while it is live, else the rehash of ``digest`` over the
+        live shards; ``primary`` again when no shard is live.
         """
         if not self._states[primary].quarantined:
             return primary
         live = self.live_indices()
-        return live[shard_index(routine, dims_key, len(live))] if live else primary
+        return live[digest % len(live)] if live else primary
 
     # -- recovery core -------------------------------------------------------------
     def on_batch_success(self, shard: ShardBase) -> None:
@@ -293,10 +294,14 @@ class ShardSupervisor:
     ) -> None:
         state = self._states[shard.index]
         for request, future in batch:
+            digest = request_digest(request.routine, request.dims)
             try:
-                target_index = self.resolve_request(request, shard.index)
+                target_index = self.resolve_request(request, shard.index, digest)
             except NoHealthyShardError as dead_end:
                 dead_end.__cause__ = exc
+                # Outside this supervisor's lock: resolving takes the
+                # frontend's, and the frontend takes this one while it holds
+                # its own (frontend lock, then supervisor lock, never back).
                 shard._resolve(future, error=dead_end)
                 continue
             with self._lock:

@@ -233,10 +233,12 @@ class TestResolveMemo:
     def test_plugin_registered_after_a_resolution(self):
         catalog = build_catalog(plugin_dirs=[], entry_points=False)
         gemm = catalog.resolve("dgemm")
+        assert catalog.request_form("dgemm") is catalog.request_form("gemm")
         with pytest.raises(UnknownRoutineError):
             catalog.resolve("dtoy")  # unknown before registration ...
         catalog.register_spec(_toy_spec(), plugin_name="t")
-        assert catalog._resolved == {}  # every registration drops the memo
+        assert catalog._resolved == {}  # every registration drops the memo ...
+        assert catalog._forms == {}  # ... and the request forms kept beside it
         prefix, base, spec = catalog.resolve("dtoy")  # ... known after it
         assert (prefix, base, spec.dim_names) == ("d", "toy", ("p", "q"))
         assert catalog.resolve("toy") == ("d", "toy", spec)

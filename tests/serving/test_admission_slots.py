@@ -5,9 +5,10 @@ per answered batch, and once per future on the rare paths (deadline shed,
 failed batch, no healthy shard).  Each test drives one path, closes the
 frontend so every drain worker has finished its bookkeeping, and checks the
 ledger: nothing in flight, every submitted request completed, and the whole
-``max_pending`` budget free again.  The budget is a ``BoundedSemaphore``,
-so a slot released twice raises inside the drain thread instead of
-widening the budget; the ``drain_errors`` fixture turns that into a failure.
+``max_pending`` budget free again.  The budget is the frontend's in-flight
+ledger, and an answer counted with nothing in flight raises inside the
+drain thread instead of widening the budget; the ``drain_errors`` fixture
+turns that into a failure.
 Process shards resolve their futures in the parent through the same
 ``ShardBase`` code; the paths that need no worker process run on both
 backends, and one that does (shed and answered halves of a batch) too.
@@ -68,13 +69,44 @@ def _wait_until_wedged(shard):
         time.sleep(0.001)
 
 
-def _free_slots(frontend):
-    taken = 0
-    while frontend._slots.acquire(blocking=False):
-        taken += 1
-    for _ in range(taken):
-        frontend._slots.release()
-    return taken
+def _until(condition):
+    deadline = time.monotonic() + WAIT
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def _blocked_submitters(frontend, n, first):
+    """Start ``n`` clients whose ``submit`` waits on the full budget; returns
+    the threads and the list each appends the error its submit raised to."""
+    sleepers = set()
+    wait = frontend._room.wait
+
+    def counted_wait(timeout=None):
+        sleepers.add(threading.get_ident())
+        return wait(timeout)
+
+    frontend._room.wait = counted_wait
+    raised = []
+
+    def client(i):
+        try:
+            frontend.submit("dgemm", **_dims(first + i))
+        except Exception as exc:
+            raised.append(exc)
+
+    clients = [threading.Thread(target=client, args=(i,), daemon=True) for i in range(n)]
+    for thread in clients:
+        thread.start()
+    _until(lambda: len(sleepers) == n)
+    return clients, raised
+
+
+def _join_all(threads):
+    deadline = time.monotonic() + WAIT
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    return [thread for thread in threads if thread.is_alive()]
 
 
 def _assert_balanced(frontend, drain_errors, submitted):
@@ -84,7 +116,6 @@ def _assert_balanced(frontend, drain_errors, submitted):
     assert admission["submitted"] == submitted
     assert admission["completed"] == submitted
     assert admission["in_flight"] == 0
-    assert _free_slots(frontend) == MAX_PENDING
 
 
 def test_answered_batches_release_their_slots(clear_caches, drain_errors):
@@ -195,3 +226,63 @@ def test_the_quarantine_dead_end_releases_each_slot(clear_caches, drain_errors, 
         with pytest.raises(NoHealthyShardError):  # refused before it is submitted
             frontend.submit("dgemm", **_dims(3))
     _assert_balanced(frontend, drain_errors, 3)
+
+
+def test_an_answer_with_nothing_in_flight_raises(clear_caches):
+    frontend = ShardedFrontend.from_bundle(clear_caches, 1, max_pending=MAX_PENDING)
+    with frontend:
+        frontend.plan("dgemm", **_dims(0))
+        deadline = time.monotonic() + WAIT
+        while frontend.in_flight:  # the batch's answer lands just after result()
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        with pytest.raises(ValueError, match="1 requests answered, 0 in flight"):
+            frontend._on_resolved(1)
+    admission = frontend.stats()["admission"]
+    assert (admission["submitted"], admission["completed"]) == (1, 1)
+
+
+def test_close_wakes_every_blocked_submitter(clear_caches, drain_errors):
+    """Twice as many submitters wait as the budget holds; close() wakes all
+    of them into its closed check before the wedged batch is answered."""
+    frontend = ShardedFrontend.from_bundle(clear_caches, 1, max_pending=3)
+    gate = _gate(frontend.shards[0])
+    frontend.start()
+    futures = [frontend.submit("dgemm", **_dims(i)) for i in range(3)]
+    clients, raised = _blocked_submitters(frontend, 6, first=3)
+    closer = threading.Thread(target=frontend.close, daemon=True)
+    closer.start()
+    assert _join_all(clients) == []
+    assert [str(exc) for exc in raised] == ["ShardedFrontend is closed"] * 6
+    gate.set()
+    assert _join_all([closer]) == []
+    assert all(future.result(WAIT) is not None for future in futures)
+    _assert_balanced(frontend, drain_errors, 3)
+
+
+def test_a_waiter_refused_by_the_quarantine_wakes_the_next(clear_caches, drain_errors):
+    """The answer to the one request in flight wakes one of two waiters; every
+    shard is quarantined by then, and the refused waiter hands its wakeup on."""
+    frontend = ShardedFrontend.from_bundle(
+        clear_caches,
+        1,
+        max_pending=1,
+        restart_policy=RestartPolicy(max_consecutive_failures=1, **FAST),
+    )
+    gate = threading.Event()
+
+    def transport_down(requests):
+        gate.wait(WAIT)
+        raise ShardFailure("transport down")
+
+    frontend.shards[0]._execute_batch = transport_down
+    with frontend:
+        first = frontend.submit("dgemm", **_dims(0))
+        clients, raised = _blocked_submitters(frontend, 2, first=1)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            gate.set()
+            with pytest.raises(NoHealthyShardError):
+                first.result(WAIT)
+            assert _join_all(clients) == []
+    assert [type(exc) for exc in raised] == [NoHealthyShardError] * 2
+    _assert_balanced(frontend, drain_errors, 1)

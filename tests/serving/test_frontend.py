@@ -9,6 +9,7 @@ Only ``from_cache`` flags may differ, because each shard warms its own LRU.
 """
 
 import copy
+import sys
 import threading
 import time
 
@@ -228,6 +229,43 @@ class TestAdmissionControl:
             assert first.result(timeout=30).dims["m"] == 64
         assert frontend.n_shed == 0
 
+    def test_block_mode_contention_loses_no_wakeup(self, clear_caches):
+        """More blocked submitters than cores on a budget of 3: every one is
+        woken, and the ledger and the plans come out exact."""
+        workload = generate_workload(["dgemm", "dsyrk"], 6 * 150, seed=41, pool_size=16)
+        reference = _sequential_reference(clear_caches, workload)
+        frontend = ShardedFrontend.from_bundle(clear_caches, n_shards=2, max_pending=3)
+        results = [None] * len(workload)
+
+        def client(first):
+            for start in range(first * 150, (first + 1) * 150, 5):
+                window = [
+                    (slot, frontend.submit(workload[slot].routine, **workload[slot].dims))
+                    for slot in range(start, start + 5)
+                ]
+                for slot, future in window:
+                    results[slot] = future.result(timeout=60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with frontend:
+                clients = [
+                    threading.Thread(target=client, args=(i,), daemon=True) for i in range(6)
+                ]
+                for thread in clients:
+                    thread.start()
+                deadline = time.monotonic() + 60
+                for thread in clients:
+                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+        admission = frontend.stats()["admission"]
+        assert admission["submitted"] == admission["completed"] == len(workload)
+        assert admission["in_flight"] == 0 and admission["shed"] == 0
+        assert [_plan_key(plan) for plan in results] == [_plan_key(p) for p in reference]
+
     @pytest.mark.parametrize("backpressure", ["block", "reject"])
     def test_plan_many_longer_than_max_pending_completes(
         self, clear_caches, backpressure
@@ -248,8 +286,6 @@ class TestAdmissionControl:
         assert stats["admission"]["completed"] == 40
         assert stats["admission"]["shed"] == 0
         assert stats["admission"]["in_flight"] == 0
-        assert frontend._slots.acquire(blocking=False)  # slots came back
-        frontend._slots.release()
 
     def test_block_mode_admission_wait_ends_at_the_deadline(self, clear_caches):
         frontend, engine = self._gated_frontend(

@@ -3,9 +3,9 @@
 The frontend twin of ``test_hit_path.py`` and ``test_miss_path.py``: one
 warmed request through a two-shard thread frontend, ``submit`` → ``result``,
 builds no ``threading.Condition`` and no ``concurrent.futures.Future`` (a
-``PlanFuture`` is two plain locks), takes one admission slot and frees it
-once, and makes a pinned number of Python-level calls on the caller's
-thread.
+``PlanFuture`` is two plain locks), takes one admission on the frontend's
+in-flight ledger without waiting and frees it once, and makes a pinned
+number of Python-level calls on the caller's thread.
 """
 
 import sys
@@ -17,8 +17,9 @@ from repro.serving.frontend import ShardedFrontend, shard_index
 #: ``call`` + ``c_call`` events on the caller's thread of one warmed
 #: ``submit(...).result()``: the largest count over the shapes below, plus
 #: a slack of 5.  The tree whose futures were ``concurrent.futures.Future``
-#: objects read 60 here, this one 43.
-CALL_BUDGET = 43 + 5
+#: objects read 60 here, the one admitting through a ``BoundedSemaphore`` and
+#: hashing a ``repr`` 43, this one 31.
+CALL_BUDGET = 31 + 5
 
 #: Hot shapes that land on both shards of a two-shard frontend.
 SHAPES = [("dgemm", {"m": 64 + 32 * i, "k": 48, "n": 40}) for i in range(4)] + [
@@ -73,19 +74,29 @@ def test_a_hot_request_builds_no_condition_and_no_future(clear_caches, monkeypat
     counted = {
         "Condition": (threading.Condition, "__init__"),
         "Future": (Future, "__init__"),
-        "acquire": (threading.BoundedSemaphore, "acquire"),
-        "release": (threading.BoundedSemaphore, "release"),
+        "wait": (threading.Condition, "wait"),
+        "admit": (ShardedFrontend, "_enqueue"),
     }
     for routine, dims in SHAPES:
         frontend = _warmed(clear_caches)
+        before = frontend.stats()["admission"]
         with monkeypatch.context() as patch:
             calls = {label: _count_calls(patch, *where) for label, where in counted.items()}
+            freed = []
+            for shard in frontend.shards:  # each shard holds the hook it was given
+                hook = shard.on_resolved
+                patch.setattr(shard, "on_resolved", lambda n, hook=hook: (freed.append(n), hook(n)))
             plan = frontend.submit(routine, **dims).result(30)
             frontend.close()  # joins the drain workers: their share is counted too
         assert plan.from_cache
         assert {label: len(seen) for label, seen in calls.items()} == {
-            "Condition": 0, "Future": 0, "acquire": 1, "release": 1,
+            "Condition": 0, "Future": 0, "wait": 0, "admit": 1,
         }
+        assert freed == [1]
+        after = frontend.stats()["admission"]
+        assert after["submitted"] - before["submitted"] == 1
+        assert after["completed"] - before["completed"] == 1
+        assert after["in_flight"] == 0
 
 
 def test_call_budget_of_one_hot_request(clear_caches):

@@ -192,14 +192,6 @@ class FrontendMachine(RuleBasedStateMachine):
             assert admission["submitted"] == admission["completed"]
             assert admission["shed"] == self.n_shed
             assert stats["pending"] == 0
-            # Every admission slot came back: the whole budget is free.
-            taken = [
-                self.frontend._slots.acquire(blocking=False)
-                for _ in range(MAX_PENDING + 1)
-            ]
-            assert taken == [True] * MAX_PENDING + [False]
-            for _ in range(MAX_PENDING):
-                self.frontend._slots.release()
             supervision = stats["supervision"]
             assert supervision["quarantined"] == []
             # Only a redispatched request can be answered twice (late, by
