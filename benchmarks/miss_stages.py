@@ -13,8 +13,10 @@ reads above an unwrapped p50.
 
 ``DIR`` is a saved bundle, e.g. the end-to-end benchmark's
 ``benchmarks/e2e/out/cache/<digest>-full/bundle``.  The script also runs
-against a tree that still names the predictor pass ``plan_batch`` and routes
-through ``FallbackChain.resolve``, so two trees can be read side by side.
+against a tree that still names the predictor pass ``plan_batch``, routes
+through ``FallbackChain.resolve`` or looks a plan's timing rows up in the
+memo while planning (``ServingEngine._timing_cells``), so two trees can be
+read side by side.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np  # noqa: E402
 from repro.core.features import FeatureGridWriter  # noqa: E402
 from repro.core.persistence import load_bundle  # noqa: E402
 from repro.core.predictor import ThreadPredictor  # noqa: E402
-from repro.core.runtime import AdsalaRuntime  # noqa: E402
+from repro.core.runtime import AdsalaRuntime, PendingTimings, TimingCell  # noqa: E402
 from repro.ml._native import BoundEvaluate  # noqa: E402
 from repro.routines import get_catalog  # noqa: E402
 from repro.serving.engine import ServingEngine  # noqa: E402
@@ -44,6 +46,13 @@ from repro.serving.fallback import FallbackChain  # noqa: E402
 
 PASS = "cached_plans" if hasattr(ThreadPredictor, "cached_plans") else "plan_batch"
 ROUTE = "route" if hasattr(FallbackChain, "route") else "resolve"
+#: A plan's deferred timing rows: the memo probe of a tree that still has
+#: one while planning, else the constructors of the rows the plan owes.
+TIMING = (
+    [(ServingEngine, "_timing_cells")]
+    if hasattr(ServingEngine, "_timing_cells")
+    else [(PendingTimings, "__init__"), (TimingCell, "__init__")]
+)
 
 #: (owner, function, label): every timed function.
 STAGES = [
@@ -53,7 +62,7 @@ STAGES = [
     (ThreadPredictor, "choose_batch", "choose"),
     (FeatureGridWriter, "load_dims", "load_dims"),
     (BoundEvaluate, "__call__", "native"),
-    (ServingEngine, "_timing_cells", "timing"),
+    *[(owner, name, "timing") for owner, name in TIMING],
     (ServingEngine, "_process_batch", "process"),
 ]
 
@@ -68,7 +77,12 @@ ROWS = [
     ),
     ("`load_dims`", lambda t: t["load_dims"]),
     ("native call (`BoundEvaluate.__call__`, ctypes included)", lambda t: t["native"]),
-    ("`_timing_cells`", lambda t: t["timing"]),
+    (
+        "deferred timing rows ("
+        + " + ".join(f"`{owner.__name__}.{name}`" for owner, name in TIMING)
+        + ")",
+        lambda t: t["timing"],
+    ),
     (
         "rest of `_process_batch` (groups, `ExecutionPlan`, telemetry, clocks)",
         lambda t: t["process"] - t["route"] - t["pass"] - t["timing"],

@@ -32,6 +32,8 @@ Cross-precision substitutions are no longer silent: the returned
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -44,56 +46,95 @@ from repro.routines import get_catalog
 __all__ = ["ExecutionPlan", "AdsalaRuntime", "AdsalaBlas"]
 
 
-class PendingTimings:
-    """Simulator rows one planning group still owes, timed in one pass.
-
-    Pins the simulator the group was planned under, so a later bundle reload
-    cannot change what its plans report; once resolved it drops the simulator
-    and its rows.  ``lock`` is the engine's one resolver lock: the simulator
-    is never entered from two threads.
+class TimingMemo:
+    """The engine's timing memo: an LRU of at most ``capacity`` timed rows,
+    ``(routine, sorted dims items, threads)`` → seconds (``0`` keeps and counts
+    none), its counters, and the resolver lock every group read holds.
+    :meth:`renew` starts a source generation's ``rows``; the counters stay.
     """
 
-    __slots__ = ("routine", "simulator", "lock", "rows", "__weakref__")
+    __slots__ = ("capacity", "lock", "rows", "hits", "misses")
 
-    def __init__(self, routine: str, simulator, lock):
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.lock = threading.Lock()
+        self.hits = self.misses = 0
+        self.renew()
+
+    def renew(self) -> None:
+        self.rows: Optional[OrderedDict] = OrderedDict() if self.capacity else None
+
+
+class PendingTimings:
+    """Simulator rows one planning group owes, answered when a plan is read.
+
+    Planning only appends :class:`TimingCell` s.  The first read resolves
+    the group under the memo's lock: rows the memo holds answer from it,
+    the distinct rest are timed in **one** ``time_batch`` pass and stored.
+    Pins the simulator and the memo rows it was planned under, so a reload
+    cannot change what its plans report; once resolved it drops them.
+    """
+
+    __slots__ = ("routine", "simulator", "memo", "memo_rows", "rows", "__weakref__")
+
+    def __init__(self, routine: str, simulator, memo: TimingMemo):
         self.routine = routine
         self.simulator = simulator
-        self.lock = lock
-        self.rows: List[Tuple[Dict[str, int], int, TimingCell]] = []
-
-    def add(self, dims: Dict[str, int], threads: int) -> "TimingCell":
-        cell = TimingCell(self)
-        self.rows.append((dims, threads, cell))
-        return cell
+        self.memo = memo
+        self.memo_rows = memo.rows
+        self.rows: Optional[List[TimingCell]] = []
 
     def resolve(self) -> None:
-        with self.lock:
-            if self.simulator is None:  # another reader got here first
+        memo = self.memo
+        with memo.lock:
+            cells, memoised, routine = self.rows, self.memo_rows, self.routine
+            if cells is None:  # another reader got here first
                 return
-            dim_names = get_catalog().resolve(self.routine)[2].dim_names
-            # One int64 row per dimension, threads last, in a single conversion.
-            table = np.array(
-                [[row[0][name] for row in self.rows] for name in dim_names]
-                + [[row[1] for row in self.rows]],
-                dtype=np.int64,
-            )
-            times = self.simulator.time_batch(
-                self.routine, dict(zip(dim_names, table)), table[-1]
-            )
-            for (_, _, cell), value in zip(self.rows, times):
-                cell.value = float(value)
+            missing: Dict[tuple, List[TimingCell]] = {}  # row -> its cells
+            for cell in cells:
+                row = (routine, tuple(sorted(cell.dims.items())), cell.threads)
+                cell.value = None if memoised is None else memoised.get(row)
+                if cell.value is None:
+                    missing.setdefault(row, []).append(cell)
+                else:
+                    memoised.move_to_end(row)
+                    memo.hits += 1
+            if missing:
+                firsts = [same[0] for same in missing.values()]
+                dim_names = get_catalog().resolve(routine)[2].dim_names
+                # One int64 row per dimension, threads last, in a single conversion.
+                table = np.array(
+                    [[cell.dims[name] for cell in firsts] for name in dim_names]
+                    + [[cell.threads for cell in firsts]],
+                    dtype=np.int64,
+                )
+                times = self.simulator.time_batch(routine, dict(zip(dim_names, table)), table[-1])
+                for (row, same), value in zip(missing.items(), times):
+                    for cell in same:
+                        cell.value = float(value)
+                    if memoised is not None:
+                        memoised[row] = cell.value
+                if memoised is not None:
+                    memo.misses += len(missing)
+                    while len(memoised) > memo.capacity:
+                        memoised.popitem(last=False)
+            for cell in cells:
                 cell.group = None
-            self.simulator = self.rows = None
+            self.simulator = self.memo_rows = self.rows = None
 
 
 class TimingCell:
-    """One ``(routine, dims, threads)`` simulator row: a float once timed."""
+    """One row a plan owes its :class:`PendingTimings` group, over the plan's
+    own ``dims`` (so an unread plan keeps nothing more alive): a float once
+    the group is resolved."""
 
-    __slots__ = ("value", "group")
+    __slots__ = ("value", "group", "dims", "threads")
 
-    def __init__(self, group: PendingTimings):
-        self.value: Optional[float] = None
-        self.group: Optional[PendingTimings] = group
+    def __init__(self, group: PendingTimings, dims: Dict[str, int], threads: int):
+        self.group = group
+        self.dims = dims
+        self.threads = threads
+        group.rows.append(self)
 
     def resolve(self) -> float:
         group = self.group
@@ -121,9 +162,10 @@ class ExecutionPlan:
 
     ``predicted_time`` and ``baseline_time`` are views.  The constructor
     takes floats (decoded frames, tests) or, from the engine, deferred
-    :class:`TimingCell` rows: planning does not run the simulator.  The
-    first read of an untimed field, from any thread, times every row its
-    planning group still owes in one batched simulator pass; ``==``,
+    :class:`TimingCell` rows: planning neither runs the simulator nor
+    consults the timing memo.  The first read of an untimed field, from any
+    thread, resolves every row its planning group owes — from the memo it
+    was planned under, the rest in one batched simulator pass; ``==``,
     ``repr``, pickling and :attr:`estimated_speedup` read the fields and so
     see timed values.
 

@@ -114,9 +114,9 @@ CACHE = (
     )),
     Stat("timing", BLOCK, of=(
         Stat("hits", SUM, "adsala_timing_cache_hits_total",
-             "Timing-memo hits (simulated rows answered from the LRU memo)"),
+             "Timing-memo hits (plan rows answered from the LRU memo when a plan is read)"),
         Stat("misses", SUM, "adsala_timing_cache_misses_total",
-             "Timing-memo misses (rows that ran the simulator)"),
+             "Timing-memo misses (distinct rows simulated when a plan is read)"),
         Stat("size", SUM, "adsala_timing_cache_size", "Rows currently held by the timing memo"),
         Stat("capacity", SUM, "adsala_timing_cache_capacity",
              "Timing-memo capacity (summed across shards when merged)"),

@@ -28,9 +28,11 @@ first reads them (:class:`~repro.core.runtime.ExecutionPlan`):
    :meth:`~repro.core.predictor.ThreadPredictor.cached_plans` pass over the
    predictor's LRU (a miss takes its slot as a placeholder that the group's
    **one** batched evaluation fills; the engine reads the cached plans' thread
-   counts and builds no other), one walk that hands every plan its two
-   deferred timing rows (memoised cells, or one pending set per group that
-   a first read times in one batched pass), one telemetry record —
+   counts and builds no other), one walk that hands every plan its own one
+   or two deferred timing rows in the group's one
+   :class:`~repro.core.runtime.PendingTimings` (nothing hashed, no memo
+   probe: the first read answers the group's rows from the timing memo and
+   times the rest in one batched pass), one telemetry record —
    bit-identical to the scalar path, so a micro-batch returns exactly the
    plans a ``plan()`` loop would have produced,
 5. plans and (optionally) observed runtimes feed the
@@ -46,8 +48,10 @@ Concurrency
 The engine is safe to drive from multiple threads: every mutating entry
 point (``plan`` / ``plan_many`` / ``execute`` / ``record_observation`` /
 ``reload_source``) and every stats reader serialises on one coarse engine
-lock, so batches, telemetry, the timing memo and the per-routine predictor
-LRU caches never interleave.  Request ids are allocated lock-free (an
+lock, so batches, telemetry and the per-routine predictor LRU caches never
+interleave.  The timing memo is under the resolver lock, taken by a plan's
+first read from any thread and by stats readers inside the engine lock:
+engine → resolver, never back.  Request ids are allocated lock-free (an
 atomic counter).  One engine still processes one batch at a time — for
 CPU parallelism across requests, shard traffic over several engines with
 :class:`~repro.serving.frontend.ShardedFrontend`.
@@ -58,12 +62,11 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import BundleFormatError
-from repro.core.runtime import ExecutionPlan, PendingTimings, TimingCell
+from repro.core.runtime import ExecutionPlan, PendingTimings, TimingCell, TimingMemo
 from repro.obs.metrics import now_timestamps
 from repro.routines import UnknownRoutineError, get_catalog
 from repro.serving.fallback import FallbackChain, default_serving_chain
@@ -77,8 +80,8 @@ class PlanRequest:
     """One plan request (dimensions already normalized).
 
     ``dims_key`` is the canonical hashable form of ``dims`` (sorted items),
-    computed once at intake: shard routing, the predictor's LRU probe, the
-    timing memo and the shape histogram all key on this one tuple.
+    computed once at intake: shard routing, the predictor's LRU probe and
+    the shape histogram all key on this one tuple.
     ``deadline`` is an optional absolute :func:`time.monotonic` instant —
     the drain loop sheds a request whose deadline already passed instead of
     spending a micro-batch slot on an answer nobody is waiting for.  The
@@ -162,10 +165,11 @@ class ServingEngine:
         cache (mirrors the ``use_cache`` flag of ``plan()``).
     timing_cache_capacity:
         Bound on the engine's timing memo (distinct ``(routine, dims,
-        threads)`` rows).  No plan runs the simulator in the request path;
-        the timing simulator is deterministic, so the memo lets plans of a
-        repeated shape share one row and a read of their timing fields
-        simulate it once.  ``0`` disables it.
+        threads)`` rows, an LRU per source generation).  Planning neither
+        runs the simulator nor touches the memo; the simulator is
+        deterministic, so the first read of a plan's timing fields answers
+        rows an earlier read timed from the memo and simulates only the
+        rest.  ``0`` disables it.
     """
 
     def __init__(
@@ -187,11 +191,7 @@ class ServingEngine:
         self.telemetry = telemetry if telemetry is not None else EngineTelemetry()
         self.use_cache = use_cache
         self.timing_cache_capacity = int(timing_cache_capacity)
-        self._timing_cache: "OrderedDict[tuple, TimingCell]" = OrderedDict()
-        # Held only while a plan's deferred rows are timed (PendingTimings).
-        self._resolver_lock = threading.Lock()
-        self.n_timing_hits = 0
-        self.n_timing_misses = 0
+        self._timing_memo = TimingMemo(self.timing_cache_capacity)
         self.n_rejected_unknown = 0
         # CPython guarantees next() on one iterator is atomic, so request-id
         # allocation never touches the engine lock.
@@ -290,65 +290,12 @@ class ServingEngine:
         return self._routes
 
     def _new_generation(self, generation) -> None:
-        """Forget every route and the platform's thread ceiling (the
-        heuristic plan and every baseline row), re-read by the next batch."""
+        """Forget every route, the platform's thread ceiling (the heuristic
+        plan and every baseline row) and the timing memo's rows."""
+        self._timing_memo.renew()
         self._routes: Dict[str, _Route] = {}
         self._routes_generation = generation
         self._max_threads: Optional[int] = None
-
-    def _timing_cells(self, key: str, members, threads, max_threads: int) -> List[TimingCell]:
-        """Deferred runtimes of one group, memoised: two cells per member, the
-        row at its chosen thread count and the row at ``max_threads``.
-
-        Nothing is simulated here.  A row the memo already holds — timed or
-        still pending from an earlier group — shares that cell (the simulator
-        is deterministic, so the values are identical); the remaining
-        distinct rows become one :class:`~repro.core.runtime.PendingTimings`
-        group, timed in **one** vectorised ``time_batch`` pass by whoever
-        first reads one of its plans' timing fields.  A missed row's key is
-        hashed twice, by the probe and by the insertion that follows the
-        group; only a group of several members also keeps its new rows in a
-        dict, for a second member of the same shape.
-        """
-        cache = self._timing_cache
-        capacity = self.timing_cache_capacity
-        cells: List[TimingCell] = []
-        new_rows: List[Tuple[tuple, TimingCell]] = []  # in first-seen order
-        seen: Optional[Dict[tuple, TimingCell]] = {} if len(members) > 1 else None
-        group: Optional[PendingTimings] = None
-        hits = 0
-        for (_, request, _), chosen in zip(members, threads):
-            dims_key = request.dims_key
-            for n_threads in (chosen, max_threads) if chosen != max_threads else (chosen,):
-                row = (key, dims_key, n_threads)
-                cell = cache.get(row) if capacity else None
-                hit = cell is not None
-                if hit:
-                    cache.move_to_end(row)
-                    hits += 1
-                elif seen is None or (cell := seen.get(row)) is None:
-                    # One miss per distinct row; within-group duplicates share
-                    # the cell and count neither as hit nor miss.
-                    if group is None:
-                        group = PendingTimings(key, self.source.simulator, self._resolver_lock)
-                    cell = group.add(request.dims, n_threads)
-                    new_rows.append((row, cell))
-                    if seen is not None:
-                        seen[row] = cell
-                cells.append(cell)
-            if chosen == max_threads:
-                # The baseline row is the prediction's: its cell again, and a
-                # second hit where the memo held it, as a second probe counts.
-                cells.append(cell)
-                hits += hit
-        if capacity:
-            self.n_timing_hits += hits
-            self.n_timing_misses += len(new_rows)
-            for row, cell in new_rows:
-                cache[row] = cell
-            while len(cache) > capacity:
-                cache.popitem(last=False)
-        return cells
 
     def _process_batch(
         self, batch: Sequence[PlanRequest], use_cache: Optional[bool] = None
@@ -393,19 +340,21 @@ class ServingEngine:
                     [member[1].dims_key for member in members],
                 )
                 threads = [twin.threads for twin in twins]
-            # Two deferred rows per plan: the chosen-thread prediction and the
-            # max-thread baseline; for heuristic groups (and predictions that
-            # chose max threads) the rows coincide.
-            cells = iter(self._timing_cells(key, members, threads, max_threads))
             telemetry = route.telemetry
             if telemetry is None:
                 telemetry = route.telemetry = self.telemetry.routine(key)
-            for (index, request, route), chosen, cached, predicted, baseline in zip(
-                members, threads, from_cache, cells, cells
-            ):
+            # Each plan's deferred rows: the chosen-thread prediction and the
+            # max-thread baseline, one row when they coincide.
+            pending = PendingTimings(key, self.source.simulator, self._timing_memo)
+            for (index, request, route), chosen, cached in zip(members, threads, from_cache):
+                dims = request.dims
+                predicted = TimingCell(pending, dims, chosen)
+                baseline = (
+                    predicted if chosen == max_threads else TimingCell(pending, dims, max_threads)
+                )
                 fallback_from = route.fallback_from
                 plans[index] = ExecutionPlan(
-                    key, request.dims, chosen, predicted, baseline, cached,
+                    key, dims, chosen, predicted, baseline, cached,
                     fallback_from, route.policy,
                 )  # fmt: skip
                 telemetry.record_plan(
@@ -451,15 +400,15 @@ class ServingEngine:
 
     # -- hot reload --------------------------------------------------------------------
     def clear_timing_cache(self) -> None:
-        """Drop the timing memo (hit/miss counters survive).
+        """Start the timing memo over (hit/miss counters survive).
 
-        Must be called whenever the source's simulator may have changed —
-        e.g. after a bundle promotion stamps a new machine calibration —
-        because memoised rows would otherwise keep answering with the old
-        machine's times.
+        Must be called whenever the source's simulator may have changed
+        without a reload — e.g. after a bundle promotion stamps a new
+        machine calibration — because memoised rows would otherwise keep
+        answering with the old machine's times.
         """
         with self._lock:
-            self._timing_cache.clear()
+            self._timing_memo.renew()
 
     def reload_source(self, force: bool = False) -> bool:
         """Hot-reload a registry-backed source and invalidate stale caches.
@@ -474,7 +423,6 @@ class ServingEngine:
         with self._lock:
             changed = bool(reload(force=force))
             if changed:
-                self.clear_timing_cache()
                 self._new_generation(getattr(self.source, "manifest", None))
                 # A reloaded bundle may no longer install every routine this
                 # engine served; stale keys would make cache_statistics()
@@ -524,18 +472,20 @@ class ServingEngine:
                 hits += info["hits"]
                 misses += info["misses"]
                 evaluations += predictor.n_model_evaluations
-            return {
-                "cache_hits": hits,
-                "cache_misses": misses,
-                "model_evaluations": evaluations,
-                "routines": per_routine,
-                "timing": {
-                    "hits": self.n_timing_hits,
-                    "misses": self.n_timing_misses,
-                    "size": len(self._timing_cache),
-                    "capacity": self.timing_cache_capacity,
-                },
-            }
+            memo = self._timing_memo
+            with memo.lock:  # engine -> resolver, never back
+                return {
+                    "cache_hits": hits,
+                    "cache_misses": misses,
+                    "model_evaluations": evaluations,
+                    "routines": per_routine,
+                    "timing": {
+                        "hits": memo.hits,
+                        "misses": memo.misses,
+                        "size": len(memo.rows or ()),
+                        "capacity": memo.capacity,
+                    },
+                }
 
     def stats(self) -> Dict[str, object]:
         """Telemetry snapshot plus cache counters (JSON-serialisable).

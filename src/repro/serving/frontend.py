@@ -173,7 +173,8 @@ class ShardedFrontend:
         (:meth:`plan_many` always waits).
     max_batch_size / use_cache / timing_cache_capacity:
         Forwarded to each shard's :class:`ServingEngine` (ignored for
-        pre-built engines).
+        pre-built engines); each engine's timing memo is consulted when a
+        plan is read, not when it is planned.
     backend:
         ``"thread"`` (default) runs every engine in this process;
         ``"process"`` runs each engine in its own worker process, which

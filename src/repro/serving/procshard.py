@@ -361,7 +361,9 @@ def export_source_spec(
     directory (the worker opens its own lazy handle); an in-memory bundle
     rides the spawn pickle whole, which hands each worker an independent
     copy.  Building the native kernel here, before any worker spawns,
-    leaves the ``.so`` in the on-disk cache for all of them.
+    leaves the ``.so`` in the on-disk cache for all of them.  The
+    ``timing_cache_capacity`` bounds each worker's timing memo, which the
+    worker reads when it encodes its plans.
     """
     _native.library_path()
     return {

@@ -108,7 +108,8 @@ def build_engine(
     ``source`` must be this engine's alone — a
     :class:`~repro.serving.registry.BundleHandle` nobody else holds or an
     independent copy of the bundle — because engines guard their source's
-    predictor caches with their own lock only.
+    predictor caches with their own lock only.  ``timing_cache_capacity``
+    bounds the engine's timing memo, read when a plan's timing fields are.
     """
     return ServingEngine(
         source,

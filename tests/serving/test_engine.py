@@ -138,6 +138,25 @@ class TestPlanningDefersTheSimulator:
             _distinct_rows([single], bundle.platform.max_threads)
         )
 
+    def test_planning_leaves_the_timing_memo_alone_until_a_read(self, clear_caches):
+        engine = ServingEngine(clear_caches)
+        engine.plan_many(self.SHAPES)  # warm: routes, predictor LRU
+        for plan in engine.plan_many(self.SHAPES):
+            plan.predicted_time  # warm: every row of the shapes is in the memo
+        memo = engine.cache_statistics()["timing"]
+        miss = engine.plan("dgemm", m=555, k=66, n=777)
+        hit = engine.plan(self.SHAPES[0][0], **self.SHAPES[0][1])
+        assert not miss.from_cache and hit.from_cache
+        assert engine.cache_statistics()["timing"] == memo
+
+        hit.predicted_time
+        rows = len(_distinct_rows([hit], clear_caches.platform.max_threads))
+        assert engine.cache_statistics()["timing"] == dict(memo, hits=memo["hits"] + rows)
+        miss.baseline_time
+        rows = len(_distinct_rows([miss], clear_caches.platform.max_threads))
+        now = engine.cache_statistics()["timing"]
+        assert (now["misses"], now["size"]) == (memo["misses"] + rows, memo["size"] + rows)
+
     def test_eight_concurrent_first_readers_cause_one_pass(self, clear_caches, monkeypatch):
         import sys
 

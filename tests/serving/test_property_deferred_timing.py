@@ -1,8 +1,9 @@
 """Differential tests for deferred plan timings against an eager oracle.
 
-``ServingEngine`` plans without running the timing simulator: a plan's
-``predicted_time`` / ``baseline_time`` are views over memoised row cells
-that the first read times, one batched pass per planning group
+``ServingEngine`` plans without running the timing simulator or touching
+its timing memo: a plan's ``predicted_time`` / ``baseline_time`` are views
+over deferred row cells that the first read answers from the memo or times,
+one batched pass per planning group
 (:class:`repro.core.runtime.PendingTimings`).  Whatever the stream, the
 micro-batch split, the memo capacity and the order plans are read in, every
 plan must equal what an eager engine reported: the scalar
@@ -164,19 +165,31 @@ def _distinct_rows(plans, max_threads):
 
 
 def _reload_case(serving_bundle, directory, make_engine=ServingEngine):
-    """Plan, hot-swap the bundle's simulator, then read: old plans, old machine."""
+    """Plan, hot-swap the bundle's simulator, then read: old plans, old machine.
+
+    The old generation's memo holds a row of the first shape (read before
+    the reload) and the new generation's memo every row of the new plans
+    (read first after it), so an old plan finds the right answer only in
+    the memo and the simulator it was planned under.
+    """
     save_bundle(serving_bundle, directory, bundle_version=1)
     engine = make_engine(BundleHandle(directory))
+    max_threads = engine.platform.max_threads
     old_simulator = copy.deepcopy(engine.source.simulator)
     old_plans = engine.plan_many(SHAPES)
-    n_rows = _distinct_rows(old_plans, engine.platform.max_threads)
-    assert engine.cache_statistics()["timing"]["size"] == n_rows
+    assert engine.cache_statistics()["timing"]["size"] == 0  # planning leaves the memo alone
+    (old_read,) = engine.plan_many(SHAPES[:1])
+    old_read.predicted_time
+    assert engine.cache_statistics()["timing"]["size"] == _distinct_rows([old_read], max_threads)
 
     save_bundle(_reseeded(serving_bundle), directory, bundle_version=2)
     assert engine.reload_source(force=True)
     assert engine.cache_statistics()["timing"]["size"] == 0
     new_simulator = copy.deepcopy(engine.source.simulator)
     new_plans = engine.plan_many(SHAPES)
+    for plan in new_plans:
+        plan.predicted_time
+    n_rows = _distinct_rows(new_plans, max_threads)
     assert engine.cache_statistics()["timing"]["size"] == n_rows  # restarted from 0
 
     for old, new in zip(old_plans, new_plans):
@@ -186,6 +199,9 @@ def _reload_case(serving_bundle, directory, make_engine=ServingEngine):
         )
         assert (new.predicted_time, new.baseline_time) == _times(new_simulator, new)
         assert old.predicted_time != new.predicted_time
+    assert (old_read.predicted_time, old_read.baseline_time) == _times(old_simulator, old_read)
+    # The old plans' rows went to the old generation's memo, not the new one.
+    assert engine.cache_statistics()["timing"]["size"] == n_rows
 
 
 def test_old_plans_keep_the_old_simulator_across_a_reload(serving_bundle, tmp_path):
@@ -211,11 +227,34 @@ def test_mutant_resolving_against_the_live_simulator_fails_the_reload_case(
         engine = ServingEngine(source)
 
         class UnpinnedTimings(PendingTimings):
-            def __init__(self, routine, simulator, lock):
-                super().__init__(routine, _ReadTimeSimulator(engine), lock)
+            def __init__(self, routine, simulator, memo):
+                super().__init__(routine, _ReadTimeSimulator(engine), memo)
 
         monkeypatch.setattr(engine_module, "PendingTimings", UnpinnedTimings)
         return engine
 
     with pytest.raises(AssertionError, match="old machine"):
         _reload_case(serving_bundle, tmp_path / "bundle", unpinned_engine)
+
+
+def test_mutant_reading_the_live_memo_fails_the_reload_case(
+    serving_bundle, tmp_path, monkeypatch
+):
+    """The memo is pinned with the simulator: a group that reads the rows of
+    the generation current at its first read answers old plans with the new
+    machine's times."""
+
+    def live_memo_engine(source):
+        engine = ServingEngine(source)
+
+        class LiveMemoTimings(PendingTimings):
+            def resolve(self):
+                if self.rows is not None:
+                    self.memo_rows = self.memo.rows
+                super().resolve()
+
+        monkeypatch.setattr(engine_module, "PendingTimings", LiveMemoTimings)
+        return engine
+
+    with pytest.raises(AssertionError, match="old machine"):
+        _reload_case(serving_bundle, tmp_path / "bundle", live_memo_engine)
