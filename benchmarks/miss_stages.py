@@ -14,9 +14,9 @@ reads above an unwrapped p50.
 ``DIR`` is a saved bundle, e.g. the end-to-end benchmark's
 ``benchmarks/e2e/out/cache/<digest>-full/bundle``.  The script also runs
 against a tree that still names the predictor pass ``plan_batch``, routes
-through ``FallbackChain.resolve`` or looks a plan's timing rows up in the
-memo while planning (``ServingEngine._timing_cells``), so two trees can be
-read side by side.
+through ``FallbackChain.resolve``, looks a plan's timing rows up in the
+memo while planning (``ServingEngine._timing_cells``) or builds one
+``TimingCell`` per owed row, so two trees can be read side by side.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np  # noqa: E402
 from repro.core.features import FeatureGridWriter  # noqa: E402
 from repro.core.persistence import load_bundle  # noqa: E402
 from repro.core.predictor import ThreadPredictor  # noqa: E402
-from repro.core.runtime import AdsalaRuntime, PendingTimings, TimingCell  # noqa: E402
+from repro.core import runtime as runtime_module  # noqa: E402
+from repro.core.runtime import AdsalaRuntime, PendingTimings  # noqa: E402
 from repro.ml._native import BoundEvaluate  # noqa: E402
 from repro.routines import get_catalog  # noqa: E402
 from repro.serving.engine import ServingEngine  # noqa: E402
@@ -47,11 +48,13 @@ from repro.serving.fallback import FallbackChain  # noqa: E402
 PASS = "cached_plans" if hasattr(ThreadPredictor, "cached_plans") else "plan_batch"
 ROUTE = "route" if hasattr(FallbackChain, "route") else "resolve"
 #: A plan's deferred timing rows: the memo probe of a tree that still has
-#: one while planning, else the constructors of the rows the plan owes.
+#: one while planning, else the group's constructor and, where a tree still
+#: has them, the constructors of the rows a plan owes.
 TIMING = (
     [(ServingEngine, "_timing_cells")]
     if hasattr(ServingEngine, "_timing_cells")
-    else [(PendingTimings, "__init__"), (TimingCell, "__init__")]
+    else [(PendingTimings, "__init__")]
+    + [(cell, "__init__") for cell in [getattr(runtime_module, "TimingCell", None)] if cell]
 )
 
 #: (owner, function, label): every timed function.

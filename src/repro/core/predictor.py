@@ -10,7 +10,9 @@ entirely through a bounded LRU cache — a generalisation of the paper's
 last-call cache (Section III-B) that also serves cycling workloads (a
 handful of problem shapes alternating back to back, the common pattern in
 iterative solvers).  ``cache_capacity=1`` reproduces the paper's exact
-last-call behaviour.
+last-call behaviour.  The cache keeps a ``(threads, score)`` pair per
+shape: ``plan`` / ``plan_batch`` build a :class:`PredictionPlan` from it,
+the serving engine, which reads the thread count, builds none.
 
 Batch prediction (:meth:`ThreadPredictor.predict_threads_batch`) evaluates
 the model once over a ``(n_shapes * n_candidates)`` feature grid instead of
@@ -31,7 +33,8 @@ the object graph ``feature_matrix_grid`` → ``pipeline.transform`` →
 ``model.predict``, bit-identical and slow, for equivalence tests and
 benchmark baselines.  The compiled kernel is working state, not model
 state: it is dropped from pickles and deep copies and rebuilt on first
-use.
+use.  The LRU travels with a copy, unless a pickle from an older tree
+holds it in another form; then it starts empty.
 
 The model's output is a *score*; the plan is the column
 :func:`~repro.core.compiled.middle_of_ties` picks from each shape's row of
@@ -140,8 +143,7 @@ class PredictionPlan:
     from_cache: bool
 
     def __init__(self, routine, dims, threads, predicted_time, from_cache):
-        # Written to the instance dict, like ExecutionPlan's: one per
-        # evaluated shape (its cached twin) on the serving miss path.
+        # Written to the instance dict, like ExecutionPlan's.
         state = self.__dict__
         state["routine"] = routine
         state["dims"] = dims
@@ -209,7 +211,8 @@ class ThreadPredictor:
         self.target = target
         self.level = level
         self.feature_names = feature_names(routine)
-        self._cache: OrderedDict[tuple, PredictionPlan] = OrderedDict()
+        # Shape key -> (chosen thread count, the model's score there).
+        self._cache: OrderedDict[tuple, tuple] = OrderedDict()
         self._compiled: CompiledPredictor | None = None
         self.n_model_evaluations = 0
         self.n_cache_hits = 0
@@ -236,6 +239,14 @@ class ThreadPredictor:
         state = self.__dict__.copy()
         state["_compiled"] = None
         return state
+
+    def __setstate__(self, state):
+        # A predictor pickled after planning by a tree whose LRU held plan
+        # objects would hand the engine those where it reads ``(threads,
+        # score)`` pairs.  The LRU is working state: such a one starts empty.
+        self.__dict__.update(state)
+        if any(type(value) is not tuple for value in self._cache.values()):
+            self._cache = OrderedDict()
 
     @staticmethod
     def cache_key(dims: Dict[str, int]) -> tuple:
@@ -309,22 +320,20 @@ class ThreadPredictor:
         middle one of a run the model predicts the same minimum for).
 
         Calls whose dimensions are among the last ``cache_capacity`` distinct
-        shapes are served from the LRU cache without re-evaluating the model;
-        the cached ``from_cache=True`` plan is precomputed at store time, so
-        a hit is a dictionary lookup and nothing more.  A probe is counted
-        when its plan exists: a shape the evaluation rejects raises and
-        leaves every counter where it was.
+        shapes are served from the LRU cache without re-evaluating the model:
+        a hit is a dictionary lookup plus the plan built from the cached
+        thread count and score.  A probe is counted when its plan exists: a
+        shape the evaluation rejects raises and leaves every counter where it
+        was.
 
         This is the sequential oracle :meth:`plan_batch` is held to.
         """
-        twin, from_cache = self._plan_one(dims, self.cache_key(dims), use_cache)
-        if from_cache:
-            return twin
-        return PredictionPlan(twin.routine, twin.dims, twin.threads, twin.predicted_time, False)
+        chosen, from_cache = self._plan_one(dims, self.cache_key(dims), use_cache)
+        return self._plan_of(dims, chosen, from_cache)
 
     def _plan_one(self, dims: Dict[str, int], key: tuple, use_cache: bool) -> tuple:
-        """One shape's plan in its cached form, and whether it was a hit —
-        :meth:`plan` and a one-shape :meth:`cached_plans`."""
+        """One shape's cached ``(threads, score)`` pair, and whether it was a
+        hit — :meth:`plan` and a one-shape :meth:`cached_plans`."""
         cache = self._cache
         if use_cache:
             cached = cache.get(key)
@@ -335,21 +344,22 @@ class ThreadPredictor:
         scores, (best,) = self.choose_batch([dims])
         if use_cache:
             self.n_cache_misses += 1
-        twin = cache[key] = self._twin(dims, scores.item(0, best), best)
+        chosen = cache[key] = (self.candidate_threads[best], scores.item(0, best))
         cache.move_to_end(key)
         while len(cache) > self.cache_capacity:
             cache.popitem(last=False)
-        return twin, False
+        return chosen, False
 
-    def _twin(self, dims: Dict[str, int], score: float, best: int) -> PredictionPlan:
-        """The plan of a shape whose evaluation chose column ``best`` at
-        ``score``, in its cached form: the dims copied, the score in seconds."""
+    def _plan_of(self, dims: Dict[str, int], chosen: tuple, from_cache: bool) -> PredictionPlan:
+        """The plan of a shape whose evaluation chose ``(threads, score)``:
+        the dims copied, the score in seconds."""
         dims = dict(dims)
+        threads, seconds = chosen
         if self.target != "seconds":
-            score = math.exp(score)
+            seconds = math.exp(seconds)
             if self.level is not None:
-                score *= self.level(dims)
-        return PredictionPlan(self.routine, dims, self.candidate_threads[best], score, True)
+                seconds *= self.level(dims)
+        return PredictionPlan(self.routine, dims, threads, seconds, from_cache)
 
     def predict_threads(self, dims: Dict[str, int], use_cache: bool = True) -> int:
         """Convenience wrapper returning only the chosen thread count."""
@@ -386,22 +396,11 @@ class ThreadPredictor:
         :meth:`cache_key` tuples when the caller already holds them (a
         :class:`~repro.serving.engine.PlanRequest` does).
 
-        :meth:`cached_plans` does the work; a plan that was no hit is its
-        cached twin with ``from_cache=False``, one per distinct shape.
+        :meth:`cached_plans` does the work; each shape's plan is built from
+        its ``(threads, score)`` pair.
         """
-        twins, hit = self.cached_plans(dims_list, use_cache, keys)
-        fresh: Dict[int, PredictionPlan] = {}
-        plans = []
-        for twin, from_cache in zip(twins, hit):
-            if not from_cache:
-                plan = fresh.get(id(twin))
-                if plan is None:
-                    plan = fresh[id(twin)] = PredictionPlan(
-                        twin.routine, twin.dims, twin.threads, twin.predicted_time, False
-                    )
-                twin = plan
-            plans.append(twin)
-        return plans
+        chosen, hit = self.cached_plans(dims_list, use_cache, keys)
+        return [self._plan_of(*slot) for slot in zip(dims_list, chosen, hit)]
 
     def cached_plans(
         self,
@@ -410,16 +409,16 @@ class ThreadPredictor:
         keys: Sequence[tuple] | None = None,
     ) -> tuple:
         """:meth:`plan_batch` as the serving engine needs it: every shape's
-        plan in its cached (``from_cache=True``) form, and the list of
-        ``from_cache`` flags :meth:`plan_batch` returns, with the same
-        counters and final cache contents.  The engine reads the threads and
-        the flags, so no ``from_cache=False`` plan is built.
+        cached ``(threads, score)`` pair, and the list of ``from_cache`` flags
+        :meth:`plan_batch` returns, with the same counters and final cache
+        contents.  The engine reads the thread counts and the flags, so no
+        plan is built.
 
         One pass replays the sequential timeline on the LRU itself.  A miss
         takes its slot at once, as a ``None`` placeholder the evaluation
         fills in place, so every later request of the group meets the hit /
         miss / evict order a ``plan()`` loop would: one that finds the
-        placeholder is the ``from_cache=True`` twin, one whose slot was
+        placeholder is a ``from_cache=True`` hit, one whose slot was
         evicted in between is a second miss sharing the group's one
         evaluation.  No placeholder outlives the call.  When the evaluation
         raises, the placeholders are deleted, nothing is counted (probes or
@@ -428,25 +427,25 @@ class ThreadPredictor:
         """
         key_of = [self.cache_key(dims) for dims in dims_list] if keys is None else keys
         if len(key_of) == 1:  # the whole timeline is one plan() call
-            twin, from_cache = self._plan_one(dims_list[0], key_of[0], use_cache)
-            return [twin], [from_cache]
+            chosen, from_cache = self._plan_one(dims_list[0], key_of[0], use_cache)
+            return [chosen], [from_cache]
         cache = self._cache
-        plans: list = []
+        pairs: list = []
         if use_cache:
             # The hits up to the first miss, touched as a plan() loop touches
             # them.  With every key cached nothing is inserted, so nothing is
-            # evicted: the sequential answer is the cached plans.
+            # evicted: the sequential answer is the cached pairs.
             probe, touch = cache.get, cache.move_to_end
             for key in key_of:
                 cached = probe(key)
                 if cached is None:
                     break
                 touch(key)
-                plans.append(cached)
-            if len(plans) == len(key_of):
-                self.n_cache_hits += len(plans)
-                return plans, [True] * len(plans)
-        hits = len(plans)
+                pairs.append(cached)
+            if len(pairs) == len(key_of):
+                self.n_cache_hits += len(pairs)
+                return pairs, [True] * len(pairs)
+        hits = len(pairs)
         flags = [True] * hits
         capacity = self.cache_capacity
         # Distinct shape key -> [its dims, then the slots its plan fills].
@@ -464,7 +463,7 @@ class ThreadPredictor:
                 if use_cache:
                     hits += 1
                     if cached is not None:
-                        plans.append(cached)
+                        pairs.append(cached)
                         flags.append(True)
                         continue
                     from_cache = True  # the placeholder of this group's own miss
@@ -473,10 +472,10 @@ class ThreadPredictor:
                 pending[key] = [dims_list[slot], slot]
             else:
                 owed.append(slot)
-            plans.append(None)
+            pairs.append(None)
             flags.append(from_cache)
         if not pending:  # an empty group
-            return plans, flags
+            return pairs, flags
         try:
             scores, choices = self.choose_batch([owed[0] for owed in pending.values()])
         except BaseException:
@@ -486,15 +485,15 @@ class ThreadPredictor:
             raise
         if use_cache:
             self.n_cache_hits += hits
-            self.n_cache_misses += len(plans) - hits
-        score_at = scores.item
+            self.n_cache_misses += len(pairs) - hits
+        score_at, threads = scores.item, self.candidate_threads
         for row, (best, (key, owed)) in enumerate(zip(choices, pending.items())):
-            twin = self._twin(owed[0], score_at(row, best), best)
+            chosen = (threads[best], score_at(row, best))
             if key in cache:  # unless evicted again inside the group
-                cache[key] = twin
+                cache[key] = chosen
             for index in range(1, len(owed)):
-                plans[owed[index]] = twin
-        return plans, flags
+                pairs[owed[index]] = chosen
+        return pairs, flags
 
     def clear_cache(self) -> None:
         self._cache.clear()

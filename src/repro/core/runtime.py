@@ -68,83 +68,73 @@ class TimingMemo:
 class PendingTimings:
     """Simulator rows one planning group owes, answered when a plan is read.
 
-    Planning only appends :class:`TimingCell` s.  The first read resolves
-    the group under the memo's lock: rows the memo holds answer from it,
-    the distinct rest are timed in **one** ``time_batch`` pass and stored.
-    Pins the simulator and the memo rows it was planned under, so a reload
-    cannot change what its plans report; once resolved it drops them.
+    Planning puts the group in both time slots of each of its plans and the
+    plan in ``rows``.  A plan owes the row of its own thread count and the
+    ``max_threads`` baseline row, one row when they coincide.  The first read
+    resolves the group under the memo's lock: rows the memo holds answer
+    from it, the distinct rest are timed in **one** ``time_batch`` pass and
+    stored, and both floats go into each plan's instance dict.  Pins the
+    simulator and the memo rows it was planned under, so a reload cannot
+    change what its plans report; once resolved it drops them.
     """
 
-    __slots__ = ("routine", "simulator", "memo", "memo_rows", "rows", "__weakref__")
+    __slots__ = ("routine", "simulator", "memo", "memo_rows", "max_threads", "rows", "__weakref__")
 
-    def __init__(self, routine: str, simulator, memo: TimingMemo):
+    def __init__(self, routine: str, simulator, memo: TimingMemo, max_threads: int):
         self.routine = routine
         self.simulator = simulator
         self.memo = memo
         self.memo_rows = memo.rows
-        self.rows: Optional[List[TimingCell]] = []
+        self.max_threads = max_threads
+        self.rows: Optional[List[ExecutionPlan]] = []
 
     def resolve(self) -> None:
         memo = self.memo
         with memo.lock:
-            cells, memoised, routine = self.rows, self.memo_rows, self.routine
-            if cells is None:  # another reader got here first
+            plans, memoised, routine = self.rows, self.memo_rows, self.routine
+            if plans is None:  # another reader got here first
                 return
-            missing: Dict[tuple, List[TimingCell]] = {}  # row -> its cells
-            for cell in cells:
-                row = (routine, tuple(sorted(cell.dims.items())), cell.threads)
-                cell.value = None if memoised is None else memoised.get(row)
-                if cell.value is None:
-                    missing.setdefault(row, []).append(cell)
-                else:
-                    memoised.move_to_end(row)
-                    memo.hits += 1
-            if missing:
-                firsts = [same[0] for same in missing.values()]
+            seconds: Dict[tuple, float] = {}  # row -> its time, memoised or timed
+            untimed: Dict[tuple, tuple] = {}  # row the memo lacks -> (dims, threads)
+            owed = []  # (plan state, its row, its baseline row)
+            for plan in plans:
+                dims, chosen = plan.dims, plan.threads
+                shape = tuple(sorted(dims.items()))
+                own, base = (routine, shape, chosen), (routine, shape, self.max_threads)
+                owed.append((plan.__dict__, own, base))
+                for row in (own,) if own == base else (own, base):
+                    value = None if memoised is None else memoised.get(row)
+                    if value is not None:
+                        memoised.move_to_end(row)
+                        memo.hits += 1
+                        seconds[row] = value
+                    elif row not in untimed:
+                        untimed[row] = (dims, row[2])
+            if untimed:
                 dim_names = get_catalog().resolve(routine)[2].dim_names
                 # One int64 row per dimension, threads last, in a single conversion.
                 table = np.array(
-                    [[cell.dims[name] for cell in firsts] for name in dim_names]
-                    + [[cell.threads for cell in firsts]],
+                    [[dims[name] for dims, _ in untimed.values()] for name in dim_names]
+                    + [[threads for _, threads in untimed.values()]],
                     dtype=np.int64,
                 )
                 times = self.simulator.time_batch(routine, dict(zip(dim_names, table)), table[-1])
-                for (row, same), value in zip(missing.items(), times):
-                    for cell in same:
-                        cell.value = float(value)
+                for row, value in zip(untimed, times):
+                    seconds[row] = value = float(value)
                     if memoised is not None:
-                        memoised[row] = cell.value
+                        memoised[row] = value
                 if memoised is not None:
-                    memo.misses += len(missing)
+                    memo.misses += len(untimed)
                     while len(memoised) > memo.capacity:
                         memoised.popitem(last=False)
-            for cell in cells:
-                cell.group = None
+            for state, own, base in owed:
+                state["_predicted_time"], state["_baseline_time"] = seconds[own], seconds[base]
             self.simulator = self.memo_rows = self.rows = None
 
 
-class TimingCell:
-    """One row a plan owes its :class:`PendingTimings` group, over the plan's
-    own ``dims`` (so an unread plan keeps nothing more alive): a float once
-    the group is resolved."""
-
-    __slots__ = ("value", "group", "dims", "threads")
-
-    def __init__(self, group: PendingTimings, dims: Dict[str, int], threads: int):
-        self.group = group
-        self.dims = dims
-        self.threads = threads
-        group.rows.append(self)
-
-    def resolve(self) -> float:
-        group = self.group
-        if group is not None:
-            group.resolve()
-        return self.value
-
-
 class _SimulatedTime:
-    """Read-only view of a plan slot holding a float or a :class:`TimingCell`."""
+    """Read-only view of a plan slot holding a float or its
+    :class:`PendingTimings` group, which the first read resolves."""
 
     def __init__(self, slot: str):
         self.slot = slot
@@ -152,8 +142,11 @@ class _SimulatedTime:
     def __get__(self, plan, owner=None):
         if plan is None:  # class access: tells @dataclass there is no default
             raise AttributeError(self.slot)
-        value = getattr(plan, self.slot)
-        return value.resolve() if value.__class__ is TimingCell else value
+        value = plan.__dict__[self.slot]
+        if isinstance(value, PendingTimings):
+            value.resolve()
+            value = plan.__dict__[self.slot]
+        return value
 
 
 @dataclass(frozen=True, init=False)
@@ -161,13 +154,14 @@ class ExecutionPlan:
     """A planned BLAS call: chosen thread count plus simulator estimates.
 
     ``predicted_time`` and ``baseline_time`` are views.  The constructor
-    takes floats (decoded frames, tests) or, from the engine, deferred
-    :class:`TimingCell` rows: planning neither runs the simulator nor
-    consults the timing memo.  The first read of an untimed field, from any
-    thread, resolves every row its planning group owes — from the memo it
-    was planned under, the rest in one batched simulator pass; ``==``,
-    ``repr``, pickling and :attr:`estimated_speedup` read the fields and so
-    see timed values.
+    takes floats (decoded frames, tests) or, from the engine, the plan's
+    :class:`PendingTimings` planning group in both slots: planning neither
+    runs the simulator nor consults the timing memo.  The first read of an
+    untimed field, from any thread, resolves every row its group owes — from
+    the memo it was planned under, the rest in one batched simulator pass —
+    and writes both floats into each of the group's plans; ``==``, ``repr``,
+    pickling and :attr:`estimated_speedup` read the fields and so see timed
+    values.
 
     Attributes
     ----------

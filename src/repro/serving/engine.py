@@ -27,14 +27,13 @@ first reads them (:class:`~repro.core.runtime.ExecutionPlan`):
 4. each group pays for itself once — one
    :meth:`~repro.core.predictor.ThreadPredictor.cached_plans` pass over the
    predictor's LRU (a miss takes its slot as a placeholder that the group's
-   **one** batched evaluation fills; the engine reads the cached plans' thread
-   counts and builds no other), one walk that hands every plan its own one
-   or two deferred timing rows in the group's one
-   :class:`~repro.core.runtime.PendingTimings` (nothing hashed, no memo
-   probe: the first read answers the group's rows from the timing memo and
-   times the rest in one batched pass), one telemetry record —
-   bit-identical to the scalar path, so a micro-batch returns exactly the
-   plans a ``plan()`` loop would have produced,
+   **one** batched evaluation fills with a ``(threads, score)`` pair), one
+   :class:`~repro.core.runtime.PendingTimings` held in both time slots of
+   every plan (no memo probe: the first read answers the group's rows from
+   the timing memo and times the rest in one batched pass), one telemetry
+   record — and one object per plan, bit-identical to the scalar path, so a
+   micro-batch returns exactly the plans a ``plan()`` loop would have
+   produced,
 5. plans and (optionally) observed runtimes feed the
    :class:`~repro.serving.telemetry.EngineTelemetry` drift tracker.
 
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import BundleFormatError
-from repro.core.runtime import ExecutionPlan, PendingTimings, TimingCell, TimingMemo
+from repro.core.runtime import ExecutionPlan, PendingTimings, TimingMemo
 from repro.obs.metrics import now_timestamps
 from repro.routines import UnknownRoutineError, get_catalog
 from repro.serving.fallback import FallbackChain, default_serving_chain
@@ -334,29 +333,26 @@ class ServingEngine:
                 if predictor is None:  # the route's first group
                     self._touched_routines.add(key)
                     predictor = route.predictor = self.source.predictor(key)
-                twins, from_cache = predictor.cached_plans(
+                pairs, from_cache = predictor.cached_plans(
                     [member[1].dims for member in members],
                     use_cache,
                     [member[1].dims_key for member in members],
                 )
-                threads = [twin.threads for twin in twins]
+                threads = [pair[0] for pair in pairs]
             telemetry = route.telemetry
             if telemetry is None:
                 telemetry = route.telemetry = self.telemetry.routine(key)
-            # Each plan's deferred rows: the chosen-thread prediction and the
-            # max-thread baseline, one row when they coincide.
-            pending = PendingTimings(key, self.source.simulator, self._timing_memo)
+            # Every plan holds the group in both time slots; the group's
+            # first read times the rows its plans owe.
+            pending = PendingTimings(key, self.source.simulator, self._timing_memo, max_threads)
+            rows = pending.rows
             for (index, request, route), chosen, cached in zip(members, threads, from_cache):
-                dims = request.dims
-                predicted = TimingCell(pending, dims, chosen)
-                baseline = (
-                    predicted if chosen == max_threads else TimingCell(pending, dims, max_threads)
-                )
                 fallback_from = route.fallback_from
-                plans[index] = ExecutionPlan(
-                    key, dims, chosen, predicted, baseline, cached,
+                plan = plans[index] = ExecutionPlan(
+                    key, request.dims, chosen, pending, pending, cached,
                     fallback_from, route.policy,
                 )  # fmt: skip
+                rows.append(plan)
                 telemetry.record_plan(
                     cached, fallback_from is not None, heuristic, request.dims_key
                 )

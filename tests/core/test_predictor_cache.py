@@ -56,15 +56,21 @@ class TestLruCache:
             "hits": 3, "misses": 3, "size": 3, "capacity": 4,
         }
 
-    def test_hit_returns_precomputed_plan_object(self, base_predictor):
-        # The from_cache=True variant is built once at store time
-        # (dataclasses.replace), not rebuilt on every hit.
+    def test_hit_returns_an_equal_plan_and_evaluates_nothing(self, base_predictor):
+        # The LRU keeps the (threads, score) pair; a hit builds its plan from
+        # it, equal to the miss's but for the flag, with no model evaluation.
         predictor = _clone(base_predictor, 4)
-        predictor.plan(DIMS_A)
+        miss = predictor.plan(DIMS_A)
+        evaluations = predictor.n_model_evaluations
         first_hit = predictor.plan(DIMS_A)
-        second_hit = predictor.plan(DIMS_A)
-        assert first_hit is second_hit
-        assert first_hit.from_cache
+        second_hit = predictor.plan(dict(reversed(DIMS_A.items())))
+        assert predictor.n_model_evaluations == evaluations
+        assert first_hit == second_hit
+        assert first_hit.from_cache and not miss.from_cache
+        assert (first_hit.threads, first_hit.predicted_time, first_hit.dims) == (
+            miss.threads, miss.predicted_time, miss.dims
+        )
+        assert first_hit.dims is not DIMS_A  # the caller's dict is copied
 
     def test_lru_eviction_order(self, base_predictor):
         predictor = _clone(base_predictor, 2)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.install import install_adsala
-from repro.core.predictor import PredictionPlan, ThreadPredictor
+from repro.core.predictor import ThreadPredictor
 from repro.machine.platforms import get_platform
 
 #: Seven shapes, named by index in the generated streams.
@@ -64,8 +64,13 @@ def _counters(predictor):
 
 
 def _assert_no_placeholder(predictor):
+    """Every LRU value is a ``(threads, score)`` pair: no placeholder, no plan."""
     assert all(
-        type(plan) is PredictionPlan and plan.from_cache for plan in predictor._cache.values()
+        type(value) is tuple
+        and len(value) == 2
+        and type(value[0]) is int
+        and type(value[1]) is float
+        for value in predictor._cache.values()
     )
 
 
@@ -115,7 +120,9 @@ def _replay(groups, capacity, use_cache):
         kinds.append("hit" if flags == {True} else "miss" if flags == {False} else "mixed")
         if kinds[-1] == "hit":
             assert batched.n_model_evaluations == before
-            assert all(a is batched._cache[ThreadPredictor.cache_key(a.dims)] for a in actual)
+            assert all(
+                batched._cache[ThreadPredictor.cache_key(a.dims)][0] == a.threads for a in actual
+            )
         else:  # one evaluation however many misses, where the loop made one each
             assert batched.n_model_evaluations == before + 1
         # After every group: LRU order, probe counters, and nothing half-made.

@@ -199,14 +199,16 @@ class TestPlanningDefersTheSimulator:
         plan = ServingEngine(clear_caches, timing_cache_capacity=0).plan(
             "dgemm", m=77, k=78, n=79
         )
-        group = plan._predicted_time.group
-        assert group.simulator is clear_caches.simulator and group.rows
+        group = plan._predicted_time  # the slot holds the planning group itself
+        assert group is plan._baseline_time
+        assert group.simulator is clear_caches.simulator and group.rows == [plan]
         plan.predicted_time
         assert group.simulator is None and group.rows is None
+        assert type(plan._predicted_time) is float and type(plan._baseline_time) is float
         dead = weakref.ref(group)
         del group
         gc.collect()
-        assert dead() is None  # the plan's cells let go of their group
+        assert dead() is None  # the plan let go of its group
 
     def test_observation_on_a_never_read_plan_feeds_the_simulated_time(self, clear_caches):
         engine = ServingEngine(clear_caches)
@@ -734,3 +736,28 @@ class TestServedBundleCopies:
             installation.predictor._compiled is not None
             for installation in twin.routines.values()
         )
+
+    def test_a_bundle_pickled_with_plan_objects_in_its_lru_serves_from_an_empty_one(
+        self, clear_caches
+    ):
+        """An older tree's LRU held ``PredictionPlan`` objects, and a bundle
+        pickled after planning carries them (``save_bundle`` writes only the
+        models); the engine reads ``(threads, score)`` pairs, so unpickling
+        such a predictor starts its LRU empty."""
+        from repro.core.predictor import PredictionPlan, ThreadPredictor
+
+        dims = {"m": 311, "k": 97, "n": 1203}
+        expected = ServingEngine(clear_caches).plan("dgemm", **dims)
+        lru = clear_caches.predictor("dgemm")._cache
+        lru[ThreadPredictor.cache_key(dims)] = PredictionPlan(
+            "dgemm", dict(dims), expected.threads, expected.predicted_time, True
+        )
+        loaded = pickle.loads(pickle.dumps(clear_caches))
+        assert loaded.predictor("dgemm").cache_info()["size"] == 0
+        engine = ServingEngine(loaded)
+        (plan,) = engine.plan_many([("dgemm", dims)])
+        assert not plan.from_cache
+        assert (plan.threads, plan.predicted_time, plan.baseline_time) == (
+            expected.threads, expected.predicted_time, expected.baseline_time
+        )
+        assert engine.plan("dgemm", **dims).from_cache  # the LRU fills as usual

@@ -2,13 +2,12 @@
 
 The miss-path twin of ``test_hit_path.py``: a planning group pays for each
 thing once — one ``cached_plans`` pass over the LRU itself (no key-only copy
-of it), one native evaluation, one pending-timings group — and builds only
-the objects its plans are made of: per evaluated shape its cached plan, no
-second ``from_cache=False`` copy, and per plan its own deferred timing rows
-(one when it chose the maximum thread count, whose baseline row it is, two
-otherwise; the timing memo is not consulted until a plan is read).  A
-warmed routine is not routed at all: the engine routes it once per source
-generation.  Under ``ADSALA_NATIVE=0``
+of it), one native evaluation, one ``PendingTimings`` group — and builds one
+object per plan, its ``ExecutionPlan``: the LRU keeps a ``(threads, score)``
+pair per shape, so no ``PredictionPlan`` is built, and the plan's two time
+slots hold its group, so it owes no row objects (the timing memo is not
+consulted until a plan is read).  A warmed routine is not routed at all: the
+engine routes it once per source generation.  Under ``ADSALA_NATIVE=0``
 the native-call count is zero and every other count still holds; under
 ``ADSALA_NATIVE_REQUIRE=1`` (CI's native leg) it must be exactly one per
 group, so the file cannot pass vacuously on the NumPy path.
@@ -22,7 +21,7 @@ import pytest
 
 from repro.core.install import install_adsala
 from repro.core.predictor import PredictionPlan, ThreadPredictor
-from repro.core.runtime import AdsalaRuntime, ExecutionPlan, PendingTimings, TimingCell
+from repro.core.runtime import AdsalaRuntime, ExecutionPlan, PendingTimings
 from repro.ml._native import BoundEvaluate
 from repro.serving.engine import ServingEngine, normalize_request
 from repro.serving.fallback import FallbackChain
@@ -34,8 +33,9 @@ ROUTINES = ["dgemm", "dsymm", "dsyrk", "dsyr2k", "dtrmm", "dtrsm"]
 #: bundle below, plus a slack of 5.  The tree before the single pass read
 #: 124-127 here, the one before routes were kept per source generation
 #: 112-118, the one before planning stopped probing the timing memo 93-99
-#: (budget 106), this one 80-86.
-CALL_BUDGET = 86 + 5
+#: (budget 106), the one before the LRU kept ``(threads, score)`` pairs
+#: 80-86 (budget 91), this one 73-81.
+CALL_BUDGET = 81 + 5
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,6 @@ class _Counts:
         "PredictionPlan": (PredictionPlan, "__init__"),
         "PendingTimings": (PendingTimings, "__init__"),
         "ExecutionPlan": (ExecutionPlan, "__init__"),
-        "TimingCell": (TimingCell, "__init__"),
     }
 
     def __init__(self, monkeypatch):
@@ -139,20 +138,21 @@ def test_one_miss_pays_for_each_thing_once(six_routines, native, monkeypatch):
             counts.seen = dict.fromkeys(counts.seen, 0)
             plan, events = _profiled(lambda: engine.plan(key, **_dims(key, size)))
             assert not plan.from_cache
-            plan_rows = 1 if plan.threads == max_threads else 2
-            rows_seen.add(plan_rows)
+            rows_seen.add(1 if plan.threads == max_threads else 2)
             assert counts.seen == {
                 "route": 0,  # routed when the engine was warmed
                 "cached_plans": 1,
-                "plan_batch": 0,  # its from_cache=False plans are for other callers
+                "plan_batch": 0,  # its plans are for other callers
                 "native": 1 if native else 0,
-                "PredictionPlan": 1,  # the cached plan; the engine reads it
+                "PredictionPlan": 0,  # the LRU keeps (threads, score); the engine reads threads
                 "PendingTimings": 1,
                 "ExecutionPlan": 1,
-                "TimingCell": plan_rows,
             }
+            group = plan._predicted_time
+            assert type(group) is PendingTimings and group is plan._baseline_time
+            assert group.rows == [plan]
             assert "OrderedDict.fromkeys" not in events  # no key-only copy of the LRU
-    assert rows_seen == {1, 2}  # both kinds of plan were met
+    assert rows_seen == {1, 2}  # plans owing one row and two rows were both met
 
 
 def test_six_groups_pay_six_times_not_twenty_four(six_routines, native, monkeypatch):
@@ -168,17 +168,19 @@ def test_six_groups_pay_six_times_not_twenty_four(six_routines, native, monkeypa
 
     assert [plan.routine for plan in plans] == [request.routine for request in batch]
     assert not any(plan.from_cache for plan in plans)
-    max_threads = six_routines.platform.max_threads
     assert counts.seen == {
         "route": 0,
         "cached_plans": 6,
         "plan_batch": 0,
         "native": 6 if native else 0,
-        "PredictionPlan": 24,  # one cached plan per evaluated shape
+        "PredictionPlan": 0,
         "PendingTimings": 6,
-        "ExecutionPlan": 24,
-        "TimingCell": sum(1 if plan.threads == max_threads else 2 for plan in plans),
+        "ExecutionPlan": 24,  # one object per plan
     }
+    groups = {id(plan._predicted_time): plan._predicted_time for plan in plans}
+    assert len(groups) == 6
+    for group in groups.values():  # each group's rows are its routine's plans, in order
+        assert group.rows == [plan for plan in plans if plan.routine == group.routine]
     assert "OrderedDict.fromkeys" not in events
     assert [
         six_routines.predictor(key).n_model_evaluations for key in ROUTINES

@@ -1,19 +1,21 @@
 """Differential tests for deferred plan timings against an eager oracle.
 
 ``ServingEngine`` plans without running the timing simulator or touching
-its timing memo: a plan's ``predicted_time`` / ``baseline_time`` are views
-over deferred row cells that the first read answers from the memo or times,
-one batched pass per planning group
-(:class:`repro.core.runtime.PendingTimings`).  Whatever the stream, the
-micro-batch split, the memo capacity and the order plans are read in, every
-plan must equal what an eager engine reported: the scalar
-``simulator.time`` / ``time_at_max_threads`` of the simulator the plan was
-*planned under*, with ``==`` on floats.
+its timing memo: a plan's ``predicted_time`` / ``baseline_time`` slots hold
+its planning group (:class:`repro.core.runtime.PendingTimings`), whose first
+read answers the rows its plans owe from the memo or times them, one batched
+pass per group.  Whatever the stream, the micro-batch split, the memo
+capacity and the order plans are read in, every plan must equal what an
+eager engine reported: the scalar ``simulator.time`` /
+``time_at_max_threads`` of the simulator the plan was *planned under*, with
+``==`` on floats.  The memo must count and order its rows as a row-at-a-time
+walk of the groups, in the order they were first read, would.
 
 Replays deterministically with ``HYPOTHESIS_PROFILE=ci``.
 """
 
 import copy
+from collections import OrderedDict
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -75,6 +77,31 @@ def _fields(plan):
     return (plan.threads, plan.predicted_time, plan.baseline_time, plan.policy, plan.from_cache)
 
 
+def _memo_oracle(groups, capacity, max_threads):
+    """``(hits, misses, rows in LRU order)`` of a memo fed ``groups`` — each
+    a group's plans, in first-read order — one owed row at a time: a plan's
+    own row, then its baseline row unless that is the same.  A group's rows
+    the memo lacks are timed together and stored after the walk."""
+    memo, hits, misses = OrderedDict(), 0, 0
+    for plans in groups:
+        untimed = {}
+        for plan in plans:
+            shape = tuple(sorted(plan.dims.items()))
+            for threads in dict.fromkeys((plan.threads, max_threads)):
+                row = (plan.routine, shape, threads)
+                if capacity and row in memo:
+                    memo.move_to_end(row)
+                    hits += 1
+                else:
+                    untimed[row] = None
+        if capacity:
+            memo.update(untimed)
+            misses += len(untimed)
+            while len(memo) > capacity:
+                memo.popitem(last=False)
+    return hits, misses, list(memo)
+
+
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -90,20 +117,36 @@ def test_deferred_plans_equal_the_eager_oracle(
     engine = ServingEngine(
         _fresh(serving_bundle), max_batch_size=max_batch_size, timing_cache_capacity=capacity
     )
+    first_reads = []  # each group's plans, in the order the groups are first read
+
+    def read(plan, field):
+        group = plan.__dict__["_" + field]
+        if isinstance(group, PendingTimings):
+            assert any(row is plan for row in group.rows)  # ``in`` would compare, and read
+            first_reads.append(list(group.rows))
+        return getattr(plan, field)
+
     plans, previous = [], []
     for call in calls:
         answered = engine.plan_many(call)
         if read_order == "first":
-            answered[0].predicted_time
+            read(answered[0], "predicted_time")
         elif read_order == "interleaved":  # the call before, while this one pends
             for plan in previous:
-                plan.baseline_time
+                read(plan, "baseline_time")
         previous = answered
         plans.extend(answered)
     if read_order == "reversed":
         for plan in reversed(plans):
-            plan.predicted_time
+            read(plan, "predicted_time")
+    for plan in plans:
+        read(plan, "predicted_time"), read(plan, "baseline_time")
     assert [_fields(plan) for plan in plans] == _eager_oracle(serving_bundle, calls, max_batch_size)
+
+    hits, misses, rows = _memo_oracle(first_reads, capacity, engine.platform.max_threads)
+    timing = engine.cache_statistics()["timing"]
+    assert (timing["hits"], timing["misses"], timing["size"]) == (hits, misses, len(rows))
+    assert list(engine._timing_memo.rows or ()) == rows
 
 
 @pytest.mark.parametrize("capacity", [0, 3, 4096])
@@ -227,8 +270,8 @@ def test_mutant_resolving_against_the_live_simulator_fails_the_reload_case(
         engine = ServingEngine(source)
 
         class UnpinnedTimings(PendingTimings):
-            def __init__(self, routine, simulator, memo):
-                super().__init__(routine, _ReadTimeSimulator(engine), memo)
+            def __init__(self, routine, simulator, memo, max_threads):
+                super().__init__(routine, _ReadTimeSimulator(engine), memo, max_threads)
 
         monkeypatch.setattr(engine_module, "PendingTimings", UnpinnedTimings)
         return engine
