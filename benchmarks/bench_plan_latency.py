@@ -99,7 +99,6 @@ def test_plan_latency(benchmark, record, record_json):
         n_test_shapes=config.n_test_shapes,
         candidate_models=list(config.candidate_models),
         seed=config.seed,
-        n_jobs=1,
     )
 
     def run():

@@ -47,10 +47,10 @@ Performance knobs
 The hot paths run batch/vectorised by default; every knob below changes
 only wall-clock time, never results (same seeds -> same outputs):
 
-* ``install_adsala(..., n_jobs=N)`` (or the ``ADSALA_JOBS`` environment
-  variable, or ``adsala install --jobs N``) fans the per-routine campaigns
-  out over ``N`` worker processes; a single-routine install fans out per
-  candidate model instead.  ``-1`` uses every core.
+* ``install_adsala`` fits each routine's candidate models on a thread
+  pool as wide as the CPUs the process may run on (never wider than the
+  candidate pool).  The width is not settable; the bundle is
+  bit-identical whatever it is.
 * ``TimingSimulator.time_batch`` / ``breakdown_batch`` evaluate whole
   arrays of (shape, thread-count) configurations in one vectorised pass —
   the data gatherer and model selection use them; the scalar
@@ -65,9 +65,8 @@ only wall-clock time, never results (same seeds -> same outputs):
   the oracle — the object graph over recursive trees
   (:func:`repro.ml.tree.reference_mode`) — and all three are
   bit-identical.
-* ``benchmarks/bench_install_scaling.py`` and
-  ``benchmarks/bench_plan_latency.py`` track the speedups of these paths
-  (batch gathering, end-to-end install, per-call prediction).
+* ``benchmarks/bench_plan_latency.py`` tracks the speedup of per-call
+  prediction; ``benchmarks/e2e/run.py`` times the end-to-end install.
 """
 
 import importlib
@@ -94,7 +93,7 @@ _EXPORTS = {
 #: Submodules reachable as attributes (``repro.serving``) without an import.
 _SUBMODULES = frozenset({
     "adaptive", "blas", "cli", "core", "harness", "machine", "ml", "obs",
-    "parallel", "preprocessing", "routines", "serving",
+    "preprocessing", "routines", "serving",
 })
 
 __all__ = [

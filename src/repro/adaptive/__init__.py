@@ -13,7 +13,7 @@ and a drift flag.  This subpackage *acts* on it:
 * :mod:`repro.adaptive.regather` — budgeted re-gather + retrain for
   drifting routines, seeded from the observed-traffic
   :class:`~repro.serving.telemetry.ShapeHistogram` instead of the static
-  training grid, fanned out over :func:`repro.parallel.map_parallel`.
+  training grid.
 * :mod:`repro.adaptive.shadow` — :class:`ShadowEvaluator`: replay the
   telemetry traffic log through live and candidate models (no double
   execution) and apply explicit promotion criteria (error improvement, no

@@ -79,9 +79,9 @@ class AdaptationConfig:
     max_routines_per_step:
         Upper bound on drifting routines re-gathered in one controller step
         (bounds the measurement budget a single step may spend).
-    n_jobs, parallel_backend:
-        Fan the per-routine re-gather/retrain campaigns out over
-        :func:`repro.parallel.map_parallel`, exactly like the installer.
+
+    Retraining fits each routine's candidates on the installer's thread
+    pool, sized by the CPUs this process may run on; no knob sets it.
     """
 
     seed: int = 0
@@ -99,8 +99,6 @@ class AdaptationConfig:
     auto_calibrate: bool = True
     auto_calibrate_tolerance: float = 0.05
     max_routines_per_step: int = 4
-    n_jobs: Optional[int] = 1
-    parallel_backend: str = "process"
 
     def __post_init__(self):
         if self.regather_shapes < 2:

@@ -15,15 +15,14 @@ know which shapes the workload actually asks for.  The re-gather therefore
 
 then times everything through the existing batched
 :class:`~repro.core.gather.DataGatherer` path and refits/model-selects via
-:func:`~repro.core.install.fit_routine_installation`.  Several drifting
-routines fan out over :func:`repro.parallel.map_parallel` exactly like the
-installer, with the same determinism contract: results are bit-identical
-for every ``n_jobs``.
+:func:`~repro.core.install.fit_routine_installation`.  Drifting routines
+are retrained one after another; as at install, each routine's candidates
+are fitted on a thread pool sized by the CPUs this process may run on, and
+the results are bit-identical whatever its width.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Sequence
 
@@ -36,7 +35,6 @@ from repro.core.install import RoutineInstallation, fit_routine_installation
 from repro.core.predictor import ThreadPredictor
 from repro.core.sampling import DomainSampler
 from repro.machine.simulator import TimingSimulator
-from repro.parallel import map_parallel, resolve_n_jobs
 from repro.serving.telemetry import ShapeHistogram
 
 __all__ = [
@@ -169,66 +167,6 @@ def plan_regather_shapes(
     return shapes, n_seeded, n_shapes - n_seeded
 
 
-def _retrain_one_routine(payload: dict) -> tuple[RetrainResult, int]:
-    """Re-gather + retrain one routine (a :func:`map_parallel` worker).
-
-    Returns the result plus the number of simulator evaluations consumed,
-    so a pooled caller can fold worker counters back into the parent's.
-    """
-    routine: str = payload["routine"]
-    simulator: TimingSimulator = payload["simulator"]
-    config: AdaptationConfig = payload["config"]
-    histogram: ShapeHistogram | None = payload["histogram"]
-    sampler_settings: Dict[str, object] = payload["sampler_settings"]
-    use_yeo_johnson: bool = payload["use_yeo_johnson"]
-    evaluations_before = simulator.n_evaluations
-
-    gatherer = DataGatherer(
-        simulator=simulator,
-        routine=routine,
-        n_shapes=config.regather_shapes,
-        threads_per_shape=config.regather_threads_per_shape,
-        seed=config.seed,
-        **sampler_settings,
-    )
-    rng = _routine_rng(config.seed, routine)
-    shapes, n_traffic, n_fresh = plan_regather_shapes(
-        gatherer.sampler,
-        histogram,
-        config.regather_shapes,
-        config.traffic_fraction,
-        config.traffic_jitter,
-        rng,
-    )
-    dataset = gatherer.gather(shapes=shapes)
-    test_shapes = gatherer.gather_test_set(config.regather_test_shapes)
-
-    installation = fit_routine_installation(
-        routine=routine,
-        dataset=dataset,
-        test_shapes=test_shapes,
-        simulator=simulator,
-        candidate_models=(
-            list(config.candidate_models) if config.candidate_models else None
-        ),
-        tune_hyperparameters=config.tune_hyperparameters,
-        use_yeo_johnson=use_yeo_johnson,
-        eval_time_mode=config.eval_time_mode,
-        seed=config.seed,
-        n_jobs=1,
-        parallel_backend=config.parallel_backend,
-    )
-    result = RetrainResult(
-        routine=routine,
-        installation=installation,
-        dataset=dataset,
-        test_shapes=test_shapes,
-        n_traffic_shapes=n_traffic,
-        n_fresh_shapes=n_fresh,
-    )
-    return result, simulator.n_evaluations - evaluations_before
-
-
 def retrain_drifting_routines(
     simulator: TimingSimulator,
     routines: Sequence[str],
@@ -244,35 +182,48 @@ def retrain_drifting_routines(
     simulator), not the bundle's install-time simulator.
     ``use_yeo_johnson`` follows the bundle's recorded install setting, so
     retrained candidates share the preprocessing policy of every other
-    model in the bundle.  Campaigns fan out over ``config.n_jobs`` workers;
-    the result dict is bit-identical for every worker count.
+    model in the bundle.
     """
-    if not routines:
-        return {}
-    n_workers = min(resolve_n_jobs(config.n_jobs), len(routines))
-    pooled = n_workers > 1 and config.parallel_backend != "serial"
-    payloads = [
-        {
-            "routine": routine,
-            # Pooled workers get private simulator copies (the process
-            # backend would fork its own; the thread backend would
-            # otherwise race on the shared evaluation counter).
-            "simulator": copy.deepcopy(simulator) if pooled else simulator,
-            "config": config,
-            "histogram": histograms.get(routine),
-            "sampler_settings": dict(sampler_settings or {}),
-            "use_yeo_johnson": bool(use_yeo_johnson),
-        }
-        for routine in routines
-    ]
-    if pooled:
-        results = map_parallel(
-            _retrain_one_routine,
-            payloads,
-            n_jobs=n_workers,
-            backend=config.parallel_backend,
+    sampler_settings = dict(sampler_settings or {})
+    results: Dict[str, RetrainResult] = {}
+    for routine in routines:
+        gatherer = DataGatherer(
+            simulator=simulator,
+            routine=routine,
+            n_shapes=config.regather_shapes,
+            threads_per_shape=config.regather_threads_per_shape,
+            seed=config.seed,
+            **sampler_settings,
         )
-        simulator.n_evaluations += sum(delta for _, delta in results)
-    else:
-        results = [_retrain_one_routine(payload) for payload in payloads]
-    return {result.routine: result for result, _ in results}
+        shapes, n_traffic, n_fresh = plan_regather_shapes(
+            gatherer.sampler,
+            histograms.get(routine),
+            config.regather_shapes,
+            config.traffic_fraction,
+            config.traffic_jitter,
+            _routine_rng(config.seed, routine),
+        )
+        dataset = gatherer.gather(shapes=shapes)
+        test_shapes = gatherer.gather_test_set(config.regather_test_shapes)
+        installation = fit_routine_installation(
+            routine=routine,
+            dataset=dataset,
+            test_shapes=test_shapes,
+            simulator=simulator,
+            candidate_models=(
+                list(config.candidate_models) if config.candidate_models else None
+            ),
+            tune_hyperparameters=config.tune_hyperparameters,
+            use_yeo_johnson=bool(use_yeo_johnson),
+            eval_time_mode=config.eval_time_mode,
+            seed=config.seed,
+        )
+        results[routine] = RetrainResult(
+            routine=routine,
+            installation=installation,
+            dataset=dataset,
+            test_shapes=test_shapes,
+            n_traffic_shapes=n_traffic,
+            n_fresh_shapes=n_fresh,
+        )
+    return results

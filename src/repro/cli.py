@@ -60,13 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     install.add_argument("--tune", action="store_true", help="run hyper-parameter tuning")
     install.add_argument("--seed", type=int, default=0)
     install.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the installation fan-out "
-        "(default: $ADSALA_JOBS or 1; -1 = all cores)",
-    )
-    install.add_argument(
         "--bundle-version",
         type=int,
         default=1,
@@ -197,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("--candidates", nargs="+", default=None,
                        help="candidate model pool for retraining "
                        "(default: the full catalogue)")
-    adapt.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the re-gather fan-out")
     adapt.add_argument("--watch", action="store_true",
                        help="keep serving+adapting for --rounds rounds instead "
                        "of one shot")
@@ -269,7 +260,6 @@ def _cmd_install(args: argparse.Namespace) -> int:
         n_test_shapes=args.test_shapes,
         tune_hyperparameters=args.tune,
         seed=args.seed,
-        n_jobs=args.jobs,
     )
     path = save_bundle(bundle, args.output, bundle_version=args.bundle_version)
     print(f"Installed {len(bundle.routines)} routine(s) on {platform.name}; bundle at {path}")
@@ -757,7 +747,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             candidate_models=tuple(args.candidates) if args.candidates else None,
             min_error_improvement=args.min_improvement,
             max_latency_regression=args.max_latency_regression,
-            n_jobs=args.jobs,
         )
         controller = AdaptationController(
             engine,

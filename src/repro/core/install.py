@@ -19,7 +19,6 @@ and returns an :class:`InstallationBundle` — the in-memory equivalent of the
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -30,7 +29,6 @@ from repro.core.predictor import ThreadPredictor
 from repro.core.selection import SelectionReport, evaluate_candidates
 from repro.machine.simulator import TimingSimulator
 from repro.machine.topology import MachineTopology
-from repro.parallel import map_parallel, resolve_n_jobs
 
 __all__ = [
     "RoutineInstallation",
@@ -96,8 +94,6 @@ def fit_routine_installation(
     use_yeo_johnson: bool = True,
     eval_time_mode: str = "native",
     seed: int = 0,
-    n_jobs: int | None = 1,
-    parallel_backend: str = "process",
 ) -> RoutineInstallation:
     """Model-select and fit one routine from an already-gathered dataset.
 
@@ -116,8 +112,6 @@ def fit_routine_installation(
         use_yeo_johnson=use_yeo_johnson,
         eval_time_mode=eval_time_mode,
         seed=seed,
-        n_jobs=n_jobs,
-        parallel_backend=parallel_backend,
     )
     best_model = report._fitted_models[report.best_model_name]  # type: ignore[attr-defined]
     pipeline = report._pipeline  # type: ignore[attr-defined]
@@ -140,48 +134,6 @@ def fit_routine_installation(
     )
 
 
-def _install_one_routine(payload: dict) -> tuple[RoutineInstallation, int]:
-    """Run the full campaign for one routine (a :func:`map_parallel` worker).
-
-    Returns the installation plus the number of simulator evaluations it
-    consumed, so a parallel caller can fold the worker simulator's counter
-    back into the parent's.
-    """
-    routine = payload["routine"]
-    simulator = payload["simulator"]
-    seed = payload["seed"]
-    evaluations_before = simulator.n_evaluations
-    gatherer = DataGatherer(
-        simulator=simulator,
-        routine=routine,
-        n_shapes=payload["n_samples"],
-        threads_per_shape=payload["threads_per_shape"],
-        memory_cap_bytes=payload["memory_cap_bytes"],
-        min_dim=payload["min_dim"],
-        max_dim=payload["max_dim"],
-        scale=payload["sampling_scale"],
-        scrambled=payload["scrambled_sampling"],
-        seed=seed,
-    )
-    dataset = gatherer.gather()
-    test_shapes = gatherer.gather_test_set(payload["n_test_shapes"])
-
-    installation = fit_routine_installation(
-        routine=routine,
-        dataset=dataset,
-        test_shapes=test_shapes,
-        simulator=simulator,
-        candidate_models=payload["candidate_models"],
-        tune_hyperparameters=payload["tune_hyperparameters"],
-        use_yeo_johnson=payload["use_yeo_johnson"],
-        eval_time_mode=payload["eval_time_mode"],
-        seed=seed,
-        n_jobs=payload["candidate_n_jobs"],
-        parallel_backend=payload["parallel_backend"],
-    )
-    return installation, simulator.n_evaluations - evaluations_before
-
-
 def install_adsala(
     platform: MachineTopology,
     routines: Sequence[str] | None = None,
@@ -200,8 +152,6 @@ def install_adsala(
     noise_level: float = 0.04,
     seed: int = 0,
     simulator: TimingSimulator | None = None,
-    n_jobs: int | None = None,
-    parallel_backend: str = "process",
 ) -> InstallationBundle:
     """Install ADSALA for a set of routines on a (simulated) platform.
 
@@ -210,12 +160,10 @@ def install_adsala(
     routine, matching the paper's 1000-1200) that completes in seconds per
     routine thanks to the analytic timing simulator.
 
-    ``n_jobs`` fans the per-routine campaigns out over a worker pool
-    (``None`` reads ``$ADSALA_JOBS``, default serial); when a single routine
-    is requested the fan-out happens per candidate model instead.  Every
-    seed flows through the payloads explicitly, so the resulting bundle is
-    bit-identical to the serial one — the only observable difference is
-    wall-clock time.
+    Routines are installed one after another; within a routine the
+    candidate models are fitted on a thread pool sized by the CPUs this
+    process may run on (:func:`repro.core.selection.evaluate_candidates`).
+    The bundle is bit-identical whatever that width is.
 
     Returns
     -------
@@ -237,7 +185,6 @@ def install_adsala(
     elif simulator.platform is not platform:
         raise ValueError("simulator platform does not match the requested platform")
 
-    n_jobs = resolve_n_jobs(n_jobs)
     bundle = InstallationBundle(
         platform=platform,
         simulator=simulator,
@@ -256,53 +203,35 @@ def install_adsala(
             "scrambled_sampling": scrambled_sampling,
             "noise_level": noise_level,
             "seed": seed,
-            "n_jobs": n_jobs,
         },
     )
 
-    # With several routines the fan-out happens per routine; with a single
-    # routine the worker budget is passed down to the per-candidate fan-out
-    # inside evaluate_candidates instead.
-    candidate_n_jobs = n_jobs if len(normalized_routines) == 1 else 1
-    n_workers = min(n_jobs, len(normalized_routines))
-    pooled = n_workers > 1 and parallel_backend != "serial"
-    payloads = [
-        {
-            "routine": routine,
-            # Pooled workers get private simulator copies (the process
-            # backend would fork its own; the thread backend would
-            # otherwise race on the shared evaluation counter).
-            "simulator": copy.deepcopy(simulator) if pooled else simulator,
-            "n_samples": n_samples,
-            "threads_per_shape": threads_per_shape,
-            "n_test_shapes": n_test_shapes,
-            "candidate_models": candidate_models,
-            "tune_hyperparameters": tune_hyperparameters,
-            "use_yeo_johnson": use_yeo_johnson,
-            "eval_time_mode": eval_time_mode,
-            "memory_cap_bytes": memory_cap_bytes,
-            "max_dim": max_dim,
-            "min_dim": min_dim,
-            "sampling_scale": sampling_scale,
-            "scrambled_sampling": scrambled_sampling,
-            "seed": seed,
-            "candidate_n_jobs": candidate_n_jobs,
-            "parallel_backend": parallel_backend,
-        }
-        for routine in normalized_routines
-    ]
-    if pooled:
-        results = map_parallel(
-            _install_one_routine, payloads, n_jobs=n_workers, backend=parallel_backend
+    for routine in normalized_routines:
+        gatherer = DataGatherer(
+            simulator=simulator,
+            routine=routine,
+            n_shapes=n_samples,
+            threads_per_shape=threads_per_shape,
+            memory_cap_bytes=memory_cap_bytes,
+            min_dim=min_dim,
+            max_dim=max_dim,
+            scale=sampling_scale,
+            scrambled=scrambled_sampling,
+            seed=seed,
         )
-        # Worker simulators are private copies; fold their evaluation
-        # counters back so the parallel bundle matches the serial one.
-        simulator.n_evaluations += sum(delta for _, delta in results)
-    else:
-        results = [_install_one_routine(payload) for payload in payloads]
-
-    for installation, _ in results:
-        bundle.routines[installation.routine] = installation
+        dataset = gatherer.gather()
+        test_shapes = gatherer.gather_test_set(n_test_shapes)
+        bundle.routines[routine] = fit_routine_installation(
+            routine=routine,
+            dataset=dataset,
+            test_shapes=test_shapes,
+            simulator=simulator,
+            candidate_models=candidate_models,
+            tune_hyperparameters=tune_hyperparameters,
+            use_yeo_johnson=use_yeo_johnson,
+            eval_time_mode=eval_time_mode,
+            seed=seed,
+        )
 
     if not bundle.candidate_names:
         bundle.candidate_names = sorted(

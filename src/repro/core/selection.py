@@ -50,11 +50,21 @@ compiled predictor's NumPy fallback, which is also what its first-call
 self-check holds the native call and its native pick to.  A candidate
 that is only being scored binds no native call and runs no self-check;
 the winner's production predictor, built at install, keeps both.
+
+The candidates are fitted on one thread pool, as wide as the CPUs this
+process may run on (never wider than the pool of candidates): fitting,
+the RMSE and the thread choices read only the candidate's own model and
+arrays shared read-only, and the tree growers and kernels release the GIL.
+Everything that touches the simulator or a clock — ``t_eval`` and the
+speedup statistics — runs afterwards on the calling thread, in candidate
+order, so the simulator sees the same calls whatever the pool's width and
+a measured ``t_eval`` is never timed while another candidate is fitting.
 """
 
 from __future__ import annotations
 
-import copy
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -74,7 +84,6 @@ from repro.core.tuning import fit_candidate
 from repro.machine.simulator import TimingSimulator
 from repro.ml.metrics import root_mean_squared_error
 from repro.ml.model_zoo import CANDIDATE_MODEL_NAMES
-from repro.parallel import map_parallel, resolve_n_jobs
 from repro.preprocessing.pipeline import PreprocessingPipeline
 
 __all__ = [
@@ -161,76 +170,12 @@ def _speedup_statistics(
     return ideal_mean, ideal_aggregate, estimated_mean, estimated_aggregate
 
 
-def _evaluate_one_candidate(payload: dict) -> tuple[CandidateEvaluation, object, int]:
-    """Fit and score one candidate model (a :func:`map_parallel` worker).
-
-    Returns ``(evaluation, fitted_model, n_simulator_evaluations)`` so that
-    a parallel caller can fold the child simulator's evaluation counter back
-    into the parent's.
-
-    The candidate's thread choices are the row-wise
-    :func:`~repro.core.compiled.middle_of_ties` of one
-    :func:`~repro.core.compiled.numpy_scores` over the routine's shared
-    scoring grid: the NumPy fallback a :class:`ThreadPredictor` would run,
-    and the result its first-call self-check holds the native call to, so
-    the choices equal that predictor's on every host.
-    """
-    name = payload["name"]
-    X_train = payload["X_train"]
-    y_train = payload["y_train"]
-    X_test = payload["X_test"]
-    y_test = payload["y_test"]
-    level_test = payload["level_test"]
-    routine = payload["routine"]
-    threads = payload["threads"]
-    grid = payload["grid"]
-    simulator = payload["simulator"]
-    test_shapes = payload["test_shapes"]
-    original_times = payload["original_times"]
-    tune_hyperparameters = payload["tune_hyperparameters"]
-    eval_time_mode = payload["eval_time_mode"]
-    evaluations_before = simulator.n_evaluations
-    result = fit_candidate(name, X_train, y_train, tune=tune_hyperparameters)
-    model = result.model
-    rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test)) * level_test)
-
-    scores = numpy_scores(compile_model_kernel(model), grid)
-    best = middle_of_ties(scores.reshape(len(test_shapes), len(threads)))
-    chosen_threads = np.asarray(threads, dtype=int)[best]
-    if eval_time_mode == "native":
-        eval_time = estimate_native_eval_time(
-            model, n_candidates=len(threads), n_features=X_train.shape[1]
-        )
-    else:
-        predictor = ThreadPredictor(
-            routine=routine,
-            pipeline=payload["pipeline"],
-            model=model,
-            candidate_threads=threads,
-            model_name=name,
-            target="log" if payload["level"] is None else "relative",
-            level=payload["level"],
-        )
-        eval_time = predictor.measure_eval_time(repeats=3)
-    ideal_mean, ideal_agg, est_mean, est_agg = _speedup_statistics(
-        routine,
-        chosen_threads,
-        simulator,
-        test_shapes,
-        eval_time,
-        original_times,
-    )
-    evaluation = CandidateEvaluation(
-        model_name=name,
-        rmse=rmse,
-        normalised_rmse=np.nan,  # filled in once the max is known
-        eval_time_us=eval_time * 1e6,
-        ideal_mean_speedup=ideal_mean,
-        ideal_aggregate_speedup=ideal_agg,
-        estimated_mean_speedup=est_mean,
-        estimated_aggregate_speedup=est_agg,
-    )
-    return evaluation, model, simulator.n_evaluations - evaluations_before
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
 
 
 def evaluate_candidates(
@@ -243,8 +188,6 @@ def evaluate_candidates(
     test_size: float = 0.15,
     eval_time_mode: str = "native",
     seed: int = 0,
-    n_jobs: int | None = 1,
-    parallel_backend: str = "process",
 ) -> SelectionReport:
     """Fit, evaluate and rank every candidate model for one routine.
 
@@ -272,12 +215,11 @@ def evaluate_candidates(
         matching the paper's C++ measurements; ``"measured"`` charges the
         wall-clock cost of one plan through the candidate's compiled
         predictor (:meth:`ThreadPredictor.measure_eval_time`) instead.
-    n_jobs:
-        Candidates are fitted and scored across this many workers (see
-        :func:`repro.parallel.map_parallel`); results are bit-identical to
-        the serial run for every value.
-    parallel_backend:
-        Backend for the candidate fan-out ("process", "thread" or "serial").
+
+    The candidates are fitted and their thread choices picked on a thread
+    pool of ``min(available CPUs, len(candidate_names))`` workers; ``t_eval``
+    and the speedup statistics follow on the calling thread, in candidate
+    order.  The report is bit-identical for every pool width.
     """
     if eval_time_mode not in ("native", "measured"):
         raise ValueError("eval_time_mode must be 'native' or 'measured'")
@@ -324,47 +266,56 @@ def evaluate_candidates(
     # candidate inside the scoring loop.
     original_times = simulator.time_at_max_threads_batch(dataset.routine, test_shapes)
 
-    n_workers = min(resolve_n_jobs(n_jobs), len(candidate_names))
-    pooled = n_workers > 1 and parallel_backend != "serial"
-    payloads = [
-        {
-            "name": name,
-            "X_train": X_train_t,
-            "y_train": y_train_fit,
-            "X_test": X_test_t,
-            "y_test": times[test],
-            "level_test": level_test,
-            "level": level,
-            "pipeline": pipeline,
-            "routine": dataset.routine,
-            "threads": threads,
-            "grid": grid,
-            # Pooled workers get private simulator copies (the process
-            # backend would fork its own; the thread backend would
-            # otherwise race on the shared evaluation counter).
-            "simulator": copy.deepcopy(simulator) if pooled else simulator,
-            "test_shapes": test_shapes,
-            "original_times": original_times,
-            "tune_hyperparameters": tune_hyperparameters,
-            "eval_time_mode": eval_time_mode,
-        }
-        for name in candidate_names
-    ]
-    if pooled:
-        results = map_parallel(
-            _evaluate_one_candidate, payloads, n_jobs=n_workers, backend=parallel_backend
-        )
-        # Worker simulators are private copies; fold their evaluation
-        # counters back so the parallel run is indistinguishable from the
-        # serial one.
-        simulator.n_evaluations += sum(delta for _, _, delta in results)
-    else:
-        results = [_evaluate_one_candidate(payload) for payload in payloads]
+    y_test = times[test]
+    threads_array = np.asarray(threads, dtype=int)
 
-    evaluations: List[CandidateEvaluation] = [r[0] for r in results]
-    fitted_models = {
-        name: model for name, (_, model, _) in zip(candidate_names, results)
-    }
+    def fit_and_pick(name: str) -> tuple[object, float, np.ndarray]:
+        """The candidate's model, its RMSE in seconds and its thread choice
+        per held-out shape: the row-wise :func:`middle_of_ties` of one
+        :func:`numpy_scores` over the shared grid, i.e. the NumPy fallback
+        of the :class:`ThreadPredictor` it would become."""
+        model = fit_candidate(name, X_train_t, y_train_fit, tune=tune_hyperparameters).model
+        rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test_t)) * level_test)
+        scores = numpy_scores(compile_model_kernel(model), grid)
+        best = middle_of_ties(scores.reshape(len(test_shapes), len(threads)))
+        return model, rmse, threads_array[best]
+
+    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(candidate_names))) as pool:
+        fitted = list(pool.map(fit_and_pick, candidate_names))
+
+    evaluations: List[CandidateEvaluation] = []
+    for name, (model, rmse, chosen_threads) in zip(candidate_names, fitted):
+        if eval_time_mode == "native":
+            eval_time = estimate_native_eval_time(
+                model, n_candidates=len(threads), n_features=X_train_t.shape[1]
+            )
+        else:
+            predictor = ThreadPredictor(
+                routine=dataset.routine,
+                pipeline=pipeline,
+                model=model,
+                candidate_threads=threads,
+                model_name=name,
+                target="log" if level is None else "relative",
+                level=level,
+            )
+            eval_time = predictor.measure_eval_time(repeats=3)
+        ideal_mean, ideal_agg, est_mean, est_agg = _speedup_statistics(
+            dataset.routine, chosen_threads, simulator, test_shapes, eval_time, original_times
+        )
+        evaluations.append(
+            CandidateEvaluation(
+                model_name=name,
+                rmse=rmse,
+                normalised_rmse=np.nan,  # filled in once the max is known
+                eval_time_us=eval_time * 1e6,
+                ideal_mean_speedup=ideal_mean,
+                ideal_aggregate_speedup=ideal_agg,
+                estimated_mean_speedup=est_mean,
+                estimated_aggregate_speedup=est_agg,
+            )
+        )
+    fitted_models = {name: model for name, (model, _, _) in zip(candidate_names, fitted)}
 
     max_rmse = max(evaluation.rmse for evaluation in evaluations)
     for evaluation in evaluations:

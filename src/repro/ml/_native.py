@@ -1520,6 +1520,9 @@ _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
 #: Resolved kernel bundle (or None); "unset" until first load attempt.
 _KERNELS: object = "unset"
+#: Serialises first loads: concurrent first callers (thread shards, the
+#: install's candidate pool) build, load and probe the library once.
+_KERNELS_LOCK = threading.Lock()
 
 
 def native_enabled() -> bool:
@@ -1686,10 +1689,13 @@ def load_kernels() -> NativeKernels | None:
     ``None``.
     """
     global _KERNELS
-    if _KERNELS != "unset":
+    kernels = _KERNELS
+    if kernels != "unset":
+        return kernels
+    with _KERNELS_LOCK:
+        if _KERNELS == "unset":
+            _KERNELS = _load_kernels_impl()
         return _KERNELS
-    _KERNELS = _load_kernels_impl()
-    return _KERNELS
 
 
 def _load_kernels_impl() -> NativeKernels | None:

@@ -13,6 +13,12 @@ from repro.ml.base import BaseRegressor, check_X, check_X_y
 
 __all__ = ["LinearRegression", "Ridge", "ElasticNet"]
 
+#: Singular values of the centred design below this are treated as zero,
+#: however large the others are: a direction that thin holds nothing a
+#: float64 fit can use, and dividing by it overflows (one subnormal feature
+#: value among zeros fitted a coefficient of 1.8e308 and NaN predictions).
+_SINGULAR_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
 
 class LinearRegression(BaseRegressor):
     """Ordinary least-squares linear regression.
@@ -38,7 +44,15 @@ class LinearRegression(BaseRegressor):
             x_mean = np.zeros(X.shape[1])
             y_mean = 0.0
             Xc, yc = X, y
-        coef, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
+        coef, _, _, singular = np.linalg.lstsq(Xc, yc, rcond=None)
+        # lstsq's own cut-off is relative to the largest singular value; a
+        # value that passed it but lies below the absolute floor goes too.
+        relative_cut = np.finfo(np.float64).eps * max(Xc.shape) * singular[0]
+        if np.any((singular > relative_cut) & (singular < _SINGULAR_FLOOR)):
+            if singular[0] < _SINGULAR_FLOOR:
+                coef = np.zeros(Xc.shape[1])
+            else:
+                coef = np.linalg.lstsq(Xc, yc, rcond=_SINGULAR_FLOOR / singular[0])[0]
         self.coef_ = coef
         self.intercept_ = y_mean - float(x_mean @ coef)
         self.n_features_in_ = X.shape[1]

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.ml.base import BaseRegressor, check_X_y, clone
 from repro.ml.metrics import root_mean_squared_error
-from repro.parallel import map_parallel
 
 __all__ = [
     "KFold",
@@ -151,9 +150,8 @@ class ParameterGrid:
         return length
 
 
-def _fit_and_score_fold(payload) -> float:
-    """Fit a clone on one fold and score it (a :func:`map_parallel` worker)."""
-    estimator, X, y, train_idx, test_idx, scoring = payload
+def _fit_and_score_fold(estimator, X, y, train_idx, test_idx, scoring: str) -> float:
+    """Fit a clone on one fold and score it."""
     model = clone(estimator)
     model.fit(X[train_idx], y[train_idx])
     prediction = model.predict(X[test_idx])
@@ -172,44 +170,25 @@ def cross_val_score(
     y,
     cv: KFold | int = 5,
     scoring: str = "neg_rmse",
-    n_jobs: int | None = 1,
-    backend: str = "process",
 ) -> np.ndarray:
-    """Cross-validated scores (higher is better).
-
-    ``n_jobs`` fans the folds out over a worker pool; fold membership and
-    every seed are fixed before dispatch, so the scores are identical to the
-    serial run for every worker count.
-    """
+    """Cross-validated scores (higher is better)."""
     X, y = check_X_y(X, y)
     if isinstance(cv, int):
         cv = KFold(n_splits=cv, shuffle=True, random_state=0)
-    payloads = [
-        (estimator, X, y, train_idx, test_idx, scoring)
-        for train_idx, test_idx in cv.split(X)
-    ]
-    scores = map_parallel(_fit_and_score_fold, payloads, n_jobs=n_jobs, backend=backend)
-    return np.asarray(scores)
-
-
-def _score_param_combo(payload) -> float:
-    """Mean CV score of one parameter combination (a worker function)."""
-    estimator, params, X, y, splits, scoring = payload
-    candidate = clone(estimator).set_params(**params)
-    scores = [
-        _fit_and_score_fold((candidate, X, y, train_idx, test_idx, scoring))
-        for train_idx, test_idx in splits
-    ]
-    return float(np.mean(scores))
+    return np.asarray(
+        [
+            _fit_and_score_fold(estimator, X, y, train_idx, test_idx, scoring)
+            for train_idx, test_idx in cv.split(X)
+        ]
+    )
 
 
 @dataclass
 class GridSearchCV:
     """Exhaustive hyper-parameter search with K-fold cross-validation.
 
-    ``n_jobs`` fans the parameter combinations out over a worker pool; the
-    fold splits are materialised once before dispatch, so the search result
-    is identical to the serial run for every worker count.
+    The fold splits are materialised once and shared by every parameter
+    combination.
 
     Attributes populated by :meth:`fit`:
 
@@ -223,8 +202,6 @@ class GridSearchCV:
     param_grid: Dict[str, Sequence[Any]]
     cv: int = 3
     scoring: str = "neg_rmse"
-    n_jobs: int | None = 1
-    backend: str = "process"
     results_: List[tuple[Dict[str, Any], float]] = field(default_factory=list, init=False)
 
     def fit(self, X, y) -> "GridSearchCV":
@@ -232,13 +209,7 @@ class GridSearchCV:
         splitter = KFold(n_splits=self.cv, shuffle=True, random_state=0)
         splits = list(splitter.split(X))
         combos = list(ParameterGrid(self.param_grid))
-        payloads = [
-            (self.estimator, params, X, y, splits, self.scoring)
-            for params in combos
-        ]
-        mean_scores = map_parallel(
-            _score_param_combo, payloads, n_jobs=self.n_jobs, backend=self.backend
-        )
+        mean_scores = [self._mean_score(params, X, y, splits) for params in combos]
         best_score = -np.inf
         best_params: Dict[str, Any] = {}
         self.results_ = []
@@ -252,6 +223,15 @@ class GridSearchCV:
         self.best_estimator_ = clone(self.estimator).set_params(**best_params)
         self.best_estimator_.fit(X, y)
         return self
+
+    def _mean_score(self, params: Dict[str, Any], X, y, splits) -> float:
+        """Mean CV score of one parameter combination."""
+        candidate = clone(self.estimator).set_params(**params)
+        scores = [
+            _fit_and_score_fold(candidate, X, y, train_idx, test_idx, self.scoring)
+            for train_idx, test_idx in splits
+        ]
+        return float(np.mean(scores))
 
     def predict(self, X) -> np.ndarray:
         if not hasattr(self, "best_estimator_"):

@@ -182,7 +182,7 @@ class ShardedFrontend:
         batches then execute on independent GILs.
     start_method:
         Process-backend worker start method (default ``spawn``; see
-        :func:`repro.parallel.worker_context`).  Ignored for threads.
+        :func:`repro.serving.procshard.worker_context`).  Ignored for threads.
     drift_threshold:
         Optional telemetry drift threshold for engines this frontend
         builds (both backends; ``None`` keeps the telemetry default).

@@ -39,13 +39,15 @@ shard's engine into a worker **process**:
   compiler N-way.
 
 Workers are started with the ``spawn`` method by default (see
-:func:`repro.parallel.worker_context`): the frontend launches them lazily
+:func:`worker_context`): the frontend launches them lazily
 from a process that already runs drain threads, where ``fork`` is unsafe.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import signal
 import threading
 from pathlib import Path
@@ -56,7 +58,6 @@ import numpy as np
 from repro.blas.api import parse_routine
 from repro.core.runtime import ExecutionPlan
 from repro.ml import _native
-from repro.parallel import worker_context
 from repro.serving.engine import PlanRequest, ServingEngine
 from repro.serving.registry import BundleHandle
 from repro.serving.shard import ShardBase, ShardFailure, build_engine
@@ -68,6 +69,33 @@ __all__ = [
     "WorkerInitError",
     "export_source_spec",
 ]
+
+
+#: Environment variable overriding the worker-process start method.
+ADSALA_MP_START_ENV = "ADSALA_MP_START"
+
+
+def worker_context(start_method: str | None = None) -> multiprocessing.context.BaseContext:
+    """The multiprocessing context for long-lived serving workers.
+
+    Defaults to ``spawn``: the serving frontend launches shard workers
+    lazily, *after* its drain threads exist, and forking a multi-threaded
+    parent is undefined behaviour waiting to happen (locks held by threads
+    that do not exist in the child).  Spawn also keeps the process backend
+    honest — nothing reaches a worker except what is pickled explicitly.
+    Override with ``start_method=`` or the ``$ADSALA_MP_START`` environment
+    variable (e.g. ``fork`` to trade safety for startup latency on
+    platforms where that is acceptable).
+    """
+    if start_method is None:
+        start_method = os.environ.get(ADSALA_MP_START_ENV, "").strip() or "spawn"
+    try:
+        return multiprocessing.get_context(start_method)
+    except ValueError:
+        raise ValueError(
+            f"Unknown multiprocessing start method {start_method!r}; "
+            f"available: {multiprocessing.get_all_start_methods()}"
+        ) from None
 
 
 class WorkerDiedError(ShardFailure):

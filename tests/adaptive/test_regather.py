@@ -207,19 +207,18 @@ class TestRetrainDriftingRoutines:
         calibration,
         make_engine,
         drive_traffic,
+        monkeypatch,
     ):
-        """Same seed -> bit-identical retrained datasets and models."""
+        """Same seed -> bit-identical retrained datasets and models, at every
+        width of the candidate pool."""
         import pickle
-        from dataclasses import replace
 
         from repro.adaptive.drift import DriftInjector
+        from repro.core import selection
 
         snapshots = []
-        for config in (
-            quick_config,
-            quick_config,
-            replace(quick_config, n_jobs=2, parallel_backend="thread"),
-        ):
+        for width in (1, 1, 2):
+            monkeypatch.setattr(selection, "_available_cpus", lambda: width)
             _, handle, engine = make_engine(bundle_dir)
             observer = DriftInjector(laptop, calibration).simulator(seed=1)
             drive_traffic(engine, observer)
@@ -227,7 +226,7 @@ class TestRetrainDriftingRoutines:
                 DriftInjector(laptop, calibration).simulator(seed=2),
                 ["dgemm"],
                 {"dgemm": engine.telemetry.routines["dgemm"].shapes},
-                config,
+                quick_config,
                 sampler_settings=sampler_settings_from_bundle(handle.settings),
             )
             result = results["dgemm"]
@@ -239,7 +238,7 @@ class TestRetrainDriftingRoutines:
                 )
             )
         assert snapshots[0] == snapshots[1]  # reproducible
-        assert snapshots[0] == snapshots[2]  # parallel == serial
+        assert snapshots[0] == snapshots[2]  # pool of two == pool of one
 
 
 class TestConfigValidation:

@@ -1,88 +1,40 @@
-"""Determinism tests for the parallel installation pipeline.
+"""The install's one fan-out: each routine's candidates fit on a thread pool.
 
-``map_parallel`` fans work out over processes/threads; every seed flows
-through the payloads explicitly, so serial and parallel runs must produce
-bit-identical results at every level (folds, grid search, candidate
-evaluation, whole bundles).
+``evaluate_candidates`` fits every candidate and picks its thread counts on
+a pool as wide as the CPUs the process may run on, then scores ``t_eval``
+and the speedups on the calling thread in candidate order.  Installs,
+single-routine installs and selection reports must be bit-identical at
+every width; the width is forced here by patching the CPU-set read.
 """
 
-import os
+import threading
 
-import numpy as np
 import pytest
 
+from repro.core import selection
 from repro.core.gather import DataGatherer
 from repro.core.install import install_adsala
+from repro.core.predictor import ThreadPredictor
 from repro.core.selection import evaluate_candidates
 from repro.machine.simulator import TimingSimulator
-from repro.ml.linear import Ridge
-from repro.ml.model_selection import GridSearchCV, cross_val_score
-from repro.ml.tree import DecisionTreeRegressor
-from repro.parallel import ADSALA_JOBS_ENV, map_parallel, resolve_n_jobs
+
+WIDTHS = (1, 2)
 
 
-def _square(x):
-    return x * x
+@pytest.fixture()
+def pool_width(monkeypatch):
+    """Set the candidate pool's width by faking the CPU set's size."""
 
+    def force(width):
+        monkeypatch.setattr(selection, "_available_cpus", lambda: width)
 
-class TestMapParallel:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_backends_agree_and_preserve_order(self, backend):
-        items = list(range(12))
-        assert map_parallel(_square, items, n_jobs=3, backend=backend) == [
-            x * x for x in items
-        ]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            map_parallel(_square, [1], backend="gpu")
-
-    def test_empty_items(self):
-        assert map_parallel(_square, [], n_jobs=4) == []
-
-    def test_resolve_defaults_and_env(self, monkeypatch):
-        monkeypatch.delenv(ADSALA_JOBS_ENV, raising=False)
-        assert resolve_n_jobs(None) == 1
-        monkeypatch.setenv(ADSALA_JOBS_ENV, "3")
-        assert resolve_n_jobs(None) == 3
-        assert resolve_n_jobs(5) == 5
-        assert resolve_n_jobs(-1) == max(1, os.cpu_count() or 1)
-        with pytest.raises(ValueError):
-            resolve_n_jobs(0)
-
-    def test_env_garbage_raises_clear_error(self, monkeypatch):
-        # Regression: a bare int() used to raise "invalid literal for
-        # int()" with no hint that $ADSALA_JOBS was the culprit.
-        monkeypatch.setenv(ADSALA_JOBS_ENV, "lots")
-        with pytest.raises(ValueError, match=r"ADSALA_JOBS.*'lots'"):
-            resolve_n_jobs(None)
-        monkeypatch.setenv(ADSALA_JOBS_ENV, "4.5")
-        with pytest.raises(ValueError, match="ADSALA_JOBS"):
-            resolve_n_jobs(None)
-
-
-class TestModelSelectionParallel:
-    def test_cross_val_score_parallel_matches_serial(self, regression_data):
-        X, y = regression_data
-        estimator = DecisionTreeRegressor(max_depth=4, random_state=0)
-        serial = cross_val_score(estimator, X, y, cv=4, n_jobs=1)
-        parallel = cross_val_score(estimator, X, y, cv=4, n_jobs=2)
-        np.testing.assert_array_equal(serial, parallel)
-
-    def test_grid_search_parallel_matches_serial(self, regression_data):
-        X, y = regression_data
-        grid = {"alpha": [0.01, 0.1, 1.0, 10.0]}
-        serial = GridSearchCV(Ridge(), grid, cv=3, n_jobs=1).fit(X, y)
-        parallel = GridSearchCV(Ridge(), grid, cv=3, n_jobs=2).fit(X, y)
-        assert serial.best_params_ == parallel.best_params_
-        assert serial.best_score_ == parallel.best_score_
-        assert serial.results_ == parallel.results_
+    return force
 
 
 class TestInstallationParallel:
     CANDIDATES = ["LinearRegression", "DecisionTree"]
 
-    def _install(self, laptop, routines, n_jobs, backend="process"):
+    def _install(self, laptop, routines):
         return install_adsala(
             platform=laptop,
             routines=routines,
@@ -91,13 +43,12 @@ class TestInstallationParallel:
             n_test_shapes=6,
             candidate_models=self.CANDIDATES,
             seed=0,
-            n_jobs=n_jobs,
-            parallel_backend=backend,
         )
 
     def _assert_bundles_identical(self, a, b, routines):
         assert a.best_models() == b.best_models()
         assert a.simulator.n_evaluations == b.simulator.n_evaluations
+        assert a.settings == b.settings
         for routine in routines:
             left = a.routines[routine]
             right = b.routines[routine]
@@ -111,41 +62,86 @@ class TestInstallationParallel:
                     dims, use_cache=False
                 ) == right.predictor.predict_threads(dims, use_cache=False)
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_multi_routine_parallel_bundle_matches_serial(self, laptop, backend):
+    def _install_at_each_width(self, laptop, routines, pool_width):
+        bundles = []
+        for width in WIDTHS:
+            pool_width(width)
+            bundles.append(self._install(laptop, routines))
+        return bundles
+
+    def test_multi_routine_parallel_bundle_matches_serial(self, laptop, pool_width):
         routines = ["dgemm", "dsyrk"]
-        serial = self._install(laptop, routines, n_jobs=1)
-        parallel = self._install(laptop, routines, n_jobs=2, backend=backend)
+        serial, parallel = self._install_at_each_width(laptop, routines, pool_width)
         self._assert_bundles_identical(serial, parallel, routines)
 
-    def test_single_routine_candidate_fanout_matches_serial(self, laptop):
+    def test_single_routine_candidate_fanout_matches_serial(self, laptop, pool_width):
         routines = ["dsymm"]
-        serial = self._install(laptop, routines, n_jobs=1)
-        parallel = self._install(laptop, routines, n_jobs=2)
+        serial, parallel = self._install_at_each_width(laptop, routines, pool_width)
         self._assert_bundles_identical(serial, parallel, routines)
 
-    def test_evaluate_candidates_parallel_matches_serial(self, laptop):
+    def test_settings_record_no_job_count(self, laptop):
+        assert "n_jobs" not in self._install(laptop, ["dgemm"]).settings
+
+    def test_evaluate_candidates_parallel_matches_serial(self, laptop, pool_width):
         simulator = TimingSimulator(laptop, seed=0)
         gatherer = DataGatherer(
             simulator, "dgemm", n_shapes=14, threads_per_shape=5, seed=0
         )
         dataset = gatherer.gather()
         test_shapes = gatherer.gather_test_set(6)
-        reports = [
-            evaluate_candidates(
-                dataset=dataset,
-                simulator=TimingSimulator(laptop, seed=0),
-                test_shapes=test_shapes,
-                candidate_names=self.CANDIDATES,
-                seed=0,
-                n_jobs=n_jobs,
+        reports = []
+        for width in WIDTHS:
+            pool_width(width)
+            reports.append(
+                evaluate_candidates(
+                    dataset=dataset,
+                    simulator=TimingSimulator(laptop, seed=0),
+                    test_shapes=test_shapes,
+                    candidate_names=self.CANDIDATES,
+                    seed=0,
+                )
             )
-            for n_jobs in (1, 2)
-        ]
         assert reports[0].best_model_name == reports[1].best_model_name
         assert [e.__dict__ for e in reports[0].evaluations] == [
             e.__dict__ for e in reports[1].evaluations
         ]
+
+    def test_measured_eval_time_runs_on_the_caller_after_the_pool(
+        self, laptop, pool_width, monkeypatch
+    ):
+        # A measured t_eval is a wall-clock reading: it must never overlap
+        # another candidate's fit, so it runs after the pool, on this thread.
+        events = []
+        fit = selection.fit_candidate
+        measure = ThreadPredictor.measure_eval_time
+
+        def logged_fit(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            events.append(("fit", threading.get_ident()))
+            return result
+
+        def logged_measure(predictor, *args, **kwargs):
+            events.append(("measure", threading.get_ident()))
+            return measure(predictor, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_candidate", logged_fit)
+        monkeypatch.setattr(ThreadPredictor, "measure_eval_time", logged_measure)
+        pool_width(2)
+        simulator = TimingSimulator(laptop, seed=0)
+        gatherer = DataGatherer(simulator, "dgemm", n_shapes=14, threads_per_shape=5, seed=0)
+        evaluate_candidates(
+            dataset=gatherer.gather(),
+            simulator=simulator,
+            test_shapes=gatherer.gather_test_set(6),
+            candidate_names=self.CANDIDATES,
+            eval_time_mode="measured",
+            seed=0,
+        )
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["fit"] * len(self.CANDIDATES) + ["measure"] * len(self.CANDIDATES)
+        caller = threading.get_ident()
+        assert all(ident == caller for kind, ident in events if kind == "measure")
+        assert all(ident != caller for kind, ident in events if kind == "fit")
 
     def test_baseline_times_hoisted_out_of_candidate_loop(self, laptop):
         # The max-thread baseline of each held-out shape is candidate-

@@ -252,6 +252,8 @@ class TestTarget:
     def test_bundle_written_before_the_log_target_plans_as_recorded(self):
         bundle = load_bundle(V3_BUNDLE)
         assert _manifest(V3_BUNDLE)["schema_version"] == 3
+        # Installs no longer record a job count; a bundle that does still loads.
+        assert bundle.settings["n_jobs"] == 1
         for routine, plans in _recorded_plans().items():
             predictor = bundle.predictor(routine)
             assert predictor.target == "seconds"

@@ -40,6 +40,26 @@ class TestLinearRegression:
         model = LinearRegression().fit(X, y)
         np.testing.assert_allclose(model.predict(X), y, atol=1e-8)
 
+    def test_subnormal_column_fits_finite(self):
+        # One subnormal value among zeros: its singular value passes lstsq's
+        # relative cut-off, and 1 / 2.2e-308 fitted a coefficient of 1.8e308.
+        X = np.zeros((10, 1))
+        X[0, 0] = 2.2250738585072014e-308
+        y = np.arange(10.0)
+        model = LinearRegression().fit(X, y)
+        assert np.all(np.isfinite(model.coef_))
+        assert np.all(np.isfinite(model.predict(X)))
+        assert model.intercept_ == pytest.approx(y.mean())
+
+    def test_subnormal_direction_dropped_beside_an_ordinary_one(self):
+        X = np.zeros((10, 2))
+        X[0, 0] = 2.2250738585072014e-308
+        X[:, 1] = np.arange(10.0)
+        y = 2.0 * X[:, 1] + 1.0
+        model = LinearRegression().fit(X, y)
+        assert np.all(np.isfinite(model.coef_))
+        np.testing.assert_allclose(model.predict(X), y, atol=1e-8)
+
 
 class TestRidge:
     def test_zero_alpha_matches_ols(self, linear_data):

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the ML substrate invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.ml.linear import LinearRegression, Ridge
@@ -66,6 +66,12 @@ class TestMetricProperties:
         assert np.isclose(original, shifted, rtol=1e-9, atol=1e-9)
 
 
+#: A drawn case that once fitted an OLS coefficient of 1.8e308 (NaN
+#: predictions): ten rows, one subnormal value and zeros.
+_SUBNORMAL_COLUMN = np.zeros((10, 1))
+_SUBNORMAL_COLUMN[0, 0] = 2.2250738585072014e-308
+
+
 class TestLinearModelProperties:
     @given(regression_problem(min_rows=10))
     @settings(max_examples=25, deadline=None)
@@ -80,6 +86,7 @@ class TestLinearModelProperties:
         assert np.all(np.abs(dot) / scale < 1e-5)
 
     @given(regression_problem(min_rows=10), st.floats(0.01, 100.0, allow_nan=False))
+    @example(problem=(_SUBNORMAL_COLUMN, np.arange(10.0)), alpha=1.0)
     @settings(max_examples=25, deadline=None)
     def test_ridge_never_beats_ols_on_training_sse(self, problem, alpha):
         X, y = problem
