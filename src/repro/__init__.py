@@ -47,10 +47,9 @@ Performance knobs
 The hot paths run batch/vectorised by default; every knob below changes
 only wall-clock time, never results (same seeds -> same outputs):
 
-* ``install_adsala`` fits each routine's candidate models on a thread
-  pool as wide as the CPUs the process may run on (never wider than the
-  candidate pool).  The width is not settable; the bundle is
-  bit-identical whatever it is.
+* ``install_adsala`` installs routines one after another and fits each
+  routine's candidate models one after another; there is no worker-count
+  setting.  Two installs with the same seeds write identical bundles.
 * ``TimingSimulator.time_batch`` / ``breakdown_batch`` evaluate whole
   arrays of (shape, thread-count) configurations in one vectorised pass —
   the data gatherer and model selection use them; the scalar

@@ -80,8 +80,8 @@ class AdaptationConfig:
         Upper bound on drifting routines re-gathered in one controller step
         (bounds the measurement budget a single step may spend).
 
-    Retraining fits each routine's candidates on the installer's thread
-    pool, sized by the CPUs this process may run on; no knob sets it.
+    Retraining fits routines and their candidates one after another, as
+    the installer does.
     """
 
     seed: int = 0

@@ -15,10 +15,8 @@ know which shapes the workload actually asks for.  The re-gather therefore
 
 then times everything through the existing batched
 :class:`~repro.core.gather.DataGatherer` path and refits/model-selects via
-:func:`~repro.core.install.fit_routine_installation`.  Drifting routines
-are retrained one after another; as at install, each routine's candidates
-are fitted on a thread pool sized by the CPUs this process may run on, and
-the results are bit-identical whatever its width.
+:func:`~repro.core.install.fit_routine_installation`.  As at install,
+drifting routines and their candidates are retrained one after another.
 """
 
 from __future__ import annotations

@@ -160,10 +160,9 @@ def install_adsala(
     routine, matching the paper's 1000-1200) that completes in seconds per
     routine thanks to the analytic timing simulator.
 
-    Routines are installed one after another; within a routine the
-    candidate models are fitted on a thread pool sized by the CPUs this
-    process may run on (:func:`repro.core.selection.evaluate_candidates`).
-    The bundle is bit-identical whatever that width is.
+    Routines are installed one after another, and within a routine the
+    candidate models are fitted one after another
+    (:func:`repro.core.selection.evaluate_candidates`).
 
     Returns
     -------

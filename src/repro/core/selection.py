@@ -51,20 +51,13 @@ self-check holds the native call and its native pick to.  A candidate
 that is only being scored binds no native call and runs no self-check;
 the winner's production predictor, built at install, keeps both.
 
-The candidates are fitted on one thread pool, as wide as the CPUs this
-process may run on (never wider than the pool of candidates): fitting,
-the RMSE and the thread choices read only the candidate's own model and
-arrays shared read-only, and the tree growers and kernels release the GIL.
-Everything that touches the simulator or a clock — ``t_eval`` and the
-speedup statistics — runs afterwards on the calling thread, in candidate
-order, so the simulator sees the same calls whatever the pool's width and
-a measured ``t_eval`` is never timed while another candidate is fitting.
+The candidates are fitted and scored one after another on the calling
+thread, so the simulator sees one call sequence and a measured ``t_eval``
+is never timed beside another fit.  There is no fan-out and nothing to set.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -170,14 +163,6 @@ def _speedup_statistics(
     return ideal_mean, ideal_aggregate, estimated_mean, estimated_aggregate
 
 
-def _available_cpus() -> int:
-    """The number of CPUs this process may run on (its affinity mask)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this OS
-        return os.cpu_count() or 1
-
-
 def evaluate_candidates(
     dataset: TimingDataset,
     simulator: TimingSimulator,
@@ -216,10 +201,7 @@ def evaluate_candidates(
         wall-clock cost of one plan through the candidate's compiled
         predictor (:meth:`ThreadPredictor.measure_eval_time`) instead.
 
-    The candidates are fitted and their thread choices picked on a thread
-    pool of ``min(available CPUs, len(candidate_names))`` workers; ``t_eval``
-    and the speedup statistics follow on the calling thread, in candidate
-    order.  The report is bit-identical for every pool width.
+    The candidates are fitted and scored one after another, in order.
     """
     if eval_time_mode not in ("native", "measured"):
         raise ValueError("eval_time_mode must be 'native' or 'measured'")
@@ -268,23 +250,19 @@ def evaluate_candidates(
 
     y_test = times[test]
     threads_array = np.asarray(threads, dtype=int)
-
-    def fit_and_pick(name: str) -> tuple[object, float, np.ndarray]:
-        """The candidate's model, its RMSE in seconds and its thread choice
-        per held-out shape: the row-wise :func:`middle_of_ties` of one
-        :func:`numpy_scores` over the shared grid, i.e. the NumPy fallback
-        of the :class:`ThreadPredictor` it would become."""
-        model = fit_candidate(name, X_train_t, y_train_fit, tune=tune_hyperparameters).model
-        rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test_t)) * level_test)
-        scores = numpy_scores(compile_model_kernel(model), grid)
-        best = middle_of_ties(scores.reshape(len(test_shapes), len(threads)))
-        return model, rmse, threads_array[best]
-
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(candidate_names))) as pool:
-        fitted = list(pool.map(fit_and_pick, candidate_names))
-
     evaluations: List[CandidateEvaluation] = []
-    for name, (model, rmse, chosen_threads) in zip(candidate_names, fitted):
+    fitted_models = {}
+    for name in candidate_names:
+        model = fit_candidate(name, X_train_t, y_train_fit, tune=tune_hyperparameters).model
+        fitted_models[name] = model
+        rmse = root_mean_squared_error(y_test, np.exp(model.predict(X_test_t)) * level_test)
+        # The thread choice per held-out shape: the row-wise middle_of_ties
+        # of one numpy_scores over the shared grid, i.e. the NumPy fallback
+        # of the ThreadPredictor this candidate would become.
+        scores = numpy_scores(compile_model_kernel(model), grid)
+        chosen_threads = threads_array[
+            middle_of_ties(scores.reshape(len(test_shapes), len(threads)))
+        ]
         if eval_time_mode == "native":
             eval_time = estimate_native_eval_time(
                 model, n_candidates=len(threads), n_features=X_train_t.shape[1]
@@ -315,7 +293,6 @@ def evaluate_candidates(
                 estimated_aggregate_speedup=est_agg,
             )
         )
-    fitted_models = {name: model for name, (model, _, _) in zip(candidate_names, fitted)}
 
     max_rmse = max(evaluation.rmse for evaluation in evaluations)
     for evaluation in evaluations:

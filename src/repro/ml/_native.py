@@ -1520,8 +1520,8 @@ _INT64_P = ctypes.POINTER(ctypes.c_int64)
 
 #: Resolved kernel bundle (or None); "unset" until first load attempt.
 _KERNELS: object = "unset"
-#: Serialises first loads: concurrent first callers (thread shards, the
-#: install's candidate pool) build, load and probe the library once.
+#: Serialises first loads: concurrent first callers (thread shards, a
+#: library caller's own threads) build, load and probe the library once.
 _KERNELS_LOCK = threading.Lock()
 
 

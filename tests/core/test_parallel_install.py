@@ -1,15 +1,15 @@
-"""The install's one fan-out: each routine's candidates fit on a thread pool.
+"""The install has no fan-out: routines and their candidates run in order.
 
-``evaluate_candidates`` fits every candidate and picks its thread counts on
-a pool as wide as the CPUs the process may run on, then scores ``t_eval``
-and the speedups on the calling thread in candidate order.  Installs,
-single-routine installs and selection reports must be bit-identical at
-every width; the width is forced here by patching the CPU-set read.
+``evaluate_candidates`` fits and scores every candidate one after another
+on the calling thread.  The install path must still be safe to run from
+several threads at once (thread shards and the library's callers share one
+process, and the native kernels load once for all of them): an install or
+a selection report computed on two threads side by side must be
+bit-identical to the same call run alone.
 """
 
 import threading
-
-import pytest
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import selection
 from repro.core.gather import DataGatherer
@@ -18,17 +18,20 @@ from repro.core.predictor import ThreadPredictor
 from repro.core.selection import evaluate_candidates
 from repro.machine.simulator import TimingSimulator
 
-WIDTHS = (1, 2)
 
+def _alone_and_side_by_side(run):
+    """``run()`` alone, then two ``run()`` calls started together on two
+    threads; returns ``(alone, [first, second])``."""
+    alone = run()
+    start = threading.Barrier(2)
 
-@pytest.fixture()
-def pool_width(monkeypatch):
-    """Set the candidate pool's width by faking the CPU set's size."""
+    def side_by_side():
+        start.wait()
+        return run()
 
-    def force(width):
-        monkeypatch.setattr(selection, "_available_cpus", lambda: width)
-
-    return force
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(side_by_side) for _ in range(2)]
+        return alone, [future.result() for future in futures]
 
 
 class TestInstallationParallel:
@@ -62,55 +65,47 @@ class TestInstallationParallel:
                     dims, use_cache=False
                 ) == right.predictor.predict_threads(dims, use_cache=False)
 
-    def _install_at_each_width(self, laptop, routines, pool_width):
-        bundles = []
-        for width in WIDTHS:
-            pool_width(width)
-            bundles.append(self._install(laptop, routines))
-        return bundles
+    def _assert_matches_side_by_side(self, laptop, routines):
+        alone, concurrent = _alone_and_side_by_side(lambda: self._install(laptop, routines))
+        for bundle in concurrent:
+            self._assert_bundles_identical(alone, bundle, routines)
 
-    def test_multi_routine_parallel_bundle_matches_serial(self, laptop, pool_width):
-        routines = ["dgemm", "dsyrk"]
-        serial, parallel = self._install_at_each_width(laptop, routines, pool_width)
-        self._assert_bundles_identical(serial, parallel, routines)
+    def test_multi_routine_parallel_bundle_matches_serial(self, laptop):
+        self._assert_matches_side_by_side(laptop, ["dgemm", "dsyrk"])
 
-    def test_single_routine_candidate_fanout_matches_serial(self, laptop, pool_width):
-        routines = ["dsymm"]
-        serial, parallel = self._install_at_each_width(laptop, routines, pool_width)
-        self._assert_bundles_identical(serial, parallel, routines)
+    def test_single_routine_candidate_fanout_matches_serial(self, laptop):
+        self._assert_matches_side_by_side(laptop, ["dsymm"])
 
     def test_settings_record_no_job_count(self, laptop):
         assert "n_jobs" not in self._install(laptop, ["dgemm"]).settings
 
-    def test_evaluate_candidates_parallel_matches_serial(self, laptop, pool_width):
+    def test_evaluate_candidates_parallel_matches_serial(self, laptop):
         simulator = TimingSimulator(laptop, seed=0)
         gatherer = DataGatherer(
             simulator, "dgemm", n_shapes=14, threads_per_shape=5, seed=0
         )
         dataset = gatherer.gather()
         test_shapes = gatherer.gather_test_set(6)
-        reports = []
-        for width in WIDTHS:
-            pool_width(width)
-            reports.append(
-                evaluate_candidates(
-                    dataset=dataset,
-                    simulator=TimingSimulator(laptop, seed=0),
-                    test_shapes=test_shapes,
-                    candidate_names=self.CANDIDATES,
-                    seed=0,
-                )
-            )
-        assert reports[0].best_model_name == reports[1].best_model_name
-        assert [e.__dict__ for e in reports[0].evaluations] == [
-            e.__dict__ for e in reports[1].evaluations
-        ]
 
-    def test_measured_eval_time_runs_on_the_caller_after_the_pool(
-        self, laptop, pool_width, monkeypatch
-    ):
-        # A measured t_eval is a wall-clock reading: it must never overlap
-        # another candidate's fit, so it runs after the pool, on this thread.
+        def run():
+            return evaluate_candidates(
+                dataset=dataset,
+                simulator=TimingSimulator(laptop, seed=0),
+                test_shapes=test_shapes,
+                candidate_names=self.CANDIDATES,
+                seed=0,
+            )
+
+        alone, concurrent = _alone_and_side_by_side(run)
+        for report in concurrent:
+            assert report.best_model_name == alone.best_model_name
+            assert [e.__dict__ for e in report.evaluations] == [
+                e.__dict__ for e in alone.evaluations
+            ]
+
+    def test_measured_eval_time_follows_its_fit_on_the_caller(self, laptop, monkeypatch):
+        # A measured t_eval is a wall-clock reading: it runs on the calling
+        # thread right after its own candidate's fit, never beside another.
         events = []
         fit = selection.fit_candidate
         measure = ThreadPredictor.measure_eval_time
@@ -126,7 +121,6 @@ class TestInstallationParallel:
 
         monkeypatch.setattr(selection, "fit_candidate", logged_fit)
         monkeypatch.setattr(ThreadPredictor, "measure_eval_time", logged_measure)
-        pool_width(2)
         simulator = TimingSimulator(laptop, seed=0)
         gatherer = DataGatherer(simulator, "dgemm", n_shapes=14, threads_per_shape=5, seed=0)
         evaluate_candidates(
@@ -137,11 +131,8 @@ class TestInstallationParallel:
             eval_time_mode="measured",
             seed=0,
         )
-        kinds = [kind for kind, _ in events]
-        assert kinds == ["fit"] * len(self.CANDIDATES) + ["measure"] * len(self.CANDIDATES)
-        caller = threading.get_ident()
-        assert all(ident == caller for kind, ident in events if kind == "measure")
-        assert all(ident != caller for kind, ident in events if kind == "fit")
+        assert [kind for kind, _ in events] == ["fit", "measure"] * len(self.CANDIDATES)
+        assert {ident for _, ident in events} == {threading.get_ident()}
 
     def test_baseline_times_hoisted_out_of_candidate_loop(self, laptop):
         # The max-thread baseline of each held-out shape is candidate-

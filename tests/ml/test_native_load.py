@@ -1,8 +1,9 @@
 """``load_kernels`` loads once, also when its first callers race.
 
-Thread shards and the install's candidate pool can both make the first
-call from several threads at once; the build, load and probe must run in
-one of them, and every caller must get the same object.
+Thread shards, and any caller that installs or plans from its own
+threads, can make the first call from several threads at once; the build,
+load and probe must run in one of them, and every caller must get the same
+object.
 """
 
 import sys
