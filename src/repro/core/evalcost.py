@@ -7,7 +7,7 @@ ensembles: its evaluate span (feature fill, transform and stacked descent
 over 96 thread counts) is one native call.  On the benchmark install (gadi,
 six routines, 2-core host) ``eval_time_mode="measured"`` reads about
 12-23 µs for the linear models and the single tree, 30-150 µs for the tree
-ensembles, 320-360 µs for SVR and 430-730 µs for kNN — and selection then
+ensembles, 210-350 µs for SVR and 430-730 µs for kNN — and selection then
 picks forests and boosters (README, "What selection charges").
 
 Two cost notions are exposed:

@@ -118,7 +118,7 @@ _FACTORIES = {
     "LightGBM": lambda: HistGradientBoostingRegressor(
         n_estimators=60, learning_rate=0.1, max_depth=5, max_bins=48
     ),
-    "SVR": lambda: SVR(C=10.0, epsilon=0.01, kernel="rbf", max_iter=300),
+    "SVR": lambda: SVR(C=10.0, epsilon=0.01, max_iter=46),
     "KNN": lambda: KNeighborsRegressor(n_neighbors=5, weights="distance"),
 }
 

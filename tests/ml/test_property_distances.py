@@ -90,9 +90,9 @@ class TestRbfKernel:
     @settings(max_examples=100, deadline=None)
     def test_fit_and_predict_matrices_equal_reference(self, problem, gamma):
         X_train, _, X = problem
-        fit = _kernel_matrix(X_train, X_train, "rbf", gamma, 3, 0.0)
+        fit = _kernel_matrix(X_train, X_train, gamma)
         assert np.array_equal(fit, reference_rbf(X_train, X_train, gamma))
-        predict = _kernel_matrix(X, X_train, "rbf", gamma, 3, 0.0)
+        predict = _kernel_matrix(X, X_train, gamma)
         assert np.array_equal(predict, reference_rbf(X, X_train, gamma))
 
     @given(problems())
