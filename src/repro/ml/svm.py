@@ -77,8 +77,8 @@ class SVR(BaseRegressor):
         if self.gamma == "auto":
             return 1.0 / X.shape[1]
         value = float(self.gamma)
-        if value <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < value < np.inf:  # NaN fails too
+            raise ValueError("gamma must be positive and finite")
         return value
 
     def fit(self, X, y) -> "SVR":

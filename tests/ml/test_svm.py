@@ -66,8 +66,9 @@ class TestSVR:
             SVR(C=0.0).fit(X, y)
         with pytest.raises(ValueError, match="epsilon"):
             SVR(epsilon=-1.0).fit(X, y)
-        with pytest.raises(ValueError, match="gamma"):
-            SVR(gamma=-2.0).fit(X, y)
+        for gamma in (-2.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="gamma"):
+                SVR(gamma=gamma).fit(X, y)
 
     def test_pickle_with_the_old_kernel_parameters_predicts_the_same(self, regression_data):
         # SVR once took kernel, degree and coef0; a model pickled then
