@@ -1,18 +1,16 @@
 """Unified BLAS Level 3 routine interface and specifications (paper Table I).
 
 A *routine key* such as ``"dgemm"`` or ``"ssyr2k"`` combines a precision
-prefix (``s`` = float32, ``d`` = float64) with a base routine name.  Since
-the routine-plugin refactor the specifications themselves live in
-:mod:`repro.routines`: the Table I built-ins are provided by
-:class:`repro.routines.builtin.BuiltinBlasPlugin` and :func:`parse_routine`
-/ :func:`routine_dims` are thin queries against the process-wide
-:class:`~repro.routines.catalog.RoutineCatalog`, so plugin routines
-(``ADSALA_PLUGIN_PATH`` directories, ``adsala.routines`` entry points)
-resolve everywhere these helpers are used.  This module remains the
-backward-compatible import surface: :data:`ROUTINE_SPECS`,
-:data:`ROUTINE_KEYS` and :data:`ROUTINE_NAMES` still describe the builtin
-BLAS-12 (the default installation campaign); the catalog's ``keys()`` is
-the full dynamic listing.
+prefix (``s`` = float32, ``d`` = float64) with a base routine name.  The
+specifications themselves live in :mod:`repro.routines`: the Table I
+built-ins are :data:`repro.routines.builtin.ROUTINE_SPECS`, and
+:func:`parse_routine` / :func:`routine_dims` are thin queries against the
+process-wide :class:`~repro.routines.catalog.RoutineCatalog`, so a routine
+registered there with ``register_spec`` resolves everywhere these helpers
+are used.  This module remains the backward-compatible import surface:
+:data:`ROUTINE_SPECS`, :data:`ROUTINE_KEYS` and :data:`ROUTINE_NAMES` still
+describe the builtin BLAS-12 (the default installation campaign); the
+catalog's ``keys()`` is the full listing.
 """
 
 from __future__ import annotations

@@ -24,9 +24,9 @@ The CLI mirrors how the paper's library is used, plus the serving layer:
   headroom, and the supervision counters of the recorded run;
 * ``adsala bench`` regenerates a paper table from the command line;
 * ``adsala platforms`` lists the built-in machine presets;
-* ``adsala routines`` lists every registered routine — builtin BLAS keys
-  plus any plugin routines discovered from ``ADSALA_PLUGIN_PATH``
-  directories or ``adsala.routines`` entry points.
+* ``adsala routines`` lists the routine table: the builtin BLAS keys (a
+  process that registers more routines with ``register_spec`` and calls
+  :func:`main` lists those too).
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     routines_cmd = sub.add_parser(
         "routines",
-        help="list every registered routine (builtin + discovered plugins)",
+        help="list every registered routine key",
     )
     routines_cmd.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -1077,9 +1077,8 @@ def _cmd_routines(args: argparse.Namespace) -> int:
     from repro.harness.tables import format_table
     from repro.routines.catalog import get_catalog
 
-    catalog = get_catalog()
     rows = []
-    for entry in catalog.entries():
+    for entry in get_catalog().entries():
         spec = entry.spec
         for key in entry.keys():
             rows.append(
@@ -1094,18 +1093,9 @@ def _cmd_routines(args: argparse.Namespace) -> int:
             )
     rows.sort(key=lambda row: row["key"])
     if args.as_json:
-        report = {"routines": rows}
-        if catalog.load_errors:
-            report["load_errors"] = [
-                {"source": source, "error": message}
-                for source, message in catalog.load_errors
-            ]
-        print(json.dumps(report, indent=2))
+        print(json.dumps({"routines": rows}, indent=2))
         return 0
     print(format_table(rows, title=f"Registered routines ({len(rows)} keys)"))
-    for source, message in catalog.load_errors:
-        print(f"warning: plugin source {source} failed to load: {message}",
-              file=sys.stderr)
     return 0
 
 

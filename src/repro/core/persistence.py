@@ -26,9 +26,10 @@ versions of one platform side by side.  Schema history:
   ``test_shapes``, ``settings``) fall back to empty defaults.
 * **2** — adds ``schema_version``, ``bundle_version`` and a per-routine
   ``checksum`` over the model file, verified before unpickling.
-* **3** — adds per-routine ``plugin`` provenance (name/version/source of the
-  :class:`~repro.routines.plugin.RoutinePlugin` that provided the routine).
-  Loading a bundle whose plugin is not registered in the current process
+* **3** — adds per-routine ``plugin`` provenance: the name, version and
+  source its :class:`~repro.routines.catalog.CatalogEntry` was registered
+  under (``builtin-blas3`` / ``"1"`` / ``"builtin"`` for the BLAS-12).
+  Loading a bundle whose routine is not registered in the current process
   fails with a :class:`BundleFormatError` naming the missing plugin; v1/v2
   bundles (builtin BLAS routines only) still load, and ``adsala bundle
   migrate`` stamps the provenance in place.
@@ -202,13 +203,13 @@ def _require_resolvable(routine: str, meta: dict) -> None:
                 f"Bundle routine {routine!r} was installed by plugin "
                 f"{plugin['name']!r} (version {plugin.get('version', '?')}, "
                 f"source {plugin.get('source', '?')}), which is not registered "
-                f"in this process; point ADSALA_PLUGIN_PATH at the plugin "
-                f"directory or install the plugin distribution, then reload"
+                f"in this process; pass its spec to "
+                f"get_catalog().register_spec(...), then reload"
             ) from exc
         raise BundleFormatError(
-            f"Bundle routine {routine!r} is not provided by any registered "
-            f"routine plugin; register the plugin (ADSALA_PLUGIN_PATH or an "
-            f"'adsala.routines' entry point) before loading this bundle"
+            f"Bundle routine {routine!r} is not a registered routine; pass "
+            f"its spec to get_catalog().register_spec(...) before loading "
+            f"this bundle"
         ) from exc
 
 

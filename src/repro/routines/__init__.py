@@ -1,17 +1,21 @@
-"""Pluggable routine ecosystem.
+"""The routine table.
 
-The fixed BLAS-12 of the paper lives on as the first plugin
-(:mod:`repro.routines.builtin`); anything else — other precisions, batched
-kernels, sparse or spectral routines, black-box libraries — registers a
-:class:`~repro.routines.spec.RoutineSpec` through the
-:class:`~repro.routines.catalog.RoutineCatalog` and immediately flows
-through sampling, gathering, installation, simulation, serving and the
-CLI.  See ``examples/plugins/README.md`` for the authoring walkthrough.
+Every catalog starts with the fixed BLAS-12 of the paper
+(:mod:`repro.routines.builtin`).  Any other routine — other precisions,
+batched kernels, sparse or spectral routines, black-box libraries — is a
+:class:`~repro.routines.spec.RoutineSpec` passed to
+:meth:`~repro.routines.catalog.RoutineCatalog.register_spec`, after which it
+flows through sampling, gathering, installation, simulation, serving and
+the CLI of the registering process::
+
+    from repro.routines import get_catalog, make_routine_spec
+
+    get_catalog().register_spec(
+        make_routine_spec(...), plugin_name="my-routines", plugin_version="1"
+    )
 """
 
 from repro.routines.catalog import (
-    ENTRY_POINT_GROUP,
-    PLUGIN_PATH_ENV,
     CatalogEntry,
     RoutineCatalog,
     UnknownRoutineError,
@@ -19,7 +23,6 @@ from repro.routines.catalog import (
     get_catalog,
     reset_catalog,
 )
-from repro.routines.plugin import RoutinePlugin, SpecListPlugin
 from repro.routines.replay import NoTimingSourceError, ReplayTimingModel
 from repro.routines.spec import (
     PRECISIONS,
@@ -32,16 +35,12 @@ from repro.routines.spec import (
 )
 
 __all__ = [
-    "ENTRY_POINT_GROUP",
-    "PLUGIN_PATH_ENV",
     "CatalogEntry",
     "RoutineCatalog",
     "UnknownRoutineError",
     "build_catalog",
     "get_catalog",
     "reset_catalog",
-    "RoutinePlugin",
-    "SpecListPlugin",
     "NoTimingSourceError",
     "ReplayTimingModel",
     "PRECISIONS",

@@ -1,4 +1,4 @@
-"""The BLAS Level 3 built-ins, re-homed as the catalog's first plugin.
+"""The BLAS Level 3 built-ins: the routines every catalog starts with.
 
 These are the paper's Table I routine specifications, unchanged: the same
 operand tables, the same FLOPs and memory-footprint lambdas (operation
@@ -9,13 +9,13 @@ their exact floating-point association).  :mod:`repro.blas.api` re-exports
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
-from repro.routines.plugin import RoutinePlugin
 from repro.routines.spec import OperandSpec, RoutineSpec
 
-__all__ = ["ROUTINE_SPECS", "BuiltinBlasPlugin", "BUILTIN_PLUGIN_NAME"]
+__all__ = ["ROUTINE_SPECS", "BUILTIN_PLUGIN_NAME", "BUILTIN_PLUGIN_VERSION"]
 
+#: The identity bundles record for the built-ins (manifest ``plugin`` block).
 BUILTIN_PLUGIN_NAME = "builtin-blas3"
 BUILTIN_PLUGIN_VERSION = "1"
 
@@ -87,12 +87,3 @@ ROUTINE_SPECS: Dict[str, RoutineSpec] = {
     ),
 }
 
-
-class BuiltinBlasPlugin(RoutinePlugin):
-    """Provider of the twelve builtin BLAS L3 routine keys."""
-
-    name = BUILTIN_PLUGIN_NAME
-    version = BUILTIN_PLUGIN_VERSION
-
-    def routine_specs(self) -> Sequence[RoutineSpec]:
-        return tuple(ROUTINE_SPECS.values())

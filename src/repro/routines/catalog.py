@@ -2,38 +2,30 @@
 
 :class:`RoutineCatalog` maps base routine names to specs plus the identity
 of the plugin that provided them.  The process-wide catalog built by
-:func:`get_catalog` aggregates three discovery sources, in order:
-
-1. **built-ins** — the BLAS-12 of the paper, re-homed as
-   :class:`~repro.routines.builtin.BuiltinBlasPlugin`;
-2. **plugin directories** — every ``*.py`` file in the directories listed
-   in the ``ADSALA_PLUGIN_PATH`` environment variable (``os.pathsep``
-   separated), loaded without being importable by name;
-3. **entry points** — installed distributions advertising the
-   ``adsala.routines`` entry-point group.
+:func:`get_catalog` holds the BLAS-12 of the paper
+(:data:`~repro.routines.builtin.ROUTINE_SPECS`); any other routine is a
+:class:`~repro.routines.spec.RoutineSpec` the caller passes to
+:meth:`RoutineCatalog.register_spec`.  Nothing is ever discovered on a
+path or through installed packages.
 
 ``parse_routine`` / ``routine_dims`` / key listings across the codebase are
 thin queries against this catalog, so a routine registered here is
 immediately usable by the sampler, gatherer, installer, simulator, serving
-engine and CLI.  A plugin file that fails to load is skipped with a warning
-(and recorded in :attr:`RoutineCatalog.load_errors`) rather than taking the
-whole catalog down; name collisions, however, are hard errors.
+engine and CLI of this process.  Name collisions are hard errors.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import warnings
 import zlib
 from dataclasses import dataclass
-from importlib import metadata as importlib_metadata
-from importlib import util as importlib_util
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.routines.builtin import BuiltinBlasPlugin
-from repro.routines.plugin import RoutinePlugin, SpecListPlugin
+from repro.routines.builtin import (
+    BUILTIN_PLUGIN_NAME,
+    BUILTIN_PLUGIN_VERSION,
+    ROUTINE_SPECS,
+)
 from repro.routines.spec import PRECISIONS, RoutineSpec
 
 __all__ = [
@@ -43,12 +35,7 @@ __all__ = [
     "RoutineCatalog",
     "get_catalog",
     "reset_catalog",
-    "ENTRY_POINT_GROUP",
-    "PLUGIN_PATH_ENV",
 ]
-
-ENTRY_POINT_GROUP = "adsala.routines"
-PLUGIN_PATH_ENV = "ADSALA_PLUGIN_PATH"
 
 
 class UnknownRoutineError(KeyError):
@@ -77,7 +64,7 @@ class CatalogEntry:
     spec: RoutineSpec
     plugin_name: str
     plugin_version: str
-    source: str  # "builtin", "directory", "entry-point" or "runtime"
+    source: str  # "builtin" or "runtime"
 
     @property
     def base(self) -> str:
@@ -184,29 +171,8 @@ class RoutineCatalog:
         #: filled on use and dropped with the resolution memo.
         self._forms: Dict[str, RequestForm] = {}
         self._lock = threading.Lock()
-        #: (origin, message) pairs for plugin files/entry points that failed
-        #: to load and were skipped.
-        self.load_errors: List[Tuple[str, str]] = []
 
     # -- registration ----------------------------------------------------------
-    def register_plugin(
-        self, plugin: RoutinePlugin, source: str = "runtime"
-    ) -> List[str]:
-        """Register every spec of a plugin; returns the new base names."""
-        specs = list(plugin.routine_specs())
-        if not specs:
-            raise ValueError(f"Plugin {plugin.name!r} provides no routine specs")
-        registered = []
-        for spec in specs:
-            self.register_spec(
-                spec,
-                plugin_name=str(plugin.name),
-                plugin_version=str(plugin.version),
-                source=source,
-            )
-            registered.append(spec.name)
-        return registered
-
     def register_spec(
         self,
         spec: RoutineSpec,
@@ -223,14 +189,14 @@ class RoutineCatalog:
                 f"Routine base name {base!r} must be a lowercase identifier"
             )
         with self._lock:
-            taken = self._all_names_locked()
             new_names = [base] + [p + base for p in spec.precisions]
-            for name in new_names:
-                if name in taken:
-                    owner = self._owner_of_locked(name)
+            for owner in self._entries.values():
+                taken = [name for name in new_names if name == owner.base or name in owner.keys()]
+                if taken:
                     raise ValueError(
-                        f"Routine name {name!r} from plugin {plugin_name!r} "
-                        f"collides with {owner}"
+                        f"Routine name {taken[0]!r} from plugin {plugin_name!r} collides "
+                        f"with routine {owner.base!r} of plugin {owner.plugin_name!r} "
+                        f"({owner.source})"
                     )
             entry = CatalogEntry(
                 spec=spec,
@@ -243,143 +209,9 @@ class RoutineCatalog:
             self._forms.clear()
         return entry
 
-    def _all_names_locked(self) -> set:
-        names = set()
-        for entry in self._entries.values():
-            names.add(entry.base)
-            names.update(entry.keys())
-        return names
-
-    def _owner_of_locked(self, name: str) -> str:
-        for entry in self._entries.values():
-            if name == entry.base or name in entry.keys():
-                return (
-                    f"routine {entry.base!r} of plugin {entry.plugin_name!r} "
-                    f"({entry.source})"
-                )
-        return "an existing registration"
-
-    # -- discovery -------------------------------------------------------------
-    def load_directory(self, directory: str | Path) -> List[str]:
-        """Load every ``*.py`` plugin file in a directory.
-
-        Each file is executed as an anonymous module and may provide a
-        ``register(catalog)`` function, a ``PLUGIN`` object, a ``PLUGINS``
-        iterable or a ``ROUTINES`` spec list (with optional
-        ``PLUGIN_NAME`` / ``PLUGIN_VERSION``).  Returns the base names
-        registered; files that fail to execute are skipped with a warning.
-        """
-        directory = Path(directory)
-        if not directory.is_dir():
-            self._record_error(str(directory), "not a directory")
-            return []
-        registered: List[str] = []
-        for path in sorted(directory.glob("*.py")):
-            if path.name.startswith("_"):
-                continue
-            try:
-                registered.extend(self._load_plugin_file(path))
-            except Exception as exc:  # noqa: BLE001 - isolate bad plugin files
-                self._record_error(str(path), f"{type(exc).__name__}: {exc}")
-        return registered
-
-    def _load_plugin_file(self, path: Path) -> List[str]:
-        module_name = f"_adsala_plugin_{path.stem}_{abs(hash(str(path))) & 0xFFFF:x}"
-        module_spec = importlib_util.spec_from_file_location(module_name, path)
-        if module_spec is None or module_spec.loader is None:
-            raise ImportError(f"cannot load plugin file {path}")
-        module = importlib_util.module_from_spec(module_spec)
-        module_spec.loader.exec_module(module)
-        return self._register_module(module, default_name=path.stem, source="directory")
-
-    def _register_module(self, module, default_name: str, source: str) -> List[str]:
-        register = getattr(module, "register", None)
-        if callable(register):
-            before = set(self._entries)
-            register(self)
-            return [base for base in self._entries if base not in before]
-        plugins: List[RoutinePlugin] = []
-        plugin = getattr(module, "PLUGIN", None)
-        if plugin is not None:
-            plugins.append(self._as_plugin(plugin))
-        for candidate in getattr(module, "PLUGINS", ()):
-            plugins.append(self._as_plugin(candidate))
-        specs = list(getattr(module, "ROUTINES", ()))
-        if specs:
-            plugins.append(
-                SpecListPlugin(
-                    name=getattr(module, "PLUGIN_NAME", default_name),
-                    specs=specs,
-                    version=str(getattr(module, "PLUGIN_VERSION", "0")),
-                )
-            )
-        if not plugins:
-            raise ValueError(
-                "plugin module defines none of register()/PLUGIN/PLUGINS/ROUTINES"
-            )
-        registered: List[str] = []
-        for item in plugins:
-            registered.extend(self.register_plugin(item, source=source))
-        return registered
-
-    @staticmethod
-    def _as_plugin(candidate) -> RoutinePlugin:
-        if isinstance(candidate, type):
-            candidate = candidate()
-        if not isinstance(candidate, RoutinePlugin):
-            raise TypeError(
-                f"Expected a RoutinePlugin, got {type(candidate).__name__}"
-            )
-        return candidate
-
-    def load_entry_points(self, group: str = ENTRY_POINT_GROUP) -> List[str]:
-        """Register plugins advertised through ``importlib.metadata``."""
-        registered: List[str] = []
-        try:
-            entry_points = importlib_metadata.entry_points(group=group)
-        except Exception as exc:  # pragma: no cover - environment dependent
-            self._record_error(f"entry-points:{group}", str(exc))
-            return registered
-        for entry_point in entry_points:
-            try:
-                loaded = entry_point.load()
-                if isinstance(loaded, (RoutinePlugin, type)):
-                    plugin = self._as_plugin(loaded)
-                elif callable(loaded):
-                    plugin = self._as_plugin(loaded())
-                else:
-                    registered.extend(
-                        self._register_module(
-                            loaded, default_name=entry_point.name, source="entry-point"
-                        )
-                    )
-                    continue
-                registered.extend(self.register_plugin(plugin, source="entry-point"))
-            except Exception as exc:  # noqa: BLE001 - isolate bad entry points
-                self._record_error(
-                    f"entry-point:{entry_point.name}",
-                    f"{type(exc).__name__}: {exc}",
-                )
-        return registered
-
-    def _record_error(self, origin: str, message: str) -> None:
-        self.load_errors.append((origin, message))
-        warnings.warn(
-            f"Skipping routine plugin {origin}: {message}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
     # -- queries ---------------------------------------------------------------
     def __contains__(self, base: str) -> bool:
         return base in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def bases(self) -> List[str]:
-        """Registered base names in registration order."""
-        return list(self._entries)
 
     def keys(self) -> List[str]:
         """All precision-qualified routine keys in registration order."""
@@ -449,34 +281,24 @@ _global_lock = threading.Lock()
 _global_catalog: Optional[RoutineCatalog] = None
 
 
-def _env_plugin_dirs() -> Iterable[str]:
-    raw = os.environ.get(PLUGIN_PATH_ENV, "")
-    for part in raw.split(os.pathsep):
-        part = part.strip()
-        if part:
-            yield part
-
-
-def build_catalog(
-    plugin_dirs: Optional[Sequence[str]] = None, entry_points: bool = True
-) -> RoutineCatalog:
-    """A fresh catalog with built-ins plus the requested discovery sources."""
+def build_catalog() -> RoutineCatalog:
+    """A fresh catalog holding the built-in BLAS-12 and nothing else."""
     catalog = RoutineCatalog()
-    catalog.register_plugin(BuiltinBlasPlugin(), source="builtin")
-    dirs = list(_env_plugin_dirs()) if plugin_dirs is None else list(plugin_dirs)
-    for directory in dirs:
-        catalog.load_directory(directory)
-    if entry_points:
-        catalog.load_entry_points()
+    for spec in ROUTINE_SPECS.values():
+        catalog.register_spec(
+            spec,
+            plugin_name=BUILTIN_PLUGIN_NAME,
+            plugin_version=BUILTIN_PLUGIN_VERSION,
+            source="builtin",
+        )
     return catalog
 
 
 def get_catalog() -> RoutineCatalog:
     """The process-wide catalog, built on first use.
 
-    Discovery (``ADSALA_PLUGIN_PATH`` directories, ``adsala.routines``
-    entry points) runs once; call :func:`reset_catalog` to force a rescan
-    (tests, or after changing the environment).
+    It starts as :func:`build_catalog`; routines registered on it stay until
+    :func:`reset_catalog` drops it (tests).
     """
     global _global_catalog
     catalog = _global_catalog

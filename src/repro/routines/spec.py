@@ -13,9 +13,10 @@ being maintained in parallel literal tables:
   (coefficient, dim-index factors) monomial terms read off the operand
   table, replacing the hard-coded per-routine table that
   :mod:`repro.core.features` used to keep.
-* :func:`make_routine_spec` — the plugin-authoring constructor: validates
+* :func:`make_routine_spec` — the constructor for routines registered with
+  :meth:`~repro.routines.catalog.RoutineCatalog.register_spec`: validates
   the dims schema and fills in a derived ``memory_words`` so a minimal
-  plugin only has to declare name, dims, operands and a FLOPs formula.
+  spec only has to declare name, dims, operands and a FLOPs formula.
 
 Specs are frozen and hashable, so the derivation helpers are memoised per
 spec object.
@@ -368,7 +369,7 @@ def make_routine_spec(
     dim_ranges: Optional[Dict[str, Tuple[int, int]]] = None,
     footprint_terms: Optional[Sequence[Tuple[float, Sequence[int]]]] = None,
 ) -> RoutineSpec:
-    """Validated constructor for plugin routine specs.
+    """Validated constructor for the specs callers register themselves.
 
     Unlike the raw dataclass this defaults ``analytic`` to False (plugins
     must opt in to the builtin performance model) and derives

@@ -664,10 +664,13 @@ class ProcessShard(ShardBase):
                     self.stop_escalation = "kill"
                     process.kill()
                     process.join(timeout=self._stop_timeout)
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            # A worker that failed to initialise has had its pipe closed
+            # already (_terminate_worker_locked).
+            if self._conn is not None:
+                try:
+                    self._conn.close()
+                except OSError:  # pragma: no cover
+                    pass
             self._proc = None
             self._conn = None
 

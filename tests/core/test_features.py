@@ -15,9 +15,8 @@ from repro.core.features import (
     feature_names,
 )
 from repro.routines.catalog import get_catalog, reset_catalog
-from repro.routines.contrib import register
 
-CONTRIB_KEYS = ["dgemm_batch", "dtbtrs", "dtptrs", "dspmv", "dfft2d"]
+from extra_routines import EXTRA_KEYS, register
 
 
 class TestFeatureNames:
@@ -118,19 +117,19 @@ class TestMatrices:
 
 
 @pytest.fixture(scope="module")
-def contrib_routines():
+def extra_routines_registered():
     reset_catalog()
     register(get_catalog())
     yield
     reset_catalog()
 
 
-@pytest.mark.usefixtures("contrib_routines")
+@pytest.mark.usefixtures("extra_routines_registered")
 class TestMatrixIsTheScalarRowLoop:
     """``build_feature_matrix`` builds the training matrix in one pass; every
     row must be ``compute_features`` of that row, byte for byte."""
 
-    @pytest.mark.parametrize("routine", list(ROUTINE_KEYS) + CONTRIB_KEYS)
+    @pytest.mark.parametrize("routine", list(ROUTINE_KEYS) + EXTRA_KEYS)
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_rows_are_bitwise_compute_features(self, routine, data):

@@ -4,7 +4,7 @@ One runtime model over one (shapes × candidate-threads) grid has exactly
 three implementations — the fused native call, its NumPy fallback and the
 object-graph oracle over recursive trees — and they must agree bit for
 bit on *any* input, not only on hand-picked shapes.  For every routine key
-of the live catalog (contrib plugins registered, so the routines without a
+of the live catalog (``tests/extra_routines.py`` registered, so the routines without a
 column program are covered) × every :class:`ModelKernel` kind, hypothesis
 draws batches of shapes and asserts:
 
@@ -41,7 +41,8 @@ from repro.ml import _native
 from repro.ml.model_zoo import make_model
 from repro.preprocessing.pipeline import PreprocessingPipeline
 from repro.routines.catalog import build_catalog, get_catalog, reset_catalog
-from repro.routines.contrib import register
+
+from extra_routines import register
 
 THREADS = [1, 2, 3, 4, 6, 8]
 MAX_DIM = 10**5
@@ -56,13 +57,13 @@ KIND_MODELS = {
     "opaque": "KNN",
 }
 
-_listing = build_catalog(plugin_dirs=[], entry_points=False)
+_listing = build_catalog()
 register(_listing)
 ROUTINE_KEYS = _listing.keys()
 
 
 @pytest.fixture(scope="module", autouse=True)
-def contrib_catalog():
+def extra_catalog():
     reset_catalog()
     register(get_catalog())
     yield

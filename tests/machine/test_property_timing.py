@@ -2,8 +2,8 @@
 
 The scalar ``TimingSimulator.time``/``breakdown`` is the only reference
 implementation; ``time_batch``/``breakdown_batch`` must reproduce it with
-``==`` for every key of the live catalog — the builtin BLAS-12, the contrib
-``cost_model`` plugins, a ``measure``-only spec and a replay-attached
+``==`` for every key of the live catalog — the builtin BLAS-12, the
+``cost_model`` routines of ``tests/extra_routines.py``, a ``measure``-only spec and a replay-attached
 routine — on every platform, with noise and patches on or off, for all
 three input forms.
 """
@@ -16,8 +16,10 @@ from repro.blas.api import parse_routine
 from repro.machine.perfmodel import PerformanceModel
 from repro.machine.platforms import get_platform, list_platforms
 from repro.machine.simulator import TimingSimulator
-from repro.routines import contrib, get_catalog, make_routine_spec, reset_catalog
+from repro.routines import get_catalog, make_routine_spec, reset_catalog
 from repro.routines.replay import ReplayTimingModel
+
+import extra_routines
 
 COMPONENTS = ("kernel", "copy", "sync", "other")
 REPLAY = ReplayTimingModel(
@@ -36,10 +38,10 @@ def _measure(platform, precision, dims, threads):
 
 @pytest.fixture(scope="module", autouse=True)
 def live_catalog():
-    """Builtins + contrib plugins + one measure-only and one replay-only spec."""
+    """Builtins + the extra routines + one measure-only and one replay-only spec."""
     reset_catalog()
     catalog = get_catalog()
-    contrib.register(catalog)
+    extra_routines.register(catalog)
     operands = [("A", ("p", "q"), "regular")]
     flops = lambda d: 1.0 * d["p"] * d["q"]  # noqa: E731
     catalog.register_spec(

@@ -1,4 +1,5 @@
-"""Bundle schema v3: plugin provenance round-trips and failure modes."""
+"""Bundle schema v3: plugin provenance round-trips and failure modes,
+and a runtime-registered routine on a process shard."""
 
 import json
 
@@ -19,7 +20,10 @@ from repro.core.persistence import (
 from repro.machine.platforms import get_platform
 from repro.routines.catalog import get_catalog, reset_catalog
 from repro.routines.spec import make_routine_spec
+from repro.serving import ShardedFrontend
+from repro.serving.procshard import WorkerInitError
 from repro.serving.registry import BundleHandle
+from repro.serving.supervisor import NoHealthyShardError, RestartPolicy
 
 
 @pytest.fixture()
@@ -114,7 +118,7 @@ class TestSchemaV3:
         message = str(excinfo.value)
         assert "toy-plugin" in message
         assert "dtoy" in message
-        assert "ADSALA_PLUGIN_PATH" in message
+        assert "register_spec" in message
 
     def test_missing_plugin_surfaces_in_verify(
         self, tmp_path, fresh_global_catalog
@@ -170,3 +174,49 @@ class TestSchemaV3:
         migrated = read_manifest(directory)
         assert migrated["schema_version"] == 4
         assert migrated["routines"]["dgemm"]["plugin"]["source"] == "builtin"
+
+
+class TestProcessShards:
+    """A spawned shard worker builds a fresh catalog — the built-ins only —
+    so a routine registered at runtime in the serving process cannot be
+    served by a process shard: the request fails with an error naming the
+    routine instead of hanging, and the frontend still closes cleanly."""
+
+    @pytest.fixture()
+    def toy_bundle(self, fresh_global_catalog):
+        _register_toy(fresh_global_catalog)
+        return install_adsala(
+            platform=get_platform("laptop"),
+            routines=["dtoy"],
+            n_samples=12,
+            threads_per_shape=4,
+            n_test_shapes=4,
+            candidate_models=["DecisionTree"],
+            seed=0,
+        )
+
+    @pytest.mark.slow
+    def test_unsupervised_shard_names_the_routine(self, toy_bundle):
+        frontend = ShardedFrontend.from_bundle(
+            toy_bundle, 1, backend="process", supervise=False
+        )
+        with frontend:
+            with pytest.raises(WorkerInitError, match="'dtoy'") as excinfo:
+                frontend.plan("dtoy", timeout=10, p=512, q=512)
+        assert "UnknownRoutineError" in str(excinfo.value)
+        assert frontend.stats()["admission"]["in_flight"] == 0
+
+    @pytest.mark.slow
+    def test_supervised_shard_is_quarantined_naming_the_routine(self, toy_bundle):
+        frontend = ShardedFrontend.from_bundle(
+            toy_bundle,
+            1,
+            backend="process",
+            restart_policy=RestartPolicy(max_consecutive_failures=1, backoff_base=0.0),
+        )
+        with frontend, pytest.warns(RuntimeWarning, match="quarantined"):
+            with pytest.raises(NoHealthyShardError) as excinfo:
+                frontend.plan("dtoy", timeout=10, p=512, q=512)
+        assert isinstance(excinfo.value.__cause__, WorkerInitError)
+        assert "'dtoy'" in str(excinfo.value.__cause__)
+        assert frontend.stats()["supervision"]["quarantined"] == [0]

@@ -1,20 +1,16 @@
-"""Catalog registration, discovery and resolution tests."""
+"""Catalog registration and resolution tests, and the absence of discovery."""
 
 import numpy as np
 import pytest
 
+from repro.routines.builtin import ROUTINE_SPECS
 from repro.routines.catalog import (
-    PLUGIN_PATH_ENV,
-    RoutineCatalog,
     UnknownRoutineError,
     build_catalog,
     get_catalog,
     reset_catalog,
 )
-from repro.routines.plugin import RoutinePlugin, SpecListPlugin
 from repro.routines.spec import make_routine_spec
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 @pytest.fixture()
@@ -34,12 +30,15 @@ def _toy_spec(name="toy", dims=("p", "q")):
     )
 
 
-PLUGIN_FILE = '''
+#: A routine file in the shape directory discovery used to load: running it
+#: writes a marker beside itself and offers a ``ROUTINES`` list.
+MARKING_PLUGIN = """
+import pathlib
+
 import numpy as np
 from repro.routines import make_routine_spec
 
-PLUGIN_NAME = "file-plugin"
-PLUGIN_VERSION = "2.1"
+pathlib.Path(__file__).with_name("ran.marker").write_text("ran")
 ROUTINES = [
     make_routine_spec(
         "fileroutine",
@@ -49,21 +48,26 @@ ROUTINES = [
         measure=lambda platform, prec, dims, t: np.asarray(t, dtype=float),
     )
 ]
-'''
+"""
 
 
 class TestRegistration:
     def test_builtins_present(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         assert "gemm" in catalog
         assert "dgemm" in catalog.keys()
         assert len(catalog.keys()) == 12
         entry = catalog.entry("gemm")
         assert entry.source == "builtin"
         assert entry.has_simulator
+        # The identity every bundle records for a built-in routine.
+        assert {e.base: e.provenance() for e in catalog.entries()} == {
+            base: {"name": "builtin-blas3", "version": "1", "source": "builtin"}
+            for base in ROUTINE_SPECS
+        }
 
     def test_register_spec_and_resolve(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         catalog.register_spec(_toy_spec(), plugin_name="t", plugin_version="9")
         prefix, base, spec = catalog.resolve("dtoy")
         assert (prefix, base) == ("d", "toy")
@@ -72,19 +76,19 @@ class TestRegistration:
         }
 
     def test_bare_base_name_defaults_to_double(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         prefix, base, _ = catalog.resolve("gemm")
         assert (prefix, base) == ("d", "gemm")
 
     def test_collision_is_hard_error(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         with pytest.raises(ValueError, match="collides"):
             catalog.register_spec(
                 _toy_spec("gemm", ("m", "k", "n")), plugin_name="rogue"
             )
 
     def test_unknown_routine_error_is_structured(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         with pytest.raises(UnknownRoutineError) as excinfo:
             catalog.resolve("dnope")
         assert excinfo.value.routine == "dnope"
@@ -94,7 +98,7 @@ class TestRegistration:
         assert isinstance(excinfo.value, KeyError)
 
     def test_unsupported_precision_rejected(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         spec = make_routine_spec(
             "single",
             ("p", "q"),
@@ -109,72 +113,8 @@ class TestRegistration:
         with pytest.raises(UnknownRoutineError):
             catalog.resolve("dsingle")
 
-    def test_empty_plugin_rejected(self):
-        catalog = RoutineCatalog()
-        with pytest.raises(ValueError, match="no routine specs"):
-            catalog.register_plugin(SpecListPlugin("empty", []))
-
-
-class TestDirectoryDiscovery:
-    def test_loads_plugin_file(self, tmp_path):
-        (tmp_path / "myplugin.py").write_text(PLUGIN_FILE)
-        catalog = build_catalog(plugin_dirs=[tmp_path], entry_points=False)
-        entry = catalog.entry("fileroutine")
-        assert entry.plugin_name == "file-plugin"
-        assert entry.plugin_version == "2.1"
-        assert entry.source == "directory"
-        assert not entry.has_simulator
-
-    def test_underscore_files_skipped(self, tmp_path):
-        (tmp_path / "_private.py").write_text("raise RuntimeError('boom')")
-        catalog = build_catalog(plugin_dirs=[tmp_path], entry_points=False)
-        assert catalog.load_errors == []
-
-    def test_broken_plugin_skipped_with_warning(self, tmp_path):
-        (tmp_path / "broken.py").write_text("raise RuntimeError('boom')")
-        (tmp_path / "good.py").write_text(PLUGIN_FILE)
-        with pytest.warns(RuntimeWarning, match="broken"):
-            catalog = build_catalog(plugin_dirs=[tmp_path], entry_points=False)
-        # the broken file is recorded, the good one still loads
-        assert any("broken" in origin for origin, _ in catalog.load_errors)
-        assert "fileroutine" in catalog
-
-    def test_missing_directory_recorded(self, tmp_path):
-        with pytest.warns(RuntimeWarning, match="not a directory"):
-            catalog = build_catalog(
-                plugin_dirs=[tmp_path / "absent"], entry_points=False
-            )
-        assert catalog.load_errors
-
-    def test_register_convention(self, tmp_path):
-        (tmp_path / "reg.py").write_text(
-            PLUGIN_FILE.replace("ROUTINES = [", "_SPECS = [")
-            + "\ndef register(catalog):\n"
-            "    for spec in _SPECS:\n"
-            "        catalog.register_spec(spec, plugin_name='via-register')\n"
-        )
-        catalog = build_catalog(plugin_dirs=[tmp_path], entry_points=False)
-        assert catalog.entry("fileroutine").plugin_name == "via-register"
-
-    def test_module_without_conventions_is_error(self, tmp_path):
-        (tmp_path / "nothing.py").write_text("x = 1\n")
-        with pytest.warns(RuntimeWarning, match="nothing"):
-            catalog = build_catalog(plugin_dirs=[tmp_path], entry_points=False)
-        assert any("nothing" in origin for origin, _ in catalog.load_errors)
-
 
 class TestGlobalCatalog:
-    def test_env_var_discovery(self, tmp_path, monkeypatch, fresh_global_catalog):
-        (tmp_path / "envplugin.py").write_text(PLUGIN_FILE)
-        monkeypatch.setenv(PLUGIN_PATH_ENV, str(tmp_path))
-        reset_catalog()
-        assert "fileroutine" in get_catalog()
-        # parse_routine is a thin query against the same catalog
-        from repro.blas.api import parse_routine
-
-        prefix, base, _ = parse_routine("dfileroutine")
-        assert (prefix, base) == ("d", "fileroutine")
-
     def test_reset_drops_runtime_registrations(self, fresh_global_catalog):
         get_catalog().register_spec(_toy_spec(), plugin_name="t")
         assert "toy" in get_catalog()
@@ -185,53 +125,53 @@ class TestGlobalCatalog:
         assert get_catalog() is get_catalog()
 
 
-class TestPluginProtocol:
-    def test_class_plugin_via_module_convention(self, tmp_path):
-        (tmp_path / "classy.py").write_text(
-            "import numpy as np\n"
-            "from repro.routines import RoutinePlugin, make_routine_spec\n"
-            "class MyPlugin(RoutinePlugin):\n"
-            "    name = 'classy'\n"
-            "    version = '3'\n"
-            "    def routine_specs(self):\n"
-            "        return [make_routine_spec(\n"
-            "            'classyroutine', ('p', 'q'),\n"
-            "            [('A', ('p', 'q'), 'regular')],\n"
-            "            flops=lambda d: 1.0 * d['p'] * d['q'],\n"
-            "            measure=lambda platform, prec, dims, t:\n"
-            "                np.asarray(t, dtype=float),\n"
-            "        )]\n"
-            "PLUGIN = MyPlugin\n"
-        )
-        catalog = build_catalog(plugin_dirs=[tmp_path], entry_points=False)
-        entry = catalog.entry("classyroutine")
-        assert entry.plugin_name == "classy"
-        assert entry.plugin_version == "3"
+class TestNoDiscovery:
+    """The catalog holds the built-ins and what the process registers: a
+    routine file on ``ADSALA_PLUGIN_PATH`` or an ``adsala.routines`` entry
+    point of an installed distribution is never run."""
 
-    def test_base_plugin_requires_specs(self):
-        with pytest.raises(NotImplementedError):
-            RoutinePlugin().routine_specs()
+    BUILTIN_KEYS = sorted(p + base for base in ROUTINE_SPECS for p in ("s", "d"))
+
+    def test_plugin_path_is_ignored(self, tmp_path, monkeypatch, fresh_global_catalog):
+        (tmp_path / "marking.py").write_text(MARKING_PLUGIN)
+        monkeypatch.setenv("ADSALA_PLUGIN_PATH", str(tmp_path))
+        reset_catalog()
+        assert sorted(get_catalog().keys()) == self.BUILTIN_KEYS
+        assert not (tmp_path / "ran.marker").exists()
+
+    def test_entry_points_are_ignored(self, tmp_path, monkeypatch, fresh_global_catalog):
+        (tmp_path / "marking_routines.py").write_text(MARKING_PLUGIN)
+        dist = tmp_path / "marking_routines-1.0.dist-info"
+        dist.mkdir()
+        (dist / "METADATA").write_text(
+            "Metadata-Version: 2.1\nName: marking-routines\nVersion: 1.0\n"
+        )
+        (dist / "entry_points.txt").write_text("[adsala.routines]\nmarking = marking_routines\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        reset_catalog()
+        assert sorted(get_catalog().keys()) == self.BUILTIN_KEYS
+        assert not (tmp_path / "ran.marker").exists()
 
 
 class TestResolveMemo:
     """``resolve`` keeps successful answers per spelling — and only those."""
 
     def test_repeat_is_served_from_the_memo(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         assert catalog._resolved == {}  # nothing precomputed: filled on use
         first = catalog.resolve("dgemm")
         assert catalog._resolved == {"dgemm": first}
         assert catalog.resolve("dgemm") is first
 
     def test_case_variants_return_the_same_spec(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         answers = [catalog.resolve(s) for s in ("dgemm", "DGEMM", "dGemm", "gemm", "GEMM")]
         assert {(prefix, base) for prefix, base, _ in answers} == {("d", "gemm")}
         assert all(spec is answers[0][2] for _, _, spec in answers)
         assert catalog.resolve("DGEMM") == catalog.resolve("dgemm")
 
     def test_plugin_registered_after_a_resolution(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         gemm = catalog.resolve("dgemm")
         assert catalog.request_form("dgemm") is catalog.request_form("gemm")
         with pytest.raises(UnknownRoutineError):
@@ -245,7 +185,7 @@ class TestResolveMemo:
         assert catalog.resolve("dgemm") == gemm
 
     def test_failures_are_never_memoised(self):
-        catalog = build_catalog(plugin_dirs=[], entry_points=False)
+        catalog = build_catalog()
         for i in range(10_000):
             with pytest.raises(UnknownRoutineError):
                 catalog.resolve(f"nosuch{i}")

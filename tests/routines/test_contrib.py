@@ -1,4 +1,5 @@
-"""Contrib plugin tests: diversity routines flow through every layer."""
+"""Routines beyond the BLAS-12, registered with ``register_spec``, flow
+through every layer (specs in ``tests/extra_routines.py``)."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from repro.core.sampling import DomainSampler
 from repro.machine.platforms import get_platform
 from repro.machine.simulator import TimingSimulator
 from repro.routines.catalog import get_catalog, reset_catalog
-from repro.routines.contrib import CONTRIB_PLUGINS, register
+
+from extra_routines import EXTRA_KEYS, EXTRA_SPECS, register
 
 
 @pytest.fixture()
-def contrib_catalog():
+def extra_catalog():
     reset_catalog()
     catalog = get_catalog()
     register(catalog)
@@ -20,38 +22,34 @@ def contrib_catalog():
     reset_catalog()
 
 
-CONTRIB_KEYS = ["dgemm_batch", "dtbtrs", "dtptrs", "dspmv", "dfft2d"]
-
-
 class TestContribRegistration:
-    def test_all_plugins_register(self, contrib_catalog):
-        keys = set(contrib_catalog.keys())
-        for key in CONTRIB_KEYS:
+    def test_all_plugins_register(self, extra_catalog):
+        keys = set(extra_catalog.keys())
+        for key in EXTRA_KEYS:
             assert key in keys
-        # triangular family provides two routines from one plugin
-        assert contrib_catalog.entry("tbtrs").plugin_name == (
-            contrib_catalog.entry("tptrs").plugin_name
-        )
+        for spec in EXTRA_SPECS:
+            assert extra_catalog.entry(spec.name).provenance() == {
+                "name": "test-extra-routines", "version": "1", "source": "runtime",
+            }
 
-    def test_all_have_simulators(self, contrib_catalog):
-        for plugin_cls in CONTRIB_PLUGINS:
-            for spec in plugin_cls().routine_specs():
-                assert spec.has_simulator
-                assert not spec.analytic  # cost_model, not the builtin model
+    def test_all_have_simulators(self, extra_catalog):
+        for spec in EXTRA_SPECS:
+            assert spec.has_simulator
+            assert not spec.analytic  # cost_model, not the builtin model
 
 
 class TestContribPipelines:
-    @pytest.mark.parametrize("key", CONTRIB_KEYS)
-    def test_sampler_respects_dim_ranges(self, contrib_catalog, key):
+    @pytest.mark.parametrize("key", EXTRA_KEYS)
+    def test_sampler_respects_dim_ranges(self, extra_catalog, key):
         sampler = DomainSampler(key, seed=0)
-        _, _, spec = contrib_catalog.resolve(key)
+        _, _, spec = extra_catalog.resolve(key)
         for dims in sampler.sample(10):
             for name, value in dims.items():
                 lo, hi = spec.dim_bounds(name) or (1, 10**9)
                 assert lo <= value <= hi
 
-    @pytest.mark.parametrize("key", CONTRIB_KEYS)
-    def test_scalar_batch_bit_identity(self, contrib_catalog, key):
+    @pytest.mark.parametrize("key", EXTRA_KEYS)
+    def test_scalar_batch_bit_identity(self, extra_catalog, key):
         simulator = TimingSimulator(get_platform("gadi"), seed=5)
         sampler = DomainSampler(key, seed=1)
         shapes = sampler.sample(4)
@@ -60,9 +58,9 @@ class TestContribPipelines:
         for i, (dims, nt) in enumerate(zip(shapes, threads)):
             assert simulator.time(key, dims, nt) == float(batch[i])
 
-    @pytest.mark.parametrize("key", CONTRIB_KEYS)
-    def test_features_well_formed(self, contrib_catalog, key):
-        _, _, spec = contrib_catalog.resolve(key)
+    @pytest.mark.parametrize("key", EXTRA_KEYS)
+    def test_features_well_formed(self, extra_catalog, key):
+        _, _, spec = extra_catalog.resolve(key)
         names = feature_names(key)
         sampler = DomainSampler(key, seed=2)
         dims = sampler.sample(1)[0]
@@ -72,8 +70,8 @@ class TestContribPipelines:
         assert "memory_footprint" in names
         assert "nt" in names
 
-    @pytest.mark.parametrize("key", CONTRIB_KEYS)
-    def test_cost_is_positive_and_thread_sensitive(self, contrib_catalog, key):
+    @pytest.mark.parametrize("key", EXTRA_KEYS)
+    def test_cost_is_positive_and_thread_sensitive(self, extra_catalog, key):
         simulator = TimingSimulator(get_platform("gadi"), seed=0)
         dims = DomainSampler(key, seed=3).sample(1)[0]
         sweep = simulator.sweep_threads(key, dims)
@@ -82,7 +80,7 @@ class TestContribPipelines:
 
 
 class TestContribInstall:
-    def test_install_and_predict_batched_gemm(self, contrib_catalog):
+    def test_install_and_predict_batched_gemm(self, extra_catalog):
         from repro.core.install import install_adsala
 
         bundle = install_adsala(

@@ -2,7 +2,8 @@
 
 The framed pipe is the one byte boundary between the serving parent and a
 worker process, so it gets the differential treatment: for every routine
-key of the live catalog (contrib plugins registered), hypothesis draws
+key of the live catalog (the routines of ``tests/extra_routines.py``
+registered), hypothesis draws
 batches of requests, plans and observations and asserts that
 
 * ``encode_requests``/``decode_requests``, ``encode_plans``/``decode_plans``
@@ -28,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.runtime import ExecutionPlan
 from repro.routines.catalog import build_catalog, get_catalog, reset_catalog
-from repro.routines.contrib import register
 from repro.serving.engine import PlanRequest, normalize_request
 from repro.serving.procshard import (
     KIND_OBSERVE,
@@ -44,10 +44,12 @@ from repro.serving.procshard import (
     encode_requests,
 )
 
+from extra_routines import register
+
 MAX_DIM = 10**6
 HEADER_BYTES = 16
 
-_listing = build_catalog(plugin_dirs=[], entry_points=False)
+_listing = build_catalog()
 register(_listing)
 ROUTINE_KEYS = _listing.keys()
 DIM_NAMES = {key: tuple(_listing.resolve(key)[2].dim_names) for key in ROUTINE_KEYS}
@@ -66,7 +68,7 @@ MISREAD = MALFORMED + (KeyError,)
 
 
 @pytest.fixture(scope="module", autouse=True)
-def contrib_catalog():
+def extra_catalog():
     reset_catalog()
     register(get_catalog())
     yield

@@ -33,11 +33,11 @@ def _plugin_spec(name, dims):
     )
 
 
-CATALOG = build_catalog(plugin_dirs=[], entry_points=False)
+CATALOG = build_catalog()
 CATALOG.register_spec(_plugin_spec("line", ("len",)), plugin_name="one-dim")
 CATALOG.register_spec(_plugin_spec("odd", ("q'%s", "p%d", 'r"')), plugin_name="quoting")
 KEYS = sorted(CATALOG.keys())
-BUILTIN_KEYS = set(build_catalog(plugin_dirs=[], entry_points=False).keys())
+BUILTIN_KEYS = set(build_catalog().keys())
 
 #: How a caller may pass a dimension ``value``: every one ``int()`` maps back to it.
 SPELLINGS = {
