@@ -13,11 +13,13 @@ from repro.ml.base import BaseRegressor, check_X, check_X_y
 
 __all__ = ["LinearRegression", "Ridge", "ElasticNet"]
 
-#: Singular values of the centred design below this are treated as zero,
-#: however large the others are: a direction that thin holds nothing a
+#: Columns of the centred design with a norm below this are treated as
+#: zero, however large the others are: a column that thin holds nothing a
 #: float64 fit can use, and dividing by it overflows (one subnormal feature
 #: value among zeros fitted a coefficient of 1.8e308 and NaN predictions).
-_SINGULAR_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+_NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
+_SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class LinearRegression(BaseRegressor):
@@ -44,15 +46,23 @@ class LinearRegression(BaseRegressor):
             x_mean = np.zeros(X.shape[1])
             y_mean = 0.0
             Xc, yc = X, y
-        coef, _, _, singular = np.linalg.lstsq(Xc, yc, rcond=None)
-        # lstsq's own cut-off is relative to the largest singular value; a
-        # value that passed it but lies below the absolute floor goes too.
-        relative_cut = np.finfo(np.float64).eps * max(Xc.shape) * singular[0]
-        if np.any((singular > relative_cut) & (singular < _SINGULAR_FLOOR)):
-            if singular[0] < _SINGULAR_FLOOR:
-                coef = np.zeros(Xc.shape[1])
-            else:
-                coef = np.linalg.lstsq(Xc, yc, rcond=_SINGULAR_FLOOR / singular[0])[0]
+        # The fit works to sqrt(eps): a direction that explains a share
+        # sigma of the target needs coefficients of order 1 / sigma, whose
+        # products then carry rounding of order eps / sigma, more than the
+        # direction explains once sigma < sqrt(eps).  So lstsq cuts such
+        # directions of the scaled design below, and a column that
+        # varies by less than sqrt(eps) of its size is treated as constant
+        # (centred, a constant column is rounding noise, which fitted took
+        # coefficients of 1e11 and predictions that lost every digit), as is
+        # one whose norm is below the floor; each gets a zero coefficient.
+        norms = np.linalg.norm(Xc, axis=0)
+        keep = norms > np.maximum(_SQRT_EPS * np.linalg.norm(X, axis=0), _NORM_FLOOR)
+        coef = np.zeros(X.shape[1])
+        if keep.any():
+            # Unit-norm columns, so that a feature on a scale 1e12 times
+            # another's does not by itself make the design ill-conditioned.
+            scaled = Xc[:, keep] / norms[keep]
+            coef[keep] = np.linalg.lstsq(scaled, yc, rcond=_SQRT_EPS)[0] / norms[keep]
         self.coef_ = coef
         self.intercept_ = y_mean - float(x_mean @ coef)
         self.n_features_in_ = X.shape[1]

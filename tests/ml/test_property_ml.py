@@ -71,9 +71,25 @@ class TestMetricProperties:
 _SUBNORMAL_COLUMN = np.zeros((10, 1))
 _SUBNORMAL_COLUMN[0, 0] = 2.2250738585072014e-308
 
+#: A drawn case whose constant columns, once centred, kept rounding noise
+#: that OLS fitted with coefficients of 2.5e11: fifteen rows of one value,
+#: one zero in the third column, and a target that does not follow it.
+_NOISY_CONSTANT_COLUMNS = np.full((15, 4), 29.09389335075437)
+_NOISY_CONSTANT_COLUMNS[2, 2] = 0.0
+_ZERO_THEN_ONES = np.ones(15)
+_ZERO_THEN_ONES[0] = 0.0
+
+#: A drawn case with one feature 1e11 times thinner than another: solved on
+#: the raw columns its residual was 3e-6 off the exact fit.
+_MIXED_SCALE_COLUMNS = np.zeros((10, 3))
+_MIXED_SCALE_COLUMNS[0, 1] = 1e-10
+_MIXED_SCALE_COLUMNS[4, 2] = 22.0
+
 
 class TestLinearModelProperties:
     @given(regression_problem(min_rows=10))
+    @example(problem=(_NOISY_CONSTANT_COLUMNS, _ZERO_THEN_ONES))
+    @example(problem=(_MIXED_SCALE_COLUMNS, _ZERO_THEN_ONES[:10]))
     @settings(max_examples=25, deadline=None)
     def test_ols_residuals_orthogonal_to_features(self, problem):
         X, y = problem
